@@ -14,6 +14,7 @@ from .series import (
     SubstitutionError,
     TruncatedSeries,
     bidegree_basis,
+    coordinates,
     series_add,
     series_mul,
     substitute,
@@ -86,6 +87,7 @@ __all__ = [
     "build_fgl",
     "character_class",
     "chern_classes",
+    "coordinates",
     "fgl_inverse",
     "fgl_sum",
     "flag_restriction",

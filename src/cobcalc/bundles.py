@@ -325,7 +325,7 @@ def pb_substitute(
 
     zero_t = (0,) * ring.base.n_vars
     acc = ring.zero()
-    for mono, coeff in s._terms.items():
+    for mono, coeff in s.iter_terms():
         scalar = TruncatedSeries(ring.base, {Monomial(zero_t, mono.laz): coeff})
         if scalar.is_zero():
             continue

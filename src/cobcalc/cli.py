@@ -16,7 +16,7 @@ import os
 import random
 import sys
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional, Sequence
 
 from .bundles import (
@@ -33,7 +33,7 @@ from .bundles import (
     zero_section_restriction,
 )
 from .equivariant import invariant_basis, preset
-from .fgl import COEFF_KIND_FOR, build_fgl, normalize_kind, verify_fgl_axioms
+from .fgl import COEFF_KIND_FOR, build_fgl, normalize_kind
 from .selftest import random_series, run_selftest
 from .series import RingContext
 from .towers import (
@@ -116,12 +116,18 @@ def _emit(report: dict, config: JobConfig) -> str:
     return "\n".join(lines)
 
 
+def _require_samples(config: JobConfig, flag: str) -> None:
+    # zero samples would check nothing and still report a pass
+    if config.samples < 1:
+        raise ConfigError(f"{flag} must be at least 1, got {config.samples}")
+
+
 # -- subcommand bodies -------------------------------------------------------------
 
 
 def _run_fgl_check(config: JobConfig):
     law = _law(config)
-    report = verify_fgl_axioms(law)
+    report = law.axioms
     body = {
         "schema": f"{SCHEMA_PREFIX}/fgl-check/v1",
         "kind": law.kind,
@@ -168,6 +174,7 @@ def _run_bg(config: JobConfig):
 
 
 def _run_flag(config: JobConfig):
+    _require_samples(config, "--pairs")
     group = preset(config.group)
     law = _law(config)
     ctx = law.context(group.rank)
@@ -227,8 +234,9 @@ def _run_flag(config: JobConfig):
 
 
 def _run_sif(config: JobConfig):
+    _require_samples(config, "--samples")
     if config.t_order is not None:
-        config.max_t = config.t_order
+        config = replace(config, max_t=config.t_order)
     law = _law(config)
     ctx = law.context(config.base_vars)
     rng = random.Random(config.seed)
@@ -265,6 +273,7 @@ def _run_sif(config: JobConfig):
 
 
 def _run_pbf(config: JobConfig):
+    _require_samples(config, "--samples")
     law = _law(config)
     ctx = law.context(2)
     rng = random.Random(config.seed)

@@ -26,7 +26,14 @@ from typing import Optional, Sequence
 
 from . import linalg
 from .fgl import FormalGroupLaw, fgl_sum, n_series
-from .series import Monomial, RingContext, TruncatedSeries, bidegree_basis, substitute
+from .series import (
+    Monomial,
+    RingContext,
+    TruncatedSeries,
+    bidegree_basis,
+    coordinates,
+    substitute,
+)
 
 Matrix = tuple  # tuple of row tuples with integer entries
 
@@ -202,17 +209,11 @@ def action_matrix(
     w, law: FormalGroupLaw, basis: Sequence[Monomial], ctx: RingContext
 ) -> list:
     """Matrix of the Weyl action on the span of ``basis`` (columns = images)."""
-    index = {m: i for i, m in enumerate(basis)}
-    basis_set = set(index)
     cols = []
     for mono in basis:
         image = weyl_apply(w, TruncatedSeries(ctx, {mono: Fraction(1)}), law)
-        col = [Fraction(0)] * len(basis)
-        for m, c in image._terms.items():
-            if m in basis_set:
-                col[index[m]] = c
-            # terms outside the window fall into the filtration ideal: dropped
-        cols.append(col)
+        # terms outside the window fall into the filtration ideal: dropped
+        cols.append(coordinates(image, basis))
     return linalg.transpose(cols)
 
 

@@ -19,7 +19,7 @@ that `fgl_inverse` is a single substitution.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 from typing import Optional
 
 from .series import (
@@ -65,7 +65,8 @@ class FormalGroupLaw:
 
     ``series`` is F(x, y) in a two-variable context (x = t1, y = t2);
     ``log``/``exp`` are only present for the universal-rational kind;
-    ``inverse_series`` is chi(x) in a one-variable context.
+    ``inverse_series`` is chi(x) in a one-variable context;
+    ``axioms`` is the report `build_fgl` validated the law with.
     """
 
     kind: str
@@ -73,6 +74,7 @@ class FormalGroupLaw:
     inverse_series: TruncatedSeries
     log: Optional[TruncatedSeries] = None
     exp: Optional[TruncatedSeries] = None
+    axioms: Optional[AxiomReport] = field(default=None, compare=False, repr=False)
 
     @property
     def coeff_kind(self) -> str:
@@ -135,7 +137,7 @@ def build_fgl(kind: str, ctx: RingContext) -> FormalGroupLaw:
     if not report.ok:
         bad = [name for name, r in report.residuals if not r.is_zero()]
         raise FglConstructionError(f"axiom residuals nonzero for {kind}: {bad}")
-    return law
+    return replace(law, axioms=report)
 
 
 def _universal_log(ctx1: RingContext) -> TruncatedSeries:
@@ -241,4 +243,4 @@ def n_series(law: FormalGroupLaw, n: int, a: TruncatedSeries) -> TruncatedSeries
 def additive_shadow(s: TruncatedSeries) -> TruncatedSeries:
     """Specialize every coefficient generator to 0 (image in the rational kind)."""
     ctx = RingContext(s.ctx.n_vars, "rational", s.ctx.max_t_order, 0)
-    return ctx.from_terms({m: c for m, c in s._terms.items() if not m.laz})
+    return ctx.from_terms({m: c for m, c in s.iter_terms() if not m.laz})

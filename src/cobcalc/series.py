@@ -23,8 +23,33 @@ quotient (t-order and weight never decrease under multiplication or
 augmentation-ideal substitution), which is what makes the truncated
 identities exact.
 
-Coefficients are `fractions.Fraction` throughout; there is no floating
+Coefficients are exact rationals throughout; there is no floating
 point anywhere in this package.
+
+Internal representation
+-----------------------
+`Monomial` and `fractions.Fraction` are the types at every boundary
+(construction, ``items()``, ``coefficient()``, `coordinates`, text and
+JSON).  Inside, a series stores integer numerators over one common
+denominator, and each monomial as one packed int:
+
+* ``_terms`` maps packed monomial keys to nonzero int numerators and
+  ``_den`` is the common denominator.  The canonical form is
+  ``_den >= 1``, ``gcd(_den, every numerator) == 1`` and no zero
+  numerator; every operation returns it, and equality and hashing
+  compare it.
+* A packed key holds, from the most significant field down: t-order,
+  weight, ``t1..tn``, then the generator exponents ``e1..eG`` (``G`` is
+  0 for rational, 1 for ``b`` and ``max_weight`` for ``m1, m2, ...``).
+  All fields share one width, derived from the caps of the context, that
+  holds the sum of two in-cap values without a carry.  The key of a
+  product of monomials is therefore the sum of their keys, sorting keys
+  sorts by t-order first, and the t-order cap is one comparison against
+  a key bound.  The weight cap is one bit test: the weight field of a
+  product key is biased so that its top bit is set exactly when the
+  weight exceeds the cap.
+
+Only this module knows the packed form.
 """
 
 from __future__ import annotations
@@ -32,7 +57,9 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping, NamedTuple, Optional
+from functools import cached_property, lru_cache
+from math import gcd, lcm
+from typing import Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence
 
 COEFF_KINDS = ("rational", "multiplicative-beta", "universal-rational")
 
@@ -68,10 +95,18 @@ class RingContext:
         if self.max_t_order < 0 or self.max_weight < 0:
             raise ValueError("truncation caps must be non-negative")
 
+    @cached_property
+    def _layout(self) -> "_Layout":
+        """Packed-key geometry of this context (see the module docstring)."""
+        n_gens = {"rational": 0, "multiplicative-beta": 1}.get(
+            self.coeff_kind, self.max_weight
+        )
+        return _shared_layout(self.n_vars, n_gens, self.max_t_order, self.max_weight)
+
     # -- series constructors ------------------------------------------------
 
     def zero(self) -> "TruncatedSeries":
-        return TruncatedSeries._raw(self, {})
+        return TruncatedSeries._raw(self, {}, 1)
 
     def one(self) -> "TruncatedSeries":
         return self.constant(1)
@@ -80,7 +115,8 @@ class RingContext:
         c = Fraction(value)
         if c == 0:
             return self.zero()
-        return TruncatedSeries._raw(self, {Monomial((0,) * self.n_vars, ()): c})
+        # key 0 is the monomial 1
+        return TruncatedSeries._raw(self, {0: c.numerator}, c.denominator)
 
     def var(self, j: int) -> "TruncatedSeries":
         """The degree-1 variable t_{j+1} as a series (0-based index)."""
@@ -98,7 +134,8 @@ class RingContext:
 
     def from_terms(self, terms: Mapping["Monomial", Fraction]) -> "TruncatedSeries":
         """Build a series, validating generator indices and applying the caps."""
-        out = {}
+        layout = self._layout
+        out: dict = {}
         for mono, coeff in terms.items():
             for i, e in mono.laz:
                 _check_lazard_index(self.coeff_kind, i)
@@ -113,8 +150,12 @@ class RingContext:
                 continue
             if mono.t_order() > self.max_t_order or mono.weight() > self.max_weight:
                 continue
-            out[mono] = out.get(mono, Fraction(0)) + c
-        return TruncatedSeries._raw(self, {m: c for m, c in out.items() if c != 0})
+            key = layout.encode(mono)
+            out[key] = out.get(key, 0) + c
+        out = {k: c for k, c in out.items() if c != 0}
+        den = lcm(*(c.denominator for c in out.values()))
+        nums = {k: c.numerator * (den // c.denominator) for k, c in out.items()}
+        return _reduced(self, nums, den)
 
 
 def _check_lazard_index(kind: str, i: int) -> None:
@@ -151,18 +192,60 @@ class Monomial(NamedTuple):
         return (self.t_order(), tuple(-e for e in self.t), self.weight(), self.laz)
 
 
-def mono_mul(a: Monomial, b: Monomial) -> Monomial:
-    t = tuple(x + y for x, y in zip(a.t, b.t))
-    if not a.laz:
-        laz = b.laz
-    elif not b.laz:
-        laz = a.laz
-    else:
-        merged = dict(a.laz)
-        for i, e in b.laz:
-            merged[i] = merged.get(i, 0) + e
-        laz = tuple(sorted(merged.items()))
-    return Monomial(t, laz)
+class _Layout:
+    """Field shifts and cap bounds of the packed keys of one context."""
+
+    __slots__ = (
+        "n_vars", "n_gens", "max_t", "max_w", "mask", "var_shifts", "gen_shifts",
+        "w_shift", "t_shift", "gen_mask", "t_limit", "w_bias", "w_guard",
+    )
+
+    def __init__(self, n_vars: int, n_gens: int, max_t: int, max_w: int):
+        # every field holds at most twice its cap while a product is formed
+        width = (2 * max(max_t, max_w, 1)).bit_length()
+        self.n_vars, self.n_gens, self.max_t, self.max_w = n_vars, n_gens, max_t, max_w
+        self.mask = (1 << width) - 1
+        self.gen_shifts = tuple(width * (n_gens - i) for i in range(1, n_gens + 1))
+        self.var_shifts = tuple(width * (n_gens + n_vars - j) for j in range(1, n_vars + 1))
+        self.w_shift = width * (n_gens + n_vars)
+        self.t_shift = self.w_shift + width
+        self.gen_mask = (1 << (width * n_gens)) - 1
+        # a key at or above t_limit has t-order > max_t
+        self.t_limit = (max_t + 1) << self.t_shift
+        # adding w_bias to a key whose weight field is at most 2 * max_w sets
+        # the top bit of that field (w_guard) iff the weight exceeds max_w
+        self.w_bias = ((1 << (width - 1)) - 1 - max_w) << self.w_shift
+        self.w_guard = 1 << (self.w_shift + width - 1)
+
+    def encode(self, mono: Monomial) -> int:
+        """Key of a monomial inside the caps with valid generator indices."""
+        key = (mono.t_order() << self.t_shift) + (mono.weight() << self.w_shift)
+        for e, shift in zip(mono.t, self.var_shifts):
+            key += e << shift
+        for i, e in mono.laz:
+            key += e << self.gen_shifts[i - 1]
+        return key
+
+    def key_of(self, mono: Monomial) -> Optional[int]:
+        """Key of ``mono``, or None when no series of the context can hold it."""
+        if len(mono.t) != self.n_vars or any(e < 0 for e in mono.t):
+            return None
+        if any(not 1 <= i <= self.n_gens or e <= 0 for i, e in mono.laz):
+            return None
+        if mono.t_order() > self.max_t or mono.weight() > self.max_w:
+            return None
+        return self.encode(mono)
+
+    def decode(self, key: int) -> Monomial:
+        mask = self.mask
+        t = tuple((key >> shift) & mask for shift in self.var_shifts)
+        exps = ((key >> shift) & mask for shift in self.gen_shifts)
+        return Monomial(t, tuple((i, e) for i, e in enumerate(exps, 1) if e))
+
+
+@lru_cache(maxsize=None)
+def _shared_layout(n_vars: int, n_gens: int, max_t: int, max_w: int) -> _Layout:
+    return _Layout(n_vars, n_gens, max_t, max_w)
 
 
 class TruncatedSeries:
@@ -178,64 +261,87 @@ class TruncatedSeries:
     '1 * t1^2 + -1 * t2^2'
     """
 
-    __slots__ = ("ctx", "_terms", "_hash")
+    # _graded: the terms sorted by key, built on first use as a right factor
+    __slots__ = ("ctx", "_terms", "_den", "_graded", "_hash")
 
     def __init__(self, ctx: RingContext, terms: Mapping[Monomial, Fraction]):
         validated = ctx.from_terms(terms)
         self.ctx = ctx
         self._terms = validated._terms
+        self._den = validated._den
+        self._graded = None
         self._hash = None
 
     @classmethod
-    def _raw(cls, ctx: RingContext, terms: dict) -> "TruncatedSeries":
-        # internal: terms are already canonical (no zeros, inside caps)
+    def _raw(cls, ctx: RingContext, terms: dict, den: int) -> "TruncatedSeries":
+        # internal: (terms, den) is already canonical and inside the caps
         obj = object.__new__(cls)
         obj.ctx = ctx
         obj._terms = terms
+        obj._den = den
+        obj._graded = None
         obj._hash = None
         return obj
 
     # -- inspection ----------------------------------------------------------
 
+    def iter_terms(self) -> Iterator[tuple]:
+        """``(Monomial, Fraction)`` pairs in no particular order."""
+        decode, den = self.ctx._layout.decode, self._den
+        for key, num in self._terms.items():
+            yield decode(key), Fraction(num, den)
+
     def items(self) -> list:
         """Term list in the canonical order."""
-        return sorted(self._terms.items(), key=lambda kv: kv[0].sort_key())
+        return sorted(self.iter_terms(), key=lambda kv: kv[0].sort_key())
 
     def coefficient(self, mono: Monomial) -> Fraction:
-        return self._terms.get(mono, Fraction(0))
+        key = self.ctx._layout.key_of(mono)
+        return Fraction(self._terms.get(key, 0), self._den)
 
     def is_zero(self) -> bool:
         return not self._terms
 
     def constant_coefficient(self) -> Fraction:
-        return self._terms.get(Monomial((0,) * self.ctx.n_vars, ()), Fraction(0))
+        return Fraction(self._terms.get(0, 0), self._den)
 
     def has_t_constant_term(self) -> bool:
         """True if some term has t-order 0 (possibly with a generator part)."""
-        return any(m.t_order() == 0 for m in self._terms)
+        return self.min_t_order() == 0
 
     def min_t_order(self) -> Optional[int]:
         if not self._terms:
             return None
-        return min(m.t_order() for m in self._terms)
+        return min(self._terms) >> self.ctx._layout.t_shift
 
     def t_slice(self, k: int) -> "TruncatedSeries":
         """The part of the series with t-order exactly k."""
-        return TruncatedSeries._raw(
-            self.ctx, {m: c for m, c in self._terms.items() if m.t_order() == k}
+        shift = self.ctx._layout.t_shift
+        return _reduced(
+            self.ctx, {m: c for m, c in self._terms.items() if m >> shift == k}, self._den
         )
 
     def support_vars(self) -> set:
-        return {j for m in self._terms for j, e in enumerate(m.t) if e}
+        layout = self.ctx._layout
+        seen = 0
+        for key in self._terms:
+            seen |= key
+        return {
+            j for j, shift in enumerate(layout.var_shifts) if (seen >> shift) & layout.mask
+        }
 
     def __eq__(self, other):
         if not isinstance(other, TruncatedSeries):
             return NotImplemented
-        return self.ctx == other.ctx and self._terms == other._terms
+        return (
+            self.ctx == other.ctx
+            and self._den == other._den
+            and self._terms == other._terms
+        )
 
     def __hash__(self):
         if self._hash is None:
-            self._hash = hash((self.ctx, tuple(sorted(self._terms.items()))))
+            self._hash = hash((self.ctx, self._den, frozenset(self._terms.items())))
         return self._hash
 
     def __bool__(self):
@@ -252,7 +358,9 @@ class TruncatedSeries:
     __radd__ = __add__
 
     def __neg__(self):
-        return TruncatedSeries._raw(self.ctx, {m: -c for m, c in self._terms.items()})
+        return TruncatedSeries._raw(
+            self.ctx, {m: -c for m, c in self._terms.items()}, self._den
+        )
 
     def __sub__(self, other):
         return self + (-_coerce(self.ctx, other))
@@ -274,7 +382,12 @@ class TruncatedSeries:
         c = Fraction(c)
         if c == 0:
             return self.ctx.zero()
-        return TruncatedSeries._raw(self.ctx, {m: v * c for m, v in self._terms.items()})
+        num = c.numerator
+        return _reduced(
+            self.ctx,
+            {m: v * num for m, v in self._terms.items()},
+            self._den * c.denominator,
+        )
 
     def __pow__(self, n: int):
         if n < 0:
@@ -369,6 +482,61 @@ class TruncatedSeries:
         return ctx.from_terms(terms)
 
 
+def coordinates(s: TruncatedSeries, basis: Sequence[Monomial]) -> list:
+    """The coefficients of ``s`` on ``basis``, in basis order.
+
+    Terms of ``s`` on monomials outside ``basis`` are ignored.
+    """
+    terms, den = s._terms, s._den
+    zero = Fraction(0)
+    out = []
+    for key in _basis_keys(s.ctx._layout, tuple(basis)):
+        num = terms.get(key)
+        out.append(zero if num is None else Fraction(num, den))
+    return out
+
+
+@lru_cache(maxsize=256)
+def _basis_keys(layout: _Layout, basis: tuple) -> tuple:
+    # callers ask for many series on one basis (one column per basis element)
+    return tuple(layout.key_of(m) for m in basis)
+
+
+def _reduced(ctx: RingContext, terms: dict, den: int) -> TruncatedSeries:
+    """The canonical series of nonzero numerators ``terms`` over ``den`` >= 1."""
+    if den != 1:
+        g = gcd(den, *terms.values())
+        if g != 1:
+            den //= g
+            terms = {m: c // g for m, c in terms.items()}
+    return TruncatedSeries._raw(ctx, terms, den)
+
+
+def _accumulate(acc: dict, den: int, terms: dict, terms_den: int) -> int:
+    """Add ``terms / terms_den`` into the numerators ``acc`` over ``den``, in place.
+
+    Returns the new common denominator of ``acc``; zero sums are removed.
+    """
+    if terms_den == den:
+        factor = 1
+    else:
+        common = lcm(den, terms_den)
+        if common != den:
+            up = common // den
+            for m in acc:
+                acc[m] *= up
+            den = common
+        factor = den // terms_den
+    get = acc.get
+    for m, c in terms.items():
+        v = get(m, 0) + c * factor
+        if v:
+            acc[m] = v
+        else:
+            del acc[m]
+    return den
+
+
 def _coerce(ctx: RingContext, value) -> TruncatedSeries:
     if isinstance(value, TruncatedSeries):
         return value
@@ -378,7 +546,7 @@ def _coerce(ctx: RingContext, value) -> TruncatedSeries:
 
 
 def _require_same_ctx(a: TruncatedSeries, b: TruncatedSeries) -> None:
-    if a.ctx != b.ctx:
+    if a.ctx is not b.ctx and a.ctx != b.ctx:
         raise ContextMismatch(f"contexts differ: {a.ctx} vs {b.ctx}")
 
 
@@ -393,14 +561,8 @@ def series_add(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:
     if not b._terms:
         return a
     out = dict(a._terms)
-    for m, c in b._terms.items():
-        v = out.get(m)
-        s = c if v is None else v + c
-        if s == 0:
-            out.pop(m, None)
-        else:
-            out[m] = s
-    return TruncatedSeries._raw(a.ctx, out)
+    den = _accumulate(out, a._den, b._terms, b._den)
+    return _reduced(a.ctx, out, den)
 
 
 def series_mul(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:
@@ -416,25 +578,24 @@ def series_mul(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:
         return ctx.zero()
     if len(a._terms) > len(b._terms):
         a, b = b, a
-    cap_t, cap_w = ctx.max_t_order, ctx.max_weight
-    bterms = sorted(
-        ((m.t_order(), m.weight(), m, c) for m, c in b._terms.items()),
-        key=lambda e: e[0],
-    )
-    out = {}
-    for ma, ca in a._terms.items():
-        t_budget = cap_t - ma.t_order()
-        w_budget = cap_w - ma.weight()
-        for tb, wb, mb, cb in bterms:
-            if tb > t_budget:
+    graded = b._graded
+    if graded is None:
+        graded = b._graded = sorted(b._terms.items())
+    layout = ctx._layout
+    t_limit, bias, guard = layout.t_limit, layout.w_bias, layout.w_guard
+    # keys in ``out`` carry the weight bias until the end
+    out: dict = {}
+    get = out.get
+    for ka, ca in a._terms.items():
+        ka += bias
+        for kb, cb in graded:
+            p = ka + kb
+            if p >= t_limit:
                 break
-            if wb > w_budget:
+            if p & guard:
                 continue
-            mm = mono_mul(ma, mb)
-            v = out.get(mm)
-            p = ca * cb
-            out[mm] = p if v is None else v + p
-    return TruncatedSeries._raw(ctx, {m: c for m, c in out.items() if c != 0})
+            out[p] = get(p, 0) + ca * cb
+    return _reduced(ctx, {p - bias: c for p, c in out.items() if c}, a._den * b._den)
 
 
 def substitute(
@@ -497,25 +658,34 @@ def substitute(
         powers[key] = result
         return result
 
-    acc: dict = {}
+    src, dst = s.ctx._layout, target._layout
+    mask, w_shift, max_w, den = src.mask, src.w_shift, target.max_weight, s._den
+    var_shifts = tuple(enumerate(src.var_shifts))
+    # the generator fields of a key move over unchanged when both layouts
+    # agree on their number and width
+    same_gens = src.n_gens == dst.n_gens and src.mask == dst.mask
     zero_t = (0,) * target.n_vars
-    for mono, coeff in s._terms.items():
-        if mono.weight() > target.max_weight:
+    acc: dict = {}
+    acc_den = 1
+    for key, num in s._terms.items():
+        w = (key >> w_shift) & mask
+        if w > max_w:
             continue
-        term = TruncatedSeries._raw(target, {Monomial(zero_t, mono.laz): coeff})
-        for j, e in enumerate(mono.t):
+        if same_gens:
+            start = (w << dst.w_shift) | (key & src.gen_mask)
+        else:
+            start = dst.encode(Monomial(zero_t, src.decode(key).laz))
+        g = gcd(num, den)
+        term = TruncatedSeries._raw(target, {start: num // g}, den // g)
+        for j, shift in var_shifts:
+            e = (key >> shift) & mask
             if e:
                 term = series_mul(term, power(j, e))
                 if not term._terms:
                     break
-        for m, c in term._terms.items():
-            v = acc.get(m)
-            t = c if v is None else v + c
-            if t == 0:
-                acc.pop(m, None)
-            else:
-                acc[m] = t
-    return TruncatedSeries._raw(target, acc)
+        else:  # the term did not vanish
+            acc_den = _accumulate(acc, acc_den, term._terms, term._den)
+    return _reduced(target, acc, acc_den)
 
 
 def bidegree_basis(ctx: RingContext, degree: int, t_order: int) -> list:

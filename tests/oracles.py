@@ -2,14 +2,18 @@
 
 Everything here avoids the package's own series engine: sympy expansion
 for group-law coefficients, plain counting for invariant dimensions,
-and direct enumeration for monomial bases.
+direct enumeration for monomial bases, and a reference series arithmetic
+on plain ``{Monomial: Fraction}`` dicts.
 """
 
 from __future__ import annotations
 
 import itertools
+from fractions import Fraction
 
 import sympy
+
+from cobcalc.series import Monomial
 
 
 def trunc_x(expr, x, order):
@@ -98,7 +102,7 @@ def count_poly_monomials(weights, degree):
 
 def enumerate_window(n_vars, max_t, max_w, kind, degree, t_order):
     """Exhaustive bidegree enumeration, independent of the package walk."""
-    from cobcalc.series import Monomial, lazard_monomials
+    from cobcalc.series import lazard_monomials
 
     out = []
     for t in itertools.product(range(max_t + 1), repeat=n_vars):
@@ -110,3 +114,90 @@ def enumerate_window(n_vars, max_t, max_w, kind, degree, t_order):
                 if m.degree() == degree:
                     out.append(m)
     return sorted(out, key=lambda m: m.sort_key())
+
+
+# -- reference series arithmetic ------------------------------------------------
+# The series algorithms as they stood before the packed-integer kernel: a
+# series is a dict from Monomial to nonzero Fraction, products are formed term
+# by term and truncated to the caps (max_t, max_w) afterwards.
+
+
+def ref_mono_mul(a, b):
+    t = tuple(x + y for x, y in zip(a.t, b.t))
+    merged = dict(a.laz)
+    for i, e in b.laz:
+        merged[i] = merged.get(i, 0) + e
+    return Monomial(t, tuple(sorted(merged.items())))
+
+
+def ref_truncate(terms, max_t, max_w):
+    """The terms inside the caps, with zero coefficients dropped."""
+    return {
+        m: Fraction(c)
+        for m, c in terms.items()
+        if c != 0 and m.t_order() <= max_t and m.weight() <= max_w
+    }
+
+
+def ref_add(a, b):
+    out = dict(a)
+    for m, c in b.items():
+        s = out.get(m, 0) + c
+        if s == 0:
+            out.pop(m, None)
+        else:
+            out[m] = s
+    return out
+
+
+def ref_scale(a, c):
+    c = Fraction(c)
+    return {m: v * c for m, v in a.items()} if c else {}
+
+
+def ref_mul(a, b, max_t, max_w):
+    if len(a) > len(b):
+        a, b = b, a
+    bterms = sorted(
+        ((m.t_order(), m.weight(), m, c) for m, c in b.items()), key=lambda e: e[0]
+    )
+    out = {}
+    for ma, ca in a.items():
+        t_budget = max_t - ma.t_order()
+        w_budget = max_w - ma.weight()
+        for tb, wb, mb, cb in bterms:
+            if tb > t_budget:
+                break
+            if wb > w_budget:
+                continue
+            m = ref_mono_mul(ma, mb)
+            out[m] = out.get(m, 0) + ca * cb
+    return {m: c for m, c in out.items() if c != 0}
+
+
+def ref_substitute(s, assignment, n_target, max_t, max_w):
+    """s with t_j -> assignment[j], in a target of n_target variables and caps (max_t, max_w).
+
+    Unassigned variables map to the variable of the same index in the target.
+    """
+    powers = {}
+
+    def power(j, e):
+        if (j, e) not in powers:
+            if e == 1:
+                t = tuple(1 if i == j else 0 for i in range(n_target))
+                powers[j, e] = assignment.get(j, {Monomial(t, ()): Fraction(1)})
+            else:
+                powers[j, e] = ref_mul(power(j, e - 1), power(j, 1), max_t, max_w)
+        return powers[j, e]
+
+    acc = {}
+    for mono, coeff in s.items():
+        if mono.weight() > max_w:
+            continue
+        term = {Monomial((0,) * n_target, mono.laz): coeff}
+        for j, e in enumerate(mono.t):
+            if e:
+                term = ref_mul(term, power(j, e), max_t, max_w)
+        acc = ref_add(acc, term)
+    return acc

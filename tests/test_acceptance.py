@@ -4,6 +4,7 @@ All comparisons are exact (rational arithmetic); the only tolerance that
 appears anywhere is the wall-clock target of criterion 1.
 """
 
+import hashlib
 import json
 import random
 import subprocess
@@ -234,6 +235,11 @@ def test_criterion_8_flag_restriction():
             mult_ok and cong_ok and pairs_checked >= 100)
 
 
+# stdout sha256 of ``selftest --seed 42``, recorded before the packed series
+# kernel replaced the Monomial/Fraction one
+SELFTEST_42_SHA256 = "1b050fadf67cf1ae153f75ea3bc4c8e52df31c7079c6228e9a552f16b118c875"
+
+
 def test_criterion_9_selftest_determinism():
     args = [sys.executable, "-m", "cobcalc.cli", "selftest", "--seed", "42"]
     first = subprocess.run(args, capture_output=True)
@@ -241,5 +247,6 @@ def test_criterion_9_selftest_determinism():
     ok = (
         first.stdout == second.stdout
         and first.returncode == second.returncode == 0
+        and hashlib.sha256(first.stdout).hexdigest() == SELFTEST_42_SHA256
     )
-    verdict(9, "selftest --seed 42 twice is byte-identical and green", ok)
+    verdict(9, "selftest --seed 42 twice is byte-identical, green and as recorded", ok)

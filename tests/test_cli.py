@@ -1,10 +1,13 @@
+import copy
+import hashlib
 import json
 import subprocess
 import sys
 
 import pytest
 
-from cobcalc.cli import JobConfig, parse_degree_range, run
+from cobcalc import cli, fgl
+from cobcalc.cli import JobConfig, main, parse_degree_range, run
 
 
 def run_cli(*argv):
@@ -140,3 +143,74 @@ def test_cli_threads_env_does_not_change_output(monkeypatch):
     one = sp.run(args, capture_output=True, text=True, env={"PATH": "/usr/bin:/bin", "COBCALC_THREADS": "1"})
     four = sp.run(args, capture_output=True, text=True, env={"PATH": "/usr/bin:/bin", "COBCALC_THREADS": "4"})
     assert one.stdout == four.stdout
+
+
+# stdout sha256 of the README commands, recorded before the packed series
+# kernel replaced the Monomial/Fraction one; every byte must stay the same
+README_GOLDEN = {
+    "fgl check --kind universal --max-t 8 --max-w 7":
+        "b7239b01551eba3cd82fdd722dcf488affa12e18b9faba1f8c9e43308a1273ac",
+    "bg --group GL2 --fgl additive --deg 0..3 --torder 3":
+        "e46522f9ec35af3eca7e00bd1023aea88494aa956590bd7abddb77db2abb84a7",
+    "bg --group GL3 --fgl universal --deg 0..4 --torder 4 --max-t 4 --max-w 3 --emit-basis":
+        "8148d8236721e58bee4eaa4f343b44c315c4c9714fb072ca1a80c75a5d47cf92",
+    "flag --group GL2 --fgl universal --pairs 25 --seed 7":
+        "d05fd4725dfa0a07990169769abe6ea90e5d28c9dfef559d829ee5aea037e4b3",
+    "sif --fgl universal --rank 2 --torder 6":
+        "5e149a319dde534cee9ea276650e2bfafc203b9dd6554e9a5cb51a63d37a3bca",
+    "pbf --rank 4 --fgl multiplicative":
+        "b436b80674b0b1b0b7f5a3219ac37f1f492799fd55e27775ca2ce4f8c16d0bed",
+    "tower bgm --fgl universal --deg 0..5 --levels 8":
+        "5d56284ec48c05091cd2c1b62a56bc603d0b4bcf9b9f6e7d1088d8e958aa8c44",
+}
+
+
+@pytest.mark.parametrize("command", sorted(README_GOLDEN))
+def test_readme_command_stdout_golden(command, capsys):
+    status = main(command.split())
+    out = capsys.readouterr().out
+    assert status == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == README_GOLDEN[command]
+
+
+def test_fgl_check_verifies_axioms_once(monkeypatch):
+    calls = []
+    original = fgl.verify_fgl_axioms
+
+    def counting(law):
+        calls.append(law.kind)
+        return original(law)
+
+    # every module binding of the name, so a second call from the CLI is seen
+    monkeypatch.setattr(fgl, "verify_fgl_axioms", counting)
+    monkeypatch.setattr(cli, "verify_fgl_axioms", counting, raising=False)
+    status, report = run(JobConfig(subcommand="fgl-check", fgl_kind="universal"))
+    assert status == 0
+    assert json.loads(report)["assoc"] is True
+    assert calls == ["universal-rational"]
+
+
+def test_sif_leaves_config_unchanged():
+    config = JobConfig(subcommand="sif", fgl_kind="multiplicative", rank=1,
+                       samples=2, t_order=4, max_t=6)
+    before = copy.deepcopy(config)
+    status, report = run(config)
+    assert status == 0
+    assert config == before
+    assert json.loads(report)["caps"]["max_t"] == 4
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["sif", "--samples", "0"],
+        ["pbf", "--samples", "0"],
+        ["flag", "--pairs", "-1"],
+    ],
+    ids=["sif", "pbf", "flag"],
+)
+def test_sample_count_below_one_is_rejected(argv, capsys):
+    assert main(argv) == 2
+    body = json.loads(capsys.readouterr().out)
+    assert body["schema"] == "cobcalc/error/v1"
+    assert ("--pairs" if argv[0] == "flag" else "--samples") in body["error"]["message"]

@@ -1,5 +1,4 @@
 import random
-from fractions import Fraction
 
 import pytest
 
@@ -16,7 +15,7 @@ from cobcalc.equivariant import (
     window_basis,
 )
 from cobcalc.fgl import build_fgl
-from cobcalc.series import RingContext
+from cobcalc.series import RingContext, coordinates
 
 from oracles import count_poly_monomials, permutation_orbit_count
 
@@ -111,12 +110,10 @@ def test_invariant_basis_s2_degree2():
     from cobcalc.equivariant import window_basis
 
     window = window_basis(ctx, 2, 2)
-    index = {m: i for i, m in enumerate(window)}
 
     def vec(s):
-        out = [Fraction(0)] * len(window)
-        for m, c in s._terms.items():
-            out[index[m]] = c
+        out = coordinates(s, window)
+        assert ctx.from_terms(dict(zip(window, out))) == s  # no term outside the window
         return out
 
     rows = [vec(b) for b in basis]
@@ -186,7 +183,7 @@ def test_invariant_basis_fixed_by_generators():
             for w in g.weyl.generators:
                 image = weyl_apply(w, v, uni)
                 image = ctx.from_terms(
-                    {m: c for m, c in image._terms.items() if m.t_order() <= 3}
+                    {m: c for m, c in image.iter_terms() if m.t_order() <= 3}
                 )
                 assert image == v
 
