@@ -116,12 +116,6 @@ def _emit(report: dict, config: JobConfig) -> str:
     return "\n".join(lines)
 
 
-def _require_samples(config: JobConfig, flag: str) -> None:
-    # zero samples would check nothing and still report a pass
-    if config.samples < 1:
-        raise ConfigError(f"{flag} must be at least 1, got {config.samples}")
-
-
 # -- subcommand bodies -------------------------------------------------------------
 
 
@@ -174,7 +168,6 @@ def _run_bg(config: JobConfig):
 
 
 def _run_flag(config: JobConfig):
-    _require_samples(config, "--pairs")
     group = preset(config.group)
     law = _law(config)
     ctx = law.context(group.rank)
@@ -234,7 +227,6 @@ def _run_flag(config: JobConfig):
 
 
 def _run_sif(config: JobConfig):
-    _require_samples(config, "--samples")
     if config.t_order is not None:
         config = replace(config, max_t=config.t_order)
     law = _law(config)
@@ -273,7 +265,6 @@ def _run_sif(config: JobConfig):
 
 
 def _run_pbf(config: JobConfig):
-    _require_samples(config, "--samples")
     law = _law(config)
     ctx = law.context(2)
     rng = random.Random(config.seed)
@@ -477,6 +468,10 @@ def config_from_args(args) -> JobConfig:
         config.degrees = parse_degree_range(args.deg)
     if config.max_t < 0 or config.max_w < 0:
         raise ConfigError("caps must be non-negative")
+    # zero samples would check nothing and still report a pass
+    if getattr(args, "samples", None) is not None and config.samples < 1:
+        flag = "--pairs" if command == "flag" else "--samples"
+        raise ConfigError(f"{flag} must be at least 1, got {config.samples}")
     normalize_kind(config.fgl_kind)  # validate early
     return config
 

@@ -209,12 +209,9 @@ def action_matrix(
     w, law: FormalGroupLaw, basis: Sequence[Monomial], ctx: RingContext
 ) -> list:
     """Matrix of the Weyl action on the span of ``basis`` (columns = images)."""
-    cols = []
-    for mono in basis:
-        image = weyl_apply(w, TruncatedSeries(ctx, {mono: Fraction(1)}), law)
-        # terms outside the window fall into the filtration ideal: dropped
-        cols.append(coordinates(image, basis))
-    return linalg.transpose(cols)
+    images = (weyl_apply(w, TruncatedSeries(ctx, {mono: Fraction(1)}), law) for mono in basis)
+    # terms outside the window fall into the filtration ideal: dropped
+    return linalg.transpose(coordinates(images, basis))
 
 
 def invariant_basis(

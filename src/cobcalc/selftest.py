@@ -287,7 +287,11 @@ def check_invariants_fixed(rng: random.Random) -> Tuple[bool, str]:
                 window = window_basis(ctx, d, k_max)
                 if not window:
                     continue
-                rows = [coordinates(v, window) for v in basis]
+                # strict: a term outside the window fails the check, as it must
+                try:
+                    rows = coordinates(basis, window, strict=True)
+                except ValueError:
+                    return False, f"{kind}/{group} d={d}: basis leaves the window"
                 for mono in window:
                     sym = ctx.zero()
                     for w in g.weyl.elements():
@@ -296,7 +300,11 @@ def check_invariants_fixed(rng: random.Random) -> Tuple[bool, str]:
                             {m: c for m, c in image.iter_terms() if m.t_order() <= k_max}
                         )
                         sym = sym + image
-                    if not linalg.in_span(rows, coordinates(sym, window)):
+                    try:
+                        [vec] = coordinates([sym], window, strict=True)
+                    except ValueError:
+                        return False, f"{kind}/{group} d={d}: symmetrization leaves the window"
+                    if not linalg.in_span(rows, vec):
                         return False, f"{kind}/{group} d={d}: symmetrization escapes span"
     return True, "fixed + symmetrization containment"
 

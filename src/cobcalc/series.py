@@ -232,6 +232,9 @@ class _Layout:
             return None
         if any(not 1 <= i <= self.n_gens or e <= 0 for i, e in mono.laz):
             return None
+        # only the canonical generator part (indices strictly increasing) names a term
+        if any(i >= j for (i, _), (j, _) in zip(mono.laz, mono.laz[1:])):
+            return None
         if mono.t_order() > self.max_t or mono.weight() > self.max_w:
             return None
         return self.encode(mono)
@@ -482,24 +485,31 @@ class TruncatedSeries:
         return ctx.from_terms(terms)
 
 
-def coordinates(s: TruncatedSeries, basis: Sequence[Monomial]) -> list:
-    """The coefficients of ``s`` on ``basis``, in basis order.
+def coordinates(
+    series: Iterable[TruncatedSeries], basis: Sequence[Monomial], strict: bool = False
+) -> list:
+    """One row per series: its coefficients on ``basis``, in basis order.
 
-    Terms of ``s`` on monomials outside ``basis`` are ignored.
+    Terms on monomials outside ``basis`` are ignored, unless ``strict``
+    is set: then they raise ValueError.
     """
-    terms, den = s._terms, s._den
     zero = Fraction(0)
-    out = []
-    for key in _basis_keys(s.ctx._layout, tuple(basis)):
-        num = terms.get(key)
-        out.append(zero if num is None else Fraction(num, den))
-    return out
-
-
-@lru_cache(maxsize=256)
-def _basis_keys(layout: _Layout, basis: tuple) -> tuple:
-    # callers ask for many series on one basis (one column per basis element)
-    return tuple(layout.key_of(m) for m in basis)
+    layout = None
+    rows = []
+    for s in series:
+        if s.ctx._layout is not layout:
+            layout = s.ctx._layout
+            keys = [layout.key_of(m) for m in basis]
+            key_set = set(keys)
+        terms, den = s._terms, s._den
+        if strict and not terms.keys() <= key_set:
+            raise ValueError("series has terms outside the basis")
+        row = []
+        for key in keys:
+            num = terms.get(key)
+            row.append(zero if num is None else Fraction(num, den))
+        rows.append(row)
+    return rows
 
 
 def _reduced(ctx: RingContext, terms: dict, den: int) -> TruncatedSeries:
@@ -661,8 +671,9 @@ def substitute(
     src, dst = s.ctx._layout, target._layout
     mask, w_shift, max_w, den = src.mask, src.w_shift, target.max_weight, s._den
     var_shifts = tuple(enumerate(src.var_shifts))
-    # the generator fields of a key move over unchanged when both layouts
-    # agree on their number and width
+    # the generator part of a key moves over as a bit copy when both layouts
+    # agree on the generator fields (count and width), which holds whenever
+    # the caps agree; only retargeting across caps decodes and re-encodes
     same_gens = src.n_gens == dst.n_gens and src.mask == dst.mask
     zero_t = (0,) * target.n_vars
     acc: dict = {}

@@ -111,14 +111,9 @@ def test_invariant_basis_s2_degree2():
 
     window = window_basis(ctx, 2, 2)
 
-    def vec(s):
-        out = coordinates(s, window)
-        assert ctx.from_terms(dict(zip(window, out))) == s  # no term outside the window
-        return out
-
-    rows = [vec(b) for b in basis]
-    for target in span_targets:
-        assert linalg.in_span(rows, vec(target))
+    rows = coordinates(basis, window, strict=True)
+    for vec in coordinates(span_targets, window, strict=True):
+        assert linalg.in_span(rows, vec)
 
 
 def test_invariant_basis_s2_degree1():

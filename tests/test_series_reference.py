@@ -16,6 +16,7 @@ from cobcalc.series import (
     Monomial,
     RingContext,
     TruncatedSeries,
+    coordinates,
     series_add,
     series_mul,
     substitute,
@@ -144,6 +145,17 @@ def test_text_and_json_roundtrips(data):
     assert sorted(s.iter_terms()) == sorted(s.items())
     assert s.coefficient(Monomial((ctx.max_t_order + 1,) + (0,) * (ctx.n_vars - 1), ())) == 0
     assert isinstance(s.constant_coefficient(), Fraction)
+
+
+def test_noncanonical_generator_part_names_no_term():
+    ctx = RingContext(1, "universal-rational", 2, 4)
+    s = TruncatedSeries.from_text(ctx, "1 * m1*m2*t1 + 3 * m1^2")
+    for laz in (((2, 1), (1, 1)), ((1, 1), (1, 1))):
+        t = (1,) if laz[0][0] == 2 else (0,)
+        mono = Monomial(t, laz)
+        assert s.coefficient(mono) == 0
+        assert coordinates([s], [mono]) == [[0]]
+    assert s.coefficient(Monomial((1,), ((1, 1), (2, 1)))) == 1
 
 
 def test_retargeting_moves_generators_between_layouts():
