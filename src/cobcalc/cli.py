@@ -3,19 +3,16 @@
 Subcommands: ``fgl check``, ``bg``, ``flag``, ``sif``, ``pbf``,
 ``tower bgm``, ``selftest``.  Identical configuration and seed produce
 byte-identical output; exit status is 0 iff every requested check
-passed.  The environment variable COBCALC_THREADS caps the number of
-worker threads used for independent degrees (results are collected and
-sorted, so the output does not depend on scheduling).
+passed.  An invalid configuration or a refused job exits 2 with a
+``cobcalc/error/v1`` object.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import random
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from typing import Optional, Sequence
 
@@ -32,7 +29,7 @@ from .bundles import (
     zero_section_pushforward,
     zero_section_restriction,
 )
-from .equivariant import invariant_basis, preset
+from .equivariant import EnumerationCapExceeded, invariant_basis, preset
 from .fgl import COEFF_KIND_FOR, build_fgl, normalize_kind
 from .selftest import random_series, run_selftest
 from .series import RingContext
@@ -66,24 +63,6 @@ class JobConfig:
     seed: int = 0
     emit_basis: bool = False
     output_format: str = "json"
-
-
-def _threads() -> int:
-    raw = os.environ.get("COBCALC_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
-def _map_degrees(fn, degrees):
-    workers = _threads()
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = dict(zip(degrees, pool.map(fn, degrees)))
-    else:
-        results = {d: fn(d) for d in degrees}
-    return {d: results[d] for d in sorted(results)}
 
 
 def _context(config: JobConfig, n_vars: int) -> RingContext:
@@ -149,11 +128,10 @@ def _run_bg(config: JobConfig):
     law = _law(config)
     ctx = law.context(group.rank)
 
-    def one_degree(d):
+    table = {}
+    for d in sorted(set(config.degrees)):
         basis = invariant_basis(group.weyl, law, d, config.t_order, ctx)
-        return {"dim": len(basis), "basis": [s.to_text() for s in basis]}
-
-    table = _map_degrees(one_degree, config.degrees)
+        table[d] = {"dim": len(basis), "basis": [s.to_text() for s in basis]}
     body = {
         "schema": f"{SCHEMA_PREFIX}/bg/v1",
         "group": group.name,
@@ -302,6 +280,10 @@ def _run_pbf(config: JobConfig):
 
 
 def _run_tower_bgm(config: JobConfig):
+    if min(config.degrees) < 0:
+        raise ConfigError(
+            f"degree {min(config.degrees)} is negative; the tower starts at degree 0"
+        )
     if max(config.degrees) > config.max_t:
         raise ConfigError(
             f"degree {max(config.degrees)} exceeds --max-t {config.max_t}"
@@ -311,17 +293,14 @@ def _run_tower_bgm(config: JobConfig):
     law = _law(config)
     tower = projective_space_tower(law, max(config.degrees), config.levels)
 
-    def one_degree(d):
-        idx = stabilization_index(tower, d)
-        entry = {"stab_index": idx}
+    table = {}
+    for d in sorted(set(config.degrees)):
+        entry = table[d] = {"stab_index": stabilization_index(tower, d)}
         try:
             entry["lim_dim"] = inverse_limit_dims(tower, d)
         except WindowNotStabilized as exc:
             entry["lim_dim"] = None
             entry["refused"] = str(exc)
-        return entry
-
-    table = _map_degrees(one_degree, config.degrees)
     ok = all(
         e["stab_index"] is not None and e["lim_dim"] is not None
         for e in table.values()
@@ -482,7 +461,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         args = parser.parse_args(argv)
         config = config_from_args(args)
         status, report = run(config)
-    except (ConfigError, ValueError) as exc:
+    # a Weyl group too large to enumerate is refused like an invalid config
+    except (ConfigError, ValueError, EnumerationCapExceeded) as exc:
         error = {
             "schema": f"{SCHEMA_PREFIX}/error/v1",
             "error": {"message": str(exc)},

@@ -1,21 +1,56 @@
-"""Dense exact linear algebra over Q (lists of Fraction rows)."""
+"""Dense exact linear algebra over Q (lists of Fraction rows).
+
+Inputs may mix ints, Fractions and anything ``Fraction()`` accepts; results
+are Fraction rows.  Elimination runs on Python ints only: each row is
+scaled once by the lcm of its denominators, and the integer rows are then
+reduced fraction-free.  ``rref`` does Gauss-Jordan by cross-multiplication,
+``row_i = p*row_i - a*row_r`` with gcd(p, a) divided out first and the row's
+content divided out after, so the entries stay small; ``det`` uses Bareiss's
+exact-division elimination.  Fractions are built only at the boundary:
+once per entry when ``rref`` divides each pivot row by its pivot, and once
+when ``det`` divides the integer determinant by the cleared denominators.
+"""
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Optional
+
+# zero entries built here are all this one object, which the integer path skips by identity
+_ZERO = Fraction(0)
+
+
+def _int_row(row) -> tuple:
+    """``(ints, den)`` with ``row == ints / den`` entrywise, den the lcm of the denominators."""
+    pairs = [
+        (0, 1) if x is _ZERO
+        else x.as_integer_ratio() if type(x) is Fraction or type(x) is int
+        else Fraction(x).as_integer_ratio()
+        for x in row
+    ]
+    den = lcm(*[d for _, d in pairs])
+    if den == 1:
+        return [n for n, _ in pairs], 1
+    return [n * (den // d) for n, d in pairs], den
+
+
+def _primitive(row) -> list:
+    """The integer row divided by the gcd of its entries."""
+    g = gcd(*row)
+    return row if g <= 1 else [x // g for x in row]
 
 
 def mat(rows) -> list:
-    return [[Fraction(x) for x in row] for row in rows]
+    return [[x if type(x) is Fraction else Fraction(x) for x in row] for row in rows]
 
 
 def identity(n: int) -> list:
-    return [[Fraction(1) if i == j else Fraction(0) for j in range(n)] for i in range(n)]
+    return [[Fraction(1) if i == j else _ZERO for j in range(n)] for i in range(n)]
 
 
 def zeros(n: int, m: int) -> list:
-    return [[Fraction(0)] * m for _ in range(n)]
+    return [[_ZERO] * m for _ in range(n)]
 
 
 def mat_mul(a, b, cols: Optional[int] = None) -> list:
@@ -37,38 +72,45 @@ def mat_mul(a, b, cols: Optional[int] = None) -> list:
     return out
 
 
-def mat_vec(a, v) -> list:
-    return [sum((aij * vj for aij, vj in zip(row, v) if aij and vj), Fraction(0)) for row in a]
-
-
 def transpose(a) -> list:
     return [list(col) for col in zip(*a)] if a else []
 
 
 def rref(rows) -> tuple:
     """Reduced row echelon form; returns (rref_rows, pivot_columns)."""
-    m = [list(map(Fraction, r)) for r in rows]
-    if not m:
+    if not rows:
         return [], []
+    m = [_primitive(_int_row(r)[0]) for r in rows]
     n_rows, n_cols = len(m), len(m[0])
     pivots = []
     r = 0
     for c in range(n_cols):
-        pivot = next((i for i in range(r, n_rows) if m[i][c] != 0), None)
+        pivot = next((i for i in range(r, n_rows) if m[i][c]), None)
         if pivot is None:
             continue
         m[r], m[pivot] = m[pivot], m[r]
-        inv = 1 / m[r][c]
-        m[r] = [x * inv for x in m[r]]
+        prow = m[r]
+        p = prow[c]
         for i in range(n_rows):
-            if i != r and m[i][c] != 0:
-                f = m[i][c]
-                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
+            a = m[i][c]
+            if a and i != r:
+                g = gcd(p, a)
+                pg, ag = p // g, a // g
+                m[i] = _primitive([pg * x - ag * y for x, y in zip(m[i], prow)])
         pivots.append(c)
         r += 1
         if r == n_rows:
             break
-    return m, pivots
+    # every pivot row is now an integer multiple of its reduced row
+    out = []
+    for row, c in zip(m, pivots):
+        p = row[c]
+        if p == 1:
+            out.append([Fraction(x) if x else _ZERO for x in row])
+        else:
+            out.append([Fraction(x, p) if x else _ZERO for x in row])
+    out.extend([_ZERO] * n_cols for _ in range(n_rows - r))
+    return out, pivots
 
 
 def rank(rows) -> int:
@@ -83,7 +125,7 @@ def nullspace(rows, n_cols: Optional[int] = None) -> list:
         n_cols = len(rows[0])
     if not rows:
         return [
-            [Fraction(1) if j == k else Fraction(0) for j in range(n_cols)]
+            [Fraction(1) if j == k else _ZERO for j in range(n_cols)]
             for k in range(n_cols)
         ]
     red, pivots = rref(rows)
@@ -91,7 +133,7 @@ def nullspace(rows, n_cols: Optional[int] = None) -> list:
     free = [c for c in range(n_cols) if c not in pivot_set]
     basis = []
     for f in free:
-        v = [Fraction(0)] * n_cols
+        v = [_ZERO] * n_cols
         v[f] = Fraction(1)
         for r, c in enumerate(pivots):
             v[c] = -red[r][f]
@@ -111,33 +153,39 @@ def column_space(mat_rows) -> tuple:
 
 
 def det(rows) -> Fraction:
-    """Determinant by fraction-free-ish elimination with row swaps."""
-    m = [list(map(Fraction, r)) for r in rows]
-    n = len(m)
-    if any(len(r) != n for r in m):
+    """Determinant by Bareiss elimination on the denominator-cleared integer rows."""
+    n = len(rows)
+    if any(len(r) != n for r in rows):
         raise ValueError("determinant needs a square matrix")
+    m = []
+    den = 1
+    for r in rows:
+        ints, d = _int_row(r)
+        m.append(ints)
+        den *= d
     sign = 1
-    result = Fraction(1)
-    for c in range(n):
-        pivot = next((i for i in range(c, n) if m[i][c] != 0), None)
+    prev = 1
+    for k in range(n):
+        pivot = next((i for i in range(k, n) if m[i][k]), None)
         if pivot is None:
             return Fraction(0)
-        if pivot != c:
-            m[c], m[pivot] = m[pivot], m[c]
+        if pivot != k:
+            m[k], m[pivot] = m[pivot], m[k]
             sign = -sign
-        result *= m[c][c]
-        inv = 1 / m[c][c]
-        for i in range(c + 1, n):
-            if m[i][c] != 0:
-                f = m[i][c] * inv
-                m[i] = [x - f * y for x, y in zip(m[i], m[c])]
-    return sign * result
+        pk = m[k]
+        p = pk[k]
+        # every entry right of column k is a (k+1)-minor, so the division is exact
+        for i in range(k + 1, n):
+            a = m[i][k]
+            m[i] = [(p * x - a * y) // prev for x, y in zip(m[i], pk)]
+        prev = p
+    return Fraction(sign * prev, den)
 
 
 def inverse(rows) -> list:
     """Inverse of a square matrix; raises on singular input."""
     n = len(rows)
-    aug = [list(map(Fraction, r)) + identity(n)[i] for i, r in enumerate(rows)]
+    aug = [list(r) + [int(i == j) for j in range(n)] for i, r in enumerate(rows)]
     red, pivots = rref(aug)
     if pivots[:n] != list(range(n)):
         raise ValueError("matrix is singular")

@@ -37,6 +37,8 @@ class TowerSlice:
 
     dims: List[int]
     maps: List[list]
+    # image chains, computed on first use; a slice is not changed after construction
+    _chains: Optional[list] = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if len(self.dims) < 3:
@@ -79,28 +81,42 @@ class Tower:
 
 
 def _image_chains(sl: TowerSlice):
-    """For each level i, canonical forms of im(V_{i+s} -> V_i), s = 0..k-i."""
+    """For each level i, canonical forms of im(V_{i+s} -> V_i), s = 0..k-i.
+
+    Computed once per slice and shared by ``stabilization_index`` and
+    ``inverse_limit_dims``.
+    """
+    if sl._chains is not None:
+        return sl._chains
     k = sl.window_end
+    maps = [linalg.mat(m) for m in sl.maps]
     chains = []
     for i in range(k + 1):
         comp = linalg.identity(sl.dims[i])
         chain = [linalg.column_space(comp) if sl.dims[i] else ()]
         for j in range(i, k):
-            comp = linalg.mat_mul(comp, linalg.mat(sl.maps[j]), cols=sl.dims[j + 1])
+            comp = linalg.mat_mul(comp, maps[j], cols=sl.dims[j + 1])
             chain.append(linalg.column_space(comp))
         chains.append(chain)
+    sl._chains = chains
     return chains
 
 
-def _local_offsets(chains) -> list:
-    """Smallest offset from which each level's image chain is constant to the end."""
+def _certified_index(chains) -> Optional[int]:
+    """Smallest offset from which every level's image chain is constant, or None
+    when no level that forces it sees the constancy beyond a single point."""
     offsets = []
     for chain in chains:
         s = len(chain) - 1
         while s > 0 and chain[s - 1] == chain[s]:
             s -= 1
         offsets.append(s)
-    return offsets
+    k = len(chains) - 1
+    candidate = max(offsets)
+    witnessed = any(
+        offsets[i] == candidate and k - i > candidate for i in range(k + 1)
+    )
+    return candidate if witnessed else None
 
 
 def stabilization_index(tower: Tower, d: int) -> Optional[int]:
@@ -110,15 +126,7 @@ def stabilization_index(tower: Tower, d: int) -> Optional[int]:
     at the levels that force the candidate offset: the images may still
     be shrinking at the window end.
     """
-    sl = tower.slice(d)
-    chains = _image_chains(sl)
-    offsets = _local_offsets(chains)
-    k = sl.window_end
-    candidate = max(offsets)
-    witnessed = any(
-        offsets[i] == candidate and k - i > candidate for i in range(k + 1)
-    )
-    return candidate if witnessed else None
+    return _certified_index(_image_chains(tower.slice(d)))
 
 
 def inverse_limit_dims(tower: Tower, d: int) -> int:
@@ -128,19 +136,12 @@ def inverse_limit_dims(tower: Tower, d: int) -> int:
     the stable-image dimensions at the top of the window; otherwise
     raises WindowNotStabilized rather than extrapolating.
     """
-    sl = tower.slice(d)
-    if stabilization_index(tower, d) is None:
+    chains = _image_chains(tower.slice(d))
+    if _certified_index(chains) is None:
         raise WindowNotStabilized(f"degree {d}: images still shrinking at window end")
-    k = sl.window_end
-    # stable image at level i is im(V_k -> V_i); level k itself only sees the identity
-    stable_dims = []
-    comp = linalg.identity(sl.dims[k])
-    images = [None] * (k + 1)
-    for i in range(k - 1, -1, -1):
-        comp = linalg.mat_mul(linalg.mat(sl.maps[i]), comp, cols=sl.dims[k])
-        images[i] = comp
-    for i in range(k):
-        stable_dims.append(linalg.rank(images[i]) if sl.dims[i] else 0)
+    k = len(chains) - 1
+    # the stable image at level i < k is the last of its chain, im(V_k -> V_i)
+    stable_dims = [len(chain[-1]) for chain in chains[:k]]
     if k >= 2 and stable_dims[k - 2] != stable_dims[k - 1]:
         raise WindowNotStabilized(
             f"degree {d}: stable image dimensions still growing at window end"

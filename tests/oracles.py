@@ -2,8 +2,9 @@
 
 Everything here avoids the package's own series engine: sympy expansion
 for group-law coefficients, plain counting for invariant dimensions,
-direct enumeration for monomial bases, and a reference series arithmetic
-on plain ``{Monomial: Fraction}`` dicts.
+direct enumeration for monomial bases, a reference series arithmetic
+on plain ``{Monomial: Fraction}`` dicts, and the Fraction Gauss-Jordan
+elimination that the integer one in ``cobcalc.linalg`` replaced.
 """
 
 from __future__ import annotations
@@ -201,3 +202,57 @@ def ref_substitute(s, assignment, n_target, max_t, max_w):
                 term = ref_mul(term, power(j, e), max_t, max_w)
         acc = ref_add(acc, term)
     return acc
+
+
+# -- the Fraction elimination that cobcalc.linalg used before it went integer ------
+
+
+def ref_rref(rows) -> tuple:
+    """Reduced row echelon form; returns (rref_rows, pivot_columns)."""
+    m = [list(map(Fraction, r)) for r in rows]
+    if not m:
+        return [], []
+    n_rows, n_cols = len(m), len(m[0])
+    pivots = []
+    r = 0
+    for c in range(n_cols):
+        pivot = next((i for i in range(r, n_rows) if m[i][c] != 0), None)
+        if pivot is None:
+            continue
+        m[r], m[pivot] = m[pivot], m[r]
+        inv = 1 / m[r][c]
+        m[r] = [x * inv for x in m[r]]
+        for i in range(n_rows):
+            if i != r and m[i][c] != 0:
+                f = m[i][c]
+                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
+        pivots.append(c)
+        r += 1
+        if r == n_rows:
+            break
+    return m, pivots
+
+
+def ref_det(rows) -> Fraction:
+    """Determinant by fraction-free-ish elimination with row swaps."""
+    m = [list(map(Fraction, r)) for r in rows]
+    n = len(m)
+    if any(len(r) != n for r in m):
+        raise ValueError("determinant needs a square matrix")
+    sign = 1
+    result = Fraction(1)
+    for c in range(n):
+        pivot = next((i for i in range(c, n) if m[i][c] != 0), None)
+        if pivot is None:
+            return Fraction(0)
+        if pivot != c:
+            m[c], m[pivot] = m[pivot], m[c]
+            sign = -sign
+        result *= m[c][c]
+        inv = 1 / m[c][c]
+        for i in range(c + 1, n):
+            if m[i][c] != 0:
+                f = m[i][c] * inv
+                m[i] = [x - f * y for x, y in zip(m[i], m[c])]
+    return sign * result
+

@@ -8,6 +8,7 @@ import pytest
 
 from cobcalc import cli, fgl
 from cobcalc.cli import JobConfig, main, parse_degree_range, run
+from cobcalc.equivariant import GroupPreset, WeylGroupSpec, symmetric_group
 
 
 def run_cli(*argv):
@@ -135,14 +136,25 @@ def test_cli_determinism_quick():
     assert out1.returncode == out2.returncode == 0
 
 
-def test_cli_threads_env_does_not_change_output(monkeypatch):
-    import subprocess as sp
+def test_tower_negative_degree_is_rejected(capsys):
+    assert main(["tower", "bgm", "--deg=-1..2"]) == 2
+    body = json.loads(capsys.readouterr().out)
+    assert body["schema"] == "cobcalc/error/v1"
+    assert "negative" in body["error"]["message"]
 
-    args = [sys.executable, "-m", "cobcalc.cli", "bg", "--group", "GL3",
-            "--fgl", "additive", "--deg", "0..4", "--torder", "4"]
-    one = sp.run(args, capture_output=True, text=True, env={"PATH": "/usr/bin:/bin", "COBCALC_THREADS": "1"})
-    four = sp.run(args, capture_output=True, text=True, env={"PATH": "/usr/bin:/bin", "COBCALC_THREADS": "4"})
-    assert one.stdout == four.stdout
+
+def test_weyl_enumeration_cap_is_refused(monkeypatch, capsys):
+    # a small cap stands in for GL8, whose 8! elements exceed the default cap
+    def capped(name):
+        weyl = WeylGroupSpec(rank=3, generators=symmetric_group(3).generators,
+                             max_elements=4)
+        return GroupPreset("GL(3)", 3, weyl)
+
+    monkeypatch.setattr(cli, "preset", capped)
+    assert main(["flag", "--group", "GL3", "--pairs", "1"]) == 2
+    body = json.loads(capsys.readouterr().out)
+    assert body["schema"] == "cobcalc/error/v1"
+    assert "cap of 4 elements" in body["error"]["message"]
 
 
 # stdout sha256 of the README commands, recorded before the packed series

@@ -1,0 +1,192 @@
+"""Differential tests: the integer elimination in ``linalg`` against the
+Fraction Gauss-Jordan it replaced (``oracles.ref_rref``/``ref_det``),
+plus fixed cases checked against ``sympy.Matrix.rref``.
+
+Matrices mix int and Fraction entries, are often rank-deficient (rows are
+combinations of a few base rows), sometimes carry a zero column, and range
+from empty, 1xn and nx1 up to 5x5.  Values and types must match exactly.
+"""
+
+from fractions import Fraction
+
+import pytest
+import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from cobcalc import linalg
+
+from oracles import ref_det, ref_rref
+
+SETTINGS = settings(derandomize=True, database=None, deadline=None, max_examples=150)
+
+integers = st.integers(-3, 3)
+rationals = st.one_of(integers, st.fractions(min_value=-3, max_value=3, max_denominator=6))
+
+
+@st.composite
+def matrices(draw, n_rows=None, n_cols=None):
+    entry = draw(st.sampled_from([integers, rationals]))
+    n_rows = draw(st.integers(0, 5)) if n_rows is None else n_rows
+    n_cols = draw(st.integers(0, 5)) if n_cols is None else n_cols
+    if draw(st.booleans()):
+        # rank at most k: every row combines the same k base rows
+        k = draw(st.integers(0, 3))
+        base = [draw(st.lists(entry, min_size=n_cols, max_size=n_cols)) for _ in range(k)]
+        rows = []
+        for _ in range(n_rows):
+            coefs = draw(st.lists(st.integers(-2, 2), min_size=k, max_size=k))
+            rows.append([sum((c * b[j] for c, b in zip(coefs, base)), 0) for j in range(n_cols)])
+    else:
+        rows = [draw(st.lists(entry, min_size=n_cols, max_size=n_cols)) for _ in range(n_rows)]
+    if n_cols and draw(st.booleans()):
+        col = draw(st.integers(0, n_cols - 1))
+        for row in rows:
+            row[col] = 0
+    return rows
+
+
+@st.composite
+def square_matrices(draw):
+    n = draw(st.integers(0, 5))
+    return draw(matrices(n_rows=n, n_cols=n))
+
+
+def assert_fraction_rows(got, want):
+    assert got == want
+    assert [len(r) for r in got] == [len(r) for r in want]
+    assert all(type(x) is Fraction for row in got for x in row)
+
+
+def ref_nullspace(rows, n_cols):
+    red, pivots = ref_rref(rows)
+    basis = []
+    for f in (c for c in range(n_cols) if c not in pivots):
+        v = [Fraction(0)] * n_cols
+        v[f] = Fraction(1)
+        for r, c in enumerate(pivots):
+            v[c] = -red[r][f]
+        basis.append(v)
+    return basis
+
+
+def ref_row_space(rows):
+    red, pivots = ref_rref(rows)
+    return tuple(tuple(r) for r in red[: len(pivots)])
+
+
+def ref_rank(rows):
+    return len(ref_rref(rows)[1])
+
+
+@SETTINGS
+@given(matrices())
+def test_elimination_matches_reference(rows):
+    before = [list(r) for r in rows]
+    red, pivots = linalg.rref(rows)
+    want_red, want_pivots = ref_rref(rows)
+    assert rows == before  # the input is not modified
+    assert_fraction_rows(red, want_red)
+    assert pivots == want_pivots
+    assert linalg.rank(rows) == len(want_pivots)
+
+    row_space = linalg.row_space(rows)
+    assert row_space == ref_row_space(rows)
+    assert all(type(x) is Fraction for row in row_space for x in row)
+    column_space = linalg.column_space(rows)
+    assert column_space == (ref_row_space(linalg.transpose(rows)) if rows else ())
+    assert all(type(x) is Fraction for row in column_space for x in row)
+
+    n_cols = len(rows[0]) if rows else 3
+    kernel = linalg.nullspace(rows, n_cols=n_cols)
+    assert_fraction_rows(kernel, ref_nullspace(rows, n_cols) if rows else
+                         [[Fraction(int(j == k)) for j in range(n_cols)] for k in range(n_cols)])
+    for v in kernel:
+        assert all(sum(a * x for a, x in zip(row, v)) == 0 for row in rows)
+
+
+@SETTINGS
+@given(square_matrices())
+def test_det_and_inverse_match_reference(rows):
+    d = linalg.det(rows)
+    assert type(d) is Fraction
+    assert d == ref_det(rows)
+    n = len(rows)
+    if d == 0:
+        with pytest.raises(ValueError, match="singular"):
+            linalg.inverse(rows)
+        return
+    red, _ = ref_rref([list(r) + [int(i == j) for j in range(n)] for i, r in enumerate(rows)])
+    inv = linalg.inverse(rows)
+    assert_fraction_rows(inv, [row[n:] for row in red[:n]])
+    assert linalg.mat_mul(rows, inv, cols=n) == linalg.identity(n)
+
+
+@SETTINGS
+@given(st.data())
+def test_det_rejects_non_square(data):
+    rows = data.draw(matrices(n_rows=data.draw(st.integers(1, 4))))
+    if len(rows[0]) == len(rows):
+        rows = [r + [0] for r in rows]
+    with pytest.raises(ValueError):
+        ref_det(rows)
+    with pytest.raises(ValueError, match="square"):
+        linalg.det(rows)
+
+
+@SETTINGS
+@given(st.data())
+def test_in_span_matches_reference(data):
+    rows = data.draw(matrices(n_cols=data.draw(st.integers(1, 5))))
+    n_cols = len(rows[0]) if rows else 3
+    if rows and data.draw(st.booleans()):
+        coefs = data.draw(st.lists(rationals, min_size=len(rows), max_size=len(rows)))
+        vector = [sum((c * r[j] for c, r in zip(coefs, rows)), 0) for j in range(n_cols)]
+    else:
+        vector = data.draw(st.lists(rationals, min_size=n_cols, max_size=n_cols))
+    if all(x == 0 for x in vector):
+        want = True
+    elif not rows:
+        want = False
+    else:
+        want = ref_rank(rows) == ref_rank(rows + [vector])
+    assert linalg.in_span(rows, vector) is want
+
+
+def test_mat_keeps_fractions_and_converts_the_rest():
+    half = Fraction(1, 2)
+    m = linalg.mat([[half, 2, "3/4"]])
+    assert m[0][0] is half
+    assert m == [[half, Fraction(2), Fraction(3, 4)]]
+    assert all(type(x) is Fraction for x in m[0])
+
+
+def test_empty_inputs():
+    assert linalg.rref([]) == ([], [])
+    assert linalg.rref([[], []]) == ref_rref([[], []]) == ([[], []], [])
+    assert linalg.row_space([]) == linalg.column_space([]) == ()
+    assert linalg.det([]) == ref_det([]) == 1 and type(linalg.det([])) is Fraction
+    assert linalg.inverse([]) == []
+    assert linalg.nullspace([], n_cols=2) == [[1, 0], [0, 1]]
+    with pytest.raises(ValueError):
+        linalg.nullspace([])
+
+
+SYMPY_CASES = [
+    [[1, 2, 3], [2, 4, 6], [1, 0, 1]],
+    [[Fraction(1, 2), Fraction(-2, 3), 0, 5], [3, -4, 0, 30], [0, 1, 0, Fraction(7, 5)]],
+    [[0, 0, 2], [0, 3, 1], [0, 0, 0], [0, 6, 4]],
+    [[6, 10, 15]],
+    [[4], [-6], [0]],
+    [[2, 3, 5, 7], [11, 13, 17, 19], [23, 29, 31, 37], [41, 43, 47, 53]],
+]
+
+
+@pytest.mark.parametrize("rows", SYMPY_CASES, ids=range(len(SYMPY_CASES)))
+def test_rref_matches_sympy(rows):
+    red_s, pivots_s = sympy.Matrix([[sympy.Rational(x.numerator, x.denominator)
+                                     for x in map(Fraction, r)] for r in rows]).rref()
+    want = [[Fraction(int(e.p), int(e.q)) for e in red_s.row(i)] for i in range(red_s.rows)]
+    red, pivots = linalg.rref(rows)
+    assert_fraction_rows(red, want)
+    assert tuple(pivots) == pivots_s

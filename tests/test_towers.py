@@ -145,3 +145,39 @@ def test_stabilization_found_when_window_long_enough():
         # still shrank some chain, which the refusal semantics reports as None
         if idx is not None:
             assert 0 <= idx <= length
+
+
+def test_limit_reuses_the_image_chains(monkeypatch):
+    calls = []
+    original = linalg.column_space
+
+    def counting(rows):
+        calls.append(len(rows))
+        return original(rows)
+
+    monkeypatch.setattr(linalg, "column_space", counting)
+    rng = random.Random(43)
+    for _ in range(10):
+        dims = [rng.randint(1, 3) for _ in range(6)]
+        maps = [
+            [[Fraction(rng.randint(-1, 1), rng.randint(1, 2)) for _ in range(dims[i + 1])]
+             for _ in range(dims[i])]
+            for i in range(5)
+        ]
+        tower = Tower({0: TowerSlice(dims=dims, maps=maps)})
+        calls.clear()
+        idx = stabilization_index(tower, 0)
+        built = len(calls)
+        assert built == 6 + 5 + 4 + 3 + 2 + 1  # one image per (level, offset)
+        if idx is None:
+            with pytest.raises(WindowNotStabilized):
+                inverse_limit_dims(tower, 0)
+            continue
+        try:
+            lim = inverse_limit_dims(tower, 0)
+        except WindowNotStabilized:
+            lim = None
+        assert len(calls) == built  # the chains were not built a second time
+        if lim is not None:
+            # the stable image at the next-to-top level is the image of the top map
+            assert lim == linalg.rank(maps[-1])
