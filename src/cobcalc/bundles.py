@@ -23,14 +23,17 @@ exact inside the truncation window.  ``eta`` is the truncated formal
 inverse evaluated at xi: it inverts xi exactly modulo terms whose
 xi-degree exceeds the t-order cap, which is the window semantics used
 everywhere here.
+
+Both eta = chi(xi) and each Thom factor F(x_j, eta) are evaluated by
+`pb_substitute`, by Horner's rule in xi and in eta respectively; the
+coefficient of each power goes into the base through `substitute`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
-from typing import Sequence
+from typing import Mapping, Sequence
 
 from .equivariant import WeylGroupSpec, weyl_apply
 from .fgl import FormalGroupLaw, fgl_sum
@@ -267,14 +270,12 @@ def _relation_coeffs(ring: ProjBundleRing) -> list:
     return rel
 
 
-@lru_cache(maxsize=None)
 def xi_power(ring: ProjBundleRing, k: int) -> ProjBundleElement:
-    """Reduced form of xi^k via the cached power table."""
-    if k == 0:
-        return ring.one()
-    prev = xi_power(ring, k - 1)
-    shifted = [ring.base.zero()] + list(prev.coords)
-    return ring.from_coords(reduce_coords(ring, shifted))
+    """Reduced form of xi^k, one shift-and-reduce step per power."""
+    power = ring.one()
+    for _ in range(k):
+        power = ring.from_coords((ring.base.zero(),) + power.coords)
+    return power
 
 
 def pb_mul(ring: ProjBundleRing, u, v) -> ProjBundleElement:
@@ -296,52 +297,40 @@ def pb_mul(ring: ProjBundleRing, u, v) -> ProjBundleElement:
 def pb_substitute(
     ring: ProjBundleRing,
     s: TruncatedSeries,
-    values: dict,
+    base_images: Mapping[int, TruncatedSeries],
+    v,
 ) -> ProjBundleElement:
-    """Evaluate a (finite, truncated) series at projective-bundle elements.
+    """Evaluate ``s`` at base series for all variables but the last, and at
+    the projective-bundle element ``v`` for the last one.
 
-    ``values`` maps every variable in the support of ``s`` to an element
-    of the ring (or a base series); generator parts of the coefficients
-    multiply in as base constants.  This is polynomial evaluation: the
-    source term map is finite by truncation.
+    ``base_images`` maps the other variables in the support of ``s`` to
+    augmentation-ideal series over the base.  Writing
+    s = sum_e c_e * t_last^e, each c_e goes into the base by `substitute`
+    and the powers of ``v`` are summed by Horner's rule.
     """
     if s.ctx.coeff_kind != ring.base.coeff_kind:
         raise ContextMismatch("coefficient kinds differ")
-    values = {int(j): _coerce_pb(ring, v) for j, v in values.items()}
-    missing = s.support_vars() - set(values)
+    last = s.ctx.n_vars - 1
+    missing = s.support_vars() - set(base_images) - {last}
     if missing:
         raise ValueError(f"no value for variables {sorted(missing)}")
-
-    powers: dict = {}
-
-    def power(j: int, e: int) -> ProjBundleElement:
-        key = (j, e)
-        cached = powers.get(key)
-        if cached is not None:
-            return cached
-        result = values[j] if e == 1 else pb_mul(ring, power(j, e - 1), values[j])
-        powers[key] = result
-        return result
-
-    zero_t = (0,) * ring.base.n_vars
-    acc = ring.zero()
+    v = _coerce_pb(ring, v)
+    slices: dict = {}
     for mono, coeff in s.iter_terms():
-        scalar = TruncatedSeries(ring.base, {Monomial(zero_t, mono.laz): coeff})
-        if scalar.is_zero():
-            continue
-        term = ring.from_base(scalar)
-        for j, e in enumerate(mono.t):
-            if e:
-                term = pb_mul(ring, term, power(j, e))
-                if term.is_zero():
-                    break
-        acc = acc + term
+        t = mono.t[:last] + (0,)
+        slices.setdefault(mono.t[last], {})[Monomial(t, mono.laz)] = coeff
+    acc = ring.zero()
+    for e in range(max(slices, default=0), -1, -1):
+        if not acc.is_zero():
+            acc = pb_mul(ring, acc, v)
+        if e in slices:
+            acc = acc + substitute(s.ctx.from_terms(slices[e]), base_images, target=ring.base)
     return acc
 
 
 def tautological_inverse_class(ring: ProjBundleRing, law: FormalGroupLaw) -> ProjBundleElement:
     """eta = chi(xi), the class of O(1) as the formal inverse of xi."""
-    return pb_substitute(ring, law.inverse_series, {0: ring.xi()})
+    return pb_substitute(ring, law.inverse_series, {}, ring.xi())
 
 
 def thom_class(bundle: SplitBundle, ring: ProjBundleRing, law: FormalGroupLaw) -> ProjBundleElement:
@@ -353,16 +342,10 @@ def thom_class(bundle: SplitBundle, ring: ProjBundleRing, law: FormalGroupLaw) -
     """
     if ring.rank < bundle.rank + 1:
         raise ValueError("ring rank must be at least rank(E) + 1 (completion by 1)")
-    return _thom_cached(bundle, ring, law)
-
-
-@lru_cache(maxsize=None)
-def _thom_cached(bundle: SplitBundle, ring: ProjBundleRing, law: FormalGroupLaw) -> ProjBundleElement:
     eta = tautological_inverse_class(ring, law)
     th = ring.one()
     for root in bundle.roots:
-        factor = pb_substitute(ring, law.series, {0: ring.from_base(root), 1: eta})
-        th = pb_mul(ring, th, factor)
+        th = pb_mul(ring, th, pb_substitute(ring, law.series, {0: root}, eta))
     return th
 
 
@@ -392,9 +375,8 @@ def thom_class_via_twist(
     twisted = SplitBundle(tuple(fgl_sum(law, x, u) for x in lifts))
     top = top_chern_class(twisted)
     eta = tautological_inverse_class(ring, law)
-    values = {j: ring.from_base(base.var(j)) for j in range(base.n_vars)}
-    values[base.n_vars] = eta
-    return pb_substitute(ring, top, values)
+    values = {j: base.var(j) for j in range(base.n_vars)}
+    return pb_substitute(ring, top, values, eta)
 
 
 def zero_section_pushforward(
@@ -443,6 +425,24 @@ def flag_restriction_sum(
         for i, w in enumerate(elements):
             out[i] = out[i] + series_mul(a, weyl_apply(w, b, law))
     return tuple(out)
+
+
+def first_root_congruent_pairs(elements: Sequence) -> list:
+    """Index pairs (i, j), i < j, of Weyl elements with elements[j] = s * elements[i],
+    for s the reflection swapping the first two coordinates.
+
+    Flag-restriction components at such a pair agree after identifying
+    t1 with t2.  Left multiplication by s swaps the first two rows.
+    """
+    if not elements or len(elements[0]) < 2:
+        return []
+    index = {w: i for i, w in enumerate(elements)}
+    pairs = []
+    for i, w in enumerate(elements):
+        j = index.get((w[1], w[0]) + w[2:])
+        if j is not None and i < j:
+            pairs.append((i, j))
+    return pairs
 
 
 def restrict_to_diagonal(s: TruncatedSeries, i: int, j: int) -> TruncatedSeries:

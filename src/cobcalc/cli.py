@@ -18,6 +18,7 @@ from typing import Optional, Sequence
 
 from .bundles import (
     SplitBundle,
+    first_root_congruent_pairs,
     flag_restriction,
     pb_mul,
     projective_completion_ring,
@@ -151,18 +152,7 @@ def _run_flag(config: JobConfig):
     ctx = law.context(group.rank)
     rng = random.Random(config.seed)
     elements = group.weyl.elements()
-    # components related by the reflection at the first root must agree
-    # after identifying t1 with t2
-    congruent_pairs = []
-    if group.rank >= 2:
-        from .equivariant import _mat_mul_int, _transposition
-
-        swap = _transposition(group.rank, 0)
-        index = {w: i for i, w in enumerate(elements)}
-        for i, w in enumerate(elements):
-            j = index[_mat_mul_int(swap, w)]
-            if i < j:
-                congruent_pairs.append((i, j))
+    congruent_pairs = first_root_congruent_pairs(elements)
     mult_ok = True
     cong_ok = True
     shown = []
@@ -194,7 +184,7 @@ def _run_flag(config: JobConfig):
         "caps": {"max_t": config.max_t, "max_w": law.max_weight},
         "seed": config.seed,
         "samples": config.samples,
-        "weyl_order": len(group.weyl.elements()),
+        "weyl_order": len(elements),
         "images": shown,
         "multiplicative_ok": mult_ok,
         # divisibility by the group-law root difference: a derived consistency
@@ -290,8 +280,8 @@ def _run_tower_bgm(config: JobConfig):
         )
     if config.levels < 2:
         raise ConfigError("--levels must be at least 2")
-    law = _law(config)
-    tower = projective_space_tower(law, max(config.degrees), config.levels)
+    ctx = _context(config, 1)
+    tower = projective_space_tower(ctx, max(config.degrees), config.levels)
 
     table = {}
     for d in sorted(set(config.degrees)):
@@ -307,8 +297,8 @@ def _run_tower_bgm(config: JobConfig):
     )
     body = {
         "schema": f"{SCHEMA_PREFIX}/tower-bgm/v1",
-        "fgl": law.kind,
-        "caps": {"max_t": config.max_t, "max_w": law.max_weight},
+        "fgl": normalize_kind(config.fgl_kind),
+        "caps": {"max_t": config.max_t, "max_w": ctx.max_weight},
         "levels": config.levels,
         "degrees": {str(d): e for d, e in table.items()},
     }

@@ -56,7 +56,8 @@ def _check_unimodular(m: Matrix) -> None:
         raise ValueError(f"matrix is not invertible over Z (det = {d})")
 
 
-def _mat_mul_int(a: Matrix, b: Matrix) -> Matrix:
+def int_mat_mul(a: Matrix, b: Matrix) -> Matrix:
+    """Product of two square integer matrices (Weyl group composition)."""
     n = len(a)
     return tuple(
         tuple(sum(a[i][k] * b[k][j] for k in range(n)) for j in range(n))
@@ -94,7 +95,7 @@ class WeylGroupSpec:
             new = []
             for w in frontier:
                 for g in self.generators:
-                    wg = _mat_mul_int(w, g)
+                    wg = int_mat_mul(w, g)
                     if wg not in seen:
                         seen.add(wg)
                         order.append(wg)
@@ -170,12 +171,14 @@ def character_class(
         ctx = law.context(len(char))
     if len(char) != ctx.n_vars:
         raise ValueError("character length does not match the context rank")
-    acc = ctx.zero()
+    acc = None
     for j, cj in enumerate(char):
         if cj == 0:
             continue
-        acc = fgl_sum(law, acc, n_series(law, cj, ctx.var(j)))
-    return acc
+        term = n_series(law, cj, ctx.var(j))
+        # the sum starts at the first summand: F(0, a) = a by the unit axiom
+        acc = term if acc is None else fgl_sum(law, acc, term)
+    return ctx.zero() if acc is None else acc
 
 
 def weyl_apply(w, s: TruncatedSeries, law: FormalGroupLaw) -> TruncatedSeries:

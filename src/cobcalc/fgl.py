@@ -234,8 +234,11 @@ def n_series(law: FormalGroupLaw, n: int, a: TruncatedSeries) -> TruncatedSeries
     _require_augmentation(a)
     if n < 0:
         return fgl_inverse(law, n_series(law, -n, a))
-    result = a.ctx.zero()
-    for _ in range(n):
+    if n == 0:
+        return a.ctx.zero()
+    # F(0, a) = a by the unit axiom, so the sum starts at a
+    result = a
+    for _ in range(n - 1):
         result = fgl_sum(law, result, a)
     return result
 

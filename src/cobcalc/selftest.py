@@ -35,6 +35,7 @@ from .equivariant import (
     action_matrix,
     bg_dimensions,
     character_class,
+    int_mat_mul,
     invariant_basis,
     preset,
     weyl_apply,
@@ -244,9 +245,8 @@ def check_weyl_action(rng: random.Random) -> Tuple[bool, str]:
                         return False, f"{kind}/{group}: not a ring map on {s.to_text()}"
                 for w1 in elements:
                     for w2 in elements:
-                        from .equivariant import _mat_mul_int
                         lhs = weyl_apply(w1, weyl_apply(w2, s, law), law)
-                        rhs = weyl_apply(_mat_mul_int(w1, w2), s, law)
+                        rhs = weyl_apply(int_mat_mul(w1, w2), s, law)
                         if lhs - rhs:
                             return False, f"{kind}/{group}: not a left action"
     return True, "ring map + left action on GL2, SL2, B2"
@@ -514,8 +514,8 @@ def check_tower_find_or_refuse(rng: random.Random) -> Tuple[bool, str]:
 def check_tower_coefficient_ring(rng: random.Random) -> Tuple[bool, str]:
     for kind in ALL_KINDS:
         law = _law(kind)
-        tower = projective_space_tower(law, 5, law.max_t_order + 2)
         ctx = law.context(1)
+        tower = projective_space_tower(ctx, 5, law.max_t_order + 2)
         for d in range(0, 6):
             idx = stabilization_index(tower, d)
             if idx is None or idx > d:
@@ -529,7 +529,7 @@ def check_tower_coefficient_ring(rng: random.Random) -> Tuple[bool, str]:
 
 def check_tower_functoriality(rng: random.Random) -> Tuple[bool, str]:
     law = _law("universal-rational", 4, 3)
-    tower = projective_space_tower(law, 3, 6)
+    tower = projective_space_tower(law.context(1), 3, 6)
     transforms = {}
     for d, sl in tower.degrees.items():
         mats = []

@@ -23,7 +23,6 @@ from fractions import Fraction
 from typing import Dict, List, Optional
 
 from . import linalg
-from .fgl import FormalGroupLaw
 from .series import RingContext, bidegree_basis, lazard_monomials
 
 
@@ -162,13 +161,11 @@ def _level_monomials(ctx: RingContext, degree: int, level: int) -> list:
     return out
 
 
-def projective_space_tower(
-    law: FormalGroupLaw, d_max: int, i_max: int
-) -> Tower:
+def projective_space_tower(ctx: RingContext, d_max: int, i_max: int) -> Tower:
     """The tower of finite projective-space approximations of the rank-1
     classifying space: level i is the degree slice of K[xi]/(xi^(i+1)),
-    transitions are the canonical surjections killing the top xi-power."""
-    ctx = law.context(1)
+    transitions are the canonical surjections killing the top xi-power.
+    Only the coefficient kind and the caps of ``ctx`` are read."""
     if d_max < 0 or i_max < 2:
         raise ValueError("need d_max >= 0 and at least three levels")
     tower = Tower()

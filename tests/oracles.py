@@ -4,7 +4,10 @@ Everything here avoids the package's own series engine: sympy expansion
 for group-law coefficients, plain counting for invariant dimensions,
 direct enumeration for monomial bases, a reference series arithmetic
 on plain ``{Monomial: Fraction}`` dicts, and the Fraction Gauss-Jordan
-elimination that the integer one in ``cobcalc.linalg`` replaced.
+elimination that the integer one in ``cobcalc.linalg`` replaced.  The
+one exception is ``ref_pb_substitute``, the term-by-term
+projective-bundle evaluation that ``cobcalc.bundles.pb_substitute``
+replaced: it evaluates with the package's own ``pb_mul``.
 """
 
 from __future__ import annotations
@@ -14,7 +17,8 @@ from fractions import Fraction
 
 import sympy
 
-from cobcalc.series import Monomial
+from cobcalc.bundles import ProjBundleElement, ProjBundleRing, _coerce_pb, pb_mul
+from cobcalc.series import ContextMismatch, Monomial, TruncatedSeries
 
 
 def trunc_x(expr, x, order):
@@ -256,3 +260,52 @@ def ref_det(rows) -> Fraction:
                 m[i] = [x - f * y for x, y in zip(m[i], m[c])]
     return sign * result
 
+
+
+# -- the term-by-term evaluation that bundles.pb_substitute used before Horner ------
+
+
+def ref_pb_substitute(
+    ring: ProjBundleRing,
+    s: TruncatedSeries,
+    values: dict,
+) -> ProjBundleElement:
+    """Evaluate a (finite, truncated) series at projective-bundle elements.
+
+    ``values`` maps every variable in the support of ``s`` to an element
+    of the ring (or a base series); generator parts of the coefficients
+    multiply in as base constants.  This is polynomial evaluation: the
+    source term map is finite by truncation.
+    """
+    if s.ctx.coeff_kind != ring.base.coeff_kind:
+        raise ContextMismatch("coefficient kinds differ")
+    values = {int(j): _coerce_pb(ring, v) for j, v in values.items()}
+    missing = s.support_vars() - set(values)
+    if missing:
+        raise ValueError(f"no value for variables {sorted(missing)}")
+
+    powers: dict = {}
+
+    def power(j: int, e: int) -> ProjBundleElement:
+        key = (j, e)
+        cached = powers.get(key)
+        if cached is not None:
+            return cached
+        result = values[j] if e == 1 else pb_mul(ring, power(j, e - 1), values[j])
+        powers[key] = result
+        return result
+
+    zero_t = (0,) * ring.base.n_vars
+    acc = ring.zero()
+    for mono, coeff in s.iter_terms():
+        scalar = TruncatedSeries(ring.base, {Monomial(zero_t, mono.laz): coeff})
+        if scalar.is_zero():
+            continue
+        term = ring.from_base(scalar)
+        for j, e in enumerate(mono.t):
+            if e:
+                term = pb_mul(ring, term, power(j, e))
+                if term.is_zero():
+                    break
+        acc = acc + term
+    return acc

@@ -9,6 +9,8 @@ import pytest
 from cobcalc import cli, fgl
 from cobcalc.cli import JobConfig, main, parse_degree_range, run
 from cobcalc.equivariant import GroupPreset, WeylGroupSpec, symmetric_group
+from cobcalc.series import RingContext
+from cobcalc.towers import coefficient_ring_dimension
 
 
 def run_cli(*argv):
@@ -141,6 +143,23 @@ def test_tower_negative_degree_is_rejected(capsys):
     body = json.loads(capsys.readouterr().out)
     assert body["schema"] == "cobcalc/error/v1"
     assert "negative" in body["error"]["message"]
+
+
+def test_tower_accepts_caps_too_small_for_a_law(capsys):
+    # the tower reads only the coefficient ring, so max_t = 1 needs no group law
+    argv = ["tower", "bgm", "--fgl", "universal", "--max-t", "1", "--deg", "0..1", "--levels", "4"]
+    assert main(argv) == 0
+    body = json.loads(capsys.readouterr().out)
+    ctx = RingContext(1, "universal-rational", 1, body["caps"]["max_w"])
+    for d in (0, 1):
+        assert body["degrees"][str(d)]["lim_dim"] == coefficient_ring_dimension(ctx, d)
+
+
+def test_flag_torus_has_no_congruent_pairs(capsys):
+    # torus(2) has no reflection, so no component pairs are compared
+    assert main(["flag", "--group", "torus2", "--pairs", "1"]) == 0
+    body = json.loads(capsys.readouterr().out)
+    assert body["weyl_order"] == 1 and body["congruence_ok_derived"]
 
 
 def test_weyl_enumeration_cap_is_refused(monkeypatch, capsys):

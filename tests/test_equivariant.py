@@ -85,7 +85,7 @@ def test_weyl_apply_left_action_universal():
     ctx = uni.context(2)
     rng = random.Random(3)
     from cobcalc.selftest import random_series
-    from cobcalc.equivariant import _mat_mul_int
+    from cobcalc.equivariant import int_mat_mul
 
     els = g.weyl.elements()
     for _ in range(3):
@@ -93,7 +93,7 @@ def test_weyl_apply_left_action_universal():
         for w1 in els[:4]:
             for w2 in els[:4]:
                 assert weyl_apply(w1, weyl_apply(w2, s, uni), uni) == weyl_apply(
-                    _mat_mul_int(w1, w2), s, uni
+                    int_mat_mul(w1, w2), s, uni
                 )
 
 

@@ -1,3 +1,4 @@
+import doctest
 import random
 from fractions import Fraction
 
@@ -156,3 +157,10 @@ def test_caps_drop_silently(qctx):
     t1 = qctx.var(0)
     assert (t1 ** 6 * t1).is_zero()
     assert t1 ** 7 == qctx.zero()
+
+
+def test_series_doctests():
+    from cobcalc import series
+
+    result = doctest.testmod(series)
+    assert result.failed == 0 and result.attempted >= 6

@@ -82,7 +82,7 @@ def test_projective_space_tower_matches_coefficient_ring():
     for kind in ALL_KINDS:
         F = law(kind)
         ctx = F.context(1)
-        tower = projective_space_tower(F, 5, F.max_t_order + 2)
+        tower = projective_space_tower(ctx, 5, F.max_t_order + 2)
         for d in range(6):
             idx = stabilization_index(tower, d)
             assert idx is not None and idx <= d
@@ -91,7 +91,7 @@ def test_projective_space_tower_matches_coefficient_ring():
 
 def test_projective_space_tower_level_dims_additive():
     F = law("additive")
-    tower = projective_space_tower(F, 3, 6)
+    tower = projective_space_tower(F.context(1), 3, 6)
     sl = tower.degrees[2]
     # additive coefficients: degree-2 slice of Q[xi]/(xi^(i+1)) is 1-dim once i >= 2
     assert sl.dims == [0, 0, 1, 1, 1, 1, 1]
@@ -99,7 +99,7 @@ def test_projective_space_tower_level_dims_additive():
 
 def test_short_window_refusal_universal():
     F = law("universal-rational", 6, 5)
-    tower = projective_space_tower(F, 0, 3)  # far below the stabilization point
+    tower = projective_space_tower(F.context(1), 0, 3)  # far below the stabilization point
     assert stabilization_index(tower, 0) == 0  # surjections: images never shrink
     with pytest.raises(WindowNotStabilized):
         inverse_limit_dims(tower, 0)  # dims still growing at the window end
@@ -108,7 +108,7 @@ def test_short_window_refusal_universal():
 def test_functoriality_under_levelwise_isomorphism():
     rng = random.Random(37)
     F = law("universal-rational", 4, 3)
-    tower = projective_space_tower(F, 3, 6)
+    tower = projective_space_tower(F.context(1), 3, 6)
     transforms = {}
     for d, sl in tower.degrees.items():
         mats = []
