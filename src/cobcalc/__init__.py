@@ -11,6 +11,7 @@ from .series import (
     ContextMismatch,
     Monomial,
     RingContext,
+    RingMap,
     SubstitutionError,
     TruncatedSeries,
     bidegree_basis,
@@ -38,6 +39,7 @@ from .equivariant import (
     invariant_basis,
     preset,
     weyl_apply,
+    weyl_map,
 )
 from .bundles import (
     ProjBundleElement,
@@ -74,6 +76,7 @@ __all__ = [
     "ProjBundleElement",
     "ProjBundleRing",
     "RingContext",
+    "RingMap",
     "SplitBundle",
     "SubstitutionError",
     "Tower",
@@ -107,6 +110,7 @@ __all__ = [
     "twist_by_line",
     "verify_fgl_axioms",
     "weyl_apply",
+    "weyl_map",
     "zero_section_pushforward",
     "zero_section_restriction",
 ]

@@ -148,6 +148,8 @@ def _run_bg(config: JobConfig):
 
 def _run_flag(config: JobConfig):
     group = preset(config.group)
+    # the job enumerates the Weyl group: refuse an oversized one before building anything
+    group.require_enumerable()
     law = _law(config)
     ctx = law.context(group.rank)
     rng = random.Random(config.seed)

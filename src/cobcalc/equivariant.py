@@ -9,7 +9,12 @@ c = (c1..cn) gets the class
 
 the group-law sum of the n-series of the basis classes.  A Weyl group
 acts through integer matrices on the character lattice; the induced
-ring endomorphism sends tj to the class of the j-th column.  Invariant
+ring endomorphism sends tj to the class of the j-th column.
+`weyl_map` builds it once per matrix as one `series.RingMap`: it checks
+the matrix and computes the rank-many column classes.  `action_matrix`
+sends every basis monomial through that map, so the action of a
+generator is set up once and each power of a column class is multiplied
+out once.  Invariant
 subspaces are computed per diagonal degree in the filtration quotient
 spanned by monomials of t-order <= k_max: the action only preserves the
 augmentation filtration for non-additive laws, and truncating to the
@@ -22,6 +27,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from math import factorial
 from typing import Optional, Sequence
 
 from . import linalg
@@ -29,10 +35,10 @@ from .fgl import FormalGroupLaw, fgl_sum, n_series
 from .series import (
     Monomial,
     RingContext,
+    RingMap,
     TruncatedSeries,
     bidegree_basis,
     coordinates,
-    substitute,
 )
 
 Matrix = tuple  # tuple of row tuples with integer entries
@@ -113,6 +119,18 @@ class GroupPreset:
     name: str
     rank: int
     weyl: WeylGroupSpec
+    # the order of the Weyl group when known in closed form, so that a group
+    # too large to enumerate is refused before any work
+    weyl_order: Optional[int] = None
+
+    def require_enumerable(self) -> None:
+        """Raise EnumerationCapExceeded if the known Weyl order exceeds the enumeration cap."""
+        cap = self.weyl.max_elements
+        if self.weyl_order is not None and self.weyl_order > cap:
+            raise EnumerationCapExceeded(
+                f"the Weyl group of {self.name} has {self.weyl_order} elements, "
+                f"over the cap of {cap} elements"
+            )
 
 
 def _transposition(n: int, i: int) -> Matrix:
@@ -148,17 +166,19 @@ def preset(name: str) -> GroupPreset:
     m = re.fullmatch(r"GL(\d+)", canon)
     if m:
         n = int(m.group(1))
-        return GroupPreset(f"GL({n})", n, symmetric_group(n))
+        return GroupPreset(f"GL({n})", n, symmetric_group(n), factorial(n))
     if canon == "SL2":
-        return GroupPreset("SL(2)", 1, WeylGroupSpec(rank=1, generators=(((-1,),),)))
+        return GroupPreset("SL(2)", 1, WeylGroupSpec(rank=1, generators=(((-1,),),)), 2)
     m = re.fullmatch(r"TORUS(\d+)", canon)
     if m:
         n = int(m.group(1))
-        return GroupPreset(f"torus({n})", n, WeylGroupSpec(rank=n, generators=()))
+        return GroupPreset(f"torus({n})", n, WeylGroupSpec(rank=n, generators=()), 1)
     m = re.fullmatch(r"[BC](\d+)", canon)
     if m:
         n = int(m.group(1))
-        return GroupPreset(f"{canon[0]}{n}", n, signed_permutation_group(n))
+        return GroupPreset(
+            f"{canon[0]}{n}", n, signed_permutation_group(n), 2**n * factorial(n)
+        )
     raise ValueError(f"unknown group preset {name!r}")
 
 
@@ -181,18 +201,20 @@ def character_class(
     return ctx.zero() if acc is None else acc
 
 
-def weyl_apply(w, s: TruncatedSeries, law: FormalGroupLaw) -> TruncatedSeries:
-    """Ring endomorphism sending tj to the class of the j-th column of w."""
+def weyl_map(w, law: FormalGroupLaw, ctx: RingContext) -> RingMap:
+    """Ring endomorphism of ``ctx`` sending tj to the class of the j-th column of w."""
     m = _as_matrix(w)
     _check_unimodular(m)
-    n = s.ctx.n_vars
+    n = ctx.n_vars
     if len(m) != n:
         raise ValueError("matrix size does not match the context rank")
-    assignment = {
-        j: character_class(law, tuple(m[i][j] for i in range(n)), s.ctx)
-        for j in range(n)
-    }
-    return substitute(s, assignment, target=s.ctx)
+    columns = {j: character_class(law, tuple(m[i][j] for i in range(n)), ctx) for j in range(n)}
+    return RingMap(ctx, columns, ctx)
+
+
+def weyl_apply(w, s: TruncatedSeries, law: FormalGroupLaw) -> TruncatedSeries:
+    """Ring endomorphism sending tj to the class of the j-th column of w."""
+    return weyl_map(w, law, s.ctx)(s)
 
 
 def window_basis(ctx: RingContext, degree: int, k_max: int) -> list:
@@ -208,13 +230,27 @@ def window_basis(ctx: RingContext, degree: int, k_max: int) -> list:
     return monos
 
 
+def unit_series(ctx: RingContext, basis: Sequence[Monomial]) -> list:
+    """The basis monomials as series with coefficient 1."""
+    return [TruncatedSeries(ctx, {mono: Fraction(1)}) for mono in basis]
+
+
 def action_matrix(
-    w, law: FormalGroupLaw, basis: Sequence[Monomial], ctx: RingContext
+    w,
+    law: FormalGroupLaw,
+    basis: Sequence[Monomial],
+    ctx: RingContext,
+    units: Optional[Sequence[TruncatedSeries]] = None,
 ) -> list:
-    """Matrix of the Weyl action on the span of ``basis`` (columns = images)."""
-    images = (weyl_apply(w, TruncatedSeries(ctx, {mono: Fraction(1)}), law) for mono in basis)
+    """Matrix of the Weyl action on the span of ``basis`` (columns = images).
+
+    ``units`` is ``unit_series(ctx, basis)``, for a caller that acts on
+    one basis by several matrices and builds it once.
+    """
+    if units is None:
+        units = unit_series(ctx, basis)
     # terms outside the window fall into the filtration ideal: dropped
-    return linalg.transpose(coordinates(images, basis))
+    return linalg.transpose(coordinates(map(weyl_map(w, law, ctx), units), basis))
 
 
 def invariant_basis(
@@ -238,9 +274,10 @@ def invariant_basis(
     if not basis:
         return []
     dim = len(basis)
+    units = unit_series(ctx, basis)
     stacked = []
     for g in wspec.generators:
-        rho = action_matrix(g, law, basis, ctx)
+        rho = action_matrix(g, law, basis, ctx, units)
         for i in range(dim):
             row = list(rho[i])
             row[i] -= 1

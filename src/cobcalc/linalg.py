@@ -17,14 +17,16 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Optional
 
-# zero entries built here are all this one object, which the integer path skips by identity
-_ZERO = Fraction(0)
+# the shared zero: every zero entry built here, and every zero that
+# ``series.coordinates`` returns, is this one object, which ``_int_row``
+# skips by identity instead of converting it
+ZERO = Fraction(0)
 
 
 def _int_row(row) -> tuple:
     """``(ints, den)`` with ``row == ints / den`` entrywise, den the lcm of the denominators."""
     pairs = [
-        (0, 1) if x is _ZERO
+        (0, 1) if x is ZERO
         else x.as_integer_ratio() if type(x) is Fraction or type(x) is int
         else Fraction(x).as_integer_ratio()
         for x in row
@@ -46,11 +48,11 @@ def mat(rows) -> list:
 
 
 def identity(n: int) -> list:
-    return [[Fraction(1) if i == j else _ZERO for j in range(n)] for i in range(n)]
+    return [[Fraction(1) if i == j else ZERO for j in range(n)] for i in range(n)]
 
 
 def zeros(n: int, m: int) -> list:
-    return [[_ZERO] * m for _ in range(n)]
+    return [[ZERO] * m for _ in range(n)]
 
 
 def mat_mul(a, b, cols: Optional[int] = None) -> list:
@@ -106,10 +108,10 @@ def rref(rows) -> tuple:
     for row, c in zip(m, pivots):
         p = row[c]
         if p == 1:
-            out.append([Fraction(x) if x else _ZERO for x in row])
+            out.append([Fraction(x) if x else ZERO for x in row])
         else:
-            out.append([Fraction(x, p) if x else _ZERO for x in row])
-    out.extend([_ZERO] * n_cols for _ in range(n_rows - r))
+            out.append([Fraction(x, p) if x else ZERO for x in row])
+    out.extend([ZERO] * n_cols for _ in range(n_rows - r))
     return out, pivots
 
 
@@ -125,7 +127,7 @@ def nullspace(rows, n_cols: Optional[int] = None) -> list:
         n_cols = len(rows[0])
     if not rows:
         return [
-            [Fraction(1) if j == k else _ZERO for j in range(n_cols)]
+            [Fraction(1) if j == k else ZERO for j in range(n_cols)]
             for k in range(n_cols)
         ]
     red, pivots = rref(rows)
@@ -133,7 +135,7 @@ def nullspace(rows, n_cols: Optional[int] = None) -> list:
     free = [c for c in range(n_cols) if c not in pivot_set]
     basis = []
     for f in free:
-        v = [_ZERO] * n_cols
+        v = [ZERO] * n_cols
         v[f] = Fraction(1)
         for r, c in enumerate(pivots):
             v[c] = -red[r][f]

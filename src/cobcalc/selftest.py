@@ -579,13 +579,13 @@ CHECKS: List[Tuple[str, Callable]] = [
 ]
 
 
+def run_check(seed: int, name: str, fn: Callable) -> dict:
+    """Run one check with its own generator, seeded by the suite seed and its name."""
+    ok, detail = fn(random.Random(f"{seed}:{name}"))
+    return {"name": name, "ok": ok, "detail": detail}
+
+
 def run_selftest(seed: int = 0) -> Tuple[bool, List[dict]]:
     """Run every check with its own seeded generator; returns (ok, results)."""
-    results = []
-    all_ok = True
-    for name, fn in CHECKS:
-        rng = random.Random(f"{seed}:{name}")
-        ok, detail = fn(rng)
-        results.append({"name": name, "ok": ok, "detail": detail})
-        all_ok = all_ok and ok
-    return all_ok, results
+    results = [run_check(seed, name, fn) for name, fn in CHECKS]
+    return all(r["ok"] for r in results), results

@@ -50,6 +50,18 @@ denominator, and each monomial as one packed int:
   weight exceeds the cap.
 
 Only this module knows the packed form.
+
+Ring maps
+---------
+A ring map is given by the images of the variables: `RingMap(source,
+images, target)` checks the images once (index range, one target
+context with the coefficient kind of the source, no term of t-order 0)
+and keeps a table of their powers, each multiplied out on first use, so
+that mapping many series through one map builds every power once.  A
+call maps each term as the product of its scalar part and the powers of
+the images of its variables.  `substitute` is the one-shot form,
+``RingMap(s.ctx, assignment, target)(s)``; the Weyl action and the
+projective-bundle evaluation both go through these.
 """
 
 from __future__ import annotations
@@ -60,6 +72,8 @@ from fractions import Fraction
 from functools import cached_property, lru_cache
 from math import gcd, lcm
 from typing import Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence
+
+from .linalg import ZERO
 
 COEFF_KINDS = ("rational", "multiplicative-beta", "universal-rational")
 
@@ -440,7 +454,7 @@ class TruncatedSeries:
                 factors = body.split("*")
             else:
                 coeff_str, factors = chunk, []
-            coeff = Fraction(coeff_str)
+            coeff = _parse_coeff(coeff_str)
             t = [0] * ctx.n_vars
             laz = {}
             for factor in factors:
@@ -475,14 +489,27 @@ class TruncatedSeries:
 
     @classmethod
     def from_json_terms(cls, ctx: RingContext, data: Iterable[dict]) -> "TruncatedSeries":
+        """Inverse of `to_json_terms`; malformed input raises ValueError."""
         terms = {}
-        for item in data:
-            mono = Monomial(
-                tuple(int(x) for x in item["t"]),
-                tuple((int(i), int(e)) for i, e in item["lazard"]),
-            )
-            terms[mono] = terms.get(mono, Fraction(0)) + Fraction(item["coeff"])
+        try:
+            for item in data:
+                mono = Monomial(
+                    tuple(int(x) for x in item["t"]),
+                    tuple((int(i), int(e)) for i, e in item["lazard"]),
+                )
+                terms[mono] = terms.get(mono, Fraction(0)) + _parse_coeff(item["coeff"])
+        # a missing key, a value of the wrong type or a non-finite float
+        except (KeyError, TypeError, OverflowError) as exc:
+            raise ValueError(f"malformed JSON series term: {exc!r}") from None
         return ctx.from_terms(terms)
+
+
+def _parse_coeff(value) -> Fraction:
+    """``Fraction(value)``, with a zero denominator reported as ValueError."""
+    try:
+        return Fraction(value)
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in coefficient {value!r}") from None
 
 
 def coordinates(
@@ -491,23 +518,30 @@ def coordinates(
     """One row per series: its coefficients on ``basis``, in basis order.
 
     Terms on monomials outside ``basis`` are ignored, unless ``strict``
-    is set: then they raise ValueError.
+    is set: then they raise ValueError.  Zero coordinates are all
+    `linalg.ZERO`, which the elimination skips without converting it.
     """
-    zero = Fraction(0)
+    n = len(basis)
     layout = None
     rows = []
     for s in series:
         if s.ctx._layout is not layout:
             layout = s.ctx._layout
-            keys = [layout.key_of(m) for m in basis]
-            key_set = set(keys)
-        terms, den = s._terms, s._den
-        if strict and not terms.keys() <= key_set:
-            raise ValueError("series has terms outside the basis")
-        row = []
-        for key in keys:
-            num = terms.get(key)
-            row.append(zero if num is None else Fraction(num, den))
+            # key -> its positions in the basis; no series of the layout holds a None key
+            positions: dict = {}
+            for i, mono in enumerate(basis):
+                positions.setdefault(layout.key_of(mono), []).append(i)
+        row = [ZERO] * n
+        den = s._den
+        for key, num in s._terms.items():
+            at = positions.get(key)
+            if at is None:
+                if strict:
+                    raise ValueError("series has terms outside the basis")
+                continue
+            value = Fraction(num, den)
+            for i in at:
+                row[i] = value
         rows.append(row)
     return rows
 
@@ -608,95 +642,132 @@ def series_mul(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:
     return _reduced(ctx, {p - bias: c for p, c in out.items() if c}, a._den * b._den)
 
 
+class RingMap:
+    """The ring map from series over ``source`` into ``target`` given by the images of variables.
+
+    ``images[j]`` is the image of ``t_{j+1}``; unassigned variables map to
+    the variable of the same index in the target.  Every image must lie in
+    the augmentation ideal (no term of t-order 0), so composition is well
+    defined under truncation, and all images must share the target context,
+    whose coefficient kind is that of ``source``.  These checks run once,
+    when the map is built.  A call checks what depends on its series: that
+    it lives over ``source`` and, when the map retargets into another
+    context, that every variable occurring in it is assigned.
+
+    The powers of the images are multiplied out on first use and kept, so
+    mapping many series through one map builds each power once.
+
+    >>> ctx = RingContext(2, "rational", 4, 0)
+    >>> t1, t2 = ctx.var(0), ctx.var(1)
+    >>> swap = RingMap(ctx, {0: t2, 1: t1})
+    >>> swap(t1 * t1 + t2).to_text()
+    '1 * t1 + 1 * t2^2'
+    """
+
+    __slots__ = ("source", "target", "_images", "_powers", "_retarget", "_same_gens")
+
+    def __init__(
+        self,
+        source: RingContext,
+        images: Mapping[int, TruncatedSeries],
+        target: Optional[RingContext] = None,
+    ):
+        images = {int(j): v for j, v in images.items()}
+        for j in images:
+            if not 0 <= j < source.n_vars:
+                raise ValueError(f"assigned variable index {j} out of range")
+        values = list(images.values())
+        if target is None:
+            target = values[0].ctx if values else source
+        if target.coeff_kind != source.coeff_kind:
+            raise ContextMismatch("substitution cannot change the coefficient kind")
+        for v in values:
+            if v.ctx != target:
+                raise ContextMismatch("assigned series live in different contexts")
+            if v.has_t_constant_term():
+                raise SubstitutionError(
+                    "assigned series must have zero constant term in the degree-1 variables"
+                )
+        self.source, self.target, self._images = source, target, images
+        self._powers = {}
+        self._retarget = target != source
+        src, dst = source._layout, target._layout
+        # the generator part of a key moves over as a bit copy when both layouts
+        # agree on the generator fields (count and width), which holds whenever
+        # the caps agree; only retargeting across caps decodes and re-encodes
+        self._same_gens = src.n_gens == dst.n_gens and src.mask == dst.mask
+
+    def _power(self, j: int, e: int) -> TruncatedSeries:
+        key = (j, e)
+        cached = self._powers.get(key)
+        if cached is not None:
+            return cached
+        if e == 1:
+            result = self._images.get(j)
+            if result is None:
+                result = self.target.var(j)
+        else:
+            result = series_mul(self._power(j, e - 1), self._power(j, 1))
+        self._powers[key] = result
+        return result
+
+    def __call__(self, s: TruncatedSeries) -> TruncatedSeries:
+        source, target = self.source, self.target
+        if s.ctx is not source and s.ctx != source:
+            raise ContextMismatch("series does not live over the source context of the map")
+        if self._retarget:
+            missing = s.support_vars() - self._images.keys()
+            if missing:
+                raise SubstitutionError(
+                    f"retargeting substitution must assign all variables; missing {sorted(missing)}"
+                )
+        src, dst = source._layout, target._layout
+        mask, w_shift, max_w, den = src.mask, src.w_shift, target.max_weight, s._den
+        var_shifts = tuple(enumerate(src.var_shifts))
+        same_gens, dst_w_shift, gen_mask = self._same_gens, dst.w_shift, src.gen_mask
+        power = self._power
+        zero_t = (0,) * target.n_vars
+        acc: dict = {}
+        acc_den = 1
+        for key, num in s._terms.items():
+            w = (key >> w_shift) & mask
+            if w > max_w:
+                continue
+            if same_gens:
+                start = (w << dst_w_shift) | (key & gen_mask)
+            else:
+                start = dst.encode(Monomial(zero_t, src.decode(key).laz))
+            g = gcd(num, den)
+            term = TruncatedSeries._raw(target, {start: num // g}, den // g)
+            for j, shift in var_shifts:
+                e = (key >> shift) & mask
+                if e:
+                    term = series_mul(term, power(j, e))
+                    if not term._terms:
+                        break
+            else:  # the term did not vanish
+                acc_den = _accumulate(acc, acc_den, term._terms, term._den)
+        return _reduced(target, acc, acc_den)
+
+
 def substitute(
     s: TruncatedSeries,
     assignment: Mapping[int, TruncatedSeries],
     target: Optional[RingContext] = None,
 ) -> TruncatedSeries:
-    """Simultaneous substitution t_j -> assignment[j], truncated.
+    """Simultaneous substitution t_j -> assignment[j], truncated: ``RingMap`` applied once.
 
-    Every assigned series must lie in the augmentation ideal (no term of
-    t-order 0), so composition is well defined under truncation.  All
-    assigned series must share one context with the same coefficient
-    kind as ``s``; when that context differs from ``s.ctx`` (retargeting
-    into another ring), every variable occurring in ``s`` must be
-    assigned.  Unassigned variables map to themselves.
+    The assignment is checked as `RingMap` checks its images, with
+    ``s.ctx`` as the source; when the target differs from ``s.ctx``
+    (retargeting into another ring), every variable occurring in ``s``
+    must be assigned.  Unassigned variables map to themselves.
 
     >>> ctx = RingContext(2, "rational", 4, 0)
     >>> t1, t2 = ctx.var(0), ctx.var(1)
     >>> substitute(t1 * t1, {0: t1 + t2}).to_text()
     '1 * t1^2 + 2 * t1*t2 + 1 * t2^2'
     """
-    assignment = {int(j): v for j, v in assignment.items()}
-    for j in assignment:
-        if not 0 <= j < s.ctx.n_vars:
-            raise ValueError(f"assigned variable index {j} out of range")
-    values = list(assignment.values())
-    if target is None:
-        target = values[0].ctx if values else s.ctx
-    if target.coeff_kind != s.ctx.coeff_kind:
-        raise ContextMismatch("substitution cannot change the coefficient kind")
-    for v in values:
-        if v.ctx != target:
-            raise ContextMismatch("assigned series live in different contexts")
-        if v.has_t_constant_term():
-            raise SubstitutionError(
-                "assigned series must have zero constant term in the degree-1 variables"
-            )
-    if target != s.ctx:
-        missing = s.support_vars() - set(assignment)
-        if missing:
-            raise SubstitutionError(
-                f"retargeting substitution must assign all variables; missing {sorted(missing)}"
-            )
-
-    powers: dict = {}
-
-    def power(j: int, e: int) -> TruncatedSeries:
-        key = (j, e)
-        cached = powers.get(key)
-        if cached is not None:
-            return cached
-        if e == 1:
-            base = assignment.get(j)
-            if base is None:
-                base = target.var(j)
-            powers[key] = base
-            return base
-        half = power(j, e - 1)
-        result = series_mul(half, power(j, 1))
-        powers[key] = result
-        return result
-
-    src, dst = s.ctx._layout, target._layout
-    mask, w_shift, max_w, den = src.mask, src.w_shift, target.max_weight, s._den
-    var_shifts = tuple(enumerate(src.var_shifts))
-    # the generator part of a key moves over as a bit copy when both layouts
-    # agree on the generator fields (count and width), which holds whenever
-    # the caps agree; only retargeting across caps decodes and re-encodes
-    same_gens = src.n_gens == dst.n_gens and src.mask == dst.mask
-    zero_t = (0,) * target.n_vars
-    acc: dict = {}
-    acc_den = 1
-    for key, num in s._terms.items():
-        w = (key >> w_shift) & mask
-        if w > max_w:
-            continue
-        if same_gens:
-            start = (w << dst.w_shift) | (key & src.gen_mask)
-        else:
-            start = dst.encode(Monomial(zero_t, src.decode(key).laz))
-        g = gcd(num, den)
-        term = TruncatedSeries._raw(target, {start: num // g}, den // g)
-        for j, shift in var_shifts:
-            e = (key >> shift) & mask
-            if e:
-                term = series_mul(term, power(j, e))
-                if not term._terms:
-                    break
-        else:  # the term did not vanish
-            acc_den = _accumulate(acc, acc_den, term._terms, term._den)
-    return _reduced(target, acc, acc_den)
+    return RingMap(s.ctx, assignment, target)(s)
 
 
 def bidegree_basis(ctx: RingContext, degree: int, t_order: int) -> list:

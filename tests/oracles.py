@@ -7,7 +7,11 @@ on plain ``{Monomial: Fraction}`` dicts, and the Fraction Gauss-Jordan
 elimination that the integer one in ``cobcalc.linalg`` replaced.  The
 one exception is ``ref_pb_substitute``, the term-by-term
 projective-bundle evaluation that ``cobcalc.bundles.pb_substitute``
-replaced: it evaluates with the package's own ``pb_mul``.
+replaced: it evaluates with the package's own ``pb_mul``.  Likewise
+``ref_weyl_apply``/``ref_action_matrix``, the per-monomial Weyl action
+that ``cobcalc.equivariant.weyl_map`` replaced, build the character
+classes with the package's ``character_class`` and substitute with its
+``substitute``.
 """
 
 from __future__ import annotations
@@ -17,8 +21,10 @@ from fractions import Fraction
 
 import sympy
 
+from cobcalc import linalg
 from cobcalc.bundles import ProjBundleElement, ProjBundleRing, _coerce_pb, pb_mul
-from cobcalc.series import ContextMismatch, Monomial, TruncatedSeries
+from cobcalc.equivariant import character_class
+from cobcalc.series import ContextMismatch, Monomial, TruncatedSeries, coordinates, substitute
 
 
 def trunc_x(expr, x, order):
@@ -309,3 +315,41 @@ def ref_pb_substitute(
                     break
         acc = acc + term
     return acc
+
+
+# -- the per-monomial Weyl action that equivariant.weyl_map replaced ---------------
+
+
+def _as_matrix(rows):
+    m = tuple(tuple(int(x) for x in row) for row in rows)
+    n = len(m)
+    if any(len(row) != n for row in m):
+        raise ValueError("Weyl generators must be square matrices")
+    return m
+
+
+def _check_unimodular(m) -> None:
+    d = linalg.det([list(r) for r in m])
+    if d not in (1, -1):
+        raise ValueError(f"matrix is not invertible over Z (det = {d})")
+
+
+def ref_weyl_apply(w, s, law):
+    """Ring endomorphism sending tj to the class of the j-th column of w."""
+    m = _as_matrix(w)
+    _check_unimodular(m)
+    n = s.ctx.n_vars
+    if len(m) != n:
+        raise ValueError("matrix size does not match the context rank")
+    assignment = {
+        j: character_class(law, tuple(m[i][j] for i in range(n)), s.ctx)
+        for j in range(n)
+    }
+    return substitute(s, assignment, target=s.ctx)
+
+
+def ref_action_matrix(w, law, basis, ctx) -> list:
+    """Matrix of the Weyl action on the span of ``basis`` (columns = images)."""
+    images = (ref_weyl_apply(w, TruncatedSeries(ctx, {mono: Fraction(1)}), law) for mono in basis)
+    # terms outside the window fall into the filtration ideal: dropped
+    return linalg.transpose(coordinates(images, basis))

@@ -176,6 +176,19 @@ def test_weyl_enumeration_cap_is_refused(monkeypatch, capsys):
     assert "cap of 4 elements" in body["error"]["message"]
 
 
+def test_oversized_weyl_group_is_refused_before_any_work(monkeypatch, capsys):
+    def no_work(*args, **kwargs):
+        raise AssertionError("the job started work before refusing")
+
+    # GL8 has 8! = 40320 elements, over the default cap of 20000
+    monkeypatch.setattr(WeylGroupSpec, "elements", no_work)
+    monkeypatch.setattr(cli, "_law", no_work)
+    assert main(["flag", "--group", "GL8", "--pairs", "1"]) == 2
+    body = json.loads(capsys.readouterr().out)
+    assert body["schema"] == "cobcalc/error/v1"
+    assert "40320 elements" in body["error"]["message"]
+
+
 # stdout sha256 of the README commands, recorded before the packed series
 # kernel replaced the Monomial/Fraction one; every byte must stay the same
 README_GOLDEN = {

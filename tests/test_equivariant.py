@@ -37,6 +37,14 @@ def test_preset_orders():
     assert len(preset("C3").weyl.elements()) == 48
 
 
+@pytest.mark.parametrize(
+    "name", ["GL1", "GL2", "GL3", "GL4", "GL5", "SL2", "torus1", "torus3", "B1", "B2", "C3"]
+)
+def test_preset_weyl_order_matches_enumeration(name):
+    group = preset(name)
+    assert group.weyl_order == len(group.weyl.elements())
+
+
 def test_preset_name_variants():
     assert preset("GL(2)").rank == 2
     assert preset("torus(4)").rank == 4

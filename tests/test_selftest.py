@@ -1,12 +1,22 @@
-from cobcalc.selftest import CHECKS, run_selftest
+"""The selftest suite, one pytest item per check.
+
+``selftest --seed 42`` as a whole (green, byte-identical twice, recorded
+digest) is acceptance criterion 9 in ``test_acceptance.py``.
+"""
+
+import pytest
+
+from cobcalc.selftest import CHECKS, run_check
+
+by_name = pytest.mark.parametrize("name,fn", CHECKS, ids=[name for name, _ in CHECKS])
 
 
-def test_full_invariant_suite_green():
-    ok, results = run_selftest(seed=0)
-    failed = [r for r in results if not r["ok"]]
-    assert ok, f"selftest failures: {failed}"
-    assert len(results) == len(CHECKS)
+@by_name
+def test_invariant_check_green(name, fn):
+    result = run_check(0, name, fn)
+    assert result["ok"], result["detail"]
 
 
-def test_selftest_is_seed_deterministic():
-    assert run_selftest(seed=123) == run_selftest(seed=123)
+@by_name
+def test_invariant_check_is_seed_deterministic(name, fn):
+    assert run_check(123, name, fn) == run_check(123, name, fn)

@@ -8,6 +8,7 @@ from cobcalc.series import (
     ContextMismatch,
     Monomial,
     RingContext,
+    RingMap,
     SubstitutionError,
     TruncatedSeries,
     bidegree_basis,
@@ -84,6 +85,77 @@ def test_substitute_retarget(qctx):
     s = qctx.var(0) * qctx.var(1)
     out = substitute(s, {0: big.var(2), 1: big.var(0) + big.var(1)})
     assert out == big.var(2) * (big.var(0) + big.var(1))
+
+
+def _refusal_cases():
+    q = RingContext(2, "rational", 6, 0)
+    big = RingContext(3, "rational", 6, 0)
+    beta = RingContext(2, "multiplicative-beta", 6, 2)
+    t1, t2 = q.var(0), q.var(1)
+    # (series, assignment, target): each is refused by substitute
+    return {
+        "index out of range": (t1, {2: t1}, None),
+        "negative index": (t1, {-1: t1}, None),
+        "coefficient kind": (t1, {0: beta.var(0)}, None),
+        "target kind": (t1, {}, beta),
+        "images in two contexts": (t1, {0: t1, 1: big.var(0)}, None),
+        "image outside the target": (t1, {0: t1}, big),
+        "constant term": (t1, {0: q.one() + t1}, None),
+        "generator constant term": (t1, {0: beta.lazard(1) + beta.var(0)}, beta),
+        "unassigned variable on retarget": (t1 + t2, {0: big.var(0)}, None),
+    }
+
+
+@pytest.mark.parametrize("case", sorted(_refusal_cases()))
+def test_ring_map_refuses_like_substitute(case):
+    s, assignment, target = _refusal_cases()[case]
+    with pytest.raises(ValueError) as by_substitute:
+        substitute(s, assignment, target)
+    with pytest.raises(ValueError) as by_map:
+        RingMap(s.ctx, assignment, target)(s)
+    assert by_map.type is by_substitute.type
+    assert str(by_map.value) == str(by_substitute.value)
+
+
+def test_ring_map_checks_the_assignment_once_and_the_series_per_call(qctx):
+    big = RingContext(3, "rational", 6, 0)
+    # assignment refusals come from the constructor, before any series is seen
+    with pytest.raises(SubstitutionError):
+        RingMap(qctx, {0: qctx.one() + qctx.var(0)})
+    with pytest.raises(ValueError, match="out of range"):
+        RingMap(qctx, {5: qctx.var(0)})
+    # a retargeting map is fine as long as each series only uses assigned variables
+    first_only = RingMap(qctx, {0: big.var(2)}, big)
+    assert first_only(qctx.var(0) ** 2) == big.var(2) ** 2
+    with pytest.raises(SubstitutionError, match="missing"):
+        first_only(qctx.var(1))
+    with pytest.raises(ContextMismatch):
+        first_only(big.var(0))
+
+
+def test_ring_map_shares_its_power_table(qctx, monkeypatch):
+    from cobcalc import series
+
+    calls = []
+    original = series.series_mul
+
+    def counting(a, b):
+        calls.append(1)
+        return original(a, b)
+
+    monkeypatch.setattr(series, "series_mul", counting)
+    t1, t2 = qctx.var(0), qctx.var(1)
+    phi = RingMap(qctx, {0: t1 + t2})
+    s = t1 ** 3 * t2
+    calls.clear()
+    image = phi(s)
+    built = len(calls)
+    calls.clear()
+    assert phi(s) == image
+    # first call: (t1 + t2)^2, (t1 + t2)^3 and two products with the term;
+    # the second call reuses both powers
+    assert (built, len(calls)) == (4, 2)
+    assert image == substitute(s, {0: t1 + t2})
 
 
 def test_bidegree_basis_examples(uctx):
