@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import random
+import re
 import sys
 from dataclasses import dataclass, field, replace
 from typing import Optional, Sequence
@@ -235,11 +236,11 @@ def _run_sif(config: JobConfig):
 
 
 def _run_pbf(config: JobConfig):
+    if config.rank < 1 or config.rank > 4:
+        raise ConfigError("pbf supports --rank 1..4")
     law = _law(config)
     ctx = law.context(2)
     rng = random.Random(config.seed)
-    if config.rank < 1 or config.rank > 4:
-        raise ConfigError("pbf supports --rank 1..4")
     ring = trivial_bundle_ring(ctx, config.rank)
     xi_zero = xi_power(ring, config.rank).is_zero()
     division_ok = True
@@ -363,6 +364,11 @@ def _add_common(p, *, caps=True, seed=False, fmt=True):
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # a negative degree range such as -1..2 is a value, like -1, not an option
+        self._negative_number_matcher = re.compile(r"^-\d+(\.\.-?\d+)?$|^-\d*\.\d+$")
+
     def error(self, message):
         raise ConfigError(message)
 

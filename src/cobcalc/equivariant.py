@@ -27,7 +27,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial
+from math import factorial, lcm
 from typing import Optional, Sequence
 
 from . import linalg
@@ -39,6 +39,7 @@ from .series import (
     TruncatedSeries,
     bidegree_basis,
     coordinates,
+    sparse_coordinates,
 )
 
 Matrix = tuple  # tuple of row tuples with integer entries
@@ -49,14 +50,25 @@ class EnumerationCapExceeded(RuntimeError):
 
 
 def _as_matrix(rows) -> Matrix:
-    m = tuple(tuple(int(x) for x in row) for row in rows)
+    m = tuple(tuple(map(int, row)) for row in rows)
     n = len(m)
     if any(len(row) != n for row in m):
         raise ValueError("Weyl generators must be square matrices")
     return m
 
 
+def _is_signed_permutation(m: Matrix) -> bool:
+    """One entry +-1 in each row and in each column, zeros elsewhere."""
+    if any(sum(map(abs, row)) != 1 for row in m):
+        return False
+    return len({row.index(1) if 1 in row else row.index(-1) for row in m}) == len(m)
+
+
 def _check_unimodular(m: Matrix) -> None:
+    # a signed permutation has det +-1; this O(n^2) test spares the presets'
+    # generators an O(n^3) determinant
+    if _is_signed_permutation(m):
+        return
     d = linalg.det([list(r) for r in m])
     if d not in (1, -1):
         raise ValueError(f"matrix is not invertible over Z (det = {d})")
@@ -135,10 +147,9 @@ class GroupPreset:
 
 def _transposition(n: int, i: int) -> Matrix:
     """Permutation matrix swapping coordinates i and i+1."""
-    rows = [[1 if r == c else 0 for c in range(n)] for r in range(n)]
-    rows[i][i] = rows[i + 1][i + 1] = 0
-    rows[i][i + 1] = rows[i + 1][i] = 1
-    return _as_matrix(rows)
+    perm = list(range(n))
+    perm[i], perm[i + 1] = i + 1, i
+    return tuple((0,) * p + (1,) + (0,) * (n - 1 - p) for p in perm)
 
 
 def _sign_flip(n: int, i: int) -> Matrix:
@@ -277,18 +288,25 @@ def invariant_basis(
     units = unit_series(ctx, basis)
     stacked = []
     for g in wspec.generators:
-        rho = action_matrix(g, law, basis, ctx, units)
-        for i in range(dim):
-            row = list(rho[i])
-            row[i] -= 1
-            stacked.append(row)
-    vectors = linalg.nullspace(stacked, n_cols=dim)
-    canonical = linalg.row_space(vectors) if vectors else ()
-    out = []
-    for vec in canonical:
-        terms = {m: c for m, c in zip(basis, vec) if c != 0}
-        out.append(TruncatedSeries(ctx, terms))
-    return out
+        images = sparse_coordinates(map(weyl_map(g, law, ctx), units), basis)
+        # the rows of (rho_g - id), all scaled by one den: column j is image j, whose
+        # terms outside the window fall into the filtration ideal and are dropped
+        den = lcm(*[d for _, d in images])
+        rows = [{} for _ in range(dim)]
+        for j, (nums, d) in enumerate(images):
+            for i, num in nums.items():
+                rows[i][j] = num * (den // d)
+        for i, row in enumerate(rows):
+            x = row.get(i, 0) - den
+            if x:
+                row[i] = x
+            else:
+                del row[i]
+        stacked.extend(rows)
+    return [
+        TruncatedSeries(ctx, {basis[j]: c for j, c in vec.items()})
+        for vec in linalg.kernel(stacked, dim)
+    ]
 
 
 def invariant_dimension(

@@ -1,14 +1,16 @@
-"""Dense exact linear algebra over Q (lists of Fraction rows).
+"""Exact linear algebra over Q on sparse integer rows.
 
-Inputs may mix ints, Fractions and anything ``Fraction()`` accepts; results
-are Fraction rows.  Elimination runs on Python ints only: each row is
-scaled once by the lcm of its denominators, and the integer rows are then
-reduced fraction-free.  ``rref`` does Gauss-Jordan by cross-multiplication,
-``row_i = p*row_i - a*row_r`` with gcd(p, a) divided out first and the row's
-content divided out after, so the entries stay small; ``det`` uses Bareiss's
-exact-division elimination.  Fractions are built only at the boundary:
-once per entry when ``rref`` divides each pivot row by its pivot, and once
-when ``det`` divides the integer determinant by the cleared denominators.
+A sparse row is a ``{column: int}`` dict of its nonzero entries.
+``echelon``, the one elimination kernel, is fraction-free Gauss-Jordan
+on such rows (``row = p*row - a*pivot_row``, gcd(p, a) and the row's
+content divided out) and returns the reduced row echelon form over Q,
+each row scaled to a primitive integer row with a positive pivot.  That
+form is unique, so it is a canonical key for the row space.
+
+The dense functions are adapters over the kernel: ``int_rows`` clears
+the denominators of rows that may mix ints, Fractions and anything
+``Fraction()`` accepts, and Fractions are built only for returned
+entries.  ``det`` is Bareiss's exact-division elimination.
 """
 
 from __future__ import annotations
@@ -17,30 +19,96 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Optional
 
-# the shared zero: every zero entry built here, and every zero that
-# ``series.coordinates`` returns, is this one object, which ``_int_row``
-# skips by identity instead of converting it
-ZERO = Fraction(0)
 
-
-def _int_row(row) -> tuple:
-    """``(ints, den)`` with ``row == ints / den`` entrywise, den the lcm of the denominators."""
-    pairs = [
-        (0, 1) if x is ZERO
-        else x.as_integer_ratio() if type(x) is Fraction or type(x) is int
-        else Fraction(x).as_integer_ratio()
-        for x in row
+def int_rows(rows) -> tuple:
+    """``(sparse, den)``: ``rows == sparse / den`` entrywise, den the lcm of all denominators."""
+    ratios = [
+        [(j, (x if type(x) is Fraction or type(x) is int else Fraction(x)).as_integer_ratio())
+         for j, x in enumerate(row) if x]
+        for row in rows
     ]
-    den = lcm(*[d for _, d in pairs])
-    if den == 1:
-        return [n for n, _ in pairs], 1
-    return [n * (den // d) for n, d in pairs], den
+    den = lcm(*[d for row in ratios for _, (n, d) in row if n])
+    return [{j: n * (den // d) for j, (n, d) in row if n} for row in ratios], den
 
 
-def _primitive(row) -> list:
-    """The integer row divided by the gcd of its entries."""
-    g = gcd(*row)
-    return row if g <= 1 else [x // g for x in row]
+def _primitive(row: dict) -> dict:
+    """The nonzero row divided by its content, signed so that its smallest column is positive."""
+    g = gcd(*row.values())
+    if row[min(row)] < 0:
+        g = -g
+    return row if g == 1 else {j: x // g for j, x in row.items()}
+
+
+def _eliminate(row: dict, c: int, pivot_row: dict) -> dict:
+    """``row`` with column c cleared by ``p*row - a*pivot_row``, p > 0, made primitive."""
+    p, a = pivot_row[c], row[c]
+    g = gcd(p, a)
+    p, a = p // g, a // g
+    out = {j: p * x for j, x in row.items()}
+    for j, y in pivot_row.items():
+        x = out.get(j, 0) - a * y
+        if x:
+            out[j] = x
+        else:
+            del out[j]
+    return _primitive(out) if out else out
+
+
+def echelon(rows) -> dict:
+    """Reduced row echelon form of sparse integer rows, as ``{pivot column: row}``.
+
+    Each row is primitive, has a positive entry at its pivot, its smallest
+    column, and is zero at every other pivot column.  The input rows are
+    not modified.  Sparsest rows go first (Markowitz's rule); each row is
+    reduced at its leading column until that column is new, and the pivot
+    rows are reduced by each other at the end, from the right.
+    """
+    pivots: dict = {}
+    for row in sorted(rows, key=len):
+        while row:
+            c = min(row)
+            if c not in pivots:
+                pivots[c] = _primitive(row)
+                break
+            # c is also the smallest column of the pivot row: the new row starts right of c
+            row = _eliminate(row, c, pivots[c])
+    for c in sorted(pivots, reverse=True):
+        row = pivots[c]
+        # the pivot rows right of c are reduced already, so clearing one of
+        # their columns brings in no other pivot column
+        for j in [j for j in row if j != c and j in pivots]:
+            row = _eliminate(row, j, pivots[j])
+        pivots[c] = row
+    return pivots
+
+
+def _kernel_vectors(red: dict, n_cols: int) -> list:
+    """The standard kernel basis of an echelon form: for each free column f,
+    1 at f and ``-row[f] / row[c]`` at each pivot c, as ``{column: Fraction}``."""
+    basis = []
+    for f in range(n_cols):
+        if f not in red:
+            vec = {f: Fraction(1)}
+            for c, row in red.items():
+                if f in row:
+                    vec[c] = Fraction(-row[f], row[c])
+            basis.append(vec)
+    return basis
+
+
+def kernel(rows, n_cols: int) -> list:
+    """Canonical basis of the kernel of sparse integer rows: its reduced echelon
+    rows, as ``{column: Fraction}`` in pivot order.  With the column order
+    reversed, each pivot row ends at its pivot, so the standard kernel
+    vector of a free column f is zero left of f and at every other free
+    column: it already is the reduced echelon row of the kernel with pivot f.
+    """
+    last = n_cols - 1
+    red = echelon({last - j: x for j, x in row.items()} for row in rows)
+    return [
+        {last - j: vec[j] for j in sorted(vec, reverse=True)}
+        for vec in reversed(_kernel_vectors(red, n_cols))
+    ]
 
 
 def mat(rows) -> list:
@@ -48,30 +116,16 @@ def mat(rows) -> list:
 
 
 def identity(n: int) -> list:
-    return [[Fraction(1) if i == j else ZERO for j in range(n)] for i in range(n)]
-
-
-def zeros(n: int, m: int) -> list:
-    return [[ZERO] * m for _ in range(n)]
+    return [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
 
 
 def mat_mul(a, b, cols: Optional[int] = None) -> list:
     """Matrix product; ``cols`` pins the width when b has zero rows."""
     if a and b and len(a[0]) != len(b):
         raise ValueError(f"shape mismatch: {len(a)}x{len(a[0])} times {len(b)}x{len(b[0])}")
-    if cols is None:
-        cols = len(b[0]) if b else 0
-    out = zeros(len(a), cols)
-    for i, row in enumerate(a):
-        oi = out[i]
-        for k, aik in enumerate(row):
-            if aik == 0:
-                continue
-            bk = b[k]
-            for j in range(cols):
-                if bk[j]:
-                    oi[j] += aik * bk[j]
-    return out
+    b_cols = transpose(b) if b else [()] * (cols or 0)
+    return [[sum((x * y for x, y in zip(row, col) if x and y), Fraction(0)) for col in b_cols]
+            for row in a]
 
 
 def transpose(a) -> list:
@@ -82,41 +136,16 @@ def rref(rows) -> tuple:
     """Reduced row echelon form; returns (rref_rows, pivot_columns)."""
     if not rows:
         return [], []
-    m = [_primitive(_int_row(r)[0]) for r in rows]
-    n_rows, n_cols = len(m), len(m[0])
-    pivots = []
-    r = 0
-    for c in range(n_cols):
-        pivot = next((i for i in range(r, n_rows) if m[i][c]), None)
-        if pivot is None:
-            continue
-        m[r], m[pivot] = m[pivot], m[r]
-        prow = m[r]
-        p = prow[c]
-        for i in range(n_rows):
-            a = m[i][c]
-            if a and i != r:
-                g = gcd(p, a)
-                pg, ag = p // g, a // g
-                m[i] = _primitive([pg * x - ag * y for x, y in zip(m[i], prow)])
-        pivots.append(c)
-        r += 1
-        if r == n_rows:
-            break
-    # every pivot row is now an integer multiple of its reduced row
-    out = []
-    for row, c in zip(m, pivots):
-        p = row[c]
-        if p == 1:
-            out.append([Fraction(x) if x else ZERO for x in row])
-        else:
-            out.append([Fraction(x, p) if x else ZERO for x in row])
-    out.extend([ZERO] * n_cols for _ in range(n_rows - r))
+    n_cols = len(rows[0])
+    red = echelon(int_rows(rows)[0])
+    pivots = sorted(red)
+    out = [[Fraction(red[c].get(j, 0), red[c][c]) for j in range(n_cols)] for c in pivots]
+    out.extend([Fraction(0)] * n_cols for _ in range(len(rows) - len(pivots)))
     return out, pivots
 
 
 def rank(rows) -> int:
-    return len(rref(rows)[1])
+    return len(echelon(int_rows(rows)[0]))
 
 
 def nullspace(rows, n_cols: Optional[int] = None) -> list:
@@ -125,22 +154,8 @@ def nullspace(rows, n_cols: Optional[int] = None) -> list:
         if not rows:
             raise ValueError("need n_cols for an empty matrix")
         n_cols = len(rows[0])
-    if not rows:
-        return [
-            [Fraction(1) if j == k else ZERO for j in range(n_cols)]
-            for k in range(n_cols)
-        ]
-    red, pivots = rref(rows)
-    pivot_set = set(pivots)
-    free = [c for c in range(n_cols) if c not in pivot_set]
-    basis = []
-    for f in free:
-        v = [ZERO] * n_cols
-        v[f] = Fraction(1)
-        for r, c in enumerate(pivots):
-            v[c] = -red[r][f]
-        basis.append(v)
-    return basis
+    basis = _kernel_vectors(echelon(int_rows(rows)[0]), n_cols)
+    return [[v.get(j, Fraction(0)) for j in range(n_cols)] for v in basis]
 
 
 def row_space(rows) -> tuple:
@@ -159,12 +174,8 @@ def det(rows) -> Fraction:
     n = len(rows)
     if any(len(r) != n for r in rows):
         raise ValueError("determinant needs a square matrix")
-    m = []
-    den = 1
-    for r in rows:
-        ints, d = _int_row(r)
-        m.append(ints)
-        den *= d
+    sparse, den = int_rows(rows)
+    m = [[row.get(j, 0) for j in range(n)] for row in sparse]
     sign = 1
     prev = 1
     for k in range(n):
@@ -181,7 +192,7 @@ def det(rows) -> Fraction:
             a = m[i][k]
             m[i] = [(p * x - a * y) // prev for x, y in zip(m[i], pk)]
         prev = p
-    return Fraction(sign * prev, den)
+    return Fraction(sign * prev, den**n)
 
 
 def inverse(rows) -> list:
@@ -196,8 +207,4 @@ def inverse(rows) -> list:
 
 def in_span(rows, vector) -> bool:
     """Whether ``vector`` lies in the row span of ``rows``."""
-    if all(x == 0 for x in vector):
-        return True
-    if not rows:
-        return False
     return rank(rows) == rank(list(rows) + [list(vector)])

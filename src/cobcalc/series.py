@@ -73,8 +73,6 @@ from functools import cached_property, lru_cache
 from math import gcd, lcm
 from typing import Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence
 
-from .linalg import ZERO
-
 COEFF_KINDS = ("rational", "multiplicative-beta", "universal-rational")
 
 
@@ -512,18 +510,17 @@ def _parse_coeff(value) -> Fraction:
         raise ValueError(f"zero denominator in coefficient {value!r}") from None
 
 
-def coordinates(
+def sparse_coordinates(
     series: Iterable[TruncatedSeries], basis: Sequence[Monomial], strict: bool = False
 ) -> list:
-    """One row per series: its coefficients on ``basis``, in basis order.
+    """One ``(nums, den)`` per series: its coefficient on ``basis[i]`` is
+    ``nums.get(i, 0) / den``, with ``nums`` the nonzero integer numerators.
 
     Terms on monomials outside ``basis`` are ignored, unless ``strict``
-    is set: then they raise ValueError.  Zero coordinates are all
-    `linalg.ZERO`, which the elimination skips without converting it.
+    is set: then they raise ValueError.
     """
-    n = len(basis)
     layout = None
-    rows = []
+    out = []
     for s in series:
         if s.ctx._layout is not layout:
             layout = s.ctx._layout
@@ -531,17 +528,30 @@ def coordinates(
             positions: dict = {}
             for i, mono in enumerate(basis):
                 positions.setdefault(layout.key_of(mono), []).append(i)
-        row = [ZERO] * n
-        den = s._den
+        nums = {}
         for key, num in s._terms.items():
             at = positions.get(key)
             if at is None:
                 if strict:
                     raise ValueError("series has terms outside the basis")
                 continue
-            value = Fraction(num, den)
             for i in at:
-                row[i] = value
+                nums[i] = num
+        out.append((nums, s._den))
+    return out
+
+
+def coordinates(
+    series: Iterable[TruncatedSeries], basis: Sequence[Monomial], strict: bool = False
+) -> list:
+    """One row per series: its Fraction coefficients on ``basis``, in basis
+    order; ``strict`` as for ``sparse_coordinates``."""
+    zero = Fraction(0)
+    rows = []
+    for nums, den in sparse_coordinates(series, basis, strict):
+        row = [zero] * len(basis)
+        for i, num in nums.items():
+            row[i] = Fraction(num, den)
         rows.append(row)
     return rows
 

@@ -2,24 +2,25 @@
 
 A tower holds, per diagonal degree, a window of finite-dimensional
 spaces V_0 <- V_1 <- ... <- V_k with exact rational transition
-matrices.  The stabilization index is the smallest uniform offset s
-such that, at every level i of the window, the chain of images
-im(V_{i+s'} -> V_i) is constant for s' >= s; the engine reports
-not-found instead of extrapolating when the window never witnesses the
-constancy.  For windows of finite-dimensional spaces the images always
-stabilize once the window exceeds the longest strictly-decreasing chain
-of subspaces, so the search terminates (find or refuse, never loop).
+matrices M_i: V_{i+1} -> V_i.  The stabilization index is the smallest
+uniform offset s such that, at every level i of the window, the chain
+of images im(V_{i+s'} -> V_i) is constant for s' >= s; the engine
+reports not-found instead of extrapolating when the window never
+witnesses the constancy.  For windows of finite-dimensional spaces the
+images stabilize once the window exceeds the longest strictly-decreasing
+chain of subspaces, so the search terminates (find or refuse, never loop).
 
-Because every per-degree space is finite dimensional, the eventual-image
-condition holds for the full infinite systems modeled here and the
-derived-limit correction term vanishes; only the limit dimension is
-computed, from the plateau of the stable images.
+The images are propagated from the top level down, never composed:
+im(V_{i+s} -> V_i) is M_i applied to a basis of im(V_{i+s} -> V_{i+1}),
+and each image is kept as its canonical ``linalg.echelon`` form.  As
+every per-degree space is finite dimensional, the eventual-image
+condition holds and the derived-limit correction term vanishes; only the
+limit dimension is computed, from the plateau of the stable images.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Dict, List, Optional
 
 from . import linalg
@@ -45,25 +46,8 @@ class TowerSlice:
         if len(self.maps) != len(self.dims) - 1:
             raise ValueError("need exactly one transition map per step")
         for i, m in enumerate(self.maps):
-            rows, cols = _shape(m, self.dims[i], self.dims[i + 1])
-            if rows != self.dims[i] or cols != self.dims[i + 1]:
-                raise ValueError(
-                    f"map {i} has shape {rows}x{cols}, expected {self.dims[i]}x{self.dims[i + 1]}"
-                )
-
-    @property
-    def window_end(self) -> int:
-        return len(self.dims) - 1
-
-
-def _shape(m, expect_rows: int, expect_cols: int):
-    rows = len(m)
-    if rows == 0:
-        return expect_rows if expect_rows == 0 else 0, expect_cols
-    cols = len(m[0])
-    if any(len(r) != cols for r in m):
-        raise ValueError("ragged matrix")
-    return rows, cols
+            if len(m) != self.dims[i] or any(len(r) != self.dims[i + 1] for r in m):
+                raise ValueError(f"map {i} is not a {self.dims[i]}x{self.dims[i + 1]} matrix")
 
 
 @dataclass
@@ -82,23 +66,32 @@ class Tower:
 def _image_chains(sl: TowerSlice):
     """For each level i, canonical forms of im(V_{i+s} -> V_i), s = 0..k-i.
 
-    Computed once per slice and shared by ``stabilization_index`` and
-    ``inverse_limit_dims``.
+    Built from the top level down: im(V_{i+s} -> V_i) is M_i applied to a
+    basis of im(V_{i+s} -> V_{i+1}).  Computed once per slice and shared
+    by ``stabilization_index`` and ``inverse_limit_dims``.
     """
     if sl._chains is not None:
         return sl._chains
-    k = sl.window_end
-    maps = [linalg.mat(m) for m in sl.maps]
     chains = []
-    for i in range(k + 1):
-        comp = linalg.identity(sl.dims[i])
-        chain = [linalg.column_space(comp) if sl.dims[i] else ()]
-        for j in range(i, k):
-            comp = linalg.mat_mul(comp, maps[j], cols=sl.dims[j + 1])
-            chain.append(linalg.column_space(comp))
+    for i in range(len(sl.dims) - 1, -1, -1):
+        chain = [linalg.echelon({j: 1} for j in range(sl.dims[i]))]
+        if chains:
+            # one scale for all of M_i leaves its images alone, so its denominators are
+            # cleared once; a map without rows transposes to no columns, hence the fallback
+            columns = linalg.int_rows(linalg.transpose(sl.maps[i]))[0] or [{}] * sl.dims[i + 1]
+            chain += [linalg.echelon(_apply(columns, v) for v in im.values()) for im in chains[-1]]
         chains.append(chain)
-    sl._chains = chains
-    return chains
+    sl._chains = chains[::-1]
+    return sl._chains
+
+
+def _apply(columns: list, vec: dict) -> dict:
+    """The matrix with these sparse integer columns times the sparse vector."""
+    out: dict = {}
+    for j, x in vec.items():
+        for r, y in columns[j].items():
+            out[r] = out.get(r, 0) + x * y
+    return {r: x for r, x in out.items() if x}
 
 
 def _certified_index(chains) -> Optional[int]:
@@ -175,11 +168,11 @@ def projective_space_tower(ctx: RingContext, d_max: int, i_max: int) -> Tower:
         maps = []
         for i in range(i_max):
             lower = {m: r for r, m in enumerate(bases[i])}
-            mat = linalg.zeros(dims[i], dims[i + 1])
+            mat = [[0] * dims[i + 1] for _ in range(dims[i])]
             for col, m in enumerate(bases[i + 1]):
                 row = lower.get(m)
                 if row is not None:
-                    mat[row][col] = Fraction(1)
+                    mat[row][col] = 1
             maps.append(mat)
         tower.degrees[d] = TowerSlice(dims=dims, maps=maps)
     return tower
@@ -206,8 +199,6 @@ def apply_levelwise_isomorphism(tower: Tower, transforms: Dict[int, list]) -> To
         if len(ps) != len(sl.dims):
             raise ValueError("need one transform per level")
         inv = [linalg.inverse(p) if p else [] for p in ps]
-        maps = []
-        for i, m in enumerate(sl.maps):
-            maps.append(linalg.mat_mul(linalg.mat_mul(ps[i], linalg.mat(m)), inv[i + 1]))
+        maps = [linalg.mat_mul(linalg.mat_mul(ps[i], m), inv[i + 1]) for i, m in enumerate(sl.maps)]
         out.degrees[d] = TowerSlice(dims=list(sl.dims), maps=maps)
     return out

@@ -3,8 +3,9 @@
 Everything here avoids the package's own series engine: sympy expansion
 for group-law coefficients, plain counting for invariant dimensions,
 direct enumeration for monomial bases, a reference series arithmetic
-on plain ``{Monomial: Fraction}`` dicts, and the Fraction Gauss-Jordan
-elimination that the integer one in ``cobcalc.linalg`` replaced.  The
+on plain ``{Monomial: Fraction}`` dicts, the Fraction Gauss-Jordan
+elimination that the integer one in ``cobcalc.linalg`` replaced, and the
+composite image chains that ``cobcalc.towers`` replaced by propagation.  The
 one exception is ``ref_pb_substitute``, the term-by-term
 projective-bundle evaluation that ``cobcalc.bundles.pb_substitute``
 replaced: it evaluates with the package's own ``pb_mul``.  Likewise
@@ -266,6 +267,35 @@ def ref_det(rows) -> Fraction:
                 m[i] = [x - f * y for x, y in zip(m[i], m[c])]
     return sign * result
 
+
+
+def ref_column_space(m) -> tuple:
+    """Canonical column span: the nonzero reference rref rows of the transpose."""
+    red, pivots = ref_rref([list(col) for col in zip(*m)])
+    return tuple(tuple(r) for r in red[: len(pivots)])
+
+
+# -- the composite image chains that towers._image_chains built before it propagated images
+
+
+def ref_image_chains(sl) -> list:
+    """For each level i, canonical forms of im(V_{i+s} -> V_i), s = 0..k-i: the
+    column space of each composite M_i * ... * M_{i+s-1}, multiplied out densely."""
+    k = len(sl.dims) - 1
+    chains = []
+    for i in range(k + 1):
+        comp = [[Fraction(int(r == c)) for c in range(sl.dims[i])] for r in range(sl.dims[i])]
+        chain = [ref_column_space(comp)]
+        for j in range(i, k):
+            b = sl.maps[j]
+            comp = [
+                [sum((x * b[t][c] for t, x in enumerate(row)), Fraction(0))
+                 for c in range(sl.dims[j + 1])]
+                for row in comp
+            ]
+            chain.append(ref_column_space(comp))
+        chains.append(chain)
+    return chains
 
 
 # -- the term-by-term evaluation that bundles.pb_substitute used before Horner ------

@@ -1,8 +1,10 @@
 import copy
 import hashlib
 import json
+import math
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -187,6 +189,53 @@ def test_oversized_weyl_group_is_refused_before_any_work(monkeypatch, capsys):
     body = json.loads(capsys.readouterr().out)
     assert body["schema"] == "cobcalc/error/v1"
     assert "40320 elements" in body["error"]["message"]
+
+
+def test_oversized_symmetric_group_is_refused_quickly(capsys):
+    # the 99 transposition generators of GL100 are recognised as signed
+    # permutations, so none of them gets a 100x100 determinant
+    start = time.perf_counter()
+    assert main(["flag", "--group", "GL100", "--pairs", "1"]) == 2
+    elapsed = time.perf_counter() - start
+    assert json.loads(capsys.readouterr().out) == {
+        "schema": "cobcalc/error/v1",
+        "error": {
+            "message": f"the Weyl group of GL(100) has {math.factorial(100)} elements, "
+                       "over the cap of 20000 elements"
+        },
+    }
+    assert elapsed < 0.5
+
+
+def test_pbf_checks_the_rank_before_building_the_law(monkeypatch, capsys):
+    def no_law(*args, **kwargs):
+        raise AssertionError("the law was built before the rank was checked")
+
+    monkeypatch.setattr(cli, "build_fgl", no_law)
+    for rank in ("0", "5"):
+        assert main(["pbf", "--rank", rank]) == 2
+        body = json.loads(capsys.readouterr().out)
+        assert body["error"]["message"] == "pbf supports --rank 1..4"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["bg", "--group", "GL2", "--torder", "3", "--deg", "{}"],
+        ["tower", "bgm", "--deg", "{}"],
+    ],
+    ids=["bg", "tower-bgm"],
+)
+@pytest.mark.parametrize("degrees", ["-1..2", "-2", "-3..-1"])
+def test_negative_degrees_parse_with_or_without_equals(argv, degrees, capsys):
+    spaced = [a.format(degrees) for a in argv]
+    joined = spaced[:-2] + [f"--deg={degrees}"]
+    outputs = []
+    for args in (spaced, joined):
+        status = main(args)
+        outputs.append((status, capsys.readouterr().out))
+    assert outputs[0] == outputs[1]
+    assert outputs[0][0] == (0 if argv[0] == "bg" else 2)
 
 
 # stdout sha256 of the README commands, recorded before the packed series

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from cobcalc import equivariant
 from cobcalc.equivariant import (
     EnumerationCapExceeded,
     WeylGroupSpec,
@@ -55,6 +56,28 @@ def test_preset_name_variants():
 def test_weyl_spec_rejects_non_unimodular():
     with pytest.raises(ValueError):
         WeylGroupSpec(rank=1, generators=(((2,),),))
+
+
+def test_only_signed_permutations_skip_the_determinant(monkeypatch):
+    dets = []
+    original = equivariant.linalg.det
+
+    def counting(rows):
+        dets.append(rows)
+        return original(rows)
+
+    monkeypatch.setattr(equivariant.linalg, "det", counting)
+    preset("GL6")
+    preset("B3")
+    assert dets == []
+    # a unimodular matrix that is no signed permutation still gets its determinant
+    WeylGroupSpec(rank=2, generators=(((1, 1), (0, 1)),))
+    assert len(dets) == 1
+    # one +-1 per row but a repeated column, a 2, a full row and a zero row
+    for gen in (((1, 0), (-1, 0)), ((0, 2), (1, 0)), ((1, 1), (1, 1)), ((1, -1), (0, 0))):
+        with pytest.raises(ValueError, match="not invertible"):
+            WeylGroupSpec(rank=2, generators=(gen,))
+    assert len(dets) == 5
 
 
 def test_enumeration_cap():

@@ -7,6 +7,7 @@ combinations of a few base rows), sometimes carry a zero column, and range
 from empty, 1xn and nx1 up to 5x5.  Values and types must match exactly.
 """
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -190,3 +191,54 @@ def test_rref_matches_sympy(rows):
     red, pivots = linalg.rref(rows)
     assert_fraction_rows(red, want)
     assert tuple(pivots) == pivots_s
+
+
+# -- the sparse kernel against the Fraction reference ------------------------------
+
+
+@st.composite
+def integer_matrices(draw):
+    """Wide, tall and square integer matrices with zero rows, duplicate rows
+    and negated rows (negative leading entries)."""
+    n_cols = draw(st.integers(0, 8))
+    base = draw(st.lists(st.lists(integers, min_size=n_cols, max_size=n_cols), max_size=8))
+    rows = []
+    for row in base:
+        rows.append(row)
+        extra = draw(st.sampled_from(["none", "duplicate", "negated", "zero"]))
+        if extra == "duplicate":
+            rows.append(list(row))
+        elif extra == "negated":
+            rows.append([-x for x in row])
+        elif extra == "zero":
+            rows.append([0] * n_cols)
+    return draw(st.permutations(rows)), n_cols
+
+
+def sparse(rows):
+    return [{j: x for j, x in enumerate(row) if x} for row in rows]
+
+
+@SETTINGS
+@given(integer_matrices())
+def test_sparse_kernel_matches_reference(case):
+    rows, n_cols = case
+    given_rows = sparse(rows)
+    before = [dict(r) for r in given_rows]
+    red = linalg.echelon(given_rows)
+    assert given_rows == before  # the input rows are not modified
+    want_red, want_pivots = ref_rref(rows)
+    assert sorted(red) == want_pivots
+    for c, want in zip(want_pivots, want_red):
+        row = red[c]
+        assert min(row) == c and row[c] > 0
+        assert all(type(x) is int and x for x in row.values())
+        assert math.gcd(*row.values()) == 1
+        assert [Fraction(row.get(j, 0), row[c]) for j in range(n_cols)] == want
+
+    kernel = linalg.kernel(given_rows, n_cols)
+    want_kernel = ref_row_space(ref_nullspace(rows, n_cols)) if rows else tuple(
+        tuple(Fraction(int(j == k)) for j in range(n_cols)) for k in range(n_cols))
+    assert tuple(tuple(v.get(j, 0) for j in range(n_cols)) for v in kernel) == want_kernel
+    assert all(type(x) is Fraction and x for v in kernel for x in v.values())
+    assert [list(v) for v in kernel] == [sorted(v) for v in kernel]

@@ -1,9 +1,12 @@
 import random
 from fractions import Fraction
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from cobcalc import linalg
+from cobcalc import linalg, towers
 from cobcalc.fgl import build_fgl
 from cobcalc.series import RingContext
 from cobcalc.towers import (
@@ -16,6 +19,8 @@ from cobcalc.towers import (
     projective_space_tower,
     stabilization_index,
 )
+
+from oracles import ref_image_chains
 
 ALL_KINDS = ("additive", "multiplicative", "universal-rational")
 
@@ -49,7 +54,7 @@ def test_surjective_tower_index_zero():
 
 
 def test_zero_tower():
-    tower = constant_tower(1, 4, lambda d: linalg.zeros(d, d))
+    tower = constant_tower(1, 4, lambda d: [[0] * d for _ in range(d)])
     assert stabilization_index(tower, 0) == 1
     assert inverse_limit_dims(tower, 0) == 0
 
@@ -59,7 +64,7 @@ def test_strictly_shrinking_window_refuses():
     dims = [3, 3, 3, 3]
     maps = []
     for step in range(3):
-        m = linalg.zeros(3, 3)
+        m = [[0] * 3 for _ in range(3)]
         # progressively smaller rank at each composite
         for i in range(2 - step if step < 2 else 1):
             m[i][i] = Fraction(1)
@@ -148,14 +153,15 @@ def test_stabilization_found_when_window_long_enough():
 
 
 def test_limit_reuses_the_image_chains(monkeypatch):
+    # every image is one call of the elimination kernel
     calls = []
-    original = linalg.column_space
+    original = linalg.echelon
 
     def counting(rows):
-        calls.append(len(rows))
+        calls.append(None)
         return original(rows)
 
-    monkeypatch.setattr(linalg, "column_space", counting)
+    monkeypatch.setattr(linalg, "echelon", counting)
     rng = random.Random(43)
     for _ in range(10):
         dims = [rng.randint(1, 3) for _ in range(6)]
@@ -181,3 +187,89 @@ def test_limit_reuses_the_image_chains(monkeypatch):
         if lim is not None:
             # the stable image at the next-to-top level is the image of the top map
             assert lim == linalg.rank(maps[-1])
+
+
+# -- propagated image chains against the composite reference ------------------------
+
+SETTINGS = settings(derandomize=True, database=None, deadline=None, max_examples=150)
+
+entries = st.one_of(st.integers(-2, 2), st.fractions(min_value=-2, max_value=2, max_denominator=4))
+
+
+@st.composite
+def matrices(draw, rows, cols):
+    shape = draw(st.sampled_from(["random", "zero", "identity", "rank-one"]))
+    if shape == "zero":
+        return [[0] * cols for _ in range(rows)]
+    if shape == "identity":
+        return [[int(r == c) for c in range(cols)] for r in range(rows)]
+    if shape == "rank-one":
+        u = draw(st.lists(entries, min_size=rows, max_size=rows))
+        v = draw(st.lists(entries, min_size=cols, max_size=cols))
+        return [[x * y for y in v] for x in u]
+    return [draw(st.lists(entries, min_size=cols, max_size=cols)) for _ in range(rows)]
+
+
+@st.composite
+def random_towers(draw):
+    dims = draw(st.lists(st.integers(0, 3), min_size=3, max_size=7))
+    maps = [draw(matrices(dims[i], dims[i + 1])) for i in range(len(dims) - 1)]
+    return Tower({0: TowerSlice(dims=dims, maps=maps)})
+
+
+@st.composite
+def invertible(draw, n):
+    """A product of random shears and nonzero scalings."""
+    m = [[Fraction(int(r == c)) for c in range(n)] for r in range(n)]
+    for _ in range(draw(st.integers(0, 4)) if n else 0):
+        i = draw(st.integers(0, n - 1))
+        j = draw(st.integers(0, n - 1))
+        c = draw(entries)
+        if i == j:
+            m[i] = [x * (c or 1) for x in m[i]]
+        else:
+            m[i] = [x + c * y for x, y in zip(m[i], m[j])]
+    return m
+
+
+def canonical(entry, dim):
+    """An echelon chain entry as the reference's Fraction rref rows."""
+    return tuple(
+        tuple(Fraction(row.get(j, 0), row[c]) for j in range(dim)) for c, row in sorted(entry.items())
+    )
+
+
+def diagnostics(tower):
+    """stabilization_index and inverse_limit_dims of degree 0, or the refusal."""
+    idx = stabilization_index(tower, 0)
+    try:
+        return idx, inverse_limit_dims(tower, 0)
+    except WindowNotStabilized:
+        return idx, "refused"
+
+
+def assert_matches_reference(tower):
+    sl = tower.slice(0)
+    want = ref_image_chains(sl)
+    got = towers._image_chains(sl)
+    assert [[canonical(e, sl.dims[i]) for e in chain] for i, chain in enumerate(got)] == want
+    with mock.patch.object(towers, "_image_chains", ref_image_chains):
+        want_diagnostics = diagnostics(Tower({0: TowerSlice(list(sl.dims), sl.maps)}))
+    assert diagnostics(tower) == want_diagnostics
+    return [[len(e) for e in chain] for chain in got], want_diagnostics
+
+
+@SETTINGS
+@given(random_towers())
+def test_propagated_chains_match_composites(tower):
+    assert_matches_reference(tower)
+
+
+@SETTINGS
+@given(st.data())
+def test_propagated_chains_match_composites_after_conjugation(data):
+    tower = data.draw(random_towers())
+    dims = tower.slice(0).dims
+    transforms = {0: [data.draw(invertible(n)) for n in dims]}
+    moved = apply_levelwise_isomorphism(tower, transforms)
+    assert assert_matches_reference(moved) == assert_matches_reference(tower)
