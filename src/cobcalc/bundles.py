@@ -39,11 +39,11 @@ from .equivariant import WeylGroupSpec, weyl_apply
 from .fgl import FormalGroupLaw, fgl_sum
 from .series import (
     ContextMismatch,
-    Monomial,
     RingContext,
     TruncatedSeries,
     series_mul,
     substitute,
+    variable_slices,
 )
 
 
@@ -315,16 +315,13 @@ def pb_substitute(
     if missing:
         raise ValueError(f"no value for variables {sorted(missing)}")
     v = _coerce_pb(ring, v)
-    slices: dict = {}
-    for mono, coeff in s.iter_terms():
-        t = mono.t[:last] + (0,)
-        slices.setdefault(mono.t[last], {})[Monomial(t, mono.laz)] = coeff
+    slices = variable_slices(s, last)
     acc = ring.zero()
     for e in range(max(slices, default=0), -1, -1):
         if not acc.is_zero():
             acc = pb_mul(ring, acc, v)
         if e in slices:
-            acc = acc + substitute(s.ctx.from_terms(slices[e]), base_images, target=ring.base)
+            acc = acc + substitute(slices[e], base_images, target=ring.base)
     return acc
 
 

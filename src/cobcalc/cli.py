@@ -4,7 +4,10 @@ Subcommands: ``fgl check``, ``bg``, ``flag``, ``sif``, ``pbf``,
 ``tower bgm``, ``selftest``.  Identical configuration and seed produce
 byte-identical output; exit status is 0 iff every requested check
 passed.  An invalid configuration or a refused job exits 2 with a
-``cobcalc/error/v1`` object.
+``cobcalc/error/v1`` object whose ``kind`` names the cause (see
+`ERROR_KINDS`).  A `tower bgm` degree whose window is too short to
+certify stabilization is reported in the body and exits 1: the job ran,
+and one of its checks did not pass.
 """
 
 from __future__ import annotations
@@ -32,9 +35,9 @@ from .bundles import (
     zero_section_restriction,
 )
 from .equivariant import EnumerationCapExceeded, invariant_basis, preset
-from .fgl import COEFF_KIND_FOR, build_fgl, normalize_kind
+from .fgl import COEFF_KIND_FOR, FglConstructionError, build_fgl, normalize_kind
 from .selftest import random_series, run_selftest
-from .series import RingContext
+from .series import ContextMismatch, RingContext, SubstitutionError
 from .towers import (
     WindowNotStabilized,
     inverse_limit_dims,
@@ -47,6 +50,18 @@ SCHEMA_PREFIX = "cobcalc"
 
 class ConfigError(ValueError):
     """Invalid job configuration; message is meant to be actionable."""
+
+
+# the exceptions a job can end with, each with the stable ``kind`` of its
+# cobcalc/error/v1 object; the first match wins, so subclasses come first
+ERROR_KINDS = (
+    (ConfigError, "config"),
+    (EnumerationCapExceeded, "refused"),
+    (FglConstructionError, "construction"),
+    (ContextMismatch, "context"),
+    (SubstitutionError, "substitution"),
+    (ValueError, "invalid"),
+)
 
 
 @dataclass
@@ -459,11 +474,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         args = parser.parse_args(argv)
         config = config_from_args(args)
         status, report = run(config)
-    # a Weyl group too large to enumerate is refused like an invalid config
-    except (ConfigError, ValueError, EnumerationCapExceeded) as exc:
+    except tuple(cls for cls, _ in ERROR_KINDS) as exc:
+        kind = next(kind for cls, kind in ERROR_KINDS if isinstance(exc, cls))
         error = {
             "schema": f"{SCHEMA_PREFIX}/error/v1",
-            "error": {"message": str(exc)},
+            "error": {"kind": kind, "message": str(exc)},
         }
         print(json.dumps(error, sort_keys=True, indent=2))
         return 2

@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from fractions import Fraction
 from math import factorial, lcm
 from typing import Optional, Sequence
 
@@ -40,6 +39,7 @@ from .series import (
     bidegree_basis,
     coordinates,
     sparse_coordinates,
+    unit_series,
 )
 
 Matrix = tuple  # tuple of row tuples with integer entries
@@ -239,11 +239,6 @@ def window_basis(ctx: RingContext, degree: int, k_max: int) -> list:
         monos.extend(bidegree_basis(ctx, degree, k))
     monos.sort(key=Monomial.sort_key)
     return monos
-
-
-def unit_series(ctx: RingContext, basis: Sequence[Monomial]) -> list:
-    """The basis monomials as series with coefficient 1."""
-    return [TruncatedSeries(ctx, {mono: Fraction(1)}) for mono in basis]
 
 
 def action_matrix(

@@ -1,29 +1,32 @@
 """Formal group laws over the truncated coefficient rings.
 
-Three kinds are supported:
+Three kinds are supported, each given by its logarithm over Q:
 
-* ``additive``: F(x, y) = x + y over plain Q,
-* ``multiplicative``: F(x, y) = x + y - b*x*y over Q[b]
-  (flipping the sign of b is a ring automorphism, so nothing downstream
-  may depend on the sign choice),
-* ``universal-rational``: the law with logarithm
-  log(x) = x + m1*x^2 + m2*x^3 + ... over Q[m1, m2, ...]; here
-  exp is the compositional inverse of log, computed order by order, and
-  F(x, y) = exp(log(x) + log(y)).
+* ``additive``: log(x) = x, so F(x, y) = x + y over plain Q,
+* ``multiplicative``: log(x) = sum_k b^k x^(k+1)/(k+1) over Q[b], so
+  F(x, y) = x + y - b*x*y (flipping the sign of b is a ring automorphism,
+  so nothing downstream may depend on the sign choice),
+* ``universal-rational``: log(x) = x + m1*x^2 + m2*x^3 + ... over
+  Q[m1, m2, ...].
 
-Construction machine-checks the unit, commutativity and associativity
-axioms inside the truncation window and refuses to return an invalid
-law.  The formal inverse chi (with F(x, chi(x)) = 0) is precomputed so
-that `fgl_inverse` is a single substitution.
+One construction serves all three: exp is the compositional inverse of
+log, F(x, y) = exp(log(x) + log(y)) and the formal inverse is
+chi(x) = exp(-log(x)).  Truncation is an ideal that composition
+respects, so these are the truncated laws themselves.  Construction
+checks F(x, chi(x)) = 0 and the unit, commutativity and associativity
+axioms directly inside the truncation window, and refuses to return an
+invalid law.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from fractions import Fraction
 from typing import Optional
 
 from .series import (
     ContextMismatch,
+    Monomial,
     RingContext,
     SubstitutionError,
     TruncatedSeries,
@@ -49,7 +52,7 @@ KIND_ALIASES = {
 
 
 class FglConstructionError(RuntimeError):
-    """An axiom residual came out nonzero: a construction bug, surfaced loudly."""
+    """F(x, chi(x)) or an axiom residual came out nonzero: a construction bug, surfaced loudly."""
 
 
 def normalize_kind(kind: str) -> str:
@@ -64,16 +67,16 @@ class FormalGroupLaw:
     """A validated formal group law.
 
     ``series`` is F(x, y) in a two-variable context (x = t1, y = t2);
-    ``log``/``exp`` are only present for the universal-rational kind;
-    ``inverse_series`` is chi(x) in a one-variable context;
+    ``inverse_series`` is chi(x) and ``log``/``exp`` the logarithm and
+    exponential the law is built from, all in a one-variable context;
     ``axioms`` is the report `build_fgl` validated the law with.
     """
 
     kind: str
     series: TruncatedSeries
     inverse_series: TruncatedSeries
-    log: Optional[TruncatedSeries] = None
-    exp: Optional[TruncatedSeries] = None
+    log: TruncatedSeries
+    exp: TruncatedSeries
     axioms: Optional[AxiomReport] = field(default=None, compare=False, repr=False)
 
     @property
@@ -108,7 +111,12 @@ class AxiomReport:
 
 
 def build_fgl(kind: str, ctx: RingContext) -> FormalGroupLaw:
-    """Construct and validate a formal group law at the caps of ``ctx``."""
+    """Construct and validate a formal group law at the caps of ``ctx``.
+
+    >>> law = build_fgl("multiplicative", RingContext(2, "multiplicative-beta", 4, 3))
+    >>> law.inverse_series.to_text()
+    '-1 * t1 + -1 * b*t1^2 + -1 * b^2*t1^3 + -1 * b^3*t1^4'
+    """
     kind = normalize_kind(kind)
     if ctx.coeff_kind != COEFF_KIND_FOR[kind]:
         raise ContextMismatch(
@@ -117,21 +125,14 @@ def build_fgl(kind: str, ctx: RingContext) -> FormalGroupLaw:
         )
     if ctx.max_t_order < 2:
         raise ValueError("caps must admit degree 2 in x, y")
-    ctx2 = RingContext(2, ctx.coeff_kind, ctx.max_t_order, ctx.max_weight)
-    ctx1 = RingContext(1, ctx.coeff_kind, ctx.max_t_order, ctx.max_weight)
-    x, y = ctx2.var(0), ctx2.var(1)
-    log = exp = None
-    if kind == "additive":
-        F = x + y
-    elif kind == "multiplicative":
-        F = x + y - ctx2.lazard(1) * x * y
-    else:
-        log = _universal_log(ctx1)
-        exp = compositional_inverse(log)
-        lx = substitute(log, {0: x}, target=ctx2)
-        ly = substitute(log, {0: y}, target=ctx2)
-        F = substitute(exp, {0: lx + ly}, target=ctx2)
-    chi = _formal_inverse(F, ctx1)
+    ctx1, ctx2 = (RingContext(n, ctx.coeff_kind, ctx.max_t_order, ctx.max_weight) for n in (1, 2))
+    log = _logarithm(kind, ctx1)
+    exp = compositional_inverse(log)
+    lx, ly = (substitute(log, {0: ctx2.var(j)}, target=ctx2) for j in (0, 1))
+    F = substitute(exp, {0: lx + ly}, target=ctx2)
+    chi = substitute(exp, {0: -log})
+    if not substitute(F, {0: ctx1.var(0), 1: chi}, target=ctx1).is_zero():
+        raise FglConstructionError(f"F(x, chi(x)) is nonzero for {kind}")
     law = FormalGroupLaw(kind=kind, series=F, inverse_series=chi, log=log, exp=exp)
     report = verify_fgl_axioms(law)
     if not report.ok:
@@ -140,12 +141,16 @@ def build_fgl(kind: str, ctx: RingContext) -> FormalGroupLaw:
     return replace(law, axioms=report)
 
 
-def _universal_log(ctx1: RingContext) -> TruncatedSeries:
-    x = ctx1.var(0)
-    log = x
-    for i in range(1, min(ctx1.max_t_order - 1, ctx1.max_weight) + 1):
-        log = log + ctx1.lazard(i) * x ** (i + 1)
-    return log
+def _logarithm(kind: str, ctx1: RingContext) -> TruncatedSeries:
+    """log(x) of the law of ``kind``; terms beyond the caps are dropped."""
+    orders = () if kind == "additive" else range(1, ctx1.max_t_order)
+    if kind == "multiplicative":
+        # -log(1 - b*x)/b, so that 1 - b*F(x, y) = (1 - b*x)(1 - b*y)
+        terms = {Monomial((k + 1,), ((1, k),)): Fraction(1, k + 1) for k in orders}
+    else:
+        terms = {Monomial((i + 1,), ((i, 1),)): Fraction(1) for i in orders}
+    terms[Monomial((1,), ())] = Fraction(1)
+    return ctx1.from_terms(terms)
 
 
 def compositional_inverse(f: TruncatedSeries) -> TruncatedSeries:
@@ -153,6 +158,11 @@ def compositional_inverse(f: TruncatedSeries) -> TruncatedSeries:
 
     Solved order by order: each pass removes the lowest t-order slice of
     the residual f(g) - x, which strictly raises the residual valuation.
+
+    >>> ctx = RingContext(1, "multiplicative-beta", 3, 2)
+    >>> log = TruncatedSeries.from_text(ctx, "1 * t1 + 1/2 * b*t1^2 + 1/3 * b^2*t1^3")
+    >>> compositional_inverse(log).to_text()
+    '1 * t1 + -1/2 * b*t1^2 + 1/6 * b^2*t1^3'
     """
     ctx = f.ctx
     if ctx.n_vars != 1:
@@ -167,18 +177,6 @@ def compositional_inverse(f: TruncatedSeries) -> TruncatedSeries:
             return g
         v = residual.min_t_order()
         g = g - residual.t_slice(v)
-
-
-def _formal_inverse(F: TruncatedSeries, ctx1: RingContext) -> TruncatedSeries:
-    """chi(x) with F(x, chi(x)) = 0 inside the window, order by order."""
-    x = ctx1.var(0)
-    chi = -x
-    while True:
-        residual = substitute(F, {0: x, 1: chi}, target=ctx1)
-        if residual.is_zero():
-            return chi
-        v = residual.min_t_order()
-        chi = chi - residual.t_slice(v)
 
 
 def verify_fgl_axioms(law: FormalGroupLaw) -> AxiomReport:

@@ -49,7 +49,10 @@ denominator, and each monomial as one packed int:
   product key is biased so that its top bit is set exactly when the
   weight exceeds the cap.
 
-Only this module knows the packed form.
+Only this module knows the packed form.  Callers that would otherwise
+decode every term and validate it again get helpers that work on the
+keys: `unit_series` (basis monomials as series) and `variable_slices`
+(a series split by the powers of one variable).
 
 Ring maps
 ---------
@@ -59,9 +62,9 @@ context with the coefficient kind of the source, no term of t-order 0)
 and keeps a table of their powers, each multiplied out on first use, so
 that mapping many series through one map builds every power once.  A
 call maps each term as the product of its scalar part and the powers of
-the images of its variables.  `substitute` is the one-shot form,
-``RingMap(s.ctx, assignment, target)(s)``; the Weyl action and the
-projective-bundle evaluation both go through these.
+the images of its variables, smallest image first.  `substitute` is the
+one-shot form, ``RingMap(s.ctx, assignment, target)(s)``; the Weyl
+action and the projective-bundle evaluation both go through these.
 """
 
 from __future__ import annotations
@@ -556,6 +559,32 @@ def coordinates(
     return rows
 
 
+def unit_series(ctx: RingContext, basis: Sequence[Monomial]) -> list:
+    """The monomials of ``basis`` as series with coefficient 1, as `from_terms`
+    builds them; a monomial that no series of ``ctx`` can hold goes through
+    `from_terms`, which drops it (beyond the caps) or refuses it."""
+    key_of = ctx._layout.key_of
+    out = []
+    for mono in basis:
+        key = key_of(mono)
+        out.append(
+            ctx.from_terms({mono: 1}) if key is None else TruncatedSeries._raw(ctx, {key: 1}, 1)
+        )
+    return out
+
+
+def variable_slices(s: TruncatedSeries, j: int) -> dict:
+    """``{e: c_e}`` with s = sum_e c_e * t_{j+1}^e, every c_e over ``s.ctx``
+    and free of t_{j+1}; only the exponents that occur are keys."""
+    layout = s.ctx._layout
+    shift, t_shift, mask = layout.var_shifts[j], layout.t_shift, layout.mask
+    parts: dict = {}
+    for key, num in s._terms.items():
+        e = (key >> shift) & mask
+        parts.setdefault(e, {})[key - (e << shift) - (e << t_shift)] = num
+    return {e: _reduced(s.ctx, terms, s._den) for e, terms in parts.items()}
+
+
 def _reduced(ctx: RingContext, terms: dict, den: int) -> TruncatedSeries:
     """The canonical series of nonzero numerators ``terms`` over ``den`` >= 1."""
     if den != 1:
@@ -665,7 +694,14 @@ class RingMap:
     context, that every variable occurring in it is assigned.
 
     The powers of the images are multiplied out on first use and kept, so
-    mapping many series through one map builds each power once.
+    mapping many series through one map builds each power once.  A term is
+    multiplied by the powers of its variables in the order of their image
+    sizes, smallest first, fixed when the map is built (an unassigned
+    variable counts as one term).  The last product then has the largest
+    power, cached and already sorted by `series_mul`, as its right operand,
+    instead of sorting a fresh intermediate once per term, as F(F(x, y), z)
+    would in variable order.  The order changes no value: the truncated
+    ring is commutative and associative.
 
     >>> ctx = RingContext(2, "rational", 4, 0)
     >>> t1, t2 = ctx.var(0), ctx.var(1)
@@ -674,7 +710,9 @@ class RingMap:
     '1 * t1 + 1 * t2^2'
     """
 
-    __slots__ = ("source", "target", "_images", "_powers", "_retarget", "_same_gens")
+    __slots__ = (
+        "source", "target", "_images", "_powers", "_retarget", "_same_gens", "_var_order",
+    )
 
     def __init__(
         self,
@@ -706,6 +744,10 @@ class RingMap:
         # agree on the generator fields (count and width), which holds whenever
         # the caps agree; only retargeting across caps decodes and re-encodes
         self._same_gens = src.n_gens == dst.n_gens and src.mask == dst.mask
+        # the factor order of every term, smallest image first (class docstring)
+        size = {j: len(v._terms) for j, v in images.items()}
+        order = sorted(range(source.n_vars), key=lambda j: size.get(j, 1))
+        self._var_order = tuple((j, src.var_shifts[j]) for j in order)
 
     def _power(self, j: int, e: int) -> TruncatedSeries:
         key = (j, e)
@@ -733,7 +775,6 @@ class RingMap:
                 )
         src, dst = source._layout, target._layout
         mask, w_shift, max_w, den = src.mask, src.w_shift, target.max_weight, s._den
-        var_shifts = tuple(enumerate(src.var_shifts))
         same_gens, dst_w_shift, gen_mask = self._same_gens, dst.w_shift, src.gen_mask
         power = self._power
         zero_t = (0,) * target.n_vars
@@ -749,7 +790,7 @@ class RingMap:
                 start = dst.encode(Monomial(zero_t, src.decode(key).laz))
             g = gcd(num, den)
             term = TruncatedSeries._raw(target, {start: num // g}, den // g)
-            for j, shift in var_shifts:
+            for j, shift in self._var_order:
                 e = (key >> shift) & mask
                 if e:
                     term = series_mul(term, power(j, e))

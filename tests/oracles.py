@@ -12,7 +12,9 @@ replaced: it evaluates with the package's own ``pb_mul``.  Likewise
 ``ref_weyl_apply``/``ref_action_matrix``, the per-monomial Weyl action
 that ``cobcalc.equivariant.weyl_map`` replaced, build the character
 classes with the package's ``character_class`` and substitute with its
-``substitute``.
+``substitute``.  And ``ref_law``, the per-kind group law with the
+order-by-order formal inverse that ``cobcalc.fgl.build_fgl`` replaced by
+one logarithm, builds its series with the package's kernel.
 """
 
 from __future__ import annotations
@@ -25,7 +27,15 @@ import sympy
 from cobcalc import linalg
 from cobcalc.bundles import ProjBundleElement, ProjBundleRing, _coerce_pb, pb_mul
 from cobcalc.equivariant import character_class
-from cobcalc.series import ContextMismatch, Monomial, TruncatedSeries, coordinates, substitute
+from cobcalc.fgl import compositional_inverse
+from cobcalc.series import (
+    ContextMismatch,
+    Monomial,
+    RingContext,
+    TruncatedSeries,
+    coordinates,
+    substitute,
+)
 
 
 def trunc_x(expr, x, order):
@@ -383,3 +393,40 @@ def ref_action_matrix(w, law, basis, ctx) -> list:
     images = (ref_weyl_apply(w, TruncatedSeries(ctx, {mono: Fraction(1)}), law) for mono in basis)
     # terms outside the window fall into the filtration ideal: dropped
     return linalg.transpose(coordinates(images, basis))
+
+
+# -- the per-kind laws and order-by-order inverse that fgl.build_fgl replaced ----
+
+
+def ref_formal_inverse(F: TruncatedSeries, ctx1: RingContext) -> TruncatedSeries:
+    """chi(x) with F(x, chi(x)) = 0 inside the window, order by order."""
+    x = ctx1.var(0)
+    chi = -x
+    while True:
+        residual = substitute(F, {0: x, 1: chi}, target=ctx1)
+        if residual.is_zero():
+            return chi
+        v = residual.min_t_order()
+        chi = chi - residual.t_slice(v)
+
+
+def ref_law(kind: str, ctx: RingContext) -> tuple:
+    """(F, chi) at the caps of ``ctx``: x + y, x + y - b*x*y, or for the universal
+    kind exp(log x + log y) with log = x + sum m_i x^(i+1); chi order by order."""
+    ctx2 = RingContext(2, ctx.coeff_kind, ctx.max_t_order, ctx.max_weight)
+    ctx1 = RingContext(1, ctx.coeff_kind, ctx.max_t_order, ctx.max_weight)
+    x, y = ctx2.var(0), ctx2.var(1)
+    if kind == "additive":
+        F = x + y
+    elif kind == "multiplicative":
+        F = x + y - ctx2.lazard(1) * x * y
+    else:
+        t = ctx1.var(0)
+        log = t
+        for i in range(1, min(ctx1.max_t_order - 1, ctx1.max_weight) + 1):
+            log = log + ctx1.lazard(i) * t ** (i + 1)
+        exp = compositional_inverse(log)
+        lx = substitute(log, {0: x}, target=ctx2)
+        ly = substitute(log, {0: y}, target=ctx2)
+        F = substitute(exp, {0: lx + ly}, target=ctx2)
+    return F, ref_formal_inverse(F, ctx1)

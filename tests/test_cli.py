@@ -11,6 +11,7 @@ import pytest
 from cobcalc import cli, fgl
 from cobcalc.cli import JobConfig, main, parse_degree_range, run
 from cobcalc.equivariant import GroupPreset, WeylGroupSpec, symmetric_group
+from cobcalc.fgl import fgl_sum
 from cobcalc.series import RingContext
 from cobcalc.towers import coefficient_ring_dimension
 
@@ -200,6 +201,7 @@ def test_oversized_symmetric_group_is_refused_quickly(capsys):
     assert json.loads(capsys.readouterr().out) == {
         "schema": "cobcalc/error/v1",
         "error": {
+            "kind": "refused",
             "message": f"the Weyl group of GL(100) has {math.factorial(100)} elements, "
                        "over the cap of 20000 elements"
         },
@@ -264,6 +266,102 @@ def test_readme_command_stdout_golden(command, capsys):
     out = capsys.readouterr().out
     assert status == 0
     assert hashlib.sha256(out.encode()).hexdigest() == README_GOLDEN[command]
+
+
+# stdout sha256 of `fgl check` at edge caps (no generator admitted, degree 2
+# only, weight cap far above the t-order cap) and at (12, 11), recorded before
+# every law was built from its logarithm
+EDGE_CAP_GOLDEN = {
+    "fgl check --kind mult --max-t 4 --max-w 0":
+        "5bba52396f1fc71889dbf7ef239e762378d010d1a40e5d808b0db887dc683305",
+    "fgl check --kind universal --max-t 2 --max-w 0":
+        "8afde62bd7a5522c97ef3ab1ee629618362f31de964282f2532d4dc37c02c667",
+    "fgl check --kind add --max-t 3 --max-w 5":
+        "93cfe43ba10cc2589932573f0946757418164ef6badcb66f4b1c9a376e19b7da",
+    "fgl check --kind universal --max-t 6 --max-w 20":
+        "233d926fb95749c8b31a629dc6c76168300e2c699b7b2cb20ac7184cc89bc5e7",
+    "fgl check --kind add --max-t 12 --max-w 11":
+        "f1fb9600490d439948d3e8046178367d9901c9e3b41e4eccd8447ea4656ec3a2",
+    "fgl check --kind mult --max-t 12 --max-w 11":
+        "bfa58b11dfedbc1358ec203dc2338c521ca5360bbdcc568e3212db2c5c27d323",
+    "fgl check --kind universal --max-t 12 --max-w 11":
+        "1ded95bd6943527084e9714156139f623ddeb54d1975c86472e260dee0d7d9f6",
+}
+
+
+@pytest.mark.parametrize("command", sorted(EDGE_CAP_GOLDEN))
+def test_fgl_check_edge_caps_stdout_golden(command, capsys):
+    status = main(command.split())
+    out = capsys.readouterr().out
+    assert status == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == EDGE_CAP_GOLDEN[command]
+
+
+def _wrong_exp(monkeypatch):
+    # a wrong exp makes exp(-log x) no inverse for exp(log x + log y)
+    real = fgl.compositional_inverse
+    monkeypatch.setattr(fgl, "compositional_inverse", lambda f: real(f) + f.ctx.var(0) ** 2)
+
+
+def _law_over_wrong_context(monkeypatch):
+    def law(config, n_vars=2):
+        return fgl.build_fgl("additive", RingContext(2, "universal-rational", 4, 3))
+
+    monkeypatch.setattr(cli, "_law", law)
+
+
+def _sum_with_constant_term(monkeypatch):
+    def law(config, n_vars=2):
+        ctx = RingContext(2, "rational", 4, 0)
+        return fgl_sum(fgl.build_fgl("additive", ctx), ctx.one(), ctx.var(0))
+
+    monkeypatch.setattr(cli, "_law", law)
+
+
+# one real path to each kind; no CLI input reaches the last three, so they are
+# driven by patching the library (construction) or the law the job builds
+@pytest.mark.parametrize(
+    "argv, kind, patch",
+    [
+        (["bg", "--group", "GL2", "--deg", "0..9", "--torder", "3"], "config", None),
+        (["fgl", "check", "--kind", "elliptic"], "invalid", None),
+        (["fgl", "check", "--kind", "add", "--max-t", "1"], "invalid", None),
+        (["flag", "--group", "GL8", "--pairs", "1"], "refused", None),
+        (["fgl", "check", "--kind", "add"], "construction", _wrong_exp),
+        (["fgl", "check", "--kind", "add"], "context", _law_over_wrong_context),
+        (["fgl", "check", "--kind", "add"], "substitution", _sum_with_constant_term),
+    ],
+    ids=["config", "invalid-kind", "invalid-caps", "refused", "construction", "context",
+         "substitution"],
+)
+def test_error_kinds_exit_2_without_traceback(argv, kind, patch, monkeypatch, capsys):
+    if patch is not None:
+        patch(monkeypatch)
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    body = json.loads(captured.out)
+    assert body["schema"] == "cobcalc/error/v1"
+    assert body["error"]["kind"] == kind and body["error"]["message"]
+    assert captured.err == ""
+
+
+def test_error_object_from_a_fresh_interpreter_has_no_traceback():
+    proc = run_cli("flag", "--group", "GL8", "--pairs", "1")
+    assert proc.returncode == 2
+    assert json.loads(proc.stdout)["error"]["kind"] == "refused"
+    assert "Traceback" not in proc.stderr
+
+
+def test_tower_refusal_exits_1_with_the_refusal_in_the_report(capsys):
+    # two levels are too short to certify that degrees 0 and 1 stabilized: the job
+    # ran, and the refusal is a failed check (exit 1), not an invalid config (exit 2)
+    assert main(["tower", "bgm", "--fgl", "universal", "--deg", "0..2", "--levels", "2"]) == 1
+    body = json.loads(capsys.readouterr().out)
+    assert body["schema"] == "cobcalc/tower-bgm/v1"
+    refused = {d for d, e in body["degrees"].items() if "refused" in e}
+    assert refused == {"0", "1"}
+    assert all(body["degrees"][d]["lim_dim"] is None for d in refused)
+    assert body["degrees"]["2"]["lim_dim"] == 0
 
 
 def test_fgl_check_verifies_axioms_once(monkeypatch):

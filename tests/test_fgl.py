@@ -1,10 +1,17 @@
+import doctest
 import random
 from fractions import Fraction
 
 import pytest
 import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from cobcalc import fgl
 from cobcalc.fgl import (
+    COEFF_KIND_FOR,
+    FGL_KINDS,
+    FglConstructionError,
     additive_shadow,
     build_fgl,
     fgl_inverse,
@@ -13,10 +20,11 @@ from cobcalc.fgl import (
     normalize_kind,
     verify_fgl_axioms,
 )
-from cobcalc.series import ContextMismatch, Monomial, RingContext
+from cobcalc.series import ContextMismatch, Monomial, RingContext, substitute
 
 from oracles import (
     multiplicative_inverse_sympy,
+    ref_law,
     series_to_sympy,
     universal_fgl_sympy,
 )
@@ -153,8 +161,6 @@ def test_axiom_reports_all_kinds():
 
 def test_log_exp_identities():
     F = law("universal-rational", 7, 6)
-    from cobcalc.series import substitute
-
     x = F.log.ctx.var(0)
     assert substitute(F.log, {0: F.exp}) == x
     assert substitute(F.exp, {0: F.log}) == x
@@ -164,3 +170,55 @@ def test_universal_shadow_is_additive():
     F = law("universal-rational")
     shadow = additive_shadow(F.series)
     assert shadow == shadow.ctx.var(0) + shadow.ctx.var(1)
+
+
+def test_fgl_doctests():
+    result = doctest.testmod(fgl)
+    assert result.failed == 0 and result.attempted >= 5
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=40)
+@given(st.sampled_from(FGL_KINDS), st.integers(2, 7), st.integers(0, 8))
+def test_law_matches_per_kind_reference(kind, max_t, max_w):
+    # the reference builds F per kind and chi order by order, without exp(-log x)
+    ctx = RingContext(2, COEFF_KIND_FOR[kind], max_t, max_w)
+    law = build_fgl(kind, ctx)
+    F, chi = ref_law(kind, ctx)
+    assert law.series == F
+    assert law.inverse_series == chi
+
+
+@pytest.mark.parametrize("kind", FGL_KINDS)
+def test_every_kind_has_log_and_exp(kind):
+    law = build_fgl(kind, RingContext(2, COEFF_KIND_FOR[kind], 6, 5))
+    x = law.log.ctx.var(0)
+    assert law.log.t_slice(1) == x
+    assert substitute(law.log, {0: law.exp}) == x
+    assert substitute(law.exp, {0: -law.log}) == law.inverse_series
+
+
+def test_multiplicative_law_without_b():
+    # at weight cap 0 the generator b is not admitted: the law is additive
+    law = build_fgl("multiplicative", RingContext(2, "multiplicative-beta", 4, 0))
+    ctx1 = law.log.ctx
+    assert law.log == ctx1.var(0) and law.exp == ctx1.var(0)
+    assert law.series == law.series.ctx.var(0) + law.series.ctx.var(1)
+    assert law.inverse_series == -ctx1.var(0)
+
+
+def test_multiplicative_log_coefficients():
+    law = build_fgl("multiplicative", RingContext(2, "multiplicative-beta", 5, 3))
+    assert law.log.to_text() == "1 * t1 + 1/2 * b*t1^2 + 1/3 * b^2*t1^3 + 1/4 * b^3*t1^4"
+
+
+def test_wrong_inverse_is_refused(monkeypatch):
+    real = fgl.compositional_inverse
+
+    def off_by_one_term(f):
+        g = real(f)
+        return g + g.ctx.var(0) ** 2
+
+    # with a wrong exp, exp(-log x) is no inverse for exp(log x + log y)
+    monkeypatch.setattr(fgl, "compositional_inverse", off_by_one_term)
+    with pytest.raises(FglConstructionError, match="chi"):
+        build_fgl("additive", RingContext(2, "rational", 4, 0))

@@ -8,6 +8,7 @@ truncation and canonical-form paths are exercised too.
 from fractions import Fraction
 from math import gcd
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -15,11 +16,14 @@ from cobcalc.series import (
     COEFF_KINDS,
     Monomial,
     RingContext,
+    RingMap,
     TruncatedSeries,
     coordinates,
     series_add,
     series_mul,
     substitute,
+    unit_series,
+    variable_slices,
 )
 
 from oracles import ref_add, ref_mul, ref_scale, ref_substitute, ref_truncate
@@ -129,6 +133,78 @@ def test_retargeting_substitute_matches_reference(data):
     assert got.ctx == target
     assert terms(got) == want
     assert_canonical(got)
+
+
+@st.composite
+def images(draw, ctx):
+    """An augmentation-ideal image: a variable, one monomial, or a large series."""
+    size = draw(st.sampled_from(("variable", "monomial", "large")))
+    if size == "variable":
+        return ctx.var(draw(st.integers(0, ctx.n_vars - 1)))
+    if size == "monomial":
+        return ctx.from_terms({draw(monomials(ctx, augmentation=True)): draw(coefficients)})
+    big = st.dictionaries(monomials(ctx, augmentation=True), coefficients, min_size=4, max_size=12)
+    p = ctx.from_terms(draw(big))
+    return p + p * p
+
+
+@SETTINGS
+@given(st.data())
+def test_ring_map_is_a_ring_homomorphism(data):
+    # on every coefficient kind, with images of very different sizes side by side
+    source = data.draw(contexts())
+    retarget = data.draw(st.booleans())
+    n_target = data.draw(st.integers(1, 3)) if retarget else source.n_vars
+    target = RingContext(n_target, source.coeff_kind, source.max_t_order, source.max_weight)
+    if retarget:
+        assigned = range(source.n_vars)
+    else:
+        assigned = sorted(data.draw(st.sets(st.integers(0, source.n_vars - 1))))
+    f = RingMap(source, {j: data.draw(images(target)) for j in assigned}, target)
+    a = source.from_terms(data.draw(term_dicts(source)))
+    b = source.from_terms(data.draw(term_dicts(source)))
+    c = data.draw(coefficients)
+    assert f(a * b) == f(a) * f(b)
+    assert f(a + b) == f(a) + f(b)
+    assert f(a.scale(c)) == f(a).scale(c)
+    assert f(source.one()) == target.one()
+
+
+@SETTINGS
+@given(st.data())
+def test_variable_slices_match_termwise_split(data):
+    ctx = data.draw(contexts())
+    s = ctx.from_terms(data.draw(term_dicts(ctx)))
+    j = data.draw(st.integers(0, ctx.n_vars - 1))
+    split: dict = {}
+    for mono, coeff in s.iter_terms():
+        t = mono.t[:j] + (0,) + mono.t[j + 1:]
+        split.setdefault(mono.t[j], {})[Monomial(t, mono.laz)] = coeff
+    slices = variable_slices(s, j)
+    assert slices == {e: ctx.from_terms(terms) for e, terms in split.items()}
+    for c in slices.values():
+        assert_canonical(c)
+        assert j not in c.support_vars()
+    assert sum((c * ctx.var(j) ** e for e, c in slices.items()), ctx.zero()) == s
+
+
+@SETTINGS
+@given(st.data())
+def test_unit_series_match_from_terms(data):
+    ctx = data.draw(contexts())
+    # monomials beyond the caps included; from_terms drops them
+    basis = data.draw(st.lists(monomials(ctx), max_size=6))
+    assert unit_series(ctx, basis) == [ctx.from_terms({m: Fraction(1)}) for m in basis]
+
+
+def test_unit_series_take_what_from_terms_takes():
+    ctx = RingContext(1, "universal-rational", 2, 4)
+    # a generator part out of order still names the term m1*m2*t1
+    assert unit_series(ctx, [Monomial((1,), ((2, 1), (1, 1)))]) == [
+        TruncatedSeries.from_text(ctx, "1 * m1*m2*t1")
+    ]
+    with pytest.raises(ValueError):
+        unit_series(RingContext(1, "rational", 2, 0), [Monomial((1,), ((1, 1),))])
 
 
 @SETTINGS
