@@ -15,9 +15,9 @@ from .series import (
     SubstitutionError,
     TruncatedSeries,
     bidegree_basis,
-    coordinates,
     series_add,
     series_mul,
+    sparse_coordinates,
     substitute,
 )
 from .fgl import (
@@ -90,7 +90,6 @@ __all__ = [
     "build_fgl",
     "character_class",
     "chern_classes",
-    "coordinates",
     "fgl_inverse",
     "fgl_sum",
     "flag_restriction",
@@ -104,6 +103,7 @@ __all__ = [
     "projective_space_tower",
     "series_add",
     "series_mul",
+    "sparse_coordinates",
     "stabilization_index",
     "substitute",
     "thom_class",

@@ -26,7 +26,7 @@ everywhere here.
 
 Both eta = chi(xi) and each Thom factor F(x_j, eta) are evaluated by
 `pb_substitute`, by Horner's rule in xi and in eta respectively; the
-coefficient of each power goes into the base through `substitute`.
+coefficient of each power goes into the base through one `RingMap`.
 """
 
 from __future__ import annotations
@@ -40,6 +40,7 @@ from .fgl import FormalGroupLaw, fgl_sum
 from .series import (
     ContextMismatch,
     RingContext,
+    RingMap,
     TruncatedSeries,
     series_mul,
     substitute,
@@ -305,7 +306,7 @@ def pb_substitute(
 
     ``base_images`` maps the other variables in the support of ``s`` to
     augmentation-ideal series over the base.  Writing
-    s = sum_e c_e * t_last^e, each c_e goes into the base by `substitute`
+    s = sum_e c_e * t_last^e, each c_e goes into the base by one `RingMap`
     and the powers of ``v`` are summed by Horner's rule.
     """
     if s.ctx.coeff_kind != ring.base.coeff_kind:
@@ -315,13 +316,14 @@ def pb_substitute(
     if missing:
         raise ValueError(f"no value for variables {sorted(missing)}")
     v = _coerce_pb(ring, v)
+    to_base = RingMap(s.ctx, base_images, ring.base)
     slices = variable_slices(s, last)
     acc = ring.zero()
     for e in range(max(slices, default=0), -1, -1):
         if not acc.is_zero():
             acc = pb_mul(ring, acc, v)
         if e in slices:
-            acc = acc + substitute(slices[e], base_images, target=ring.base)
+            acc = acc + to_base(slices[e])
     return acc
 
 

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import random
 import re
 import sys
@@ -480,9 +481,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             "schema": f"{SCHEMA_PREFIX}/error/v1",
             "error": {"kind": kind, "message": str(exc)},
         }
-        print(json.dumps(error, sort_keys=True, indent=2))
-        return 2
-    print(report)
+        status, report = 2, json.dumps(error, sort_keys=True, indent=2)
+    try:
+        print(report, flush=True)
+    except BrokenPipeError:
+        # the reader of stdout exited early; the flush at exit must not fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     return status
 
 

@@ -12,9 +12,8 @@ acts through integer matrices on the character lattice; the induced
 ring endomorphism sends tj to the class of the j-th column.
 `weyl_map` builds it once per matrix as one `series.RingMap`: it checks
 the matrix and computes the rank-many column classes.  `action_matrix`
-sends every basis monomial through that map, so the action of a
-generator is set up once and each power of a column class is multiplied
-out once.  Invariant
+sends every basis monomial through that map, as sparse integer columns,
+and `fixed_space_rows` stacks the rows of (rho_w - 1).  Invariant
 subspaces are computed per diagonal degree in the filtration quotient
 spanned by monomials of t-order <= k_max: the action only preserves the
 augmentation filtration for non-additive laws, and truncating to the
@@ -37,7 +36,6 @@ from .series import (
     RingMap,
     TruncatedSeries,
     bidegree_basis,
-    coordinates,
     sparse_coordinates,
     unit_series,
 )
@@ -248,7 +246,8 @@ def action_matrix(
     ctx: RingContext,
     units: Optional[Sequence[TruncatedSeries]] = None,
 ) -> list:
-    """Matrix of the Weyl action on the span of ``basis`` (columns = images).
+    """Matrix of the Weyl action on the span of ``basis``: column j is
+    ``(nums, den)``, the `sparse_coordinates` of the image of ``basis[j]``.
 
     ``units`` is ``unit_series(ctx, basis)``, for a caller that acts on
     one basis by several matrices and builds it once.
@@ -256,7 +255,31 @@ def action_matrix(
     if units is None:
         units = unit_series(ctx, basis)
     # terms outside the window fall into the filtration ideal: dropped
-    return linalg.transpose(coordinates(map(weyl_map(w, law, ctx), units), basis))
+    return sparse_coordinates(map(weyl_map(w, law, ctx), units), basis)
+
+
+def fixed_space_rows(matrices, law: FormalGroupLaw, basis, ctx: RingContext) -> list:
+    """The rows of (rho_w - id) for every w in ``matrices``, stacked, as sparse
+    integer rows: their joint kernel is the subspace of the span of ``basis``
+    fixed by all of them."""
+    units = unit_series(ctx, basis)
+    stacked = []
+    for w in matrices:
+        images = action_matrix(w, law, basis, ctx, units)
+        # the rows of (rho_w - id), all scaled by one den
+        den = lcm(*[d for _, d in images])
+        rows = [{} for _ in basis]
+        for j, (nums, d) in enumerate(images):
+            for i, num in nums.items():
+                rows[i][j] = num * (den // d)
+        for i, row in enumerate(rows):
+            x = row.get(i, 0) - den
+            if x:
+                row[i] = x
+            else:
+                del row[i]
+        stacked.extend(rows)
+    return stacked
 
 
 def invariant_basis(
@@ -279,39 +302,11 @@ def invariant_basis(
     basis = window_basis(ctx, degree, k_max)
     if not basis:
         return []
-    dim = len(basis)
-    units = unit_series(ctx, basis)
-    stacked = []
-    for g in wspec.generators:
-        images = sparse_coordinates(map(weyl_map(g, law, ctx), units), basis)
-        # the rows of (rho_g - id), all scaled by one den: column j is image j, whose
-        # terms outside the window fall into the filtration ideal and are dropped
-        den = lcm(*[d for _, d in images])
-        rows = [{} for _ in range(dim)]
-        for j, (nums, d) in enumerate(images):
-            for i, num in nums.items():
-                rows[i][j] = num * (den // d)
-        for i, row in enumerate(rows):
-            x = row.get(i, 0) - den
-            if x:
-                row[i] = x
-            else:
-                del row[i]
-        stacked.extend(rows)
+    rows = fixed_space_rows(wspec.generators, law, basis, ctx)
     return [
         TruncatedSeries(ctx, {basis[j]: c for j, c in vec.items()})
-        for vec in linalg.kernel(stacked, dim)
+        for vec in linalg.kernel(rows, len(basis))
     ]
-
-
-def invariant_dimension(
-    wspec: WeylGroupSpec,
-    law: FormalGroupLaw,
-    degree: int,
-    k_max: int,
-    ctx: Optional[RingContext] = None,
-) -> int:
-    return len(invariant_basis(wspec, law, degree, k_max, ctx))
 
 
 def bg_dimensions(
@@ -320,6 +315,6 @@ def bg_dimensions(
     """Per-degree invariant dimensions in the (degree, <= k_max) window."""
     ctx = law.context(group.rank)
     return {
-        int(d): invariant_dimension(group.weyl, law, int(d), k_max, ctx)
+        int(d): len(invariant_basis(group.weyl, law, int(d), k_max, ctx))
         for d in degrees
     }

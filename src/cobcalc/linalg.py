@@ -204,7 +204,3 @@ def inverse(rows) -> list:
         raise ValueError("matrix is singular")
     return [row[n:] for row in red[:n]]
 
-
-def in_span(rows, vector) -> bool:
-    """Whether ``vector`` lies in the row span of ``rows``."""
-    return rank(rows) == rank(list(rows) + [list(vector)])

@@ -29,9 +29,10 @@ point anywhere in this package.
 Internal representation
 -----------------------
 `Monomial` and `fractions.Fraction` are the types at every boundary
-(construction, ``items()``, ``coefficient()``, `coordinates`, text and
-JSON).  Inside, a series stores integer numerators over one common
-denominator, and each monomial as one packed int:
+(construction, ``items()``, ``coefficient()``, text and JSON), except
+`sparse_coordinates`, which hands linear algebra integer rows.  Inside,
+a series stores integer numerators over one common denominator, and
+each monomial as one packed int:
 
 * ``_terms`` maps packed monomial keys to nonzero int numerators and
   ``_den`` is the common denominator.  The canonical form is
@@ -51,8 +52,8 @@ denominator, and each monomial as one packed int:
 
 Only this module knows the packed form.  Callers that would otherwise
 decode every term and validate it again get helpers that work on the
-keys: `unit_series` (basis monomials as series) and `variable_slices`
-(a series split by the powers of one variable).
+keys: `sparse_coordinates`, `unit_series` (basis monomials as series)
+and `variable_slices` (a series split by the powers of one variable).
 
 Ring maps
 ---------
@@ -542,21 +543,6 @@ def sparse_coordinates(
                 nums[i] = num
         out.append((nums, s._den))
     return out
-
-
-def coordinates(
-    series: Iterable[TruncatedSeries], basis: Sequence[Monomial], strict: bool = False
-) -> list:
-    """One row per series: its Fraction coefficients on ``basis``, in basis
-    order; ``strict`` as for ``sparse_coordinates``."""
-    zero = Fraction(0)
-    rows = []
-    for nums, den in sparse_coordinates(series, basis, strict):
-        row = [zero] * len(basis)
-        for i, num in nums.items():
-            row[i] = Fraction(num, den)
-        rows.append(row)
-    return rows
 
 
 def unit_series(ctx: RingContext, basis: Sequence[Monomial]) -> list:

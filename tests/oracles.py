@@ -33,7 +33,6 @@ from cobcalc.series import (
     Monomial,
     RingContext,
     TruncatedSeries,
-    coordinates,
     substitute,
 )
 
@@ -72,7 +71,9 @@ def universal_fgl_sympy(order):
     """F(x, y) for the law with log x + m1 x^2 + ..., through total degree ``order``.
 
     Returns (F, x, y, ms).  Computed by brute-force compositional
-    inversion of the logarithm followed by expansion of exp(log x + log y).
+    inversion of the logarithm followed by expansion of exp(log x + log y)
+    = sum_k e_k s^k, s = log x + log y, with each power of s truncated at
+    total degree ``order`` before the next product.
     """
     x, y = sympy.symbols("x y")
     ms = universal_log_coeffs(order)
@@ -82,8 +83,11 @@ def universal_fgl_sympy(order):
 
     exp = reversion(log_at, x, order)
     s = trunc_total(log_at(x) + log_at(y), (x, y), order)
-    F = trunc_total(exp.subs(x, s), (x, y), order)
-    return F, x, y, ms
+    F, power = 0, 1
+    for k in range(1, order + 1):
+        power = trunc_total(power * s, (x, y), order)
+        F += exp.coeff(x, k) * power
+    return sympy.expand(F), x, y, ms
 
 
 def multiplicative_inverse_sympy(order):
@@ -389,10 +393,18 @@ def ref_weyl_apply(w, s, law):
 
 
 def ref_action_matrix(w, law, basis, ctx) -> list:
-    """Matrix of the Weyl action on the span of ``basis`` (columns = images)."""
-    images = (ref_weyl_apply(w, TruncatedSeries(ctx, {mono: Fraction(1)}), law) for mono in basis)
-    # terms outside the window fall into the filtration ideal: dropped
-    return linalg.transpose(coordinates(images, basis))
+    """Dense Fraction matrix of the Weyl action on the span of ``basis`` (columns = images)."""
+    index = {mono: i for i, mono in enumerate(basis)}
+    columns = []
+    for mono in basis:
+        column = [Fraction(0)] * len(basis)
+        image = ref_weyl_apply(w, TruncatedSeries(ctx, {mono: Fraction(1)}), law)
+        for m, c in image.iter_terms():
+            # terms outside the window fall into the filtration ideal: dropped
+            if m in index:
+                column[index[m]] = c
+        columns.append(column)
+    return [list(row) for row in zip(*columns)]
 
 
 # -- the per-kind laws and order-by-order inverse that fgl.build_fgl replaced ----

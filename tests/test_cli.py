@@ -352,6 +352,27 @@ def test_error_object_from_a_fresh_interpreter_has_no_traceback():
     assert "Traceback" not in proc.stderr
 
 
+@pytest.mark.parametrize(
+    "argv, status",
+    [
+        (["bg", "--group", "GL2", "--fgl", "additive", "--deg", "0..3", "--torder", "3"], 0),
+        (["fgl", "check", "--kind", "elliptic"], 2),
+    ],
+)
+def test_reader_closing_stdout_early_leaves_stderr_empty(argv, status):
+    # the read end is closed long before the job writes, so the report (or the
+    # error object) meets a broken pipe
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "cobcalc.cli", *argv],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+    )
+    proc.stdout.close()
+    err = proc.stderr.read()
+    assert proc.wait() == status
+    assert err == b""
+
+
 def test_tower_refusal_exits_1_with_the_refusal_in_the_report(capsys):
     # two levels are too short to certify that degrees 0 and 1 stabilized: the job
     # ran, and the refusal is a failed check (exit 1), not an invalid config (exit 2)

@@ -76,10 +76,6 @@ def ref_row_space(rows):
     return tuple(tuple(r) for r in red[: len(pivots)])
 
 
-def ref_rank(rows):
-    return len(ref_rref(rows)[1])
-
-
 @SETTINGS
 @given(matrices())
 def test_elimination_matches_reference(rows):
@@ -133,25 +129,6 @@ def test_det_rejects_non_square(data):
         ref_det(rows)
     with pytest.raises(ValueError, match="square"):
         linalg.det(rows)
-
-
-@SETTINGS
-@given(st.data())
-def test_in_span_matches_reference(data):
-    rows = data.draw(matrices(n_cols=data.draw(st.integers(1, 5))))
-    n_cols = len(rows[0]) if rows else 3
-    if rows and data.draw(st.booleans()):
-        coefs = data.draw(st.lists(rationals, min_size=len(rows), max_size=len(rows)))
-        vector = [sum((c * r[j] for c, r in zip(coefs, rows)), 0) for j in range(n_cols)]
-    else:
-        vector = data.draw(st.lists(rationals, min_size=n_cols, max_size=n_cols))
-    if all(x == 0 for x in vector):
-        want = True
-    elif not rows:
-        want = False
-    else:
-        want = ref_rank(rows) == ref_rank(rows + [vector])
-    assert linalg.in_span(rows, vector) is want
 
 
 def test_mat_keeps_fractions_and_converts_the_rest():
