@@ -214,6 +214,9 @@ def _run_flag(config: JobConfig):
 
 
 def _run_sif(config: JobConfig):
+    # samples redraw t-exponents in 0..2 until their sum fits the cap: hopeless past 8 variables
+    if config.base_vars < 1 or config.base_vars > 8:
+        raise ConfigError("sif supports --base-vars 1..8")
     if config.t_order is not None:
         config = replace(config, max_t=config.t_order)
     law = _law(config)
@@ -254,8 +257,7 @@ def _run_sif(config: JobConfig):
 def _run_pbf(config: JobConfig):
     if config.rank < 1 or config.rank > 4:
         raise ConfigError("pbf supports --rank 1..4")
-    law = _law(config)
-    ctx = law.context(2)
+    ctx = _context(config, 2)
     rng = random.Random(config.seed)
     ring = trivial_bundle_ring(ctx, config.rank)
     xi_zero = xi_power(ring, config.rank).is_zero()
@@ -277,9 +279,9 @@ def _run_pbf(config: JobConfig):
     ok = xi_zero and division_ok
     body = {
         "schema": f"{SCHEMA_PREFIX}/pbf/v1",
-        "fgl": law.kind,
+        "fgl": normalize_kind(config.fgl_kind),
         "rank": config.rank,
-        "caps": {"max_t": config.max_t, "max_w": law.max_weight},
+        "caps": {"max_t": config.max_t, "max_w": ctx.max_weight},
         "seed": config.seed,
         "samples": config.samples,
         "trivial_xi_power_zero": xi_zero,

@@ -144,10 +144,6 @@ def rref(rows) -> tuple:
     return out, pivots
 
 
-def rank(rows) -> int:
-    return len(echelon(int_rows(rows)[0]))
-
-
 def nullspace(rows, n_cols: Optional[int] = None) -> list:
     """Basis of the kernel of the matrix, via the standard rref parametrization."""
     if n_cols is None:

@@ -60,6 +60,7 @@ from .series import (
 from .towers import (
     Tower,
     TowerSlice,
+    WindowNotStabilized,
     apply_levelwise_isomorphism,
     coefficient_ring_dimension,
     inverse_limit_dims,
@@ -479,9 +480,9 @@ def check_tower_find_or_refuse(rng: random.Random) -> Tuple[bool, str]:
         dims = [rng.randint(0, 3) for _ in range(k + 1)]
         maps = []
         for i in range(k):
-            maps.append(
-                [[Fraction(rng.randint(-2, 2)) for _ in range(dims[i + 1])] for _ in range(dims[i])]
-            )
+            # entries drawn row by row, kept as the slice's sparse integer columns
+            rows = [[rng.randint(-2, 2) for _ in range(dims[i + 1])] for _ in range(dims[i])]
+            maps.append([{r: row[c] for r, row in enumerate(rows) if row[c]} for c in range(dims[i + 1])])
         tower = Tower({0: TowerSlice(dims=dims, maps=maps)})
         idx = stabilization_index(tower, 0)
         if idx is not None and idx > k:
@@ -489,10 +490,10 @@ def check_tower_find_or_refuse(rng: random.Random) -> Tuple[bool, str]:
         if idx is not None:
             try:
                 inverse_limit_dims(tower, 0)
-            except Exception:
+            except WindowNotStabilized:
                 pass
     # constant towers with window > max dim must always certify
-    tower = Tower({0: TowerSlice([2, 2, 2, 2, 2], [linalg.identity(2)] * 4)})
+    tower = Tower({0: TowerSlice([2, 2, 2, 2, 2], [[{0: 1}, {1: 1}]] * 4)})
     if stabilization_index(tower, 0) != 0:
         return False, "identity tower not certified at 0"
     return True, "30 random towers + identity"

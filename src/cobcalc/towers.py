@@ -1,10 +1,13 @@
 """Finite-window inverse-limit diagnostics for towers of Q-vector spaces.
 
 A tower holds, per diagonal degree, a window of finite-dimensional
-spaces V_0 <- V_1 <- ... <- V_k with exact rational transition
-matrices M_i: V_{i+1} -> V_i.  The stabilization index is the smallest
-uniform offset s such that, at every level i of the window, the chain
-of images im(V_{i+s'} -> V_i) is constant for s' >= s; the engine
+spaces V_0 <- V_1 <- ... <- V_k with exact transition maps
+M_i: V_{i+1} -> V_i, each kept as the elimination kernel reads it: a
+list of dim V_{i+1} columns, sparse ``{row: int}`` dicts of nonzero
+ints.  A nonzero scale of a map moves none of its images, so a rational
+map enters with its denominators cleared.  The stabilization index is
+the smallest uniform offset s such that, at every level i of the window,
+the chain of images im(V_{i+s'} -> V_i) is constant for s' >= s; the engine
 reports not-found instead of extrapolating when the window never
 witnesses the constancy.  For windows of finite-dimensional spaces the
 images stabilize once the window exceeds the longest strictly-decreasing
@@ -21,6 +24,7 @@ limit dimension is computed, from the plateau of the stable images.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import accumulate
 from typing import Dict, List, Optional
 
 from . import linalg
@@ -33,7 +37,8 @@ class WindowNotStabilized(RuntimeError):
 
 @dataclass
 class TowerSlice:
-    """One degree: dimensions dim V_0..dim V_k and maps[i]: V_{i+1} -> V_i."""
+    """One degree: dimensions dim V_0..dim V_k and maps[i]: V_{i+1} -> V_i, as
+    ``dims[i+1]`` columns ``{row: nonzero int}``, any nonzero multiple of the map."""
 
     dims: List[int]
     maps: List[list]
@@ -46,8 +51,13 @@ class TowerSlice:
         if len(self.maps) != len(self.dims) - 1:
             raise ValueError("need exactly one transition map per step")
         for i, m in enumerate(self.maps):
-            if len(m) != self.dims[i] or any(len(r) != self.dims[i + 1] for r in m):
-                raise ValueError(f"map {i} is not a {self.dims[i]}x{self.dims[i + 1]} matrix")
+            rows = range(self.dims[i])
+            if not (isinstance(m, list) and len(m) == self.dims[i + 1] and all(
+                    type(col) is dict
+                    and all(type(r) is int and r in rows and type(x) is int and x for r, x in col.items())
+                    for col in m)):
+                raise ValueError(
+                    f"map {i} is not {self.dims[i + 1]} integer columns over {self.dims[i]} rows")
 
 
 @dataclass
@@ -76,10 +86,8 @@ def _image_chains(sl: TowerSlice):
     for i in range(len(sl.dims) - 1, -1, -1):
         chain = [linalg.echelon({j: 1} for j in range(sl.dims[i]))]
         if chains:
-            # one scale for all of M_i leaves its images alone, so its denominators are
-            # cleared once; a map without rows transposes to no columns, hence the fallback
-            columns = linalg.int_rows(linalg.transpose(sl.maps[i]))[0] or [{}] * sl.dims[i + 1]
-            chain += [linalg.echelon(_apply(columns, v) for v in im.values()) for im in chains[-1]]
+            chain += [linalg.echelon(_apply(sl.maps[i], v) for v in im.values())
+                      for im in chains[-1]]
         chains.append(chain)
     sl._chains = chains[::-1]
     return sl._chains
@@ -141,19 +149,6 @@ def inverse_limit_dims(tower: Tower, d: int) -> int:
     return stable_dims[k - 1]
 
 
-def _level_monomials(ctx: RingContext, degree: int, level: int) -> list:
-    """Basis (xi-power, generator part) of the degree slice of K[xi]/(xi^(level+1))."""
-    out = []
-    for p in range(0, min(level, ctx.max_t_order) + 1):
-        w = p - degree
-        if w < 0 or w > ctx.max_weight:
-            continue
-        for laz in lazard_monomials(ctx.coeff_kind, w):
-            out.append((p, laz))
-    out.sort()
-    return out
-
-
 def projective_space_tower(ctx: RingContext, d_max: int, i_max: int) -> Tower:
     """The tower of finite projective-space approximations of the rank-1
     classifying space: level i is the degree slice of K[xi]/(xi^(i+1)),
@@ -163,17 +158,13 @@ def projective_space_tower(ctx: RingContext, d_max: int, i_max: int) -> Tower:
         raise ValueError("need d_max >= 0 and at least three levels")
     tower = Tower()
     for d in range(0, d_max + 1):
-        bases = [_level_monomials(ctx, d, i) for i in range(i_max + 1)]
-        dims = [len(b) for b in bases]
-        maps = []
-        for i in range(i_max):
-            lower = {m: r for r, m in enumerate(bases[i])}
-            mat = [[0] * dims[i + 1] for _ in range(dims[i])]
-            for col, m in enumerate(bases[i + 1]):
-                row = lower.get(m)
-                if row is not None:
-                    mat[row][col] = 1
-            maps.append(mat)
+        # level i is spanned by xi^p times the generator monomials of weight p - d, p <= i,
+        # in order of p: each level is a prefix of the next, and dims are prefix sums
+        dims = list(accumulate(
+            len(lazard_monomials(ctx.coeff_kind, p - d))
+            if 0 <= p - d <= ctx.max_weight and p <= ctx.max_t_order else 0
+            for p in range(i_max + 1)))
+        maps = [[{j: 1} if j < dims[i] else {} for j in range(dims[i + 1])] for i in range(i_max)]
         tower.degrees[d] = TowerSlice(dims=dims, maps=maps)
     return tower
 
@@ -190,8 +181,10 @@ def apply_levelwise_isomorphism(tower: Tower, transforms: Dict[int, list]) -> To
     """Conjugate a tower by invertible matrices, one list per degree.
 
     ``transforms[d][i]`` acts on level i of degree d; new maps are
-    P_i * M_i * P_{i+1}^(-1).  Stabilization data must be unchanged,
-    which is the functoriality check used by the test suites.
+    P_i * M_i * P_{i+1}^(-1), multiplied out densely over Q.  Clearing each
+    one's denominators, the one place a rational map is made integral,
+    moves no image.  Stabilization data must be unchanged, which is the
+    functoriality check used by the test suites.
     """
     out = Tower()
     for d, sl in tower.degrees.items():
@@ -199,6 +192,10 @@ def apply_levelwise_isomorphism(tower: Tower, transforms: Dict[int, list]) -> To
         if len(ps) != len(sl.dims):
             raise ValueError("need one transform per level")
         inv = [linalg.inverse(p) if p else [] for p in ps]
-        maps = [linalg.mat_mul(linalg.mat_mul(ps[i], m), inv[i + 1]) for i, m in enumerate(sl.maps)]
+        maps = []
+        for i, m in enumerate(sl.maps):
+            dense = [[col.get(r, 0) for col in m] for r in range(sl.dims[i])]
+            new = linalg.mat_mul(linalg.mat_mul(ps[i], dense), inv[i + 1])
+            maps.append(linalg.int_rows([row[c] for row in new] for c in range(sl.dims[i + 1]))[0])
         out.degrees[d] = TowerSlice(dims=list(sl.dims), maps=maps)
     return out

@@ -4,8 +4,10 @@ Everything here avoids the package's own series engine: sympy expansion
 for group-law coefficients, plain counting for invariant dimensions,
 direct enumeration for monomial bases, a reference series arithmetic
 on plain ``{Monomial: Fraction}`` dicts, the Fraction Gauss-Jordan
-elimination that the integer one in ``cobcalc.linalg`` replaced, and the
-composite image chains that ``cobcalc.towers`` replaced by propagation.  The
+elimination that the integer one in ``cobcalc.linalg`` replaced, the
+composite image chains that ``cobcalc.towers`` replaced by propagation,
+and the monomial-matching dense projective-space tower that it replaced
+by counting.  The
 one exception is ``ref_pb_substitute``, the term-by-term
 projective-bundle evaluation that ``cobcalc.bundles.pb_substitute``
 replaced: it evaluates with the package's own ``pb_mul``.  Likewise
@@ -33,6 +35,7 @@ from cobcalc.series import (
     Monomial,
     RingContext,
     TruncatedSeries,
+    lazard_monomials,
     substitute,
 )
 
@@ -292,24 +295,66 @@ def ref_column_space(m) -> tuple:
 # -- the composite image chains that towers._image_chains built before it propagated images
 
 
-def ref_image_chains(sl) -> list:
+def ref_image_chains(dims, maps) -> list:
     """For each level i, canonical forms of im(V_{i+s} -> V_i), s = 0..k-i: the
-    column space of each composite M_i * ... * M_{i+s-1}, multiplied out densely."""
-    k = len(sl.dims) - 1
+    column space of each composite M_i * ... * M_{i+s-1} of the dense ``maps``,
+    multiplied out densely."""
+    k = len(dims) - 1
     chains = []
     for i in range(k + 1):
-        comp = [[Fraction(int(r == c)) for c in range(sl.dims[i])] for r in range(sl.dims[i])]
+        comp = [[Fraction(int(r == c)) for c in range(dims[i])] for r in range(dims[i])]
         chain = [ref_column_space(comp)]
         for j in range(i, k):
-            b = sl.maps[j]
+            b = maps[j]
             comp = [
                 [sum((x * b[t][c] for t, x in enumerate(row)), Fraction(0))
-                 for c in range(sl.dims[j + 1])]
+                 for c in range(dims[j + 1])]
                 for row in comp
             ]
             chain.append(ref_column_space(comp))
         chains.append(chain)
     return chains
+
+
+# -- the dense projective-space tower that towers.projective_space_tower built
+# -- before it counted monomials; it returns {degree: (dims, dense maps)}
+
+
+def _level_monomials(ctx: RingContext, degree: int, level: int) -> list:
+    """Basis (xi-power, generator part) of the degree slice of K[xi]/(xi^(level+1))."""
+    out = []
+    for p in range(0, min(level, ctx.max_t_order) + 1):
+        w = p - degree
+        if w < 0 or w > ctx.max_weight:
+            continue
+        for laz in lazard_monomials(ctx.coeff_kind, w):
+            out.append((p, laz))
+    out.sort()
+    return out
+
+
+def ref_projective_space_tower(ctx: RingContext, d_max: int, i_max: int) -> dict:
+    """The tower of finite projective-space approximations of the rank-1
+    classifying space: level i is the degree slice of K[xi]/(xi^(i+1)),
+    transitions are the canonical surjections killing the top xi-power.
+    Only the coefficient kind and the caps of ``ctx`` are read."""
+    if d_max < 0 or i_max < 2:
+        raise ValueError("need d_max >= 0 and at least three levels")
+    tower = {}
+    for d in range(0, d_max + 1):
+        bases = [_level_monomials(ctx, d, i) for i in range(i_max + 1)]
+        dims = [len(b) for b in bases]
+        maps = []
+        for i in range(i_max):
+            lower = {m: r for r, m in enumerate(bases[i])}
+            mat = [[0] * dims[i + 1] for _ in range(dims[i])]
+            for col, m in enumerate(bases[i + 1]):
+                row = lower.get(m)
+                if row is not None:
+                    mat[row][col] = 1
+            maps.append(mat)
+        tower[d] = (dims, maps)
+    return tower
 
 
 # -- the term-by-term evaluation that bundles.pb_substitute used before Horner ------

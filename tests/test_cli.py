@@ -16,11 +16,12 @@ from cobcalc.series import RingContext
 from cobcalc.towers import coefficient_ring_dimension
 
 
-def run_cli(*argv):
+def run_cli(*argv, timeout=None):
     proc = subprocess.run(
         [sys.executable, "-m", "cobcalc.cli", *argv],
         capture_output=True,
         text=True,
+        timeout=timeout,
     )
     return proc
 
@@ -218,6 +219,19 @@ def test_pbf_checks_the_rank_before_building_the_law(monkeypatch, capsys):
         assert main(["pbf", "--rank", rank]) == 2
         body = json.loads(capsys.readouterr().out)
         assert body["error"]["message"] == "pbf supports --rank 1..4"
+    # pbf reads only the coefficient ring, so it builds no law at all
+    assert main(["pbf", "--rank", "2", "--samples", "1"]) == 0
+    assert json.loads(capsys.readouterr().out)["division_oracle_ok"]
+
+
+@pytest.mark.parametrize("base_vars", ["30", "0"])
+def test_sif_refuses_base_vars_it_cannot_sample(base_vars):
+    # the sampler redraws until the t-exponents fit the cap, which at 30 variables
+    # would run for hours: the job must be refused up front
+    proc = run_cli("sif", "--base-vars", base_vars, "--samples", "1", timeout=30)
+    assert proc.returncode == 2
+    assert json.loads(proc.stdout)["error"] == {
+        "kind": "config", "message": "sif supports --base-vars 1..8"}
 
 
 @pytest.mark.parametrize(

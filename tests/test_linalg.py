@@ -85,7 +85,6 @@ def test_elimination_matches_reference(rows):
     assert rows == before  # the input is not modified
     assert_fraction_rows(red, want_red)
     assert pivots == want_pivots
-    assert linalg.rank(rows) == len(want_pivots)
 
     row_space = linalg.row_space(rows)
     assert row_space == ref_row_space(rows)

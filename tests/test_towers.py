@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 from unittest import mock
@@ -20,22 +21,39 @@ from cobcalc.towers import (
     stabilization_index,
 )
 
-from oracles import ref_image_chains
+from oracles import ref_image_chains, ref_projective_space_tower
 
 ALL_KINDS = ("additive", "multiplicative", "universal-rational")
+COEFF_KIND = {"additive": "rational",
+              "multiplicative": "multiplicative-beta",
+              "universal-rational": "universal-rational"}
 
 
 def law(kind, max_t=6, max_w=5):
-    coeff = {"additive": "rational",
-             "multiplicative": "multiplicative-beta",
-             "universal-rational": "universal-rational"}[kind]
-    return build_fgl(kind, RingContext(1, coeff, max_t, 0 if kind == "additive" else max_w))
+    return build_fgl(kind, RingContext(1, COEFF_KIND[kind], max_t, 0 if kind == "additive" else max_w))
+
+
+def int_columns(rows, n_cols):
+    """A dense rational matrix as a slice's map: its integer columns, denominators cleared."""
+    den = math.lcm(*(Fraction(x).denominator for row in rows for x in row))
+    return [{r: int(Fraction(row[c]) * den) for r, row in enumerate(rows) if row[c]}
+            for c in range(n_cols)]
+
+
+def dense(columns, n_rows):
+    """A slice's map read as a dense matrix."""
+    return [[col.get(r, 0) for col in columns] for r in range(n_rows)]
+
+
+def dense_slice(dims, maps):
+    """The slice of dense rational maps."""
+    return TowerSlice(dims=dims, maps=[int_columns(m, dims[i + 1]) for i, m in enumerate(maps)])
 
 
 def constant_tower(value_dim, length, map_builder):
     dims = [value_dim] * (length + 1)
     maps = [map_builder(value_dim) for _ in range(length)]
-    return Tower({0: TowerSlice(dims=dims, maps=maps)})
+    return Tower({0: dense_slice(dims, maps)})
 
 
 def test_identity_tower():
@@ -49,7 +67,7 @@ def test_surjective_tower_index_zero():
     def proj(dim):
         return linalg.identity(dim)
 
-    tower = Tower({0: TowerSlice([2, 2, 2, 2], [proj(2)] * 3)})
+    tower = Tower({0: dense_slice([2, 2, 2, 2], [proj(2)] * 3)})
     assert stabilization_index(tower, 0) == 0
 
 
@@ -69,7 +87,7 @@ def test_strictly_shrinking_window_refuses():
         for i in range(2 - step if step < 2 else 1):
             m[i][i] = Fraction(1)
         maps.append(m)
-    tower = Tower({0: TowerSlice(dims=dims, maps=maps)})
+    tower = Tower({0: dense_slice(dims, maps)})
     idx = stabilization_index(tower, 0)
     if idx is None:
         with pytest.raises(WindowNotStabilized):
@@ -77,10 +95,51 @@ def test_strictly_shrinking_window_refuses():
 
 
 def test_shape_validation():
+    one = [{0: 1}]
+    TowerSlice(dims=[1, 2, 0], maps=[[{0: 1}, {}], [{}] * 0])  # the shapes fit
     with pytest.raises(ValueError):
-        TowerSlice(dims=[1, 1], maps=[linalg.identity(1)])  # too short
+        TowerSlice(dims=[1, 1], maps=[one])  # too short
     with pytest.raises(ValueError):
-        TowerSlice(dims=[1, 2, 1], maps=[linalg.identity(1), linalg.identity(1)])
+        TowerSlice(dims=[1, 1, 1], maps=[one])  # a map missing
+    with pytest.raises(ValueError):
+        TowerSlice(dims=[1, 2, 1], maps=[one, one])  # map 0 needs two columns
+    with pytest.raises(ValueError):
+        TowerSlice(dims=[1, 1, 1], maps=[[{1: 1}], one])  # row 1 of a one-row space
+    with pytest.raises(ValueError):
+        TowerSlice(dims=[1, 1, 1], maps=[[{-1: 1}], one])
+    for entry in (0, Fraction(1, 2), Fraction(1), 1.0, True, "1"):
+        with pytest.raises(ValueError):
+            TowerSlice(dims=[1, 1, 1], maps=[[{0: entry}], one])
+
+
+@pytest.mark.parametrize("maps", [
+    [linalg.identity(2)] * 2,  # dense rows: as many as the columns asked for
+    [[[1, 0], [0, 1]]] * 2,
+    [[(0, 1), (1, 1)]] * 2,
+    [{0: {0: 1}, 1: {1: 1}}] * 2,  # columns keyed by index, not listed
+], ids=["fraction-rows", "int-rows", "tuple-columns", "dict-of-columns"])
+def test_dense_maps_are_rejected(maps):
+    with pytest.raises(ValueError, match="map 0 is not 2 integer columns over 2 rows"):
+        TowerSlice(dims=[2, 2, 2], maps=maps)
+
+
+@pytest.mark.parametrize("kind", ALL_KINDS)
+@pytest.mark.parametrize("max_t,max_w,d_max,i_max", [
+    (6, 5, 5, 3),  # levels below max_t
+    (4, 3, 4, 8),  # levels above max_t
+    (6, 0, 6, 3),  # no generator admitted
+    (1, 5, 1, 4),
+    (8, 7, 8, 12),
+])
+def test_projective_space_tower_matches_the_dense_reference(kind, max_t, max_w, d_max, i_max):
+    ctx = RingContext(1, COEFF_KIND[kind], max_t, 0 if kind == "additive" else max_w)
+    tower = projective_space_tower(ctx, d_max, i_max)
+    want = ref_projective_space_tower(ctx, d_max, i_max)
+    assert sorted(tower.degrees) == sorted(want)
+    for d, (dims, maps) in want.items():
+        sl = tower.slice(d)
+        assert sl.dims == dims
+        assert [dense(m, dims[i]) for i, m in enumerate(sl.maps)] == maps
 
 
 def test_projective_space_tower_matches_coefficient_ring():
@@ -144,7 +203,7 @@ def test_stabilization_found_when_window_long_enough():
             maps.append(
                 [[Fraction(rng.randint(-1, 1)) for _ in range(dim)] for _ in range(dim)]
             )
-        tower = Tower({0: TowerSlice(dims=[dim] * (length + 1), maps=maps)})
+        tower = Tower({0: dense_slice([dim] * (length + 1), maps)})
         idx = stabilization_index(tower, 0)
         # with a window this long a verdict must exist unless the final step
         # still shrank some chain, which the refusal semantics reports as None
@@ -170,7 +229,7 @@ def test_limit_reuses_the_image_chains(monkeypatch):
              for _ in range(dims[i])]
             for i in range(5)
         ]
-        tower = Tower({0: TowerSlice(dims=dims, maps=maps)})
+        tower = Tower({0: dense_slice(dims, maps)})
         calls.clear()
         idx = stabilization_index(tower, 0)
         built = len(calls)
@@ -186,7 +245,7 @@ def test_limit_reuses_the_image_chains(monkeypatch):
         assert len(calls) == built  # the chains were not built a second time
         if lim is not None:
             # the stable image at the next-to-top level is the image of the top map
-            assert lim == linalg.rank(maps[-1])
+            assert lim == len(linalg.echelon(int_columns(maps[-1], dims[-1])))
 
 
 # -- propagated image chains against the composite reference ------------------------
@@ -212,9 +271,10 @@ def matrices(draw, rows, cols):
 
 @st.composite
 def random_towers(draw):
+    """Dimensions and dense rational maps of one degree."""
     dims = draw(st.lists(st.integers(0, 3), min_size=3, max_size=7))
     maps = [draw(matrices(dims[i], dims[i + 1])) for i in range(len(dims) - 1)]
-    return Tower({0: TowerSlice(dims=dims, maps=maps)})
+    return dims, maps
 
 
 @st.composite
@@ -248,13 +308,14 @@ def diagnostics(tower):
         return idx, "refused"
 
 
-def assert_matches_reference(tower):
-    sl = tower.slice(0)
-    want = ref_image_chains(sl)
-    got = towers._image_chains(sl)
-    assert [[canonical(e, sl.dims[i]) for e in chain] for i, chain in enumerate(got)] == want
-    with mock.patch.object(towers, "_image_chains", ref_image_chains):
-        want_diagnostics = diagnostics(Tower({0: TowerSlice(list(sl.dims), sl.maps)}))
+def assert_matches_reference(dims, maps):
+    """The slice of the dense maps against the reference run on the dense maps themselves."""
+    tower = Tower({0: dense_slice(dims, maps)})
+    want = ref_image_chains(dims, maps)
+    got = towers._image_chains(tower.slice(0))
+    assert [[canonical(e, dims[i]) for e in chain] for i, chain in enumerate(got)] == want
+    with mock.patch.object(towers, "_image_chains", lambda sl: want):
+        want_diagnostics = diagnostics(Tower({0: dense_slice(dims, maps)}))
     assert diagnostics(tower) == want_diagnostics
     return [[len(e) for e in chain] for chain in got], want_diagnostics
 
@@ -262,14 +323,14 @@ def assert_matches_reference(tower):
 @SETTINGS
 @given(random_towers())
 def test_propagated_chains_match_composites(tower):
-    assert_matches_reference(tower)
+    assert_matches_reference(*tower)
 
 
 @SETTINGS
 @given(st.data())
 def test_propagated_chains_match_composites_after_conjugation(data):
-    tower = data.draw(random_towers())
-    dims = tower.slice(0).dims
+    dims, maps = data.draw(random_towers())
     transforms = {0: [data.draw(invertible(n)) for n in dims]}
-    moved = apply_levelwise_isomorphism(tower, transforms)
-    assert assert_matches_reference(moved) == assert_matches_reference(tower)
+    moved = apply_levelwise_isomorphism(Tower({0: dense_slice(dims, maps)}), transforms).slice(0)
+    moved_maps = [dense(m, dims[i]) for i, m in enumerate(moved.maps)]
+    assert assert_matches_reference(dims, moved_maps) == assert_matches_reference(dims, maps)
