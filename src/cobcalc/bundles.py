@@ -27,12 +27,20 @@ everywhere here.
 Both eta = chi(xi) and each Thom factor F(x_j, eta) are evaluated by
 `pb_substitute`, by Horner's rule in xi and in eta respectively; the
 coefficient of each power goes into the base through one `RingMap`.
+
+`pb_mul` keeps one running sum per power of xi.  The products a_i * b_j
+of the convolution and the products +-c_i * coordinate of the Chern
+reduction (the signed classes `ProjBundleRing.signed_chern`, built once
+per ring) are all added into those sums by `series.mul_into`, and each
+coordinate of the result is canonicalized once; `reduce_coords` runs the
+same reduction loop.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Mapping, Sequence
 
 from .equivariant import WeylGroupSpec, weyl_apply
@@ -42,6 +50,9 @@ from .series import (
     RingContext,
     RingMap,
     TruncatedSeries,
+    add_into,
+    collect,
+    mul_into,
     series_mul,
     substitute,
     variable_slices,
@@ -123,6 +134,11 @@ class ProjBundleRing:
     @property
     def rank(self) -> int:
         return len(self.chern)
+
+    @cached_property
+    def signed_chern(self) -> tuple:
+        """c1, -c2, c3, ...: xi^n = sum_i signed_chern[i-1] * xi^(n-i)."""
+        return tuple(-c if i % 2 else c for i, c in enumerate(self.chern))
 
     def zero(self) -> "ProjBundleElement":
         z = self.base.zero()
@@ -224,18 +240,27 @@ def trivial_bundle_ring(base: RingContext, rank: int) -> ProjBundleRing:
 
 def reduce_coords(ring: ProjBundleRing, coords: Sequence[TruncatedSeries]) -> list:
     """Stepwise reduction of a xi-polynomial to the basis, top power first."""
-    n = ring.rank
-    coords = list(coords)
-    for p in range(len(coords) - 1, n - 1, -1):
-        c = coords[p]
+    sums = []
+    for c in coords:
+        acc: dict = {}
+        sums.append((acc, add_into(acc, 1, c)))
+    return _reduce_sums(ring, sums)
+
+
+def _reduce_sums(ring: ProjBundleRing, sums: list) -> list:
+    """`reduce_coords` of the xi-polynomial whose coordinate p is the sum
+    ``sums[p]``, an ``(acc, den)`` pair of `mul_into`; the sums are reduced
+    in place, each reduction product summed into them, and every
+    coordinate is canonicalized once."""
+    base, n = ring.base, ring.rank
+    for p in range(len(sums) - 1, n - 1, -1):
+        c = collect(base, *sums[p])
         if c.is_zero():
             continue
-        coords[p] = ring.base.zero()
-        sign = 1
-        for i, ci in enumerate(ring.chern, start=1):
-            coords[p - i] = coords[p - i] + (ci * c if sign > 0 else -(ci * c))
-            sign = -sign
-    return coords[:n]
+        for i, sc in enumerate(ring.signed_chern, start=1):
+            acc, den = sums[p - i]
+            sums[p - i] = (acc, mul_into(acc, den, sc, c))
+    return [collect(base, *sums[p]) for p in range(min(n, len(sums)))]
 
 
 def reduce_by_division(ring: ProjBundleRing, coords: Sequence[TruncatedSeries]) -> tuple:
@@ -263,12 +288,7 @@ def reduce_by_division(ring: ProjBundleRing, coords: Sequence[TruncatedSeries]) 
 
 def _relation_coeffs(ring: ProjBundleRing) -> list:
     """Coefficients of xi^0..xi^n in the relation xi^n - c1*xi^(n-1) + ... + (-1)^n*cn."""
-    n = ring.rank
-    rel = [ring.base.zero()] * (n + 1)
-    rel[n] = ring.base.one()
-    for i, ci in enumerate(ring.chern, start=1):
-        rel[n - i] = -ci if i % 2 else ci
-    return rel
+    return [-c for c in reversed(ring.signed_chern)] + [ring.base.one()]
 
 
 def xi_power(ring: ProjBundleRing, k: int) -> ProjBundleElement:
@@ -280,19 +300,20 @@ def xi_power(ring: ProjBundleRing, k: int) -> ProjBundleElement:
 
 
 def pb_mul(ring: ProjBundleRing, u, v) -> ProjBundleElement:
-    """Product in the reduced ring: convolution in xi, then stepwise reduction."""
+    """Product in the reduced ring: convolution in xi, then stepwise reduction.
+
+    Every product of the convolution and of the reduction is summed by
+    `mul_into` into one sum per power of xi, and each coordinate of the
+    result is canonicalized once.
+    """
     u = _coerce_pb(ring, u)
     v = _coerce_pb(ring, v)
-    n = ring.rank
-    conv = [ring.base.zero()] * (2 * n - 1)
+    sums = [({}, 1) for _ in range(2 * ring.rank - 1)]
     for i, a in enumerate(u.coords):
-        if a.is_zero():
-            continue
         for j, b in enumerate(v.coords):
-            if b.is_zero():
-                continue
-            conv[i + j] = conv[i + j] + a * b
-    return ring.from_coords(reduce_coords(ring, conv))
+            acc, den = sums[i + j]
+            sums[i + j] = (acc, mul_into(acc, den, a, b))
+    return ProjBundleElement(ring, tuple(_reduce_sums(ring, sums)))
 
 
 def pb_substitute(

@@ -217,6 +217,8 @@ def _run_sif(config: JobConfig):
     # samples redraw t-exponents in 0..2 until their sum fits the cap: hopeless past 8 variables
     if config.base_vars < 1 or config.base_vars > 8:
         raise ConfigError("sif supports --base-vars 1..8")
+    if config.rank < 1:
+        raise ConfigError("sif needs --rank >= 1")
     if config.t_order is not None:
         config = replace(config, max_t=config.t_order)
     law = _law(config)

@@ -35,6 +35,7 @@ from .series import (
     RingContext,
     RingMap,
     TruncatedSeries,
+    basis_units,
     bidegree_basis,
     sparse_coordinates,
     unit_series,
@@ -245,27 +246,28 @@ def action_matrix(
     basis: Sequence[Monomial],
     ctx: RingContext,
     units: Optional[Sequence[TruncatedSeries]] = None,
+    index: Optional[dict] = None,
 ) -> list:
     """Matrix of the Weyl action on the span of ``basis``: column j is
     ``(nums, den)``, the `sparse_coordinates` of the image of ``basis[j]``.
 
-    ``units`` is ``unit_series(ctx, basis)``, for a caller that acts on
-    one basis by several matrices and builds it once.
+    ``units`` and ``index`` are ``basis_units(ctx, basis)``, for a caller
+    that acts on one basis by several matrices and builds them once.
     """
     if units is None:
         units = unit_series(ctx, basis)
     # terms outside the window fall into the filtration ideal: dropped
-    return sparse_coordinates(map(weyl_map(w, law, ctx), units), basis)
+    return sparse_coordinates(map(weyl_map(w, law, ctx), units), basis, index=index)
 
 
 def fixed_space_rows(matrices, law: FormalGroupLaw, basis, ctx: RingContext) -> list:
     """The rows of (rho_w - id) for every w in ``matrices``, stacked, as sparse
     integer rows: their joint kernel is the subspace of the span of ``basis``
     fixed by all of them."""
-    units = unit_series(ctx, basis)
+    units, index = basis_units(ctx, basis)
     stacked = []
     for w in matrices:
-        images = action_matrix(w, law, basis, ctx, units)
+        images = action_matrix(w, law, basis, ctx, units, index)
         # the rows of (rho_w - id), all scaled by one den
         den = lcm(*[d for _, d in images])
         rows = [{} for _ in basis]

@@ -46,14 +46,28 @@ each monomial as one packed int:
   holds the sum of two in-cap values without a carry.  The key of a
   product of monomials is therefore the sum of their keys, sorting keys
   sorts by t-order first, and the t-order cap is one comparison against
-  a key bound.  The weight cap is one bit test: the weight field of a
-  product key is biased so that its top bit is set exactly when the
-  weight exceeds the cap.
+  a key bound.
+
+Products
+--------
+`mul_into` is the one product kernel.  It adds the truncated product
+``a * b`` straight into a caller's dict of numerators over a running
+common denominator, rescaling that dict to the lcm when the product's
+denominator does not divide it, and leaves canonicalizing to the
+caller: `series_mul` is one call on an empty dict followed by one
+canonicalization, and `RingMap` and `bundles.pb_mul` sum many products
+into one dict each.  The right factor keeps, cached on first use, its
+terms bucketed by weight (only the weights that occur, ascending), each
+bucket sorted by key.  A left term of weight ``w`` visits the buckets up
+to weight ``max_weight - w`` and stops inside each at the first key over
+the t-order cap, so no pair beyond either cap is formed.
 
 Only this module knows the packed form.  Callers that would otherwise
 decode every term and validate it again get helpers that work on the
-keys: `sparse_coordinates`, `unit_series` (basis monomials as series)
-and `variable_slices` (a series split by the powers of one variable).
+keys: `sparse_coordinates`, `basis_units` and `unit_series` (basis
+monomials as series, and the basis encoded once for
+`sparse_coordinates`) and `variable_slices` (a series split by the
+powers of one variable).
 
 Ring maps
 ---------
@@ -213,7 +227,7 @@ class _Layout:
 
     __slots__ = (
         "n_vars", "n_gens", "max_t", "max_w", "mask", "var_shifts", "gen_shifts",
-        "w_shift", "t_shift", "gen_mask", "t_limit", "w_bias", "w_guard",
+        "w_shift", "t_shift", "gen_mask", "t_limit",
     )
 
     def __init__(self, n_vars: int, n_gens: int, max_t: int, max_w: int):
@@ -228,10 +242,6 @@ class _Layout:
         self.gen_mask = (1 << (width * n_gens)) - 1
         # a key at or above t_limit has t-order > max_t
         self.t_limit = (max_t + 1) << self.t_shift
-        # adding w_bias to a key whose weight field is at most 2 * max_w sets
-        # the top bit of that field (w_guard) iff the weight exceeds max_w
-        self.w_bias = ((1 << (width - 1)) - 1 - max_w) << self.w_shift
-        self.w_guard = 1 << (self.w_shift + width - 1)
 
     def encode(self, mono: Monomial) -> int:
         """Key of a monomial inside the caps with valid generator indices."""
@@ -280,7 +290,7 @@ class TruncatedSeries:
     '1 * t1^2 + -1 * t2^2'
     """
 
-    # _graded: the terms sorted by key, built on first use as a right factor
+    # _graded: the terms bucketed by weight, built on first use as a right factor
     __slots__ = ("ctx", "_terms", "_den", "_graded", "_hash")
 
     def __init__(self, ctx: RingContext, terms: Mapping[Monomial, Fraction]):
@@ -515,21 +525,28 @@ def _parse_coeff(value) -> Fraction:
 
 
 def sparse_coordinates(
-    series: Iterable[TruncatedSeries], basis: Sequence[Monomial], strict: bool = False
+    series: Iterable[TruncatedSeries],
+    basis: Sequence[Monomial],
+    strict: bool = False,
+    index: Optional[dict] = None,
 ) -> list:
     """One ``(nums, den)`` per series: its coefficient on ``basis[i]`` is
     ``nums.get(i, 0) / den``, with ``nums`` the nonzero integer numerators.
 
     Terms on monomials outside ``basis`` are ignored, unless ``strict``
-    is set: then they raise ValueError.
+    is set: then they raise ValueError.  ``index`` is the second half of
+    `basis_units`, for a caller that reads many batches of series over
+    one context against one basis; every series must then live over the
+    context it was built for.
     """
     layout = None
+    positions = index
     out = []
     for s in series:
-        if s.ctx._layout is not layout:
+        if index is None and s.ctx._layout is not layout:
             layout = s.ctx._layout
             # key -> its positions in the basis; no series of the layout holds a None key
-            positions: dict = {}
+            positions = {}
             for i, mono in enumerate(basis):
                 positions.setdefault(layout.key_of(mono), []).append(i)
         nums = {}
@@ -545,18 +562,29 @@ def sparse_coordinates(
     return out
 
 
-def unit_series(ctx: RingContext, basis: Sequence[Monomial]) -> list:
-    """The monomials of ``basis`` as series with coefficient 1, as `from_terms`
-    builds them; a monomial that no series of ``ctx`` can hold goes through
-    `from_terms`, which drops it (beyond the caps) or refuses it."""
+def basis_units(ctx: RingContext, basis: Sequence[Monomial]) -> tuple:
+    """``(units, index)``: the monomials of ``basis`` as series with
+    coefficient 1, as `from_terms` builds them, and the map from each key
+    to its positions in ``basis`` that `sparse_coordinates` builds for
+    ``ctx``, both from one encoding of every monomial.  A monomial that no
+    series of ``ctx`` can hold goes through `from_terms`, which drops it
+    (beyond the caps) or refuses it, and has no key in the index."""
     key_of = ctx._layout.key_of
-    out = []
-    for mono in basis:
+    units = []
+    index: dict = {}
+    for i, mono in enumerate(basis):
         key = key_of(mono)
-        out.append(
-            ctx.from_terms({mono: 1}) if key is None else TruncatedSeries._raw(ctx, {key: 1}, 1)
-        )
-    return out
+        if key is None:
+            units.append(ctx.from_terms({mono: 1}))
+        else:
+            units.append(TruncatedSeries._raw(ctx, {key: 1}, 1))
+            index.setdefault(key, []).append(i)
+    return units, index
+
+
+def unit_series(ctx: RingContext, basis: Sequence[Monomial]) -> list:
+    """The units of `basis_units` alone."""
+    return basis_units(ctx, basis)[0]
 
 
 def variable_slices(s: TruncatedSeries, j: int) -> dict:
@@ -581,29 +609,88 @@ def _reduced(ctx: RingContext, terms: dict, den: int) -> TruncatedSeries:
     return TruncatedSeries._raw(ctx, terms, den)
 
 
-def _accumulate(acc: dict, den: int, terms: dict, terms_den: int) -> int:
-    """Add ``terms / terms_den`` into the numerators ``acc`` over ``den``, in place.
+def _rescaled(acc: dict, den: int, other_den: int) -> tuple:
+    """``(common, factor)``: rescale the numerators ``acc`` over ``den`` in place
+    to ``common``, the lcm of ``den`` and ``other_den``; ``factor`` lifts a
+    numerator over ``other_den`` to ``common``."""
+    if other_den == den:
+        return den, 1
+    common = lcm(den, other_den)
+    if common != den:
+        up = common // den
+        for m in acc:
+            acc[m] *= up
+    return common, common // other_den
 
-    Returns the new common denominator of ``acc``; zero sums are removed.
+
+def add_into(acc: dict, den: int, s: TruncatedSeries) -> int:
+    """Add ``s`` into the numerators ``acc`` over ``den``, in place.
+
+    ``acc`` holds keys of ``s.ctx``.  Returns the new common denominator;
+    sums that cancel are removed.
     """
-    if terms_den == den:
-        factor = 1
-    else:
-        common = lcm(den, terms_den)
-        if common != den:
-            up = common // den
-            for m in acc:
-                acc[m] *= up
-            den = common
-        factor = den // terms_den
+    den, factor = _rescaled(acc, den, s._den)
     get = acc.get
-    for m, c in terms.items():
+    for m, c in s._terms.items():
         v = get(m, 0) + c * factor
         if v:
             acc[m] = v
         else:
             del acc[m]
     return den
+
+
+def mul_into(acc: dict, den: int, a: TruncatedSeries, b: TruncatedSeries) -> int:
+    """Add the truncated product ``a * b`` into the numerators ``acc`` over
+    ``den``, in place; the one product kernel (module docstring).
+
+    ``acc`` holds keys of the context of ``a`` and ``b``.  Returns the new
+    common denominator.  Nothing is canonicalized: sums that cancel stay
+    in ``acc`` as zeros, and the numerators may share a factor with the
+    denominator; `collect` makes the series.
+    """
+    _require_same_ctx(a, b)
+    if not a._terms or not b._terms:
+        return den
+    if len(a._terms) > len(b._terms):
+        a, b = b, a
+    buckets = b._graded
+    if buckets is None:
+        buckets = b._graded = _weight_buckets(b)
+    den, factor = _rescaled(acc, den, a._den * b._den)
+    layout = a.ctx._layout
+    t_limit, w_shift, mask, max_w = layout.t_limit, layout.w_shift, layout.mask, layout.max_w
+    get = acc.get
+    for ka, ca in a._terms.items():
+        ca *= factor
+        budget = max_w - ((ka >> w_shift) & mask)
+        for w, terms in buckets:
+            if w > budget:
+                break
+            for kb, cb in terms:
+                p = ka + kb
+                if p >= t_limit:
+                    break
+                acc[p] = get(p, 0) + ca * cb
+    return den
+
+
+def _weight_buckets(s: TruncatedSeries) -> list:
+    """``[(w, terms)]``: the terms of ``s`` by weight, only the weights that
+    occur, ascending, each bucket's ``(key, numerator)`` pairs sorted by key."""
+    layout = s.ctx._layout
+    w_shift, mask = layout.w_shift, layout.mask
+    buckets: dict = {}
+    for item in sorted(s._terms.items()):
+        buckets.setdefault((item[0] >> w_shift) & mask, []).append(item)
+    return sorted(buckets.items())
+
+
+def collect(ctx: RingContext, acc: dict, den: int) -> TruncatedSeries:
+    """The series of the numerators ``acc`` over ``den`` >= 1 that `mul_into`
+    and `add_into` left, in canonical form: zeros dropped, common factor
+    divided out."""
+    return _reduced(ctx, {m: c for m, c in acc.items() if c}, den)
 
 
 def _coerce(ctx: RingContext, value) -> TruncatedSeries:
@@ -630,7 +717,7 @@ def series_add(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:
     if not b._terms:
         return a
     out = dict(a._terms)
-    den = _accumulate(out, a._den, b._terms, b._den)
+    den = add_into(out, a._den, b)
     return _reduced(a.ctx, out, den)
 
 
@@ -641,30 +728,9 @@ def series_mul(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:
     discarded.  Commutative: the diagonal grading is even, so no sign
     twist applies.
     """
-    _require_same_ctx(a, b)
-    ctx = a.ctx
-    if not a._terms or not b._terms:
-        return ctx.zero()
-    if len(a._terms) > len(b._terms):
-        a, b = b, a
-    graded = b._graded
-    if graded is None:
-        graded = b._graded = sorted(b._terms.items())
-    layout = ctx._layout
-    t_limit, bias, guard = layout.t_limit, layout.w_bias, layout.w_guard
-    # keys in ``out`` carry the weight bias until the end
-    out: dict = {}
-    get = out.get
-    for ka, ca in a._terms.items():
-        ka += bias
-        for kb, cb in graded:
-            p = ka + kb
-            if p >= t_limit:
-                break
-            if p & guard:
-                continue
-            out[p] = get(p, 0) + ca * cb
-    return _reduced(ctx, {p - bias: c for p, c in out.items() if c}, a._den * b._den)
+    acc: dict = {}
+    den = mul_into(acc, 1, a, b)
+    return collect(a.ctx, acc, den)
 
 
 class RingMap:
@@ -684,10 +750,12 @@ class RingMap:
     multiplied by the powers of its variables in the order of their image
     sizes, smallest first, fixed when the map is built (an unassigned
     variable counts as one term).  The last product then has the largest
-    power, cached and already sorted by `series_mul`, as its right operand,
-    instead of sorting a fresh intermediate once per term, as F(F(x, y), z)
-    would in variable order.  The order changes no value: the truncated
-    ring is commutative and associative.
+    power as its right operand, whose weight buckets `mul_into` keeps
+    cached, instead of bucketing a fresh intermediate once per term, as
+    F(F(x, y), z) would in variable order; that product is summed straight
+    into the result by `mul_into`, and the sum is canonicalized once.  The
+    order changes no value: the truncated ring is commutative and
+    associative.
 
     >>> ctx = RingContext(2, "rational", 4, 0)
     >>> t1, t2 = ctx.var(0), ctx.var(1)
@@ -776,15 +844,22 @@ class RingMap:
                 start = dst.encode(Monomial(zero_t, src.decode(key).laz))
             g = gcd(num, den)
             term = TruncatedSeries._raw(target, {start: num // g}, den // g)
+            # the last factor's product goes straight into the sum
+            last = None
             for j, shift in self._var_order:
                 e = (key >> shift) & mask
                 if e:
-                    term = series_mul(term, power(j, e))
-                    if not term._terms:
-                        break
+                    if last is not None:
+                        term = series_mul(term, last)
+                        if not term._terms:
+                            break
+                    last = power(j, e)
             else:  # the term did not vanish
-                acc_den = _accumulate(acc, acc_den, term._terms, term._den)
-        return _reduced(target, acc, acc_den)
+                if last is None:
+                    acc_den = add_into(acc, acc_den, term)
+                else:
+                    acc_den = mul_into(acc, acc_den, term, last)
+        return collect(target, acc, acc_den)
 
 
 def substitute(

@@ -10,7 +10,10 @@ and the monomial-matching dense projective-space tower that it replaced
 by counting.  The
 one exception is ``ref_pb_substitute``, the term-by-term
 projective-bundle evaluation that ``cobcalc.bundles.pb_substitute``
-replaced: it evaluates with the package's own ``pb_mul``.  Likewise
+replaced: it evaluates with the package's own ``pb_mul``.
+``ref_pb_mul``/``ref_reduce_coords``, the projective-bundle product that
+summed one series product at a time before ``cobcalc.bundles.pb_mul``
+summed them in place, multiply and add with the package's series.  Likewise
 ``ref_weyl_apply``/``ref_action_matrix``, the per-monomial Weyl action
 that ``cobcalc.equivariant.weyl_map`` replaced, build the character
 classes with the package's ``character_class`` and substitute with its
@@ -404,6 +407,41 @@ def ref_pb_substitute(
                     break
         acc = acc + term
     return acc
+
+
+# -- the projective-bundle product before bundles.pb_mul summed in place -----------
+
+
+def ref_reduce_coords(ring: ProjBundleRing, coords) -> list:
+    """Stepwise reduction of a xi-polynomial to the basis, top power first."""
+    n = ring.rank
+    coords = list(coords)
+    for p in range(len(coords) - 1, n - 1, -1):
+        c = coords[p]
+        if c.is_zero():
+            continue
+        coords[p] = ring.base.zero()
+        sign = 1
+        for i, ci in enumerate(ring.chern, start=1):
+            coords[p - i] = coords[p - i] + (ci * c if sign > 0 else -(ci * c))
+            sign = -sign
+    return coords[:n]
+
+
+def ref_pb_mul(ring: ProjBundleRing, u, v) -> ProjBundleElement:
+    """Product in the reduced ring: convolution in xi, then stepwise reduction."""
+    u = _coerce_pb(ring, u)
+    v = _coerce_pb(ring, v)
+    n = ring.rank
+    conv = [ring.base.zero()] * (2 * n - 1)
+    for i, a in enumerate(u.coords):
+        if a.is_zero():
+            continue
+        for j, b in enumerate(v.coords):
+            if b.is_zero():
+                continue
+            conv[i + j] = conv[i + j] + a * b
+    return ring.from_coords(ref_reduce_coords(ring, conv))
 
 
 # -- the per-monomial Weyl action that equivariant.weyl_map replaced ---------------

@@ -234,6 +234,20 @@ def test_sif_refuses_base_vars_it_cannot_sample(base_vars):
         "kind": "config", "message": "sif supports --base-vars 1..8"}
 
 
+@pytest.mark.parametrize("rank", ["0", "-1"])
+def test_sif_refuses_a_rank_below_one_before_building_the_law(rank, monkeypatch, capsys):
+    # without roots there is no bundle: refused as a config error up front,
+    # not as an invalid split bundle after the law is built
+    def no_law(*args, **kwargs):
+        raise AssertionError("the law was built before the rank was checked")
+
+    monkeypatch.setattr(cli, "build_fgl", no_law)
+    assert main(["sif", "--rank", rank, "--samples", "1"]) == 2
+    out, err = capsys.readouterr()
+    assert json.loads(out)["error"] == {"kind": "config", "message": "sif needs --rank >= 1"}
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize(
     "argv",
     [

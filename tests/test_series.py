@@ -137,24 +137,33 @@ def test_ring_map_shares_its_power_table(qctx, monkeypatch):
     from cobcalc import series
 
     calls = []
-    original = series.series_mul
 
-    def counting(a, b):
-        calls.append(1)
-        return original(a, b)
+    def counting(name):
+        original = getattr(series, name)
 
-    monkeypatch.setattr(series, "series_mul", counting)
+        def wrapper(*args):
+            calls.append(name)
+            return original(*args)
+
+        monkeypatch.setattr(series, name, wrapper)
+
+    # both product entry points: series_mul itself runs one mul_into
+    counting("series_mul")
+    counting("mul_into")
     t1, t2 = qctx.var(0), qctx.var(1)
     phi = RingMap(qctx, {0: t1 + t2})
     s = t1 ** 3 * t2
     calls.clear()
     image = phi(s)
-    built = len(calls)
+    built = (calls.count("series_mul"), calls.count("mul_into"))
     calls.clear()
     assert phi(s) == image
-    # first call: (t1 + t2)^2, (t1 + t2)^3 and two products with the term;
-    # the second call reuses both powers
-    assert (built, len(calls)) == (4, 2)
+    again = (calls.count("series_mul"), calls.count("mul_into"))
+    # first call: series_mul builds (t1 + t2)^2 and (t1 + t2)^3 and multiplies
+    # the term by t2; the term's product with (t1 + t2)^3 is summed into the
+    # image by mul_into.  The second call reuses both powers: only the two
+    # products with the term are made again.
+    assert (built, again) == ((3, 4), (1, 2))
     assert image == substitute(s, {0: t1 + t2})
 
 

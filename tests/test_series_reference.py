@@ -18,6 +18,10 @@ from cobcalc.series import (
     RingContext,
     RingMap,
     TruncatedSeries,
+    add_into,
+    basis_units,
+    collect,
+    mul_into,
     series_add,
     series_mul,
     sparse_coordinates,
@@ -99,6 +103,55 @@ def test_ring_operations_match_reference(data):
     if c:
         again = a.scale(c).scale(1 / c)
         assert again == a and hash(again) == hash(a)
+
+
+# caps where the weight buckets cut: max_w < max_t - 1, and max_w = 0
+narrow_caps = st.sampled_from([(5, 0), (5, 1), (5, 2), (4, 0), (4, 1), (3, 0), (3, 1)])
+
+
+@SETTINGS
+@given(st.data())
+def test_mul_into_sums_products_like_the_reference(data):
+    kind = data.draw(st.sampled_from(COEFF_KINDS))
+    n_vars = data.draw(st.integers(1, 3))
+    cap = data.draw(st.one_of(narrow_caps, st.tuples(st.integers(0, 5), st.integers(0, 4))))
+    ctx = RingContext(n_vars, kind, *cap)
+    # a nonempty start over its own denominator, so the first product rescales it
+    start_terms = data.draw(term_dicts(ctx))
+    acc: dict = {}
+    den = add_into(acc, 1, ctx.from_terms(start_terms))
+    want = ref_truncate(start_terms, *cap)
+    for _ in range(data.draw(st.integers(1, 4))):
+        a_terms, b_terms = data.draw(term_dicts(ctx)), data.draw(term_dicts(ctx))
+        # products over different denominators
+        c = data.draw(coefficients.filter(bool))
+        a = ctx.from_terms(a_terms).scale(c)
+        b = ctx.from_terms(b_terms)
+        ref_a, ref_b = ref_scale(ref_truncate(a_terms, *cap), c), ref_truncate(b_terms, *cap)
+        den = mul_into(acc, den, a, b)
+        want = ref_add(want, ref_mul(ref_a, ref_b, *cap))
+        if data.draw(st.booleans()):
+            # the same product negated: its terms cancel to zero in the sum
+            den = mul_into(acc, den, b, -a)
+            want = ref_add(want, ref_mul(ref_b, ref_scale(ref_a, -1), *cap))
+    got = collect(ctx, acc, den)
+    assert terms(got) == want
+    assert_canonical(got)
+
+
+def test_mul_into_cancels_to_zero_and_cuts_at_the_weight_cap():
+    ctx = RingContext(2, "universal-rational", 5, 1)
+    a = TruncatedSeries.from_text(ctx, "1/2 * t1 + 1/3 * m1*t2")
+    b = TruncatedSeries.from_text(ctx, "1/5 * m1 + 1 * t1^2")
+    acc: dict = {}
+    den = mul_into(acc, 1, a, b)
+    # m1*t2 * m1 has weight 2 > 1: cut; m1*t1^2*t2 has weight exactly 1: kept
+    assert collect(ctx, acc, den) == TruncatedSeries.from_text(
+        ctx, "1/10 * m1*t1 + 1/2 * t1^3 + 1/3 * m1*t1^2*t2"
+    )
+    den = mul_into(acc, den, -a, b)
+    assert collect(ctx, acc, den).is_zero()
+    assert collect(ctx, acc, den) == ctx.zero()
 
 
 @SETTINGS
@@ -195,6 +248,25 @@ def test_unit_series_match_from_terms(data):
     # monomials beyond the caps included; from_terms drops them
     basis = data.draw(st.lists(monomials(ctx), max_size=6))
     assert unit_series(ctx, basis) == [ctx.from_terms({m: Fraction(1)}) for m in basis]
+
+
+@SETTINGS
+@given(st.data())
+def test_basis_units_index_reads_like_sparse_coordinates(data):
+    ctx = data.draw(contexts())
+    # noncanonical generator parts and monomials beyond the caps included
+    basis = data.draw(st.lists(monomials(ctx), max_size=6))
+    units, index = basis_units(ctx, basis)
+    assert units == unit_series(ctx, basis)
+    series = [ctx.from_terms(data.draw(term_dicts(ctx))) for _ in range(3)] + units
+    for strict in (False, True):
+        try:
+            want = sparse_coordinates(series, basis, strict)
+        except ValueError:
+            with pytest.raises(ValueError, match="outside the basis"):
+                sparse_coordinates(series, basis, strict, index=index)
+        else:
+            assert sparse_coordinates(series, basis, strict, index=index) == want
 
 
 def test_unit_series_take_what_from_terms_takes():
