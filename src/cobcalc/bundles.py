@@ -43,7 +43,6 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Mapping, Sequence
 
-from .equivariant import WeylGroupSpec, weyl_apply
 from .fgl import FormalGroupLaw, fgl_sum
 from .series import (
     ContextMismatch,
@@ -414,36 +413,25 @@ def zero_section_restriction(u: ProjBundleElement) -> TruncatedSeries:
     return u.coords[0]
 
 
-def flag_restriction(
-    a: TruncatedSeries,
-    b: TruncatedSeries,
-    wspec: WeylGroupSpec,
-    law: FormalGroupLaw,
-) -> tuple:
+def flag_restriction(a: TruncatedSeries, b: TruncatedSeries, maps: Sequence[RingMap]) -> tuple:
     """Image of the pure tensor a (x) b: component at w is a * w(b).
 
-    Components are indexed by the full Weyl enumeration in its
-    deterministic order (identity first).
+    ``maps`` holds the `equivariant.weyl_map` of every Weyl element, in the
+    deterministic order of the full enumeration (identity first), so a
+    caller restricting many tensors builds each map once.
     """
-    return tuple(
-        series_mul(a, weyl_apply(w, b, law)) for w in wspec.elements()
-    )
+    return tuple(series_mul(a, w(b)) for w in maps)
 
 
-def flag_restriction_sum(
-    pairs: Sequence[tuple],
-    wspec: WeylGroupSpec,
-    law: FormalGroupLaw,
-) -> tuple:
+def flag_restriction_sum(pairs: Sequence[tuple], maps: Sequence[RingMap]) -> tuple:
     """Image of a sum of pure tensors, componentwise over the Weyl elements."""
-    elements = wspec.elements()
     if not pairs:
         raise ValueError("need at least one pure tensor")
     ctx = pairs[0][0].ctx
-    out = [ctx.zero()] * len(elements)
+    out = [ctx.zero()] * len(maps)
     for a, b in pairs:
-        for i, w in enumerate(elements):
-            out[i] = out[i] + series_mul(a, weyl_apply(w, b, law))
+        for i, w in enumerate(maps):
+            out[i] = out[i] + series_mul(a, w(b))
     return tuple(out)
 
 

@@ -24,7 +24,7 @@ representation there.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from math import factorial, lcm
 from typing import Optional, Sequence
 
@@ -93,6 +93,8 @@ class WeylGroupSpec:
     rank: int
     generators: tuple
     max_elements: int = 20000
+    # the enumeration, built on the first call of elements() and kept
+    _elements: Optional[tuple] = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         gens = tuple(_as_matrix(g) for g in self.generators)
@@ -103,7 +105,10 @@ class WeylGroupSpec:
             _check_unimodular(g)
 
     def elements(self) -> tuple:
-        """Full enumeration: closure of the generators, BFS order from the identity."""
+        """Full enumeration: closure of the generators, BFS order from the
+        identity; computed on the first call."""
+        if self._elements is not None:
+            return self._elements
         identity = _identity_int(self.rank)
         seen = {identity}
         order = [identity]
@@ -122,7 +127,8 @@ class WeylGroupSpec:
                                 f"closure exceeds the cap of {self.max_elements} elements"
                             )
             frontier = new
-        return tuple(order)
+        object.__setattr__(self, "_elements", tuple(order))
+        return self._elements
 
 
 @dataclass(frozen=True)

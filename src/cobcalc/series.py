@@ -77,9 +77,13 @@ context with the coefficient kind of the source, no term of t-order 0)
 and keeps a table of their powers, each multiplied out on first use, so
 that mapping many series through one map builds every power once.  A
 call maps each term as the product of its scalar part and the powers of
-the images of its variables, smallest image first.  `substitute` is the
-one-shot form, ``RingMap(s.ctx, assignment, target)(s)``; the Weyl
-action and the projective-bundle evaluation both go through these.
+the images of its variables, smallest image first.  A map whose images
+are all zero or variables ``+-t_k`` of the target needs no product: when
+the two layouts agree on the generator fields, each term moves its key
+fields to one term of the target.  `substitute` is the one-shot form,
+``RingMap(s.ctx, assignment, target)(s)``; the Weyl action, the
+projective-bundle evaluation and the axiom checks of `fgl` all go
+through these.
 """
 
 from __future__ import annotations
@@ -757,6 +761,16 @@ class RingMap:
     order changes no value: the truncated ring is commutative and
     associative.
 
+    A map whose images are all 0 or variables ``+-t_k`` of the target
+    (unassigned variables included) relabels instead, when the two layouts
+    agree on the generator fields (count and width).  Each term then goes
+    to one term: its t-order, weight and generator bits are copied, and
+    each t_j exponent is added at the field of the image of t_j.  A term
+    with a variable sent to 0 is dropped, a term with an odd total exponent
+    on the variables sent to negated ones changes sign, terms beyond the
+    target's caps are dropped, and terms that land on one key are summed.
+    No product is formed and no power is kept.
+
     >>> ctx = RingContext(2, "rational", 4, 0)
     >>> t1, t2 = ctx.var(0), ctx.var(1)
     >>> swap = RingMap(ctx, {0: t2, 1: t1})
@@ -766,6 +780,7 @@ class RingMap:
 
     __slots__ = (
         "source", "target", "_images", "_powers", "_retarget", "_same_gens", "_var_order",
+        "_moves",
     )
 
     def __init__(
@@ -802,6 +817,60 @@ class RingMap:
         size = {j: len(v._terms) for j, v in images.items()}
         order = sorted(range(source.n_vars), key=lambda j: size.get(j, 1))
         self._var_order = tuple((j, src.var_shifts[j]) for j in order)
+        self._moves = self._relabel_moves() if self._same_gens else None
+
+    def _relabel_moves(self) -> Optional[tuple]:
+        """``(source shift, target shift or None, negated)`` per source
+        variable when every image is 0 or +-t_k of the target (None marks a
+        zero image), else None.  An unassigned variable maps to itself; when
+        the map retargets, a call refuses a series in which it occurs."""
+        src, dst = self.source._layout, self.target._layout
+        one = 1 << dst.t_shift
+        var_of = {one + (1 << shift): shift for shift in dst.var_shifts}
+        moves = []
+        for j, src_shift in enumerate(src.var_shifts):
+            image = self._images.get(j)
+            if image is None:
+                dst_shift = dst.var_shifts[j] if j < dst.n_vars else None
+                moves.append((src_shift, dst_shift, False))
+                continue
+            if not image._terms:
+                moves.append((src_shift, None, False))
+                continue
+            if len(image._terms) != 1 or image._den != 1:
+                return None
+            (key, num), = image._terms.items()
+            if key not in var_of or num not in (1, -1):
+                return None
+            moves.append((src_shift, var_of[key], num < 0))
+        return tuple(moves)
+
+    def _relabel(self, s: TruncatedSeries) -> TruncatedSeries:
+        """The map applied to ``s`` when every image is 0 or +-t_k: each term
+        moves its key fields (class docstring)."""
+        src, dst = self.source._layout, self.target._layout
+        mask, t_shift, w_shift, gen_mask = src.mask, src.t_shift, src.w_shift, src.gen_mask
+        dst_t_shift, dst_w_shift, max_t, max_w = dst.t_shift, dst.w_shift, dst.max_t, dst.max_w
+        moves = self._moves
+        acc: dict = {}
+        get = acc.get
+        for key, num in s._terms.items():
+            # t-order is the top field, and every surviving term keeps it
+            t, w = key >> t_shift, (key >> w_shift) & mask
+            if t > max_t or w > max_w:
+                continue
+            new = (t << dst_t_shift) | (w << dst_w_shift) | (key & gen_mask)
+            for src_shift, dst_shift, negated in moves:
+                e = (key >> src_shift) & mask
+                if e:
+                    if dst_shift is None:
+                        break
+                    new += e << dst_shift
+                    if negated and e & 1:
+                        num = -num
+            else:  # no variable of the term maps to zero
+                acc[new] = get(new, 0) + num
+        return collect(self.target, acc, s._den)
 
     def _power(self, j: int, e: int) -> TruncatedSeries:
         key = (j, e)
@@ -827,6 +896,8 @@ class RingMap:
                 raise SubstitutionError(
                     f"retargeting substitution must assign all variables; missing {sorted(missing)}"
                 )
+        if self._moves is not None:
+            return self._relabel(s)
         src, dst = source._layout, target._layout
         mask, w_shift, max_w, den = src.mask, src.w_shift, target.max_weight, s._den
         same_gens, dst_w_shift, gen_mask = self._same_gens, dst.w_shift, src.gen_mask

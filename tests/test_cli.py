@@ -8,7 +8,7 @@ import time
 
 import pytest
 
-from cobcalc import cli, fgl
+from cobcalc import cli, equivariant, fgl
 from cobcalc.cli import JobConfig, main, parse_degree_range, run
 from cobcalc.equivariant import GroupPreset, WeylGroupSpec, symmetric_group
 from cobcalc.fgl import fgl_sum
@@ -160,10 +160,32 @@ def test_tower_accepts_caps_too_small_for_a_law(capsys):
 
 
 def test_flag_torus_has_no_congruent_pairs(capsys):
-    # torus(2) has no reflection, so no component pairs are compared
+    # torus(2) has no reflection, so no component pairs are compared: the
+    # congruence verdict is null, and multiplicativity alone sets the status
     assert main(["flag", "--group", "torus2", "--pairs", "1"]) == 0
     body = json.loads(capsys.readouterr().out)
-    assert body["weyl_order"] == 1 and body["congruence_ok_derived"]
+    assert body["weyl_order"] == 1 and body["multiplicative_ok"]
+    assert body["congruence_ok_derived"] is None
+
+
+@pytest.mark.parametrize("group", ["GL1", "SL2"])
+def test_flag_rank_one_groups_compare_no_pairs(group, capsys):
+    assert main(["flag", "--group", group, "--pairs", "2"]) == 0
+    body = json.loads(capsys.readouterr().out)
+    assert body["multiplicative_ok"] and body["congruence_ok_derived"] is None
+
+
+def test_flag_builds_one_map_per_weyl_element(monkeypatch, capsys):
+    built = []
+
+    def counting(w, law, ctx):
+        built.append(w)
+        return equivariant.weyl_map(w, law, ctx)
+
+    monkeypatch.setattr(cli, "weyl_map", counting)
+    assert main(["flag", "--group", "GL3", "--pairs", "4"]) == 0
+    body = json.loads(capsys.readouterr().out)
+    assert body["weyl_order"] == len(set(built)) == len(built) == 6
 
 
 def test_weyl_enumeration_cap_is_refused(monkeypatch, capsys):

@@ -86,6 +86,15 @@ def test_enumeration_cap():
         spec.elements()
 
 
+def test_enumeration_is_computed_once():
+    spec = symmetric_group(3)
+    first = spec.elements()
+    assert spec.elements() is first
+    # the kept enumeration takes no part in equality or hashing
+    fresh = symmetric_group(3)
+    assert fresh == spec and hash(fresh) == hash(spec)
+
+
 def test_character_class_examples():
     add = law("additive")
     ctx = add.context(2)

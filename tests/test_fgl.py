@@ -12,6 +12,7 @@ from cobcalc.fgl import (
     COEFF_KIND_FOR,
     FGL_KINDS,
     FglConstructionError,
+    FormalGroupLaw,
     additive_shadow,
     build_fgl,
     fgl_inverse,
@@ -20,7 +21,7 @@ from cobcalc.fgl import (
     normalize_kind,
     verify_fgl_axioms,
 )
-from cobcalc.series import ContextMismatch, Monomial, RingContext, substitute
+from cobcalc.series import ContextMismatch, Monomial, RingContext, TruncatedSeries, substitute
 
 from oracles import (
     multiplicative_inverse_sympy,
@@ -157,6 +158,66 @@ def test_axiom_reports_all_kinds():
         assert report.ok
         for _, residual in report.residuals:
             assert residual.is_zero()
+
+
+def hand_made_law(text):
+    """A FormalGroupLaw over Q at caps (6, 0) whose F(x, y) is ``text``; only
+    ``series`` is read by verify_fgl_axioms."""
+    ctx1 = RingContext(1, "rational", 6, 0)
+    F = TruncatedSeries.from_text(RingContext(2, "rational", 6, 0), text)
+    x = ctx1.var(0)
+    return FormalGroupLaw(kind="additive", series=F, inverse_series=-x, log=x, exp=x)
+
+
+def axioms_counting_compositions(law, monkeypatch):
+    """verify_fgl_axioms(law), and how many of its substitutions had an image
+    that is not a variable, zero or a negated variable."""
+    calls = []
+
+    def counting(s, assignment, target=None):
+        calls.append(any(len(v.items()) > 1 for v in assignment.values()))
+        return substitute(s, assignment, target)
+
+    monkeypatch.setattr(fgl, "substitute", counting)
+    return verify_fgl_axioms(law), sum(calls)
+
+
+def direct_associativity_residual(F):
+    ctx3 = RingContext(3, F.ctx.coeff_kind, F.ctx.max_t_order, F.ctx.max_weight)
+    x, y, z = ctx3.var(0), ctx3.var(1), ctx3.var(2)
+    f_xy = substitute(F, {0: x, 1: y}, target=ctx3)
+    f_yz = substitute(F, {0: y, 1: z}, target=ctx3)
+    return substitute(F, {0: f_xy, 1: z}, target=ctx3) - substitute(
+        F, {0: x, 1: f_yz}, target=ctx3
+    )
+
+
+def test_commutative_nonassociative_law_fails_associativity(monkeypatch):
+    report, compositions = axioms_counting_compositions(
+        hand_made_law("1 * t1 + 1 * t2 + 1 * t1^2*t2^2"), monkeypatch
+    )
+    assert report.unit_ok and report.comm_ok
+    assert not report.assoc_ok
+    # F(F(x, y), z) once, its cyclic relabel without a product
+    assert compositions == 1
+
+
+def test_noncommutative_law_reports_the_direct_residual(monkeypatch):
+    law = hand_made_law("1 * t1 + 1 * t2 + 1 * t1^2*t2")
+    report, compositions = axioms_counting_compositions(law, monkeypatch)
+    assert report.unit_ok and not report.comm_ok
+    residuals = dict(report.residuals)
+    assert residuals["assoc"] == direct_associativity_residual(law.series)
+    assert not report.assoc_ok
+    assert compositions == 2
+
+
+def test_multiplicative_law_with_unit_coefficient_passes(monkeypatch):
+    law = hand_made_law("1 * t1 + 1 * t2 + 1 * t1*t2")
+    report, compositions = axioms_counting_compositions(law, monkeypatch)
+    assert report.unit_ok and report.comm_ok and report.assoc_ok
+    assert direct_associativity_residual(law.series).is_zero()
+    assert compositions == 1
 
 
 def test_log_exp_identities():

@@ -325,3 +325,109 @@ def test_retargeting_moves_generators_between_layouts():
     )
     want = ref_substitute(s_terms, values, 1, target.max_t_order, target.max_weight)
     assert want and terms(got) == want
+
+
+# -- ring maps whose images are variables: the relabel path ----------------------
+
+
+def signed_variable(ctx, k, sign):
+    """0 when ``k`` is None, else sign * t_{k+1} of ``ctx``."""
+    return ctx.zero() if k is None else ctx.var(k).scale(sign)
+
+
+def ref_images(images, n_target):
+    """The reference's form of ``{j: (k, sign)}``: term dicts of 0 or +-t_{k+1}."""
+    return {
+        j: {} if k is None else {Monomial(tuple(int(i == k) for i in range(n_target)), ()): sign}
+        for j, (k, sign) in images.items()
+    }
+
+
+def same_generator_fields(a, b):
+    """The packed keys of ``a`` and ``b`` agree on the generator fields."""
+    la, lb = a._layout, b._layout
+    return la.n_gens == lb.n_gens and la.mask == lb.mask
+
+
+def assert_relabel_matches_reference(source, target, images, s_terms):
+    f = RingMap(source, {j: signed_variable(target, k, e) for j, (k, e) in images.items()}, target)
+    assert f._moves is not None  # the relabel path is taken
+    got = f(source.from_terms(s_terms))
+    src_cap, cap = (source.max_t_order, source.max_weight), (target.max_t_order, target.max_weight)
+    want = ref_substitute(
+        ref_truncate(s_terms, *src_cap), ref_images(images, target.n_vars), target.n_vars, *cap
+    )
+    assert got.ctx == target
+    assert terms(got) == want
+    assert_canonical(got)
+
+
+# (source variables, target variables, target caps or None for the source's,
+# {source variable: (target variable or None for 0, sign)}); source caps (5, 4)
+RELABELS = {
+    "permutation": (3, 3, None, {0: (1, 1), 1: (2, 1), 2: (0, 1)}),
+    "non-injective": (2, 2, None, {1: (0, 1)}),
+    "zero image": (2, 2, None, {1: (None, 1)}),
+    "negated": (2, 2, None, {0: (1, -1), 1: (0, 1)}),
+    "retarget 2 to 3": (2, 3, None, {0: (2, 1), 1: (0, -1)}),
+    "retarget 3 to 2": (3, 2, None, {0: (1, 1), 1: (0, 1), 2: (0, -1)}),
+    # a t-order cap of 4 keeps the field width of 5, so the keys still move
+    "smaller caps": (2, 3, (4, 4), {0: (0, 1), 1: (2, -1)}),
+}
+
+
+@pytest.mark.parametrize("kind", COEFF_KINDS)
+@pytest.mark.parametrize("shape", sorted(RELABELS))
+@settings(derandomize=True, database=None, deadline=None, max_examples=25)
+@given(st.data())
+def test_relabel_matches_reference(shape, kind, data):
+    n_source, n_target, caps, images = RELABELS[shape]
+    source = RingContext(n_source, kind, 5, 4)
+    target = RingContext(n_target, kind, *(caps or (5, 4)))
+    assert_relabel_matches_reference(source, target, images, data.draw(term_dicts(source)))
+
+
+@SETTINGS
+@given(st.data())
+def test_random_relabels_match_reference(data):
+    source = data.draw(contexts())
+    n_target = data.draw(st.integers(1, 3)) if data.draw(st.booleans()) else None
+    if n_target is None:
+        target = source
+        assigned = sorted(data.draw(st.sets(st.integers(0, source.n_vars - 1))))
+    else:
+        # caps at most the source's that keep its generator fields, so keys still move
+        caps = [
+            (t, w)
+            for t in range(source.max_t_order + 1)
+            for w in range(source.max_weight + 1)
+            if same_generator_fields(source, RingContext(n_target, source.coeff_kind, t, w))
+        ]
+        target = RingContext(n_target, source.coeff_kind, *data.draw(st.sampled_from(caps)))
+        assigned = range(source.n_vars)
+    images = {
+        j: (data.draw(st.one_of(st.none(), st.integers(0, target.n_vars - 1))),
+            data.draw(st.sampled_from((1, -1))))
+        for j in assigned
+    }
+    assert_relabel_matches_reference(source, target, images, data.draw(term_dicts(source)))
+
+
+@pytest.mark.parametrize("kind", COEFF_KINDS)
+@pytest.mark.parametrize("image", ["2 * t1", "1 * t1 + 1 * t2", "1 * t1^2", "1/2 * t2"])
+@settings(derandomize=True, database=None, deadline=None, max_examples=25)
+@given(st.data())
+def test_images_that_are_not_variables_take_the_general_path(kind, image, data):
+    ctx = RingContext(2, kind, 5, 4)
+    value = TruncatedSeries.from_text(ctx, image)
+    f = RingMap(ctx, {0: value, 1: ctx.var(0)}, ctx)
+    assert f._moves is None
+    s_terms = data.draw(term_dicts(ctx))
+    cap = (ctx.max_t_order, ctx.max_weight)
+    want = ref_substitute(
+        ref_truncate(s_terms, *cap), {0: dict(value.items()), 1: dict(ctx.var(0).items())},
+        2, *cap,
+    )
+    got = f(ctx.from_terms(s_terms))
+    assert terms(got) == want
+    assert_canonical(got)
