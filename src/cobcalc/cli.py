@@ -23,19 +23,25 @@ from typing import Optional, Sequence
 
 from .bundles import (
     SplitBundle,
+    diagonal_map,
     first_root_congruent_pairs,
     flag_restriction,
     pb_mul,
     projective_completion_ring,
     reduce_by_division,
-    restrict_to_diagonal,
     top_chern_class,
     trivial_bundle_ring,
     xi_power,
     zero_section_pushforward,
     zero_section_restriction,
 )
-from .equivariant import EnumerationCapExceeded, invariant_basis, preset, weyl_map
+from .equivariant import (
+    EnumerationCapExceeded,
+    bg_dimensions,
+    invariant_bases,
+    preset,
+    weyl_map,
+)
 from .fgl import COEFF_KIND_FOR, FglConstructionError, build_fgl, normalize_kind
 from .selftest import random_series, run_selftest
 from .series import ContextMismatch, RingContext, SubstitutionError
@@ -146,20 +152,25 @@ def _run_bg(config: JobConfig):
     law = _law(config)
     ctx = law.context(group.rank)
 
-    table = {}
-    for d in sorted(set(config.degrees)):
-        basis = invariant_basis(group.weyl, law, d, config.t_order, ctx)
-        table[d] = {"dim": len(basis), "basis": [s.to_text() for s in basis]}
+    degrees = sorted(set(config.degrees))
+    if config.emit_basis:
+        bases = {
+            d: [s.to_text() for s in basis]
+            for d, basis in invariant_bases(group.weyl, law, degrees, config.t_order, ctx).items()
+        }
+        dims = {d: len(basis) for d, basis in bases.items()}
+    else:
+        dims = bg_dimensions(group, law, degrees, config.t_order)
     body = {
         "schema": f"{SCHEMA_PREFIX}/bg/v1",
         "group": group.name,
         "fgl": law.kind,
         "caps": {"max_t": config.max_t, "max_w": law.max_weight},
         "torder": config.t_order,
-        "dims": {str(d): entry["dim"] for d, entry in table.items()},
+        "dims": {str(d): dim for d, dim in dims.items()},
     }
     if config.emit_basis:
-        body["basis"] = {str(d): entry["basis"] for d, entry in table.items()}
+        body["basis"] = {str(d): basis for d, basis in bases.items()}
     return 0, body
 
 
@@ -173,6 +184,8 @@ def _run_flag(config: JobConfig):
     elements = group.weyl.elements()
     maps = [weyl_map(w, law, ctx) for w in elements]
     congruent_pairs = first_root_congruent_pairs(elements)
+    # t1 -> t2, the restriction every compared pair goes through
+    diagonal = diagonal_map(ctx, 0, 1) if congruent_pairs else None
     mult_ok = True
     # null when the group has no pair of components to compare
     cong_ok = True if congruent_pairs else None
@@ -187,7 +200,7 @@ def _run_flag(config: JobConfig):
             mult_ok = False
         for f in (image, other, product):
             for i, j in congruent_pairs:
-                if restrict_to_diagonal(f[i] - f[j], 0, 1):
+                if diagonal(f[i] - f[j]):
                     cong_ok = False
         if trial < 3:
             shown.append(

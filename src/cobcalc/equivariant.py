@@ -11,14 +11,39 @@ the group-law sum of the n-series of the basis classes.  A Weyl group
 acts through integer matrices on the character lattice; the induced
 ring endomorphism sends tj to the class of the j-th column.
 `weyl_map` builds it once per matrix as one `series.RingMap`: it checks
-the matrix and computes the rank-many column classes.  `action_matrix`
-sends every basis monomial through that map, as sparse integer columns,
-and `fixed_space_rows` stacks the rows of (rho_w - 1).  Invariant
+the matrix and computes the rank-many column classes.  Invariant
 subspaces are computed per diagonal degree in the filtration quotient
 spanned by monomials of t-order <= k_max: the action only preserves the
 augmentation filtration for non-additive laws, and truncating to the
 window is a ring quotient, so the restricted action is an honest group
 representation there.
+
+Invariants through the logarithm.  Over Q the logarithm is a strict
+isomorphism from F to the additive law, and [c](t) = exp(sum_j cj log tj).
+So the action w_F through F is conjugate to the plain linear action w_A
+of the same matrix (tj -> sum_i w_ij ti):
+
+    w_F o Lambda = Lambda o w_A,   Lambda the ring map tj -> log(tj).
+
+Lambda keeps the diagonal degree and never lowers the t-order, so it is
+an automorphism of every window, and the invariants of w_F there are
+Lambda of the invariants of w_A.  When every generator is a signed
+permutation (every preset is), w_A moves monomials to +-monomials and
+never touches the generator part.  Its invariants are then spanned by
+the images of the Reynolds operator, sum_g g(m) over the group: up to a
+scalar, the signed sum over the orbit of m.  The signed sums of distinct
+orbits have disjoint supports.  A sum vanishes exactly when some element
+fixes m with sign -1.  `_signed_orbits` finds this by walking each orbit
+over the generators: a monomial reached with both signs is a conflict.
+`bg_dimensions` only counts these orbits, with no law-dependent work,
+and `invariant_basis` maps the sums through Lambda and reduces them to
+the canonical echelon basis.
+
+The direct path serves any other generators, and is the oracle for the
+orbit sums in `selftest` and the tests: `action_matrix` sends every
+basis monomial through `weyl_map`, as sparse integer columns,
+`fixed_space_rows` stacks the rows of (rho_w - 1), and `linalg.kernel`
+gives their joint kernel.
 """
 
 from __future__ import annotations
@@ -37,7 +62,11 @@ from .series import (
     TruncatedSeries,
     basis_units,
     bidegree_basis,
+    compositions,
+    from_coordinates,
+    lazard_monomials,
     sparse_coordinates,
+    substitute,
     unit_series,
 )
 
@@ -56,17 +85,31 @@ def _as_matrix(rows) -> Matrix:
     return m
 
 
-def _is_signed_permutation(m: Matrix) -> bool:
-    """One entry +-1 in each row and in each column, zeros elsewhere."""
-    if any(sum(map(abs, row)) != 1 for row in m):
-        return False
-    return len({row.index(1) if 1 in row else row.index(-1) for row in m}) == len(m)
+def _signed_columns(m: Matrix) -> Optional[tuple]:
+    """``((i_0, s_0), ..., (i_{n-1}, s_{n-1}))`` when m is a signed
+    permutation: column j holds its one nonzero entry s_j = +-1 at row i_j,
+    so the linear action sends t_j to s_j * t_{i_j}.  None for any other
+    matrix."""
+    cols = []
+    for col in zip(*m):
+        support = [(i, x) for i, x in enumerate(col) if x]
+        if len(support) != 1 or support[0][1] not in (1, -1):
+            return None
+        cols.append(support[0])
+    return tuple(cols) if len({i for i, _ in cols}) == len(m) else None
+
+
+def _signed_actions(generators) -> Optional[tuple]:
+    """The `_signed_columns` of every generator, or None when one of them is
+    not a signed permutation."""
+    actions = tuple(map(_signed_columns, generators))
+    return None if None in actions else actions
 
 
 def _check_unimodular(m: Matrix) -> None:
     # a signed permutation has det +-1; this O(n^2) test spares the presets'
     # generators an O(n^3) determinant
-    if _is_signed_permutation(m):
+    if _signed_columns(m) is not None:
         return
     d = linalg.det([list(r) for r in m])
     if d not in (1, -1):
@@ -233,17 +276,74 @@ def weyl_apply(w, s: TruncatedSeries, law: FormalGroupLaw) -> TruncatedSeries:
     return weyl_map(w, law, s.ctx)(s)
 
 
-def window_basis(ctx: RingContext, degree: int, k_max: int) -> list:
-    """Monomials of the given diagonal degree with t-order <= k_max."""
+def _check_window(ctx: RingContext, k_max: int) -> None:
     if k_max > ctx.max_t_order:
         raise ValueError(
             f"t-order window {k_max} exceeds the context cap {ctx.max_t_order}"
         )
+
+
+def window_basis(ctx: RingContext, degree: int, k_max: int) -> list:
+    """Monomials of the given diagonal degree with t-order <= k_max."""
+    _check_window(ctx, k_max)
     monos = []
+    # the t-order leads the sort key, so the blocks are already in order
     for k in range(0, k_max + 1):
         monos.extend(bidegree_basis(ctx, degree, k))
-    monos.sort(key=Monomial.sort_key)
     return monos
+
+
+def _window_orders(ctx: RingContext, degree: int, k_max: int) -> range:
+    """The t-orders k of the degree window that hold a monomial: k <= k_max
+    and 0 <= k - degree <= the weight cap."""
+    return range(max(degree, 0), min(k_max, degree + ctx.max_weight) + 1)
+
+
+def _signed_orbits(actions: tuple, n: int, k: int) -> list:
+    """The orbits of the t-exponent vectors of total k under the signed
+    permutations ``actions`` (`_signed_actions`) whose signed sums are
+    nonzero, each as ``{vector: sign}``, with sign 1 on its first vector.
+
+    Each orbit is walked over the generators, and every vector gets the sign
+    of the first path that reaches it.  A second path with the other sign
+    means that some group element fixes the monomial with sign -1, and then
+    the orbit sum vanishes.
+    """
+    seen: set = set()
+    orbits = []
+    for start in compositions(k, n):
+        if start in seen:
+            continue
+        orbit = {start: 1}
+        frontier = [start]
+        consistent = True
+        while frontier:
+            t = frontier.pop()
+            for cols in actions:
+                image = [0] * n
+                sign = orbit[t]
+                for e, (i, s) in zip(t, cols):
+                    image[i] = e
+                    if s < 0 and e & 1:
+                        sign = -sign
+                image = tuple(image)
+                known = orbit.get(image)
+                if known is None:
+                    orbit[image] = sign
+                    frontier.append(image)
+                elif known != sign:
+                    consistent = False
+        seen.update(orbit)
+        if consistent:
+            orbits.append(orbit)
+    return orbits
+
+
+def log_map(law: FormalGroupLaw, ctx: RingContext) -> RingMap:
+    """The ring automorphism Lambda of ``ctx`` sending tj to log(tj), which
+    conjugates the linear Weyl action into the action through the law."""
+    images = {j: substitute(law.log, {0: ctx.var(j)}, target=ctx) for j in range(ctx.n_vars)}
+    return RingMap(ctx, images, ctx)
 
 
 def action_matrix(
@@ -290,6 +390,17 @@ def fixed_space_rows(matrices, law: FormalGroupLaw, basis, ctx: RingContext) -> 
     return stacked
 
 
+def fixed_basis(matrices, law: FormalGroupLaw, basis, ctx: RingContext) -> list:
+    """The subspace of the span of ``basis`` fixed by every matrix in
+    ``matrices``, through the law: the joint kernel of the
+    `fixed_space_rows`, in the canonical form of `invariant_basis`."""
+    rows = fixed_space_rows(matrices, law, basis, ctx)
+    return [
+        TruncatedSeries(ctx, {basis[j]: c for j, c in vec.items()})
+        for vec in linalg.kernel(rows, len(basis))
+    ]
+
+
 def invariant_basis(
     wspec: WeylGroupSpec,
     law: FormalGroupLaw,
@@ -297,32 +408,83 @@ def invariant_basis(
     k_max: int,
     ctx: Optional[RingContext] = None,
 ) -> list:
-    """Basis of the Weyl-fixed subspace in the degree window, as series.
+    """Basis of the Weyl-fixed subspace in the degree window, as series:
+    the reduced echelon form over Q in the order of `window_basis`, each
+    row scaled to 1 at its pivot, the rows in pivot order.  That form is
+    unique, so both paths give the same basis.
 
-    The fixed space is the joint kernel of (action - id) over the
-    generators only; the basis is canonicalized by reduced echelon form
-    over Q.
+    When every generator is a signed permutation, the basis is read off
+    Lambda of the nonzero signed orbit sums (module docstring).  Otherwise
+    it is the `fixed_basis` of the generators.
     """
+    return invariant_bases(wspec, law, [degree], k_max, ctx)[degree]
+
+
+def invariant_bases(
+    wspec: WeylGroupSpec,
+    law: FormalGroupLaw,
+    degrees: Sequence[int],
+    k_max: int,
+    ctx: Optional[RingContext] = None,
+) -> dict:
+    """``{degree: invariant_basis(wspec, law, degree, k_max, ctx)}``, with
+    Lambda of each orbit sum computed once for all degrees."""
     if ctx is None:
         ctx = law.context(wspec.rank)
     if ctx.n_vars != wspec.rank:
         raise ValueError("context rank does not match the Weyl rank")
-    basis = window_basis(ctx, degree, k_max)
-    if not basis:
-        return []
-    rows = fixed_space_rows(wspec.generators, law, basis, ctx)
-    return [
-        TruncatedSeries(ctx, {basis[j]: c for j, c in vec.items()})
-        for vec in linalg.kernel(rows, len(basis))
-    ]
+    actions = _signed_actions(wspec.generators)
+    log = None if actions is None else log_map(law, ctx)
+    images: dict = {}  # t-order -> Lambda of its nonzero orbit sums
+    zero_t = (0,) * ctx.n_vars
+    out = {}
+    for degree in degrees:
+        basis = window_basis(ctx, degree, k_max)
+        if not basis:
+            out[degree] = []
+            continue
+        if actions is None:
+            out[degree] = fixed_basis(wspec.generators, law, basis, ctx)
+            continue
+        sums = []
+        for k in _window_orders(ctx, degree, k_max):
+            if k not in images:
+                images[k] = [
+                    log(ctx.from_terms({Monomial(t, ()): s for t, s in orbit.items()}))
+                    for orbit in _signed_orbits(actions, ctx.n_vars, k)
+                ]
+            for laz in lazard_monomials(ctx.coeff_kind, k - degree):
+                # the generator part is never moved: Lambda commutes with it
+                scalar = ctx.from_terms({Monomial(zero_t, laz): 1})
+                sums.extend(image * scalar for image in images[k])
+        index = basis_units(ctx, basis)[1]
+        red = linalg.echelon(nums for nums, _ in sparse_coordinates(sums, basis, index=index))
+        out[degree] = from_coordinates(ctx, index, ((red[c], red[c][c]) for c in sorted(red)))
+    return out
 
 
 def bg_dimensions(
     group: GroupPreset, law: FormalGroupLaw, degrees: Sequence[int], k_max: int
 ) -> dict:
-    """Per-degree invariant dimensions in the (degree, <= k_max) window."""
+    """Per-degree invariant dimensions in the (degree, <= k_max) window.
+
+    For signed-permutation generators this is a count, with no series:
+    each nonzero signed orbit of t-exponent vectors of total k gives one
+    invariant per generator monomial of weight k - degree.
+    """
     ctx = law.context(group.rank)
+    actions = _signed_actions(group.weyl.generators)
+    if actions is None:
+        return {
+            int(d): len(invariant_basis(group.weyl, law, int(d), k_max, ctx))
+            for d in degrees
+        }
+    _check_window(ctx, k_max)
+    orbits = [len(_signed_orbits(actions, ctx.n_vars, k)) for k in range(k_max + 1)]
     return {
-        int(d): len(invariant_basis(group.weyl, law, int(d), k_max, ctx))
+        int(d): sum(
+            orbits[k] * len(lazard_monomials(ctx.coeff_kind, k - int(d)))
+            for k in _window_orders(ctx, int(d), k_max)
+        )
         for d in degrees
     }

@@ -64,10 +64,10 @@ the t-order cap, so no pair beyond either cap is formed.
 
 Only this module knows the packed form.  Callers that would otherwise
 decode every term and validate it again get helpers that work on the
-keys: `sparse_coordinates`, `basis_units` and `unit_series` (basis
-monomials as series, and the basis encoded once for
-`sparse_coordinates`) and `variable_slices` (a series split by the
-powers of one variable).
+keys: `sparse_coordinates` and its inverse `from_coordinates`,
+`basis_units` and `unit_series` (basis monomials as series, and the
+basis encoded once for `sparse_coordinates`) and `variable_slices` (a
+series split by the powers of one variable).
 
 Ring maps
 ---------
@@ -156,8 +156,11 @@ class RingContext:
         """The degree-1 variable t_{j+1} as a series (0-based index)."""
         if not 0 <= j < self.n_vars:
             raise ValueError(f"variable index {j} out of range")
-        t = tuple(1 if i == j else 0 for i in range(self.n_vars))
-        return self.from_terms({Monomial(t, ()): Fraction(1)})
+        if self.max_t_order == 0:
+            return self.zero()
+        layout = self._layout
+        key = (1 << layout.t_shift) + (1 << layout.var_shifts[j])
+        return TruncatedSeries._raw(self, {key: 1}, 1)
 
     def lazard(self, i: int) -> "TruncatedSeries":
         """Coefficient generator of weight i (``b`` requires i == 1)."""
@@ -564,6 +567,15 @@ def sparse_coordinates(
                 nums[i] = num
         out.append((nums, s._den))
     return out
+
+
+def from_coordinates(ctx: RingContext, index: dict, coords: Iterable[tuple]) -> list:
+    """The inverse of `sparse_coordinates`: one series with coefficient
+    ``nums[i] / den`` on ``basis[i]`` per ``(nums, den)`` of ``coords``, den
+    >= 1, where ``index`` is the second half of `basis_units(ctx, basis)`
+    and holds every position that ``coords`` uses."""
+    keys = {i: key for key, at in index.items() for i in at}
+    return [_reduced(ctx, {keys[i]: x for i, x in nums.items() if x}, den) for nums, den in coords]
 
 
 def basis_units(ctx: RingContext, basis: Sequence[Monomial]) -> tuple:
