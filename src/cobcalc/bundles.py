@@ -7,6 +7,12 @@ Chern class of the tautological line bundle O(-1) and the reduction
 
     xi^n = c1*xi^(n-1) - c2*xi^(n-2) + ... + (-1)^(n-1)*cn.
 
+Multiplying by xi is one shift-and-reduce step: the coordinates move up
+one place and the top one is reduced by the signed classes
+`ProjBundleRing.signed_chern` (built once per ring), one product per
+nonzero Chern class.  `xi_power`, ``eta`` and the Thom factors below are
+Horner sums in xi made of these steps.
+
 The zero-section calculus happens in the projective completion
 P(1 (+) E), whose last Chern class vanishes, so setting xi = 0 is a ring
 map there.  With eta = chi(xi) the class of O(1), the Thom class is
@@ -24,14 +30,27 @@ inverse evaluated at xi: it inverts xi exactly modulo terms whose
 xi-degree exceeds the t-order cap, which is the window semantics used
 everywhere here.
 
-Both eta = chi(xi) and each Thom factor F(x_j, eta) are evaluated by
-`pb_substitute`, by Horner's rule in xi and in eta respectively; the
-coefficient of each power goes into the base through one `RingMap`.
+Each Thom factor is F(x_j, chi(xi)) = D(x_j, xi) for the difference
+series D(x, y) = F(x, chi(y)) = x -_F y, composed once per law and
+headroom from the stored F and chi and evaluated by Horner's rule in xi,
+so eta itself is never formed.  The truncation of D is exact by a
+filtration argument.  When every nonzero c_k has t-order >= k, every
+coordinate of xi^j has t-order >= j - (n - 1) (induction on the
+reduction), so a term x^i * y^j of D with i + j > max_t + n - 1
+vanishes in the ring once x -> x_j (t-order >= 1) and y -> xi.  D is
+therefore composed at t-order cap max_t + n - 1 (the headroom n - 1),
+and its slice at y^j keeps only x^i with i <= max_t.  A ring whose
+Chern classes break the filtration is refused
+(`ProjBundleRing.require_filtration`), by `thom_class` and by
+`thom_class_via_twist`, which relies on the same headroom.
+
+`pb_substitute` evaluates a series at base series and one element of
+the ring by Horner's rule in that element; the coefficient of each power
+goes into the base through one `RingMap`.
 
 `pb_mul` keeps one running sum per power of xi.  The products a_i * b_j
 of the convolution and the products +-c_i * coordinate of the Chern
-reduction (the signed classes `ProjBundleRing.signed_chern`, built once
-per ring) are all added into those sums by `series.mul_into`, and each
+reduction are all added into those sums by `series.mul_into`, and each
 coordinate of the result is canonicalized once; `reduce_coords` runs the
 same reduction loop.
 """
@@ -40,12 +59,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Mapping, Sequence
 
 from .fgl import FormalGroupLaw, fgl_sum
 from .series import (
     ContextMismatch,
+    Monomial,
     RingContext,
     RingMap,
     TruncatedSeries,
@@ -138,6 +158,21 @@ class ProjBundleRing:
     def signed_chern(self) -> tuple:
         """c1, -c2, c3, ...: xi^n = sum_i signed_chern[i-1] * xi^(n-i)."""
         return tuple(-c if i % 2 else c for i, c in enumerate(self.chern))
+
+    def require_filtration(self) -> None:
+        """Refuse the ring unless every nonzero c_k has t-order >= k.
+
+        Chern classes of roots in the augmentation ideal (every
+        `projective_completion_ring`) always pass; the Thom routes need it
+        for their headroom (module docstring).
+        """
+        for k, c in enumerate(self.chern, start=1):
+            order = c.min_t_order()
+            if order is not None and order < k:
+                raise ValueError(
+                    f"c_{k} has t-order {order} < {k}: the Thom class needs "
+                    "every nonzero c_k of t-order >= k"
+                )
 
     def zero(self) -> "ProjBundleElement":
         z = self.base.zero()
@@ -290,12 +325,51 @@ def _relation_coeffs(ring: ProjBundleRing) -> list:
     return [-c for c in reversed(ring.signed_chern)] + [ring.base.one()]
 
 
+def _times_xi(ring: ProjBundleRing, coords: tuple, addend=None) -> tuple:
+    """The coordinates of coords * xi + addend, for ``addend`` a base series
+    or None: the coordinates move up one place, and the top one, now at
+    xi^n, is reduced by `ProjBundleRing.signed_chern`, one product per
+    nonzero class; ``addend`` lands at xi^0."""
+    base = ring.base
+    top = coords[-1]
+    shifted = (base.zero() if addend is None else addend,) + coords[:-1]
+    if top.is_zero():
+        return shifted
+    out = []
+    # xi^n = sum_i signed_chern[i-1] * xi^(n-i): coordinate p gets signed_chern[n-1-p] * top
+    for low, sc in zip(shifted, reversed(ring.signed_chern)):
+        if sc.is_zero():
+            out.append(low)
+            continue
+        acc: dict = {}
+        den = mul_into(acc, add_into(acc, 1, low), sc, top)
+        out.append(collect(base, acc, den))
+    return tuple(out)
+
+
+def _horner_xi(ring: ProjBundleRing, slices: Sequence[TruncatedSeries]) -> ProjBundleElement:
+    """sum_e slices[e] * xi^e for base series ``slices``, by Horner's rule:
+    one `_times_xi` step per power."""
+    coords = (ring.base.zero(),) * ring.rank
+    for s in reversed(slices):
+        coords = _times_xi(ring, coords, s)
+    return ProjBundleElement(ring, coords)
+
+
+def _slice_list(s: TruncatedSeries, j: int) -> list:
+    """`variable_slices` of ``s`` in t_{j+1} as a list indexed by exponent,
+    zero where no exponent occurs."""
+    parts = variable_slices(s, j)
+    zero = s.ctx.zero()
+    return [parts.get(e, zero) for e in range(max(parts, default=-1) + 1)]
+
+
 def xi_power(ring: ProjBundleRing, k: int) -> ProjBundleElement:
     """Reduced form of xi^k, one shift-and-reduce step per power."""
-    power = ring.one()
+    coords = ring.one().coords
     for _ in range(k):
-        power = ring.from_coords((ring.base.zero(),) + power.coords)
-    return power
+        coords = _times_xi(ring, coords)
+    return ProjBundleElement(ring, coords)
 
 
 def pb_mul(ring: ProjBundleRing, u, v) -> ProjBundleElement:
@@ -348,8 +422,30 @@ def pb_substitute(
 
 
 def tautological_inverse_class(ring: ProjBundleRing, law: FormalGroupLaw) -> ProjBundleElement:
-    """eta = chi(xi), the class of O(1) as the formal inverse of xi."""
-    return pb_substitute(ring, law.inverse_series, {}, ring.xi())
+    """eta = chi(xi), the class of O(1) as the formal inverse of xi, by
+    Horner's rule in xi."""
+    chi = law.inverse_series
+    to_base = RingMap(chi.ctx, {}, ring.base)
+    return _horner_xi(ring, [to_base(c) for c in _slice_list(chi, 0)])
+
+
+@lru_cache(maxsize=8)
+def _difference_slices(law: FormalGroupLaw, ctx: RingContext, headroom: int) -> tuple:
+    """The slices d_0, d_1, ... of D(x, y) = F(x, chi(y)) = x -_F y in y,
+    each a series in x = t1 over the two-variable ``ctx``.
+
+    D is composed from the stored F and chi at the caps of ``ctx`` with
+    t-order cap raised by ``headroom``, and a slice keeps the x^i with
+    i <= ctx.max_t_order (module docstring).  Cached per law, caps and
+    headroom: a ``sif`` job composes D once.
+    """
+    wide = RingContext(2, ctx.coeff_kind, ctx.max_t_order + headroom, ctx.max_weight)
+    F = wide.from_terms(dict(law.series.iter_terms()))
+    chi_y = wide.from_terms(
+        {Monomial((0, m.t[0]), m.laz): c for m, c in law.inverse_series.iter_terms()}
+    )
+    D = substitute(F, {1: chi_y})
+    return tuple(ctx.from_terms(dict(d.iter_terms())) for d in _slice_list(D, 1))
 
 
 def thom_class(bundle: SplitBundle, ring: ProjBundleRing, law: FormalGroupLaw) -> ProjBundleElement:
@@ -357,14 +453,27 @@ def thom_class(bundle: SplitBundle, ring: ProjBundleRing, law: FormalGroupLaw) -
 
     ``ring`` must be the projective completion of a bundle containing E
     as a summand (for the plain Thom class, of E itself); its rank must
-    exceed the rank of E.
+    exceed the rank of E, and every nonzero c_k of it must have t-order
+    >= k (`ProjBundleRing.require_filtration`).  Each factor is
+    F(x_j, chi(xi)) = D(x_j, xi) with D = x -_F y, whose slices in y are
+    composed once per law and headroom rank(ring) - 1: they go into the
+    base through one `RingMap` per root and are summed by Horner's rule
+    in xi (module docstring).  The value is that of F(x_j, eta)
+    evaluated exactly in the ring.
     """
     if ring.rank < bundle.rank + 1:
         raise ValueError("ring rank must be at least rank(E) + 1 (completion by 1)")
-    eta = tautological_inverse_class(ring, law)
-    th = ring.one()
+    ring.require_filtration()
+    base = ring.base
+    if law.coeff_kind != base.coeff_kind:
+        raise ContextMismatch("coefficient kinds differ")
+    ctx = RingContext(2, base.coeff_kind, base.max_t_order, base.max_weight)
+    slices = _difference_slices(law, ctx, ring.rank - 1)
+    th = None
     for root in bundle.roots:
-        th = pb_mul(ring, th, pb_substitute(ring, law.series, {0: root}, eta))
+        to_base = RingMap(ctx, {0: root}, base)
+        factor = _horner_xi(ring, [to_base(d) for d in slices])
+        th = factor if th is None else pb_mul(ring, th, factor)
     return th
 
 
@@ -377,8 +486,11 @@ def thom_class_via_twist(
     standing for the class of O(1); the top Chern class is expanded
     there by the Cartan formula and only then evaluated at eta.  The
     extension carries t-order headroom rank(ring) - 1 so that no term
-    surviving the final window is lost in the intermediate ring.
+    surviving the final window is lost in the intermediate ring; a ring
+    that breaks the filtration this relies on is refused
+    (`ProjBundleRing.require_filtration`).
     """
+    ring.require_filtration()
     base = bundle.base
     ext = RingContext(
         base.n_vars + 1,

@@ -10,7 +10,10 @@ and the monomial-matching dense projective-space tower that it replaced
 by counting.  The
 one exception is ``ref_pb_substitute``, the term-by-term
 projective-bundle evaluation that ``cobcalc.bundles.pb_substitute``
-replaced: it evaluates with the package's own ``pb_mul``.
+replaced: it evaluates with the package's own ``pb_mul``.  So does
+``ref_thom_class``, the Horner's rule in eta that
+``cobcalc.bundles.thom_class`` replaced by the difference series
+x -_F y: it goes through the package's ``pb_substitute`` and ``pb_mul``.
 ``ref_pb_mul``/``ref_reduce_coords``, the projective-bundle product that
 summed one series product at a time before ``cobcalc.bundles.pb_mul``
 summed them in place, multiply and add with the package's series.  Likewise
@@ -30,7 +33,7 @@ from fractions import Fraction
 import sympy
 
 from cobcalc import linalg
-from cobcalc.bundles import ProjBundleElement, ProjBundleRing, _coerce_pb, pb_mul
+from cobcalc.bundles import ProjBundleElement, ProjBundleRing, _coerce_pb, pb_mul, pb_substitute
 from cobcalc.equivariant import character_class
 from cobcalc.fgl import compositional_inverse
 from cobcalc.series import (
@@ -407,6 +410,20 @@ def ref_pb_substitute(
                     break
         acc = acc + term
     return acc
+
+
+# -- the Thom class before bundles.thom_class composed x -_F y -------------------
+
+
+def ref_thom_class(bundle, ring: ProjBundleRing, law) -> ProjBundleElement:
+    """th(E) = prod_j F(x_j, eta), from 1: eta = chi(xi) by Horner's rule in
+    xi, and each factor F(x_j, eta) by Horner's rule in eta, both through
+    the package's ``pb_substitute`` (every step a full ``pb_mul``)."""
+    eta = pb_substitute(ring, law.inverse_series, {}, ring.xi())
+    th = ring.one()
+    for root in bundle.roots:
+        th = pb_mul(ring, th, pb_substitute(ring, law.series, {0: root}, eta))
+    return th
 
 
 # -- the projective-bundle product before bundles.pb_mul summed in place -----------

@@ -1,0 +1,186 @@
+"""Thom classes: ``bundles.thom_class`` (each factor D(x_j, xi) with
+D = x -_F y composed once per law and headroom, Horner's rule in xi by
+shift-and-reduce) against the Horner's rule in eta it replaced
+(``oracles.ref_thom_class``); ``xi_power`` and
+``tautological_inverse_class`` against their `pb_substitute` and
+`reduce_coords` forms; the filtration guard of both Thom routes; and a
+golden of whole Thom classes, whose every coordinate the ``sif`` stdout
+does not see.
+
+The grid covers all three kinds, caps where the headroom matters
+((3,6), (5,8), (4,9): weight caps above the t-order cap), 1..3 base
+variables, bundles of rank 1..3 and completions of the bundle plus 0..2
+extra summands.
+"""
+
+import hashlib
+import io
+import random
+from contextlib import redirect_stdout
+from functools import lru_cache
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from cobcalc import bundles, cli
+from cobcalc.bundles import (
+    SplitBundle,
+    direct_sum,
+    pb_ring,
+    pb_substitute,
+    projective_completion_ring,
+    reduce_coords,
+    tautological_inverse_class,
+    thom_class,
+    thom_class_via_twist,
+    xi_power,
+)
+from cobcalc.fgl import COEFF_KIND_FOR, build_fgl
+from cobcalc.selftest import random_series
+from cobcalc.series import RingContext
+
+from oracles import ref_thom_class
+from test_pb_substitute import series
+
+SETTINGS = settings(derandomize=True, database=None, deadline=None, max_examples=80)
+
+KINDS = ("additive", "multiplicative", "universal-rational")
+CAPS = ((3, 6), (5, 8), (4, 9), (2, 1), (4, 3), (5, 4))
+
+
+@lru_cache(maxsize=None)
+def law_at(kind, max_t, max_w):
+    return build_fgl(kind, RingContext(2, COEFF_KIND_FOR[kind], max_t, max_w))
+
+
+def roots(base):
+    """Augmentation-ideal series, most with a linear term, so that the
+    high xi-powers of a Thom factor survive the t-order cap."""
+    linear = st.tuples(st.integers(0, base.n_vars - 1), st.sampled_from((1, -1, 2, 0)))
+    return st.tuples(linear, series(base, augmentation=True)).map(
+        lambda drawn: drawn[0][1] * base.var(drawn[0][0]) + drawn[1]
+    )
+
+
+@SETTINGS
+@given(st.data())
+def test_thom_class_matches_horner_in_eta(data):
+    kind = data.draw(st.sampled_from(KINDS))
+    law = law_at(kind, *data.draw(st.sampled_from(CAPS)))
+    base = law.context(data.draw(st.integers(1, 3)))
+    bundle = SplitBundle(tuple(data.draw(roots(base)) for _ in range(data.draw(st.integers(1, 3)))))
+    extra = [data.draw(roots(base)) for _ in range(data.draw(st.integers(0, 2)))]
+    total = direct_sum(bundle, SplitBundle(tuple(extra))) if extra else bundle
+    ring = projective_completion_ring(total)
+    assert thom_class(bundle, ring, law) == ref_thom_class(bundle, ring, law)
+    assert tautological_inverse_class(ring, law) == pb_substitute(
+        ring, law.inverse_series, {}, ring.xi()
+    )
+    k = data.draw(st.integers(0, ring.rank + 2))
+    stepwise = reduce_coords(ring, [base.zero()] * k + [base.one()])
+    assert xi_power(ring, k) == ring.from_coords(stepwise)
+
+
+@pytest.mark.parametrize("kind", ["multiplicative", "universal-rational"])
+@pytest.mark.parametrize("caps", [(3, 6), (5, 8), (4, 9)])
+def test_the_headroom_is_tight_for_a_line_bundle(kind, caps):
+    """A single factor D(x, xi) reaches t-order max_t in its top
+    coordinate through the terms x^i y^j of D with i + j = max_t + n - 1
+    (n the rank of the ring), whose weight i + j - 1 these caps admit, so
+    the headroom n - 1 cannot shrink."""
+    law = law_at(kind, *caps)
+    x = law.context(1).var(0)
+    bundle = SplitBundle((x,))
+    for extra in range(3):
+        ring = projective_completion_ring(SplitBundle((x,) * (1 + extra)))
+        assert thom_class(bundle, ring, law) == ref_thom_class(bundle, ring, law)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_thom_class_over_a_base_with_other_caps(kind):
+    """D is composed at the caps of the base plus the headroom, from the
+    law's stored series, whichever caps are larger."""
+    rng = random.Random(3)
+    law = law_at(kind, 4, 3)
+    for caps in ((3, 2), (6, 5), (4, 8)):
+        base = RingContext(2, COEFF_KIND_FOR[kind], *caps)
+        rs = tuple(
+            base.var(j % 2) + random_series(rng, base, 3, augmentation=True) for j in range(3)
+        )
+        ring = projective_completion_ring(SplitBundle(rs))
+        for bundle in (SplitBundle(rs[:1]), SplitBundle(rs[:2])):
+            assert thom_class(bundle, ring, law) == ref_thom_class(bundle, ring, law)
+
+
+@pytest.mark.parametrize("caps", [(3, 6), (4, 8), (3, 9)])
+def test_both_thom_routes_refuse_a_ring_outside_the_filtration(caps):
+    law = law_at("universal-rational", *caps)
+    ctx = law.context(2)
+    t1, t2 = ctx.var(0), ctx.var(1)
+    bundle = SplitBundle((t1, t2))
+    ring = pb_ring(ctx, [t1, t1, ctx.zero()])  # c2 = t1 has t-order 1 < 2
+    with pytest.raises(ValueError, match="t-order"):
+        ring.require_filtration()
+    with pytest.raises(ValueError, match="t-order"):
+        thom_class(bundle, ring, law)
+    with pytest.raises(ValueError, match="t-order"):
+        thom_class_via_twist(bundle, ring, law)
+    completion = projective_completion_ring(bundle)
+    completion.require_filtration()
+    assert thom_class(bundle, completion, law) == thom_class_via_twist(bundle, completion, law)
+
+
+# sha256 of thom_class(...).to_text() at caps (6, 4) over two base variables,
+# roots t_(j mod 2) + random_series(random.Random(100 + rank), ctx, 3), recorded
+# with the Horner's rule in eta that thom_class used before it composed D
+THOM_TEXT_SHA256 = {
+    ("additive", 1): "15f1a0b5a34d8087b7f5a20a42e2fe77fe5067f5a836c66e15bbb5a9f58dcf8d",
+    ("additive", 2): "b7810364bc486e90db4218287e6c16127215f14cab31fe6a4200bd7f7b1a285a",
+    ("additive", 3): "0099ae4bd699a6eb684597d7009fb6243bdd586bf5b78f2e42cf00179fdf9671",
+    ("multiplicative", 1): "d9bd2a7d36894469eb36cd1d448e4ae6ce4538a69f1216597db7d17060eabb02",
+    ("multiplicative", 2): "dd31dae7896b9da81fd455883b59e15057a696ced8dae540e04a7dea615596b6",
+    ("multiplicative", 3): "d9974d98545ffb42a692cd5e3422560343a18dc1467ac35fe173cab4681c2ac3",
+    ("universal-rational", 1): "561f19b20390e5e578dc2e191426fe7db4898227b36dd548560e02af67642a48",
+    ("universal-rational", 2): "a87dfd0ccf16a6891778a035881d7451efd7d499241043b6009803adc8b26a65",
+    ("universal-rational", 3): "cd66e9bcf20bdf95ea4cef0443e96290b731187a73d99d4c5ec18380ead2e3b8",
+}
+
+
+@pytest.mark.parametrize("kind, rank", sorted(THOM_TEXT_SHA256))
+def test_whole_thom_class_golden(kind, rank):
+    law = law_at(kind, 6, 4)
+    ctx = law.context(2)
+    rng = random.Random(100 + rank)
+    bundle = SplitBundle(
+        tuple(ctx.var(j % 2) + random_series(rng, ctx, 3, augmentation=True) for j in range(rank))
+    )
+    text = thom_class(bundle, projective_completion_ring(bundle), law).to_text()
+    assert hashlib.sha256(text.encode()).hexdigest() == THOM_TEXT_SHA256[kind, rank]
+
+
+def test_products_of_the_thom_route(monkeypatch):
+    """eta and xi^k form no `pb_mul`; th(E) forms rank(E) - 1 of them, one
+    per factor after the first, and calls no `pb_substitute`."""
+    calls = []
+    real_mul = bundles.pb_mul
+    monkeypatch.setattr(bundles, "pb_mul", lambda *a: calls.append("mul") or real_mul(*a))
+    monkeypatch.setattr(bundles, "pb_substitute", lambda *a: calls.append("substitute"))
+    law = law_at("universal-rational", 5, 4)
+    ctx = law.context(2)
+    bundle = SplitBundle((ctx.var(0), ctx.var(1), ctx.var(0) + ctx.var(1)))
+    ring = projective_completion_ring(bundle)
+    tautological_inverse_class(ring, law)
+    xi_power(ring, 9)
+    assert calls == []
+    thom_class(bundle, ring, law)
+    assert calls == ["mul", "mul"]
+
+
+def test_sif_composes_the_difference_series_once():
+    bundles._difference_slices.cache_clear()
+    argv = "sif --fgl universal --rank 2 --torder 5 --samples 6 --seed 3".split()
+    with redirect_stdout(io.StringIO()):
+        assert cli.main(argv) == 0
+    info = bundles._difference_slices.cache_info()
+    assert (info.misses, info.hits) == (1, 5)
