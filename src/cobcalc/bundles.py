@@ -7,11 +7,10 @@ Chern class of the tautological line bundle O(-1) and the reduction
 
     xi^n = c1*xi^(n-1) - c2*xi^(n-2) + ... + (-1)^(n-1)*cn.
 
-Multiplying by xi is one shift-and-reduce step: the coordinates move up
-one place and the top one is reduced by the signed classes
-`ProjBundleRing.signed_chern` (built once per ring), one product per
-nonzero Chern class.  `xi_power`, ``eta`` and the Thom factors below are
-Horner sums in xi made of these steps.
+Every xi-polynomial enters the ring through `ProjBundleRing.from_coords`,
+which reduces a coordinate list longer than the rank top power first by
+the signed classes `ProjBundleRing.signed_chern` (built once per ring):
+`xi`, `xi_power`, ``eta`` and the Thom factors below are such lists.
 
 The zero-section calculus happens in the projective completion
 P(1 (+) E), whose last Chern class vanishes, so setting xi = 0 is a ring
@@ -32,8 +31,9 @@ everywhere here.
 
 Each Thom factor is F(x_j, chi(xi)) = D(x_j, xi) for the difference
 series D(x, y) = F(x, chi(y)) = x -_F y, composed once per law and
-headroom from the stored F and chi and evaluated by Horner's rule in xi,
-so eta itself is never formed.  The truncation of D is exact by a
+headroom from the stored F and chi; its slices in y, mapped into the
+base, are the coordinates of the factor, reduced like any product, so
+eta itself is never formed.  The truncation of D is exact by a
 filtration argument.  When every nonzero c_k has t-order >= k, every
 coordinate of xi^j has t-order >= j - (n - 1) (induction on the
 reduction), so a term x^i * y^j of D with i + j > max_t + n - 1
@@ -51,8 +51,8 @@ goes into the base through one `RingMap`.
 `pb_mul` keeps one running sum per power of xi.  The products a_i * b_j
 of the convolution and the products +-c_i * coordinate of the Chern
 reduction are all added into those sums by `series.mul_into`, and each
-coordinate of the result is canonicalized once; `reduce_coords` runs the
-same reduction loop.
+coordinate of the result is canonicalized once; `reduce_coords`, behind
+`from_coords`, runs the same reduction loop.
 """
 
 from __future__ import annotations
@@ -62,7 +62,7 @@ from fractions import Fraction
 from functools import cached_property, lru_cache
 from typing import Mapping, Sequence
 
-from .fgl import FormalGroupLaw, fgl_sum
+from .fgl import FormalGroupLaw, fgl_inverse, fgl_sum
 from .series import (
     ContextMismatch,
     Monomial,
@@ -182,21 +182,18 @@ class ProjBundleRing:
         return self.from_base(self.base.one())
 
     def xi(self) -> "ProjBundleElement":
-        if self.rank == 1:
-            # P(L) = base: xi reduces immediately to c1
-            return self.from_base(self.chern[0])
-        coords = [self.base.zero()] * self.rank
-        coords[1] = self.base.one()
-        return ProjBundleElement(self, tuple(coords))
+        return self.from_coords([self.base.zero(), self.base.one()])
 
     def from_base(self, s: TruncatedSeries) -> "ProjBundleElement":
-        if s.ctx != self.base:
-            raise ContextMismatch("series does not live over the base context")
-        coords = [s] + [self.base.zero()] * (self.rank - 1)
-        return ProjBundleElement(self, tuple(coords))
+        return self.from_coords([s])
 
     def from_coords(self, coords: Sequence[TruncatedSeries]) -> "ProjBundleElement":
+        """sum_p coords[p] * xi^p for base series ``coords``; a list longer
+        than the rank is reduced by `reduce_coords`."""
         coords = list(coords)
+        for c in coords:
+            if c.ctx is not self.base and c.ctx != self.base:
+                raise ContextMismatch("series does not live over the base context")
         if len(coords) > self.rank:
             coords = reduce_coords(self, coords)
         coords += [self.base.zero()] * (self.rank - len(coords))
@@ -230,9 +227,7 @@ class ProjBundleElement:
         return ProjBundleElement(self.ring, tuple(-a for a in self.coords))
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return ProjBundleElement(self.ring, tuple(a * other for a in self.coords))
-        if isinstance(other, TruncatedSeries):
+        if isinstance(other, (int, Fraction, TruncatedSeries)):
             return ProjBundleElement(self.ring, tuple(a * other for a in self.coords))
         return pb_mul(self.ring, self, _coerce_pb(self.ring, other))
 
@@ -325,37 +320,6 @@ def _relation_coeffs(ring: ProjBundleRing) -> list:
     return [-c for c in reversed(ring.signed_chern)] + [ring.base.one()]
 
 
-def _times_xi(ring: ProjBundleRing, coords: tuple, addend=None) -> tuple:
-    """The coordinates of coords * xi + addend, for ``addend`` a base series
-    or None: the coordinates move up one place, and the top one, now at
-    xi^n, is reduced by `ProjBundleRing.signed_chern`, one product per
-    nonzero class; ``addend`` lands at xi^0."""
-    base = ring.base
-    top = coords[-1]
-    shifted = (base.zero() if addend is None else addend,) + coords[:-1]
-    if top.is_zero():
-        return shifted
-    out = []
-    # xi^n = sum_i signed_chern[i-1] * xi^(n-i): coordinate p gets signed_chern[n-1-p] * top
-    for low, sc in zip(shifted, reversed(ring.signed_chern)):
-        if sc.is_zero():
-            out.append(low)
-            continue
-        acc: dict = {}
-        den = mul_into(acc, add_into(acc, 1, low), sc, top)
-        out.append(collect(base, acc, den))
-    return tuple(out)
-
-
-def _horner_xi(ring: ProjBundleRing, slices: Sequence[TruncatedSeries]) -> ProjBundleElement:
-    """sum_e slices[e] * xi^e for base series ``slices``, by Horner's rule:
-    one `_times_xi` step per power."""
-    coords = (ring.base.zero(),) * ring.rank
-    for s in reversed(slices):
-        coords = _times_xi(ring, coords, s)
-    return ProjBundleElement(ring, coords)
-
-
 def _slice_list(s: TruncatedSeries, j: int) -> list:
     """`variable_slices` of ``s`` in t_{j+1} as a list indexed by exponent,
     zero where no exponent occurs."""
@@ -365,11 +329,8 @@ def _slice_list(s: TruncatedSeries, j: int) -> list:
 
 
 def xi_power(ring: ProjBundleRing, k: int) -> ProjBundleElement:
-    """Reduced form of xi^k, one shift-and-reduce step per power."""
-    coords = ring.one().coords
-    for _ in range(k):
-        coords = _times_xi(ring, coords)
-    return ProjBundleElement(ring, coords)
+    """Reduced form of xi^k."""
+    return ring.from_coords([ring.base.zero()] * k + [ring.base.one()])
 
 
 def pb_mul(ring: ProjBundleRing, u, v) -> ProjBundleElement:
@@ -422,11 +383,11 @@ def pb_substitute(
 
 
 def tautological_inverse_class(ring: ProjBundleRing, law: FormalGroupLaw) -> ProjBundleElement:
-    """eta = chi(xi), the class of O(1) as the formal inverse of xi, by
-    Horner's rule in xi."""
+    """eta = chi(xi), the class of O(1) as the formal inverse of xi: the
+    coefficients of chi, mapped into the base, are its coordinates."""
     chi = law.inverse_series
     to_base = RingMap(chi.ctx, {}, ring.base)
-    return _horner_xi(ring, [to_base(c) for c in _slice_list(chi, 0)])
+    return ring.from_coords([to_base(c) for c in _slice_list(chi, 0)])
 
 
 @lru_cache(maxsize=8)
@@ -457,8 +418,8 @@ def thom_class(bundle: SplitBundle, ring: ProjBundleRing, law: FormalGroupLaw) -
     >= k (`ProjBundleRing.require_filtration`).  Each factor is
     F(x_j, chi(xi)) = D(x_j, xi) with D = x -_F y, whose slices in y are
     composed once per law and headroom rank(ring) - 1: they go into the
-    base through one `RingMap` per root and are summed by Horner's rule
-    in xi (module docstring).  The value is that of F(x_j, eta)
+    base through one `RingMap` per root and are the coordinates of the
+    factor, reduced by `ProjBundleRing.from_coords` (module docstring).  The value is that of F(x_j, eta)
     evaluated exactly in the ring.
     """
     if ring.rank < bundle.rank + 1:
@@ -472,7 +433,7 @@ def thom_class(bundle: SplitBundle, ring: ProjBundleRing, law: FormalGroupLaw) -
     th = None
     for root in bundle.roots:
         to_base = RingMap(ctx, {0: root}, base)
-        factor = _horner_xi(ring, [to_base(d) for d in slices])
+        factor = ring.from_coords([to_base(d) for d in slices])
         th = factor if th is None else pb_mul(ring, th, factor)
     return th
 
@@ -582,6 +543,4 @@ def root_difference(
     law: FormalGroupLaw, ctx: RingContext, i: int, j: int
 ) -> TruncatedSeries:
     """The class t_i -_F t_j = F(t_i, chi(t_j))."""
-    from .fgl import fgl_inverse
-
     return fgl_sum(law, ctx.var(i), fgl_inverse(law, ctx.var(j)))

@@ -101,13 +101,15 @@ def _law(config: JobConfig, n_vars: int = 2):
 
 
 def parse_degree_range(text: str) -> list:
-    if ".." in text:
-        lo, hi = text.split("..", 1)
-        lo, hi = int(lo), int(hi)
-        if hi < lo:
-            raise ConfigError(f"empty degree range {text!r}")
-        return list(range(lo, hi + 1))
-    return [int(text)]
+    lo, sep, hi = text.partition("..")
+    try:
+        lo = int(lo)
+        hi = int(hi) if sep else lo
+    except ValueError:
+        raise ConfigError(f"--deg takes a degree or a range lo..hi, got {text!r}") from None
+    if hi < lo:
+        raise ConfigError(f"empty degree range {text!r}")
+    return list(range(lo, hi + 1))
 
 
 def _emit(report: dict, config: JobConfig) -> str:

@@ -42,6 +42,7 @@ from .equivariant import (
     window_basis,
 )
 from .fgl import (
+    COEFF_KIND_FOR,
     additive_shadow,
     build_fgl,
     fgl_sum,
@@ -72,10 +73,7 @@ ALL_KINDS = ("additive", "multiplicative", "universal-rational")
 
 
 def _law(kind: str, max_t: int = 6, max_w: int = 5):
-    ctx = RingContext(2, {"additive": "rational",
-                          "multiplicative": "multiplicative-beta",
-                          "universal-rational": "universal-rational"}[kind],
-                      max_t, 0 if kind == "additive" else max_w)
+    ctx = RingContext(2, COEFF_KIND_FOR[kind], max_t, 0 if kind == "additive" else max_w)
     return build_fgl(kind, ctx)
 
 

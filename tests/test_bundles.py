@@ -12,7 +12,6 @@ from cobcalc.bundles import (
     pb_ring,
     projective_completion_ring,
     reduce_by_division,
-    reduce_coords,
     restrict_to_diagonal,
     root_difference,
     tautological_inverse_class,
@@ -29,6 +28,8 @@ from cobcalc.equivariant import preset, weyl_map
 from cobcalc.fgl import build_fgl, fgl_inverse, fgl_sum
 from cobcalc.selftest import random_series
 from cobcalc.series import ContextMismatch, RingContext
+
+from oracles import ref_reduce_coords
 
 ALL_KINDS = ("additive", "multiplicative", "universal-rational")
 
@@ -97,6 +98,33 @@ def test_trivial_bundle_xi_power_vanishes():
         assert not xi_power(ring, rank - 1).is_zero() or rank == 0
 
 
+def test_rank_one_xi_is_c1():
+    # P(L) = base: xi reduces to c1, and xi^k to c1^k
+    rng = random.Random(5)
+    uni = law("universal-rational", 5, 3)
+    ctx = uni.context(2)
+    c1 = random_series(rng, ctx, 3, augmentation=True)
+    ring = pb_ring(ctx, (c1,))
+    assert ring.xi().coords == (c1,)
+    power = ctx.one()
+    for k in range(6):
+        assert xi_power(ring, k).coords == (power,)
+        power = power * c1
+
+
+def test_from_coords_refuses_a_foreign_context():
+    base = RingContext(2, "rational", 4, 0)
+    other = RingContext(3, "rational", 4, 0)
+    ring = trivial_bundle_ring(base, 2)
+    with pytest.raises(ContextMismatch):
+        ring.from_coords([other.var(2), other.var(0), other.var(1)])
+    with pytest.raises(ContextMismatch):
+        ring.from_coords([base.var(0), other.var(1)])
+    with pytest.raises(ContextMismatch):
+        ring.from_base(other.var(0))
+    assert ring.from_coords([base.var(1)]) == ring.from_base(base.var(1))
+
+
 def test_p2_products():
     # (1 + xi) * xi = xi + xi^2 ; (xi + xi^2) * xi = xi^2 on P^2
     add = law("additive")
@@ -119,7 +147,7 @@ def test_reduction_stepwise_vs_table_vs_division():
         ring = projective_completion_ring(SplitBundle(roots))
         for k in range(ring.rank, ring.rank + 3):
             coeffs = [ctx.zero()] * k + [ctx.one()]
-            stepwise = ring.from_coords(reduce_coords(ring, list(coeffs)))
+            stepwise = ring.from_coords(ref_reduce_coords(ring, list(coeffs)))
             assert stepwise == xi_power(ring, k)
             quotient, remainder = reduce_by_division(ring, list(coeffs))
             assert list(remainder) == list(stepwise.coords)

@@ -29,8 +29,12 @@ def run_cli(*argv, timeout=None):
 def test_parse_degree_range():
     assert parse_degree_range("0..3") == [0, 1, 2, 3]
     assert parse_degree_range("4") == [4]
-    with pytest.raises(Exception):
+    assert parse_degree_range("-1..1") == [-1, 0, 1]
+    with pytest.raises(cli.ConfigError):
         parse_degree_range("5..2")
+    for text in ("0..", "a", "1..x", "..3", ""):
+        with pytest.raises(cli.ConfigError, match="--deg"):
+            parse_degree_range(text)
 
 
 def test_fgl_check_additive():
@@ -374,6 +378,7 @@ def _sum_with_constant_term(monkeypatch):
     "argv, kind, patch",
     [
         (["bg", "--group", "GL2", "--deg", "0..9", "--torder", "3"], "config", None),
+        (["bg", "--group", "GL2", "--deg", "1..x", "--torder", "3"], "config", None),
         (["fgl", "check", "--kind", "elliptic"], "invalid", None),
         (["fgl", "check", "--kind", "add", "--max-t", "1"], "invalid", None),
         (["flag", "--group", "GL8", "--pairs", "1"], "refused", None),
@@ -381,8 +386,8 @@ def _sum_with_constant_term(monkeypatch):
         (["fgl", "check", "--kind", "add"], "context", _law_over_wrong_context),
         (["fgl", "check", "--kind", "add"], "substitution", _sum_with_constant_term),
     ],
-    ids=["config", "invalid-kind", "invalid-caps", "refused", "construction", "context",
-         "substitution"],
+    ids=["config", "config-deg", "invalid-kind", "invalid-caps", "refused", "construction",
+         "context", "substitution"],
 )
 def test_error_kinds_exit_2_without_traceback(argv, kind, patch, monkeypatch, capsys):
     if patch is not None:

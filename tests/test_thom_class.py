@@ -1,11 +1,11 @@
 """Thom classes: ``bundles.thom_class`` (each factor D(x_j, xi) with
-D = x -_F y composed once per law and headroom, Horner's rule in xi by
-shift-and-reduce) against the Horner's rule in eta it replaced
-(``oracles.ref_thom_class``); ``xi_power`` and
-``tautological_inverse_class`` against their `pb_substitute` and
-`reduce_coords` forms; the filtration guard of both Thom routes; and a
-golden of whole Thom classes, whose every coordinate the ``sif`` stdout
-does not see.
+D = x -_F y composed once per law and headroom, its slices in y taken
+as coordinates and reduced by ``from_coords``) against the Horner's rule
+in eta it replaced (``oracles.ref_thom_class``);
+``tautological_inverse_class`` against its `pb_substitute` form and
+``xi_power`` against the reduction loop of ``oracles.ref_reduce_coords``;
+the filtration guard of both Thom routes; and a golden of whole Thom
+classes, whose every coordinate the ``sif`` stdout does not see.
 
 The grid covers all three kinds, caps where the headroom matters
 ((3,6), (5,8), (4,9): weight caps above the t-order cap), 1..3 base
@@ -30,7 +30,6 @@ from cobcalc.bundles import (
     pb_ring,
     pb_substitute,
     projective_completion_ring,
-    reduce_coords,
     tautological_inverse_class,
     thom_class,
     thom_class_via_twist,
@@ -40,7 +39,7 @@ from cobcalc.fgl import COEFF_KIND_FOR, build_fgl
 from cobcalc.selftest import random_series
 from cobcalc.series import RingContext
 
-from oracles import ref_thom_class
+from oracles import ref_reduce_coords, ref_thom_class
 from test_pb_substitute import series
 
 SETTINGS = settings(derandomize=True, database=None, deadline=None, max_examples=80)
@@ -78,7 +77,7 @@ def test_thom_class_matches_horner_in_eta(data):
         ring, law.inverse_series, {}, ring.xi()
     )
     k = data.draw(st.integers(0, ring.rank + 2))
-    stepwise = reduce_coords(ring, [base.zero()] * k + [base.one()])
+    stepwise = ref_reduce_coords(ring, [base.zero()] * k + [base.one()])
     assert xi_power(ring, k) == ring.from_coords(stepwise)
 
 
