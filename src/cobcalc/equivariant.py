@@ -36,13 +36,14 @@ orbits have disjoint supports.  A sum vanishes exactly when some element
 fixes m with sign -1.  `_signed_orbits` finds this by walking each orbit
 over the generators: a monomial reached with both signs is a conflict.
 `bg_dimensions` only counts these orbits, with no law-dependent work,
-and `invariant_basis` maps the sums through Lambda and reduces them to
-the canonical echelon basis.
+and `invariant_basis` maps the sums through Lambda and takes their
+`series.reduced_basis`: every term has the degree of the window, so only
+the t-order cut is applied, and no monomial list is built.
 
 The direct path serves any other generators, and is the oracle for the
-orbit sums in `selftest` and the tests: `action_matrix` sends every
-basis monomial through `weyl_map`, as sparse integer columns,
-`fixed_space_rows` stacks the rows of (rho_w - 1), and `linalg.kernel`
+orbit sums in `selftest` and the tests: `fixed_space_rows` reads the
+action of each matrix on the window (its `action_matrix`) as sparse
+integer columns and stacks the rows of (rho_w - 1), and `linalg.kernel`
 gives their joint kernel.
 """
 
@@ -50,6 +51,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from itertools import chain
 from math import factorial, lcm
 from typing import Optional, Sequence
 
@@ -60,11 +62,10 @@ from .series import (
     RingContext,
     RingMap,
     TruncatedSeries,
-    basis_units,
     bidegree_basis,
     compositions,
-    from_coordinates,
     lazard_monomials,
+    reduced_basis,
     sparse_coordinates,
     substitute,
     unit_series,
@@ -219,26 +220,29 @@ def signed_permutation_group(n: int) -> WeylGroupSpec:
     return WeylGroupSpec(rank=n, generators=gens)
 
 
+# the largest preset rank: GL(n) builds n - 1 dense n x n generators and n!
+MAX_PRESET_RANK = 100
+
+
 def preset(name: str) -> GroupPreset:
     """Group presets: GL(n), SL(2), torus(n), plus B/C signed permutations of rank <= 3."""
     canon = name.replace("(", "").replace(")", "").replace("_", "").upper()
-    m = re.fullmatch(r"GL(\d+)", canon)
-    if m:
-        n = int(m.group(1))
-        return GroupPreset(f"GL({n})", n, symmetric_group(n), factorial(n))
     if canon == "SL2":
         return GroupPreset("SL(2)", 1, WeylGroupSpec(rank=1, generators=(((-1,),),)), 2)
-    m = re.fullmatch(r"TORUS(\d+)", canon)
-    if m:
-        n = int(m.group(1))
+    m = re.fullmatch(r"(GL|TORUS|[BC])(\d+)", canon)
+    if m is None:
+        raise ValueError(f"unknown group preset {name!r}")
+    family, n = m.group(1), int(m.group(2))
+    # the rank is checked before any generator is built; rank 0 gets the refusal of RingContext
+    if n < 1:
+        raise ValueError("need at least one degree-1 variable")
+    if n > MAX_PRESET_RANK:
+        raise ValueError(f"group rank {n} is over the preset cap of {MAX_PRESET_RANK}")
+    if family == "GL":
+        return GroupPreset(f"GL({n})", n, symmetric_group(n), factorial(n))
+    if family == "TORUS":
         return GroupPreset(f"torus({n})", n, WeylGroupSpec(rank=n, generators=()), 1)
-    m = re.fullmatch(r"[BC](\d+)", canon)
-    if m:
-        n = int(m.group(1))
-        return GroupPreset(
-            f"{canon[0]}{n}", n, signed_permutation_group(n), 2**n * factorial(n)
-        )
-    raise ValueError(f"unknown group preset {name!r}")
+    return GroupPreset(f"{family}{n}", n, signed_permutation_group(n), 2**n * factorial(n))
 
 
 def character_class(
@@ -346,38 +350,30 @@ def log_map(law: FormalGroupLaw, ctx: RingContext) -> RingMap:
     return RingMap(ctx, images, ctx)
 
 
-def action_matrix(
-    w,
-    law: FormalGroupLaw,
-    basis: Sequence[Monomial],
-    ctx: RingContext,
-    units: Optional[Sequence[TruncatedSeries]] = None,
-    index: Optional[dict] = None,
-) -> list:
+def action_matrix(w, law: FormalGroupLaw, basis: Sequence[Monomial], ctx: RingContext) -> list:
     """Matrix of the Weyl action on the span of ``basis``: column j is
-    ``(nums, den)``, the `sparse_coordinates` of the image of ``basis[j]``.
-
-    ``units`` and ``index`` are ``basis_units(ctx, basis)``, for a caller
-    that acts on one basis by several matrices and builds them once.
-    """
-    if units is None:
-        units = unit_series(ctx, basis)
+    ``(nums, den)``, the `sparse_coordinates` of the image of ``basis[j]``."""
     # terms outside the window fall into the filtration ideal: dropped
-    return sparse_coordinates(map(weyl_map(w, law, ctx), units), basis, index=index)
+    return sparse_coordinates(map(weyl_map(w, law, ctx), unit_series(ctx, basis)), basis)
 
 
 def fixed_space_rows(matrices, law: FormalGroupLaw, basis, ctx: RingContext) -> list:
     """The rows of (rho_w - id) for every w in ``matrices``, stacked, as sparse
     integer rows: their joint kernel is the subspace of the span of ``basis``
-    fixed by all of them."""
-    units, index = basis_units(ctx, basis)
+    fixed by all of them.  One `sparse_coordinates` call reads the images
+    under every w."""
+    units = unit_series(ctx, basis)
+    n = len(basis)
+    images = sparse_coordinates(
+        chain.from_iterable(map(weyl_map(w, law, ctx), units) for w in matrices), basis
+    )
     stacked = []
-    for w in matrices:
-        images = action_matrix(w, law, basis, ctx, units, index)
+    for at in range(0, len(images), n or 1):
+        columns = images[at:at + n]
         # the rows of (rho_w - id), all scaled by one den
-        den = lcm(*[d for _, d in images])
+        den = lcm(*[d for _, d in columns])
         rows = [{} for _ in basis]
-        for j, (nums, d) in enumerate(images):
+        for j, (nums, d) in enumerate(columns):
             for i, num in nums.items():
                 rows[i][j] = num * (den // d)
         for i, row in enumerate(rows):
@@ -411,7 +407,8 @@ def invariant_basis(
     """Basis of the Weyl-fixed subspace in the degree window, as series:
     the reduced echelon form over Q in the order of `window_basis`, each
     row scaled to 1 at its pivot, the rows in pivot order.  That form is
-    unique, so both paths give the same basis.
+    unique, and zero columns do not change it, so both paths give the same
+    basis.
 
     When every generator is a signed permutation, the basis is read off
     Lambda of the nonzero signed orbit sums (module docstring).  Otherwise
@@ -434,17 +431,15 @@ def invariant_bases(
     if ctx.n_vars != wspec.rank:
         raise ValueError("context rank does not match the Weyl rank")
     actions = _signed_actions(wspec.generators)
+    _check_window(ctx, k_max)
     log = None if actions is None else log_map(law, ctx)
     images: dict = {}  # t-order -> Lambda of its nonzero orbit sums
     zero_t = (0,) * ctx.n_vars
     out = {}
     for degree in degrees:
-        basis = window_basis(ctx, degree, k_max)
-        if not basis:
-            out[degree] = []
-            continue
         if actions is None:
-            out[degree] = fixed_basis(wspec.generators, law, basis, ctx)
+            basis = window_basis(ctx, degree, k_max)
+            out[degree] = fixed_basis(wspec.generators, law, basis, ctx) if basis else []
             continue
         sums = []
         for k in _window_orders(ctx, degree, k_max):
@@ -457,9 +452,7 @@ def invariant_bases(
                 # the generator part is never moved: Lambda commutes with it
                 scalar = ctx.from_terms({Monomial(zero_t, laz): 1})
                 sums.extend(image * scalar for image in images[k])
-        index = basis_units(ctx, basis)[1]
-        red = linalg.echelon(nums for nums, _ in sparse_coordinates(sums, basis, index=index))
-        out[degree] = from_coordinates(ctx, index, ((red[c], red[c][c]) for c in sorted(red)))
+        out[degree] = reduced_basis(sums, k_max)
     return out
 
 

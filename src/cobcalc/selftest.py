@@ -22,7 +22,6 @@ from .bundles import (
     pb_mul,
     projective_completion_ring,
     reduce_by_division,
-    reduce_coords,
     thom_class,
     thom_class_via_twist,
     top_chern_class,
@@ -427,12 +426,20 @@ def check_pb_confluence(rng: random.Random) -> Tuple[bool, str]:
             return False, f"trivial rank {rank}: xi^{rank} != 0"
         roots = tuple(random_series(rng, ctx, 2, augmentation=True) for _ in range(rank))
         ring = projective_completion_ring(SplitBundle(roots))
-        for k in range(rank + 1, rank + 4):
-            stepwise = ring.from_coords(
-                reduce_coords(ring, [ctx.zero()] * k + [ctx.one()])
-            )
+        n = ring.rank
+        # xi^k built one power at a time with plain series arithmetic: xi^(k+1)
+        # shifts the coordinates of xi^k up and reduces the top one by
+        # xi^n = sum_i signed_chern[i-1] * xi^(n-i)
+        stepwise = [ctx.one()] + [ctx.zero()] * (n - 1)
+        for k in range(1, rank + 4):
+            top = stepwise[-1]
+            stepwise = [ctx.zero()] + stepwise[:-1]
+            for i, sc in enumerate(ring.signed_chern, start=1):
+                stepwise[n - i] = stepwise[n - i] + sc * top
+            if k <= rank:
+                continue
             table = xi_power(ring, k)
-            if not (stepwise - table).is_zero():
+            if stepwise != list(table.coords):
                 return False, f"rank {rank}: xi^{k} stepwise vs table"
             quot, rem = reduce_by_division(ring, [ctx.zero()] * k + [ctx.one()])
             if list(rem) != list(table.coords):

@@ -64,10 +64,10 @@ the t-order cap, so no pair beyond either cap is formed.
 
 Only this module knows the packed form.  Callers that would otherwise
 decode every term and validate it again get helpers that work on the
-keys: `sparse_coordinates` and its inverse `from_coordinates`,
-`basis_units` and `unit_series` (basis monomials as series, and the
-basis encoded once for `sparse_coordinates`) and `variable_slices` (a
-series split by the powers of one variable).
+keys: `sparse_coordinates` (integer rows against a list of monomials),
+`reduced_basis` (the canonical echelon basis of a span, over the
+monomials that occur), `unit_series` (a list of monomials as series) and
+`variable_slices` (a series split by the powers of one variable).
 
 Ring maps
 ---------
@@ -94,6 +94,8 @@ from fractions import Fraction
 from functools import cached_property, lru_cache
 from math import gcd, lcm
 from typing import Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence
+
+from . import linalg
 
 COEFF_KINDS = ("rational", "multiplicative-beta", "universal-rational")
 
@@ -532,28 +534,22 @@ def _parse_coeff(value) -> Fraction:
 
 
 def sparse_coordinates(
-    series: Iterable[TruncatedSeries],
-    basis: Sequence[Monomial],
-    strict: bool = False,
-    index: Optional[dict] = None,
+    series: Iterable[TruncatedSeries], basis: Sequence[Monomial], strict: bool = False
 ) -> list:
     """One ``(nums, den)`` per series: its coefficient on ``basis[i]`` is
     ``nums.get(i, 0) / den``, with ``nums`` the nonzero integer numerators.
 
     Terms on monomials outside ``basis`` are ignored, unless ``strict``
-    is set: then they raise ValueError.  ``index`` is the second half of
-    `basis_units`, for a caller that reads many batches of series over
-    one context against one basis; every series must then live over the
-    context it was built for.
+    is set: then they raise ValueError.  The basis is encoded once per
+    run of series over one context.
     """
     layout = None
-    positions = index
     out = []
     for s in series:
-        if index is None and s.ctx._layout is not layout:
+        if s.ctx._layout is not layout:
             layout = s.ctx._layout
             # key -> its positions in the basis; no series of the layout holds a None key
-            positions = {}
+            positions: dict = {}
             for i, mono in enumerate(basis):
                 positions.setdefault(layout.key_of(mono), []).append(i)
         nums = {}
@@ -569,38 +565,43 @@ def sparse_coordinates(
     return out
 
 
-def from_coordinates(ctx: RingContext, index: dict, coords: Iterable[tuple]) -> list:
-    """The inverse of `sparse_coordinates`: one series with coefficient
-    ``nums[i] / den`` on ``basis[i]`` per ``(nums, den)`` of ``coords``, den
-    >= 1, where ``index`` is the second half of `basis_units(ctx, basis)`
-    and holds every position that ``coords`` uses."""
-    keys = {i: key for key, at in index.items() for i in at}
-    return [_reduced(ctx, {keys[i]: x for i, x in nums.items() if x}, den) for nums, den in coords]
-
-
-def basis_units(ctx: RingContext, basis: Sequence[Monomial]) -> tuple:
-    """``(units, index)``: the monomials of ``basis`` as series with
-    coefficient 1, as `from_terms` builds them, and the map from each key
-    to its positions in ``basis`` that `sparse_coordinates` builds for
-    ``ctx``, both from one encoding of every monomial.  A monomial that no
-    series of ``ctx`` can hold goes through `from_terms`, which drops it
-    (beyond the caps) or refuses it, and has no key in the index."""
-    key_of = ctx._layout.key_of
-    units = []
-    index: dict = {}
-    for i, mono in enumerate(basis):
-        key = key_of(mono)
-        if key is None:
-            units.append(ctx.from_terms({mono: 1}))
-        else:
-            units.append(TruncatedSeries._raw(ctx, {key: 1}, 1))
-            index.setdefault(key, []).append(i)
-    return units, index
+def reduced_basis(series: Iterable[TruncatedSeries], max_t_order: int) -> list:
+    """The unique reduced echelon basis of the span of ``series``, all over
+    one context, with their terms of t-order above ``max_t_order`` dropped:
+    the columns are the monomials that occur, in the order of
+    `Monomial.sort_key` (of ``items()``), and each series is 1 at its pivot
+    and 0 at every other, in pivot order (`linalg.echelon`)."""
+    series = list(series)
+    if not series:
+        return []
+    ctx = series[0].ctx
+    # the t-order is the top field of a key
+    limit = (max_t_order + 1) << ctx._layout.t_shift
+    keys: set = set()
+    for s in series:
+        _require_same_ctx(series[0], s)
+        keys.update(key for key in s._terms if key < limit)
+    decode = ctx._layout.decode
+    columns = sorted(keys, key=lambda key: decode(key).sort_key())
+    position = {key: j for j, key in enumerate(columns)}
+    red = linalg.echelon(
+        {position[key]: num for key, num in s._terms.items() if key < limit} for s in series
+    )
+    return [
+        _reduced(ctx, {columns[j]: x for j, x in red[c].items()}, red[c][c]) for c in sorted(red)
+    ]
 
 
 def unit_series(ctx: RingContext, basis: Sequence[Monomial]) -> list:
-    """The units of `basis_units` alone."""
-    return basis_units(ctx, basis)[0]
+    """The monomials of ``basis`` as series with coefficient 1, as
+    `from_terms` builds them: a monomial that no series of ``ctx`` can hold
+    is dropped (beyond the caps) or refused there."""
+    key_of = ctx._layout.key_of
+    return [
+        ctx.from_terms({mono: 1}) if (key := key_of(mono)) is None
+        else TruncatedSeries._raw(ctx, {key: 1}, 1)
+        for mono in basis
+    ]
 
 
 def variable_slices(s: TruncatedSeries, j: int) -> dict:

@@ -236,6 +236,22 @@ def test_oversized_symmetric_group_is_refused_quickly(capsys):
     assert elapsed < 0.5
 
 
+@pytest.mark.parametrize("group, rank", [("GL99999999", 99999999), ("torus101", 101), ("B101", 101)])
+def test_oversized_group_rank_is_refused_before_any_generator(group, rank, capsys):
+    # GL(n) would build n - 1 dense n x n generators and n! first: at this
+    # rank that exhausts memory, so the rank is checked as soon as it is parsed
+    start = time.perf_counter()
+    assert main(["bg", "--group", group, "--torder", "2", "--deg", "0..1"]) == 2
+    elapsed = time.perf_counter() - start
+    out, err = capsys.readouterr()
+    assert json.loads(out)["error"] == {
+        "kind": "invalid",
+        "message": f"group rank {rank} is over the preset cap of {equivariant.MAX_PRESET_RANK}",
+    }
+    assert err == ""
+    assert elapsed < 1
+
+
 def test_pbf_checks_the_rank_before_building_the_law(monkeypatch, capsys):
     def no_law(*args, **kwargs):
         raise AssertionError("the law was built before the rank was checked")
@@ -322,6 +338,27 @@ def test_readme_command_stdout_golden(command, capsys):
     assert hashlib.sha256(out.encode()).hexdigest() == README_GOLDEN[command]
 
 
+# stdout sha256 of `bg --emit-basis` on a rank-4, a signed (B3) and a rank-1
+# group, recorded while the orbit sums were still read against every monomial
+# of the window rather than only the monomials that occur in them
+EMIT_BASIS_GOLDEN = {
+    "bg --group GL4 --fgl universal --deg 0..8 --torder 8 --max-t 8 --max-w 7 --emit-basis":
+        "9a868130754cbbb3e569d3e242fb7d96ecccc49c473b63a79531804d4fabf7d4",
+    "bg --group B3 --fgl multiplicative --deg -2..5 --torder 5 --max-t 6 --max-w 5 --emit-basis":
+        "c2e34178cc9d112a07940cedc76d72b42cd14d333638eeae7ff216a6a8dcfa3a",
+    "bg --group SL2 --fgl universal --deg -1..3 --torder 5 --emit-basis":
+        "69f28046f9bb7de2f1cbc7da45f24ee823a9a904efe7145c01818a643828ecc5",
+}
+
+
+@pytest.mark.parametrize("command", sorted(EMIT_BASIS_GOLDEN))
+def test_bg_emit_basis_stdout_golden(command, capsys):
+    status = main(command.split())
+    out = capsys.readouterr().out
+    assert status == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == EMIT_BASIS_GOLDEN[command]
+
+
 # stdout sha256 of `fgl check` at edge caps (no generator admitted, degree 2
 # only, weight cap far above the t-order cap) and at (12, 11), recorded before
 # every law was built from its logarithm
@@ -381,12 +418,16 @@ def _sum_with_constant_term(monkeypatch):
         (["bg", "--group", "GL2", "--deg", "1..x", "--torder", "3"], "config", None),
         (["fgl", "check", "--kind", "elliptic"], "invalid", None),
         (["fgl", "check", "--kind", "add", "--max-t", "1"], "invalid", None),
+        (["bg", "--group", "GL0", "--torder", "2", "--deg", "0..1"], "invalid", None),
+        (["bg", "--group", "B0", "--torder", "2", "--deg", "0..1"], "invalid", None),
+        (["bg", "--group", "GL99999999", "--torder", "2", "--deg", "0..1"], "invalid", None),
         (["flag", "--group", "GL8", "--pairs", "1"], "refused", None),
         (["fgl", "check", "--kind", "add"], "construction", _wrong_exp),
         (["fgl", "check", "--kind", "add"], "context", _law_over_wrong_context),
         (["fgl", "check", "--kind", "add"], "substitution", _sum_with_constant_term),
     ],
-    ids=["config", "config-deg", "invalid-kind", "invalid-caps", "refused", "construction",
+    ids=["config", "config-deg", "invalid-kind", "invalid-caps", "invalid-rank-0",
+         "invalid-signed-rank-0", "invalid-rank-over-cap", "refused", "construction",
          "context", "substitution"],
 )
 def test_error_kinds_exit_2_without_traceback(argv, kind, patch, monkeypatch, capsys):

@@ -175,7 +175,8 @@ def test_bg_builds_no_weyl_map_and_no_action_matrix(argv, emit, monkeypatch, cap
     def refused(*args, **kwargs):
         raise AssertionError("bg went through the direct Weyl action")
 
-    for name in ("weyl_map", "action_matrix", "fixed_space_rows"):
+    for name in ("weyl_map", "action_matrix", "fixed_space_rows", "window_basis",
+                 "sparse_coordinates"):
         monkeypatch.setattr(equivariant, name, refused)
     monkeypatch.setattr(cli, "weyl_map", refused)
     assert main(argv + ["--emit-basis"] * emit) == 0

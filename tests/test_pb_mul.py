@@ -16,8 +16,7 @@ from cobcalc.bundles import SplitBundle, pb_mul, pb_ring, projective_completion_
 from cobcalc.series import COEFF_KINDS, RingContext
 
 from oracles import ref_pb_mul, ref_reduce_coords
-from test_pb_substitute import caps, series
-from test_series_reference import assert_canonical
+from strategies import assert_canonical, caps, series
 
 SETTINGS = settings(derandomize=True, database=None, deadline=None, max_examples=100)
 

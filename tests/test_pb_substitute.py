@@ -20,7 +20,7 @@ from cobcalc.fgl import build_fgl
 from cobcalc.series import COEFF_KINDS, ContextMismatch, RingContext
 
 from oracles import ref_pb_substitute
-from test_series_reference import term_dicts
+from strategies import caps, series
 
 SETTINGS = settings(derandomize=True, database=None, deadline=None, max_examples=100)
 
@@ -30,16 +30,10 @@ LAW_KIND = {
     "universal-rational": "universal-rational",
 }
 
-caps = st.tuples(st.integers(0, 5), st.integers(0, 3))  # (max_t_order, max_weight)
-
 
 @lru_cache(maxsize=None)
 def law_for(kind):
     return build_fgl(LAW_KIND[kind], RingContext(2, kind, 5, 0 if kind == "rational" else 4))
-
-
-def series(ctx, augmentation=False):
-    return term_dicts(ctx, augmentation).map(ctx.from_terms)
 
 
 @SETTINGS

@@ -11,12 +11,9 @@ from cobcalc.series import (
     RingMap,
     SubstitutionError,
     TruncatedSeries,
-    basis_units,
     bidegree_basis,
-    from_coordinates,
     series_add,
     series_mul,
-    sparse_coordinates,
     substitute,
 )
 
@@ -248,15 +245,6 @@ def test_series_doctests():
 
     result = doctest.testmod(series)
     assert result.failed == 0 and result.attempted >= 6
-
-
-def test_from_coordinates_inverts_sparse_coordinates():
-    ctx = RingContext(2, "universal-rational", 4, 3)
-    basis = [mono for k in range(4) for mono in bidegree_basis(ctx, 1, k)]
-    m1, t1, t2 = ctx.lazard(1), ctx.var(0), ctx.var(1)
-    series = [ctx.zero(), t1 - t2, (m1 * t1 * t2).scale(Fraction(-2, 3)) + t2.scale(Fraction(1, 6))]
-    index = basis_units(ctx, basis)[1]
-    assert from_coordinates(ctx, index, sparse_coordinates(series, basis)) == series
 
 
 @pytest.mark.parametrize("kind", ["rational", "multiplicative-beta", "universal-rational"])

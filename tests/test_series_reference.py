@@ -6,22 +6,23 @@ truncation and canonical-form paths are exercised too.
 """
 
 from fractions import Fraction
-from math import gcd
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cobcalc.equivariant import window_basis
 from cobcalc.series import (
     COEFF_KINDS,
+    ContextMismatch,
     Monomial,
     RingContext,
     RingMap,
     TruncatedSeries,
     add_into,
-    basis_units,
     collect,
     mul_into,
+    reduced_basis,
     series_add,
     series_mul,
     sparse_coordinates,
@@ -30,48 +31,13 @@ from cobcalc.series import (
     variable_slices,
 )
 
-from oracles import ref_add, ref_mul, ref_scale, ref_substitute, ref_truncate
+from oracles import ref_add, ref_mul, ref_rref, ref_scale, ref_substitute, ref_truncate
+from strategies import assert_canonical, coefficients, contexts, monomials, term_dicts
 
 SETTINGS = settings(derandomize=True, database=None, deadline=None, max_examples=100)
 
-coefficients = st.fractions(min_value=-4, max_value=4, max_denominator=6)
-
-
-@st.composite
-def contexts(draw, kind=None, n_vars=None):
-    kind = kind or draw(st.sampled_from(COEFF_KINDS))
-    n_vars = n_vars or draw(st.integers(1, 3))
-    return RingContext(n_vars, kind, draw(st.integers(0, 5)), draw(st.integers(0, 4)))
-
-
-@st.composite
-def monomials(draw, ctx, augmentation=False):
-    t = draw(st.lists(st.integers(0, 3), min_size=ctx.n_vars, max_size=ctx.n_vars))
-    if augmentation and not any(t):
-        t[draw(st.integers(0, ctx.n_vars - 1))] = 1
-    if ctx.coeff_kind == "rational":
-        laz = ()
-    elif ctx.coeff_kind == "multiplicative-beta":
-        e = draw(st.integers(0, 3))
-        laz = ((1, e),) if e else ()
-    else:
-        gens = draw(st.dictionaries(st.integers(1, 5), st.integers(1, 2), max_size=3))
-        laz = tuple(sorted(gens.items()))
-    return Monomial(tuple(t), laz)
-
-
-def term_dicts(ctx, augmentation=False):
-    return st.dictionaries(monomials(ctx, augmentation), coefficients, max_size=6)
-
-
 def terms(s):
     return dict(s.items())
-
-
-def assert_canonical(s):
-    assert s._den >= 1
-    assert all(s._terms.values())
-    assert gcd(s._den, *s._terms.values()) == 1
 
 
 @SETTINGS
@@ -250,23 +216,54 @@ def test_unit_series_match_from_terms(data):
     assert unit_series(ctx, basis) == [ctx.from_terms({m: Fraction(1)}) for m in basis]
 
 
+def window(ctx, k_max):
+    """Every monomial of t-order <= k_max inside the caps, one degree window
+    after another, in canonical order."""
+    return sorted(
+        (m for d in range(-ctx.max_weight, k_max + 1) for m in window_basis(ctx, d, k_max)),
+        key=Monomial.sort_key,
+    )
+
+
+@pytest.mark.parametrize("kind", COEFF_KINDS)
 @SETTINGS
 @given(st.data())
-def test_basis_units_index_reads_like_sparse_coordinates(data):
-    ctx = data.draw(contexts())
-    # noncanonical generator parts and monomials beyond the caps included
-    basis = data.draw(st.lists(monomials(ctx), max_size=6))
-    units, index = basis_units(ctx, basis)
-    assert units == unit_series(ctx, basis)
-    series = [ctx.from_terms(data.draw(term_dicts(ctx))) for _ in range(3)] + units
-    for strict in (False, True):
-        try:
-            want = sparse_coordinates(series, basis, strict)
-        except ValueError:
-            with pytest.raises(ValueError, match="outside the basis"):
-                sparse_coordinates(series, basis, strict, index=index)
-        else:
-            assert sparse_coordinates(series, basis, strict, index=index) == want
+def test_reduced_basis_matches_reference_rref(kind, data):
+    ctx = data.draw(contexts(kind))
+    # -1 cuts every term
+    cut = data.draw(st.integers(-1, ctx.max_t_order))
+    # terms anywhere in the caps, so some lie above the cut
+    term_maps = st.dictionaries(
+        st.sampled_from(window(ctx, ctx.max_t_order)), coefficients, min_size=1, max_size=6
+    )
+    series = [ctx.from_terms(terms) for terms in data.draw(st.lists(term_maps, max_size=4))]
+    if series and data.draw(st.booleans()):
+        # a dependent input
+        series.append(series[0].scale(data.draw(coefficients)) + series[-1])
+    if data.draw(st.booleans()):
+        series.insert(data.draw(st.integers(0, len(series))), ctx.zero())
+    columns = window(ctx, cut)
+    red, pivots = ref_rref([[s.coefficient(m) for m in columns] for s in series])
+    want = [ctx.from_terms(dict(zip(columns, row))) for row in red[: len(pivots)]]
+    got = reduced_basis(iter(series), cut)
+    assert got == want
+    for s in got:
+        assert_canonical(s)
+
+
+def test_reduced_basis_cuts_scales_and_refuses_mixed_contexts():
+    ctx = RingContext(2, "universal-rational", 4, 3)
+    s = TruncatedSeries.from_text(ctx, "1 * m1*t1 + -1/2 * t2^2 + 3 * t1^3")
+    assert reduced_basis([], 4) == []
+    assert reduced_basis([ctx.zero(), ctx.zero()], 4) == []
+    assert reduced_basis([s], -1) == []
+    # the t1^3 term is cut; the leading monomial gets coefficient 1
+    assert reduced_basis([s, s.scale(3)], 2) == [
+        TruncatedSeries.from_text(ctx, "1 * m1*t1 + -1/2 * t2^2")
+    ]
+    assert reduced_basis([s.scale(-2)], 4) == [s]
+    with pytest.raises(ContextMismatch):
+        reduced_basis([s, RingContext(2, "universal-rational", 4, 2).var(0)], 4)
 
 
 def test_unit_series_take_what_from_terms_takes():

@@ -40,7 +40,7 @@ from cobcalc.selftest import random_series
 from cobcalc.series import RingContext
 
 from oracles import ref_reduce_coords, ref_thom_class
-from test_pb_substitute import series
+from strategies import series
 
 SETTINGS = settings(derandomize=True, database=None, deadline=None, max_examples=80)
 
