@@ -53,6 +53,9 @@ from .towers import (
 )
 
 SCHEMA_PREFIX = "cobcalc"
+# `tower bgm` refuses more levels than this before it builds anything: every
+# level costs memory per degree, and no cap or degree needs nearly this many
+MAX_LEVELS = 10_000
 
 
 class ConfigError(ValueError):
@@ -320,6 +323,8 @@ def _run_tower_bgm(config: JobConfig):
         )
     if config.levels < 2:
         raise ConfigError("--levels must be at least 2")
+    if config.levels > MAX_LEVELS:
+        raise ConfigError(f"--levels {config.levels} exceeds the cap of {MAX_LEVELS}")
     ctx = _context(config, 1)
     tower = projective_space_tower(ctx, max(config.degrees), config.levels)
 
@@ -457,7 +462,7 @@ def build_parser() -> argparse.ArgumentParser:
     bgm_p = tower_sub.add_parser("bgm", help="rank-1 classifying space tower")
     bgm_p.add_argument("--fgl", default="additive", dest="fgl_kind")
     bgm_p.add_argument("--deg", default="0..5")
-    bgm_p.add_argument("--levels", type=int, default=8)
+    bgm_p.add_argument("--levels", type=int, default=8, help=f"window levels, 2..{MAX_LEVELS}")
     _add_common(bgm_p)
 
     self_p = sub.add_parser("selftest", help="run the full invariant suite")

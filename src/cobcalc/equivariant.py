@@ -64,6 +64,7 @@ from .series import (
     TruncatedSeries,
     bidegree_basis,
     compositions,
+    lazard_count,
     lazard_monomials,
     reduced_basis,
     sparse_coordinates,
@@ -476,7 +477,7 @@ def bg_dimensions(
     orbits = [len(_signed_orbits(actions, ctx.n_vars, k)) for k in range(k_max + 1)]
     return {
         int(d): sum(
-            orbits[k] * len(lazard_monomials(ctx.coeff_kind, k - int(d)))
+            orbits[k] * lazard_count(ctx.coeff_kind, k - int(d))
             for k in _window_orders(ctx, int(d), k_max)
         )
         for d in degrees

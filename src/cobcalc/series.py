@@ -1006,6 +1006,26 @@ def lazard_monomials(kind: str, weight: int) -> list:
     return out
 
 
+@lru_cache(maxsize=None)
+def lazard_count(kind: str, weight: int) -> int:
+    """``len(lazard_monomials(kind, weight))``, counted without listing them."""
+    if weight == 0:
+        return 1
+    if kind == "rational":
+        return 0
+    if kind == "multiplicative-beta":
+        return 1
+    if weight < 0:
+        return 0
+    # one monomial per partition of the weight: counts[n] is the number of
+    # partitions of n into the part sizes taken so far
+    counts = [1] + [0] * weight
+    for part in range(1, weight + 1):
+        for n in range(part, weight + 1):
+            counts[n] += counts[n - part]
+    return counts[weight]
+
+
 def partitions(n: int, max_part: Optional[int] = None):
     """Integer partitions of n as descending tuples."""
     if max_part is None:

@@ -2,23 +2,31 @@
 
 A tower holds, per diagonal degree, a window of finite-dimensional
 spaces V_0 <- V_1 <- ... <- V_k with exact transition maps
-M_i: V_{i+1} -> V_i, each kept as the elimination kernel reads it: a
-list of dim V_{i+1} columns, sparse ``{row: int}`` dicts of nonzero
-ints.  A nonzero scale of a map moves none of its images, so a rational
-map enters with its denominators cleared.  The stabilization index is
-the smallest uniform offset s such that, at every level i of the window,
-the chain of images im(V_{i+s'} -> V_i) is constant for s' >= s; the engine
-reports not-found instead of extrapolating when the window never
-witnesses the constancy.  For windows of finite-dimensional spaces the
-images stabilize once the window exceeds the longest strictly-decreasing
-chain of subspaces, so the search terminates (find or refuse, never loop).
-
-The images are propagated from the top level down, never composed:
-im(V_{i+s} -> V_i) is M_i applied to a basis of im(V_{i+s} -> V_{i+1}),
-and each image is kept as its canonical ``linalg.echelon`` form.  As
-every per-degree space is finite dimensional, the eventual-image
+M_i: V_{i+1} -> V_i.  The stabilization index is the smallest uniform
+offset s such that, at every level i of the window, the chain of images
+im(V_{i+s'} -> V_i) is constant for s' >= s; the engine reports
+not-found instead of extrapolating when the window never witnesses the
+constancy.  For windows of finite-dimensional spaces the images
+stabilize once the window exceeds the longest strictly-decreasing chain
+of subspaces, so the search terminates (find or refuse, never loop).
+As every per-degree space is finite dimensional, the eventual-image
 condition holds and the derived-limit correction term vanishes; only the
 limit dimension is computed, from the plateau of the stable images.
+
+A prefix slice (``maps=None``) is counted, not eliminated: map i is the
+canonical projection of V_{i+1} onto its prefix V_i, so every map is
+onto and every image im(V_{i+s} -> V_i) is all of V_i.  A tower of
+surjections is Mittag-Leffler, so lim^1 vanishes; the index is 0 and the
+stable images are the levels themselves.  The projective-space tower is
+built this way, from dimensions alone.
+
+A slice with explicit maps keeps each one as the elimination kernel
+reads it: a list of dim V_{i+1} columns, sparse ``{row: int}`` dicts of
+nonzero ints.  A nonzero scale of a map moves none of its images, so a
+rational map enters with its denominators cleared.  Its images are
+propagated from the top level down, never composed: im(V_{i+s} -> V_i)
+is M_i applied to a basis of im(V_{i+s} -> V_{i+1}), and each image is
+kept as its canonical ``linalg.echelon`` form.
 """
 
 from __future__ import annotations
@@ -28,7 +36,7 @@ from itertools import accumulate
 from typing import Dict, List, Optional
 
 from . import linalg
-from .series import RingContext, bidegree_basis, lazard_monomials
+from .series import RingContext, bidegree_basis, lazard_count
 
 
 class WindowNotStabilized(RuntimeError):
@@ -38,16 +46,23 @@ class WindowNotStabilized(RuntimeError):
 @dataclass
 class TowerSlice:
     """One degree: dimensions dim V_0..dim V_k and maps[i]: V_{i+1} -> V_i, as
-    ``dims[i+1]`` columns ``{row: nonzero int}``, any nonzero multiple of the map."""
+    ``dims[i+1]`` columns ``{row: nonzero int}``, any nonzero multiple of the map.
+    ``maps=None`` makes a prefix slice: map i is the canonical projection of
+    level i+1 onto its prefix, level i, so the dims must be nondecreasing."""
 
     dims: List[int]
-    maps: List[list]
+    maps: Optional[List[list]] = None
     # image chains, computed on first use; a slice is not changed after construction
     _chains: Optional[list] = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if len(self.dims) < 3:
             raise ValueError("window must contain at least three levels (length >= 2)")
+        if self.maps is None:
+            if self.dims[0] < 0 or any(a > b for a, b in zip(self.dims, self.dims[1:])):
+                raise ValueError(
+                    f"prefix slice dims {self.dims} are not nondecreasing and nonnegative")
+            return
         if len(self.maps) != len(self.dims) - 1:
             raise ValueError("need exactly one transition map per step")
         for i, m in enumerate(self.maps):
@@ -58,6 +73,12 @@ class TowerSlice:
                     for col in m)):
                 raise ValueError(
                     f"map {i} is not {self.dims[i + 1]} integer columns over {self.dims[i]} rows")
+
+    def map(self, i: int) -> list:
+        """Map i as ``dims[i+1]`` integer columns; a prefix slice's are built here."""
+        if self.maps is not None:
+            return self.maps[i]
+        return [{j: 1} if j < self.dims[i] else {} for j in range(self.dims[i + 1])]
 
 
 @dataclass
@@ -77,8 +98,8 @@ def _image_chains(sl: TowerSlice):
     """For each level i, canonical forms of im(V_{i+s} -> V_i), s = 0..k-i.
 
     Built from the top level down: im(V_{i+s} -> V_i) is M_i applied to a
-    basis of im(V_{i+s} -> V_{i+1}).  Computed once per slice and shared
-    by ``stabilization_index`` and ``inverse_limit_dims``.
+    basis of im(V_{i+s} -> V_{i+1}).  Computed once per slice with explicit
+    maps and shared by ``stabilization_index`` and ``inverse_limit_dims``.
     """
     if sl._chains is not None:
         return sl._chains
@@ -124,9 +145,13 @@ def stabilization_index(tower: Tower, d: int) -> Optional[int]:
 
     None means the constancy was never witnessed beyond a single point
     at the levels that force the candidate offset: the images may still
-    be shrinking at the window end.
+    be shrinking at the window end.  A prefix slice's maps are onto, so its
+    images never shrink: its index is 0.
     """
-    return _certified_index(_image_chains(tower.slice(d)))
+    sl = tower.slice(d)
+    if sl.maps is None:
+        return 0
+    return _certified_index(_image_chains(sl))
 
 
 def inverse_limit_dims(tower: Tower, d: int) -> int:
@@ -136,36 +161,39 @@ def inverse_limit_dims(tower: Tower, d: int) -> int:
     the stable-image dimensions at the top of the window; otherwise
     raises WindowNotStabilized rather than extrapolating.
     """
-    chains = _image_chains(tower.slice(d))
-    if _certified_index(chains) is None:
-        raise WindowNotStabilized(f"degree {d}: images still shrinking at window end")
-    k = len(chains) - 1
-    # the stable image at level i < k is the last of its chain, im(V_k -> V_i)
-    stable_dims = [len(chain[-1]) for chain in chains[:k]]
-    if k >= 2 and stable_dims[k - 2] != stable_dims[k - 1]:
+    sl = tower.slice(d)
+    if sl.maps is None:
+        stable_dims = sl.dims  # every map is onto: each stable image is its whole level
+    else:
+        chains = _image_chains(sl)
+        if _certified_index(chains) is None:
+            raise WindowNotStabilized(f"degree {d}: images still shrinking at window end")
+        # the stable image at level i is the last of its chain, im(V_k -> V_i)
+        stable_dims = [len(chain[-1]) for chain in chains]
+    # the top two levels below V_k must agree; V_k is its own image
+    if stable_dims[-3] != stable_dims[-2]:
         raise WindowNotStabilized(
             f"degree {d}: stable image dimensions still growing at window end"
         )
-    return stable_dims[k - 1]
+    return stable_dims[-2]
 
 
 def projective_space_tower(ctx: RingContext, d_max: int, i_max: int) -> Tower:
     """The tower of finite projective-space approximations of the rank-1
     classifying space: level i is the degree slice of K[xi]/(xi^(i+1)),
     transitions are the canonical surjections killing the top xi-power.
-    Only the coefficient kind and the caps of ``ctx`` are read."""
+    Only the coefficient kind and the caps of ``ctx`` are read, and only
+    dimensions are built: every slice is a prefix slice."""
     if d_max < 0 or i_max < 2:
         raise ValueError("need d_max >= 0 and at least three levels")
     tower = Tower()
     for d in range(0, d_max + 1):
         # level i is spanned by xi^p times the generator monomials of weight p - d, p <= i,
         # in order of p: each level is a prefix of the next, and dims are prefix sums
-        dims = list(accumulate(
-            len(lazard_monomials(ctx.coeff_kind, p - d))
+        tower.degrees[d] = TowerSlice(list(accumulate(
+            lazard_count(ctx.coeff_kind, p - d)
             if 0 <= p - d <= ctx.max_weight and p <= ctx.max_t_order else 0
-            for p in range(i_max + 1)))
-        maps = [[{j: 1} if j < dims[i] else {} for j in range(dims[i + 1])] for i in range(i_max)]
-        tower.degrees[d] = TowerSlice(dims=dims, maps=maps)
+            for p in range(i_max + 1))))
     return tower
 
 
@@ -193,7 +221,8 @@ def apply_levelwise_isomorphism(tower: Tower, transforms: Dict[int, list]) -> To
             raise ValueError("need one transform per level")
         inv = [linalg.inverse(p) if p else [] for p in ps]
         maps = []
-        for i, m in enumerate(sl.maps):
+        for i in range(len(sl.dims) - 1):
+            m = sl.map(i)
             dense = [[col.get(r, 0) for col in m] for r in range(sl.dims[i])]
             new = linalg.mat_mul(linalg.mat_mul(ps[i], dense), inv[i + 1])
             maps.append(linalg.int_rows([row[c] for row in new] for c in range(sl.dims[i + 1]))[0])

@@ -8,12 +8,12 @@ import time
 
 import pytest
 
-from cobcalc import cli, equivariant, fgl
+from cobcalc import cli, equivariant, fgl, linalg
 from cobcalc.cli import JobConfig, main, parse_degree_range, run
 from cobcalc.equivariant import GroupPreset, WeylGroupSpec, symmetric_group
 from cobcalc.fgl import fgl_sum
 from cobcalc.series import RingContext
-from cobcalc.towers import coefficient_ring_dimension
+from cobcalc.towers import TowerSlice, coefficient_ring_dimension
 
 
 def run_cli(*argv, timeout=None):
@@ -338,6 +338,44 @@ def test_readme_command_stdout_golden(command, capsys):
     assert hashlib.sha256(out.encode()).hexdigest() == README_GOLDEN[command]
 
 
+# exit status and stdout sha256 of `tower bgm` at the (24, 23) frontier, on
+# windows too short to certify (exit 1), and on the other two laws, recorded
+# while every tower limit was still read off an elimination of its images
+TOWER_GOLDEN = {
+    "tower bgm --fgl universal --deg 0..20 --levels 26 --max-t 24 --max-w 23":
+        (0, "f0ee2187dccb8d4b00c1c216066e0c9364b08f209b67254a32695fc8696a2845"),
+    "tower bgm --fgl universal --deg 0..6 --levels 2":
+        (1, "3e7f7fca38d07bc825f4e16ba752cb8c89e02e710d7b9cc7ac96906f8130d913"),
+    "tower bgm --fgl universal --deg 0..6 --levels 4":
+        (1, "f2efba886033adb8f82c467718386479b20569eddc0575dabb0b4b752dba7da5"),
+    "tower bgm --fgl multiplicative --deg 0..7 --levels 10 --max-t 8 --max-w 7":
+        (0, "1725f725720ac3da2189abc415a78d7773a95c84ea6f679a5912977106b4b4e4"),
+    "tower bgm --fgl additive --deg 0..6 --levels 9":
+        (0, "3e92b25734186680ab395e883a745b0fb732f175d2228b45254a9a0881672d8c"),
+}
+
+
+@pytest.mark.parametrize("command", sorted(TOWER_GOLDEN))
+def test_tower_stdout_golden(command, capsys):
+    status = main(command.split())
+    out = capsys.readouterr().out
+    assert (status, hashlib.sha256(out.encode()).hexdigest()) == TOWER_GOLDEN[command]
+
+
+def test_tower_bgm_counts_without_elimination(monkeypatch, capsys):
+    # every map of the projective tower is onto, so no image is eliminated and
+    # no map column is built
+    def refuse(*args):
+        raise AssertionError("the projective tower needs no elimination")
+
+    monkeypatch.setattr(linalg, "echelon", refuse)
+    monkeypatch.setattr(TowerSlice, "map", refuse)
+    command = "tower bgm --fgl universal --deg 0..5 --levels 8"
+    assert main(command.split()) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == README_GOLDEN[command]
+
+
 # stdout sha256 of `bg --emit-basis` on a rank-4, a signed (B3) and a rank-1
 # group, recorded while the orbit sums were still read against every monomial
 # of the window rather than only the monomials that occur in them
@@ -401,6 +439,13 @@ def _law_over_wrong_context(monkeypatch):
     monkeypatch.setattr(cli, "_law", law)
 
 
+def _no_tower_built(monkeypatch):
+    def build(*args):
+        raise AssertionError("the tower was built before the refusal")
+
+    monkeypatch.setattr(cli, "projective_space_tower", build)
+
+
 def _sum_with_constant_term(monkeypatch):
     def law(config, n_vars=2):
         ctx = RingContext(2, "rational", 4, 0)
@@ -416,6 +461,8 @@ def _sum_with_constant_term(monkeypatch):
     [
         (["bg", "--group", "GL2", "--deg", "0..9", "--torder", "3"], "config", None),
         (["bg", "--group", "GL2", "--deg", "1..x", "--torder", "3"], "config", None),
+        (["tower", "bgm", "--fgl", "universal", "--deg", "0..2", "--levels", "1000000000"],
+         "config", _no_tower_built),
         (["fgl", "check", "--kind", "elliptic"], "invalid", None),
         (["fgl", "check", "--kind", "add", "--max-t", "1"], "invalid", None),
         (["bg", "--group", "GL0", "--torder", "2", "--deg", "0..1"], "invalid", None),
@@ -426,9 +473,9 @@ def _sum_with_constant_term(monkeypatch):
         (["fgl", "check", "--kind", "add"], "context", _law_over_wrong_context),
         (["fgl", "check", "--kind", "add"], "substitution", _sum_with_constant_term),
     ],
-    ids=["config", "config-deg", "invalid-kind", "invalid-caps", "invalid-rank-0",
-         "invalid-signed-rank-0", "invalid-rank-over-cap", "refused", "construction",
-         "context", "substitution"],
+    ids=["config", "config-deg", "config-levels-over-cap", "invalid-kind", "invalid-caps",
+         "invalid-rank-0", "invalid-signed-rank-0", "invalid-rank-over-cap", "refused",
+         "construction", "context", "substitution"],
 )
 def test_error_kinds_exit_2_without_traceback(argv, kind, patch, monkeypatch, capsys):
     if patch is not None:

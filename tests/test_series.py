@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 from cobcalc.series import (
+    COEFF_KINDS,
     ContextMismatch,
     Monomial,
     RingContext,
@@ -12,6 +13,8 @@ from cobcalc.series import (
     SubstitutionError,
     TruncatedSeries,
     bidegree_basis,
+    lazard_count,
+    lazard_monomials,
     series_add,
     series_mul,
     substitute,
@@ -255,3 +258,9 @@ def test_var_is_the_one_term_series(kind, caps):
         t = tuple(int(i == j) for i in range(3))
         assert ctx.var(j) == ctx.from_terms({Monomial(t, ()): 1})
     assert ctx.var(0).is_zero() == (caps[0] == 0)
+
+
+@pytest.mark.parametrize("kind", COEFF_KINDS)
+def test_lazard_count_counts_the_listed_monomials(kind):
+    for weight in range(31):
+        assert lazard_count(kind, weight) == len(lazard_monomials(kind, weight))

@@ -112,6 +112,13 @@ def test_shape_validation():
             TowerSlice(dims=[1, 1, 1], maps=[[{0: entry}], one])
 
 
+@pytest.mark.parametrize("dims", [[1, 0, 1], [2, 2, 1], [-1, 0, 0], [-2, -1, 0]],
+                         ids=["dip", "top-drop", "negative", "negative-rising"])
+def test_prefix_slice_needs_nondecreasing_nonnegative_dims(dims):
+    with pytest.raises(ValueError, match="not nondecreasing and nonnegative"):
+        TowerSlice(dims)
+
+
 @pytest.mark.parametrize("maps", [
     [linalg.identity(2)] * 2,  # dense rows: as many as the columns asked for
     [[[1, 0], [0, 1]]] * 2,
@@ -139,7 +146,8 @@ def test_projective_space_tower_matches_the_dense_reference(kind, max_t, max_w, 
     for d, (dims, maps) in want.items():
         sl = tower.slice(d)
         assert sl.dims == dims
-        assert [dense(m, dims[i]) for i, m in enumerate(sl.maps)] == maps
+        assert sl.maps is None  # a prefix slice: its columns are built only on request
+        assert [dense(sl.map(i), dims[i]) for i in range(i_max)] == maps
 
 
 def test_projective_space_tower_matches_coefficient_ring():
@@ -299,13 +307,13 @@ def canonical(entry, dim):
     )
 
 
-def diagnostics(tower):
-    """stabilization_index and inverse_limit_dims of degree 0, or the refusal."""
-    idx = stabilization_index(tower, 0)
+def diagnostics(tower, d=0):
+    """stabilization_index and inverse_limit_dims of degree d, or the refusal text."""
+    idx = stabilization_index(tower, d)
     try:
-        return idx, inverse_limit_dims(tower, 0)
-    except WindowNotStabilized:
-        return idx, "refused"
+        return idx, inverse_limit_dims(tower, d)
+    except WindowNotStabilized as exc:
+        return idx, str(exc)
 
 
 def assert_matches_reference(dims, maps):
@@ -334,3 +342,34 @@ def test_propagated_chains_match_composites_after_conjugation(data):
     moved = apply_levelwise_isomorphism(Tower({0: dense_slice(dims, maps)}), transforms).slice(0)
     moved_maps = [dense(m, dims[i]) for i, m in enumerate(moved.maps)]
     assert assert_matches_reference(dims, moved_maps) == assert_matches_reference(dims, maps)
+
+
+# -- counted prefix slices against the elimination ----------------------------------
+
+@st.composite
+def projective_towers(draw):
+    """The projective-space tower at drawn caps and levels, every degree up to max_t."""
+    kind = draw(st.sampled_from(ALL_KINDS))
+    max_t = draw(st.integers(1, 10))
+    max_w = draw(st.integers(0, max_t))
+    levels = draw(st.integers(2, 16))
+    ctx = RingContext(1, COEFF_KIND[kind], max_t, 0 if kind == "additive" else max_w)
+    return projective_space_tower(ctx, max_t, levels)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=60)
+@given(st.data())
+def test_counted_prefix_slices_match_the_elimination(data):
+    tower = data.draw(projective_towers())
+    # the same slices with their projections passed explicitly take the elimination path
+    explicit = Tower({d: TowerSlice(sl.dims, [sl.map(i) for i in range(len(sl.dims) - 1)])
+                      for d, sl in tower.degrees.items()})
+    for d, sl in tower.degrees.items():
+        assert sl.maps is None
+        assert diagnostics(tower, d) == diagnostics(explicit, d)
+    # the dense conjugation costs cubic time in the level dims: one drawn degree per example
+    d = data.draw(st.sampled_from(sorted(tower.degrees)))
+    transforms = {d: [data.draw(invertible(n)) for n in tower.slice(d).dims]}
+    moved = apply_levelwise_isomorphism(Tower({d: tower.slice(d)}), transforms)
+    assert moved.slice(d).maps is not None
+    assert diagnostics(moved, d) == diagnostics(tower, d)
