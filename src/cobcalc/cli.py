@@ -56,6 +56,8 @@ SCHEMA_PREFIX = "cobcalc"
 # `tower bgm` refuses more levels than this before it builds anything: every
 # level costs memory per degree, and no cap or degree needs nearly this many
 MAX_LEVELS = 10_000
+# ... nor a tower of more level dims, (max degree + 1) x (levels + 1), than this
+MAX_TOWER_DIMS = 10_000_000
 
 
 class ConfigError(ValueError):
@@ -325,6 +327,12 @@ def _run_tower_bgm(config: JobConfig):
         raise ConfigError("--levels must be at least 2")
     if config.levels > MAX_LEVELS:
         raise ConfigError(f"--levels {config.levels} exceeds the cap of {MAX_LEVELS}")
+    dims = (max(config.degrees) + 1) * (config.levels + 1)
+    if dims > MAX_TOWER_DIMS:
+        raise ConfigError(
+            f"the tower would hold {dims} level dims, (max degree + 1) x (levels + 1), "
+            f"over the cap of {MAX_TOWER_DIMS}"
+        )
     ctx = _context(config, 1)
     tower = projective_space_tower(ctx, max(config.degrees), config.levels)
 

@@ -55,12 +55,14 @@ Products
 common denominator, rescaling that dict to the lcm when the product's
 denominator does not divide it, and leaves canonicalizing to the
 caller: `series_mul` is one call on an empty dict followed by one
-canonicalization, and `RingMap` and `bundles.pb_mul` sum many products
-into one dict each.  The right factor keeps, cached on first use, its
-terms bucketed by weight (only the weights that occur, ascending), each
-bucket sorted by key.  A left term of weight ``w`` visits the buckets up
-to weight ``max_weight - w`` and stops inside each at the first key over
-the t-order cap, so no pair beyond either cap is formed.
+canonicalization, and `bundles.pb_mul` sums many products into one dict
+each.  The right factor keeps, cached on first use, its terms bucketed
+by weight (only the weights that occur, ascending), each bucket sorted
+by key.  A left term of weight ``w`` visits the buckets up to weight
+``max_weight - w`` and stops inside each at the first key over the
+t-order cap, so no pair beyond either cap is formed.  That pair loop,
+`_pairs_into`, is run once per product by `mul_into` and once per term
+by `RingMap`.
 
 Only this module knows the packed form.  Callers that would otherwise
 decode every term and validate it again get helpers that work on the
@@ -77,10 +79,14 @@ context with the coefficient kind of the source, no term of t-order 0)
 and keeps a table of their powers, each multiplied out on first use, so
 that mapping many series through one map builds every power once.  A
 call maps each term as the product of its scalar part and the powers of
-the images of its variables, smallest image first.  A map whose images
-are all zero or variables ``+-t_k`` of the target needs no product: when
-the two layouts agree on the generator fields, each term moves its key
-fields to one term of the target.  `substitute` is the one-shot form,
+the images of its variables, and the term stays a key with a numerator
+and a denominator: every power with one term folds in as a key addition
+and a coefficient product, and the term is dropped once its key passes
+a cap.  The last power with more terms goes through the pair loop of
+`mul_into`, straight into the image.  A map whose images are all zero or
+variables ``+-t_k`` of the target needs no product: when the two layouts
+agree on the generator fields, each term moves its key fields to one
+term of the target.  `substitute` is the one-shot form,
 ``RingMap(s.ctx, assignment, target)(s)``; the Weyl action, the
 projective-bundle evaluation and the axiom checks of `fgl` all go
 through these.
@@ -671,14 +677,23 @@ def mul_into(acc: dict, den: int, a: TruncatedSeries, b: TruncatedSeries) -> int
         return den
     if len(a._terms) > len(b._terms):
         a, b = b, a
+    den, factor = _rescaled(acc, den, a._den * b._den)
+    _pairs_into(acc, a._terms.items(), factor, b)
+    return den
+
+
+def _pairs_into(acc: dict, left: Iterable[tuple], factor: int, b: TruncatedSeries) -> None:
+    """The pair loop of `mul_into`: add ``factor * ca * cb`` at ``ka + kb``
+    into ``acc`` for every left ``(ka, ca)`` and term ``(kb, cb)`` of ``b``
+    whose product lies inside the caps.  Every left key lies inside the
+    caps of ``b.ctx``."""
     buckets = b._graded
     if buckets is None:
         buckets = b._graded = _weight_buckets(b)
-    den, factor = _rescaled(acc, den, a._den * b._den)
-    layout = a.ctx._layout
+    layout = b.ctx._layout
     t_limit, w_shift, mask, max_w = layout.t_limit, layout.w_shift, layout.mask, layout.max_w
     get = acc.get
-    for ka, ca in a._terms.items():
+    for ka, ca in left:
         ca *= factor
         budget = max_w - ((ka >> w_shift) & mask)
         for w, terms in buckets:
@@ -689,7 +704,6 @@ def mul_into(acc: dict, den: int, a: TruncatedSeries, b: TruncatedSeries) -> int
                 if p >= t_limit:
                     break
                 acc[p] = get(p, 0) + ca * cb
-    return den
 
 
 def _weight_buckets(s: TruncatedSeries) -> list:
@@ -763,14 +777,18 @@ class RingMap:
     context, that every variable occurring in it is assigned.
 
     The powers of the images are multiplied out on first use and kept, so
-    mapping many series through one map builds each power once.  A term is
-    multiplied by the powers of its variables in the order of their image
-    sizes, smallest first, fixed when the map is built (an unassigned
-    variable counts as one term).  The last product then has the largest
-    power as its right operand, whose weight buckets `mul_into` keeps
-    cached, instead of bucketing a fresh intermediate once per term, as
-    F(F(x, y), z) would in variable order; that product is summed straight
-    into the result by `mul_into`, and the sum is canonicalized once.  The
+    mapping many series through one map builds each power once.  A term
+    is never made a series: it stays a packed key of the target with a
+    numerator and a denominator.  A power with one term (of a variable,
+    assigned or not, or of an image such as ``1/3 * m2*t1^2``) folds in
+    as one key addition and one coefficient product, and the term is
+    dropped as soon as its key passes the t-order or weight cap.  The
+    powers with more terms are taken in the order of their image sizes,
+    smallest first, fixed when the map is built.  The last one is the
+    right operand of the pair loop of `mul_into`, run once for the term
+    straight into the result, so its weight buckets stay cached with the
+    power.  Only a term with two or more such powers first multiplies
+    the others in with `series_mul`.  The sum is canonicalized once.  The
     order changes no value: the truncated ring is commutative and
     associative.
 
@@ -912,37 +930,61 @@ class RingMap:
         if self._moves is not None:
             return self._relabel(s)
         src, dst = source._layout, target._layout
-        mask, w_shift, max_w, den = src.mask, src.w_shift, target.max_weight, s._den
-        same_gens, dst_w_shift, gen_mask = self._same_gens, dst.w_shift, src.gen_mask
-        power = self._power
+        mask, w_shift, max_w, s_den = src.mask, src.w_shift, dst.max_w, s._den
+        same_gens, gen_mask = self._same_gens, src.gen_mask
+        dst_mask, dst_w_shift, t_limit = dst.mask, dst.w_shift, dst.t_limit
+        power, var_order = self._power, self._var_order
         zero_t = (0,) * target.n_vars
         acc: dict = {}
         acc_den = 1
-        for key, num in s._terms.items():
-            w = (key >> w_shift) & mask
+        get = acc.get
+        for src_key, num in s._terms.items():
+            w = (src_key >> w_shift) & mask
             if w > max_w:
                 continue
             if same_gens:
-                start = (w << dst_w_shift) | (key & gen_mask)
+                key = (w << dst_w_shift) | (src_key & gen_mask)
             else:
-                start = dst.encode(Monomial(zero_t, src.decode(key).laz))
-            g = gcd(num, den)
-            term = TruncatedSeries._raw(target, {start: num // g}, den // g)
-            # the last factor's product goes straight into the sum
-            last = None
-            for j, shift in self._var_order:
-                e = (key >> shift) & mask
-                if e:
-                    if last is not None:
-                        term = series_mul(term, last)
-                        if not term._terms:
-                            break
-                    last = power(j, e)
-            else:  # the term did not vanish
-                if last is None:
-                    acc_den = add_into(acc, acc_den, term)
+                key = dst.encode(Monomial(zero_t, src.decode(src_key).laz))
+            # one-term powers fold into (key, num, den); the last power with
+            # more terms goes to the pair loop, any earlier one into `middle`
+            den, last, middle = s_den, None, ()
+            for j, shift in var_order:
+                e = (src_key >> shift) & mask
+                if not e:
+                    continue
+                p = power(j, e)
+                terms = p._terms
+                if len(terms) == 1:
+                    (k, c), = terms.items()
+                    key += k
+                    if key >= t_limit or (key >> dst_w_shift) & dst_mask > max_w:
+                        break
+                    num *= c
+                    den *= p._den
+                elif not terms:
+                    break
                 else:
-                    acc_den = mul_into(acc, acc_den, term, last)
+                    if last is not None:
+                        middle += (last,)
+                    last = p
+            else:  # the term did not vanish
+                g = gcd(num, den)
+                if g != 1:
+                    num //= g
+                    den //= g
+                if last is None:
+                    acc_den, factor = _rescaled(acc, acc_den, den)
+                    acc[key] = get(key, 0) + num * factor
+                    continue
+                left = ((key, num),)
+                if middle:
+                    term = TruncatedSeries._raw(target, {key: num}, den)
+                    for p in middle:
+                        term = series_mul(term, p)
+                    left, den = term._terms.items(), term._den
+                acc_den, factor = _rescaled(acc, acc_den, den * last._den)
+                _pairs_into(acc, left, factor, last)
         return collect(target, acc, acc_den)
 
 
@@ -1006,7 +1048,10 @@ def lazard_monomials(kind: str, weight: int) -> list:
     return out
 
 
-@lru_cache(maxsize=None)
+# _PARTITIONS[n] is the number of partitions of n, filled up to the largest n asked for
+_PARTITIONS = [1]
+
+
 def lazard_count(kind: str, weight: int) -> int:
     """``len(lazard_monomials(kind, weight))``, counted without listing them."""
     if weight == 0:
@@ -1017,13 +1062,17 @@ def lazard_count(kind: str, weight: int) -> int:
         return 1
     if weight < 0:
         return 0
-    # one monomial per partition of the weight: counts[n] is the number of
-    # partitions of n into the part sizes taken so far
-    counts = [1] + [0] * weight
-    for part in range(1, weight + 1):
-        for n in range(part, weight + 1):
-            counts[n] += counts[n - part]
-    return counts[weight]
+    # one monomial per partition of the weight, by Euler's pentagonal number
+    # recurrence p(m) = sum over k >= 1 of (-1)^(k+1) (p(m - k(3k-1)/2) + p(m - k(3k+1)/2))
+    table = _PARTITIONS
+    for m in range(len(table), weight + 1):
+        total, k = 0, 1
+        while (first := m - k * (3 * k - 1) // 2) >= 0:
+            part = table[first] + (table[first - k] if first >= k else 0)
+            total += part if k & 1 else -part
+            k += 1
+        table.append(total)
+    return table[weight]
 
 
 def partitions(n: int, max_part: Optional[int] = None):

@@ -352,6 +352,9 @@ TOWER_GOLDEN = {
         (0, "1725f725720ac3da2189abc415a78d7773a95c84ea6f679a5912977106b4b4e4"),
     "tower bgm --fgl additive --deg 0..6 --levels 9":
         (0, "3e92b25734186680ab395e883a745b0fb732f175d2228b45254a9a0881672d8c"),
+    # 601 weights to count: the partition table is filled once
+    "tower bgm --fgl universal --deg 600..600 --max-t 600 --max-w 600 --levels 800":
+        (0, "ace3f432c9b54a19a585986d000aca2365bd7f81f4c45cd95e494e78d4bf52fb"),
 }
 
 
@@ -463,6 +466,8 @@ def _sum_with_constant_term(monkeypatch):
         (["bg", "--group", "GL2", "--deg", "1..x", "--torder", "3"], "config", None),
         (["tower", "bgm", "--fgl", "universal", "--deg", "0..2", "--levels", "1000000000"],
          "config", _no_tower_built),
+        (["tower", "bgm", "--fgl", "universal", "--deg", "200000..200000", "--max-t", "200000",
+          "--levels", "10000"], "config", _no_tower_built),
         (["fgl", "check", "--kind", "elliptic"], "invalid", None),
         (["fgl", "check", "--kind", "add", "--max-t", "1"], "invalid", None),
         (["bg", "--group", "GL0", "--torder", "2", "--deg", "0..1"], "invalid", None),
@@ -473,7 +478,8 @@ def _sum_with_constant_term(monkeypatch):
         (["fgl", "check", "--kind", "add"], "context", _law_over_wrong_context),
         (["fgl", "check", "--kind", "add"], "substitution", _sum_with_constant_term),
     ],
-    ids=["config", "config-deg", "config-levels-over-cap", "invalid-kind", "invalid-caps",
+    ids=["config", "config-deg", "config-levels-over-cap", "config-tower-dims-over-cap",
+         "invalid-kind", "invalid-caps",
          "invalid-rank-0", "invalid-signed-rank-0", "invalid-rank-over-cap", "refused",
          "construction", "context", "substitution"],
 )

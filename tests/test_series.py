@@ -1,5 +1,6 @@
 import doctest
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -150,24 +151,59 @@ def test_ring_map_shares_its_power_table(qctx, monkeypatch):
 
         monkeypatch.setattr(series, name, wrapper)
 
-    # both product entry points: series_mul itself runs one mul_into
+    # both product entry points, and the pair loop they and the map share
     counting("series_mul")
     counting("mul_into")
+    counting("_pairs_into")
     t1, t2 = qctx.var(0), qctx.var(1)
     phi = RingMap(qctx, {0: t1 + t2})
     s = t1 ** 3 * t2
+    names = ("series_mul", "mul_into", "_pairs_into")
     calls.clear()
     image = phi(s)
-    built = (calls.count("series_mul"), calls.count("mul_into"))
+    built = tuple(calls.count(name) for name in names)
     calls.clear()
     assert phi(s) == image
-    again = (calls.count("series_mul"), calls.count("mul_into"))
-    # first call: series_mul builds (t1 + t2)^2 and (t1 + t2)^3 and multiplies
-    # the term by t2; the term's product with (t1 + t2)^3 is summed into the
-    # image by mul_into.  The second call reuses both powers: only the two
-    # products with the term are made again.
-    assert (built, again) == ((3, 4), (1, 2))
+    again = tuple(calls.count(name) for name in names)
+    # first call: series_mul builds (t1 + t2)^2 and (t1 + t2)^3, one pair loop
+    # each; the one-term power t2 folds into the term, whose product with
+    # (t1 + t2)^3 is one more pair loop, straight into the image.  The second
+    # call reuses both powers: no product, only the term's pair loop.
+    assert (built, again) == ((2, 2, 3), (0, 0, 1))
     assert image == substitute(s, {0: t1 + t2})
+
+
+def test_ring_map_hands_mul_into_no_one_term_factor(monkeypatch, capsys):
+    # a term's one-term factors fold into its key, so the associativity
+    # composition of fgl check forms no product with a one-term operand
+    # outside the power table
+    from cobcalc import cli, series
+
+    call = RingMap.__call__.__code__
+    one_term, pair_loops = [], [0]
+    mul_into, pairs_into = series.mul_into, series._pairs_into
+
+    def caller():
+        frame = sys._getframe(2)
+        if frame.f_code.co_name == "series_mul":
+            frame = frame.f_back
+        return frame.f_code
+
+    def counting_mul_into(acc, den, a, b):
+        if caller() is call and min(len(a._terms), len(b._terms)) == 1:
+            one_term.append((a, b))
+        return mul_into(acc, den, a, b)
+
+    def counting_pairs_into(acc, left, factor, b):
+        pair_loops[0] += caller() is call
+        return pairs_into(acc, left, factor, b)
+
+    monkeypatch.setattr(series, "mul_into", counting_mul_into)
+    monkeypatch.setattr(series, "_pairs_into", counting_pairs_into)
+    assert cli.main("fgl check --kind universal --max-t 6 --max-w 5".split()) == 0
+    capsys.readouterr()
+    assert pair_loops[0] > 0
+    assert one_term == []
 
 
 def test_bidegree_basis_examples(uctx):
@@ -264,3 +300,15 @@ def test_var_is_the_one_term_series(kind, caps):
 def test_lazard_count_counts_the_listed_monomials(kind):
     for weight in range(31):
         assert lazard_count(kind, weight) == len(lazard_monomials(kind, weight))
+
+
+def test_lazard_count_reads_one_partition_table():
+    # partitions of 0..400 by the part-size recurrence, asked for out of order
+    counts = [1] + [0] * 400
+    for part in range(1, 401):
+        for n in range(part, 401):
+            counts[n] += counts[n - part]
+    weights = list(range(401))
+    random.Random(7).shuffle(weights)
+    assert all(lazard_count("universal-rational", w) == counts[w] for w in weights)
+    assert lazard_count("universal-rational", -1) == 0

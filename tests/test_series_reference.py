@@ -20,7 +20,9 @@ from cobcalc.series import (
     RingMap,
     TruncatedSeries,
     add_into,
+    bidegree_basis,
     collect,
+    lazard_monomials,
     mul_into,
     reduced_basis,
     series_add,
@@ -426,5 +428,90 @@ def test_images_that_are_not_variables_take_the_general_path(kind, image, data):
         2, *cap,
     )
     got = f(ctx.from_terms(s_terms))
+    assert terms(got) == want
+    assert_canonical(got)
+
+
+# -- ring maps that fold one-term images into the term's key -----------------------
+
+FOLD_SOURCE_CAPS = (4, 3)
+# the source's caps, or other caps with another field width (and, for
+# universal-rational, fewer generators), so that generator parts are re-encoded
+FOLD_TARGETS = {"same caps": (3, (4, 3)), "other caps": (2, (3, 2))}
+
+
+@st.composite
+def one_term_image(draw, ctx, t_order, min_weight=0):
+    """c * m^alpha * t^beta over ``ctx`` with |beta| = ``t_order`` and a
+    generator part of weight ``min_weight``..2 (0 for rational)."""
+    t = [0] * ctx.n_vars
+    for _ in range(t_order):
+        t[draw(st.integers(0, ctx.n_vars - 1))] += 1
+    w = 0 if ctx.coeff_kind == "rational" else draw(st.integers(min_weight, 2))
+    laz = draw(st.sampled_from(lazard_monomials(ctx.coeff_kind, w)))
+    return ctx.from_terms({Monomial(tuple(t), laz): draw(coefficients.filter(bool))})
+
+
+def box(ctx):
+    """Every monomial inside the caps of ``ctx``, with assorted nonzero rationals."""
+    monos = [
+        m
+        for k in range(ctx.max_t_order + 1)
+        for w in range(ctx.max_weight + 1)
+        for m in bidegree_basis(ctx, k - w, k)
+    ]
+    return {m: Fraction(i % 7 - 3 or 5, i % 4 + 1) for i, m in enumerate(monos)}
+
+
+# the source variables whose images have two terms; the others have one
+FOLD_SHAPES = {"folded": (), "mixed": (2,), "two multi-term": (0, 2)}
+
+
+@pytest.mark.parametrize("kind", COEFF_KINDS)
+@pytest.mark.parametrize("target_caps", sorted(FOLD_TARGETS))
+@pytest.mark.parametrize("shape", sorted(FOLD_SHAPES))
+@settings(derandomize=True, database=None, deadline=None, max_examples=15)
+@given(st.data())
+def test_folded_images_match_reference_at_the_cap_edges(kind, target_caps, shape, data):
+    # t1 -> t-order 1 (or unassigned), t2 -> t-order 2 with a generator part,
+    # t3 -> t-order 1 or 2; a two-term image instead is multiplied in by the
+    # pair loop after the one-term ones have folded, and with two of them the
+    # term forms a series_mul intermediate first
+    source = RingContext(3, kind, *FOLD_SOURCE_CAPS)
+    n_target, caps = FOLD_TARGETS[target_caps]
+    target = RingContext(n_target, kind, *caps)
+    images = {1: data.draw(one_term_image(target, 2, min_weight=1))}
+    for j in (0, 2):
+        if j in FOLD_SHAPES[shape]:
+            images[j] = data.draw(one_term_image(target, 1)) + data.draw(one_term_image(target, 2))
+            assert len(images[j]._terms) == 2
+        # with the source's caps, t1 may stay unassigned and fold as itself
+        elif j == 2 or target != source or data.draw(st.booleans()):
+            t_order = data.draw(st.integers(1, 2)) if j == 2 else 1
+            images[j] = data.draw(one_term_image(target, t_order))
+    f = RingMap(source, images, target)
+    assert f._moves is None and f._same_gens == (target == source)
+
+    s_terms = box(source)
+    if 0 not in FOLD_SHAPES[shape]:
+        # the folds of t1 and t2 alone land on and one past both caps of the target
+        (x1, _), = images.get(0, target.var(0)).items()
+        (x2, _), = images[1].items()
+        folds = {
+            (m.t[0] * x1.t_order() + m.t[1] * x2.t_order(),
+             m.weight() + m.t[0] * x1.weight() + m.t[1] * x2.weight())
+            for m in s_terms
+            if m.t[2] == 0
+        }
+        max_t, max_w = caps
+        assert {max_t, max_t + 1} <= {t for t, _ in folds}
+        if kind != "rational":
+            assert {max_w, max_w + 1} <= {w for _, w in folds}
+
+    got = f(source.from_terms(s_terms))
+    want = ref_substitute(
+        s_terms, {j: dict(v.items()) for j, v in images.items()}, n_target, *caps
+    )
+    assert got.ctx == target
     assert terms(got) == want
     assert_canonical(got)
