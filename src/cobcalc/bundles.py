@@ -44,6 +44,27 @@ Chern classes break the filtration is refused
 (`ProjBundleRing.require_filtration`), by `thom_class` and by
 `thom_class_via_twist`, which relies on the same headroom.
 
+In E's own completion the product is already determined: there
+
+    th(E) = prod_j (x_j - xi) = sum_k (-1)^k c_(n-k)(E) xi^k,
+
+whatever the law, and `thom_class` reads the class off the Chern classes
+when (a) the ring is P(1 (+) E) itself (rank rank(E) + 1, first Chern
+classes those of E, last one zero) and (b) the law is exact in the
+ring's window (built by `build_fgl`, base weight cap below the law's
+t-order cap and at most its weight cap).  Proof: by (a) the relation of
+the ring is xi * prod_j (xi - x_j) = 0.  D(x, y) vanishes at x = y and
+D(x, 0) = x, so D(x, y) = (x - y) * U(x, y) with U(x, 0) = 1; hence
+prod_j U(x_j, xi) - 1 is xi times a ring element V, and
+th = prod_j (x_j - xi) + (-1)^n * xi * prod_j (xi - x_j) * V is
+prod_j (x_j - xi).  Every term of F and chi has degree 1 (t-order minus
+weight), so a term the law's caps cut at t-order k has weight
+k - 1 >= min(law t-order cap, law weight cap + 1), which (b) puts above
+the base's weight cap: the stored F and chi are exact in the window.
+Any other ring or law (a larger bundle's completion, a law whose caps
+cut terms the window sees) takes the product route above, which stays
+the reference for this one.
+
 `pb_substitute` evaluates a series at base series and one element of
 the ring by Horner's rule in that element; the coefficient of each power
 goes into the base through one `RingMap`.
@@ -104,15 +125,21 @@ class SplitBundle:
     def base(self) -> RingContext:
         return self.roots[0].ctx
 
+    @cached_property
+    def chern(self) -> tuple:
+        """c1..cr as elementary symmetric polynomials of the roots (c0 = 1
+        implicit), computed once per bundle."""
+        ctx = self.base
+        elem = [ctx.one()] + [ctx.zero()] * self.rank
+        for root in self.roots:
+            for i in range(self.rank, 0, -1):
+                elem[i] = elem[i] + elem[i - 1] * root
+        return tuple(elem[1:])
+
 
 def chern_classes(bundle: SplitBundle) -> list:
     """c1..cr as elementary symmetric polynomials of the roots (c0 = 1 implicit)."""
-    ctx = bundle.base
-    elem = [ctx.one()] + [ctx.zero()] * bundle.rank
-    for root in bundle.roots:
-        for i in range(bundle.rank, 0, -1):
-            elem[i] = elem[i] + elem[i - 1] * root
-    return elem[1:]
+    return list(bundle.chern)
 
 
 def top_chern_class(bundle: SplitBundle) -> TruncatedSeries:
@@ -415,12 +442,25 @@ def thom_class(bundle: SplitBundle, ring: ProjBundleRing, law: FormalGroupLaw) -
     ``ring`` must be the projective completion of a bundle containing E
     as a summand (for the plain Thom class, of E itself); its rank must
     exceed the rank of E, and every nonzero c_k of it must have t-order
-    >= k (`ProjBundleRing.require_filtration`).  Each factor is
-    F(x_j, chi(xi)) = D(x_j, xi) with D = x -_F y, whose slices in y are
-    composed once per law and headroom rank(ring) - 1: they go into the
-    base through one `RingMap` per root and are the coordinates of the
-    factor, reduced by `ProjBundleRing.from_coords` (module docstring).  The value is that of F(x_j, eta)
-    evaluated exactly in the ring.
+    >= k (`ProjBundleRing.require_filtration`).
+
+    In E's own completion, under a law exact in the ring's window (the
+    conditions of `_closed_form_applies`), the value is the Chern
+    polynomial prod_j (x_j - xi), with coordinates
+    (c_n, -c_(n-1), ..., (-1)^n): no product is formed.  Proof: the
+    ring's relation is xi * prod_j (xi - x_j) = 0, and
+    D(x, y) = (x - y) * U(x, y) with U(x, 0) = 1, so the factors
+    prod_j U(x_j, xi) = 1 + xi * V change nothing; the law is exact there
+    because a term its caps cut has weight above the base's weight cap
+    (module docstring).
+
+    Otherwise each factor is F(x_j, chi(xi)) = D(x_j, xi) with
+    D = x -_F y, whose slices in y are composed once per law and headroom
+    rank(ring) - 1: they go into the base through one `RingMap` per root
+    and are the coordinates of the factor, reduced by
+    `ProjBundleRing.from_coords`, and the factors are multiplied by
+    `pb_mul`.  The value is that of F(x_j, eta) evaluated exactly in the
+    ring.
     """
     if ring.rank < bundle.rank + 1:
         raise ValueError("ring rank must be at least rank(E) + 1 (completion by 1)")
@@ -428,6 +468,10 @@ def thom_class(bundle: SplitBundle, ring: ProjBundleRing, law: FormalGroupLaw) -
     base = ring.base
     if law.coeff_kind != base.coeff_kind:
         raise ContextMismatch("coefficient kinds differ")
+    if _closed_form_applies(bundle, ring, law):
+        n = bundle.rank
+        elem = (base.one(),) + bundle.chern
+        return ring.from_coords([elem[n - k] if k % 2 == 0 else -elem[n - k] for k in range(n + 1)])
     ctx = RingContext(2, base.coeff_kind, base.max_t_order, base.max_weight)
     slices = _difference_slices(law, ctx, ring.rank - 1)
     th = None
@@ -436,6 +480,23 @@ def thom_class(bundle: SplitBundle, ring: ProjBundleRing, law: FormalGroupLaw) -
         factor = ring.from_coords([to_base(d) for d in slices])
         th = factor if th is None else pb_mul(ring, th, factor)
     return th
+
+
+def _closed_form_applies(bundle: SplitBundle, ring: ProjBundleRing, law: FormalGroupLaw) -> bool:
+    """(a) ``ring`` is P(1 (+) E) for E = ``bundle`` and (b) the stored F
+    and chi of ``law`` are exact in the ring's window: the law was built
+    and validated by `build_fgl` (so it is the truncation of the law its
+    logarithm defines), and every term its caps cut has a weight above
+    the base's weight cap."""
+    base, n = ring.base, bundle.rank
+    return (
+        law.axioms is not None
+        and base.max_weight < law.max_t_order
+        and base.max_weight <= law.max_weight
+        and ring.rank == n + 1
+        and ring.chern[n].is_zero()
+        and ring.chern[:n] == bundle.chern
+    )
 
 
 def thom_class_via_twist(

@@ -8,7 +8,7 @@ import time
 
 import pytest
 
-from cobcalc import cli, equivariant, fgl, linalg
+from cobcalc import bundles, cli, equivariant, fgl, linalg
 from cobcalc.cli import JobConfig, main, parse_degree_range, run
 from cobcalc.equivariant import GroupPreset, WeylGroupSpec, symmetric_group
 from cobcalc.fgl import fgl_sum
@@ -363,6 +363,32 @@ def test_tower_stdout_golden(command, capsys):
     status = main(command.split())
     out = capsys.readouterr().out
     assert (status, hashlib.sha256(out.encode()).hexdigest()) == TOWER_GOLDEN[command]
+
+
+# exit status and stdout sha256 of `sif`, recorded while every Thom class was
+# formed as a product: the three CLI seeds of the benchmark's sif-rank3, whose
+# law is exact in the window (closed form), and a weight cap above the t-order
+# cap, whose law is cut inside the window (product route)
+SIF_GOLDEN = {
+    "sif --fgl universal --rank 3 --torder 7 --seed 7":
+        (0, "746cb238f0a1f75e6b5cdd6bfc7f514ef4486188136722f0d011bac8a779851d"),
+    "sif --fgl universal --rank 3 --torder 7 --seed 6":
+        (0, "bb962a173b600d87a9bf9cd4a37392ba166d226eb857398d9631e616386ca2e5"),
+    "sif --fgl universal --rank 3 --torder 7 --seed 45":
+        (0, "719b268976d74a1c270e79ed4e6704ba6ca196176efa5346276423f43fdafb67"),
+    "sif --fgl universal --rank 3 --torder 5 --max-w 6 --seed 7":
+        (0, "e2496534a167023f99d78152ea7334716cd41404b28346583b8a11215c633f49"),
+}
+
+
+@pytest.mark.parametrize("command", sorted(SIF_GOLDEN))
+def test_sif_stdout_golden(command, capsys):
+    bundles._difference_slices.cache_clear()
+    status = main(command.split())
+    out = capsys.readouterr().out
+    assert (status, hashlib.sha256(out.encode()).hexdigest()) == SIF_GOLDEN[command]
+    product_route = "--max-w 6" in command
+    assert (bundles._difference_slices.cache_info().misses == 1) == product_route
 
 
 def test_tower_bgm_counts_without_elimination(monkeypatch, capsys):

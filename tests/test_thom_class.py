@@ -1,7 +1,11 @@
-"""Thom classes: ``bundles.thom_class`` (each factor D(x_j, xi) with
-D = x -_F y composed once per law and headroom, its slices in y taken
-as coordinates and reduced by ``from_coords``) against the Horner's rule
-in eta it replaced (``oracles.ref_thom_class``);
+"""Thom classes: ``bundles.thom_class`` against the Horner's rule in eta
+it replaced (``oracles.ref_thom_class``), on both of its routes: the
+closed form in E's own completion under a law exact in the window (the
+Chern polynomial prod_j (x_j - xi), no product formed), and the product
+route everywhere else (each factor D(x_j, xi) with D = x -_F y composed
+once per law and headroom, its slices in y taken as coordinates and
+reduced by ``from_coords``), with laws cut inside the window as the
+negative control of the closed form's guard;
 ``tautological_inverse_class`` against its `pb_substitute` form and
 ``xi_power`` against the reduction loop of ``oracles.ref_reduce_coords``;
 the filtration guard of both Thom routes; and a golden of whole Thom
@@ -10,8 +14,8 @@ classes, whose every coordinate the ``sif`` stdout does not see.
 The grid covers all three kinds, caps where the headroom matters
 ((3,6), (5,8), (4,9): weight caps above the t-order cap), 1..3 base
 variables, bundles of rank 1..3 and completions of the bundle plus 0..2
-extra summands.
-"""
+extra summands; the closed form is checked at base caps unlike the
+law's, on bundles of rank 1..4"""
 
 import hashlib
 import io
@@ -26,6 +30,7 @@ from hypothesis import strategies as st
 from cobcalc import bundles, cli
 from cobcalc.bundles import (
     SplitBundle,
+    chern_classes,
     direct_sum,
     pb_ring,
     pb_substitute,
@@ -37,7 +42,7 @@ from cobcalc.bundles import (
 )
 from cobcalc.fgl import COEFF_KIND_FOR, build_fgl
 from cobcalc.selftest import random_series
-from cobcalc.series import RingContext
+from cobcalc.series import RingContext, RingMap
 
 from oracles import ref_reduce_coords, ref_thom_class
 from strategies import series
@@ -159,8 +164,9 @@ def test_whole_thom_class_golden(kind, rank):
 
 
 def test_products_of_the_thom_route(monkeypatch):
-    """eta and xi^k form no `pb_mul`; th(E) forms rank(E) - 1 of them, one
-    per factor after the first, and calls no `pb_substitute`."""
+    """eta and xi^k form no `pb_mul`; in the completion of a larger bundle
+    th(E) forms rank(E) - 1 of them, one per factor after the first, and
+    calls no `pb_substitute`."""
     calls = []
     real_mul = bundles.pb_mul
     monkeypatch.setattr(bundles, "pb_mul", lambda *a: calls.append("mul") or real_mul(*a))
@@ -168,12 +174,103 @@ def test_products_of_the_thom_route(monkeypatch):
     law = law_at("universal-rational", 5, 4)
     ctx = law.context(2)
     bundle = SplitBundle((ctx.var(0), ctx.var(1), ctx.var(0) + ctx.var(1)))
-    ring = projective_completion_ring(bundle)
+    ring = projective_completion_ring(direct_sum(bundle, SplitBundle((ctx.var(1),))))
     tautological_inverse_class(ring, law)
     xi_power(ring, 9)
     assert calls == []
     thom_class(bundle, ring, law)
     assert calls == ["mul", "mul"]
+
+
+def test_own_completion_forms_no_product(monkeypatch):
+    """Under both conditions of the closed form th(E) is read off the
+    Chern classes: no `pb_mul`, no `RingMap` and no difference series."""
+    cases = []
+    for kind in KINDS:
+        law = law_at(kind, 5, 4)
+        ctx = law.context(2)
+        t1, t2 = ctx.var(0), ctx.var(1)
+        bundle = SplitBundle((t1, t2, t1 + t2 + t1 * t2))
+        cases.append((bundle, projective_completion_ring(bundle), law))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the closed form forms no product")
+
+    monkeypatch.setattr(bundles, "pb_mul", refuse)
+    monkeypatch.setattr(RingMap, "__call__", refuse)
+    monkeypatch.setattr(bundles, "_difference_slices", refuse)
+    for bundle, ring, law in cases:
+        c1, c2, c3 = chern_classes(bundle)
+        th = thom_class(bundle, ring, law)
+        assert th.coords == (c3, -c2, c1, -ring.base.one())
+
+
+def closed_form(bundle, ring):
+    """(c_n, -c_(n-1), ..., (-1)^n), the Chern polynomial prod_j (x_j - xi)."""
+    elem = [ring.base.one()] + chern_classes(bundle)
+    n = bundle.rank
+    return ring.from_coords([(-1) ** k * elem[n - k] for k in range(n + 1)])
+
+
+# (law caps, base caps), each pair inside the closed form's guard: the base
+# weight cap below the law's t-order cap and at most its weight cap
+EXACT_CAPS = (
+    ((4, 3), (4, 3)),
+    ((4, 3), (6, 2)),  # base t-order cap above the law's
+    ((5, 4), (3, 4)),  # base weight cap equal to the law's
+    ((3, 6), (5, 2)),  # law weight cap above its t-order cap
+    ((5, 4), (7, 1)),
+)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=100)
+@given(st.data())
+def test_closed_form_matches_both_product_routes(data):
+    kind = data.draw(st.sampled_from(KINDS))
+    law_caps, base_caps = data.draw(st.sampled_from(EXACT_CAPS))
+    law = law_at(kind, *law_caps)
+    base = RingContext(data.draw(st.integers(1, 3)), COEFF_KIND_FOR[kind], *base_caps)
+    rank = data.draw(st.integers(1, 4))
+    bundle = SplitBundle(tuple(data.draw(roots(base)) for _ in range(rank)))
+    ring = projective_completion_ring(bundle)
+    assert bundles._closed_form_applies(bundle, ring, law)
+    th = thom_class(bundle, ring, law)
+    assert th == closed_form(bundle, ring)
+    assert th == ref_thom_class(bundle, ring, law)
+    assert th == thom_class_via_twist(bundle, ring, law)
+
+
+@pytest.mark.parametrize(
+    "kind, law_caps, base_caps, top",
+    [
+        # base weight cap 6 is not below the law's t-order cap 3
+        ("multiplicative", (3, 6), (3, 6), "-1 + 1 * b^3*t1^3"),
+        # base weight cap 3 is above the law's weight cap 2
+        ("multiplicative", (4, 2), (4, 3), "-1 + 1 * b^3*t1^3"),
+        ("universal-rational", (3, 1), (3, 2), "-1 + 4 * m1^2*t1^2"),
+    ],
+)
+def test_a_law_cut_inside_the_window_takes_the_product_route(kind, law_caps, base_caps, top):
+    """The truncated F and chi leave terms the window sees, so th(E) is
+    not the Chern polynomial; the product route's value is kept."""
+    law = law_at(kind, *law_caps)
+    base = RingContext(1, COEFF_KIND_FOR[kind], *base_caps)
+    bundle = SplitBundle((base.var(0),))
+    ring = projective_completion_ring(bundle)
+    th = thom_class(bundle, ring, law)
+    assert th == ref_thom_class(bundle, ring, law)
+    assert th != closed_form(bundle, ring)
+    assert th.to_text() == "1 * t1 | " + top
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("caps", [(3, 6), (5, 4), (6, 2)])
+def test_every_term_of_the_law_has_degree_one(kind, caps):
+    """t-order minus weight is 1 on every term of F and chi, so a term the
+    caps cut at t-order k has weight k - 1."""
+    law = law_at(kind, *caps)
+    for s in (law.series, law.inverse_series):
+        assert {m.degree() for m, _ in s.iter_terms()} == {1}
 
 
 def test_sif_composes_the_difference_series_once():
