@@ -110,12 +110,16 @@ def _signed_actions(generators) -> Optional[tuple]:
 
 def _check_unimodular(m: Matrix) -> None:
     # a signed permutation has det +-1; this O(n^2) test spares the presets'
-    # generators an O(n^3) determinant
+    # generators an elimination
     if _signed_columns(m) is not None:
         return
-    d = linalg.det([list(r) for r in m])
-    if d not in (1, -1):
-        raise ValueError(f"matrix is not invertible over Z (det = {d})")
+    # an integer matrix has an integral inverse exactly when its det is +-1
+    try:
+        if linalg.inverse(m)[1] == 1:
+            return
+    except ValueError:  # m is square, so it is singular
+        pass
+    raise ValueError("matrix is not invertible over Z (det is not +-1)")
 
 
 def int_mat_mul(a: Matrix, b: Matrix) -> Matrix:

@@ -5,12 +5,18 @@ A sparse row is a ``{column: int}`` dict of its nonzero entries.
 on such rows (``row = p*row - a*pivot_row``, gcd(p, a) and the row's
 content divided out) and returns the reduced row echelon form over Q,
 each row scaled to a primitive integer row with a positive pivot.  That
-form is unique, so it is a canonical key for the row space.
+form is unique, so it is a canonical key for the row space.  ``kernel``
+and ``inverse`` read their results off it: ``inverse`` eliminates the
+augmented rows (rows | 1) and returns sparse integer rows over one least
+common denominator, so an integer matrix has an integral inverse exactly
+when its determinant is +-1.
 
-The dense functions are adapters over the kernel: ``int_rows`` clears
-the denominators of rows that may mix ints, Fractions and anything
-``Fraction()`` accepts, and Fractions are built only for returned
-entries.  ``det`` is Bareiss's exact-division elimination.
+``int_rows`` clears the denominators of dense rows that may mix ints,
+Fractions and anything ``Fraction()`` accepts.  ``identity`` builds the
+dense Fraction transforms of the tower self-check.  ``mat``, ``mat_mul``,
+``transpose``, ``rref``, ``nullspace`` and ``column_space`` are dense
+Fraction adapters over the kernel that no other module calls; they stay
+because the benchmark's tracer wraps them by name.
 """
 
 from __future__ import annotations
@@ -111,6 +117,23 @@ def kernel(rows, n_cols: int) -> list:
     ]
 
 
+def inverse(rows) -> tuple:
+    """``(inv, den)``: the square matrix's inverse is ``inv / den``, ``inv`` sparse
+    integer rows, den >= 1 least; ValueError if it is not square or singular.
+    Pivot row c of (rows | 1) is p_c*(e_c | row c of the inverse), p_c > 0 least."""
+    n = len(rows)
+    if any(len(row) != n for row in rows):
+        raise ValueError("inverse needs a square matrix")
+    sparse, den = int_rows(rows)
+    # (den*rows | den) spans the same rows as (rows | 1)
+    red = echelon({**row, n + i: den} for i, row in enumerate(sparse))
+    if any(c >= n for c in red):
+        raise ValueError("matrix is singular")
+    den = lcm(*[red[c][c] for c in red])
+    return [{j - n: x * (den // red[c][c]) for j, x in red[c].items() if j >= n}
+            for c in range(n)], den
+
+
 def mat(rows) -> list:
     return [[x if type(x) is Fraction else Fraction(x) for x in row] for row in rows]
 
@@ -154,49 +177,7 @@ def nullspace(rows, n_cols: Optional[int] = None) -> list:
     return [[v.get(j, Fraction(0)) for j in range(n_cols)] for v in basis]
 
 
-def row_space(rows) -> tuple:
-    """Canonical form of the span of the rows: nonzero rref rows as a tuple."""
-    red, pivots = rref(rows)
-    return tuple(tuple(r) for r in red[: len(pivots)])
-
-
 def column_space(mat_rows) -> tuple:
-    """Canonical form of the column span (row space of the transpose)."""
-    return row_space(transpose(mat_rows)) if mat_rows else ()
-
-
-def det(rows) -> Fraction:
-    """Determinant by Bareiss elimination on the denominator-cleared integer rows."""
-    n = len(rows)
-    if any(len(r) != n for r in rows):
-        raise ValueError("determinant needs a square matrix")
-    sparse, den = int_rows(rows)
-    m = [[row.get(j, 0) for j in range(n)] for row in sparse]
-    sign = 1
-    prev = 1
-    for k in range(n):
-        pivot = next((i for i in range(k, n) if m[i][k]), None)
-        if pivot is None:
-            return Fraction(0)
-        if pivot != k:
-            m[k], m[pivot] = m[pivot], m[k]
-            sign = -sign
-        pk = m[k]
-        p = pk[k]
-        # every entry right of column k is a (k+1)-minor, so the division is exact
-        for i in range(k + 1, n):
-            a = m[i][k]
-            m[i] = [(p * x - a * y) // prev for x, y in zip(m[i], pk)]
-        prev = p
-    return Fraction(sign * prev, den**n)
-
-
-def inverse(rows) -> list:
-    """Inverse of a square matrix; raises on singular input."""
-    n = len(rows)
-    aug = [list(r) + [int(i == j) for j in range(n)] for i, r in enumerate(rows)]
-    red, pivots = rref(aug)
-    if pivots[:n] != list(range(n)):
-        raise ValueError("matrix is singular")
-    return [row[n:] for row in red[:n]]
-
+    """Canonical form of the column span: the nonzero rref rows of the transpose, as a tuple."""
+    red, pivots = rref(transpose(mat_rows))
+    return tuple(tuple(r) for r in red[: len(pivots)])

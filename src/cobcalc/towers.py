@@ -208,23 +208,28 @@ def coefficient_ring_dimension(ctx: RingContext, degree: int) -> int:
 def apply_levelwise_isomorphism(tower: Tower, transforms: Dict[int, list]) -> Tower:
     """Conjugate a tower by invertible matrices, one list per degree.
 
-    ``transforms[d][i]`` acts on level i of degree d; new maps are
-    P_i * M_i * P_{i+1}^(-1), multiplied out densely over Q.  Clearing each
-    one's denominators, the one place a rational map is made integral,
-    moves no image.  Stabilization data must be unchanged, which is the
-    functoriality check used by the test suites.
+    ``transforms[d][i]``, dense rational rows, acts on level i of degree d;
+    the new maps are P_i * M_i * P_{i+1}^(-1).  P_i is read as integer
+    columns with its denominators cleared, P_{i+1}^(-1) as the columns that
+    ``linalg.inverse`` gives for the transpose, and each new column is two
+    sparse products: the map comes out a nonzero multiple of the conjugate,
+    which moves no image.  Stabilization data must be unchanged, which is
+    the functoriality check used by the test suites.  A missing degree, a
+    wrong number of transforms, one that is not dim x dim or singular raise
+    ValueError.
     """
     out = Tower()
     for d, sl in tower.degrees.items():
-        ps = transforms[d]
-        if len(ps) != len(sl.dims):
-            raise ValueError("need one transform per level")
-        inv = [linalg.inverse(p) if p else [] for p in ps]
-        maps = []
-        for i in range(len(sl.dims) - 1):
-            m = sl.map(i)
-            dense = [[col.get(r, 0) for col in m] for r in range(sl.dims[i])]
-            new = linalg.mat_mul(linalg.mat_mul(ps[i], dense), inv[i + 1])
-            maps.append(linalg.int_rows([row[c] for row in new] for c in range(sl.dims[i + 1]))[0])
+        ps = transforms.get(d)
+        if ps is None or len(ps) != len(sl.dims):
+            raise ValueError(f"degree {d}: need one transform per level")
+        for i, p in enumerate(ps):
+            if len(p) != sl.dims[i] or any(len(row) != sl.dims[i] for row in p):
+                raise ValueError(f"degree {d}: transform {i} is not {sl.dims[i]}x{sl.dims[i]}")
+        cols = [list(zip(*p)) for p in ps]
+        inv = [linalg.inverse(c)[0] for c in cols]
+        cols = [linalg.int_rows(c)[0] for c in cols]
+        maps = [[_apply(cols[i], _apply(sl.map(i), q)) for q in inv[i + 1]]
+                for i in range(len(sl.dims) - 1)]
         out.degrees[d] = TowerSlice(dims=list(sl.dims), maps=maps)
     return out

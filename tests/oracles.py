@@ -6,8 +6,9 @@ direct enumeration for monomial bases, a reference series arithmetic
 on plain ``{Monomial: Fraction}`` dicts, the Fraction Gauss-Jordan
 elimination that the integer one in ``cobcalc.linalg`` replaced, the
 composite image chains that ``cobcalc.towers`` replaced by propagation,
-and the monomial-matching dense projective-space tower that it replaced
-by counting.  The
+the dense ``Fraction`` conjugation (``ref_conjugate``) that it replaced by
+sparse products with ``linalg.inverse``, and the monomial-matching dense
+projective-space tower that it replaced by counting.  The
 one exception is ``ref_pb_substitute``, the term-by-term
 projective-bundle evaluation that ``cobcalc.bundles.pb_substitute``
 replaced: it evaluates with the package's own ``pb_mul``.  So does
@@ -44,6 +45,7 @@ from cobcalc.series import (
     lazard_monomials,
     substitute,
 )
+from cobcalc.towers import Tower, TowerSlice
 
 
 def trunc_x(expr, x, order):
@@ -322,6 +324,52 @@ def ref_image_chains(dims, maps) -> list:
     return chains
 
 
+# -- the dense conjugation that towers.apply_levelwise_isomorphism did before it
+# -- went sparse: linalg.inverse and linalg.mat_mul of that time, on ref_rref
+
+
+def _ref_mat_mul(a, b, cols=None) -> list:
+    """Matrix product; ``cols`` pins the width when b has zero rows."""
+    if a and b and len(a[0]) != len(b):
+        raise ValueError(f"shape mismatch: {len(a)}x{len(a[0])} times {len(b)}x{len(b[0])}")
+    b_cols = [list(col) for col in zip(*b)] if b else [()] * (cols or 0)
+    return [[sum((x * y for x, y in zip(row, col) if x and y), Fraction(0)) for col in b_cols]
+            for row in a]
+
+
+def _ref_inverse(rows) -> list:
+    """Inverse of a square matrix; raises on singular input."""
+    n = len(rows)
+    aug = [list(r) + [int(i == j) for j in range(n)] for i, r in enumerate(rows)]
+    red, pivots = ref_rref(aug)
+    if pivots[:n] != list(range(n)):
+        raise ValueError("matrix is singular")
+    return [row[n:] for row in red[:n]]
+
+
+def ref_conjugate(tower, transforms):
+    """Conjugate a tower by invertible matrices, one list per degree.
+
+    ``transforms[d][i]`` acts on level i of degree d; new maps are
+    P_i * M_i * P_{i+1}^(-1), multiplied out densely over Q, each with its
+    denominators cleared.
+    """
+    out = Tower()
+    for d, sl in tower.degrees.items():
+        ps = transforms[d]
+        if len(ps) != len(sl.dims):
+            raise ValueError("need one transform per level")
+        inv = [_ref_inverse(p) if p else [] for p in ps]
+        maps = []
+        for i in range(len(sl.dims) - 1):
+            m = sl.map(i)
+            dense = [[col.get(r, 0) for col in m] for r in range(sl.dims[i])]
+            new = _ref_mat_mul(_ref_mat_mul(ps[i], dense), inv[i + 1])
+            maps.append(linalg.int_rows([row[c] for row in new] for c in range(sl.dims[i + 1]))[0])
+        out.degrees[d] = TowerSlice(dims=list(sl.dims), maps=maps)
+    return out
+
+
 # -- the dense projective-space tower that towers.projective_space_tower built
 # -- before it counted monomials; it returns {degree: (dims, dense maps)}
 
@@ -473,7 +521,7 @@ def _as_matrix(rows):
 
 
 def _check_unimodular(m) -> None:
-    d = linalg.det([list(r) for r in m])
+    d = ref_det(m)
     if d not in (1, -1):
         raise ValueError(f"matrix is not invertible over Z (det = {d})")
 

@@ -1,6 +1,6 @@
 """Differential tests: the integer elimination in ``linalg`` against the
-Fraction Gauss-Jordan it replaced (``oracles.ref_rref``/``ref_det``),
-plus fixed cases checked against ``sympy.Matrix.rref``.
+Fraction Gauss-Jordan it replaced (``oracles.ref_rref``, with ``ref_det``
+for the inverse), plus fixed cases checked against ``sympy.Matrix.rref``.
 
 Matrices mix int and Fraction entries, are often rank-deficient (rows are
 combinations of a few base rows), sometimes carry a zero column, and range
@@ -86,9 +86,6 @@ def test_elimination_matches_reference(rows):
     assert_fraction_rows(red, want_red)
     assert pivots == want_pivots
 
-    row_space = linalg.row_space(rows)
-    assert row_space == ref_row_space(rows)
-    assert all(type(x) is Fraction for row in row_space for x in row)
     column_space = linalg.column_space(rows)
     assert column_space == (ref_row_space(linalg.transpose(rows)) if rows else ())
     assert all(type(x) is Fraction for row in column_space for x in row)
@@ -101,33 +98,59 @@ def test_elimination_matches_reference(rows):
         assert all(sum(a * x for a, x in zip(row, v)) == 0 for row in rows)
 
 
+@st.composite
+def unimodular_matrices(draw):
+    """Integer products of shears, swaps and sign flips: det = +-1."""
+    n = draw(st.integers(1, 5))
+    m = [[int(r == c) for c in range(n)] for r in range(n)]
+    for _ in range(draw(st.integers(0, 6))):
+        i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+        op = draw(st.sampled_from(["shear", "swap", "flip"]))
+        if op == "shear" and i != j:
+            c = draw(st.integers(-3, 3))
+            m[i] = [x + c * y for x, y in zip(m[i], m[j])]
+        elif op == "swap":
+            m[i], m[j] = m[j], m[i]
+        elif op == "flip":
+            m[i] = [-x for x in m[i]]
+    return m
+
+
 @SETTINGS
-@given(square_matrices())
-def test_det_and_inverse_match_reference(rows):
-    d = linalg.det(rows)
-    assert type(d) is Fraction
-    assert d == ref_det(rows)
+@given(st.one_of(square_matrices(), unimodular_matrices()))
+def test_inverse_matches_reference(rows):
     n = len(rows)
-    if d == 0:
+    before = [list(r) for r in rows]
+    red, pivots = ref_rref([list(r) + [int(i == j) for j in range(n)] for i, r in enumerate(rows)])
+    if pivots[:n] != list(range(n)):
+        assert ref_det(rows) == 0
         with pytest.raises(ValueError, match="singular"):
             linalg.inverse(rows)
         return
-    red, _ = ref_rref([list(r) + [int(i == j) for j in range(n)] for i, r in enumerate(rows)])
-    inv = linalg.inverse(rows)
-    assert_fraction_rows(inv, [row[n:] for row in red[:n]])
-    assert linalg.mat_mul(rows, inv, cols=n) == linalg.identity(n)
+    inv, den = linalg.inverse(rows)
+    assert rows == before  # the input is not modified
+    want = [row[n:] for row in red[:n]]
+    assert len(inv) == n
+    assert all(type(x) is int and x for row in inv for x in row.values())
+    assert [[Fraction(row.get(j, 0), den) for j in range(n)] for row in inv] == want
+    # den is the least common denominator of the inverse's entries
+    assert type(den) is int and den == math.lcm(*(x.denominator for row in want for x in row))
+    if all(type(x) is int for row in rows for x in row):
+        assert (den == 1) == (ref_det(rows) in (1, -1))
 
 
 @SETTINGS
 @given(st.data())
-def test_det_rejects_non_square(data):
+def test_inverse_rejects_non_square(data):
     rows = data.draw(matrices(n_rows=data.draw(st.integers(1, 4))))
     if len(rows[0]) == len(rows):
         rows = [r + [0] for r in rows]
-    with pytest.raises(ValueError):
-        ref_det(rows)
+    if data.draw(st.booleans()):  # ragged: n rows, all but one of length n
+        n = len(rows)
+        rows = [(r + [0] * n)[:n] for r in rows]
+        rows[data.draw(st.integers(0, n - 1))].pop()
     with pytest.raises(ValueError, match="square"):
-        linalg.det(rows)
+        linalg.inverse(rows)
 
 
 def test_mat_keeps_fractions_and_converts_the_rest():
@@ -141,9 +164,8 @@ def test_mat_keeps_fractions_and_converts_the_rest():
 def test_empty_inputs():
     assert linalg.rref([]) == ([], [])
     assert linalg.rref([[], []]) == ref_rref([[], []]) == ([[], []], [])
-    assert linalg.row_space([]) == linalg.column_space([]) == ()
-    assert linalg.det([]) == ref_det([]) == 1 and type(linalg.det([])) is Fraction
-    assert linalg.inverse([]) == []
+    assert linalg.column_space([]) == ()
+    assert linalg.inverse([]) == ([], 1)
     assert linalg.nullspace([], n_cols=2) == [[1, 0], [0, 1]]
     with pytest.raises(ValueError):
         linalg.nullspace([])

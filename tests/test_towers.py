@@ -21,7 +21,7 @@ from cobcalc.towers import (
     stabilization_index,
 )
 
-from oracles import ref_image_chains, ref_projective_space_tower
+from oracles import ref_conjugate, ref_image_chains, ref_projective_space_tower
 
 ALL_KINDS = ("additive", "multiplicative", "universal-rational")
 COEFF_KIND = {"additive": "rational",
@@ -344,6 +344,47 @@ def test_propagated_chains_match_composites_after_conjugation(data):
     assert assert_matches_reference(dims, moved_maps) == assert_matches_reference(dims, maps)
 
 
+def assert_scaled(got, want, n_rows):
+    """The integer columns ``got`` are one nonzero multiple of the columns ``want``."""
+    got, want = dense(got, n_rows), dense(want, n_rows)
+    pairs = [(x, y) for g, w in zip(got, want) for x, y in zip(g, w)]
+    scale = next((Fraction(x, y) for x, y in pairs if y), 1)
+    assert scale and all(x == scale * y for x, y in pairs)
+
+
+@SETTINGS
+@given(st.data())
+def test_conjugation_matches_the_dense_reference(data):
+    dims, maps = data.draw(random_towers())
+    tower = Tower({0: dense_slice(dims, maps)})
+    transforms = {0: [data.draw(invertible(n)) for n in dims]}
+    got = apply_levelwise_isomorphism(tower, transforms).slice(0)
+    want = ref_conjugate(tower, transforms).slice(0)
+    assert got.dims == dims
+    for i in range(len(dims) - 1):
+        assert_scaled(got.maps[i], want.maps[i], dims[i])
+
+
+TWO = [[1, 0], [0, 1]]
+
+
+@pytest.mark.parametrize("transforms,message", [
+    ({}, "need one transform per level"),
+    ({0: [TWO] * 3}, "need one transform per level"),
+    ({0: [TWO, [[1, 0, 0], [0, 1, 0], [0, 0, 1]], TWO, TWO]}, "transform 1 is not 2x2"),
+    ({0: [[[1, 0]], TWO, TWO, TWO]}, "transform 0 is not 2x2"),
+    ({0: [TWO, TWO, [[1, 0, 0], [0, 1, 0]], TWO]}, "transform 2 is not 2x2"),
+    ({0: [TWO, TWO, TWO, [[1, 0], [0]]]}, "transform 3 is not 2x2"),
+    ({0: [TWO, [[1, 1], [1, 1]], TWO, TWO]}, "singular"),
+    ({0: [[[1, 2], [2, 4]], TWO, TWO, TWO]}, "singular"),
+], ids=["missing-degree", "transform-count", "wrong-size", "non-square", "wide",
+        "ragged", "singular", "singular-bottom"])
+def test_malformed_transforms_are_refused(transforms, message):
+    tower = Tower({0: TowerSlice([2, 2, 2, 2])})
+    with pytest.raises(ValueError, match=message):
+        apply_levelwise_isomorphism(tower, transforms)
+
+
 # -- counted prefix slices against the elimination ----------------------------------
 
 @st.composite
@@ -367,9 +408,8 @@ def test_counted_prefix_slices_match_the_elimination(data):
     for d, sl in tower.degrees.items():
         assert sl.maps is None
         assert diagnostics(tower, d) == diagnostics(explicit, d)
-    # the dense conjugation costs cubic time in the level dims: one drawn degree per example
-    d = data.draw(st.sampled_from(sorted(tower.degrees)))
-    transforms = {d: [data.draw(invertible(n)) for n in tower.slice(d).dims]}
-    moved = apply_levelwise_isomorphism(Tower({d: tower.slice(d)}), transforms)
-    assert moved.slice(d).maps is not None
-    assert diagnostics(moved, d) == diagnostics(tower, d)
+    transforms = {d: [data.draw(invertible(n)) for n in sl.dims] for d, sl in tower.degrees.items()}
+    moved = apply_levelwise_isomorphism(tower, transforms)
+    for d in tower.degrees:
+        assert moved.slice(d).maps is not None
+        assert diagnostics(moved, d) == diagnostics(tower, d)
