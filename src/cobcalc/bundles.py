@@ -78,7 +78,6 @@ coordinate of the result is canonicalized once; `reduce_coords`, behind
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from typing import Mapping, Sequence
@@ -97,17 +96,16 @@ from .series import (
     substitute,
     variable_slices,
 )
+from .value import FrozenValue
 
 
-@dataclass(frozen=True)
-class SplitBundle:
+class SplitBundle(FrozenValue):
     """A bundle presented by its Chern roots (all in one base context)."""
 
-    roots: tuple
+    _fields = ("roots",)
 
-    def __post_init__(self):
-        roots = tuple(self.roots)
-        object.__setattr__(self, "roots", roots)
+    def __init__(self, roots: Sequence[TruncatedSeries]):
+        roots = tuple(roots)
         if not roots:
             raise ValueError("a split bundle needs at least one root")
         ctx = roots[0].ctx
@@ -116,6 +114,7 @@ class SplitBundle:
                 raise ContextMismatch("all roots must share one context")
             if r.has_t_constant_term():
                 raise ValueError("Chern roots must have zero constant term")
+        self.__dict__["roots"] = roots
 
     @property
     def rank(self) -> int:
@@ -161,21 +160,19 @@ def direct_sum(*bundles: SplitBundle) -> SplitBundle:
     return SplitBundle(roots)
 
 
-@dataclass(frozen=True)
-class ProjBundleRing:
+class ProjBundleRing(FrozenValue):
     """Free module on 1, xi, ..., xi^(n-1) with the Chern reduction attached."""
 
-    base: RingContext
-    chern: tuple
+    _fields = ("base", "chern")
 
-    def __post_init__(self):
-        chern = tuple(self.chern)
-        object.__setattr__(self, "chern", chern)
+    def __init__(self, base: RingContext, chern: Sequence[TruncatedSeries]):
+        chern = tuple(chern)
         if not chern:
             raise ValueError("need at least one Chern class (rank >= 1)")
         for c in chern:
-            if c.ctx != self.base:
+            if c.ctx != base:
                 raise ContextMismatch("Chern classes must live over the base context")
+        self.__dict__.update(base=base, chern=chern)
 
     @property
     def rank(self) -> int:
@@ -227,16 +224,15 @@ class ProjBundleRing:
         return ProjBundleElement(self, tuple(coords))
 
 
-@dataclass(frozen=True)
-class ProjBundleElement:
+class ProjBundleElement(FrozenValue):
     """Coordinate vector (a0..a_{n-1}) in the xi-power basis."""
 
-    ring: ProjBundleRing
-    coords: tuple
+    _fields = ("ring", "coords")
 
-    def __post_init__(self):
-        if len(self.coords) != self.ring.rank:
+    def __init__(self, ring: ProjBundleRing, coords: tuple):
+        if len(coords) != ring.rank:
             raise ValueError("coordinate vector length must equal the rank")
+        self.__dict__.update(ring=ring, coords=coords)
 
     def __add__(self, other):
         other = _coerce_pb(self.ring, other)

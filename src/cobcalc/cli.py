@@ -18,7 +18,6 @@ import os
 import random
 import re
 import sys
-from dataclasses import dataclass, field, replace
 from typing import Optional, Sequence
 
 from .bundles import (
@@ -51,6 +50,7 @@ from .towers import (
     projective_space_tower,
     stabilization_index,
 )
+from .value import Value
 
 SCHEMA_PREFIX = "cobcalc"
 # `tower bgm` refuses more levels than this before it builds anything: every
@@ -76,22 +76,45 @@ ERROR_KINDS = (
 )
 
 
-@dataclass
-class JobConfig:
-    subcommand: str
-    fgl_kind: str = "additive"
-    max_t: int = 6
-    max_w: int = 5
-    group: str = "GL2"
-    degrees: Sequence[int] = field(default_factory=lambda: [0])
-    t_order: Optional[int] = None
-    rank: int = 2
-    levels: int = 8
-    samples: int = 100
-    base_vars: int = 3
-    seed: int = 0
-    emit_basis: bool = False
-    output_format: str = "json"
+class JobConfig(Value):
+    """One job: the subcommand and every option, as parsed from argv."""
+
+    _fields = (
+        "subcommand", "fgl_kind", "max_t", "max_w", "group", "degrees", "t_order",
+        "rank", "levels", "samples", "base_vars", "seed", "emit_basis", "output_format",
+    )
+
+    def __init__(
+        self,
+        subcommand: str,
+        fgl_kind: str = "additive",
+        max_t: int = 6,
+        max_w: int = 5,
+        group: str = "GL2",
+        degrees: Optional[Sequence[int]] = None,
+        t_order: Optional[int] = None,
+        rank: int = 2,
+        levels: int = 8,
+        samples: int = 100,
+        base_vars: int = 3,
+        seed: int = 0,
+        emit_basis: bool = False,
+        output_format: str = "json",
+    ):
+        self.subcommand = subcommand
+        self.fgl_kind = fgl_kind
+        self.max_t = max_t
+        self.max_w = max_w
+        self.group = group
+        self.degrees = [0] if degrees is None else degrees
+        self.t_order = t_order
+        self.rank = rank
+        self.levels = levels
+        self.samples = samples
+        self.base_vars = base_vars
+        self.seed = seed
+        self.emit_basis = emit_basis
+        self.output_format = output_format
 
 
 def _context(config: JobConfig, n_vars: int) -> RingContext:
@@ -241,8 +264,8 @@ def _run_sif(config: JobConfig):
         raise ConfigError("sif supports --base-vars 1..8")
     if config.rank < 1:
         raise ConfigError("sif needs --rank >= 1")
-    if config.t_order is not None:
-        config = replace(config, max_t=config.t_order)
+    if config.t_order is not None:  # a copy whose t-order cap is --torder
+        config = JobConfig(**{**vars(config), "max_t": config.t_order})
     law = _law(config)
     ctx = law.context(config.base_vars)
     rng = random.Random(config.seed)
@@ -334,7 +357,7 @@ def _run_tower_bgm(config: JobConfig):
             f"over the cap of {MAX_TOWER_DIMS}"
         )
     ctx = _context(config, 1)
-    tower = projective_space_tower(ctx, max(config.degrees), config.levels)
+    tower = projective_space_tower(ctx, max(config.degrees), config.levels, min(config.degrees))
 
     table = {}
     for d in sorted(set(config.degrees)):

@@ -50,7 +50,6 @@ gives their joint kernel.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
 from itertools import chain
 from math import factorial, lcm
 from typing import Optional, Sequence
@@ -71,6 +70,7 @@ from .series import (
     substitute,
     unit_series,
 )
+from .value import FrozenValue
 
 Matrix = tuple  # tuple of row tuples with integer entries
 
@@ -135,38 +135,47 @@ def _identity_int(n: int) -> Matrix:
     return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
 
 
-@dataclass(frozen=True)
-class WeylGroupSpec:
+class WeylGroupSpec(FrozenValue):
     """A finite group of unimodular integer matrices given by generators."""
 
-    rank: int
-    generators: tuple
-    max_elements: int = 20000
-    # the enumeration, built on the first call of elements() and kept
-    _elements: Optional[tuple] = field(default=None, init=False, repr=False, compare=False)
+    _fields = ("rank", "generators", "max_elements")
 
-    def __post_init__(self):
-        gens = tuple(_as_matrix(g) for g in self.generators)
-        object.__setattr__(self, "generators", gens)
+    def __init__(self, rank: int, generators: tuple, max_elements: int = 20000):
+        gens = tuple(_as_matrix(g) for g in generators)
         for g in gens:
-            if len(g) != self.rank:
+            if len(g) != rank:
                 raise ValueError("generator size does not match the rank")
             _check_unimodular(g)
+        # _elements is the enumeration, built on the first call of elements() and kept
+        self.__dict__.update(
+            rank=rank, generators=gens, max_elements=max_elements, _elements=None
+        )
 
     def elements(self) -> tuple:
         """Full enumeration: closure of the generators, BFS order from the
-        identity; computed on the first call."""
+        identity; computed on the first call.  Signed permutations compose
+        as `_signed_code` tuples, O(n) a product."""
         if self._elements is not None:
             return self._elements
-        identity = _identity_int(self.rank)
+        actions = _signed_actions(self.generators)
+        if actions is None:
+            order = self._closure(_identity_int(self.rank), self.generators, int_mat_mul)
+        else:
+            codes = [_signed_code(cols) for cols in actions]
+            identity = tuple(range(1, self.rank + 1))
+            order = map(_signed_matrix, self._closure(identity, codes, _compose_signed))
+        self.__dict__["_elements"] = tuple(order)
+        return self._elements
+
+    def _closure(self, identity, generators, mul) -> list:
         seen = {identity}
         order = [identity]
         frontier = [identity]
         while frontier:
             new = []
             for w in frontier:
-                for g in self.generators:
-                    wg = int_mat_mul(w, g)
+                for g in generators:
+                    wg = mul(w, g)
                     if wg not in seen:
                         seen.add(wg)
                         order.append(wg)
@@ -176,18 +185,41 @@ class WeylGroupSpec:
                                 f"closure exceeds the cap of {self.max_elements} elements"
                             )
             frontier = new
-        object.__setattr__(self, "_elements", tuple(order))
-        return self._elements
+        return order
 
 
-@dataclass(frozen=True)
-class GroupPreset:
-    name: str
-    rank: int
-    weyl: WeylGroupSpec
-    # the order of the Weyl group when known in closed form, so that a group
-    # too large to enumerate is refused before any work
-    weyl_order: Optional[int] = None
+def _signed_code(cols: tuple) -> tuple:
+    """A signed permutation as the tuple of s_j * (i_j + 1) over its
+    `_signed_columns` ``(i_j, s_j)``: entry j names the row and the sign of
+    the one nonzero entry of column j."""
+    return tuple(s * (i + 1) for i, s in cols)
+
+
+def _compose_signed(w: tuple, g: tuple) -> tuple:
+    """The `_signed_code` of w * g from those of w and g."""
+    return tuple(w[c - 1] if c > 0 else -w[-c - 1] for c in g)
+
+
+def _signed_matrix(code: tuple) -> Matrix:
+    """The signed permutation matrix of a `_signed_code`."""
+    n = len(code)
+    rows = [[0] * n for _ in range(n)]
+    for j, c in enumerate(code):
+        rows[abs(c) - 1][j] = 1 if c > 0 else -1
+    return tuple(map(tuple, rows))
+
+
+class GroupPreset(FrozenValue):
+    """A named group: its Weyl group and, when known in closed form, the
+    order of that group, so that a group too large to enumerate is refused
+    before any work."""
+
+    _fields = ("name", "rank", "weyl", "weyl_order")
+
+    def __init__(
+        self, name: str, rank: int, weyl: WeylGroupSpec, weyl_order: Optional[int] = None
+    ):
+        self.__dict__.update(name=name, rank=rank, weyl=weyl, weyl_order=weyl_order)
 
     def require_enumerable(self) -> None:
         """Raise EnumerationCapExceeded if the known Weyl order exceeds the enumeration cap."""

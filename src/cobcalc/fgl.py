@@ -22,7 +22,6 @@ needs one 3-variable composition instead of two (`verify_fgl_axioms`).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Optional
 
@@ -34,6 +33,7 @@ from .series import (
     TruncatedSeries,
     substitute,
 )
+from .value import FrozenValue
 
 FGL_KINDS = ("additive", "multiplicative", "universal-rational")
 
@@ -64,22 +64,31 @@ def normalize_kind(kind: str) -> str:
         raise ValueError(f"unknown formal group law kind {kind!r}") from None
 
 
-@dataclass(frozen=True)
-class FormalGroupLaw:
+class FormalGroupLaw(FrozenValue):
     """A validated formal group law.
 
     ``series`` is F(x, y) in a two-variable context (x = t1, y = t2);
     ``inverse_series`` is chi(x) and ``log``/``exp`` the logarithm and
     exponential the law is built from, all in a one-variable context;
-    ``axioms`` is the report `build_fgl` validated the law with.
+    ``axioms`` is the report `build_fgl` validated the law with.  It is
+    neither compared, hashed nor shown.
     """
 
-    kind: str
-    series: TruncatedSeries
-    inverse_series: TruncatedSeries
-    log: TruncatedSeries
-    exp: TruncatedSeries
-    axioms: Optional[AxiomReport] = field(default=None, compare=False, repr=False)
+    _fields = ("kind", "series", "inverse_series", "log", "exp")
+
+    def __init__(
+        self,
+        kind: str,
+        series: TruncatedSeries,
+        inverse_series: TruncatedSeries,
+        log: TruncatedSeries,
+        exp: TruncatedSeries,
+        axioms: Optional[AxiomReport] = None,
+    ):
+        self.__dict__.update(
+            kind=kind, series=series, inverse_series=inverse_series, log=log, exp=exp,
+            axioms=axioms,
+        )
 
     @property
     def coeff_kind(self) -> str:
@@ -98,14 +107,15 @@ class FormalGroupLaw:
         return RingContext(n_vars, self.coeff_kind, self.max_t_order, self.max_weight)
 
 
-@dataclass(frozen=True)
-class AxiomReport:
+class AxiomReport(FrozenValue):
     """Residual series for the group law axioms; all must be exactly zero."""
 
-    unit_ok: bool
-    comm_ok: bool
-    assoc_ok: bool
-    residuals: tuple
+    _fields = ("unit_ok", "comm_ok", "assoc_ok", "residuals")
+
+    def __init__(self, unit_ok: bool, comm_ok: bool, assoc_ok: bool, residuals: tuple):
+        self.__dict__.update(
+            unit_ok=unit_ok, comm_ok=comm_ok, assoc_ok=assoc_ok, residuals=residuals
+        )
 
     @property
     def ok(self) -> bool:
@@ -135,12 +145,11 @@ def build_fgl(kind: str, ctx: RingContext) -> FormalGroupLaw:
     chi = substitute(exp, {0: -log})
     if not substitute(F, {0: ctx1.var(0), 1: chi}, target=ctx1).is_zero():
         raise FglConstructionError(f"F(x, chi(x)) is nonzero for {kind}")
-    law = FormalGroupLaw(kind=kind, series=F, inverse_series=chi, log=log, exp=exp)
-    report = verify_fgl_axioms(law)
+    report = verify_fgl_axioms(FormalGroupLaw(kind, F, chi, log, exp))
     if not report.ok:
         bad = [name for name, r in report.residuals if not r.is_zero()]
         raise FglConstructionError(f"axiom residuals nonzero for {kind}: {bad}")
-    return replace(law, axioms=report)
+    return FormalGroupLaw(kind, F, chi, log, exp, axioms=report)
 
 
 def _logarithm(kind: str, ctx1: RingContext) -> TruncatedSeries:

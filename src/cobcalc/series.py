@@ -95,13 +95,13 @@ through these.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from math import gcd, lcm
 from typing import Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence
 
 from . import linalg
+from .value import FrozenValue
 
 COEFF_KINDS = ("rational", "multiplicative-beta", "universal-rational")
 
@@ -114,8 +114,7 @@ class SubstitutionError(ValueError):
     """An assignment series has a constant term in the degree-1 variables."""
 
 
-@dataclass(frozen=True)
-class RingContext:
+class RingContext(FrozenValue):
     """Shape data shared by all series of one ring.
 
     ``max_t_order`` caps the total degree in the degree-1 variables,
@@ -124,18 +123,18 @@ class RingContext:
     context.
     """
 
-    n_vars: int
-    coeff_kind: str
-    max_t_order: int
-    max_weight: int
+    _fields = ("n_vars", "coeff_kind", "max_t_order", "max_weight")
 
-    def __post_init__(self):
-        if self.n_vars < 1:
+    def __init__(self, n_vars: int, coeff_kind: str, max_t_order: int, max_weight: int):
+        if n_vars < 1:
             raise ValueError("need at least one degree-1 variable")
-        if self.coeff_kind not in COEFF_KINDS:
-            raise ValueError(f"unknown coefficient kind {self.coeff_kind!r}")
-        if self.max_t_order < 0 or self.max_weight < 0:
+        if coeff_kind not in COEFF_KINDS:
+            raise ValueError(f"unknown coefficient kind {coeff_kind!r}")
+        if max_t_order < 0 or max_weight < 0:
             raise ValueError("truncation caps must be non-negative")
+        self.__dict__.update(
+            n_vars=n_vars, coeff_kind=coeff_kind, max_t_order=max_t_order, max_weight=max_weight
+        )
 
     @cached_property
     def _layout(self) -> "_Layout":

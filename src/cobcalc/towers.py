@@ -31,48 +31,49 @@ kept as its canonical ``linalg.echelon`` form.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from itertools import accumulate
 from typing import Dict, List, Optional
 
 from . import linalg
 from .series import RingContext, bidegree_basis, lazard_count
+from .value import Value
 
 
 class WindowNotStabilized(RuntimeError):
     """The window is too short to certify stabilization; refusing to extrapolate."""
 
 
-@dataclass
-class TowerSlice:
+class TowerSlice(Value):
     """One degree: dimensions dim V_0..dim V_k and maps[i]: V_{i+1} -> V_i, as
     ``dims[i+1]`` columns ``{row: nonzero int}``, any nonzero multiple of the map.
     ``maps=None`` makes a prefix slice: map i is the canonical projection of
     level i+1 onto its prefix, level i, so the dims must be nondecreasing."""
 
-    dims: List[int]
-    maps: Optional[List[list]] = None
-    # image chains, computed on first use; a slice is not changed after construction
-    _chains: Optional[list] = field(default=None, init=False, repr=False, compare=False)
+    _fields = ("dims", "maps")
 
-    def __post_init__(self):
-        if len(self.dims) < 3:
+    def __init__(self, dims: List[int], maps: Optional[List[list]] = None):
+        if len(dims) < 3:
             raise ValueError("window must contain at least three levels (length >= 2)")
-        if self.maps is None:
-            if self.dims[0] < 0 or any(a > b for a, b in zip(self.dims, self.dims[1:])):
+        if maps is None:
+            if dims[0] < 0 or any(a > b for a, b in zip(dims, dims[1:])):
                 raise ValueError(
-                    f"prefix slice dims {self.dims} are not nondecreasing and nonnegative")
-            return
-        if len(self.maps) != len(self.dims) - 1:
+                    f"prefix slice dims {dims} are not nondecreasing and nonnegative")
+        elif len(maps) != len(dims) - 1:
             raise ValueError("need exactly one transition map per step")
-        for i, m in enumerate(self.maps):
-            rows = range(self.dims[i])
-            if not (isinstance(m, list) and len(m) == self.dims[i + 1] and all(
-                    type(col) is dict
-                    and all(type(r) is int and r in rows and type(x) is int and x for r, x in col.items())
-                    for col in m)):
-                raise ValueError(
-                    f"map {i} is not {self.dims[i + 1]} integer columns over {self.dims[i]} rows")
+        else:
+            for i, m in enumerate(maps):
+                rows = range(dims[i])
+                if not (isinstance(m, list) and len(m) == dims[i + 1] and all(
+                        type(col) is dict
+                        and all(type(r) is int and r in rows and type(x) is int and x
+                                for r, x in col.items())
+                        for col in m)):
+                    raise ValueError(
+                        f"map {i} is not {dims[i + 1]} integer columns over {dims[i]} rows")
+        self.dims = dims
+        self.maps = maps
+        # image chains, computed on first use; a slice is not changed after construction
+        self._chains = None
 
     def map(self, i: int) -> list:
         """Map i as ``dims[i+1]`` integer columns; a prefix slice's are built here."""
@@ -81,11 +82,13 @@ class TowerSlice:
         return [{j: 1} if j < self.dims[i] else {} for j in range(self.dims[i + 1])]
 
 
-@dataclass
-class Tower:
+class Tower(Value):
     """Per-degree tower slices."""
 
-    degrees: Dict[int, TowerSlice] = field(default_factory=dict)
+    _fields = ("degrees",)
+
+    def __init__(self, degrees: Optional[Dict[int, TowerSlice]] = None):
+        self.degrees = {} if degrees is None else degrees
 
     def slice(self, d: int) -> TowerSlice:
         try:
@@ -178,16 +181,18 @@ def inverse_limit_dims(tower: Tower, d: int) -> int:
     return stable_dims[-2]
 
 
-def projective_space_tower(ctx: RingContext, d_max: int, i_max: int) -> Tower:
+def projective_space_tower(ctx: RingContext, d_max: int, i_max: int, d_min: int = 0) -> Tower:
     """The tower of finite projective-space approximations of the rank-1
-    classifying space: level i is the degree slice of K[xi]/(xi^(i+1)),
-    transitions are the canonical surjections killing the top xi-power.
-    Only the coefficient kind and the caps of ``ctx`` are read, and only
-    dimensions are built: every slice is a prefix slice."""
+    classifying space in degrees d_min..d_max: level i is the degree slice of
+    K[xi]/(xi^(i+1)), transitions are the canonical surjections killing the
+    top xi-power.  Only the coefficient kind and the caps of ``ctx`` are read,
+    and only dimensions are built: every slice is a prefix slice."""
     if d_max < 0 or i_max < 2:
         raise ValueError("need d_max >= 0 and at least three levels")
+    if not 0 <= d_min <= d_max:
+        raise ValueError(f"need 0 <= d_min <= d_max, got d_min = {d_min}")
     tower = Tower()
-    for d in range(0, d_max + 1):
+    for d in range(d_min, d_max + 1):
         # level i is spanned by xi^p times the generator monomials of weight p - d, p <= i,
         # in order of p: each level is a prefix of the next, and dims are prefix sums
         tower.degrees[d] = TowerSlice(list(accumulate(

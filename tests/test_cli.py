@@ -405,6 +405,25 @@ def test_tower_bgm_counts_without_elimination(monkeypatch, capsys):
     assert hashlib.sha256(out.encode()).hexdigest() == README_GOLDEN[command]
 
 
+def test_tower_bgm_builds_only_the_requested_slices(monkeypatch, capsys):
+    built = []
+    real = cli.projective_space_tower
+
+    def spy(*args, **kwargs):
+        tower = real(*args, **kwargs)
+        built.append(sorted(tower.degrees))
+        return tower
+
+    monkeypatch.setattr(cli, "projective_space_tower", spy)
+    assert main("tower bgm --fgl universal --deg 4..6 --levels 8".split()) == 0
+    capsys.readouterr()
+    # the cap on (max degree + 1) x (levels + 1) still admits this window
+    assert main("tower bgm --deg 99..99 --max-t 99 --levels 9999".split()) == 0
+    assert built == [[4, 5, 6], [99]]
+    report = json.loads(capsys.readouterr().out)
+    assert report["degrees"] == {"99": {"lim_dim": 1, "stab_index": 0}}
+
+
 # stdout sha256 of `bg --emit-basis` on a rank-4, a signed (B3) and a rank-1
 # group, recorded while the orbit sums were still read against every monomial
 # of the window rather than only the monomials that occur in them

@@ -95,6 +95,59 @@ def test_enumeration_is_computed_once():
     assert fresh == spec and hash(fresh) == hash(spec)
 
 
+def _dense_closure(spec):
+    """The closure of the generators by dense `int_mat_mul`, in BFS order."""
+    n = spec.rank
+    identity = tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
+    order, frontier = [identity], [identity]
+    while frontier:
+        new = []
+        for w in frontier:
+            for g in spec.generators:
+                wg = equivariant.int_mat_mul(w, g)
+                if wg not in order and wg not in new:
+                    new.append(wg)
+        order += new
+        frontier = new
+    return tuple(order)
+
+
+ALL_PRESETS = ["GL1", "GL2", "GL3", "GL4", "GL5", "GL6", "SL2", "torus1", "torus3",
+               "B1", "B2", "B3", "C1", "C2", "C3"]
+
+
+@pytest.mark.parametrize("name", ALL_PRESETS)
+def test_signed_enumeration_matches_the_dense_closure(name, monkeypatch):
+    spec = preset(name).weyl
+    want = _dense_closure(spec)
+    # every preset generator is a signed permutation: no dense product is formed
+    monkeypatch.setattr(equivariant, "int_mat_mul", None)
+    assert spec.elements() == want
+
+
+@pytest.mark.parametrize("generators", [
+    (((0, -1), (1, -1)),),  # order 3, no signed permutation
+    (((0, 1), (1, 0)), ((1, 1), (0, 1))),  # infinite: the cap stops it
+])
+def test_other_generators_take_the_dense_closure(generators):
+    spec = WeylGroupSpec(rank=2, generators=generators, max_elements=50)
+    if len(generators) == 1:
+        assert spec.elements() == _dense_closure(spec) and len(spec.elements()) == 3
+    else:
+        with pytest.raises(EnumerationCapExceeded):
+            spec.elements()
+
+
+def test_signed_enumeration_cap_counts_like_the_dense_one():
+    for cap, ok in ((23, False), (24, True)):
+        spec = WeylGroupSpec(rank=4, generators=symmetric_group(4).generators, max_elements=cap)
+        if ok:
+            assert len(spec.elements()) == 24
+        else:
+            with pytest.raises(EnumerationCapExceeded, match=f"cap of {cap} elements"):
+                spec.elements()
+
+
 def test_character_class_examples():
     add = law("additive")
     ctx = add.context(2)

@@ -161,6 +161,18 @@ def test_projective_space_tower_matches_coefficient_ring():
             assert inverse_limit_dims(tower, d) == coefficient_ring_dimension(ctx, d)
 
 
+def test_projective_space_tower_builds_only_the_requested_degrees():
+    ctx = RingContext(1, "universal-rational", 8, 7)
+    full = projective_space_tower(ctx, 8, 12)
+    tower = projective_space_tower(ctx, 7, 12, d_min=3)
+    assert sorted(tower.degrees) == [3, 4, 5, 6, 7]
+    assert all(tower.slice(d) == full.slice(d) for d in tower.degrees)
+    assert sorted(projective_space_tower(ctx, 8, 12, 8).degrees) == [8]
+    for d_min in (9, -1):
+        with pytest.raises(ValueError, match="need 0 <= d_min <= d_max"):
+            projective_space_tower(ctx, 8, 12, d_min)
+
+
 def test_projective_space_tower_level_dims_additive():
     F = law("additive")
     tower = projective_space_tower(F.context(1), 3, 6)
