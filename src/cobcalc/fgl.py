@@ -15,9 +15,12 @@ chi(x) = exp(-log(x)).  Truncation is an ideal that composition
 respects, so these are the truncated laws themselves.  Construction
 checks F(x, chi(x)) = 0 and the unit, commutativity and associativity
 axioms of the stored F inside the truncation window, and refuses to
-return an invalid law.  Associativity of a commutative F is checked as
-the cyclic symmetry G(x, y, z) = G(y, z, x) of G = F(F(x, y), z), which
-needs one 3-variable composition instead of two (`verify_fgl_axioms`).
+return an invalid law.  Associativity of an F with unit and
+commutativity is certified by F's own invariant differential: with
+L = integral of dx / F_2(x, 0), computed from F alone
+(`invariant_logarithm`), F is associative in the window exactly when
+L(F(x, y)) = L(x) + L(y) there, which needs one 2-variable composition
+instead of two 3-variable ones (`verify_fgl_axioms`).
 """
 
 from __future__ import annotations
@@ -32,6 +35,7 @@ from .series import (
     SubstitutionError,
     TruncatedSeries,
     substitute,
+    variable_slices,
 )
 from .value import FrozenValue
 
@@ -193,15 +197,24 @@ def compositional_inverse(f: TruncatedSeries) -> TruncatedSeries:
 def verify_fgl_axioms(law: FormalGroupLaw) -> AxiomReport:
     """Residuals for unit, commutativity and associativity inside the caps.
 
-    The associativity residual is F(F(x, y), z) - F(x, F(y, z)).  When the
-    commutativity residual is exactly zero it is computed as
-    G(x, y, z) - G(y, z, x) with G = F(F(x, y), z): one 3-variable
-    composition and one relabel of its variables.  The two agree because
-    truncation is an ideal that augmentation-ideal substitution respects,
-    so putting a = x, b = F(y, z) into F(a, b) = F(b, a) gives
-    F(x, F(y, z)) = F(F(y, z), x) = G(y, z, x) inside the window.  The
-    commutativity check must hold first: a law that fails it gets the
-    direct residual, with both compositions.
+    Only ``law.series`` is read.  When the unit and commutativity residuals
+    are exactly zero, the associativity residual is L(F(x, y)) - L(x) - L(y)
+    with L = `invariant_logarithm` of F: one 2-variable composition.  Its
+    zero is equivalent to F(F(x, y), z) = F(x, F(y, z)) in the window.
+    Truncation is an ideal that augmentation-ideal substitution respects,
+    so every step below holds inside the window:
+
+    * sufficient: L = x + ..., so L(F(x, y)) = L(x) + L(y) gives
+      F = L^-1(L(x) + L(y)), which is commutative and associative;
+    * necessary: the z-derivative of associativity at z = 0 is
+      F_2(F(x, y), 0) = F_2(x, y) * F_2(y, 0) by the unit axiom, so
+      the y-derivative of L(F(x, y)) - L(y) is zero; at y = 0 it is
+      L(x) by the unit axiom again.  Differentiating lowers the t-order
+      by one and integrating raises it by one, so the window is kept.
+
+    L is built from F, not from the stored ``log``, so the certificate is
+    not circular.  A law that fails unit or commutativity gets the direct
+    residual F(F(x, y), z) - F(x, F(y, z)) instead.
     """
     F = law.series
     ctx2 = F.ctx
@@ -209,16 +222,15 @@ def verify_fgl_axioms(law: FormalGroupLaw) -> AxiomReport:
     unit_x = substitute(F, {1: ctx2.zero()}, target=ctx2) - x
     unit_y = substitute(F, {0: ctx2.zero()}, target=ctx2) - y
     comm = F - substitute(F, {0: y, 1: x}, target=ctx2)
-    ctx3 = RingContext(3, ctx2.coeff_kind, ctx2.max_t_order, ctx2.max_weight)
-    x3, y3, z3 = ctx3.var(0), ctx3.var(1), ctx3.var(2)
-    G = substitute(F, {0: substitute(F, {0: x3, 1: y3}, target=ctx3), 1: z3}, target=ctx3)
-    if comm.is_zero():
-        assoc = G - substitute(G, {0: y3, 1: z3, 2: x3})
+    unit_ok = unit_x.is_zero() and unit_y.is_zero()
+    if unit_ok and comm.is_zero():
+        L = invariant_logarithm(F)
+        lx, ly = (substitute(L, {0: v}, target=ctx2) for v in (x, y))
+        assoc = substitute(L, {0: F}, target=ctx2) - lx - ly
     else:
-        f_yz = substitute(F, {0: y3, 1: z3}, target=ctx3)
-        assoc = G - substitute(F, {0: x3, 1: f_yz}, target=ctx3)
+        assoc = direct_associativity_residual(F)
     return AxiomReport(
-        unit_ok=unit_x.is_zero() and unit_y.is_zero(),
+        unit_ok=unit_ok,
         comm_ok=comm.is_zero(),
         assoc_ok=assoc.is_zero(),
         residuals=(
@@ -227,6 +239,44 @@ def verify_fgl_axioms(law: FormalGroupLaw) -> AxiomReport:
             ("comm", comm),
             ("assoc", assoc),
         ),
+    )
+
+
+def invariant_logarithm(F: TruncatedSeries) -> TruncatedSeries:
+    """L = integral of dx / F_2(x, 0) for a group law F(x, y) with the unit
+    axiom, in the one-variable context of F's caps.
+
+    F_2(x, 0), the y-derivative of F at y = 0, is the coefficient of y^1
+    in F, and dx / F_2(x, 0) is F's invariant differential.  By the unit
+    axiom its constant term is 1, so it is a unit of the window and
+    L = x + ....  For a law built from a logarithm, L is that logarithm.
+
+    >>> ctx = RingContext(2, "multiplicative-beta", 4, 3)
+    >>> F = TruncatedSeries.from_text(ctx, "1 * t1 + 1 * t2 + -1 * b*t1*t2")
+    >>> invariant_logarithm(F).to_text()
+    '1 * t1 + 1/2 * b*t1^2 + 1/3 * b^2*t1^3 + 1/4 * b^3*t1^4'
+    """
+    ctx2 = F.ctx
+    ctx1 = RingContext(1, ctx2.coeff_kind, ctx2.max_t_order, ctx2.max_weight)
+    f2 = variable_slices(F, 1).get(1, ctx2.zero())
+    v = substitute(f2, {0: ctx1.var(0), 1: ctx1.zero()}, target=ctx1) - 1
+    # 1/(1 + v) by Horner's rule, exact through t-order max_t - 1: all the integral keeps
+    inverse = ctx1.one()
+    for _ in range(ctx1.max_t_order - 1):
+        inverse = 1 - v * inverse
+    return ctx1.from_terms(
+        {Monomial((e + 1,), laz): c / (e + 1) for ((e,), laz), c in inverse.iter_terms()}
+    )
+
+
+def direct_associativity_residual(F: TruncatedSeries) -> TruncatedSeries:
+    """F(F(x, y), z) - F(x, F(y, z)), by two compositions in three variables."""
+    ctx3 = RingContext(3, F.ctx.coeff_kind, F.ctx.max_t_order, F.ctx.max_weight)
+    x, y, z = ctx3.var(0), ctx3.var(1), ctx3.var(2)
+    f_xy = substitute(F, {0: x, 1: y}, target=ctx3)
+    f_yz = substitute(F, {0: y, 1: z}, target=ctx3)
+    return substitute(F, {0: f_xy, 1: z}, target=ctx3) - substitute(
+        F, {0: x, 1: f_yz}, target=ctx3
     )
 
 

@@ -23,7 +23,11 @@ that ``cobcalc.equivariant.weyl_map`` replaced, build the character
 classes with the package's ``character_class`` and substitute with its
 ``substitute``.  And ``ref_law``, the per-kind group law with the
 order-by-order formal inverse that ``cobcalc.fgl.build_fgl`` replaced by
-one logarithm, builds its series with the package's kernel.
+one logarithm, builds its series with the package's kernel, and so does
+``direct_associativity_residual``, the two 3-variable compositions
+F(F(x, y), z) - F(x, F(y, z)) that ``cobcalc.fgl.verify_fgl_axioms``
+replaced by the invariant-differential certificate for laws with unit and
+commutativity.
 """
 
 from __future__ import annotations
@@ -590,3 +594,14 @@ def ref_law(kind: str, ctx: RingContext) -> tuple:
         ly = substitute(log, {0: y}, target=ctx2)
         F = substitute(exp, {0: lx + ly}, target=ctx2)
     return F, ref_formal_inverse(F, ctx1)
+
+
+def direct_associativity_residual(F: TruncatedSeries) -> TruncatedSeries:
+    """F(F(x, y), z) - F(x, F(y, z)) for F(x, y) in a two-variable context."""
+    ctx3 = RingContext(3, F.ctx.coeff_kind, F.ctx.max_t_order, F.ctx.max_weight)
+    x, y, z = ctx3.var(0), ctx3.var(1), ctx3.var(2)
+    f_xy = substitute(F, {0: x, 1: y}, target=ctx3)
+    f_yz = substitute(F, {0: y, 1: z}, target=ctx3)
+    return substitute(F, {0: f_xy, 1: z}, target=ctx3) - substitute(
+        F, {0: x, 1: f_yz}, target=ctx3
+    )

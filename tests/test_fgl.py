@@ -1,6 +1,7 @@
 import doctest
 import random
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
 import sympy
@@ -17,13 +18,22 @@ from cobcalc.fgl import (
     build_fgl,
     fgl_inverse,
     fgl_sum,
+    invariant_logarithm,
     n_series,
     normalize_kind,
     verify_fgl_axioms,
 )
-from cobcalc.series import ContextMismatch, Monomial, RingContext, TruncatedSeries, substitute
+from cobcalc.series import (
+    ContextMismatch,
+    Monomial,
+    RingContext,
+    TruncatedSeries,
+    lazard_monomials,
+    substitute,
+)
 
 from oracles import (
+    direct_associativity_residual,
     multiplicative_inverse_sympy,
     ref_law,
     series_to_sympy,
@@ -36,6 +46,11 @@ def law(kind, max_t=6, max_w=5):
              "multiplicative": "multiplicative-beta",
              "universal-rational": "universal-rational"}[kind]
     return build_fgl(kind, RingContext(2, coeff, max_t, 0 if kind == "additive" else max_w))
+
+
+@lru_cache(maxsize=None)
+def cached_law(kind, ctx):
+    return build_fgl(kind, ctx)
 
 
 def test_kind_aliases():
@@ -169,55 +184,108 @@ def hand_made_law(text):
     return FormalGroupLaw(kind="additive", series=F, inverse_series=-x, log=x, exp=x)
 
 
-def axioms_counting_compositions(law, monkeypatch):
-    """verify_fgl_axioms(law), and how many of its substitutions had an image
-    that is not a variable, zero or a negated variable."""
-    calls = []
+def axioms_and_arities(law):
+    """verify_fgl_axioms(law), and the variable counts of the ring contexts
+    built while it ran."""
+    arities = []
+    init = RingContext.__init__
 
-    def counting(s, assignment, target=None):
-        calls.append(any(len(v.items()) > 1 for v in assignment.values()))
-        return substitute(s, assignment, target)
+    def recording(self, n_vars, *args, **kwargs):
+        arities.append(n_vars)
+        init(self, n_vars, *args, **kwargs)
 
-    monkeypatch.setattr(fgl, "substitute", counting)
-    return verify_fgl_axioms(law), sum(calls)
-
-
-def direct_associativity_residual(F):
-    ctx3 = RingContext(3, F.ctx.coeff_kind, F.ctx.max_t_order, F.ctx.max_weight)
-    x, y, z = ctx3.var(0), ctx3.var(1), ctx3.var(2)
-    f_xy = substitute(F, {0: x, 1: y}, target=ctx3)
-    f_yz = substitute(F, {0: y, 1: z}, target=ctx3)
-    return substitute(F, {0: f_xy, 1: z}, target=ctx3) - substitute(
-        F, {0: x, 1: f_yz}, target=ctx3
-    )
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(RingContext, "__init__", recording)
+        return verify_fgl_axioms(law), arities
 
 
-def test_commutative_nonassociative_law_fails_associativity(monkeypatch):
-    report, compositions = axioms_counting_compositions(
-        hand_made_law("1 * t1 + 1 * t2 + 1 * t1^2*t2^2"), monkeypatch
-    )
+def test_commutative_nonassociative_law_fails_associativity():
+    report, arities = axioms_and_arities(hand_made_law("1 * t1 + 1 * t2 + 1 * t1^2*t2^2"))
     assert report.unit_ok and report.comm_ok
     assert not report.assoc_ok
-    # F(F(x, y), z) once, its cyclic relabel without a product
-    assert compositions == 1
+    # the certificate L(F(x, y)) - L(x) - L(y) needs no 3-variable context
+    assert 3 not in arities
 
 
-def test_noncommutative_law_reports_the_direct_residual(monkeypatch):
+def test_noncommutative_law_reports_the_direct_residual():
     law = hand_made_law("1 * t1 + 1 * t2 + 1 * t1^2*t2")
-    report, compositions = axioms_counting_compositions(law, monkeypatch)
+    report, arities = axioms_and_arities(law)
     assert report.unit_ok and not report.comm_ok
     residuals = dict(report.residuals)
     assert residuals["assoc"] == direct_associativity_residual(law.series)
     assert not report.assoc_ok
-    assert compositions == 2
+    assert 3 in arities
 
 
-def test_multiplicative_law_with_unit_coefficient_passes(monkeypatch):
+def test_multiplicative_law_with_unit_coefficient_passes():
     law = hand_made_law("1 * t1 + 1 * t2 + 1 * t1*t2")
-    report, compositions = axioms_counting_compositions(law, monkeypatch)
+    report, arities = axioms_and_arities(law)
     assert report.unit_ok and report.comm_ok and report.assoc_ok
     assert direct_associativity_residual(law.series).is_zero()
-    assert compositions == 1
+    assert 3 not in arities
+
+
+@pytest.mark.parametrize("kind", FGL_KINDS)
+def test_built_laws_build_no_three_variable_context(kind):
+    report, arities = axioms_and_arities(law(kind))
+    assert report.ok
+    assert 3 not in arities
+
+
+def test_law_without_unit_takes_the_direct_residual():
+    law = hand_made_law("2 * t1 + 2 * t2")
+    report = verify_fgl_axioms(law)
+    assert not report.unit_ok and report.comm_ok
+    assert dict(report.residuals)["assoc"] == direct_associativity_residual(law.series)
+    assert not report.assoc_ok
+
+
+def test_law_without_a_y_slice_takes_the_direct_residual():
+    # no y^1 term, so no invariant differential: the unit axiom fails first
+    law = hand_made_law("1 * t1^2*t2^2")
+    report = verify_fgl_axioms(law)
+    assert not report.unit_ok and report.comm_ok
+    assert dict(report.residuals)["assoc"] == direct_associativity_residual(law.series)
+
+
+@pytest.mark.parametrize("max_t", [0, 1])
+def test_certificate_at_caps_below_degree_two(max_t):
+    # at t-order cap 0 the law x + y is 0 and has no y^1 slice at all
+    ctx = RingContext(2, "rational", max_t, 0)
+    F = ctx.var(0) + ctx.var(1)
+    report = verify_fgl_axioms(FormalGroupLaw("additive", F, None, None, None))
+    assert report.ok
+    assert invariant_logarithm(F) == RingContext(1, "rational", max_t, 0).var(0)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=60)
+@given(st.data())
+def test_certificate_verdict_matches_the_direct_residual(data):
+    # F plus c * m * (x^i y^j + x^j y^i) with i, j >= 1 keeps unit and
+    # commutativity; the certificate must agree with the 3-variable residual
+    kind = data.draw(st.sampled_from(FGL_KINDS))
+    max_t = data.draw(st.integers(3, 7))
+    max_w = data.draw(st.integers(0, 6))
+    ctx = RingContext(2, COEFF_KIND_FOR[kind], max_t, max_w)
+    F = cached_law(kind, ctx).series
+    i = data.draw(st.integers(1, max_t - 1))
+    j = data.draw(st.integers(1, max_t - i))
+    weight = data.draw(st.integers(0, 0 if kind == "additive" else max_w))
+    laz = data.draw(st.sampled_from(lazard_monomials(ctx.coeff_kind, weight)))
+    c = data.draw(st.fractions(-3, 3, max_denominator=4).filter(bool))
+    bump = dict.fromkeys({Monomial((i, j), laz), Monomial((j, i), laz)}, c)
+    mutant = FormalGroupLaw(kind, F + ctx.from_terms(bump), None, None, None)
+    report = verify_fgl_axioms(mutant)
+    assert report.unit_ok and report.comm_ok
+    assert report.assoc_ok == direct_associativity_residual(mutant.series).is_zero()
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=40)
+@given(st.sampled_from(FGL_KINDS), st.integers(2, 7), st.integers(0, 8))
+def test_invariant_logarithm_is_the_stored_log(kind, max_t, max_w):
+    # built from F alone; the stored log came through compositional_inverse and exp
+    law = cached_law(kind, RingContext(2, COEFF_KIND_FOR[kind], max_t, max_w))
+    assert invariant_logarithm(law.series) == law.log
 
 
 def test_log_exp_identities():
