@@ -51,7 +51,6 @@ from .bundles import (
     pb_ring,
     projective_completion_ring,
     thom_class,
-    twist_by_line,
     zero_section_pushforward,
     zero_section_restriction,
 )
@@ -107,7 +106,6 @@ __all__ = [
     "stabilization_index",
     "substitute",
     "thom_class",
-    "twist_by_line",
     "verify_fgl_axioms",
     "weyl_apply",
     "weyl_map",

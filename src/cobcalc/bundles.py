@@ -82,7 +82,7 @@ from fractions import Fraction
 from functools import cached_property, lru_cache
 from typing import Mapping, Sequence
 
-from .fgl import FormalGroupLaw, fgl_inverse, fgl_sum
+from .fgl import FormalGroupLaw, fgl_sum
 from .series import (
     ContextMismatch,
     Monomial,
@@ -146,13 +146,6 @@ def top_chern_class(bundle: SplitBundle) -> TruncatedSeries:
     for root in bundle.roots:
         prod = prod * root
     return prod
-
-
-def twist_by_line(bundle: SplitBundle, y: TruncatedSeries, law: FormalGroupLaw) -> SplitBundle:
-    """Tensor with a line bundle of class y: each root moves by the group law."""
-    if y.has_t_constant_term():
-        raise ValueError("twisting class must have zero constant term")
-    return SplitBundle(tuple(fgl_sum(law, x, y) for x in bundle.roots))
 
 
 def direct_sum(*bundles: SplitBundle) -> SplitBundle:
@@ -594,10 +587,3 @@ def restrict_to_diagonal(s: TruncatedSeries, i: int, j: int) -> TruncatedSeries:
     t_i - t_j, equivalently by the group-law difference class (they agree
     up to a unit), so this is the congruence test at the root e_i - e_j."""
     return diagonal_map(s.ctx, i, j)(s)
-
-
-def root_difference(
-    law: FormalGroupLaw, ctx: RingContext, i: int, j: int
-) -> TruncatedSeries:
-    """The class t_i -_F t_j = F(t_i, chi(t_j))."""
-    return fgl_sum(law, ctx.var(i), fgl_inverse(law, ctx.var(j)))

@@ -58,6 +58,9 @@ SCHEMA_PREFIX = "cobcalc"
 MAX_LEVELS = 10_000
 # ... nor a tower of more level dims, (max degree + 1) x (levels + 1), than this
 MAX_TOWER_DIMS = 10_000_000
+# `--deg` refuses a range of more degrees than this before expanding it: each
+# degree costs a job up to a kilobyte of memory, and no job needs nearly this many
+MAX_DEGREES = 100_000
 
 
 class ConfigError(ValueError):
@@ -137,6 +140,8 @@ def parse_degree_range(text: str) -> list:
         raise ConfigError(f"--deg takes a degree or a range lo..hi, got {text!r}") from None
     if hi < lo:
         raise ConfigError(f"empty degree range {text!r}")
+    if hi - lo >= MAX_DEGREES:
+        raise ConfigError(f"--deg {text!r} spans more than the cap of {MAX_DEGREES} degrees")
     return list(range(lo, hi + 1))
 
 
@@ -446,58 +451,88 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(
-        prog="cobcalc",
-        description="exact formal-group-law and equivariant ring calculator",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    fgl_p = sub.add_parser("fgl", help="formal group law utilities")
-    fgl_sub = fgl_p.add_subparsers(dest="fgl_command", required=True)
+def _add_fgl(p):
+    fgl_sub = p.add_subparsers(dest="fgl_command", required=True)
     check_p = fgl_sub.add_parser("check", help="verify the group law axioms")
     check_p.add_argument("--kind", required=True, dest="fgl_kind")
     _add_common(check_p)
 
-    bg_p = sub.add_parser("bg", help="invariant dimensions of a classifying space")
-    bg_p.add_argument("--group", default="GL2")
-    bg_p.add_argument("--fgl", default="additive", dest="fgl_kind")
-    bg_p.add_argument("--deg", default="0..3", help="degree or range, e.g. 0..4")
-    bg_p.add_argument("--torder", type=int, required=True, dest="t_order")
-    bg_p.add_argument("--emit-basis", action="store_true", dest="emit_basis")
-    _add_common(bg_p)
 
-    flag_p = sub.add_parser("flag", help="flag-variety fixed point restriction")
-    flag_p.add_argument("--group", default="GL2")
-    flag_p.add_argument("--fgl", default="additive", dest="fgl_kind")
-    flag_p.add_argument("--pairs", type=int, default=25, dest="samples")
-    _add_common(flag_p, seed=True)
+def _add_bg(p):
+    p.add_argument("--group", default="GL2")
+    p.add_argument("--fgl", default="additive", dest="fgl_kind")
+    p.add_argument("--deg", default="0..3", help="degree or range, e.g. 0..4")
+    p.add_argument("--torder", type=int, required=True, dest="t_order")
+    p.add_argument("--emit-basis", action="store_true", dest="emit_basis")
+    _add_common(p)
 
-    sif_p = sub.add_parser("sif", help="self-intersection identity suite")
-    sif_p.add_argument("--fgl", default="universal", dest="fgl_kind")
-    sif_p.add_argument("--rank", type=int, default=2)
-    sif_p.add_argument("--torder", type=int, default=None, dest="t_order",
-                       help="overrides --max-t")
-    sif_p.add_argument("--samples", type=int, default=25)
-    sif_p.add_argument("--base-vars", type=int, default=3, dest="base_vars")
-    _add_common(sif_p, seed=True)
 
-    pbf_p = sub.add_parser("pbf", help="projective bundle formula suite")
-    pbf_p.add_argument("--fgl", default="additive", dest="fgl_kind")
-    pbf_p.add_argument("--rank", type=int, default=3)
-    pbf_p.add_argument("--samples", type=int, default=25)
-    _add_common(pbf_p, seed=True)
+def _add_flag(p):
+    p.add_argument("--group", default="GL2")
+    p.add_argument("--fgl", default="additive", dest="fgl_kind")
+    p.add_argument("--pairs", type=int, default=25, dest="samples")
+    _add_common(p, seed=True)
 
-    tower_p = sub.add_parser("tower", help="inverse limit diagnostics")
-    tower_sub = tower_p.add_subparsers(dest="tower_command", required=True)
+
+def _add_sif(p):
+    p.add_argument("--fgl", default="universal", dest="fgl_kind")
+    p.add_argument("--rank", type=int, default=2)
+    p.add_argument("--torder", type=int, default=None, dest="t_order",
+                   help="overrides --max-t")
+    p.add_argument("--samples", type=int, default=25)
+    p.add_argument("--base-vars", type=int, default=3, dest="base_vars")
+    _add_common(p, seed=True)
+
+
+def _add_pbf(p):
+    p.add_argument("--fgl", default="additive", dest="fgl_kind")
+    p.add_argument("--rank", type=int, default=3)
+    p.add_argument("--samples", type=int, default=25)
+    _add_common(p, seed=True)
+
+
+def _add_tower(p):
+    tower_sub = p.add_subparsers(dest="tower_command", required=True)
     bgm_p = tower_sub.add_parser("bgm", help="rank-1 classifying space tower")
     bgm_p.add_argument("--fgl", default="additive", dest="fgl_kind")
     bgm_p.add_argument("--deg", default="0..5")
     bgm_p.add_argument("--levels", type=int, default=8, help=f"window levels, 2..{MAX_LEVELS}")
     _add_common(bgm_p)
 
-    self_p = sub.add_parser("selftest", help="run the full invariant suite")
-    _add_common(self_p, caps=False, seed=True)
+
+def _add_selftest(p):
+    _add_common(p, caps=False, seed=True)
+
+
+# subcommand -> (help, the function that adds its arguments), in the order help lists them
+SUBCOMMANDS = {
+    "fgl": ("formal group law utilities", _add_fgl),
+    "bg": ("invariant dimensions of a classifying space", _add_bg),
+    "flag": ("flag-variety fixed point restriction", _add_flag),
+    "sif": ("self-intersection identity suite", _add_sif),
+    "pbf": ("projective bundle formula suite", _add_pbf),
+    "tower": ("inverse limit diagnostics", _add_tower),
+    "selftest": ("run the full invariant suite", _add_selftest),
+}
+
+
+def build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
+    """The CLI parser: every subcommand of `SUBCOMMANDS`, or only ``command``.
+
+    A subparser's usage, help and error messages do not depend on its
+    siblings, so a parser built for one subcommand parses that subcommand's
+    argv exactly as the full tree does.  Only the top level's own messages
+    (its help, "invalid choice") list the siblings: build the full tree for
+    an argv that does not name a subcommand.
+    """
+    parser = _Parser(
+        prog="cobcalc",
+        description="exact formal-group-law and equivariant ring calculator",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (help_text, add_arguments) in SUBCOMMANDS.items():
+        if command is None or name == command:
+            add_arguments(sub.add_parser(name, help=help_text))
     return parser
 
 
@@ -527,7 +562,16 @@ def config_from_args(args) -> JobConfig:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
+    """Run the job ``argv`` names (``sys.argv[1:]`` when None); returns the exit status.
+
+    The top-level parser has no options of its own, so ``argv[0]`` is the
+    subcommand: only its subtree is built.  Help, an empty argv and an
+    unknown subcommand get the full tree, whose messages list every
+    subcommand.
+    """
+    if argv is None:
+        argv = sys.argv[1:]
+    parser = build_parser(argv[0] if argv and argv[0] in SUBCOMMANDS else None)
     try:
         args = parser.parse_args(argv)
         config = config_from_args(args)

@@ -13,13 +13,11 @@ from cobcalc.bundles import (
     projective_completion_ring,
     reduce_by_division,
     restrict_to_diagonal,
-    root_difference,
     tautological_inverse_class,
     thom_class,
     thom_class_via_twist,
     top_chern_class,
     trivial_bundle_ring,
-    twist_by_line,
     xi_power,
     zero_section_pushforward,
     zero_section_restriction,
@@ -70,14 +68,13 @@ def test_whitney_concatenation():
 
 
 def test_twist_by_line():
+    # twisting a root by a line of class y, then by its dual chi(y), gives it back:
+    # F(F(x, y), chi(y)) = x
     for kind in ("additive", "multiplicative"):
         F = law(kind)
         ctx = F.context(2)
         x, y = ctx.var(0), ctx.var(1)
-        twisted = twist_by_line(SplitBundle((x,)), y, F)
-        assert twisted.roots[0] == fgl_sum(F, x, y)
-        back = twist_by_line(twisted, fgl_inverse(F, y), F)
-        assert back.roots[0] == x
+        assert fgl_sum(F, fgl_sum(F, x, y), fgl_inverse(F, y)) == x
 
 
 def test_pb_reduction_rank2():
@@ -298,14 +295,6 @@ def test_flag_restriction_multiplicative_and_congruent():
             assert all((p - l * r).is_zero() for p, l, r in zip(product, left, right))
             image = flag_restriction_sum([(a, b), (a2, b2)], maps)
             assert restrict_to_diagonal(image[0] - image[1], 0, 1).is_zero()
-
-
-def test_root_difference_linear_part():
-    F = law("universal-rational", 4, 3)
-    ctx = F.context(2)
-    d = root_difference(F, ctx, 0, 1)
-    assert d.t_slice(1) == ctx.var(0) - ctx.var(1)
-    assert restrict_to_diagonal(d, 0, 1).is_zero()
 
 
 def test_split_bundle_validation():

@@ -1,3 +1,4 @@
+import argparse
 import copy
 import hashlib
 import json
@@ -35,6 +36,28 @@ def test_parse_degree_range():
     for text in ("0..", "a", "1..x", "..3", ""):
         with pytest.raises(cli.ConfigError, match="--deg"):
             parse_degree_range(text)
+    assert len(parse_degree_range(f"1..{cli.MAX_DEGREES}")) == cli.MAX_DEGREES
+    for text in (f"0..{10**20}", f"-{10**20}..0", f"0..{cli.MAX_DEGREES}"):
+        with pytest.raises(cli.ConfigError, match=f"cap of {cli.MAX_DEGREES} degrees"):
+            parse_degree_range(text)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["bg", "--torder", "2", "--deg"],
+        ["tower", "bgm", "--deg"],
+    ],
+    ids=["bg", "tower-bgm"],
+)
+@pytest.mark.parametrize("degrees", [f"0..{10**20}", f"-{10**20}..0"])
+def test_degree_range_over_the_cap_is_refused_before_expanding(argv, degrees, capsys):
+    assert main(argv + [degrees]) == 2
+    captured = capsys.readouterr()
+    error = json.loads(captured.out)["error"]
+    assert error["kind"] == "config"
+    assert f"cap of {cli.MAX_DEGREES} degrees" in error["message"]
+    assert captured.err == ""
 
 
 def test_fgl_check_additive():
@@ -620,3 +643,97 @@ def test_sample_count_below_one_is_rejected(argv, capsys):
     body = json.loads(capsys.readouterr().out)
     assert body["schema"] == "cobcalc/error/v1"
     assert ("--pairs" if argv[0] == "flag" else "--samples") in body["error"]["message"]
+
+
+def _parser_progs(monkeypatch):
+    """Patch every ArgumentParser init to record its prog; returns the record."""
+    progs = []
+    init = argparse.ArgumentParser.__init__
+
+    def recording(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        progs.append(self.prog)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", recording)
+    return progs
+
+
+@pytest.mark.parametrize(
+    "argv, progs",
+    [
+        (["fgl", "check", "--kind", "additive"], ["cobcalc", "cobcalc fgl", "cobcalc fgl check"]),
+        (["bg", "--torder", "2"], ["cobcalc", "cobcalc bg"]),
+        (["flag"], ["cobcalc", "cobcalc flag"]),
+        (["sif"], ["cobcalc", "cobcalc sif"]),
+        (["pbf"], ["cobcalc", "cobcalc pbf"]),
+        (["tower", "bgm"], ["cobcalc", "cobcalc tower", "cobcalc tower bgm"]),
+        (["selftest"], ["cobcalc", "cobcalc selftest"]),
+    ],
+    ids=["fgl", "bg", "flag", "sif", "pbf", "tower", "selftest"],
+)
+def test_main_builds_only_the_named_subcommand(argv, progs, monkeypatch, capsys):
+    built = _parser_progs(monkeypatch)
+    monkeypatch.setattr(cli, "run", lambda config: (0, ""))  # parse only
+    assert main(argv) == 0
+    assert built == progs
+
+
+def test_full_tree_builds_every_subcommand(monkeypatch):
+    built = _parser_progs(monkeypatch)
+    parser = cli.build_parser()
+    assert len(built) == 10
+    (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    assert list(sub.choices) == list(cli.SUBCOMMANDS)
+
+
+def _status_and_output(argv, capsys):
+    try:
+        status = main(argv)
+    except SystemExit as exc:  # help exits from inside argparse
+        status = exc.code
+    captured = capsys.readouterr()
+    return status, captured.out, captured.err
+
+
+# argv whose parse fails, asks for help or names no subcommand, plus a few jobs:
+# each must read the same whether main builds one subcommand or the full tree
+EDGE_ARGV = [
+    ["-h"],
+    [],
+    ["bogus"],
+    ["bg"],
+    ["bg", "-h"],
+    ["fgl"],
+    ["fgl", "-h"],
+    ["fgl", "bogus"],
+    ["fgl", "check"],
+    ["fgl", "check", "-h"],
+    ["tower"],
+    ["tower", "bgm", "-h"],
+    ["tower", "bgm", "--tor", "4"],
+    ["--levels", "x"],
+    ["--tor", "4"],
+    ["--", "bg"],
+    ["bg", "--torder", "2", "--max", "3"],
+    ["bg", "--tor", "2", "--deg", "0..1"],
+    ["bg", "--torder", "2", "--deg", "-1..2"],
+    ["bg", "--torder", "2", "--deg", "0..1", "--bogus"],
+    ["sif", "--rank=-1"],
+    ["pbf", "--format", "xml"],
+    ["flag", "--pairs", "x"],
+    ["selftest", "extra"],
+]
+
+
+@pytest.mark.parametrize("argv", EDGE_ARGV, ids=lambda argv: " ".join(argv) or "empty")
+def test_one_subcommand_parser_reads_like_the_full_tree(argv, monkeypatch, capsys):
+    got = _status_and_output(argv, capsys)
+    build_parser = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda command=None: build_parser())
+    assert got == _status_and_output(argv, capsys)
+
+
+def test_help_from_a_fresh_interpreter_lists_every_subcommand():
+    proc = run_cli("-h")
+    assert proc.returncode == 0
+    assert "{fgl,bg,flag,sif,pbf,tower,selftest}" in proc.stdout
