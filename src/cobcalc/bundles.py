@@ -577,13 +577,8 @@ def first_root_congruent_pairs(elements: Sequence) -> list:
 
 
 def diagonal_map(ctx: RingContext, i: int, j: int) -> RingMap:
-    """The ring map t_i -> t_j of ``ctx``, for a caller that restricts many
-    series to one diagonal (`restrict_to_diagonal`)."""
+    """The ring map t_i -> t_j of ``ctx``: restriction to the diagonal.  The
+    image of a series vanishes iff the series is divisible by t_i - t_j,
+    equivalently by the group-law difference class (they agree up to a
+    unit), so this is the congruence test at the root e_i - e_j."""
     return RingMap(ctx, {i: ctx.var(j)}, ctx)
-
-
-def restrict_to_diagonal(s: TruncatedSeries, i: int, j: int) -> TruncatedSeries:
-    """Substitute t_i -> t_j.  The result vanishes iff s is divisible by
-    t_i - t_j, equivalently by the group-law difference class (they agree
-    up to a unit), so this is the congruence test at the root e_i - e_j."""
-    return diagonal_map(s.ctx, i, j)(s)

@@ -184,23 +184,23 @@ def _run_bg(config: JobConfig):
             "monomials of that degree need a larger window"
         )
     group = preset(config.group)
-    law = _law(config)
-    ctx = law.context(group.rank)
+    ctx = _context(config, group.rank)
 
     degrees = sorted(set(config.degrees))
     if config.emit_basis:
+        law = _law(config)  # only the basis needs a law: Lambda is its logarithm
         bases = {
             d: [s.to_text() for s in basis]
             for d, basis in invariant_bases(group.weyl, law, degrees, config.t_order, ctx).items()
         }
         dims = {d: len(basis) for d, basis in bases.items()}
     else:
-        dims = bg_dimensions(group, law, degrees, config.t_order)
+        dims = bg_dimensions(group, ctx, degrees, config.t_order)
     body = {
         "schema": f"{SCHEMA_PREFIX}/bg/v1",
         "group": group.name,
-        "fgl": law.kind,
-        "caps": {"max_t": config.max_t, "max_w": law.max_weight},
+        "fgl": normalize_kind(config.fgl_kind),
+        "caps": {"max_t": config.max_t, "max_w": ctx.max_weight},
         "torder": config.t_order,
         "dims": {str(d): dim for d, dim in dims.items()},
     }
@@ -428,7 +428,7 @@ def run(config: JobConfig):
 # -- argument parsing --------------------------------------------------------------
 
 
-def _add_common(p, *, caps=True, seed=False, fmt=True):
+def _add_common(p, *, caps=True, seed=False):
     if caps:
         p.add_argument("--max-t", type=int, default=6, dest="max_t",
                        help="t-order truncation cap (default 6)")
@@ -436,9 +436,8 @@ def _add_common(p, *, caps=True, seed=False, fmt=True):
                        help="generator weight cap (default 5)")
     if seed:
         p.add_argument("--seed", type=int, default=0, help="seed for the randomized suite")
-    if fmt:
-        p.add_argument("--format", choices=("json", "text"), default="json",
-                       dest="output_format")
+    p.add_argument("--format", choices=("json", "text"), default="json",
+                   dest="output_format")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -564,15 +563,19 @@ def config_from_args(args) -> JobConfig:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     """Run the job ``argv`` names (``sys.argv[1:]`` when None); returns the exit status.
 
-    The top-level parser has no options of its own, so ``argv[0]`` is the
-    subcommand: only its subtree is built.  Help, an empty argv and an
-    unknown subcommand get the full tree, whose messages list every
-    subcommand.
+    The top-level parser has no options of its own but help, so ``argv[0]``
+    is the subcommand: only its subtree is built.  Help, an empty argv and
+    an unknown subcommand get the full tree, whose messages list every
+    subcommand; any other option first is a config error.
     """
     if argv is None:
         argv = sys.argv[1:]
-    parser = build_parser(argv[0] if argv and argv[0] in SUBCOMMANDS else None)
+    first = argv[0] if argv else ""
     try:
+        # help, its abbreviations and a bare -- are all argparse reads before a subcommand
+        if first.startswith("-") and first not in ("--", "-h", "--h", "--he", "--hel", "--help"):
+            raise ConfigError(f"{first!r} comes before the subcommand; options follow the subcommand")
+        parser = build_parser(first if first in SUBCOMMANDS else None)
         args = parser.parse_args(argv)
         config = config_from_args(args)
         status, report = run(config)

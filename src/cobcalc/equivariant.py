@@ -18,33 +18,36 @@ augmentation filtration for non-additive laws, and truncating to the
 window is a ring quotient, so the restricted action is an honest group
 representation there.
 
-Invariants through the logarithm.  Over Q the logarithm is a strict
-isomorphism from F to the additive law, and [c](t) = exp(sum_j cj log tj).
-So the action w_F through F is conjugate to the plain linear action w_A
-of the same matrix (tj -> sum_i w_ij ti):
+Every invariant is Lambda of a linear invariant.  Over Q the logarithm
+is a strict isomorphism from F to the additive law, and
+[c](t) = exp(sum_j cj log tj).  So the action w_F through F is conjugate
+to the plain linear action w_A of the same matrix (tj -> sum_i w_ij ti):
 
     w_F o Lambda = Lambda o w_A,   Lambda the ring map tj -> log(tj).
 
 Lambda keeps the diagonal degree and never lowers the t-order, so it is
 an automorphism of every window, and the invariants of w_F there are
-Lambda of the invariants of w_A.  When every generator is a signed
-permutation (every preset is), w_A moves monomials to +-monomials and
-never touches the generator part.  Its invariants are then spanned by
-the images of the Reynolds operator, sum_g g(m) over the group: up to a
-scalar, the signed sum over the orbit of m.  The signed sums of distinct
-orbits have disjoint supports.  A sum vanishes exactly when some element
-fixes m with sign -1.  `_signed_orbits` finds this by walking each orbit
-over the generators: a monomial reached with both signs is a conflict.
-`bg_dimensions` only counts these orbits, with no law-dependent work,
-and `invariant_basis` maps the sums through Lambda and takes their
+Lambda of those of w_A.  These never depend on the law: w_A keeps the
+t-order and fixes the generators, so they are the linear invariants of
+each t-order k (`_linear_invariants`, the invariant code's one branch
+on the kind of matrix) times the generator monomials of weight
+k - degree.  For
+signed permutations (every preset) the linear invariants are spanned by
+the Reynolds images sum_g g(m): up to a scalar, the signed orbit sums of
+monomials, with disjoint supports; a sum vanishes exactly when some
+element fixes m with sign -1.  `_signed_orbits` walks each orbit over
+the generators, and a monomial reached with both signs is a conflict.
+Any other generators get the kernel of the additive law's action, which
+is w_A.  `bg_dimensions` only counts the linear invariants, with no law;
+`invariant_basis` maps them through Lambda and takes their
 `series.reduced_basis`: every term has the degree of the window, so only
-the t-order cut is applied, and no monomial list is built.
+the t-order cut is applied, and no list of the window's monomials is
+built.
 
-The direct path serves any other generators, and is the oracle for the
-orbit sums in `selftest` and the tests: `fixed_space_rows` reads the
-action of each matrix on the window (its `action_matrix`) as sparse
-integer columns and stacks the rows of (rho_w - 1), and `linalg.kernel`
-gives their joint kernel.
+The kernel through the law itself is the oracle in `selftest` and the
+tests: `fixed_space_rows` reads the action of each matrix on the window
+(its `action_matrix`) as sparse integer columns and stacks the rows of
+(rho_w - 1), and `linalg.kernel` gives their joint kernel.
 """
 
 from __future__ import annotations
@@ -55,7 +58,7 @@ from math import factorial, lcm
 from typing import Optional, Sequence
 
 from . import linalg
-from .fgl import FormalGroupLaw, fgl_sum, n_series
+from .fgl import FormalGroupLaw, build_fgl, fgl_sum, n_series
 from .series import (
     Monomial,
     RingContext,
@@ -87,31 +90,21 @@ def _as_matrix(rows) -> Matrix:
     return m
 
 
-def _signed_columns(m: Matrix) -> Optional[tuple]:
-    """``((i_0, s_0), ..., (i_{n-1}, s_{n-1}))`` when m is a signed
-    permutation: column j holds its one nonzero entry s_j = +-1 at row i_j,
-    so the linear action sends t_j to s_j * t_{i_j}.  None for any other
-    matrix."""
-    cols = []
-    for col in zip(*m):
-        support = [(i, x) for i, x in enumerate(col) if x]
-        if len(support) != 1 or support[0][1] not in (1, -1):
-            return None
-        cols.append(support[0])
-    return tuple(cols) if len({i for i, _ in cols}) == len(m) else None
-
-
-def _signed_actions(generators) -> Optional[tuple]:
-    """The `_signed_columns` of every generator, or None when one of them is
-    not a signed permutation."""
-    actions = tuple(map(_signed_columns, generators))
-    return None if None in actions else actions
+def _signed_code(m: Matrix) -> Optional[tuple]:
+    """The tuple of s_j * (i_j + 1) when m is a signed permutation: column j
+    holds its one nonzero entry s_j = +-1 at row i_j, so the linear action
+    sends t_j to s_j * t_{i_j}.  None for any other matrix."""
+    support = [[(i, x) for i, x in enumerate(col) if x] for col in zip(*m)]
+    if any(len(col) != 1 or col[0][1] not in (1, -1) for col in support):
+        return None
+    code = tuple(x * (i + 1) for [(i, x)] in support)
+    return code if len(set(map(abs, code))) == len(m) else None
 
 
 def _check_unimodular(m: Matrix) -> None:
     # a signed permutation has det +-1; this O(n^2) test spares the presets'
     # generators an elimination
-    if _signed_columns(m) is not None:
+    if _signed_code(m) is not None:
         return
     # an integer matrix has an integral inverse exactly when its det is +-1
     try:
@@ -157,11 +150,10 @@ class WeylGroupSpec(FrozenValue):
         as `_signed_code` tuples, O(n) a product."""
         if self._elements is not None:
             return self._elements
-        actions = _signed_actions(self.generators)
-        if actions is None:
+        codes = tuple(map(_signed_code, self.generators))
+        if None in codes:
             order = self._closure(_identity_int(self.rank), self.generators, int_mat_mul)
         else:
-            codes = [_signed_code(cols) for cols in actions]
             identity = tuple(range(1, self.rank + 1))
             order = map(_signed_matrix, self._closure(identity, codes, _compose_signed))
         self.__dict__["_elements"] = tuple(order)
@@ -186,13 +178,6 @@ class WeylGroupSpec(FrozenValue):
                             )
             frontier = new
         return order
-
-
-def _signed_code(cols: tuple) -> tuple:
-    """A signed permutation as the tuple of s_j * (i_j + 1) over its
-    `_signed_columns` ``(i_j, s_j)``: entry j names the row and the sign of
-    the one nonzero entry of column j."""
-    return tuple(s * (i + 1) for i, s in cols)
 
 
 def _compose_signed(w: tuple, g: tuple) -> tuple:
@@ -340,9 +325,9 @@ def _window_orders(ctx: RingContext, degree: int, k_max: int) -> range:
     return range(max(degree, 0), min(k_max, degree + ctx.max_weight) + 1)
 
 
-def _signed_orbits(actions: tuple, n: int, k: int) -> list:
+def _signed_orbits(codes: tuple, n: int, k: int) -> list:
     """The orbits of the t-exponent vectors of total k under the signed
-    permutations ``actions`` (`_signed_actions`) whose signed sums are
+    permutations ``codes`` (`_signed_code`) whose signed sums are
     nonzero, each as ``{vector: sign}``, with sign 1 on its first vector.
 
     Each orbit is walked over the generators, and every vector gets the sign
@@ -360,13 +345,16 @@ def _signed_orbits(actions: tuple, n: int, k: int) -> list:
         consistent = True
         while frontier:
             t = frontier.pop()
-            for cols in actions:
+            for code in codes:
                 image = [0] * n
                 sign = orbit[t]
-                for e, (i, s) in zip(t, cols):
-                    image[i] = e
-                    if s < 0 and e & 1:
-                        sign = -sign
+                for e, c in zip(t, code):
+                    if c > 0:
+                        image[c - 1] = e
+                    else:
+                        image[~c] = e
+                        if e & 1:
+                            sign = -sign
                 image = tuple(image)
                 known = orbit.get(image)
                 if known is None:
@@ -434,6 +422,30 @@ def fixed_basis(matrices, law: FormalGroupLaw, basis, ctx: RingContext) -> list:
     ]
 
 
+def _linear_invariants(wspec: WeylGroupSpec, orders) -> dict:
+    """``{k: basis}`` over the t-orders k in ``orders``: a basis of the
+    invariants of the linear action (tj -> sum_i w_ij ti) on the monomials
+    in t of degree k, each as ``{t-exponent vector: coefficient}``.
+
+    Signed permutations give their nonzero signed orbit sums.  Any other
+    generators give the `fixed_basis` of the additive law, whose action is
+    the linear one, over Q; that law is built once, at the largest order.
+    """
+    orders = set(orders)
+    codes = tuple(map(_signed_code, wspec.generators))
+    if None not in codes:
+        return {k: _signed_orbits(codes, wspec.rank, k) for k in orders}
+    law = build_fgl("additive", RingContext(2, "rational", max([2, *orders]), 0))
+    ctx = law.context(wspec.rank)
+    return {
+        k: [
+            {m.t: c for m, c in v.iter_terms()}
+            for v in fixed_basis(wspec.generators, law, bidegree_basis(ctx, k, k), ctx)
+        ]
+        for k in orders
+    }
+
+
 def invariant_basis(
     wspec: WeylGroupSpec,
     law: FormalGroupLaw,
@@ -444,12 +456,11 @@ def invariant_basis(
     """Basis of the Weyl-fixed subspace in the degree window, as series:
     the reduced echelon form over Q in the order of `window_basis`, each
     row scaled to 1 at its pivot, the rows in pivot order.  That form is
-    unique, and zero columns do not change it, so both paths give the same
-    basis.
+    unique, and zero columns do not change it, so it equals the
+    `fixed_basis` of the window through the law, the oracle.
 
-    When every generator is a signed permutation, the basis is read off
-    Lambda of the nonzero signed orbit sums (module docstring).  Otherwise
-    it is the `fixed_basis` of the generators.
+    The basis is read off Lambda of the linear invariants, times the
+    generator monomials (module docstring), whatever the generators.
     """
     return invariant_bases(wspec, law, [degree], k_max, ctx)[degree]
 
@@ -462,29 +473,23 @@ def invariant_bases(
     ctx: Optional[RingContext] = None,
 ) -> dict:
     """``{degree: invariant_basis(wspec, law, degree, k_max, ctx)}``, with
-    Lambda of each orbit sum computed once for all degrees."""
+    Lambda of each linear invariant computed once for all degrees."""
     if ctx is None:
         ctx = law.context(wspec.rank)
     if ctx.n_vars != wspec.rank:
         raise ValueError("context rank does not match the Weyl rank")
-    actions = _signed_actions(wspec.generators)
     _check_window(ctx, k_max)
-    log = None if actions is None else log_map(law, ctx)
-    images: dict = {}  # t-order -> Lambda of its nonzero orbit sums
+    windows = {d: _window_orders(ctx, d, k_max) for d in degrees}
+    log = log_map(law, ctx)
+    images = {  # t-order -> Lambda of its linear invariants
+        k: [log(ctx.from_terms({Monomial(t, ()): c for t, c in v.items()})) for v in basis]
+        for k, basis in _linear_invariants(wspec, chain(*windows.values())).items()
+    }
     zero_t = (0,) * ctx.n_vars
     out = {}
-    for degree in degrees:
-        if actions is None:
-            basis = window_basis(ctx, degree, k_max)
-            out[degree] = fixed_basis(wspec.generators, law, basis, ctx) if basis else []
-            continue
+    for degree, window in windows.items():
         sums = []
-        for k in _window_orders(ctx, degree, k_max):
-            if k not in images:
-                images[k] = [
-                    log(ctx.from_terms({Monomial(t, ()): s for t, s in orbit.items()}))
-                    for orbit in _signed_orbits(actions, ctx.n_vars, k)
-                ]
+        for k in window:
             for laz in lazard_monomials(ctx.coeff_kind, k - degree):
                 # the generator part is never moved: Lambda commutes with it
                 scalar = ctx.from_terms({Monomial(zero_t, laz): 1})
@@ -494,27 +499,21 @@ def invariant_bases(
 
 
 def bg_dimensions(
-    group: GroupPreset, law: FormalGroupLaw, degrees: Sequence[int], k_max: int
+    group: GroupPreset, ctx: RingContext, degrees: Sequence[int], k_max: int
 ) -> dict:
-    """Per-degree invariant dimensions in the (degree, <= k_max) window.
-
-    For signed-permutation generators this is a count, with no series:
-    each nonzero signed orbit of t-exponent vectors of total k gives one
-    invariant per generator monomial of weight k - degree.
-    """
-    ctx = law.context(group.rank)
-    actions = _signed_actions(group.weyl.generators)
-    if actions is None:
-        return {
-            int(d): len(invariant_basis(group.weyl, law, int(d), k_max, ctx))
-            for d in degrees
-        }
+    """Per-degree invariant dimensions in the (degree, <= k_max) window of
+    ``ctx``: a count, with no law and no series.  Each linear invariant of
+    t-order k gives one invariant per generator monomial of weight
+    k - degree."""
+    if ctx.n_vars != group.rank:
+        raise ValueError("context rank does not match the group rank")
     _check_window(ctx, k_max)
-    orbits = [len(_signed_orbits(actions, ctx.n_vars, k)) for k in range(k_max + 1)]
+    windows = {int(d): _window_orders(ctx, int(d), k_max) for d in degrees}
+    counts = {
+        k: len(basis)
+        for k, basis in _linear_invariants(group.weyl, chain(*windows.values())).items()
+    }
     return {
-        int(d): sum(
-            orbits[k] * lazard_count(ctx.coeff_kind, k - int(d))
-            for k in _window_orders(ctx, int(d), k_max)
-        )
-        for d in degrees
+        d: sum(counts[k] * lazard_count(ctx.coeff_kind, k - d) for k in window)
+        for d, window in windows.items()
     }

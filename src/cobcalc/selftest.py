@@ -333,7 +333,7 @@ def check_gl_additive_counts(rng: random.Random) -> Tuple[bool, str]:
     for n in (2, 3):
         law = _law("additive")
         g = preset(f"GL{n}")
-        dims = bg_dimensions(g, law, range(0, 5), 4)
+        dims = bg_dimensions(g, law.context(n), range(0, 5), 4)
         expected = {d: poly_count(n, d) for d in range(0, 5)}
         if dims != expected:
             return False, f"GL({n}): {dims} != {expected}"

@@ -444,9 +444,6 @@ class TruncatedSeries:
             n >>= 1
         return result
 
-    def substitute(self, assignment, target: Optional[RingContext] = None):
-        return substitute(self, assignment, target)
-
     # -- serialization ---------------------------------------------------------
 
     def to_text(self) -> str:

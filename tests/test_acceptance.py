@@ -16,13 +16,13 @@ import sympy
 
 from cobcalc.bundles import (
     SplitBundle,
+    diagonal_map,
     direct_sum,
     flag_restriction,
     flag_restriction_sum,
     pb_mul,
     projective_completion_ring,
     reduce_by_division,
-    restrict_to_diagonal,
     thom_class,
     thom_class_via_twist,
     top_chern_class,
@@ -114,7 +114,7 @@ def test_criterion_4_weyl_invariant_dimensions():
     ok = True
     add = make_law("additive", 6, 0)
     for n in (2, 3):
-        dims = bg_dimensions(preset(f"GL{n}"), add, range(5), 4)
+        dims = bg_dimensions(preset(f"GL{n}"), add.context(n), range(5), 4)
         expected = {d: count_poly_monomials(range(1, n + 1), d) for d in range(5)}
         ok = ok and dims == expected
     uni = make_law("universal-rational", 4, 3)
@@ -228,7 +228,7 @@ def test_criterion_8_flag_restriction():
             (p - l * r).is_zero() for p, l, r in zip(product, left, right)
         )
         image = flag_restriction_sum([(a, b), (a2, b2)], maps)
-        cong_ok = cong_ok and restrict_to_diagonal(image[0] - image[1], 0, 1).is_zero()
+        cong_ok = cong_ok and diagonal_map(ctx, 0, 1)(image[0] - image[1]).is_zero()
         pairs_checked += 1
     print(f"[acceptance] criterion 8 pairs checked: {pairs_checked}; "
           f"multiplicative: {mult_ok}; congruence (derived check): {cong_ok}")

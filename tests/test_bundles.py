@@ -5,6 +5,7 @@ import pytest
 from cobcalc.bundles import (
     SplitBundle,
     chern_classes,
+    diagonal_map,
     direct_sum,
     flag_restriction,
     flag_restriction_sum,
@@ -12,7 +13,6 @@ from cobcalc.bundles import (
     pb_ring,
     projective_completion_ring,
     reduce_by_division,
-    restrict_to_diagonal,
     tautological_inverse_class,
     thom_class,
     thom_class_via_twist,
@@ -294,7 +294,7 @@ def test_flag_restriction_multiplicative_and_congruent():
             right = flag_restriction(a2, b2, maps)
             assert all((p - l * r).is_zero() for p, l, r in zip(product, left, right))
             image = flag_restriction_sum([(a, b), (a2, b2)], maps)
-            assert restrict_to_diagonal(image[0] - image[1], 0, 1).is_zero()
+            assert diagonal_map(ctx, 0, 1)(image[0] - image[1]).is_zero()
 
 
 def test_split_bundle_validation():

@@ -186,6 +186,38 @@ def test_tower_accepts_caps_too_small_for_a_law(capsys):
         assert body["degrees"][str(d)]["lim_dim"] == coefficient_ring_dimension(ctx, d)
 
 
+def test_bg_accepts_caps_too_small_for_a_law(capsys):
+    # the counts read only the coefficient ring; the basis needs the law's log
+    argv = ["bg", "--group", "GL2", "--fgl", "universal", "--max-t", "1", "--max-w", "0",
+            "--torder", "1", "--deg", "0..1"]
+    assert main(argv) == 0
+    assert json.loads(capsys.readouterr().out)["dims"] == {"0": 1, "1": 1}
+    assert main(argv + ["--emit-basis"]) == 2
+    assert json.loads(capsys.readouterr().out)["error"]["kind"] == "invalid"
+
+
+BG_GL3 = "bg --group GL3 --fgl universal --deg 0..5 --torder 5 --max-t 5 --max-w 4"
+
+
+def test_plain_bg_builds_no_law(monkeypatch, capsys):
+    laws = []
+    real = cli._law
+
+    def refused(*args):
+        raise AssertionError("plain bg built a group law")
+
+    monkeypatch.setattr(cli, "_law", refused)
+    assert main(BG_GL3.split()) == 0
+    out = capsys.readouterr().out
+    # the stdout digest of the benchmark's bg-gl3 job
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "7144e88267fe2dd5ca63e8beec1981e7861ac255e1e1489026280787c8f6dad9"
+    )
+    monkeypatch.setattr(cli, "_law", lambda *args: laws.append(args) or real(*args))
+    assert main(BG_GL3.split() + ["--emit-basis"]) == 0
+    assert len(laws) == 1
+
+
 def test_flag_torus_has_no_congruent_pairs(capsys):
     # torus(2) has no reflection, so no component pairs are compared: the
     # congruence verdict is null, and multiplicativity alone sets the status
@@ -723,6 +755,17 @@ EDGE_ARGV = [
     ["flag", "--pairs", "x"],
     ["selftest", "extra"],
 ]
+
+
+@pytest.mark.parametrize("argv", [["--levels", "x"], ["-x"], ["--tor", "4"]])
+def test_an_option_before_the_subcommand_is_a_config_error(argv, capsys):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert json.loads(captured.out)["error"] == {
+        "kind": "config",
+        "message": f"{argv[0]!r} comes before the subcommand; options follow the subcommand",
+    }
+    assert captured.err == ""
 
 
 @pytest.mark.parametrize("argv", EDGE_ARGV, ids=lambda argv: " ".join(argv) or "empty")

@@ -227,19 +227,19 @@ def test_invariant_dimension_s3_degree3():
 
 
 def test_bg_dimensions_gl2_additive():
-    dims = bg_dimensions(preset("GL2"), law("additive"), range(4), 3)
+    dims = bg_dimensions(preset("GL2"), law("additive").context(2), range(4), 3)
     assert dims == {0: 1, 1: 1, 2: 2, 3: 2}
 
 
 def test_bg_dimensions_match_poly_counts():
     for n in (2, 3):
-        dims = bg_dimensions(preset(f"GL{n}"), law("additive"), range(5), 4)
+        dims = bg_dimensions(preset(f"GL{n}"), law("additive").context(n), range(5), 4)
         assert dims == {d: count_poly_monomials(range(1, n + 1), d) for d in range(5)}
 
 
 def test_bg_dimensions_torus_full_window():
     uni = law("universal-rational", 4, 3)
-    dims = bg_dimensions(preset("torus1"), uni, range(3), 3)
+    dims = bg_dimensions(preset("torus1"), uni.context(1), range(3), 3)
     ctx = uni.context(1)
     for d, dim in dims.items():
         assert dim == len(window_basis(ctx, d, 3))
@@ -247,8 +247,14 @@ def test_bg_dimensions_torus_full_window():
 
 def test_bg_dimensions_sl2_additive():
     add = law("additive")
-    dims = bg_dimensions(preset("SL2"), add, [1, 2, 3, 4], 4)
+    dims = bg_dimensions(preset("SL2"), add.context(1), [1, 2, 3, 4], 4)
     assert dims == {1: 0, 2: 1, 3: 0, 4: 1}  # even powers of t survive t -> -t
+
+
+def test_bg_dimensions_refuse_a_context_of_another_rank():
+    for n_vars in (1, 3):
+        with pytest.raises(ValueError, match="context rank"):
+            bg_dimensions(preset("GL2"), RingContext(n_vars, "rational", 3, 0), range(3), 3)
 
 
 def test_universal_invariants_match_orbit_count():

@@ -1,11 +1,12 @@
-"""Differential tests: Weyl invariants read off signed orbit sums through the
-logarithm (``equivariant.invariant_basis`` and ``bg_dimensions`` for
-signed-permutation generators) against the direct kernel of (action - id)
-(``fixed_space_rows`` and ``linalg.kernel``), and the orbit count against a
-Reynolds sum over every group element at the monomial level."""
+"""Differential tests: Weyl invariants read off the linear invariants through
+the logarithm (``equivariant.invariant_basis`` and ``bg_dimensions``) against
+the direct kernel of (action - id) through the law (``fixed_space_rows`` and
+``linalg.kernel``), and the count against a Reynolds sum over every group
+element at the monomial level."""
 
 import json
 import random
+from fractions import Fraction
 from functools import lru_cache
 
 import pytest
@@ -28,7 +29,7 @@ from cobcalc.equivariant import (
 )
 from cobcalc.fgl import COEFF_KIND_FOR, build_fgl
 from cobcalc.selftest import random_series
-from cobcalc.series import Monomial, RingContext, RingMap
+from cobcalc.series import RingContext, RingMap
 
 SETTINGS = settings(derandomize=True, database=None, deadline=None, max_examples=25)
 
@@ -36,6 +37,9 @@ PRESETS = ["GL1", "GL2", "GL3", "GL4", "SL2", "B2", "B3", "C3", "torus1", "torus
 KINDS = sorted(COEFF_KIND_FOR)
 # the order-3 rotation of the A2 lattice: not a signed permutation
 ROTATION = ((0, -1), (1, -1))
+# groups of the A2 lattice: the rotation alone, and with a swap, a signed
+# permutation, the order-6 group of one signed and one unsigned generator
+A2_GROUPS = {"rotation": (ROTATION,), "rotation-swap": (ROTATION, ((0, 1), (1, 0)))}
 
 
 @lru_cache(maxsize=None)
@@ -50,25 +54,55 @@ def direct_basis(wspec, law, degree, k_max, ctx):
     return fixed_basis(wspec.generators, law, window_basis(ctx, degree, k_max), ctx)
 
 
+def linear_image(g, t):
+    """The monomial with exponents ``t`` under the plain linear substitution
+    t_j -> sum_i g[i][j] t_i, expanded, as ``{exponents: int}``."""
+    n = len(t)
+    poly = {(0,) * n: 1}
+    for j, e in enumerate(t):
+        for _ in range(e):
+            product: dict = {}
+            for key, c in poly.items():
+                for i in range(n):
+                    if g[i][j]:
+                        bumped = key[:i] + (key[i] + 1,) + key[i + 1:]
+                        product[bumped] = product.get(bumped, 0) + c * g[i][j]
+            poly = product
+    return poly
+
+
+def rank(vectors):
+    """The rank over Q of ``vectors``, each a dict ``{column: value}``."""
+    pivots: dict = {}
+    for vector in vectors:
+        v = {k: Fraction(c) for k, c in vector.items() if c}
+        while v:
+            col = min(v)
+            if col not in pivots:
+                pivots[col] = v
+                break
+            p = pivots[col]
+            f = v[col] / p[col]
+            for k, c in p.items():
+                x = v.get(k, 0) - f * c
+                if x:
+                    v[k] = x
+                else:
+                    v.pop(k, None)
+    return len(pivots)
+
+
 def reynolds_dimension(elements, window):
     """The number of linearly independent sums sum_g g(m) over the monomials m
     of ``window``, each g acting by the plain linear substitution of its matrix."""
-    images = set()
+    images = []
     for mono in window:
         total: dict = {}
         for g in elements:
-            t = [0] * len(mono.t)
-            sign = 1
-            for j, e in enumerate(mono.t):
-                (i, s), = [(i, g[i][j]) for i in range(len(g)) if g[i][j]]
-                t[i] = e
-                sign *= s**e
-            key = Monomial(tuple(t), mono.laz)
-            total[key] = total.get(key, 0) + sign
-        support = frozenset(m for m, c in total.items() if c)
-        if support:
-            images.add(support)
-    return len(images)
+            for t, c in linear_image(g, mono.t).items():
+                total[t, mono.laz] = total.get((t, mono.laz), 0) + c
+        images.append(total)
+    return rank(images)
 
 
 # the window of one draw: degree and t-order window, negative values included
@@ -96,7 +130,7 @@ def test_orbit_basis_equals_the_direct_kernel(name, window):
     ctx = law.context(group.rank)
     got = invariant_basis(group.weyl, law, degree, k_max, ctx)
     assert got == direct_basis(group.weyl, law, degree, k_max, ctx)
-    assert bg_dimensions(group, law, [degree], k_max) == {degree: len(got)}
+    assert bg_dimensions(group, ctx, [degree], k_max) == {degree: len(got)}
 
 
 @pytest.mark.parametrize(
@@ -112,32 +146,56 @@ def test_orbit_count_equals_the_reynolds_count(name, caps):
     for k_max in range(-1, caps[0] + 1):
         degrees = range(-caps[1] - 1, k_max + 2)
         want = {d: reynolds_dimension(elements, window_basis(ctx, d, k_max)) for d in degrees}
-        assert bg_dimensions(group, law, degrees, k_max) == want
+        assert bg_dimensions(group, ctx, degrees, k_max) == want
 
 
 @pytest.mark.parametrize("kind", KINDS)
-def test_a_rotation_keeps_the_direct_path(kind, monkeypatch):
+@pytest.mark.parametrize("name", sorted(A2_GROUPS))
+def test_other_generators_match_the_kernel_through_the_law(name, kind):
+    wspec = WeylGroupSpec(rank=2, generators=A2_GROUPS[name])
+    elements = wspec.elements()
+    assert len(elements) == 3 * len(wspec.generators)
+    group = GroupPreset(name, 2, wspec, len(elements))
+    for caps in [(2, 1), (4, 3), (6, 5)]:
+        law = law_at(kind, *caps)
+        ctx = law.context(2)
+        for k_max in range(-1, caps[0] + 1):
+            degrees = range(-caps[1] - 1, k_max + 2)
+            dims = bg_dimensions(group, ctx, degrees, k_max)
+            for degree in degrees:
+                got = invariant_basis(wspec, law, degree, k_max, ctx)
+                assert got == direct_basis(wspec, law, degree, k_max, ctx)
+                window = window_basis(ctx, degree, k_max)
+                assert dims[degree] == len(got) == reynolds_dimension(elements, window)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_a_rotation_takes_the_kernel_of_the_linear_action(kind, monkeypatch):
+    """A generator that is no signed permutation gets its linear invariants
+    from `fixed_space_rows` under the additive law over Q, whatever the law
+    of the basis."""
     law = law_at(kind, 5, 4)
     wspec = WeylGroupSpec(rank=2, generators=(ROTATION,))
-    assert len(wspec.elements()) == 3
     group = GroupPreset("A2 rotation", 2, wspec, 3)
     ctx = law.context(2)
+    degrees = range(-1, 4)
+    want = {degree: direct_basis(wspec, law, degree, 4, ctx) for degree in degrees}
     calls = []
     real = equivariant.fixed_space_rows
 
-    def counting(*args):
-        calls.append(args)
-        return real(*args)
+    def counting(matrices, law, basis, ctx):
+        calls.append((law.kind, ctx.coeff_kind, ctx.max_weight))
+        return real(matrices, law, basis, ctx)
 
     monkeypatch.setattr(equivariant, "fixed_space_rows", counting)
-    for degree in range(-1, 4):
+    for degree in degrees:
         got = invariant_basis(wspec, law, degree, 4, ctx)
-        assert got == direct_basis(wspec, law, degree, 4, ctx)
-        assert bg_dimensions(group, law, [degree], 4) == {degree: len(got)}
+        assert got == want[degree]
+        assert bg_dimensions(group, ctx, [degree], 4) == {degree: len(got)}
         for v in got:
             image = weyl_apply(ROTATION, v, law)
             assert ctx.from_terms({m: c for m, c in image.iter_terms() if m.t_order() <= 4}) == v
-    assert calls
+    assert calls and set(calls) == {("additive", "rational", 0)}
 
 
 def linear_map(w, ctx):
