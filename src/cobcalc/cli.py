@@ -564,16 +564,19 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     """Run the job ``argv`` names (``sys.argv[1:]`` when None); returns the exit status.
 
     The top-level parser has no options of its own but help, so ``argv[0]``
-    is the subcommand: only its subtree is built.  Help, an empty argv and
+    is the subcommand: only its subtree is built.  One leading ``--`` ends
+    the (empty) top-level options and is dropped.  Help, an empty argv and
     an unknown subcommand get the full tree, whose messages list every
     subcommand; any other option first is a config error.
     """
     if argv is None:
         argv = sys.argv[1:]
+    if argv and argv[0] == "--":
+        argv = argv[1:]
     first = argv[0] if argv else ""
     try:
-        # help, its abbreviations and a bare -- are all argparse reads before a subcommand
-        if first.startswith("-") and first not in ("--", "-h", "--h", "--he", "--hel", "--help"):
+        # help and its abbreviations are all argparse reads before a subcommand
+        if first.startswith("-") and first not in ("-h", "--h", "--he", "--hel", "--help"):
             raise ConfigError(f"{first!r} comes before the subcommand; options follow the subcommand")
         parser = build_parser(first if first in SUBCOMMANDS else None)
         args = parser.parse_args(argv)

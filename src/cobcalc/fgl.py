@@ -13,14 +13,18 @@ One construction serves all three: exp is the compositional inverse of
 log, F(x, y) = exp(log(x) + log(y)) and the formal inverse is
 chi(x) = exp(-log(x)).  Truncation is an ideal that composition
 respects, so these are the truncated laws themselves.  Construction
-checks F(x, chi(x)) = 0 and the unit, commutativity and associativity
-axioms of the stored F inside the truncation window, and refuses to
+checks the unit, commutativity and associativity axioms of the stored F
+and F(x, chi(x)) = 0 inside the truncation window, and refuses to
 return an invalid law.  Associativity of an F with unit and
 commutativity is certified by F's own invariant differential: with
 L = integral of dx / F_2(x, 0), computed from F alone
 (`invariant_logarithm`), F is associative in the window exactly when
 L(F(x, y)) = L(x) + L(y) there, which needs one 2-variable composition
-instead of two 3-variable ones (`verify_fgl_axioms`).
+instead of two 3-variable ones (`verify_fgl_axioms`).  The same
+certificate checks the inverse: at y = chi(x) it reads
+L(F(x, chi(x))) = L(x) + L(chi(x)), and L = x + ... is invertible, so
+F(x, chi(x)) = 0 exactly when L(chi(x)) + L(x) = 0, one 1-variable
+composition instead of substituting the 2-variable F (`build_fgl`).
 """
 
 from __future__ import annotations
@@ -34,6 +38,7 @@ from .series import (
     RingContext,
     SubstitutionError,
     TruncatedSeries,
+    integral,
     substitute,
     variable_slices,
 )
@@ -112,13 +117,26 @@ class FormalGroupLaw(FrozenValue):
 
 
 class AxiomReport(FrozenValue):
-    """Residual series for the group law axioms; all must be exactly zero."""
+    """Residual series for the group law axioms; all must be exactly zero.
+
+    ``certificate`` is the L of the associativity certificate
+    (`verify_fgl_axioms`), or None when the direct residual was taken.  It
+    is neither compared, hashed nor shown.
+    """
 
     _fields = ("unit_ok", "comm_ok", "assoc_ok", "residuals")
 
-    def __init__(self, unit_ok: bool, comm_ok: bool, assoc_ok: bool, residuals: tuple):
+    def __init__(
+        self,
+        unit_ok: bool,
+        comm_ok: bool,
+        assoc_ok: bool,
+        residuals: tuple,
+        certificate: Optional[TruncatedSeries] = None,
+    ):
         self.__dict__.update(
-            unit_ok=unit_ok, comm_ok=comm_ok, assoc_ok=assoc_ok, residuals=residuals
+            unit_ok=unit_ok, comm_ok=comm_ok, assoc_ok=assoc_ok, residuals=residuals,
+            certificate=certificate,
         )
 
     @property
@@ -128,6 +146,13 @@ class AxiomReport(FrozenValue):
 
 def build_fgl(kind: str, ctx: RingContext) -> FormalGroupLaw:
     """Construct and validate a formal group law at the caps of ``ctx``.
+
+    The axioms are checked first (`verify_fgl_axioms`), which computes the
+    L of their certificate once.  When they hold,
+    L(F(x, y)) = L(x) + L(y) in the window, so F(x, chi(x)) = 0 is checked
+    as L(chi(x)) + L(x) = 0 (module docstring).  Otherwise F(x, chi(x)) is
+    formed directly.  Either way a nonzero F(x, chi(x)) is reported before
+    a failed axiom.
 
     >>> law = build_fgl("multiplicative", RingContext(2, "multiplicative-beta", 4, 3))
     >>> law.inverse_series.to_text()
@@ -147,13 +172,23 @@ def build_fgl(kind: str, ctx: RingContext) -> FormalGroupLaw:
     lx, ly = (substitute(log, {0: ctx2.var(j)}, target=ctx2) for j in (0, 1))
     F = substitute(exp, {0: lx + ly}, target=ctx2)
     chi = substitute(exp, {0: -log})
-    if not substitute(F, {0: ctx1.var(0), 1: chi}, target=ctx1).is_zero():
-        raise FglConstructionError(f"F(x, chi(x)) is nonzero for {kind}")
     report = verify_fgl_axioms(FormalGroupLaw(kind, F, chi, log, exp))
+    if not _inverts(F, chi, report):
+        raise FglConstructionError(f"F(x, chi(x)) is nonzero for {kind}")
     if not report.ok:
         bad = [name for name, r in report.residuals if not r.is_zero()]
         raise FglConstructionError(f"axiom residuals nonzero for {kind}: {bad}")
     return FormalGroupLaw(kind, F, chi, log, exp, axioms=report)
+
+
+def _inverts(F: TruncatedSeries, chi: TruncatedSeries, report: AxiomReport) -> bool:
+    """F(x, chi(x)) = 0 in the window: as L(chi(x)) + L(x) = 0 with the L of
+    the certificate when ``report`` (F's axioms) is ok, else directly."""
+    if report.ok:
+        L = report.certificate
+        return (substitute(L, {0: chi}) + L).is_zero()
+    ctx1 = chi.ctx
+    return substitute(F, {0: ctx1.var(0), 1: chi}, target=ctx1).is_zero()
 
 
 def _logarithm(kind: str, ctx1: RingContext) -> TruncatedSeries:
@@ -171,8 +206,18 @@ def _logarithm(kind: str, ctx1: RingContext) -> TruncatedSeries:
 def compositional_inverse(f: TruncatedSeries) -> TruncatedSeries:
     """g with f(g(x)) = x inside the window, for f = x + higher order.
 
-    Solved order by order: each pass removes the lowest t-order slice of
-    the residual f(g) - x, which strictly raises the residual valuation.
+    Solved order by order, one pass per order.  The order-v slice of g
+    depends only on the orders <= v of f and g, so pass v composes f(g) in
+    a window of f's kind and weight cap with t-order cap v
+    (`RingContext.window`, which raises the cap where a narrower one would
+    change the packed field width) and subtracts the order-v slice from g.
+    g moves up from window to window and into f's context once, at the end.
+
+    When every term of f has degree (t-order minus weight) 1, as every log
+    of this module does, so does g: its order-v slice has weight v - 1, and
+    the passes stop at order max_weight + 1.  No pass checks f(g) = x in
+    the whole window; for a law, the unit axiom F(x, 0) = exp(log x) = x
+    that `verify_fgl_axioms` checks is that check.
 
     >>> ctx = RingContext(1, "multiplicative-beta", 3, 2)
     >>> log = TruncatedSeries.from_text(ctx, "1 * t1 + 1/2 * b*t1^2 + 1/3 * b^2*t1^3")
@@ -185,13 +230,22 @@ def compositional_inverse(f: TruncatedSeries) -> TruncatedSeries:
     x = ctx.var(0)
     if f.t_slice(1) != x or f.has_t_constant_term():
         raise ValueError("series must start with x")
-    g = x
-    while True:
-        residual = substitute(f, {0: g}) - x
-        if residual.is_zero():
-            return g
-        v = residual.min_t_order()
-        g = g - residual.t_slice(v)
+    if f == x:
+        return x
+    last = ctx.max_t_order
+    if all(m.t_order() - m.weight() == 1 for m, _ in f.iter_terms()):
+        last = min(last, ctx.max_weight + 1)
+    # pass 2 composes f(x) = f; f_v is f through order v, the part pass v reads
+    f_2 = f.t_slice(2)
+    f_v, g = x + f_2, x - f_2
+    for v in range(3, last + 1):
+        window = ctx.window(v)
+        f_v = f_v + f.t_slice(v)
+        if g.ctx != window:
+            g = substitute(g, {0: window.var(0)}, target=window)
+        # g is right below order v, where f(g) = x
+        g = g - substitute(f_v, {0: g}, target=window).t_slice(v)
+    return g if g.ctx == ctx else substitute(g, {0: x}, target=ctx)
 
 
 def verify_fgl_axioms(law: FormalGroupLaw) -> AxiomReport:
@@ -214,7 +268,8 @@ def verify_fgl_axioms(law: FormalGroupLaw) -> AxiomReport:
 
     L is built from F, not from the stored ``log``, so the certificate is
     not circular.  A law that fails unit or commutativity gets the direct
-    residual F(F(x, y), z) - F(x, F(y, z)) instead.
+    residual F(F(x, y), z) - F(x, F(y, z)) instead.  The report keeps L as
+    its ``certificate``.
     """
     F = law.series
     ctx2 = F.ctx
@@ -228,6 +283,7 @@ def verify_fgl_axioms(law: FormalGroupLaw) -> AxiomReport:
         lx, ly = (substitute(L, {0: v}, target=ctx2) for v in (x, y))
         assoc = substitute(L, {0: F}, target=ctx2) - lx - ly
     else:
+        L = None
         assoc = direct_associativity_residual(F)
     return AxiomReport(
         unit_ok=unit_ok,
@@ -239,6 +295,7 @@ def verify_fgl_axioms(law: FormalGroupLaw) -> AxiomReport:
             ("comm", comm),
             ("assoc", assoc),
         ),
+        certificate=L,
     )
 
 
@@ -259,14 +316,16 @@ def invariant_logarithm(F: TruncatedSeries) -> TruncatedSeries:
     ctx2 = F.ctx
     ctx1 = RingContext(1, ctx2.coeff_kind, ctx2.max_t_order, ctx2.max_weight)
     f2 = variable_slices(F, 1).get(1, ctx2.zero())
-    v = substitute(f2, {0: ctx1.var(0), 1: ctx1.zero()}, target=ctx1) - 1
-    # 1/(1 + v) by Horner's rule, exact through t-order max_t - 1: all the integral keeps
-    inverse = ctx1.one()
+    w = 1 - substitute(f2, {0: ctx1.var(0), 1: ctx1.zero()}, target=ctx1)
+    # 1/(1 - w) by Horner's rule, exact through t-order max_t - 1: all the integral keeps.
+    # A step that changes nothing is a fixed point, which later steps keep.
+    one = inverse = ctx1.one()
     for _ in range(ctx1.max_t_order - 1):
-        inverse = 1 - v * inverse
-    return ctx1.from_terms(
-        {Monomial((e + 1,), laz): c / (e + 1) for ((e,), laz), c in inverse.iter_terms()}
-    )
+        step = one + w * inverse
+        if step == inverse:
+            break
+        inverse = step
+    return integral(inverse, 0)
 
 
 def direct_associativity_residual(F: TruncatedSeries) -> TruncatedSeries:

@@ -68,8 +68,9 @@ Only this module knows the packed form.  Callers that would otherwise
 decode every term and validate it again get helpers that work on the
 keys: `sparse_coordinates` (integer rows against a list of monomials),
 `reduced_basis` (the canonical echelon basis of a span, over the
-monomials that occur), `unit_series` (a list of monomials as series) and
-`variable_slices` (a series split by the powers of one variable).
+monomials that occur), `unit_series` (a list of monomials as series),
+`variable_slices` (a series split by the powers of one variable) and
+`integral` (the antiderivative in one variable).
 
 Ring maps
 ---------
@@ -143,6 +144,23 @@ class RingContext(FrozenValue):
             self.coeff_kind, self.max_weight
         )
         return _shared_layout(self.n_vars, n_gens, self.max_t_order, self.max_weight)
+
+    def window(self, max_t_order: int) -> "RingContext":
+        """This context with t-order cap ``max_t_order``, raised where needed
+        to the least cap whose packed keys keep this context's field width.
+
+        `RingMap` relabels between two contexts by copying key fields only
+        when their generator fields agree; into or out of a narrower window,
+        every term would be decoded and encoded again.
+
+        >>> RingContext(1, "universal-rational", 14, 2).window(3).max_t_order
+        8
+        """
+        width = _field_width(self.max_t_order, self.max_weight)
+        cap = max_t_order
+        if _field_width(cap, self.max_weight) < width:
+            cap = 1 << (width - 2)  # the least t-order cap of that width
+        return RingContext(self.n_vars, self.coeff_kind, cap, self.max_weight)
 
     # -- series constructors ------------------------------------------------
 
@@ -236,6 +254,12 @@ class Monomial(NamedTuple):
         return (self.t_order(), tuple(-e for e in self.t), self.weight(), self.laz)
 
 
+def _field_width(max_t: int, max_w: int) -> int:
+    """Bits per packed-key field: every field holds at most twice its cap
+    while a product is formed."""
+    return (2 * max(max_t, max_w, 1)).bit_length()
+
+
 class _Layout:
     """Field shifts and cap bounds of the packed keys of one context."""
 
@@ -245,8 +269,7 @@ class _Layout:
     )
 
     def __init__(self, n_vars: int, n_gens: int, max_t: int, max_w: int):
-        # every field holds at most twice its cap while a product is formed
-        width = (2 * max(max_t, max_w, 1)).bit_length()
+        width = _field_width(max_t, max_w)
         self.n_vars, self.n_gens, self.max_t, self.max_w = n_vars, n_gens, max_t, max_w
         self.mask = (1 << width) - 1
         self.gen_shifts = tuple(width * (n_gens - i) for i in range(1, n_gens + 1))
@@ -616,6 +639,29 @@ def variable_slices(s: TruncatedSeries, j: int) -> dict:
         e = (key >> shift) & mask
         parts.setdefault(e, {})[key - (e << shift) - (e << t_shift)] = num
     return {e: _reduced(s.ctx, terms, s._den) for e, terms in parts.items()}
+
+
+def integral(s: TruncatedSeries, j: int) -> TruncatedSeries:
+    """The antiderivative of ``s`` in t_{j+1} without constant term: c * t_{j+1}^e * r
+    goes to c / (e + 1) * t_{j+1}^(e + 1) * r, and terms pushed past the
+    t-order cap are dropped.
+
+    >>> ctx = RingContext(1, "multiplicative-beta", 3, 2)
+    >>> integral(TruncatedSeries.from_text(ctx, "1 + 1 * b*t1 + 1 * b^2*t1^2"), 0).to_text()
+    '1 * t1 + 1/2 * b*t1^2 + 1/3 * b^2*t1^3'
+    """
+    layout = s.ctx._layout
+    shift, mask, limit = layout.var_shifts[j], layout.mask, layout.t_limit
+    # one more t-order and one more t_{j+1}: neither field carries
+    step = (1 << layout.t_shift) + (1 << shift)
+    divisors = {key: ((key >> shift) & mask) + 1 for key in s._terms}
+    common = lcm(*divisors.values())
+    terms = {
+        key + step: num * (common // divisors[key])
+        for key, num in s._terms.items()
+        if key + step < limit
+    }
+    return _reduced(s.ctx, terms, s._den * common)
 
 
 def _reduced(ctx: RingContext, terms: dict, den: int) -> TruncatedSeries:

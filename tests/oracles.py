@@ -27,7 +27,11 @@ one logarithm, builds its series with the package's kernel, and so does
 ``direct_associativity_residual``, the two 3-variable compositions
 F(F(x, y), z) - F(x, F(y, z)) that ``cobcalc.fgl.verify_fgl_axioms``
 replaced by the invariant-differential certificate for laws with unit and
-commutativity.
+commutativity, ``ref_compositional_inverse``, the fixed-point loop over the
+whole window that ``cobcalc.fgl.compositional_inverse`` replaced by one
+pass per order in its own window, and ``ref_inverse_residual``, the
+substitution F(x, chi(x)) that ``cobcalc.fgl.build_fgl`` replaced by the
+certificate's L(chi(x)) + L(x) for laws whose axioms hold.
 """
 
 from __future__ import annotations
@@ -40,7 +44,6 @@ import sympy
 from cobcalc import linalg
 from cobcalc.bundles import ProjBundleElement, ProjBundleRing, _coerce_pb, pb_mul, pb_substitute
 from cobcalc.equivariant import character_class
-from cobcalc.fgl import compositional_inverse
 from cobcalc.series import (
     ContextMismatch,
     Monomial,
@@ -562,6 +565,26 @@ def ref_action_matrix(w, law, basis, ctx) -> list:
 # -- the per-kind laws and order-by-order inverse that fgl.build_fgl replaced ----
 
 
+def ref_compositional_inverse(f: TruncatedSeries) -> TruncatedSeries:
+    """g with f(g(x)) = x in the whole window of f: each pass removes the lowest
+    t-order slice of the residual f(g) - x, until the residual is zero."""
+    ctx = f.ctx
+    x = ctx.var(0)
+    g = x
+    while True:
+        residual = substitute(f, {0: g}) - x
+        if residual.is_zero():
+            return g
+        v = residual.min_t_order()
+        g = g - residual.t_slice(v)
+
+
+def ref_inverse_residual(F: TruncatedSeries, chi: TruncatedSeries) -> TruncatedSeries:
+    """F(x, chi(x)) in the one-variable context of ``chi``."""
+    ctx1 = chi.ctx
+    return substitute(F, {0: ctx1.var(0), 1: chi}, target=ctx1)
+
+
 def ref_formal_inverse(F: TruncatedSeries, ctx1: RingContext) -> TruncatedSeries:
     """chi(x) with F(x, chi(x)) = 0 inside the window, order by order."""
     x = ctx1.var(0)
@@ -589,7 +612,7 @@ def ref_law(kind: str, ctx: RingContext) -> tuple:
         log = t
         for i in range(1, min(ctx1.max_t_order - 1, ctx1.max_weight) + 1):
             log = log + ctx1.lazard(i) * t ** (i + 1)
-        exp = compositional_inverse(log)
+        exp = ref_compositional_inverse(log)
         lx = substitute(log, {0: x}, target=ctx2)
         ly = substitute(log, {0: y}, target=ctx2)
         F = substitute(exp, {0: lx + ly}, target=ctx2)

@@ -746,6 +746,9 @@ EDGE_ARGV = [
     ["--levels", "x"],
     ["--tor", "4"],
     ["--", "bg"],
+    ["--"],
+    ["--", "-x"],
+    ["--", "bg", "--torder", "1"],
     ["bg", "--torder", "2", "--max", "3"],
     ["bg", "--tor", "2", "--deg", "0..1"],
     ["bg", "--torder", "2", "--deg", "-1..2"],
@@ -766,6 +769,12 @@ def test_an_option_before_the_subcommand_is_a_config_error(argv, capsys):
         "message": f"{argv[0]!r} comes before the subcommand; options follow the subcommand",
     }
     assert captured.err == ""
+
+
+@pytest.mark.parametrize("argv", [["bg", "--torder", "1"], [], ["-x"]], ids=["bg", "empty", "-x"])
+def test_a_leading_double_dash_is_dropped(argv, capsys):
+    # `--` ends the (empty) top-level options: the rest reads as if it came first
+    assert _status_and_output(["--", *argv], capsys) == _status_and_output(argv, capsys)
 
 
 @pytest.mark.parametrize("argv", EDGE_ARGV, ids=lambda argv: " ".join(argv) or "empty")

@@ -16,6 +16,7 @@ from cobcalc.fgl import (
     FormalGroupLaw,
     additive_shadow,
     build_fgl,
+    compositional_inverse,
     fgl_inverse,
     fgl_sum,
     invariant_logarithm,
@@ -24,6 +25,7 @@ from cobcalc.fgl import (
     verify_fgl_axioms,
 )
 from cobcalc.series import (
+    COEFF_KINDS,
     ContextMismatch,
     Monomial,
     RingContext,
@@ -35,6 +37,8 @@ from cobcalc.series import (
 from oracles import (
     direct_associativity_residual,
     multiplicative_inverse_sympy,
+    ref_compositional_inverse,
+    ref_inverse_residual,
     ref_law,
     series_to_sympy,
     universal_fgl_sympy,
@@ -351,3 +355,139 @@ def test_wrong_inverse_is_refused(monkeypatch):
     monkeypatch.setattr(fgl, "compositional_inverse", off_by_one_term)
     with pytest.raises(FglConstructionError, match="chi"):
         build_fgl("additive", RingContext(2, "rational", 4, 0))
+
+
+# -- compositional_inverse: one pass per order, each in its own window ----------
+
+
+@st.composite
+def series_starting_with_x(draw):
+    """f = x + sum c * m * x^e over any coefficient kind, at t-order cap 2..10 and
+    weight cap 0..12 drawn below half the t-order cap (windows narrower than f's
+    field width), at or over it, or anywhere.  Every term has degree (t-order
+    minus weight) 1, so the passes may stop early, or any degree."""
+    kind = draw(st.sampled_from(COEFF_KINDS))
+    max_t = draw(st.integers(2, 10))
+    max_w = draw(st.sampled_from([
+        st.integers(0, max(0, max_t // 2 - 1)), st.integers(max_t, 12), st.integers(0, 12),
+    ]).flatmap(lambda weights: weights))
+    ctx = RingContext(1, kind, max_t, max_w)
+    degree_one = draw(st.booleans())
+    terms = {Monomial((1,), ()): Fraction(1)}
+    for _ in range(draw(st.integers(0, 4))):
+        e = draw(st.integers(2, max_t))
+        weight = e - 1 if degree_one else draw(st.integers(0, max_w))
+        choices = lazard_monomials(kind, weight)
+        if choices:
+            laz = draw(st.sampled_from(choices))
+            terms[Monomial((e,), laz)] = draw(st.fractions(-3, 3, max_denominator=4).filter(bool))
+    return ctx.from_terms(terms)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=200)
+@given(series_starting_with_x())
+def test_compositional_inverse_matches_the_fixed_point_loop(f):
+    assert compositional_inverse(f) == ref_compositional_inverse(f)
+
+
+def _composition_caps(monkeypatch, f):
+    """The t-order caps of the windows compositional_inverse(f) composes in."""
+    caps = []
+    real = fgl.substitute
+
+    def recording(s, assignment, target=None):
+        # a composition maps f's truncations by g; a move maps by a bare variable
+        if s.ctx == f.ctx and target is not None and assignment[0] != target.var(0):
+            caps.append(target.max_t_order)
+        return real(s, assignment, target)
+
+    monkeypatch.setattr(fgl, "substitute", recording)
+    compositional_inverse(f)
+    return caps
+
+
+@pytest.mark.parametrize(
+    "kind, max_t, max_w, caps",
+    [
+        # f(x) = f at pass 2; log has degree 1, so the passes stop at max_w + 1
+        ("universal-rational", 10, 9, list(range(3, 11))),
+        ("universal-rational", 14, 13, list(range(3, 15))),
+        ("multiplicative", 7, 5, [3, 4, 5, 6]),
+        # windows of t-order cap < 8 would narrow the field width of (14, *)
+        ("universal-rational", 14, 2, [8]),
+        ("multiplicative", 14, 4, [8, 8, 8]),
+        ("universal-rational", 12, 0, []),
+    ],
+)
+def test_inverse_pass_v_composes_in_window_v(kind, max_t, max_w, caps, monkeypatch):
+    f = fgl._logarithm(kind, RingContext(1, COEFF_KIND_FOR[kind], max_t, max_w))
+    assert _composition_caps(monkeypatch, f) == caps
+
+
+def test_inverse_of_a_series_of_other_degree_runs_every_order(monkeypatch):
+    # x + x^2 over Q: degree 2, so no early stop at weight cap 0
+    ctx = RingContext(1, "rational", 6, 0)
+    f = ctx.var(0) + ctx.var(0) ** 2
+    assert _composition_caps(monkeypatch, f) == [4, 4, 5, 6]
+    assert compositional_inverse(f) == ref_compositional_inverse(f)
+
+
+# -- F(x, chi(x)) = 0 through the certificate's L ----------------------------------
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=60)
+@given(st.data())
+def test_chi_check_through_the_certificate_matches_the_direct_residual(data):
+    # chi plus c * m * x^k inside the caps (c = 0 leaves it right): the check
+    # build_fgl makes through L must agree with the residual F(x, chi(x))
+    kind = data.draw(st.sampled_from(FGL_KINDS))
+    max_t = data.draw(st.integers(2, 7))
+    max_w = data.draw(st.integers(0, 6))
+    ctx = RingContext(2, COEFF_KIND_FOR[kind], max_t, max_w)
+    law = cached_law(kind, ctx)
+    assert law.axioms.ok and law.axioms.certificate == law.log
+    k = data.draw(st.integers(2, max_t))
+    weight = data.draw(st.integers(0, 0 if kind == "additive" else max_w))
+    laz = data.draw(st.sampled_from(lazard_monomials(ctx.coeff_kind, weight)))
+    c = data.draw(st.fractions(-3, 3, max_denominator=4))
+    chi = law.inverse_series
+    mutant = chi + chi.ctx.from_terms({Monomial((k,), laz): c})
+    verdict = fgl._inverts(law.series, mutant, law.axioms)
+    assert verdict == ref_inverse_residual(law.series, mutant).is_zero() == (c == 0)
+
+
+def _recorded_calls(monkeypatch):
+    """Record invariant_logarithm's arguments and substitute's (series, target)."""
+    logs, subs = [], []
+    real_log, real_sub = fgl.invariant_logarithm, fgl.substitute
+
+    def log(F):
+        logs.append(F)
+        return real_log(F)
+
+    def sub(s, assignment, target=None):
+        subs.append((s, target or s.ctx))
+        return real_sub(s, assignment, target)
+
+    monkeypatch.setattr(fgl, "invariant_logarithm", log)
+    monkeypatch.setattr(fgl, "substitute", sub)
+    return logs, subs
+
+
+@pytest.mark.parametrize("kind", FGL_KINDS)
+def test_build_takes_one_L_and_no_chi_substitution_into_F(kind, monkeypatch):
+    logs, subs = _recorded_calls(monkeypatch)
+    law = build_fgl(kind, RingContext(2, COEFF_KIND_FOR[kind], 6, 5))
+    assert logs == [law.series]
+    assert not [s for s, target in subs if s is law.series and target.n_vars == 1]
+
+
+def test_a_law_failing_its_axioms_gets_the_direct_chi_residual(monkeypatch):
+    real = fgl.compositional_inverse
+    monkeypatch.setattr(fgl, "compositional_inverse", lambda f: real(f) + f.ctx.var(0) ** 2)
+    logs, subs = _recorded_calls(monkeypatch)
+    with pytest.raises(FglConstructionError, match="chi"):
+        build_fgl("additive", RingContext(2, "rational", 4, 0))
+    # the unit axiom fails, so there is no certificate: F(x, chi(x)) is formed
+    assert logs == []
+    assert len([s for s, target in subs if s.ctx.n_vars == 2 and target.n_vars == 1]) == 1

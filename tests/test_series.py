@@ -4,6 +4,8 @@ import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cobcalc.series import (
     COEFF_KINDS,
@@ -14,6 +16,7 @@ from cobcalc.series import (
     SubstitutionError,
     TruncatedSeries,
     bidegree_basis,
+    integral,
     lazard_count,
     lazard_monomials,
     series_add,
@@ -22,6 +25,7 @@ from cobcalc.series import (
 )
 
 from oracles import enumerate_window
+from strategies import assert_canonical, contexts, series
 
 
 @pytest.fixture
@@ -312,3 +316,36 @@ def test_lazard_count_reads_one_partition_table():
     random.Random(7).shuffle(weights)
     assert all(lazard_count("universal-rational", w) == counts[w] for w in weights)
     assert lazard_count("universal-rational", -1) == 0
+
+
+@pytest.mark.parametrize("kind", COEFF_KINDS)
+def test_window_is_the_least_cap_of_the_same_field_width(kind):
+    for max_t in range(21):
+        for max_w in range(13):
+            ctx = RingContext(1, kind, max_t, max_w)
+            for v in range(max_t + 1):
+                window = ctx.window(v)
+                assert (window.n_vars, window.coeff_kind, window.max_weight) == (1, kind, max_w)
+                assert v <= window.max_t_order <= max_t
+                # series move in and out by the relabel, which copies key fields
+                assert RingMap(ctx, {0: window.var(0)}, window)._moves is not None
+                assert RingMap(window, {0: ctx.var(0)}, ctx)._moves is not None
+                if window.max_t_order > v:
+                    narrower = RingContext(1, kind, window.max_t_order - 1, max_w)
+                    assert narrower._layout.mask != ctx._layout.mask
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=200)
+@given(st.data())
+def test_integral_is_the_termwise_antiderivative(data):
+    ctx = data.draw(contexts())
+    s = data.draw(series(ctx))
+    j = data.draw(st.integers(0, ctx.n_vars - 1))
+    want = {}
+    for m, c in s.iter_terms():
+        t = list(m.t)
+        t[j] += 1
+        want[Monomial(tuple(t), m.laz)] = c / t[j]
+    got = integral(s, j)
+    assert got == ctx.from_terms(want)
+    assert_canonical(got)
