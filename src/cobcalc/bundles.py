@@ -127,11 +127,14 @@ class SplitBundle(FrozenValue):
     @cached_property
     def chern(self) -> tuple:
         """c1..cr as elementary symmetric polynomials of the roots (c0 = 1
-        implicit), computed once per bundle."""
+        implicit), computed once per bundle.
+
+        Every root has t-order >= 1, so c_k has t-order >= k: the classes
+        past the t-order cap are zero and the recurrence stops there."""
         ctx = self.base
         elem = [ctx.one()] + [ctx.zero()] * self.rank
         for root in self.roots:
-            for i in range(self.rank, 0, -1):
+            for i in range(min(self.rank, ctx.max_t_order), 0, -1):
                 elem[i] = elem[i] + elem[i - 1] * root
         return tuple(elem[1:])
 

@@ -29,16 +29,18 @@ composition instead of substituting the 2-variable F (`build_fgl`).
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import Optional
 
 from .series import (
     ContextMismatch,
-    Monomial,
     RingContext,
     SubstitutionError,
     TruncatedSeries,
+    add_into,
+    at_zero,
+    collect,
     integral,
+    mul_into,
     substitute,
     variable_slices,
 )
@@ -193,14 +195,20 @@ def _inverts(F: TruncatedSeries, chi: TruncatedSeries, report: AxiomReport) -> b
 
 def _logarithm(kind: str, ctx1: RingContext) -> TruncatedSeries:
     """log(x) of the law of ``kind``; terms beyond the caps are dropped."""
-    orders = () if kind == "additive" else range(1, ctx1.max_t_order)
+    layout = ctx1._layout
+    # the packed keys of x and of one unit of weight (`series` module docstring)
+    x, weight = (1 << layout.t_shift) + (1 << layout.var_shifts[0]), 1 << layout.w_shift
+    top = 0 if kind == "additive" else min(ctx1.max_t_order - 1, ctx1.max_weight)
     if kind == "multiplicative":
-        # -log(1 - b*x)/b, so that 1 - b*F(x, y) = (1 - b*x)(1 - b*y)
-        terms = {Monomial((k + 1,), ((1, k),)): Fraction(1, k + 1) for k in orders}
-    else:
-        terms = {Monomial((i + 1,), ((i, 1),)): Fraction(1) for i in orders}
-    terms[Monomial((1,), ())] = Fraction(1)
-    return ctx1.from_terms(terms)
+        # -log(1 - b*x)/b = integral of 1/(1 - b*x), so that
+        # 1 - b*F(x, y) = (1 - b*x)(1 - b*y)
+        bx = x + weight + (1 << layout.gen_shifts[0])
+        return integral(TruncatedSeries._raw(ctx1, {k * bx: 1 for k in range(top + 1)}, 1), 0)
+    # x + m1*x^2 + m2*x^3 + ...
+    terms = {x: 1}
+    for i in range(1, top + 1):
+        terms[(i + 1) * x + i * weight + (1 << layout.gen_shifts[i - 1])] = 1
+    return TruncatedSeries._raw(ctx1, terms, 1)
 
 
 def compositional_inverse(f: TruncatedSeries) -> TruncatedSeries:
@@ -211,7 +219,9 @@ def compositional_inverse(f: TruncatedSeries) -> TruncatedSeries:
     a window of f's kind and weight cap with t-order cap v
     (`RingContext.window`, which raises the cap where a narrower one would
     change the packed field width) and subtracts the order-v slice from g.
-    g moves up from window to window and into f's context once, at the end.
+    Every window keeps the field width of f's context, so g's keys are
+    keys of each window: g moves up from window to window, and into f's
+    context at the end, as a copy of its terms.
 
     When every term of f has degree (t-order minus weight) 1, as every log
     of this module does, so does g: its order-v slice has weight v - 1, and
@@ -241,11 +251,10 @@ def compositional_inverse(f: TruncatedSeries) -> TruncatedSeries:
     for v in range(3, last + 1):
         window = ctx.window(v)
         f_v = f_v + f.t_slice(v)
-        if g.ctx != window:
-            g = substitute(g, {0: window.var(0)}, target=window)
+        g = TruncatedSeries._raw(window, g._terms, g._den)
         # g is right below order v, where f(g) = x
         g = g - substitute(f_v, {0: g}, target=window).t_slice(v)
-    return g if g.ctx == ctx else substitute(g, {0: x}, target=ctx)
+    return TruncatedSeries._raw(ctx, g._terms, g._den)
 
 
 def verify_fgl_axioms(law: FormalGroupLaw) -> AxiomReport:
@@ -269,13 +278,14 @@ def verify_fgl_axioms(law: FormalGroupLaw) -> AxiomReport:
     L is built from F, not from the stored ``log``, so the certificate is
     not circular.  A law that fails unit or commutativity gets the direct
     residual F(F(x, y), z) - F(x, F(y, z)) instead.  The report keeps L as
-    its ``certificate``.
+    its ``certificate``.  The unit residuals need no map: F(x, 0) is the
+    part of F free of y, and F(0, y) the part free of x (`series.at_zero`).
     """
     F = law.series
     ctx2 = F.ctx
     x, y = ctx2.var(0), ctx2.var(1)
-    unit_x = substitute(F, {1: ctx2.zero()}, target=ctx2) - x
-    unit_y = substitute(F, {0: ctx2.zero()}, target=ctx2) - y
+    unit_x = at_zero(F, 1) - x
+    unit_y = at_zero(F, 0) - y
     comm = F - substitute(F, {0: y, 1: x}, target=ctx2)
     unit_ok = unit_x.is_zero() and unit_y.is_zero()
     if unit_ok and comm.is_zero():
@@ -308,6 +318,12 @@ def invariant_logarithm(F: TruncatedSeries) -> TruncatedSeries:
     axiom its constant term is 1, so it is a unit of the window and
     L = x + ....  For a law built from a logarithm, L is that logarithm.
 
+    The reciprocal is taken order by order, by its coefficient recurrence:
+    with u = F_2(x, 0) and u_k its slice of t-order k, the order-n slice of
+    1/u is -(u_1 * inv_(n-1) + ... + u_n * inv_0), all of its products
+    summed into one dict by `series.mul_into`.  Each product of two slices
+    lands in order n, so no pair is formed outside it.
+
     >>> ctx = RingContext(2, "multiplicative-beta", 4, 3)
     >>> F = TruncatedSeries.from_text(ctx, "1 * t1 + 1 * t2 + -1 * b*t1*t2")
     >>> invariant_logarithm(F).to_text()
@@ -316,16 +332,20 @@ def invariant_logarithm(F: TruncatedSeries) -> TruncatedSeries:
     ctx2 = F.ctx
     ctx1 = RingContext(1, ctx2.coeff_kind, ctx2.max_t_order, ctx2.max_weight)
     f2 = variable_slices(F, 1).get(1, ctx2.zero())
-    w = 1 - substitute(f2, {0: ctx1.var(0), 1: ctx1.zero()}, target=ctx1)
-    # 1/(1 - w) by Horner's rule, exact through t-order max_t - 1: all the integral keeps.
-    # A step that changes nothing is a fixed point, which later steps keep.
-    one = inverse = ctx1.one()
-    for _ in range(ctx1.max_t_order - 1):
-        step = one + w * inverse
-        if step == inverse:
-            break
-        inverse = step
-    return integral(inverse, 0)
+    u = substitute(f2, {0: ctx1.var(0), 1: ctx1.zero()}, target=ctx1)
+    # 1/u through t-order max_t - 1, all the integral keeps (u_0 = 1)
+    top = ctx1.max_t_order - 1
+    slices = [u.t_slice(k) for k in range(top + 1)]
+    inv = [ctx1.one()]
+    acc, den = {0: 1}, 1  # key 0 is the monomial 1
+    for n in range(1, top + 1):
+        part: dict = {}
+        part_den = 1
+        for k in range(1, n + 1):
+            part_den = mul_into(part, part_den, slices[k], inv[n - k])
+        inv.append(-collect(ctx1, part, part_den))
+        den = add_into(acc, den, inv[n])
+    return integral(collect(ctx1, acc, den), 0)
 
 
 def direct_associativity_residual(F: TruncatedSeries) -> TruncatedSeries:

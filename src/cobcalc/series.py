@@ -62,15 +62,19 @@ by key.  A left term of weight ``w`` visits the buckets up to weight
 ``max_weight - w`` and stops inside each at the first key over the
 t-order cap, so no pair beyond either cap is formed.  That pair loop,
 `_pairs_into`, is run once per product by `mul_into` and once per term
-by `RingMap`.
+by `RingMap`.  A square ``a * a`` (the same object twice) runs the
+squaring pass of that loop over the same buckets, `_square_into`: each
+unordered pair of terms is formed once and the products off the diagonal
+are doubled.
 
 Only this module knows the packed form.  Callers that would otherwise
 decode every term and validate it again get helpers that work on the
 keys: `sparse_coordinates` (integer rows against a list of monomials),
 `reduced_basis` (the canonical echelon basis of a span, over the
 monomials that occur), `unit_series` (a list of monomials as series),
-`variable_slices` (a series split by the powers of one variable) and
-`integral` (the antiderivative in one variable).
+`variable_slices` (a series split by the powers of one variable),
+`at_zero` (a series at one variable set to 0) and `integral` (the
+antiderivative in one variable).
 
 Ring maps
 ---------
@@ -78,19 +82,20 @@ A ring map is given by the images of the variables: `RingMap(source,
 images, target)` checks the images once (index range, one target
 context with the coefficient kind of the source, no term of t-order 0)
 and keeps a table of their powers, each multiplied out on first use, so
-that mapping many series through one map builds every power once.  A
-call maps each term as the product of its scalar part and the powers of
-the images of its variables, and the term stays a key with a numerator
-and a denominator: every power with one term folds in as a key addition
-and a coefficient product, and the term is dropped once its key passes
-a cap.  The last power with more terms goes through the pair loop of
-`mul_into`, straight into the image.  A map whose images are all zero or
-variables ``+-t_k`` of the target needs no product: when the two layouts
-agree on the generator fields, each term moves its key fields to one
-term of the target.  `substitute` is the one-shot form,
-``RingMap(s.ctx, assignment, target)(s)``; the Weyl action, the
-projective-bundle evaluation and the axiom checks of `fgl` all go
-through these.
+that mapping many series through one map builds every power once; an
+even power is the square of its half, an odd one the power below it
+times the image.  A call maps each term as the product of its scalar
+part and the powers of the images of its variables, and the term stays
+a key with a numerator and a denominator: every power with one term
+folds in as a key addition and a coefficient product, and the term is
+dropped once its key passes a cap.  The last power with more terms goes
+through the pair loop of `mul_into`, straight into the image.  A map
+whose images are all zero or variables ``+-t_k`` of the target needs no
+product: when the two layouts agree on the generator fields, each term
+moves its key fields to one term of the target.  `substitute` is the
+one-shot form, ``RingMap(s.ctx, assignment, target)(s)``; the Weyl
+action, the projective-bundle evaluation and the axiom checks of `fgl`
+all go through these.
 """
 
 from __future__ import annotations
@@ -98,6 +103,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from functools import cached_property, lru_cache
+from itertools import islice
 from math import gcd, lcm
 from typing import Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence
 
@@ -641,6 +647,19 @@ def variable_slices(s: TruncatedSeries, j: int) -> dict:
     return {e: _reduced(s.ctx, terms, s._den) for e, terms in parts.items()}
 
 
+def at_zero(s: TruncatedSeries, j: int) -> TruncatedSeries:
+    """``s`` at t_{j+1} = 0, over ``s.ctx``: the terms of ``s`` free of t_{j+1}.
+
+    >>> ctx = RingContext(2, "rational", 3, 0)
+    >>> at_zero(TruncatedSeries.from_text(ctx, "1 * t1 + 1 * t2 + 1 * t1*t2"), 1).to_text()
+    '1 * t1'
+    """
+    layout = s.ctx._layout
+    shift, mask = layout.var_shifts[j], layout.mask
+    terms = {key: num for key, num in s._terms.items() if not (key >> shift) & mask}
+    return _reduced(s.ctx, terms, s._den)
+
+
 def integral(s: TruncatedSeries, j: int) -> TruncatedSeries:
     """The antiderivative of ``s`` in t_{j+1} without constant term: c * t_{j+1}^e * r
     goes to c / (e + 1) * t_{j+1}^(e + 1) * r, and terms pushed past the
@@ -709,7 +728,8 @@ def mul_into(acc: dict, den: int, a: TruncatedSeries, b: TruncatedSeries) -> int
     """Add the truncated product ``a * b`` into the numerators ``acc`` over
     ``den``, in place; the one product kernel (module docstring).
 
-    ``acc`` holds keys of the context of ``a`` and ``b``.  Returns the new
+    ``acc`` holds keys of the context of ``a`` and ``b``; when ``a is b``
+    the product is a square and runs the squaring pass.  Returns the new
     common denominator.  Nothing is canonicalized: sums that cancel stay
     in ``acc`` as zeros, and the numerators may share a factor with the
     denominator; `collect` makes the series.
@@ -720,7 +740,10 @@ def mul_into(acc: dict, den: int, a: TruncatedSeries, b: TruncatedSeries) -> int
     if len(a._terms) > len(b._terms):
         a, b = b, a
     den, factor = _rescaled(acc, den, a._den * b._den)
-    _pairs_into(acc, a._terms.items(), factor, b)
+    if a is b:
+        _square_into(acc, factor, a)
+    else:
+        _pairs_into(acc, a._terms.items(), factor, b)
     return den
 
 
@@ -748,14 +771,56 @@ def _pairs_into(acc: dict, left: Iterable[tuple], factor: int, b: TruncatedSerie
                 acc[p] = get(p, 0) + ca * cb
 
 
+def _square_into(acc: dict, factor: int, a: TruncatedSeries) -> None:
+    """The pair loop of `mul_into` for ``a * a``: add ``factor * ca * cb`` at
+    ``ka + kb`` into ``acc`` once for every unordered pair of terms of ``a``
+    inside the caps, doubled off the diagonal.  A term pairs with itself,
+    with the terms after it in its weight bucket and with the heavier
+    buckets, in the buckets' order."""
+    buckets = a._graded
+    if buckets is None:
+        buckets = a._graded = _weight_buckets(a)
+    layout = a.ctx._layout
+    t_limit, max_w = layout.t_limit, layout.max_w
+    get = acc.get
+    for i, (w, terms) in enumerate(buckets):
+        budget = max_w - w
+        if w > budget:
+            break  # every later term is at least as heavy
+        heavier = buckets[i + 1:]
+        for n, (ka, ca) in enumerate(terms):
+            cf = ca * factor
+            twice = 2 * cf
+            p = ka + ka
+            # the later keys of this bucket are larger, so when the square is
+            # over the t-order cap, so is every pair left in the bucket; a
+            # heavier bucket can still hold a key of lower t-order
+            if p < t_limit:
+                acc[p] = get(p, 0) + cf * ca
+                for kb, cb in islice(terms, n + 1, None):
+                    p = ka + kb
+                    if p >= t_limit:
+                        break
+                    acc[p] = get(p, 0) + twice * cb
+            for wb, later in heavier:
+                if wb > budget:
+                    break
+                for kb, cb in later:
+                    p = ka + kb
+                    if p >= t_limit:
+                        break
+                    acc[p] = get(p, 0) + twice * cb
+
+
 def _weight_buckets(s: TruncatedSeries) -> list:
     """``[(w, terms)]``: the terms of ``s`` by weight, only the weights that
     occur, ascending, each bucket's ``(key, numerator)`` pairs sorted by key."""
     layout = s.ctx._layout
     w_shift, mask = layout.w_shift, layout.mask
+    nums = s._terms
     buckets: dict = {}
-    for item in sorted(s._terms.items()):
-        buckets.setdefault((item[0] >> w_shift) & mask, []).append(item)
+    for key in sorted(nums):
+        buckets.setdefault((key >> w_shift) & mask, []).append((key, nums[key]))
     return sorted(buckets.items())
 
 
@@ -819,7 +884,9 @@ class RingMap:
     context, that every variable occurring in it is assigned.
 
     The powers of the images are multiplied out on first use and kept, so
-    mapping many series through one map builds each power once.  A term
+    mapping many series through one map builds each power once.  An even
+    power p^e is the square (p^(e/2))^2, which forms each pair of terms
+    once; an odd one is p^(e-1) * p.  A term
     is never made a series: it stays a packed key of the target with a
     numerator and a denominator.  A power with one term (of a variable,
     assigned or not, or of an image such as ``1/3 * m2*t1^2``) folds in
@@ -954,8 +1021,11 @@ class RingMap:
             result = self._images.get(j)
             if result is None:
                 result = self.target.var(j)
-        else:
+        elif e & 1:
             result = series_mul(self._power(j, e - 1), self._power(j, 1))
+        else:
+            half = self._power(j, e // 2)
+            result = series_mul(half, half)
         self._powers[key] = result
         return result
 

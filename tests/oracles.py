@@ -29,9 +29,16 @@ F(F(x, y), z) - F(x, F(y, z)) that ``cobcalc.fgl.verify_fgl_axioms``
 replaced by the invariant-differential certificate for laws with unit and
 commutativity, ``ref_compositional_inverse``, the fixed-point loop over the
 whole window that ``cobcalc.fgl.compositional_inverse`` replaced by one
-pass per order in its own window, and ``ref_inverse_residual``, the
+pass per order in its own window, ``ref_inverse_residual``, the
 substitution F(x, chi(x)) that ``cobcalc.fgl.build_fgl`` replaced by the
-certificate's L(chi(x)) + L(x) for laws whose axioms hold.
+certificate's L(chi(x)) + L(x) for laws whose axioms hold,
+``ref_invariant_logarithm``, the Horner's rule for 1/F_2(x, 0) that
+``cobcalc.fgl.invariant_logarithm`` replaced by the order-by-order
+reciprocal, and ``ref_unit_residuals``, the substitutions F(x, 0) and
+F(0, y) that ``cobcalc.fgl.verify_fgl_axioms`` replaced by keeping the
+terms free of y (resp. x).  ``ref_chern``, the elementary symmetric
+recurrence over every rank that ``cobcalc.bundles.SplitBundle.chern``
+bounded by the t-order cap, multiplies with the package's series.
 """
 
 from __future__ import annotations
@@ -49,8 +56,10 @@ from cobcalc.series import (
     Monomial,
     RingContext,
     TruncatedSeries,
+    integral,
     lazard_monomials,
     substitute,
+    variable_slices,
 )
 from cobcalc.towers import Tower, TowerSlice
 
@@ -597,6 +606,33 @@ def ref_formal_inverse(F: TruncatedSeries, ctx1: RingContext) -> TruncatedSeries
         chi = chi - residual.t_slice(v)
 
 
+def ref_invariant_logarithm(F: TruncatedSeries) -> TruncatedSeries:
+    """L = integral of dx / F_2(x, 0) for a group law F(x, y) with the unit
+    axiom, in the one-variable context of F's caps."""
+    ctx2 = F.ctx
+    ctx1 = RingContext(1, ctx2.coeff_kind, ctx2.max_t_order, ctx2.max_weight)
+    f2 = variable_slices(F, 1).get(1, ctx2.zero())
+    w = 1 - substitute(f2, {0: ctx1.var(0), 1: ctx1.zero()}, target=ctx1)
+    # 1/(1 - w) by Horner's rule, exact through t-order max_t - 1: all the integral keeps.
+    # A step that changes nothing is a fixed point, which later steps keep.
+    one = inverse = ctx1.one()
+    for _ in range(ctx1.max_t_order - 1):
+        step = one + w * inverse
+        if step == inverse:
+            break
+        inverse = step
+    return integral(inverse, 0)
+
+
+def ref_unit_residuals(F: TruncatedSeries) -> tuple:
+    """(F(x, 0) - x, F(0, y) - y) by substitution, in the context of F."""
+    ctx2 = F.ctx
+    x, y = ctx2.var(0), ctx2.var(1)
+    unit_x = substitute(F, {1: ctx2.zero()}, target=ctx2) - x
+    unit_y = substitute(F, {0: ctx2.zero()}, target=ctx2) - y
+    return unit_x, unit_y
+
+
 def ref_law(kind: str, ctx: RingContext) -> tuple:
     """(F, chi) at the caps of ``ctx``: x + y, x + y - b*x*y, or for the universal
     kind exp(log x + log y) with log = x + sum m_i x^(i+1); chi order by order."""
@@ -628,3 +664,17 @@ def direct_associativity_residual(F: TruncatedSeries) -> TruncatedSeries:
     return substitute(F, {0: f_xy, 1: z}, target=ctx3) - substitute(
         F, {0: x, 1: f_yz}, target=ctx3
     )
+
+
+# -- the Chern recurrence before bundles.SplitBundle.chern stopped at the t-order cap
+
+
+def ref_chern(bundle) -> tuple:
+    """c1..cr as elementary symmetric polynomials of the roots (c0 = 1
+    implicit), every class through rank r."""
+    ctx = bundle.base
+    elem = [ctx.one()] + [ctx.zero()] * bundle.rank
+    for root in bundle.roots:
+        for i in range(bundle.rank, 0, -1):
+            elem[i] = elem[i] + elem[i - 1] * root
+    return tuple(elem[1:])

@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cobcalc.bundles import (
     SplitBundle,
@@ -25,9 +27,10 @@ from cobcalc.bundles import (
 from cobcalc.equivariant import preset, weyl_map
 from cobcalc.fgl import build_fgl, fgl_inverse, fgl_sum
 from cobcalc.selftest import random_series
-from cobcalc.series import ContextMismatch, RingContext
+from cobcalc.series import COEFF_KINDS, ContextMismatch, RingContext
 
-from oracles import ref_reduce_coords
+from oracles import ref_chern, ref_reduce_coords
+from strategies import series
 
 ALL_KINDS = ("additive", "multiplicative", "universal-rational")
 
@@ -48,6 +51,19 @@ def test_chern_classes_examples():
     assert c[1] == t1 * t2
     z = SplitBundle((ctx.zero(), ctx.zero()))
     assert all(ci.is_zero() for ci in chern_classes(z))
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=60)
+@given(st.data())
+def test_chern_recurrence_stops_at_the_t_order_cap(data):
+    # ranks up to the t-order cap and past it, where c_k for k > max_t is zero
+    kind = data.draw(st.sampled_from(COEFF_KINDS))
+    max_t = data.draw(st.integers(0, 4))
+    ctx = RingContext(data.draw(st.integers(1, 3)), kind, max_t, data.draw(st.integers(0, 3)))
+    rank = data.draw(st.integers(1, max_t + 4))
+    bundle = SplitBundle([data.draw(series(ctx, augmentation=True)) for _ in range(rank)])
+    assert bundle.chern == ref_chern(bundle)
+    assert all(c.is_zero() for c in bundle.chern[max_t:])
 
 
 def test_whitney_concatenation():

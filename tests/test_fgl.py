@@ -38,8 +38,10 @@ from oracles import (
     direct_associativity_residual,
     multiplicative_inverse_sympy,
     ref_compositional_inverse,
+    ref_invariant_logarithm,
     ref_inverse_residual,
     ref_law,
+    ref_unit_residuals,
     series_to_sympy,
     universal_fgl_sympy,
 )
@@ -282,6 +284,7 @@ def test_certificate_verdict_matches_the_direct_residual(data):
     report = verify_fgl_axioms(mutant)
     assert report.unit_ok and report.comm_ok
     assert report.assoc_ok == direct_associativity_residual(mutant.series).is_zero()
+    assert report.certificate == ref_invariant_logarithm(mutant.series)
 
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=40)
@@ -289,7 +292,29 @@ def test_certificate_verdict_matches_the_direct_residual(data):
 def test_invariant_logarithm_is_the_stored_log(kind, max_t, max_w):
     # built from F alone; the stored log came through compositional_inverse and exp
     law = cached_law(kind, RingContext(2, COEFF_KIND_FOR[kind], max_t, max_w))
-    assert invariant_logarithm(law.series) == law.log
+    assert invariant_logarithm(law.series) == law.log == ref_invariant_logarithm(law.series)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=60)
+@given(st.data())
+def test_unit_residuals_match_the_substitutions(data):
+    # a built law plus c * m * x^i y^j with i + j >= 1: the unit axiom
+    # fails when the term is free of x or of y
+    kind = data.draw(st.sampled_from(FGL_KINDS))
+    ctx = RingContext(2, COEFF_KIND_FOR[kind], data.draw(st.integers(2, 5)),
+                      data.draw(st.integers(0, 4)))
+    i = data.draw(st.integers(0, ctx.max_t_order))
+    j = data.draw(st.integers(1 if i == 0 else 0, ctx.max_t_order - i))
+    weight = data.draw(st.integers(0, 0 if kind == "additive" else ctx.max_weight))
+    laz = data.draw(st.sampled_from(lazard_monomials(ctx.coeff_kind, weight)))
+    c = data.draw(st.fractions(-3, 3, max_denominator=4))
+    F = cached_law(kind, ctx).series + ctx.from_terms({Monomial((i, j), laz): c})
+    report = verify_fgl_axioms(FormalGroupLaw(kind, F, None, None, None))
+    residuals = dict(report.residuals)
+    want = ref_unit_residuals(F)
+    assert (residuals["unit_x"], residuals["unit_y"]) == want
+    assert report.unit_ok == (want[0].is_zero() and want[1].is_zero())
+    assert report.unit_ok == (c == 0 or (i > 0 and j > 0))
 
 
 def test_log_exp_identities():

@@ -155,26 +155,32 @@ def test_ring_map_shares_its_power_table(qctx, monkeypatch):
 
         monkeypatch.setattr(series, name, wrapper)
 
-    # both product entry points, and the pair loop they and the map share
+    # both product entry points, the pair loop they and the map share, and
+    # the squaring pass of mul_into
     counting("series_mul")
     counting("mul_into")
     counting("_pairs_into")
+    counting("_square_into")
     t1, t2 = qctx.var(0), qctx.var(1)
     phi = RingMap(qctx, {0: t1 + t2})
     s = t1 ** 3 * t2
-    names = ("series_mul", "mul_into", "_pairs_into")
+    names = ("series_mul", "mul_into", "_pairs_into", "_square_into")
     calls.clear()
     image = phi(s)
     built = tuple(calls.count(name) for name in names)
     calls.clear()
     assert phi(s) == image
     again = tuple(calls.count(name) for name in names)
-    # first call: series_mul builds (t1 + t2)^2 and (t1 + t2)^3, one pair loop
-    # each; the one-term power t2 folds into the term, whose product with
-    # (t1 + t2)^3 is one more pair loop, straight into the image.  The second
-    # call reuses both powers: no product, only the term's pair loop.
-    assert (built, again) == ((2, 2, 3), (0, 0, 1))
+    # first call: series_mul builds (t1 + t2)^2 as a square and (t1 + t2)^3 by
+    # a pair loop; the one-term power t2 folds into the term, whose product
+    # with (t1 + t2)^3 is one more pair loop, straight into the image.  The
+    # second call reuses both powers: no product, only the term's pair loop.
+    assert (built, again) == ((2, 2, 2, 1), (0, 0, 1, 0))
     assert image == substitute(s, {0: t1 + t2})
+    # an even power is the square of its half: t1^4 needs no (t1 + t2)^3
+    phi = RingMap(qctx, {0: t1 + t2})
+    assert phi(t1 ** 4) == substitute(t1 ** 4, {0: t1 + t2})
+    assert sorted(phi._powers) == [(0, 1), (0, 2), (0, 4)]
 
 
 def test_ring_map_hands_mul_into_no_one_term_factor(monkeypatch, capsys):

@@ -20,6 +20,7 @@ from cobcalc.series import (
     RingMap,
     TruncatedSeries,
     add_into,
+    at_zero,
     bidegree_basis,
     collect,
     lazard_monomials,
@@ -120,6 +121,73 @@ def test_mul_into_cancels_to_zero_and_cuts_at_the_weight_cap():
     den = mul_into(acc, den, -a, b)
     assert collect(ctx, acc, den).is_zero()
     assert collect(ctx, acc, den) == ctx.zero()
+
+
+@SETTINGS
+@given(st.data())
+def test_mul_into_squares_like_the_reference(data):
+    # a * a runs the squaring pass: each unordered pair once, doubled off the diagonal
+    kind = data.draw(st.sampled_from(COEFF_KINDS))
+    n_vars = data.draw(st.integers(1, 3))
+    cap = data.draw(st.one_of(narrow_caps, st.tuples(st.integers(0, 5), st.integers(0, 4))))
+    ctx = RingContext(n_vars, kind, *cap)
+    start_terms = data.draw(term_dicts(ctx))
+    acc: dict = {}
+    den = add_into(acc, 1, ctx.from_terms(start_terms))
+    want = ref_truncate(start_terms, *cap)
+    a_terms = data.draw(st.dictionaries(monomials(ctx), coefficients, max_size=8))
+    # a denominator other than the start's, so the square rescales the sum
+    c = data.draw(coefficients.filter(bool))
+    a = ctx.from_terms(a_terms).scale(c)
+    ref_a = ref_scale(ref_truncate(a_terms, *cap), c)
+    den = mul_into(acc, den, a, a)
+    got = collect(ctx, acc, den)
+    assert terms(got) == ref_add(want, ref_mul(ref_a, ref_a, *cap))
+    assert_canonical(got)
+    assert series_mul(a, a) == series_mul(a, ctx.from_terms(a_terms).scale(c))
+
+
+def test_square_skips_a_diagonal_past_the_cap_but_not_the_heavier_buckets():
+    # t1^3 squared passes the t-order cap 5, while its product with the
+    # heavier, lower-t-order m1*t1 stays inside: the pass must still reach it
+    ctx = RingContext(1, "universal-rational", 5, 4)
+    a = TruncatedSeries.from_text(ctx, "1/2 * t1^3 + 3 * m1*t1 + -1 * m2*t1^2")
+    square = series_mul(a, a)
+    assert square == TruncatedSeries.from_text(
+        ctx, "9 * m1^2*t1^2 + -6 * m1*m2*t1^3 + 3 * m1*t1^4 + 1 * m2^2*t1^4 + -1 * m2*t1^5"
+    )
+    cap = (ctx.max_t_order, ctx.max_weight)
+    assert terms(square) == ref_mul(terms(a), terms(a), *cap)
+
+
+@SETTINGS
+@given(st.data())
+def test_ring_map_powers_match_reference(data):
+    # every power of an image up to the cap, asked for in a random order, so
+    # that even powers are squares of powers built before or on demand
+    ctx = data.draw(contexts())
+    image = data.draw(term_dicts(ctx, augmentation=True))
+    j = data.draw(st.integers(0, ctx.n_vars - 1))
+    f = RingMap(ctx, {j: ctx.from_terms(image)})
+    exponents = data.draw(st.permutations(range(1, ctx.max_t_order + 1)))
+    cap = (ctx.max_t_order, ctx.max_weight)
+    for e in exponents:
+        t = tuple(e if i == j else 0 for i in range(ctx.n_vars))
+        power = {Monomial(t, ()): Fraction(1)}
+        got = f(ctx.from_terms(power))
+        want = ref_substitute(power, {j: ref_truncate(image, *cap)}, ctx.n_vars, *cap)
+        assert terms(got) == want
+
+
+@SETTINGS
+@given(st.data())
+def test_at_zero_matches_substitution_by_zero(data):
+    ctx = data.draw(contexts())
+    s = ctx.from_terms(data.draw(term_dicts(ctx)))
+    j = data.draw(st.integers(0, ctx.n_vars - 1))
+    got = at_zero(s, j)
+    assert got == substitute(s, {j: ctx.zero()})
+    assert_canonical(got)
 
 
 @SETTINGS
