@@ -85,7 +85,6 @@ from typing import Mapping, Sequence
 from .fgl import FormalGroupLaw, fgl_sum
 from .series import (
     ContextMismatch,
-    Monomial,
     RingContext,
     RingMap,
     TruncatedSeries,
@@ -414,18 +413,16 @@ def _difference_slices(law: FormalGroupLaw, ctx: RingContext, headroom: int) -> 
     """The slices d_0, d_1, ... of D(x, y) = F(x, chi(y)) = x -_F y in y,
     each a series in x = t1 over the two-variable ``ctx``.
 
-    D is composed from the stored F and chi at the caps of ``ctx`` with
-    t-order cap raised by ``headroom``, and a slice keeps the x^i with
-    i <= ctx.max_t_order (module docstring).  Cached per law, caps and
-    headroom: a ``sif`` job composes D once.
+    chi(y), then D, is composed from the stored F and chi at the caps of
+    ``ctx`` with t-order cap raised by ``headroom``; a slice comes back by
+    x -> x, keeping the x^i with i <= ctx.max_t_order (module docstring).
+    Cached per law, caps and headroom: a ``sif`` job composes D once.
     """
     wide = RingContext(2, ctx.coeff_kind, ctx.max_t_order + headroom, ctx.max_weight)
-    F = wide.from_terms(dict(law.series.iter_terms()))
-    chi_y = wide.from_terms(
-        {Monomial((0, m.t[0]), m.laz): c for m, c in law.inverse_series.iter_terms()}
-    )
-    D = substitute(F, {1: chi_y})
-    return tuple(ctx.from_terms(dict(d.iter_terms())) for d in _slice_list(D, 1))
+    chi_y = substitute(law.inverse_series, {0: wide.var(1)}, target=wide)
+    D = substitute(law.series, {0: wide.var(0), 1: chi_y}, target=wide)
+    back = RingMap(wide, {0: ctx.var(0)}, ctx)
+    return tuple(back(d) for d in _slice_list(D, 1))
 
 
 def thom_class(bundle: SplitBundle, ring: ProjBundleRing, law: FormalGroupLaw) -> ProjBundleElement:

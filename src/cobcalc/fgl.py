@@ -10,7 +10,8 @@ Three kinds are supported, each given by its logarithm over Q:
   Q[m1, m2, ...].
 
 One construction serves all three: exp is the compositional inverse of
-log, F(x, y) = exp(log(x) + log(y)) and the formal inverse is
+log (`series.compositional_inverse`; this module reads no packed key),
+F(x, y) = exp(log(x) + log(y)) and the formal inverse is
 chi(x) = exp(-log(x)).  Truncation is an ideal that composition
 respects, so these are the truncated laws themselves.  Construction
 checks the unit, commutativity and associativity axioms of the stored F
@@ -33,15 +34,17 @@ from typing import Optional
 
 from .series import (
     ContextMismatch,
+    Monomial,
     RingContext,
     SubstitutionError,
     TruncatedSeries,
     add_into,
-    at_zero,
     collect,
+    compositional_inverse,
     integral,
     mul_into,
     substitute,
+    variable_slice,
     variable_slices,
 )
 from .value import FrozenValue
@@ -195,66 +198,14 @@ def _inverts(F: TruncatedSeries, chi: TruncatedSeries, report: AxiomReport) -> b
 
 def _logarithm(kind: str, ctx1: RingContext) -> TruncatedSeries:
     """log(x) of the law of ``kind``; terms beyond the caps are dropped."""
-    layout = ctx1._layout
-    # the packed keys of x and of one unit of weight (`series` module docstring)
-    x, weight = (1 << layout.t_shift) + (1 << layout.var_shifts[0]), 1 << layout.w_shift
     top = 0 if kind == "additive" else min(ctx1.max_t_order - 1, ctx1.max_weight)
     if kind == "multiplicative":
         # -log(1 - b*x)/b = integral of 1/(1 - b*x), so that
         # 1 - b*F(x, y) = (1 - b*x)(1 - b*y)
-        bx = x + weight + (1 << layout.gen_shifts[0])
-        return integral(TruncatedSeries._raw(ctx1, {k * bx: 1 for k in range(top + 1)}, 1), 0)
+        powers = {Monomial((k,), ((1, k),) if k else ()): 1 for k in range(top + 1)}
+        return integral(ctx1.from_terms(powers), 0)
     # x + m1*x^2 + m2*x^3 + ...
-    terms = {x: 1}
-    for i in range(1, top + 1):
-        terms[(i + 1) * x + i * weight + (1 << layout.gen_shifts[i - 1])] = 1
-    return TruncatedSeries._raw(ctx1, terms, 1)
-
-
-def compositional_inverse(f: TruncatedSeries) -> TruncatedSeries:
-    """g with f(g(x)) = x inside the window, for f = x + higher order.
-
-    Solved order by order, one pass per order.  The order-v slice of g
-    depends only on the orders <= v of f and g, so pass v composes f(g) in
-    a window of f's kind and weight cap with t-order cap v
-    (`RingContext.window`, which raises the cap where a narrower one would
-    change the packed field width) and subtracts the order-v slice from g.
-    Every window keeps the field width of f's context, so g's keys are
-    keys of each window: g moves up from window to window, and into f's
-    context at the end, as a copy of its terms.
-
-    When every term of f has degree (t-order minus weight) 1, as every log
-    of this module does, so does g: its order-v slice has weight v - 1, and
-    the passes stop at order max_weight + 1.  No pass checks f(g) = x in
-    the whole window; for a law, the unit axiom F(x, 0) = exp(log x) = x
-    that `verify_fgl_axioms` checks is that check.
-
-    >>> ctx = RingContext(1, "multiplicative-beta", 3, 2)
-    >>> log = TruncatedSeries.from_text(ctx, "1 * t1 + 1/2 * b*t1^2 + 1/3 * b^2*t1^3")
-    >>> compositional_inverse(log).to_text()
-    '1 * t1 + -1/2 * b*t1^2 + 1/6 * b^2*t1^3'
-    """
-    ctx = f.ctx
-    if ctx.n_vars != 1:
-        raise ValueError("compositional inverse needs a one-variable series")
-    x = ctx.var(0)
-    if f.t_slice(1) != x or f.has_t_constant_term():
-        raise ValueError("series must start with x")
-    if f == x:
-        return x
-    last = ctx.max_t_order
-    if all(m.t_order() - m.weight() == 1 for m, _ in f.iter_terms()):
-        last = min(last, ctx.max_weight + 1)
-    # pass 2 composes f(x) = f; f_v is f through order v, the part pass v reads
-    f_2 = f.t_slice(2)
-    f_v, g = x + f_2, x - f_2
-    for v in range(3, last + 1):
-        window = ctx.window(v)
-        f_v = f_v + f.t_slice(v)
-        g = TruncatedSeries._raw(window, g._terms, g._den)
-        # g is right below order v, where f(g) = x
-        g = g - substitute(f_v, {0: g}, target=window).t_slice(v)
-    return TruncatedSeries._raw(ctx, g._terms, g._den)
+    return ctx1.from_terms({Monomial((i + 1,), ((i, 1),) if i else ()): 1 for i in range(top + 1)})
 
 
 def verify_fgl_axioms(law: FormalGroupLaw) -> AxiomReport:
@@ -279,13 +230,13 @@ def verify_fgl_axioms(law: FormalGroupLaw) -> AxiomReport:
     not circular.  A law that fails unit or commutativity gets the direct
     residual F(F(x, y), z) - F(x, F(y, z)) instead.  The report keeps L as
     its ``certificate``.  The unit residuals need no map: F(x, 0) is the
-    part of F free of y, and F(0, y) the part free of x (`series.at_zero`).
+    part of F free of y, and F(0, y) the part free of x (`series.variable_slice`).
     """
     F = law.series
     ctx2 = F.ctx
     x, y = ctx2.var(0), ctx2.var(1)
-    unit_x = at_zero(F, 1) - x
-    unit_y = at_zero(F, 0) - y
+    unit_x = variable_slice(F, 1, 0) - x
+    unit_y = variable_slice(F, 0, 0) - y
     comm = F - substitute(F, {0: y, 1: x}, target=ctx2)
     unit_ok = unit_x.is_zero() and unit_y.is_zero()
     if unit_ok and comm.is_zero():
@@ -322,7 +273,9 @@ def invariant_logarithm(F: TruncatedSeries) -> TruncatedSeries:
     with u = F_2(x, 0) and u_k its slice of t-order k, the order-n slice of
     1/u is -(u_1 * inv_(n-1) + ... + u_n * inv_0), all of its products
     summed into one dict by `series.mul_into`.  Each product of two slices
-    lands in order n, so no pair is formed outside it.
+    lands in order n, so no pair is formed outside it.  Only the orders k
+    at which u has terms and n - k at which 1/u has are visited, so for
+    u = 1 or 1 - b*x the loop is linear in the t-order cap.
 
     >>> ctx = RingContext(2, "multiplicative-beta", 4, 3)
     >>> F = TruncatedSeries.from_text(ctx, "1 * t1 + 1 * t2 + -1 * b*t1*t2")
@@ -331,20 +284,20 @@ def invariant_logarithm(F: TruncatedSeries) -> TruncatedSeries:
     """
     ctx2 = F.ctx
     ctx1 = RingContext(1, ctx2.coeff_kind, ctx2.max_t_order, ctx2.max_weight)
-    f2 = variable_slices(F, 1).get(1, ctx2.zero())
-    u = substitute(f2, {0: ctx1.var(0), 1: ctx1.zero()}, target=ctx1)
+    u = substitute(variable_slice(F, 1, 1), {0: ctx1.var(0), 1: ctx1.zero()}, target=ctx1)
     # 1/u through t-order max_t - 1, all the integral keeps (u_0 = 1)
-    top = ctx1.max_t_order - 1
-    slices = [u.t_slice(k) for k in range(top + 1)]
-    inv = [ctx1.one()]
-    acc, den = {0: 1}, 1  # key 0 is the monomial 1
-    for n in range(1, top + 1):
-        part: dict = {}
-        part_den = 1
-        for k in range(1, n + 1):
-            part_den = mul_into(part, part_den, slices[k], inv[n - k])
-        inv.append(-collect(ctx1, part, part_den))
-        den = add_into(acc, den, inv[n])
+    slices = [(k, u.t_slice(k)) for k in sorted(variable_slices(u, 0)) if k]  # x^k: t-order k
+    inv = {0: ctx1.one()}  # the orders at which 1/u has terms
+    acc: dict = {}
+    den = add_into(acc, 1, inv[0])
+    for n in range(1, ctx1.max_t_order):
+        part, part_den = {}, 1
+        for k, u_k in slices:
+            if n - k in inv:
+                part_den = mul_into(part, part_den, u_k, inv[n - k])
+        if part:
+            inv[n] = -collect(ctx1, part, part_den)
+            den = add_into(acc, den, inv[n])
     return integral(collect(ctx1, acc, den), 0)
 
 

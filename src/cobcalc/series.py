@@ -73,8 +73,9 @@ keys: `sparse_coordinates` (integer rows against a list of monomials),
 `reduced_basis` (the canonical echelon basis of a span, over the
 monomials that occur), `unit_series` (a list of monomials as series),
 `variable_slices` (a series split by the powers of one variable),
-`at_zero` (a series at one variable set to 0) and `integral` (the
-antiderivative in one variable).
+`variable_slice` (one part of that split), `integral` (the
+antiderivative in one variable) and `compositional_inverse` (which moves
+series between windows as copies of their keys).
 
 Ring maps
 ---------
@@ -270,15 +271,14 @@ class _Layout:
     """Field shifts and cap bounds of the packed keys of one context."""
 
     __slots__ = (
-        "n_vars", "n_gens", "max_t", "max_w", "mask", "var_shifts", "gen_shifts",
-        "w_shift", "t_shift", "gen_mask", "t_limit",
+        "n_vars", "n_gens", "max_t", "max_w", "width", "mask", "var_shifts", "w_shift",
+        "t_shift", "gen_mask", "t_limit",
     )
 
     def __init__(self, n_vars: int, n_gens: int, max_t: int, max_w: int):
-        width = _field_width(max_t, max_w)
+        self.width = width = _field_width(max_t, max_w)
         self.n_vars, self.n_gens, self.max_t, self.max_w = n_vars, n_gens, max_t, max_w
         self.mask = (1 << width) - 1
-        self.gen_shifts = tuple(width * (n_gens - i) for i in range(1, n_gens + 1))
         self.var_shifts = tuple(width * (n_gens + n_vars - j) for j in range(1, n_vars + 1))
         self.w_shift = width * (n_gens + n_vars)
         self.t_shift = self.w_shift + width
@@ -292,7 +292,7 @@ class _Layout:
         for e, shift in zip(mono.t, self.var_shifts):
             key += e << shift
         for i, e in mono.laz:
-            key += e << self.gen_shifts[i - 1]
+            key += e << self.width * (self.n_gens - i)
         return key
 
     def key_of(self, mono: Monomial) -> Optional[int]:
@@ -309,10 +309,14 @@ class _Layout:
         return self.encode(mono)
 
     def decode(self, key: int) -> Monomial:
-        mask = self.mask
+        mask, width, n_gens = self.mask, self.width, self.n_gens
         t = tuple((key >> shift) & mask for shift in self.var_shifts)
-        exps = ((key >> shift) & mask for shift in self.gen_shifts)
-        return Monomial(t, tuple((i, e) for i, e in enumerate(exps, 1) if e))
+        gens, laz = key & self.gen_mask, []
+        while gens:  # its top nonzero field holds the least generator index left
+            shift = (gens.bit_length() - 1) // width * width
+            laz.append((n_gens - shift // width, gens >> shift))
+            gens &= (1 << shift) - 1
+        return Monomial(t, tuple(laz))
 
 
 @lru_cache(maxsize=None)
@@ -373,9 +377,6 @@ class TruncatedSeries:
 
     def is_zero(self) -> bool:
         return not self._terms
-
-    def constant_coefficient(self) -> Fraction:
-        return Fraction(self._terms.get(0, 0), self._den)
 
     def has_t_constant_term(self) -> bool:
         """True if some term has t-order 0 (possibly with a generator part)."""
@@ -647,16 +648,18 @@ def variable_slices(s: TruncatedSeries, j: int) -> dict:
     return {e: _reduced(s.ctx, terms, s._den) for e, terms in parts.items()}
 
 
-def at_zero(s: TruncatedSeries, j: int) -> TruncatedSeries:
-    """``s`` at t_{j+1} = 0, over ``s.ctx``: the terms of ``s`` free of t_{j+1}.
+def variable_slice(s: TruncatedSeries, j: int, e: int) -> TruncatedSeries:
+    """``c_e`` of `variable_slices`, over ``s.ctx``: the terms of ``s`` with
+    t_{j+1}^e, divided by it; at e = 0, ``s`` at t_{j+1} = 0.
 
     >>> ctx = RingContext(2, "rational", 3, 0)
-    >>> at_zero(TruncatedSeries.from_text(ctx, "1 * t1 + 1 * t2 + 1 * t1*t2"), 1).to_text()
-    '1 * t1'
+    >>> variable_slice(TruncatedSeries.from_text(ctx, "1 * t2 + 1 * t1*t2"), 1, 1).to_text()
+    '1 + 1 * t1'
     """
     layout = s.ctx._layout
     shift, mask = layout.var_shifts[j], layout.mask
-    terms = {key: num for key, num in s._terms.items() if not (key >> shift) & mask}
+    drop = (e << shift) + (e << layout.t_shift)
+    terms = {key - drop: num for key, num in s._terms.items() if (key >> shift) & mask == e}
     return _reduced(s.ctx, terms, s._den)
 
 
@@ -681,6 +684,52 @@ def integral(s: TruncatedSeries, j: int) -> TruncatedSeries:
         if key + step < limit
     }
     return _reduced(s.ctx, terms, s._den * common)
+
+
+def compositional_inverse(f: TruncatedSeries) -> TruncatedSeries:
+    """g with f(g(x)) = x inside the window, for f = x + higher order.
+
+    Solved order by order, one pass per order.  The order-v slice of g
+    depends only on the orders <= v of f and g, so pass v composes f(g) in
+    a window of f's kind and weight cap with t-order cap v
+    (`RingContext.window`, which raises the cap where a narrower one would
+    change the packed field width) and subtracts the order-v slice from g.
+    Every window keeps the field width of f's context, so g's keys are
+    keys of each window: g moves up from window to window, and into f's
+    context at the end, as a copy of its terms.
+
+    When every term of f has degree (t-order minus weight) 1, as every log
+    of `fgl` does, so does g: its order-v slice has weight v - 1, and
+    the passes stop at order max_weight + 1.  No pass checks f(g) = x in
+    the whole window; for a law, the unit axiom F(x, 0) = exp(log x) = x
+    that `fgl.verify_fgl_axioms` checks is that check.
+
+    >>> ctx = RingContext(1, "multiplicative-beta", 3, 2)
+    >>> log = TruncatedSeries.from_text(ctx, "1 * t1 + 1/2 * b*t1^2 + 1/3 * b^2*t1^3")
+    >>> compositional_inverse(log).to_text()
+    '1 * t1 + -1/2 * b*t1^2 + 1/6 * b^2*t1^3'
+    """
+    ctx = f.ctx
+    if ctx.n_vars != 1:
+        raise ValueError("compositional inverse needs a one-variable series")
+    x = ctx.var(0)
+    if f.t_slice(1) != x or f.has_t_constant_term():
+        raise ValueError("series must start with x")
+    if f == x:
+        return x
+    last = ctx.max_t_order
+    if all(m.t_order() - m.weight() == 1 for m, _ in f.iter_terms()):
+        last = min(last, ctx.max_weight + 1)
+    # pass 2 composes f(x) = f; f_v is f through order v, the part pass v reads
+    f_2 = f.t_slice(2)
+    f_v, g = x + f_2, x - f_2
+    for v in range(3, last + 1):
+        window = ctx.window(v)
+        f_v = f_v + f.t_slice(v)
+        g = TruncatedSeries._raw(window, g._terms, g._den)
+        # g is right below order v, where f(g) = x
+        g = g - substitute(f_v, {0: g}, target=window).t_slice(v)
+    return TruncatedSeries._raw(ctx, g._terms, g._den)
 
 
 def _reduced(ctx: RingContext, terms: dict, den: int) -> TruncatedSeries:

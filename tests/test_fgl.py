@@ -8,7 +8,7 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cobcalc import fgl
+from cobcalc import fgl, series
 from cobcalc.fgl import (
     COEFF_KIND_FOR,
     FGL_KINDS,
@@ -295,6 +295,30 @@ def test_invariant_logarithm_is_the_stored_log(kind, max_t, max_w):
     assert invariant_logarithm(law.series) == law.log == ref_invariant_logarithm(law.series)
 
 
+@pytest.mark.parametrize("kind, max_w", [("additive", 0), ("multiplicative", 2)])
+def test_reciprocal_products_grow_at_most_linearly_for_a_sparse_differential(
+    kind, max_w, monkeypatch
+):
+    # u = F_2(x, 0) is 1 or 1 - b*x: doubling the t-order cap may at most
+    # double the products of the reciprocal recurrence
+    real = fgl.mul_into
+    calls = []
+
+    def counting(*args):
+        calls.append(1)
+        return real(*args)
+
+    counts = []
+    for max_t in (200, 400):
+        law = build_fgl(kind, RingContext(2, COEFF_KIND_FOR[kind], max_t, max_w))
+        monkeypatch.setattr(fgl, "mul_into", counting)
+        calls.clear()
+        assert invariant_logarithm(law.series) == law.log
+        monkeypatch.setattr(fgl, "mul_into", real)
+        counts.append(len(calls))
+    assert counts[1] <= 2 * counts[0]
+
+
 @settings(derandomize=True, database=None, deadline=None, max_examples=60)
 @given(st.data())
 def test_unit_residuals_match_the_substitutions(data):
@@ -418,7 +442,7 @@ def test_compositional_inverse_matches_the_fixed_point_loop(f):
 def _composition_caps(monkeypatch, f):
     """The t-order caps of the windows compositional_inverse(f) composes in."""
     caps = []
-    real = fgl.substitute
+    real = series.substitute
 
     def recording(s, assignment, target=None):
         # a composition maps f's truncations by g; a move maps by a bare variable
@@ -426,7 +450,7 @@ def _composition_caps(monkeypatch, f):
             caps.append(target.max_t_order)
         return real(s, assignment, target)
 
-    monkeypatch.setattr(fgl, "substitute", recording)
+    monkeypatch.setattr(series, "substitute", recording)
     compositional_inverse(f)
     return caps
 

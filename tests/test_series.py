@@ -355,3 +355,37 @@ def test_integral_is_the_termwise_antiderivative(data):
     got = integral(s, j)
     assert got == ctx.from_terms(want)
     assert_canonical(got)
+
+
+@st.composite
+def monomials_in_caps(draw):
+    """A context of any kind, with weight caps up to 2000 (so up to 2000
+    generator fields for the universal kind), and a monomial inside its caps
+    with a sparse generator part."""
+    kind = draw(st.sampled_from(COEFF_KINDS))
+    max_t = draw(st.integers(0, 20))
+    max_w = draw(st.one_of(st.integers(0, 12), st.integers(1000, 2000)))
+    ctx = RingContext(draw(st.integers(1, 4)), kind, max_t, max_w)
+    t = [0] * ctx.n_vars
+    for _ in range(draw(st.integers(0, max_t))):
+        t[draw(st.integers(0, ctx.n_vars - 1))] += 1
+    laz, weight = {}, 0
+    n_gens = {"rational": 0, "multiplicative-beta": 1}.get(kind, max_w)
+    for _ in range(draw(st.integers(0, 6)) if n_gens else 0):
+        # the first and the last generator field included
+        i = draw(st.one_of(st.just(1), st.just(n_gens), st.integers(1, n_gens)))
+        e = draw(st.integers(1, max(1, max_w // i)))
+        if i not in laz and weight + i * e <= max_w:
+            laz[i], weight = e, weight + i * e
+    return ctx, Monomial(tuple(t), tuple(sorted(laz.items())))
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(monomials_in_caps())
+def test_decode_inverts_encode(case):
+    ctx, mono = case
+    layout = ctx._layout
+    key = layout.encode(mono)
+    assert layout.key_of(mono) == key
+    assert layout.decode(key) == mono
+    assert ctx.from_terms({mono: 1}).items() == [(mono, 1)]
