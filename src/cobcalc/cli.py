@@ -1,13 +1,15 @@
 """Command-line front end: deterministic, scriptable JSON/text reports.
 
 Subcommands: ``fgl check``, ``bg``, ``flag``, ``sif``, ``pbf``,
-``tower bgm``, ``selftest``.  Identical configuration and seed produce
-byte-identical output; exit status is 0 iff every requested check
-passed.  An invalid configuration or a refused job exits 2 with a
-``cobcalc/error/v1`` object whose ``kind`` names the cause (see
-`ERROR_KINDS`).  A `tower bgm` degree whose window is too short to
-certify stabilization is reported in the body and exits 1: the job ran,
-and one of its checks did not pass.
+``tower bgm``, ``selftest``, one row each in `SUBCOMMANDS`: the help, the
+function that adds the options and the one that runs the job.  Options
+and defaults are written only in the parser; its namespace is the job.
+Identical configuration and seed produce byte-identical output; exit
+status is 0 iff every requested check passed.  An invalid configuration,
+a refused job or one out of memory exits 2 with a ``cobcalc/error/v1``
+object whose ``kind`` names the cause (see `ERROR_KINDS`).  A `tower bgm`
+degree whose window is too short to certify stabilization is reported in
+the body and exits 1: the job ran, and one of its checks did not pass.
 """
 
 from __future__ import annotations
@@ -50,7 +52,6 @@ from .towers import (
     projective_space_tower,
     stabilization_index,
 )
-from .value import Value
 
 SCHEMA_PREFIX = "cobcalc"
 # `tower bgm` refuses more levels than this before it builds anything: every
@@ -76,58 +77,18 @@ ERROR_KINDS = (
     (ContextMismatch, "context"),
     (SubstitutionError, "substitution"),
     (ValueError, "invalid"),
+    (MemoryError, "resources"),
 )
 
 
-class JobConfig(Value):
-    """One job: the subcommand and every option, as parsed from argv."""
-
-    _fields = (
-        "subcommand", "fgl_kind", "max_t", "max_w", "group", "degrees", "t_order",
-        "rank", "levels", "samples", "base_vars", "seed", "emit_basis", "output_format",
-    )
-
-    def __init__(
-        self,
-        subcommand: str,
-        fgl_kind: str = "additive",
-        max_t: int = 6,
-        max_w: int = 5,
-        group: str = "GL2",
-        degrees: Optional[Sequence[int]] = None,
-        t_order: Optional[int] = None,
-        rank: int = 2,
-        levels: int = 8,
-        samples: int = 100,
-        base_vars: int = 3,
-        seed: int = 0,
-        emit_basis: bool = False,
-        output_format: str = "json",
-    ):
-        self.subcommand = subcommand
-        self.fgl_kind = fgl_kind
-        self.max_t = max_t
-        self.max_w = max_w
-        self.group = group
-        self.degrees = [0] if degrees is None else degrees
-        self.t_order = t_order
-        self.rank = rank
-        self.levels = levels
-        self.samples = samples
-        self.base_vars = base_vars
-        self.seed = seed
-        self.emit_basis = emit_basis
-        self.output_format = output_format
-
-
-def _context(config: JobConfig, n_vars: int) -> RingContext:
+def _context(config: argparse.Namespace, n_vars: int) -> RingContext:
     kind = normalize_kind(config.fgl_kind)
     coeff = COEFF_KIND_FOR[kind]
     max_w = 0 if coeff == "rational" else config.max_w
     return RingContext(n_vars, coeff, config.max_t, max_w)
 
 
-def _law(config: JobConfig, n_vars: int = 2):
+def _law(config: argparse.Namespace, n_vars: int = 2):
     return build_fgl(normalize_kind(config.fgl_kind), _context(config, n_vars))
 
 
@@ -145,7 +106,7 @@ def parse_degree_range(text: str) -> list:
     return list(range(lo, hi + 1))
 
 
-def _emit(report: dict, config: JobConfig) -> str:
+def _emit(report: dict, config: argparse.Namespace) -> str:
     if config.output_format == "json":
         return json.dumps(report, sort_keys=True, indent=2)
     lines = []
@@ -157,7 +118,7 @@ def _emit(report: dict, config: JobConfig) -> str:
 # -- subcommand bodies -------------------------------------------------------------
 
 
-def _run_fgl_check(config: JobConfig):
+def _run_fgl_check(config: argparse.Namespace):
     law = _law(config)
     report = law.axioms
     body = {
@@ -171,7 +132,7 @@ def _run_fgl_check(config: JobConfig):
     return (0 if report.ok else 1), body
 
 
-def _run_bg(config: JobConfig):
+def _run_bg(config: argparse.Namespace):
     if config.t_order is None:
         raise ConfigError("bg needs --torder (the t-order window)")
     if config.t_order > config.max_t:
@@ -209,7 +170,7 @@ def _run_bg(config: JobConfig):
     return 0, body
 
 
-def _run_flag(config: JobConfig):
+def _run_flag(config: argparse.Namespace):
     group = preset(config.group)
     # the job enumerates the Weyl group: refuse an oversized one before building anything
     group.require_enumerable()
@@ -263,15 +224,16 @@ def _run_flag(config: JobConfig):
     return (0 if ok else 1), body
 
 
-def _run_sif(config: JobConfig):
+def _run_sif(config: argparse.Namespace):
     # samples redraw t-exponents in 0..2 until their sum fits the cap: hopeless past 8 variables
     if config.base_vars < 1 or config.base_vars > 8:
         raise ConfigError("sif supports --base-vars 1..8")
     if config.rank < 1:
         raise ConfigError("sif needs --rank >= 1")
-    if config.t_order is not None:  # a copy whose t-order cap is --torder
-        config = JobConfig(**{**vars(config), "max_t": config.t_order})
-    law = _law(config)
+    ctx = _context(config, 2)
+    if config.t_order is not None:  # --torder overrides --max-t
+        ctx = RingContext(2, ctx.coeff_kind, config.t_order, ctx.max_weight)
+    law = build_fgl(normalize_kind(config.fgl_kind), ctx)
     ctx = law.context(config.base_vars)
     rng = random.Random(config.seed)
     worst = ctx.zero()
@@ -297,7 +259,7 @@ def _run_sif(config: JobConfig):
         "fgl": law.kind,
         "rank": config.rank,
         "base_vars": config.base_vars,
-        "caps": {"max_t": config.max_t, "max_w": law.max_weight},
+        "caps": {"max_t": law.max_t_order, "max_w": law.max_weight},
         "seed": config.seed,
         "samples": config.samples,
         "failures": failures,
@@ -306,7 +268,7 @@ def _run_sif(config: JobConfig):
     return (0 if ok else 1), body
 
 
-def _run_pbf(config: JobConfig):
+def _run_pbf(config: argparse.Namespace):
     if config.rank < 1 or config.rank > 4:
         raise ConfigError("pbf supports --rank 1..4")
     ctx = _context(config, 2)
@@ -342,7 +304,7 @@ def _run_pbf(config: JobConfig):
     return (0 if ok else 1), body
 
 
-def _run_tower_bgm(config: JobConfig):
+def _run_tower_bgm(config: argparse.Namespace):
     if min(config.degrees) < 0:
         raise ConfigError(
             f"degree {min(config.degrees)} is negative; the tower starts at degree 0"
@@ -386,7 +348,7 @@ def _run_tower_bgm(config: JobConfig):
     return (0 if ok else 1), body
 
 
-def _run_selftest(config: JobConfig):
+def _run_selftest(config: argparse.Namespace):
     ok, results = run_selftest(config.seed)
     if config.output_format == "json":
         body = {
@@ -404,22 +366,10 @@ def _run_selftest(config: JobConfig):
     return (0 if ok else 1), "\n".join(lines)
 
 
-def run(config: JobConfig):
-    """Dispatch a validated job; returns (exit_status, report_string)."""
-    handlers = {
-        "fgl-check": _run_fgl_check,
-        "bg": _run_bg,
-        "flag": _run_flag,
-        "sif": _run_sif,
-        "pbf": _run_pbf,
-        "tower-bgm": _run_tower_bgm,
-        "selftest": _run_selftest,
-    }
-    try:
-        handler = handlers[config.subcommand]
-    except KeyError:
-        raise ConfigError(f"unknown subcommand {config.subcommand!r}") from None
-    status, body = handler(config)
+def run(config: argparse.Namespace):
+    """Run a job, the namespace `config_from_args` checked; returns
+    (exit_status, report_string)."""
+    status, body = SUBCOMMANDS[config.command][2](config)
     if isinstance(body, str):
         return status, body
     return status, _emit(body, config)
@@ -503,15 +453,16 @@ def _add_selftest(p):
     _add_common(p, caps=False, seed=True)
 
 
-# subcommand -> (help, the function that adds its arguments), in the order help lists them
+# subcommand -> (help, the function that adds its arguments, the function that
+# runs its job), in the order help lists them
 SUBCOMMANDS = {
-    "fgl": ("formal group law utilities", _add_fgl),
-    "bg": ("invariant dimensions of a classifying space", _add_bg),
-    "flag": ("flag-variety fixed point restriction", _add_flag),
-    "sif": ("self-intersection identity suite", _add_sif),
-    "pbf": ("projective bundle formula suite", _add_pbf),
-    "tower": ("inverse limit diagnostics", _add_tower),
-    "selftest": ("run the full invariant suite", _add_selftest),
+    "fgl": ("formal group law utilities", _add_fgl, _run_fgl_check),
+    "bg": ("invariant dimensions of a classifying space", _add_bg, _run_bg),
+    "flag": ("flag-variety fixed point restriction", _add_flag, _run_flag),
+    "sif": ("self-intersection identity suite", _add_sif, _run_sif),
+    "pbf": ("projective bundle formula suite", _add_pbf, _run_pbf),
+    "tower": ("inverse limit diagnostics", _add_tower, _run_tower_bgm),
+    "selftest": ("run the full invariant suite", _add_selftest, _run_selftest),
 }
 
 
@@ -529,35 +480,27 @@ def build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
         description="exact formal-group-law and equivariant ring calculator",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (help_text, add_arguments) in SUBCOMMANDS.items():
+    for name, (help_text, add_arguments, _) in SUBCOMMANDS.items():
         if command is None or name == command:
             add_arguments(sub.add_parser(name, help=help_text))
     return parser
 
 
-def config_from_args(args) -> JobConfig:
-    command = args.command
-    if command == "fgl":
-        command = "fgl-check"
-    elif command == "tower":
-        command = "tower-bgm"
-    config = JobConfig(subcommand=command)
-    for name in (
-        "fgl_kind", "max_t", "max_w", "group", "t_order", "rank", "levels",
-        "samples", "base_vars", "seed", "emit_basis", "output_format",
-    ):
-        if hasattr(args, name) and getattr(args, name) is not None:
-            setattr(config, name, getattr(args, name))
+def config_from_args(args: argparse.Namespace) -> argparse.Namespace:
+    """Check the parsed ``args`` and expand ``--deg`` into ``degrees``, in
+    place: the namespace is the job `run` takes, and the parser holds every
+    option and default."""
     if hasattr(args, "deg"):
-        config.degrees = parse_degree_range(args.deg)
-    if config.max_t < 0 or config.max_w < 0:
+        args.degrees = parse_degree_range(args.deg)
+    if getattr(args, "max_t", 0) < 0 or getattr(args, "max_w", 0) < 0:
         raise ConfigError("caps must be non-negative")
     # zero samples would check nothing and still report a pass
-    if getattr(args, "samples", None) is not None and config.samples < 1:
-        flag = "--pairs" if command == "flag" else "--samples"
-        raise ConfigError(f"{flag} must be at least 1, got {config.samples}")
-    normalize_kind(config.fgl_kind)  # validate early
-    return config
+    if getattr(args, "samples", 1) < 1:
+        flag = "--pairs" if args.command == "flag" else "--samples"
+        raise ConfigError(f"{flag} must be at least 1, got {args.samples}")
+    if hasattr(args, "fgl_kind"):
+        normalize_kind(args.fgl_kind)  # validate early
+    return args
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
@@ -578,15 +521,16 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         # help and its abbreviations are all argparse reads before a subcommand
         if first.startswith("-") and first not in ("-h", "--h", "--he", "--hel", "--help"):
             raise ConfigError(f"{first!r} comes before the subcommand; options follow the subcommand")
-        parser = build_parser(first if first in SUBCOMMANDS else None)
-        args = parser.parse_args(argv)
-        config = config_from_args(args)
-        status, report = run(config)
+        args = build_parser(first if first in SUBCOMMANDS else None).parse_args(argv)
+        status, report = run(config_from_args(args))
     except tuple(cls for cls, _ in ERROR_KINDS) as exc:
+        # drop the job first: after a MemoryError its frames hold what filled memory
+        args = exc.__traceback__ = exc.__context__ = None
         kind = next(kind for cls, kind in ERROR_KINDS if isinstance(exc, cls))
+        message = str(exc) if kind != "resources" else "the job ran out of memory"
         error = {
             "schema": f"{SCHEMA_PREFIX}/error/v1",
-            "error": {"kind": kind, "message": str(exc)},
+            "error": {"kind": kind, "message": message},
         }
         status, report = 2, json.dumps(error, sort_keys=True, indent=2)
     try:

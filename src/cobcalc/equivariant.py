@@ -298,7 +298,10 @@ def weyl_map(w, law: FormalGroupLaw, ctx: RingContext) -> RingMap:
 
 
 def weyl_apply(w, s: TruncatedSeries, law: FormalGroupLaw) -> TruncatedSeries:
-    """Ring endomorphism sending tj to the class of the j-th column of w."""
+    """Ring endomorphism sending tj to the class of the j-th column of w.
+
+    Nothing in the package calls it; it stays for the tests and because the
+    benchmark's tracer wraps it by name."""
     return weyl_map(w, law, s.ctx)(s)
 
 
@@ -377,7 +380,10 @@ def log_map(law: FormalGroupLaw, ctx: RingContext) -> RingMap:
 
 def action_matrix(w, law: FormalGroupLaw, basis: Sequence[Monomial], ctx: RingContext) -> list:
     """Matrix of the Weyl action on the span of ``basis``: column j is
-    ``(nums, den)``, the `sparse_coordinates` of the image of ``basis[j]``."""
+    ``(nums, den)``, the `sparse_coordinates` of the image of ``basis[j]``.
+
+    Nothing in the package calls it; it stays for the tests and because the
+    benchmark's tracer wraps it by name."""
     # terms outside the window fall into the filtration ideal: dropped
     return sparse_coordinates(map(weyl_map(w, law, ctx), unit_series(ctx, basis)), basis)
 

@@ -31,7 +31,7 @@ from cobcalc.bundles import (
     zero_section_pushforward,
     zero_section_restriction,
 )
-from cobcalc.cli import JobConfig, run
+from cobcalc.cli import build_parser, config_from_args, run
 from cobcalc.equivariant import bg_dimensions, invariant_basis, preset, weyl_map, window_basis
 from cobcalc.fgl import build_fgl, verify_fgl_axioms
 from cobcalc.selftest import random_series
@@ -95,10 +95,9 @@ def test_criterion_2_universal_coefficients_vs_oracle():
 def test_criterion_3_tower_matches_coefficient_ring():
     ok = True
     for kind in ALL_KINDS:
-        status, report = run(
-            JobConfig(subcommand="tower-bgm", fgl_kind=kind,
-                      degrees=list(range(6)), levels=8, max_t=6, max_w=5)
-        )
+        argv = ["tower", "bgm", "--fgl", kind, "--deg", "0..5", "--levels", "8",
+                "--max-t", "6", "--max-w", "5"]
+        status, report = run(config_from_args(build_parser().parse_args(argv)))
         body = json.loads(report)
         ok = ok and status == 0
         ctx = RingContext(1, COEFF_FOR[kind], 6, 0 if kind == "additive" else 5)

@@ -3,6 +3,7 @@ import copy
 import hashlib
 import json
 import math
+import resource
 import subprocess
 import sys
 import time
@@ -10,7 +11,7 @@ import time
 import pytest
 
 from cobcalc import bundles, cli, equivariant, fgl, linalg
-from cobcalc.cli import JobConfig, main, parse_degree_range, run
+from cobcalc.cli import main, parse_degree_range, run
 from cobcalc.equivariant import GroupPreset, WeylGroupSpec, symmetric_group
 from cobcalc.fgl import fgl_sum
 from cobcalc.series import RingContext
@@ -25,6 +26,12 @@ def run_cli(*argv, timeout=None):
         timeout=timeout,
     )
     return proc
+
+
+def job(command):
+    """The job ``command`` names, parsed and checked as `main` does."""
+    argv = command.split()
+    return cli.config_from_args(cli.build_parser(argv[0]).parse_args(argv))
 
 
 def test_parse_degree_range():
@@ -61,7 +68,7 @@ def test_degree_range_over_the_cap_is_refused_before_expanding(argv, degrees, ca
 
 
 def test_fgl_check_additive():
-    status, report = run(JobConfig(subcommand="fgl-check", fgl_kind="additive"))
+    status, report = run(job("fgl check --kind additive"))
     body = json.loads(report)
     assert status == 0
     assert body["unit"] and body["comm"] and body["assoc"]
@@ -70,38 +77,30 @@ def test_fgl_check_additive():
 
 def test_fgl_check_all_kinds():
     for kind in ("additive", "multiplicative", "universal"):
-        status, report = run(JobConfig(subcommand="fgl-check", fgl_kind=kind))
+        status, report = run(job(f"fgl check --kind {kind}"))
         assert status == 0, report
 
 
 def test_bg_gl2_additive_dims():
-    status, report = run(
-        JobConfig(subcommand="bg", fgl_kind="additive", group="GL2",
-                  degrees=[0, 1, 2, 3], t_order=3)
-    )
+    status, report = run(job("bg --fgl additive --group GL2 --deg 0..3 --torder 3"))
     body = json.loads(report)
     assert status == 0
     assert body["dims"] == {"0": 1, "1": 1, "2": 2, "3": 2}
 
 
 def test_bg_emit_basis():
-    status, report = run(
-        JobConfig(subcommand="bg", fgl_kind="additive", group="GL2",
-                  degrees=[1], t_order=2, emit_basis=True)
-    )
+    status, report = run(job("bg --fgl additive --group GL2 --deg 1 --torder 2 --emit-basis"))
     body = json.loads(report)
     assert body["basis"]["1"] == ["1 * t1 + 1 * t2"]
 
 
 def test_bg_validates_window():
     with pytest.raises(Exception):
-        run(JobConfig(subcommand="bg", degrees=[9], t_order=3))
+        run(job("bg --deg 9 --torder 3"))
 
 
 def test_sif_clean():
-    status, report = run(
-        JobConfig(subcommand="sif", fgl_kind="universal", rank=2, samples=5, seed=1)
-    )
+    status, report = run(job("sif --fgl universal --rank 2 --samples 5 --seed 1"))
     body = json.loads(report)
     assert status == 0
     assert body["failures"] == 0
@@ -109,18 +108,14 @@ def test_sif_clean():
 
 
 def test_pbf_clean():
-    status, report = run(
-        JobConfig(subcommand="pbf", fgl_kind="multiplicative", rank=3, samples=5)
-    )
+    status, report = run(job("pbf --fgl multiplicative --rank 3 --samples 5"))
     body = json.loads(report)
     assert status == 0
     assert body["trivial_xi_power_zero"] and body["division_oracle_ok"]
 
 
 def test_flag_clean():
-    status, report = run(
-        JobConfig(subcommand="flag", fgl_kind="additive", group="GL2", samples=5)
-    )
+    status, report = run(job("flag --fgl additive --group GL2 --pairs 5"))
     body = json.loads(report)
     assert status == 0
     assert body["multiplicative_ok"] and body["congruence_ok_derived"]
@@ -128,10 +123,7 @@ def test_flag_clean():
 
 
 def test_tower_bgm():
-    status, report = run(
-        JobConfig(subcommand="tower-bgm", fgl_kind="additive",
-                  degrees=[0, 1, 2], levels=6)
-    )
+    status, report = run(job("tower bgm --fgl additive --deg 0..2 --levels 6"))
     body = json.loads(report)
     assert status == 0
     for d in ("0", "1", "2"):
@@ -601,6 +593,24 @@ def test_error_object_from_a_fresh_interpreter_has_no_traceback():
     assert "Traceback" not in proc.stderr
 
 
+def test_a_job_out_of_memory_exits_2_with_a_resources_error():
+    # 10**7 level dims, within the cap, fill far more than the child may map;
+    # the limit binds the child only
+    argv = ["tower", "bgm", "--fgl", "universal", "--deg", "0..999", "--max-t", "999",
+            "--max-w", "999", "--levels", "9999"]
+    limit = 200 * 2**20
+
+    def cap_address_space():
+        resource.setrlimit(resource.RLIMIT_AS, (limit, resource.getrlimit(resource.RLIMIT_AS)[1]))
+
+    proc = subprocess.run([sys.executable, "-m", "cobcalc.cli", *argv], capture_output=True,
+                          text=True, timeout=60, preexec_fn=cap_address_space)
+    assert proc.returncode == 2
+    assert json.loads(proc.stdout)["error"] == {
+        "kind": "resources", "message": "the job ran out of memory"}
+    assert "Traceback" not in proc.stderr
+
+
 @pytest.mark.parametrize(
     "argv, status",
     [
@@ -645,15 +655,14 @@ def test_fgl_check_verifies_axioms_once(monkeypatch):
     # every module binding of the name, so a second call from the CLI is seen
     monkeypatch.setattr(fgl, "verify_fgl_axioms", counting)
     monkeypatch.setattr(cli, "verify_fgl_axioms", counting, raising=False)
-    status, report = run(JobConfig(subcommand="fgl-check", fgl_kind="universal"))
+    status, report = run(job("fgl check --kind universal"))
     assert status == 0
     assert json.loads(report)["assoc"] is True
     assert calls == ["universal-rational"]
 
 
 def test_sif_leaves_config_unchanged():
-    config = JobConfig(subcommand="sif", fgl_kind="multiplicative", rank=1,
-                       samples=2, t_order=4, max_t=6)
+    config = job("sif --fgl multiplicative --rank 1 --samples 2 --torder 4 --max-t 6")
     before = copy.deepcopy(config)
     status, report = run(config)
     assert status == 0

@@ -16,7 +16,6 @@ from pathlib import Path
 import pytest
 
 from cobcalc.bundles import ProjBundleElement, ProjBundleRing, SplitBundle
-from cobcalc.cli import JobConfig
 from cobcalc.equivariant import GroupPreset, WeylGroupSpec, preset
 from cobcalc.fgl import AxiomReport, FormalGroupLaw, build_fgl
 from cobcalc.series import ContextMismatch, RingContext
@@ -61,10 +60,6 @@ def _fields(x) -> tuple:
         ProjBundleElement: ("ring", "coords"),
         TowerSlice: ("dims", "maps"),
         Tower: ("degrees",),
-        JobConfig: (
-            "subcommand", "fgl_kind", "max_t", "max_w", "group", "degrees", "t_order",
-            "rank", "levels", "samples", "base_vars", "seed", "emit_basis", "output_format",
-        ),
     }[type(x)]
     return names, tuple(getattr(x, n) for n in names)
 
@@ -73,7 +68,6 @@ def _mutable_instances():
     return [
         TowerSlice([1, 2, 2], [[{0: 1}, {}], [{0: 1}, {1: 3}]]),
         Tower({0: TowerSlice([1, 1, 1])}),
-        JobConfig("bg", degrees=[0, 1]),
     ]
 
 
@@ -233,22 +227,6 @@ def test_tower_default_degrees_are_not_shared():
     assert b.degrees == {} and a != b
     assert Tower(degrees={0: TowerSlice([1, 1, 1])}) == a
     assert repr(b) == "Tower(degrees={})"
-
-
-def test_job_config_defaults_and_keywords():
-    a, b = JobConfig("bg"), JobConfig(subcommand="bg")
-    assert a == b
-    a.degrees.append(1)
-    assert b.degrees == [0] and a != b
-    assert repr(b) == (
-        "JobConfig(subcommand='bg', fgl_kind='additive', max_t=6, max_w=5, group='GL2', "
-        "degrees=[0], t_order=None, rank=2, levels=8, samples=100, base_vars=3, seed=0, "
-        "emit_basis=False, output_format='json')"
-    )
-    c = JobConfig("sif", "universal", 7, 6, "GL3", [2], 5, 3, 9, 10, 4, 11, True, "text")
-    assert _fields(c)[1] == ("sif", "universal", 7, 6, "GL3", [2], 5, 3, 9, 10, 4, 11, True, "text")
-    c.max_t = 4
-    assert c.max_t == 4
 
 
 @pytest.mark.parametrize("module", ["cobcalc", "cobcalc.cli"])
