@@ -133,16 +133,14 @@ def _run_fgl_check(config: argparse.Namespace):
 
 
 def _run_bg(config: argparse.Namespace):
-    if config.t_order is None:
-        raise ConfigError("bg needs --torder (the t-order window)")
     if config.t_order > config.max_t:
         raise ConfigError(
             f"--torder {config.t_order} exceeds the cap --max-t {config.max_t}"
         )
     if max(config.degrees) > config.t_order:
         raise ConfigError(
-            f"degree {max(config.degrees)} exceeds --torder {config.t_order}; "
-            "monomials of that degree need a larger window"
+            f"degree {max(config.degrees)} of --deg {config.deg} exceeds "
+            f"--torder {config.t_order}; monomials of that degree need a larger window"
         )
     group = preset(config.group)
     ctx = _context(config, group.rank)
@@ -152,7 +150,7 @@ def _run_bg(config: argparse.Namespace):
         law = _law(config)  # only the basis needs a law: Lambda is its logarithm
         bases = {
             d: [s.to_text() for s in basis]
-            for d, basis in invariant_bases(group.weyl, law, degrees, config.t_order, ctx).items()
+            for d, basis in invariant_bases(group.weyl, law, degrees, config.t_order).items()
         }
         dims = {d: len(basis) for d, basis in bases.items()}
     else:
@@ -311,7 +309,7 @@ def _run_tower_bgm(config: argparse.Namespace):
         )
     if max(config.degrees) > config.max_t:
         raise ConfigError(
-            f"degree {max(config.degrees)} exceeds --max-t {config.max_t}"
+            f"degree {max(config.degrees)} of --deg {config.deg} exceeds --max-t {config.max_t}"
         )
     if config.levels < 2:
         raise ConfigError("--levels must be at least 2")
@@ -492,7 +490,9 @@ def config_from_args(args: argparse.Namespace) -> argparse.Namespace:
     option and default."""
     if hasattr(args, "deg"):
         args.degrees = parse_degree_range(args.deg)
-    if getattr(args, "max_t", 0) < 0 or getattr(args, "max_w", 0) < 0:
+    # --torder, where given, is a cap like --max-t
+    caps = (getattr(args, name, None) for name in ("max_t", "max_w", "t_order"))
+    if any(cap is not None and cap < 0 for cap in caps):
         raise ConfigError("caps must be non-negative")
     # zero samples would check nothing and still report a pass
     if getattr(args, "samples", 1) < 1:

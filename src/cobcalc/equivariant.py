@@ -46,8 +46,9 @@ built.
 
 The kernel through the law itself is the oracle in `selftest` and the
 tests: `fixed_space_rows` reads the action of each matrix on the window
-(its `action_matrix`) as sparse integer columns and stacks the rows of
-(rho_w - 1), and `linalg.kernel` gives their joint kernel.
+as sparse integer columns, one `action_matrix` call per matrix, and
+stacks the rows of (rho_w - 1), and `linalg.kernel` gives their joint
+kernel.
 """
 
 from __future__ import annotations
@@ -71,11 +72,14 @@ from .series import (
     reduced_basis,
     sparse_coordinates,
     substitute,
-    unit_series,
 )
 from .value import FrozenValue
 
 Matrix = tuple  # tuple of row tuples with integer entries
+
+# `WeylGroupSpec.elements` and `GroupPreset.require_enumerable` refuse a
+# group of more elements than this
+MAX_WEYL_ELEMENTS = 20_000
 
 
 class EnumerationCapExceeded(RuntimeError):
@@ -131,18 +135,16 @@ def _identity_int(n: int) -> Matrix:
 class WeylGroupSpec(FrozenValue):
     """A finite group of unimodular integer matrices given by generators."""
 
-    _fields = ("rank", "generators", "max_elements")
+    _fields = ("rank", "generators")
 
-    def __init__(self, rank: int, generators: tuple, max_elements: int = 20000):
+    def __init__(self, rank: int, generators: tuple):
         gens = tuple(_as_matrix(g) for g in generators)
         for g in gens:
             if len(g) != rank:
                 raise ValueError("generator size does not match the rank")
             _check_unimodular(g)
         # _elements is the enumeration, built on the first call of elements() and kept
-        self.__dict__.update(
-            rank=rank, generators=gens, max_elements=max_elements, _elements=None
-        )
+        self.__dict__.update(rank=rank, generators=gens, _elements=None)
 
     def elements(self) -> tuple:
         """Full enumeration: closure of the generators, BFS order from the
@@ -172,9 +174,9 @@ class WeylGroupSpec(FrozenValue):
                         seen.add(wg)
                         order.append(wg)
                         new.append(wg)
-                        if len(seen) > self.max_elements:
+                        if len(seen) > MAX_WEYL_ELEMENTS:
                             raise EnumerationCapExceeded(
-                                f"closure exceeds the cap of {self.max_elements} elements"
+                                f"closure exceeds the cap of {MAX_WEYL_ELEMENTS} elements"
                             )
             frontier = new
         return order
@@ -208,11 +210,10 @@ class GroupPreset(FrozenValue):
 
     def require_enumerable(self) -> None:
         """Raise EnumerationCapExceeded if the known Weyl order exceeds the enumeration cap."""
-        cap = self.weyl.max_elements
-        if self.weyl_order is not None and self.weyl_order > cap:
+        if self.weyl_order is not None and self.weyl_order > MAX_WEYL_ELEMENTS:
             raise EnumerationCapExceeded(
                 f"the Weyl group of {self.name} has {self.weyl_order} elements, "
-                f"over the cap of {cap} elements"
+                f"over the cap of {MAX_WEYL_ELEMENTS} elements"
             )
 
 
@@ -267,13 +268,9 @@ def preset(name: str) -> GroupPreset:
     return GroupPreset(f"{family}{n}", n, signed_permutation_group(n), 2**n * factorial(n))
 
 
-def character_class(
-    law: FormalGroupLaw, char: Sequence[int], ctx: Optional[RingContext] = None
-) -> TruncatedSeries:
+def character_class(law: FormalGroupLaw, char: Sequence[int], ctx: RingContext) -> TruncatedSeries:
     """First Chern class of the character line bundle, [c1](t1) +_F ... +_F [cn](tn)."""
     char = tuple(int(c) for c in char)
-    if ctx is None:
-        ctx = law.context(len(char))
     if len(char) != ctx.n_vars:
         raise ValueError("character length does not match the context rank")
     acc = None
@@ -381,26 +378,20 @@ def log_map(law: FormalGroupLaw, ctx: RingContext) -> RingMap:
 def action_matrix(w, law: FormalGroupLaw, basis: Sequence[Monomial], ctx: RingContext) -> list:
     """Matrix of the Weyl action on the span of ``basis``: column j is
     ``(nums, den)``, the `sparse_coordinates` of the image of ``basis[j]``.
-
-    Nothing in the package calls it; it stays for the tests and because the
-    benchmark's tracer wraps it by name."""
+    `fixed_space_rows` reads every matrix through it, and the benchmark's
+    tracer wraps it by name."""
+    units = [ctx.from_terms({mono: 1}) for mono in basis]
     # terms outside the window fall into the filtration ideal: dropped
-    return sparse_coordinates(map(weyl_map(w, law, ctx), unit_series(ctx, basis)), basis)
+    return sparse_coordinates(map(weyl_map(w, law, ctx), units), basis)
 
 
 def fixed_space_rows(matrices, law: FormalGroupLaw, basis, ctx: RingContext) -> list:
     """The rows of (rho_w - id) for every w in ``matrices``, stacked, as sparse
     integer rows: their joint kernel is the subspace of the span of ``basis``
-    fixed by all of them.  One `sparse_coordinates` call reads the images
-    under every w."""
-    units = unit_series(ctx, basis)
-    n = len(basis)
-    images = sparse_coordinates(
-        chain.from_iterable(map(weyl_map(w, law, ctx), units) for w in matrices), basis
-    )
+    fixed by all of them.  Each w is read by one `action_matrix` call."""
     stacked = []
-    for at in range(0, len(images), n or 1):
-        columns = images[at:at + n]
+    for w in matrices:
+        columns = action_matrix(w, law, basis, ctx)
         # the rows of (rho_w - id), all scaled by one den
         den = lcm(*[d for _, d in columns])
         rows = [{} for _ in basis]
@@ -452,13 +443,7 @@ def _linear_invariants(wspec: WeylGroupSpec, orders) -> dict:
     }
 
 
-def invariant_basis(
-    wspec: WeylGroupSpec,
-    law: FormalGroupLaw,
-    degree: int,
-    k_max: int,
-    ctx: Optional[RingContext] = None,
-) -> list:
+def invariant_basis(wspec: WeylGroupSpec, law: FormalGroupLaw, degree: int, k_max: int) -> list:
     """Basis of the Weyl-fixed subspace in the degree window, as series:
     the reduced echelon form over Q in the order of `window_basis`, each
     row scaled to 1 at its pivot, the rows in pivot order.  That form is
@@ -468,22 +453,16 @@ def invariant_basis(
     The basis is read off Lambda of the linear invariants, times the
     generator monomials (module docstring), whatever the generators.
     """
-    return invariant_bases(wspec, law, [degree], k_max, ctx)[degree]
+    return invariant_bases(wspec, law, [degree], k_max)[degree]
 
 
 def invariant_bases(
-    wspec: WeylGroupSpec,
-    law: FormalGroupLaw,
-    degrees: Sequence[int],
-    k_max: int,
-    ctx: Optional[RingContext] = None,
+    wspec: WeylGroupSpec, law: FormalGroupLaw, degrees: Sequence[int], k_max: int
 ) -> dict:
-    """``{degree: invariant_basis(wspec, law, degree, k_max, ctx)}``, with
-    Lambda of each linear invariant computed once for all degrees."""
-    if ctx is None:
-        ctx = law.context(wspec.rank)
-    if ctx.n_vars != wspec.rank:
-        raise ValueError("context rank does not match the Weyl rank")
+    """``{degree: invariant_basis(wspec, law, degree, k_max)}`` over the
+    context ``law.context(wspec.rank)``, with Lambda of each linear
+    invariant computed once for all degrees."""
+    ctx = law.context(wspec.rank)
     _check_window(ctx, k_max)
     windows = {d: _window_orders(ctx, d, k_max) for d in degrees}
     log = log_map(law, ctx)

@@ -290,7 +290,7 @@ def check_invariants_fixed(rng: random.Random) -> Tuple[bool, str]:
             # the orbit sums the basis is read off
             act = {w: weyl_map(w, law, ctx) for w in g.weyl.elements()}
             for d in range(0, 3):
-                basis = invariant_basis(g.weyl, law, d, 3, ctx)
+                basis = invariant_basis(g.weyl, law, d, 3)
                 k_max = 3
                 for v in basis:
                     for w in g.weyl.generators:
@@ -367,7 +367,7 @@ def check_joint_kernel_vs_all_elements(rng: random.Random) -> Tuple[bool, str]:
                 window = window_basis(ctx, d, 3)
                 # the orbit-sum basis against the direct action of every element:
                 # both are the unique reduced echelon form of the fixed space
-                orbit_basis = invariant_basis(g.weyl, law, d, 3, ctx)
+                orbit_basis = invariant_basis(g.weyl, law, d, 3)
                 direct_basis = fixed_basis(g.weyl.elements(), law, window, ctx)
                 if orbit_basis != direct_basis:
                     dims = f"{len(orbit_basis)} != {len(direct_basis)}"

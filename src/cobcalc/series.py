@@ -71,11 +71,10 @@ Only this module knows the packed form.  Callers that would otherwise
 decode every term and validate it again get helpers that work on the
 keys: `sparse_coordinates` (integer rows against a list of monomials),
 `reduced_basis` (the canonical echelon basis of a span, over the
-monomials that occur), `unit_series` (a list of monomials as series),
-`variable_slices` (a series split by the powers of one variable),
-`variable_slice` (one part of that split), `integral` (the
-antiderivative in one variable) and `compositional_inverse` (which moves
-series between windows as copies of their keys).
+monomials that occur), `variable_slices` (a series split by the powers
+of one variable), `variable_slice` (one part of that split), `integral`
+(the antiderivative in one variable) and `compositional_inverse` (which
+moves series between windows as copies of their keys).
 
 Ring maps
 ---------
@@ -156,9 +155,8 @@ class RingContext(FrozenValue):
         """This context with t-order cap ``max_t_order``, raised where needed
         to the least cap whose packed keys keep this context's field width.
 
-        `RingMap` relabels between two contexts by copying key fields only
-        when their generator fields agree; into or out of a narrower window,
-        every term would be decoded and encoded again.
+        `compositional_inverse` moves a series between windows by copying
+        its packed keys, which holds only while the field width is kept.
 
         >>> RingContext(1, "universal-rational", 14, 2).window(3).max_t_order
         8
@@ -621,18 +619,6 @@ def reduced_basis(series: Iterable[TruncatedSeries], max_t_order: int) -> list:
     )
     return [
         _reduced(ctx, {columns[j]: x for j, x in red[c].items()}, red[c][c]) for c in sorted(red)
-    ]
-
-
-def unit_series(ctx: RingContext, basis: Sequence[Monomial]) -> list:
-    """The monomials of ``basis`` as series with coefficient 1, as
-    `from_terms` builds them: a monomial that no series of ``ctx`` can hold
-    is dropped (beyond the caps) or refused there."""
-    key_of = ctx._layout.key_of
-    return [
-        ctx.from_terms({mono: 1}) if (key := key_of(mono)) is None
-        else TruncatedSeries._raw(ctx, {key: 1}, 1)
-        for mono in basis
     ]
 
 

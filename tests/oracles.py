@@ -21,7 +21,10 @@ summed them in place, multiply and add with the package's series.  Likewise
 ``ref_weyl_apply``/``ref_action_matrix``, the per-monomial Weyl action
 that ``cobcalc.equivariant.weyl_map`` replaced, build the character
 classes with the package's ``character_class`` and substitute with its
-``substitute``.  And ``ref_law``, the per-kind group law with the
+``substitute``.  ``ref_fixed_space_rows``, the batched reader that
+``cobcalc.equivariant.fixed_space_rows`` replaced by one
+``action_matrix`` call per matrix, maps with the package's ``weyl_map``
+and reads with its ``sparse_coordinates``.  And ``ref_law``, the per-kind group law with the
 order-by-order formal inverse that ``cobcalc.fgl.build_fgl`` replaced by
 one logarithm, builds its series with the package's kernel, and so does
 ``direct_associativity_residual``, the two 3-variable compositions
@@ -44,13 +47,14 @@ bounded by the t-order cap, multiplies with the package's series.
 from __future__ import annotations
 
 import itertools
+import math
 from fractions import Fraction
 
 import sympy
 
 from cobcalc import linalg
 from cobcalc.bundles import ProjBundleElement, ProjBundleRing, _coerce_pb, pb_mul, pb_substitute
-from cobcalc.equivariant import character_class
+from cobcalc.equivariant import character_class, weyl_map
 from cobcalc.series import (
     ContextMismatch,
     Monomial,
@@ -58,6 +62,7 @@ from cobcalc.series import (
     TruncatedSeries,
     integral,
     lazard_monomials,
+    sparse_coordinates,
     substitute,
     variable_slices,
 )
@@ -569,6 +574,39 @@ def ref_action_matrix(w, law, basis, ctx) -> list:
                 column[index[m]] = c
         columns.append(column)
     return [list(row) for row in zip(*columns)]
+
+
+def ref_fixed_space_rows(matrices, law, basis, ctx) -> list:
+    """The rows of (rho_w - id) for every w in ``matrices``, stacked, as sparse
+    integer rows.  One `sparse_coordinates` call reads the images under
+    every w, of the basis monomials as unit series built from their keys."""
+    key_of = ctx._layout.key_of
+    units = [
+        ctx.from_terms({mono: 1}) if (key := key_of(mono)) is None
+        else TruncatedSeries._raw(ctx, {key: 1}, 1)
+        for mono in basis
+    ]
+    n = len(basis)
+    images = sparse_coordinates(
+        itertools.chain.from_iterable(map(weyl_map(w, law, ctx), units) for w in matrices), basis
+    )
+    stacked = []
+    for at in range(0, len(images), n or 1):
+        columns = images[at:at + n]
+        # the rows of (rho_w - id), all scaled by one den
+        den = math.lcm(*[d for _, d in columns])
+        rows = [{} for _ in basis]
+        for j, (nums, d) in enumerate(columns):
+            for i, num in nums.items():
+                rows[i][j] = num * (den // d)
+        for i, row in enumerate(rows):
+            x = row.get(i, 0) - den
+            if x:
+                row[i] = x
+            else:
+                del row[i]
+        stacked.extend(rows)
+    return stacked
 
 
 # -- the per-kind laws and order-by-order inverse that fgl.build_fgl replaced ----

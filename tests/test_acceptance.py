@@ -121,7 +121,7 @@ def test_criterion_4_weyl_invariant_dimensions():
         group = preset(f"GL{n}")
         ctx = uni.context(n)
         for d in range(5):
-            dim = len(invariant_basis(group.weyl, uni, d, 4, ctx))
+            dim = len(invariant_basis(group.weyl, uni, d, 4))
             brute = permutation_orbit_count(window_basis(ctx, d, 4))
             ok = ok and dim == brute
     verdict(4, "GL(2)/GL(3) invariants: additive counts + brute force at (4, 3)", ok)

@@ -242,10 +242,9 @@ def test_flag_builds_one_map_per_weyl_element(monkeypatch, capsys):
 def test_weyl_enumeration_cap_is_refused(monkeypatch, capsys):
     # a small cap stands in for GL8, whose 8! elements exceed the default cap
     def capped(name):
-        weyl = WeylGroupSpec(rank=3, generators=symmetric_group(3).generators,
-                             max_elements=4)
-        return GroupPreset("GL(3)", 3, weyl)
+        return GroupPreset("GL(3)", 3, symmetric_group(3))
 
+    monkeypatch.setattr(equivariant, "MAX_WEYL_ELEMENTS", 4)
     monkeypatch.setattr(cli, "preset", capped)
     assert main(["flag", "--group", "GL3", "--pairs", "1"]) == 2
     body = json.loads(capsys.readouterr().out)
@@ -560,6 +559,8 @@ def _sum_with_constant_term(monkeypatch):
          "config", _no_tower_built),
         (["tower", "bgm", "--fgl", "universal", "--deg", "200000..200000", "--max-t", "200000",
           "--levels", "10000"], "config", _no_tower_built),
+        (["sif", "--torder", "-1"], "config", None),
+        (["bg", "--torder", "-1"], "config", None),
         (["fgl", "check", "--kind", "elliptic"], "invalid", None),
         (["fgl", "check", "--kind", "add", "--max-t", "1"], "invalid", None),
         (["bg", "--group", "GL0", "--torder", "2", "--deg", "0..1"], "invalid", None),
@@ -571,7 +572,7 @@ def _sum_with_constant_term(monkeypatch):
         (["fgl", "check", "--kind", "add"], "substitution", _sum_with_constant_term),
     ],
     ids=["config", "config-deg", "config-levels-over-cap", "config-tower-dims-over-cap",
-         "invalid-kind", "invalid-caps",
+         "config-sif-negative-torder", "config-bg-negative-torder", "invalid-kind", "invalid-caps",
          "invalid-rank-0", "invalid-signed-rank-0", "invalid-rank-over-cap", "refused",
          "construction", "context", "substitution"],
 )
@@ -584,6 +585,20 @@ def test_error_kinds_exit_2_without_traceback(argv, kind, patch, monkeypatch, ca
     assert body["schema"] == "cobcalc/error/v1"
     assert body["error"]["kind"] == kind and body["error"]["message"]
     assert captured.err == ""
+
+
+# no --deg: the message names the default range that the degree came from
+@pytest.mark.parametrize("argv, message", [
+    (["bg", "--torder", "1"],
+     "degree 3 of --deg 0..3 exceeds --torder 1; monomials of that degree need a larger window"),
+    (["tower", "bgm", "--max-t", "4"], "degree 5 of --deg 0..5 exceeds --max-t 4"),
+    # --torder is checked like --max-t, before the job reads it
+    (["bg", "--torder", "-1"], "caps must be non-negative"),
+    (["sif", "--torder", "-1"], "caps must be non-negative"),
+])
+def test_config_refusals_name_what_they_read(argv, message, capsys):
+    assert main(argv) == 2
+    assert json.loads(capsys.readouterr().out)["error"] == {"kind": "config", "message": message}
 
 
 def test_error_object_from_a_fresh_interpreter_has_no_traceback():

@@ -80,8 +80,9 @@ def test_only_signed_permutations_skip_the_determinant(monkeypatch):
     assert len(dets) == 5
 
 
-def test_enumeration_cap():
-    spec = WeylGroupSpec(rank=4, generators=symmetric_group(4).generators, max_elements=5)
+def test_enumeration_cap(monkeypatch):
+    monkeypatch.setattr(equivariant, "MAX_WEYL_ELEMENTS", 5)
+    spec = symmetric_group(4)
     with pytest.raises(EnumerationCapExceeded):
         spec.elements()
 
@@ -129,8 +130,9 @@ def test_signed_enumeration_matches_the_dense_closure(name, monkeypatch):
     (((0, -1), (1, -1)),),  # order 3, no signed permutation
     (((0, 1), (1, 0)), ((1, 1), (0, 1))),  # infinite: the cap stops it
 ])
-def test_other_generators_take_the_dense_closure(generators):
-    spec = WeylGroupSpec(rank=2, generators=generators, max_elements=50)
+def test_other_generators_take_the_dense_closure(generators, monkeypatch):
+    monkeypatch.setattr(equivariant, "MAX_WEYL_ELEMENTS", 50)
+    spec = WeylGroupSpec(rank=2, generators=generators)
     if len(generators) == 1:
         assert spec.elements() == _dense_closure(spec) and len(spec.elements()) == 3
     else:
@@ -138,9 +140,10 @@ def test_other_generators_take_the_dense_closure(generators):
             spec.elements()
 
 
-def test_signed_enumeration_cap_counts_like_the_dense_one():
+def test_signed_enumeration_cap_counts_like_the_dense_one(monkeypatch):
     for cap, ok in ((23, False), (24, True)):
-        spec = WeylGroupSpec(rank=4, generators=symmetric_group(4).generators, max_elements=cap)
+        monkeypatch.setattr(equivariant, "MAX_WEYL_ELEMENTS", cap)
+        spec = symmetric_group(4)
         if ok:
             assert len(spec.elements()) == 24
         else:
@@ -264,7 +267,7 @@ def test_universal_invariants_match_orbit_count():
         ctx = uni.context(n)
         for d in range(0, 5):
             window = window_basis(ctx, d, 4)
-            dim = len(invariant_basis(g.weyl, uni, d, 4, ctx))
+            dim = len(invariant_basis(g.weyl, uni, d, 4))
             assert dim == permutation_orbit_count(window)
 
 
@@ -273,7 +276,7 @@ def test_invariant_basis_fixed_by_generators():
     g = preset("SL2")
     ctx = uni.context(1)
     for d in range(0, 3):
-        for v in invariant_basis(g.weyl, uni, d, 3, ctx):
+        for v in invariant_basis(g.weyl, uni, d, 3):
             for w in g.weyl.generators:
                 image = weyl_apply(w, v, uni)
                 image = ctx.from_terms(

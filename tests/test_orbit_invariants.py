@@ -128,7 +128,7 @@ def test_orbit_basis_equals_the_direct_kernel(name, window):
         max_t, k_max = 5, min(k_max, 5)
         law = law_at(kind, max_t, max_w)
     ctx = law.context(group.rank)
-    got = invariant_basis(group.weyl, law, degree, k_max, ctx)
+    got = invariant_basis(group.weyl, law, degree, k_max)
     assert got == direct_basis(group.weyl, law, degree, k_max, ctx)
     assert bg_dimensions(group, ctx, [degree], k_max) == {degree: len(got)}
 
@@ -163,7 +163,7 @@ def test_other_generators_match_the_kernel_through_the_law(name, kind):
             degrees = range(-caps[1] - 1, k_max + 2)
             dims = bg_dimensions(group, ctx, degrees, k_max)
             for degree in degrees:
-                got = invariant_basis(wspec, law, degree, k_max, ctx)
+                got = invariant_basis(wspec, law, degree, k_max)
                 assert got == direct_basis(wspec, law, degree, k_max, ctx)
                 window = window_basis(ctx, degree, k_max)
                 assert dims[degree] == len(got) == reynolds_dimension(elements, window)
@@ -189,7 +189,7 @@ def test_a_rotation_takes_the_kernel_of_the_linear_action(kind, monkeypatch):
 
     monkeypatch.setattr(equivariant, "fixed_space_rows", counting)
     for degree in degrees:
-        got = invariant_basis(wspec, law, degree, 4, ctx)
+        got = invariant_basis(wspec, law, degree, 4)
         assert got == want[degree]
         assert bg_dimensions(group, ctx, [degree], 4) == {degree: len(got)}
         for v in got:

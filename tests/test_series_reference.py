@@ -29,7 +29,6 @@ from cobcalc.series import (
     series_mul,
     sparse_coordinates,
     substitute,
-    unit_series,
     variable_slice,
     variable_slices,
 )
@@ -281,15 +280,6 @@ def test_variable_slices_match_termwise_split(data):
     assert sum((c * ctx.var(j) ** e for e, c in slices.items()), ctx.zero()) == s
 
 
-@SETTINGS
-@given(st.data())
-def test_unit_series_match_from_terms(data):
-    ctx = data.draw(contexts())
-    # monomials beyond the caps included; from_terms drops them
-    basis = data.draw(st.lists(monomials(ctx), max_size=6))
-    assert unit_series(ctx, basis) == [ctx.from_terms({m: Fraction(1)}) for m in basis]
-
-
 def window(ctx, k_max):
     """Every monomial of t-order <= k_max inside the caps, one degree window
     after another, in canonical order."""
@@ -338,16 +328,6 @@ def test_reduced_basis_cuts_scales_and_refuses_mixed_contexts():
     assert reduced_basis([s.scale(-2)], 4) == [s]
     with pytest.raises(ContextMismatch):
         reduced_basis([s, RingContext(2, "universal-rational", 4, 2).var(0)], 4)
-
-
-def test_unit_series_take_what_from_terms_takes():
-    ctx = RingContext(1, "universal-rational", 2, 4)
-    # a generator part out of order still names the term m1*m2*t1
-    assert unit_series(ctx, [Monomial((1,), ((2, 1), (1, 1)))]) == [
-        TruncatedSeries.from_text(ctx, "1 * m1*m2*t1")
-    ]
-    with pytest.raises(ValueError):
-        unit_series(RingContext(1, "rational", 2, 0), [Monomial((1,), ((1, 1),))])
 
 
 @SETTINGS

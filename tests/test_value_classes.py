@@ -53,7 +53,7 @@ def _fields(x) -> tuple:
         RingContext: ("n_vars", "coeff_kind", "max_t_order", "max_weight"),
         FormalGroupLaw: ("kind", "series", "inverse_series", "log", "exp"),
         AxiomReport: ("unit_ok", "comm_ok", "assoc_ok", "residuals"),
-        WeylGroupSpec: ("rank", "generators", "max_elements"),
+        WeylGroupSpec: ("rank", "generators"),
         GroupPreset: ("name", "rank", "weyl", "weyl_order"),
         SplitBundle: ("roots",),
         ProjBundleRing: ("base", "chern"),
@@ -152,13 +152,13 @@ def test_axiom_report_ok_needs_every_flag():
 
 def test_weyl_spec_constructor_and_cached_elements():
     spec = WeylGroupSpec(rank=2, generators=[[[0, 1], [1, 0]]])
-    assert spec.generators == (((0, 1), (1, 0)),) and spec.max_elements == 20000
-    fresh = WeylGroupSpec(2, (((0, 1), (1, 0)),), 20000)
+    assert spec.generators == (((0, 1), (1, 0)),)
+    fresh = WeylGroupSpec(2, (((0, 1), (1, 0)),))
     assert spec.elements() is spec.elements() and len(spec.elements()) == 2
     # the enumeration is neither compared nor hashed
     assert spec == fresh and hash(spec) == hash(fresh)
-    assert repr(spec) == "WeylGroupSpec(rank=2, generators=(((0, 1), (1, 0)),), max_elements=20000)"
-    assert WeylGroupSpec(2, (), 5) != WeylGroupSpec(2, (), 6)
+    assert repr(spec) == "WeylGroupSpec(rank=2, generators=(((0, 1), (1, 0)),))"
+    assert WeylGroupSpec(2, ()) != spec and WeylGroupSpec(1, ()) != WeylGroupSpec(2, ())
     with pytest.raises(ValueError, match="generator size does not match the rank"):
         WeylGroupSpec(1, (((0, 1), (1, 0)),))
     with pytest.raises(ValueError, match="not invertible over Z"):

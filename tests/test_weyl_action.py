@@ -1,15 +1,22 @@
 """Differential tests: the Weyl action through one ring map per matrix
 (``equivariant.weyl_map``) against the per-monomial action it replaced
-(``oracles.ref_action_matrix`` and ``oracles.ref_weyl_apply``)."""
+(``oracles.ref_action_matrix`` and ``oracles.ref_weyl_apply``), and the
+oracle's rows of (rho_w - id), read one ``action_matrix`` per matrix,
+against the batched reader they replaced (``oracles.ref_fixed_space_rows``)."""
 
 import random
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cobcalc import equivariant
 from cobcalc.equivariant import (
+    WeylGroupSpec,
     action_matrix,
+    fixed_space_rows,
     int_mat_mul,
     preset,
     weyl_apply,
@@ -19,7 +26,7 @@ from cobcalc.fgl import build_fgl
 from cobcalc.selftest import random_series
 from cobcalc.series import RingContext
 
-from oracles import ref_action_matrix, ref_weyl_apply
+from oracles import ref_action_matrix, ref_fixed_space_rows, ref_weyl_apply
 
 COEFF = {
     "additive": "rational",
@@ -112,3 +119,47 @@ def test_weyl_map_refusals():
         equivariant.weyl_map(((1,),), law, ctx)
     with pytest.raises(ValueError, match="square"):
         weyl_apply(((1, 0),), ctx.var(0), law)
+
+
+# the order-3 rotation of the A2 lattice, alone and with a swap: no signed permutations
+ROTATION = ((0, -1), (1, -1))
+ROTATION_GROUPS = [
+    WeylGroupSpec(2, (ROTATION,)),
+    WeylGroupSpec(2, (ROTATION, ((0, 1), (1, 0)))),
+]
+WEYL_SPECS = [
+    preset(name).weyl for name in ("GL1", "GL2", "GL3", "SL2", "B2", "B3", "torus2")
+] + ROTATION_GROUPS
+
+
+@lru_cache(maxsize=None)
+def law_at(kind, max_t, max_w):
+    max_w = 0 if kind == "additive" else max_w
+    return build_fgl(kind, RingContext(2, COEFF[kind], max_t, max_w))
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=100)
+@given(st.data())
+def test_fixed_space_rows_match_the_batched_reader(data):
+    kind = data.draw(st.sampled_from(sorted(COEFF)))
+    spec = data.draw(st.sampled_from(WEYL_SPECS))
+    matrices = spec.generators if data.draw(st.booleans()) else spec.elements()
+    # sampled, not drawn as integers, so that large windows come as often as small ones
+    max_t = data.draw(st.sampled_from(range(2, 6)))
+    law = law_at(kind, max_t, data.draw(st.sampled_from(range(max_t))))
+    ctx = law.context(spec.rank)
+    k_max = data.draw(st.sampled_from(range(max_t + 1)))
+    degree = data.draw(st.sampled_from(range(-ctx.max_weight, k_max + 1)))
+    # an empty window now and then
+    basis = window_basis(ctx, degree, k_max) if data.draw(st.integers(0, 9)) else []
+    calls = []
+
+    def counting(w, *args):
+        calls.append(w)
+        return action_matrix(w, *args)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(equivariant, "action_matrix", counting)
+        got = fixed_space_rows(matrices, law, basis, ctx)
+    assert got == ref_fixed_space_rows(matrices, law, basis, ctx)
+    assert calls == list(matrices)
