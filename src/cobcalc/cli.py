@@ -2,8 +2,10 @@
 
 Subcommands: ``fgl check``, ``bg``, ``flag``, ``sif``, ``pbf``,
 ``tower bgm``, ``selftest``, one row each in `SUBCOMMANDS`: the help, the
-function that adds the options and the one that runs the job.  Options
-and defaults are written only in the parser; its namespace is the job.
+nested word, the option table and the function that runs the job.
+Options and defaults are written only in that table.  `read_argv` reads a
+well-formed argv off it; argparse's parser, built from it, reads the rest
+and writes help and refusals.  Either namespace is the job.
 Identical configuration and seed produce byte-identical output; exit
 status is 0 iff every requested check passed.  An invalid configuration,
 a refused job or one out of memory exits 2 with a ``cobcalc/error/v1``
@@ -20,7 +22,7 @@ import os
 import random
 import re
 import sys
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from .bundles import (
     SplitBundle,
@@ -52,6 +54,7 @@ from .towers import (
     projective_space_tower,
     stabilization_index,
 )
+from .value import FrozenValue
 
 SCHEMA_PREFIX = "cobcalc"
 # `tower bgm` refuses more levels than this before it builds anything: every
@@ -367,7 +370,7 @@ def _run_selftest(config: argparse.Namespace):
 def run(config: argparse.Namespace):
     """Run a job, the namespace `config_from_args` checked; returns
     (exit_status, report_string)."""
-    status, body = SUBCOMMANDS[config.command][2](config)
+    status, body = SUBCOMMANDS[config.command].run(config)
     if isinstance(body, str):
         return status, body
     return status, _emit(body, config)
@@ -376,16 +379,102 @@ def run(config: argparse.Namespace):
 # -- argument parsing --------------------------------------------------------------
 
 
-def _add_common(p, *, caps=True, seed=False):
-    if caps:
-        p.add_argument("--max-t", type=int, default=6, dest="max_t",
-                       help="t-order truncation cap (default 6)")
-        p.add_argument("--max-w", type=int, default=5, dest="max_w",
-                       help="generator weight cap (default 5)")
-    if seed:
-        p.add_argument("--seed", type=int, default=0, help="seed for the randomized suite")
-    p.add_argument("--format", choices=("json", "text"), default="json",
-                   dest="output_format")
+class Option(FrozenValue):
+    """One option of a subcommand, as `build_parser` declares it to argparse
+    and `read_argv` reads it.  ``type`` converts the value token; ``bool``
+    marks a flag that takes none (argparse's ``store_true``).  A plain value
+    class (`cobcalc.value`): creating a ``NamedTuple`` class took about
+    0.3 ms of every call's import on a 2-core VM."""
+
+    _fields = ("flag", "dest", "type", "default", "required", "choices", "help")
+
+    def __init__(self, flag: str, dest: str, type: type, default=None, *, required: bool = False,
+                 choices: Optional[tuple] = None, help: Optional[str] = None):
+        self.__dict__.update(flag=flag, dest=dest, type=type, default=default,
+                             required=required, choices=choices, help=help)
+
+
+class Subcommand(FrozenValue):
+    """A row of `SUBCOMMANDS`: its help, its one nested word as ``(word,
+    help)`` or None, its options in the order help lists them, and the
+    function that runs its job."""
+
+    _fields = ("help", "nested", "options", "run")
+
+    def __init__(self, help: str, nested: Optional[tuple], options: tuple, run: Callable):
+        self.__dict__.update(help=help, nested=nested, options=options, run=run)
+
+
+_CAPS = (
+    Option("--max-t", "max_t", int, 6, help="t-order truncation cap (default 6)"),
+    Option("--max-w", "max_w", int, 5, help="generator weight cap (default 5)"),
+)
+_SEED = (Option("--seed", "seed", int, 0, help="seed for the randomized suite"),)
+_FORMAT = (Option("--format", "output_format", str, "json", choices=("json", "text")),)
+
+# subcommand -> its row, in the order help lists them
+SUBCOMMANDS = {
+    "fgl": Subcommand(
+        "formal group law utilities", ("check", "verify the group law axioms"),
+        (Option("--kind", "fgl_kind", str, required=True), *_CAPS, *_FORMAT),
+        _run_fgl_check,
+    ),
+    "bg": Subcommand(
+        "invariant dimensions of a classifying space", None,
+        (
+            Option("--group", "group", str, "GL2"),
+            Option("--fgl", "fgl_kind", str, "additive"),
+            Option("--deg", "deg", str, "0..3", help="degree or range, e.g. 0..4"),
+            Option("--torder", "t_order", int, required=True),
+            Option("--emit-basis", "emit_basis", bool, False),
+            *_CAPS, *_FORMAT,
+        ),
+        _run_bg,
+    ),
+    "flag": Subcommand(
+        "flag-variety fixed point restriction", None,
+        (
+            Option("--group", "group", str, "GL2"),
+            Option("--fgl", "fgl_kind", str, "additive"),
+            Option("--pairs", "samples", int, 25),
+            *_CAPS, *_SEED, *_FORMAT,
+        ),
+        _run_flag,
+    ),
+    "sif": Subcommand(
+        "self-intersection identity suite", None,
+        (
+            Option("--fgl", "fgl_kind", str, "universal"),
+            Option("--rank", "rank", int, 2),
+            Option("--torder", "t_order", int, None, help="overrides --max-t"),
+            Option("--samples", "samples", int, 25),
+            Option("--base-vars", "base_vars", int, 3),
+            *_CAPS, *_SEED, *_FORMAT,
+        ),
+        _run_sif,
+    ),
+    "pbf": Subcommand(
+        "projective bundle formula suite", None,
+        (
+            Option("--fgl", "fgl_kind", str, "additive"),
+            Option("--rank", "rank", int, 3),
+            Option("--samples", "samples", int, 25),
+            *_CAPS, *_SEED, *_FORMAT,
+        ),
+        _run_pbf,
+    ),
+    "tower": Subcommand(
+        "inverse limit diagnostics", ("bgm", "rank-1 classifying space tower"),
+        (
+            Option("--fgl", "fgl_kind", str, "additive"),
+            Option("--deg", "deg", str, "0..5"),
+            Option("--levels", "levels", int, 8, help=f"window levels, 2..{MAX_LEVELS}"),
+            *_CAPS, *_FORMAT,
+        ),
+        _run_tower_bgm,
+    ),
+    "selftest": Subcommand("run the full invariant suite", None, (*_SEED, *_FORMAT), _run_selftest),
+}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -398,96 +487,87 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
-def _add_fgl(p):
-    fgl_sub = p.add_subparsers(dest="fgl_command", required=True)
-    check_p = fgl_sub.add_parser("check", help="verify the group law axioms")
-    check_p.add_argument("--kind", required=True, dest="fgl_kind")
-    _add_common(check_p)
-
-
-def _add_bg(p):
-    p.add_argument("--group", default="GL2")
-    p.add_argument("--fgl", default="additive", dest="fgl_kind")
-    p.add_argument("--deg", default="0..3", help="degree or range, e.g. 0..4")
-    p.add_argument("--torder", type=int, required=True, dest="t_order")
-    p.add_argument("--emit-basis", action="store_true", dest="emit_basis")
-    _add_common(p)
-
-
-def _add_flag(p):
-    p.add_argument("--group", default="GL2")
-    p.add_argument("--fgl", default="additive", dest="fgl_kind")
-    p.add_argument("--pairs", type=int, default=25, dest="samples")
-    _add_common(p, seed=True)
-
-
-def _add_sif(p):
-    p.add_argument("--fgl", default="universal", dest="fgl_kind")
-    p.add_argument("--rank", type=int, default=2)
-    p.add_argument("--torder", type=int, default=None, dest="t_order",
-                   help="overrides --max-t")
-    p.add_argument("--samples", type=int, default=25)
-    p.add_argument("--base-vars", type=int, default=3, dest="base_vars")
-    _add_common(p, seed=True)
-
-
-def _add_pbf(p):
-    p.add_argument("--fgl", default="additive", dest="fgl_kind")
-    p.add_argument("--rank", type=int, default=3)
-    p.add_argument("--samples", type=int, default=25)
-    _add_common(p, seed=True)
-
-
-def _add_tower(p):
-    tower_sub = p.add_subparsers(dest="tower_command", required=True)
-    bgm_p = tower_sub.add_parser("bgm", help="rank-1 classifying space tower")
-    bgm_p.add_argument("--fgl", default="additive", dest="fgl_kind")
-    bgm_p.add_argument("--deg", default="0..5")
-    bgm_p.add_argument("--levels", type=int, default=8, help=f"window levels, 2..{MAX_LEVELS}")
-    _add_common(bgm_p)
-
-
-def _add_selftest(p):
-    _add_common(p, caps=False, seed=True)
-
-
-# subcommand -> (help, the function that adds its arguments, the function that
-# runs its job), in the order help lists them
-SUBCOMMANDS = {
-    "fgl": ("formal group law utilities", _add_fgl, _run_fgl_check),
-    "bg": ("invariant dimensions of a classifying space", _add_bg, _run_bg),
-    "flag": ("flag-variety fixed point restriction", _add_flag, _run_flag),
-    "sif": ("self-intersection identity suite", _add_sif, _run_sif),
-    "pbf": ("projective bundle formula suite", _add_pbf, _run_pbf),
-    "tower": ("inverse limit diagnostics", _add_tower, _run_tower_bgm),
-    "selftest": ("run the full invariant suite", _add_selftest, _run_selftest),
-}
-
-
 def build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
-    """The CLI parser: every subcommand of `SUBCOMMANDS`, or only ``command``.
+    """The argparse parser of `SUBCOMMANDS`: every subcommand, or only ``command``.
 
-    A subparser's usage, help and error messages do not depend on its
-    siblings, so a parser built for one subcommand parses that subcommand's
-    argv exactly as the full tree does.  Only the top level's own messages
-    (its help, "invalid choice") list the siblings: build the full tree for
-    an argv that does not name a subcommand.
+    `main` builds it only for an argv `read_argv` declines, for argparse's
+    help, usage and error messages.  A subparser's messages do not depend on
+    its siblings, so a parser built for one subcommand parses that
+    subcommand's argv exactly as the full tree does.  Only the top level's
+    own messages (its help, "invalid choice") list the siblings: build the
+    full tree for an argv that does not name a subcommand.
     """
     parser = _Parser(
         prog="cobcalc",
         description="exact formal-group-law and equivariant ring calculator",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (help_text, add_arguments, _) in SUBCOMMANDS.items():
-        if command is None or name == command:
-            add_arguments(sub.add_parser(name, help=help_text))
+    for name, row in SUBCOMMANDS.items():
+        if command is not None and name != command:
+            continue
+        p = sub.add_parser(name, help=row.help)
+        if row.nested is not None:
+            word, help_text = row.nested
+            nested = p.add_subparsers(dest=f"{name}_command", required=True)
+            p = nested.add_parser(word, help=help_text)
+        for o in row.options:
+            keywords = {"dest": o.dest, "default": o.default, "required": o.required, "help": o.help}
+            if o.type is bool:
+                p.add_argument(o.flag, action="store_true", **keywords)
+            else:
+                p.add_argument(o.flag, type=o.type, choices=o.choices, **keywords)
     return parser
+
+
+def read_argv(argv: Sequence[str]) -> Optional[argparse.Namespace]:
+    """The namespace ``build_parser(argv[0]).parse_args(argv)`` gives, read
+    off `SUBCOMMANDS` without argparse, or None when ``argv`` is not in the
+    one form read here: the subcommand and its nested word, then options
+    named exactly, each at most once, each value a token that does not
+    start with ``-`` and that its type accepts, and every required option
+    given.  Help, abbreviations, ``--opt=value``, repeats and ``-``-leading
+    values are argparse's to read or refuse.
+    """
+    row = SUBCOMMANDS.get(argv[0]) if argv else None
+    if row is None:
+        return None
+    config = {"command": argv[0]}
+    tokens = iter(argv[1:])
+    if row.nested is not None:
+        word = row.nested[0]
+        if next(tokens, None) != word:
+            return None
+        config[f"{argv[0]}_command"] = word
+    options = {o.flag: o for o in row.options}
+    given = {}
+    for token in tokens:
+        option = options.get(token)
+        if option is None or token in given:
+            return None
+        if option.type is bool:
+            given[token] = True
+            continue
+        value = next(tokens, "-")  # a missing value reads as "-", and is declined
+        if value.startswith("-") or (option.choices and value not in option.choices):
+            return None
+        try:
+            given[token] = option.type(value)
+        except ValueError:
+            return None
+    for o in row.options:
+        if o.flag in given:
+            config[o.dest] = given[o.flag]
+        elif o.required:
+            return None
+        else:
+            config[o.dest] = o.default
+    return argparse.Namespace(**config)
 
 
 def config_from_args(args: argparse.Namespace) -> argparse.Namespace:
     """Check the parsed ``args`` and expand ``--deg`` into ``degrees``, in
-    place: the namespace is the job `run` takes, and the parser holds every
-    option and default."""
+    place: the namespace is the job `run` takes, and `SUBCOMMANDS` holds
+    every option and default."""
     if hasattr(args, "deg"):
         args.degrees = parse_degree_range(args.deg)
     # --torder, where given, is a cap like --max-t
@@ -506,11 +586,13 @@ def config_from_args(args: argparse.Namespace) -> argparse.Namespace:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     """Run the job ``argv`` names (``sys.argv[1:]`` when None); returns the exit status.
 
-    The top-level parser has no options of its own but help, so ``argv[0]``
-    is the subcommand: only its subtree is built.  One leading ``--`` ends
-    the (empty) top-level options and is dropped.  Help, an empty argv and
-    an unknown subcommand get the full tree, whose messages list every
-    subcommand; any other option first is a config error.
+    One leading ``--`` ends the (empty) top-level options and is dropped;
+    any other option before the subcommand but help is a config error.  A
+    well-formed argv is read by `read_argv` and builds no parser.  Any
+    other goes to argparse: the top-level parser has no options of its own
+    but help, so ``argv[0]`` is the subcommand and only its subtree is
+    built.  Help, an empty argv and an unknown subcommand get the full
+    tree, whose messages list every subcommand.
     """
     if argv is None:
         argv = sys.argv[1:]
@@ -521,7 +603,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         # help and its abbreviations are all argparse reads before a subcommand
         if first.startswith("-") and first not in ("-h", "--h", "--he", "--hel", "--help"):
             raise ConfigError(f"{first!r} comes before the subcommand; options follow the subcommand")
-        args = build_parser(first if first in SUBCOMMANDS else None).parse_args(argv)
+        args = read_argv(argv)
+        if args is None:
+            args = build_parser(first if first in SUBCOMMANDS else None).parse_args(argv)
         status, report = run(config_from_args(args))
     except tuple(cls for cls, _ in ERROR_KINDS) as exc:
         # drop the job first: after a MemoryError its frames hold what filled memory

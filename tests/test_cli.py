@@ -1,12 +1,14 @@
 import argparse
 import copy
 import hashlib
+import importlib.util
 import json
 import math
 import resource
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -714,24 +716,59 @@ def _parser_progs(monkeypatch):
     return progs
 
 
+# the argv of the benchmark's workloads, each CLI seed of sif-rank3 included
+_SPEC = importlib.util.spec_from_file_location(
+    "perfbench_run", Path(__file__).resolve().parent.parent / "perfbench" / "run.py")
+_perfbench = importlib.util.module_from_spec(_SPEC)
+_SPEC.loader.exec_module(_perfbench)
+PERFBENCH_ARGV = sorted({
+    tuple(_perfbench.workload_job(name, seed)[0])
+    for name in _perfbench.WORKLOADS for seed in range(3)
+})
+
+
+# a well-formed argv is read off the option table and builds no parser; one
+# the reader declines (an abbreviation, help, a refusal) builds the named
+# subcommand's subtree alone
 @pytest.mark.parametrize(
-    "argv, progs",
+    "argv, status, progs",
     [
-        (["fgl", "check", "--kind", "additive"], ["cobcalc", "cobcalc fgl", "cobcalc fgl check"]),
-        (["bg", "--torder", "2"], ["cobcalc", "cobcalc bg"]),
-        (["flag"], ["cobcalc", "cobcalc flag"]),
-        (["sif"], ["cobcalc", "cobcalc sif"]),
-        (["pbf"], ["cobcalc", "cobcalc pbf"]),
-        (["tower", "bgm"], ["cobcalc", "cobcalc tower", "cobcalc tower bgm"]),
-        (["selftest"], ["cobcalc", "cobcalc selftest"]),
+        (["fgl", "check", "--kind", "additive"], 0, []),
+        (["bg", "--torder", "2"], 0, []),
+        (["flag"], 0, []),
+        (["sif"], 0, []),
+        (["pbf"], 0, []),
+        (["tower", "bgm"], 0, []),
+        (["selftest"], 0, []),
+        (["bg", "--tor", "2"], 0, ["cobcalc", "cobcalc bg"]),
+        (["bg", "-h"], None, ["cobcalc", "cobcalc bg"]),
+        (["tower", "bgm", "--levels", "x"], 2, ["cobcalc", "cobcalc tower", "cobcalc tower bgm"]),
     ],
-    ids=["fgl", "bg", "flag", "sif", "pbf", "tower", "selftest"],
+    ids=["fgl", "bg", "flag", "sif", "pbf", "tower", "selftest", "bg-abbreviation", "bg-help",
+         "tower-refusal"],
 )
-def test_main_builds_only_the_named_subcommand(argv, progs, monkeypatch, capsys):
+def test_main_builds_only_the_named_subcommand(argv, status, progs, monkeypatch, capsys):
     built = _parser_progs(monkeypatch)
     monkeypatch.setattr(cli, "run", lambda config: (0, ""))  # parse only
-    assert main(argv) == 0
+    try:
+        got = main(argv)
+    except SystemExit as exc:  # help exits from inside argparse
+        assert exc.code == 0
+        got = None
+    assert got == status
     assert built == progs
+
+
+@pytest.mark.parametrize("argv", PERFBENCH_ARGV, ids=" ".join)
+def test_a_benchmark_job_never_imports_locale(argv):
+    # argparse's first translated message imports locale through gettext; a
+    # job read off the option table builds no parser, so it never does
+    code = ("import contextlib, io, sys; from cobcalc import cli\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            f"    status = cli.main({list(argv)!r})\n"
+            "print(status, 'locale' in sys.modules)")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60)
+    assert (proc.stdout, proc.stderr) == ("0 False\n", "")
 
 
 def test_full_tree_builds_every_subcommand(monkeypatch):

@@ -1,4 +1,4 @@
-"""Argv fuzz of the CLI's exit contract.
+"""Argv fuzz of the CLI's exit contract, and of its argv reader.
 
 For any options a subcommand is given, `cli.main` exits 0, 1 or 2 (help
 is ``SystemExit(0)``), writes no traceback, prints a stdout that parses
@@ -6,6 +6,10 @@ under its ``--format``, and answers every exit 2 with a cobcalc/error/v1
 object whose ``kind`` is one of `cli.ERROR_KINDS`.  The draws stay small
 (caps up to 4, at most 3 pairs or samples), so each job answers in
 milliseconds; any value may instead be junk, negative or empty.
+
+`cli.read_argv` either declines an argv or reads it exactly as argparse
+does, on the same draws and on variants argparse alone reads: abbreviated
+options, ``--opt=value``, repeats, ``-``-leading values and help anywhere.
 """
 
 import contextlib
@@ -18,6 +22,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cobcalc import cli
+
+from test_cli import (
+    EMIT_BASIS_GOLDEN,
+    PERFBENCH_ARGV,
+    README_GOLDEN,
+    SIF_GOLDEN,
+    TOWER_GOLDEN,
+)
 
 JUNK = st.sampled_from(["", "x", "0", "-1", "-7", "1.5", "0x2", "1..", "..2", "3..1", "--", "-h"])
 KINDS = st.sampled_from(["additive", "multiplicative", "universal", "add", "mult", "elliptic"])
@@ -123,3 +135,82 @@ def test_every_argv_keeps_the_exit_contract(name):
         check_contract(name, argv)
 
     check()
+
+
+@st.composite
+def variants(draw, name):
+    """An argv of `argvs`, as drawn or with one edit: an option abbreviated,
+    joined to its value by ``=`` or dropped with its value, an option pair
+    repeated, a value that starts with ``-``, a token after the subcommand
+    replaced by a word, or ``-h`` / ``--help`` anywhere."""
+    argv = draw(argvs(name))
+    options = [i for i, token in enumerate(argv) if token.startswith("--") and len(token) > 3]
+    pairs = [i for i in options if i + 1 < len(argv) and not argv[i + 1].startswith("-")]
+    edit = draw(st.sampled_from(
+        ["none", "abbreviate", "equals", "drop", "repeat", "dash", "word", "help"]))
+    if edit == "abbreviate" and options:
+        i = draw(st.sampled_from(options))
+        argv[i] = argv[i][:draw(st.integers(3, len(argv[i]) - 1))]
+    elif edit == "equals" and pairs:
+        i = draw(st.sampled_from(pairs))
+        argv[i:i + 2] = [f"{argv[i]}={argv[i + 1]}"]
+    elif edit == "drop" and pairs:
+        i = draw(st.sampled_from(pairs))
+        del argv[i:i + 2]
+    elif edit == "repeat" and pairs:
+        i = draw(st.sampled_from(pairs))
+        argv += [argv[i], draw(st.sampled_from([argv[i + 1], "1", "2"]))]
+    elif edit == "dash" and pairs:
+        i = draw(st.sampled_from(pairs))
+        argv[i + 1] = draw(st.sampled_from(["-1", "-0", "-1..2", "-x", "--"]))
+    elif edit == "word" and len(argv) > 1:
+        argv[draw(st.integers(1, len(argv) - 1))] = draw(st.sampled_from(["extra", "check", "bgm"]))
+    elif edit == "help":
+        argv.insert(draw(st.integers(0, len(argv))), draw(st.sampled_from(["-h", "--help"])))
+    return argv
+
+
+def argparse_reads(argv):
+    """The namespace argparse reads from ``argv``, with the subtree `cli.main`
+    builds, or None where it writes help or refuses."""
+    command = argv[0] if argv[0] in cli.SUBCOMMANDS else None
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(out):
+        try:
+            return cli.build_parser(command).parse_args(argv)
+        except (cli.ConfigError, SystemExit):
+            return None
+
+
+@pytest.mark.parametrize("name", list(COMMANDS))
+def test_the_reader_declines_or_reads_as_argparse_does(name):
+    read = []
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=300)
+    @given(variants(name))
+    def check(argv):
+        got = cli.read_argv(argv)
+        if got is not None:
+            assert got == argparse_reads(argv)
+            read.append(argv)
+
+    check()
+    assert read  # the draws reach the reader, not only argparse
+
+
+# the README's commands are its goldens and `selftest --seed 42`
+DOCUMENTED_ARGV = sorted(
+    {tuple(c.split()) for table in (README_GOLDEN, TOWER_GOLDEN, SIF_GOLDEN, EMIT_BASIS_GOLDEN)
+     for c in table} | set(PERFBENCH_ARGV) | {("selftest", "--seed", "42")}
+)
+
+
+@pytest.mark.parametrize("argv", DOCUMENTED_ARGV, ids=" ".join)
+def test_the_reader_reads_every_documented_command(argv):
+    argv = list(argv)
+    got = cli.read_argv(argv)
+    # a negative degree starts with "-": only argparse reads it
+    if any(token.startswith("-") and token[1:2].isdigit() for token in argv):
+        assert got is None
+    else:
+        assert got is not None and got == argparse_reads(argv)

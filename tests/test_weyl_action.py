@@ -7,6 +7,7 @@ against the batched reader they replaced (``oracles.ref_fixed_space_rows``)."""
 import random
 from fractions import Fraction
 from functools import lru_cache
+from math import lcm
 
 import pytest
 from hypothesis import given, settings
@@ -22,9 +23,9 @@ from cobcalc.equivariant import (
     weyl_apply,
     window_basis,
 )
-from cobcalc.fgl import build_fgl
+from cobcalc.fgl import FormalGroupLaw, build_fgl
 from cobcalc.selftest import random_series
-from cobcalc.series import RingContext
+from cobcalc.series import Monomial, RingContext, compositional_inverse, substitute
 
 from oracles import ref_action_matrix, ref_fixed_space_rows, ref_weyl_apply
 
@@ -163,3 +164,31 @@ def test_fixed_space_rows_match_the_batched_reader(data):
         got = fixed_space_rows(matrices, law, basis, ctx)
     assert got == ref_fixed_space_rows(matrices, law, basis, ctx)
     assert calls == list(matrices)
+
+
+def conjugated_additive_law():
+    """The additive law conjugated by g(x) = x + x^2/2 at caps (6, 0): log g,
+    exp its compositional inverse, F = exp(g(t1) + g(t2)) and chi = exp(-g).
+    No shipped law has a fractional coefficient; this one does."""
+    ctx1, ctx2 = RingContext(1, "rational", 6, 0), RingContext(2, "rational", 6, 0)
+    g = ctx1.from_terms({Monomial((1,), ()): 1, Monomial((2,), ()): Fraction(1, 2)})
+    exp = compositional_inverse(g)
+    gx, gy = (substitute(g, {0: ctx2.var(j)}, target=ctx2) for j in (0, 1))
+    return FormalGroupLaw("additive", substitute(exp, {0: gx + gy}, target=ctx2),
+                          substitute(exp, {0: -g}), g, exp)
+
+
+@pytest.mark.parametrize("degree", [1, 3])
+def test_fixed_space_rows_scale_every_column_to_one_den(degree):
+    law = conjugated_additive_law()
+    ctx = law.context(2)
+    w = ((-1, 0), (0, 1))
+    basis = window_basis(ctx, degree, 6)
+    columns = action_matrix(w, law, basis, ctx)
+    den = lcm(*(d for _, d in columns))
+    assert den == 2 and {d for _, d in columns} == {1, 2}
+    a = dense(columns, len(basis))
+    n = len(basis)
+    want = [{j: den * (a[i][j] - (i == j)) for j in range(n) if a[i][j] != (i == j)}
+            for i in range(n)]
+    assert fixed_space_rows([w], law, basis, ctx) == want
