@@ -45,10 +45,8 @@ from .bundles import (
     ProjBundleElement,
     ProjBundleRing,
     SplitBundle,
-    chern_classes,
     flag_restriction,
     pb_mul,
-    pb_ring,
     projective_completion_ring,
     thom_class,
     zero_section_pushforward,
@@ -88,7 +86,6 @@ __all__ = [
     "bidegree_basis",
     "build_fgl",
     "character_class",
-    "chern_classes",
     "fgl_inverse",
     "fgl_sum",
     "flag_restriction",
@@ -96,7 +93,6 @@ __all__ = [
     "inverse_limit_dims",
     "n_series",
     "pb_mul",
-    "pb_ring",
     "preset",
     "projective_completion_ring",
     "projective_space_tower",

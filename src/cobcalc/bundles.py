@@ -138,11 +138,6 @@ class SplitBundle(FrozenValue):
         return tuple(elem[1:])
 
 
-def chern_classes(bundle: SplitBundle) -> list:
-    """c1..cr as elementary symmetric polynomials of the roots (c0 = 1 implicit)."""
-    return list(bundle.chern)
-
-
 def top_chern_class(bundle: SplitBundle) -> TruncatedSeries:
     prod = bundle.base.one()
     for root in bundle.roots:
@@ -270,19 +265,14 @@ def _coerce_pb(ring: ProjBundleRing, value) -> ProjBundleElement:
     raise TypeError(f"cannot coerce {value!r} into the projective bundle ring")
 
 
-def pb_ring(base: RingContext, chern: Sequence[TruncatedSeries]) -> ProjBundleRing:
-    return ProjBundleRing(base=base, chern=tuple(chern))
-
-
 def projective_completion_ring(bundle: SplitBundle) -> ProjBundleRing:
     """The ring of P(1 (+) E): rank + 1 basis, last Chern class zero."""
-    chern = chern_classes(bundle) + [bundle.base.zero()]
-    return pb_ring(bundle.base, chern)
+    return ProjBundleRing(bundle.base, bundle.chern + (bundle.base.zero(),))
 
 
 def trivial_bundle_ring(base: RingContext, rank: int) -> ProjBundleRing:
     """P^(rank-1) over the base: all Chern classes vanish, so xi^rank = 0."""
-    return pb_ring(base, [base.zero()] * rank)
+    return ProjBundleRing(base, (base.zero(),) * rank)
 
 
 def reduce_coords(ring: ProjBundleRing, coords: Sequence[TruncatedSeries]) -> list:

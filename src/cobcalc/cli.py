@@ -4,8 +4,8 @@ Subcommands: ``fgl check``, ``bg``, ``flag``, ``sif``, ``pbf``,
 ``tower bgm``, ``selftest``, one row each in `SUBCOMMANDS`: the help, the
 nested word, the option table and the function that runs the job.
 Options and defaults are written only in that table.  `read_argv` reads a
-well-formed argv off it; argparse's parser, built from it, reads the rest
-and writes help and refusals.  Either namespace is the job.
+well-formed argv off it; argparse's one parser tree, built from it, reads
+the rest and writes help and refusals.  Either namespace is the job.
 Identical configuration and seed produce byte-identical output; exit
 status is 0 iff every requested check passed.  An invalid configuration,
 a refused job or one out of memory exits 2 with a ``cobcalc/error/v1``
@@ -487,15 +487,11 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
-def build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
-    """The argparse parser of `SUBCOMMANDS`: every subcommand, or only ``command``.
+def build_parser() -> argparse.ArgumentParser:
+    """The argparse parser of `SUBCOMMANDS`, one tree with every subcommand.
 
     `main` builds it only for an argv `read_argv` declines, for argparse's
-    help, usage and error messages.  A subparser's messages do not depend on
-    its siblings, so a parser built for one subcommand parses that
-    subcommand's argv exactly as the full tree does.  Only the top level's
-    own messages (its help, "invalid choice") list the siblings: build the
-    full tree for an argv that does not name a subcommand.
+    help, usage and error messages.
     """
     parser = _Parser(
         prog="cobcalc",
@@ -503,8 +499,6 @@ def build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
     for name, row in SUBCOMMANDS.items():
-        if command is not None and name != command:
-            continue
         p = sub.add_parser(name, help=row.help)
         if row.nested is not None:
             word, help_text = row.nested
@@ -520,7 +514,7 @@ def build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
 
 
 def read_argv(argv: Sequence[str]) -> Optional[argparse.Namespace]:
-    """The namespace ``build_parser(argv[0]).parse_args(argv)`` gives, read
+    """The namespace ``build_parser().parse_args(argv)`` gives, read
     off `SUBCOMMANDS` without argparse, or None when ``argv`` is not in the
     one form read here: the subcommand and its nested word, then options
     named exactly, each at most once, each value a token that does not
@@ -588,11 +582,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
     One leading ``--`` ends the (empty) top-level options and is dropped;
     any other option before the subcommand but help is a config error.  A
-    well-formed argv is read by `read_argv` and builds no parser.  Any
-    other goes to argparse: the top-level parser has no options of its own
-    but help, so ``argv[0]`` is the subcommand and only its subtree is
-    built.  Help, an empty argv and an unknown subcommand get the full
-    tree, whose messages list every subcommand.
+    well-formed argv is read by `read_argv` and builds no parser; any
+    other goes to the argparse tree of `build_parser`, which writes help
+    and refusals.
     """
     if argv is None:
         argv = sys.argv[1:]
@@ -605,7 +597,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             raise ConfigError(f"{first!r} comes before the subcommand; options follow the subcommand")
         args = read_argv(argv)
         if args is None:
-            args = build_parser(first if first in SUBCOMMANDS else None).parse_args(argv)
+            args = build_parser().parse_args(argv)
         status, report = run(config_from_args(args))
     except tuple(cls for cls, _ in ERROR_KINDS) as exc:
         # drop the job first: after a MemoryError its frames hold what filled memory

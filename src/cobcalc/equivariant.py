@@ -414,7 +414,7 @@ def fixed_basis(matrices, law: FormalGroupLaw, basis, ctx: RingContext) -> list:
     `fixed_space_rows`, in the canonical form of `invariant_basis`."""
     rows = fixed_space_rows(matrices, law, basis, ctx)
     return [
-        TruncatedSeries(ctx, {basis[j]: c for j, c in vec.items()})
+        ctx.from_terms({basis[j]: c for j, c in vec.items()})
         for vec in linalg.kernel(rows, len(basis))
     ]
 

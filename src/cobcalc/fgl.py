@@ -25,7 +25,9 @@ instead of two 3-variable ones (`verify_fgl_axioms`).  The same
 certificate checks the inverse: at y = chi(x) it reads
 L(F(x, chi(x))) = L(x) + L(chi(x)), and L = x + ... is invertible, so
 F(x, chi(x)) = 0 exactly when L(chi(x)) + L(x) = 0, one 1-variable
-composition instead of substituting the 2-variable F (`build_fgl`).
+composition instead of substituting the 2-variable F (`build_fgl`).  A
+law whose axioms fail has no certificate and is refused before chi is
+checked.
 """
 
 from __future__ import annotations
@@ -153,11 +155,10 @@ def build_fgl(kind: str, ctx: RingContext) -> FormalGroupLaw:
     """Construct and validate a formal group law at the caps of ``ctx``.
 
     The axioms are checked first (`verify_fgl_axioms`), which computes the
-    L of their certificate once.  When they hold,
-    L(F(x, y)) = L(x) + L(y) in the window, so F(x, chi(x)) = 0 is checked
-    as L(chi(x)) + L(x) = 0 (module docstring).  Otherwise F(x, chi(x)) is
-    formed directly.  Either way a nonzero F(x, chi(x)) is reported before
-    a failed axiom.
+    L of their certificate once; a failed axiom is reported and nothing
+    more is checked.  When they hold, L(F(x, y)) = L(x) + L(y) in the
+    window, so F(x, chi(x)) = 0 is checked as L(chi(x)) + L(x) = 0 (module
+    docstring).
 
     >>> law = build_fgl("multiplicative", RingContext(2, "multiplicative-beta", 4, 3))
     >>> law.inverse_series.to_text()
@@ -178,22 +179,18 @@ def build_fgl(kind: str, ctx: RingContext) -> FormalGroupLaw:
     F = substitute(exp, {0: lx + ly}, target=ctx2)
     chi = substitute(exp, {0: -log})
     report = verify_fgl_axioms(FormalGroupLaw(kind, F, chi, log, exp))
-    if not _inverts(F, chi, report):
-        raise FglConstructionError(f"F(x, chi(x)) is nonzero for {kind}")
     if not report.ok:
         bad = [name for name, r in report.residuals if not r.is_zero()]
         raise FglConstructionError(f"axiom residuals nonzero for {kind}: {bad}")
+    if not _inverts(chi, report.certificate):
+        raise FglConstructionError(f"F(x, chi(x)) is nonzero for {kind}")
     return FormalGroupLaw(kind, F, chi, log, exp, axioms=report)
 
 
-def _inverts(F: TruncatedSeries, chi: TruncatedSeries, report: AxiomReport) -> bool:
-    """F(x, chi(x)) = 0 in the window: as L(chi(x)) + L(x) = 0 with the L of
-    the certificate when ``report`` (F's axioms) is ok, else directly."""
-    if report.ok:
-        L = report.certificate
-        return (substitute(L, {0: chi}) + L).is_zero()
-    ctx1 = chi.ctx
-    return substitute(F, {0: ctx1.var(0), 1: chi}, target=ctx1).is_zero()
+def _inverts(chi: TruncatedSeries, L: TruncatedSeries) -> bool:
+    """F(x, chi(x)) = 0 in the window, checked as L(chi(x)) + L(x) = 0 with
+    the L of F's axiom certificate (module docstring)."""
+    return (substitute(L, {0: chi}) + L).is_zero()
 
 
 def _logarithm(kind: str, ctx1: RingContext) -> TruncatedSeries:

@@ -15,7 +15,6 @@ from typing import Callable, List, Tuple
 from . import linalg
 from .bundles import (
     SplitBundle,
-    chern_classes,
     diagonal_map,
     direct_sum,
     flag_restriction,
@@ -157,11 +156,6 @@ def check_caps_and_roundtrip(rng: random.Random) -> Tuple[bool, str]:
                     return False, f"cap violated by {s.to_text()}"
             if TruncatedSeries.from_text(ctx, s.to_text()) != s:
                 return False, f"text roundtrip: {s.to_text()}"
-            if TruncatedSeries.from_json_terms(ctx, s.to_json_terms()) != s:
-                return False, f"json roundtrip: {s.to_text()}"
-            again = s.to_json_terms()
-            if TruncatedSeries.from_json_terms(ctx, again).to_json_terms() != again:
-                return False, f"json not bit-stable: {s.to_text()}"
     return True, "3 kinds x 100 series"
 
 
@@ -309,7 +303,7 @@ def check_invariants_fixed(rng: random.Random) -> Tuple[bool, str]:
                     return False, f"{kind}/{group} d={d}: basis leaves the window"
                 rank = len(linalg.echelon(rows))
                 for mono in window:
-                    unit = TruncatedSeries(ctx, {mono: Fraction(1)})
+                    unit = ctx.from_terms({mono: Fraction(1)})
                     sym = sum((f(unit) for f in act.values()), ctx.zero())
                     sym = ctx.from_terms({m: c for m, c in sym.iter_terms() if m.t_order() <= k_max})
                     try:
@@ -385,10 +379,10 @@ def check_whitney(rng: random.Random) -> Tuple[bool, str]:
         for trial in range(5):
             e1 = SplitBundle(tuple(random_series(rng, ctx, 2, augmentation=True) for _ in range(2)))
             e2 = SplitBundle(tuple(random_series(rng, ctx, 2, augmentation=True) for _ in range(2)))
-            total = chern_classes(direct_sum(e1, e2))
-            c1 = [ctx.one()] + chern_classes(e1)
-            c2 = [ctx.one()] + chern_classes(e2)
-            for k, ck in enumerate([ctx.one()] + total):
+            total = direct_sum(e1, e2).chern
+            c1 = (ctx.one(), *e1.chern)
+            c2 = (ctx.one(), *e2.chern)
+            for k, ck in enumerate((ctx.one(), *total)):
                 conv = ctx.zero()
                 for i in range(k + 1):
                     if i < len(c1) and k - i < len(c2):

@@ -29,7 +29,7 @@ point anywhere in this package.
 Internal representation
 -----------------------
 `Monomial` and `fractions.Fraction` are the types at every boundary
-(construction, ``items()``, ``coefficient()``, text and JSON), except
+(construction, ``items()``, ``coefficient()`` and text), except
 `sparse_coordinates`, which hands linear algebra integer rows.  Inside,
 a series stores integer numerators over one common denominator, and
 each monomial as one packed int:
@@ -327,7 +327,10 @@ class TruncatedSeries:
 
     Two series are equal iff their contexts and canonical term maps are
     equal.  All operations are pure; instances are safe to share across
-    workers.
+    workers.  A series is built over its context: `RingContext.from_terms`
+    is the one constructor that validates, and ``var``, ``one``,
+    ``constant`` and ``lazard`` build the generators; `from_text` reads
+    the text form back.
 
     >>> ctx = RingContext(2, "rational", 4, 0)
     >>> t1, t2 = ctx.var(0), ctx.var(1)
@@ -337,14 +340,6 @@ class TruncatedSeries:
 
     # _graded: the terms bucketed by weight, built on first use as a right factor
     __slots__ = ("ctx", "_terms", "_den", "_graded", "_hash")
-
-    def __init__(self, ctx: RingContext, terms: Mapping[Monomial, Fraction]):
-        validated = ctx.from_terms(terms)
-        self.ctx = ctx
-        self._terms = validated._terms
-        self._den = validated._den
-        self._graded = None
-        self._hash = None
 
     @classmethod
     def _raw(cls, ctx: RingContext, terms: dict, den: int) -> "TruncatedSeries":
@@ -525,33 +520,6 @@ class TruncatedSeries:
                     t[j] += exp
             mono = Monomial(tuple(t), tuple(sorted(laz.items())))
             terms[mono] = terms.get(mono, Fraction(0)) + coeff
-        return ctx.from_terms(terms)
-
-    def to_json_terms(self) -> list:
-        """JSON form: array of ``{coeff, lazard, t}`` objects, canonical order."""
-        return [
-            {
-                "coeff": f"{c.numerator}/{c.denominator}",
-                "lazard": [[i, e] for i, e in m.laz],
-                "t": list(m.t),
-            }
-            for m, c in self.items()
-        ]
-
-    @classmethod
-    def from_json_terms(cls, ctx: RingContext, data: Iterable[dict]) -> "TruncatedSeries":
-        """Inverse of `to_json_terms`; malformed input raises ValueError."""
-        terms = {}
-        try:
-            for item in data:
-                mono = Monomial(
-                    tuple(int(x) for x in item["t"]),
-                    tuple((int(i), int(e)) for i, e in item["lazard"]),
-                )
-                terms[mono] = terms.get(mono, Fraction(0)) + _parse_coeff(item["coeff"])
-        # a missing key, a value of the wrong type or a non-finite float
-        except (KeyError, TypeError, OverflowError) as exc:
-            raise ValueError(f"malformed JSON series term: {exc!r}") from None
         return ctx.from_terms(terms)
 
 
@@ -1167,14 +1135,11 @@ def bidegree_basis(ctx: RingContext, degree: int, t_order: int) -> list:
     w = t_order - degree
     if w < 0 or w > ctx.max_weight:
         return []
+    # already in `Monomial.sort_key` order: every monomial has this t-order
+    # and weight, `compositions` yields the t-vectors t1-heavy first and
+    # `lazard_monomials` lists the generator parts sorted
     lazs = lazard_monomials(ctx.coeff_kind, w)
-    monos = [
-        Monomial(t, laz)
-        for t in compositions(t_order, ctx.n_vars)
-        for laz in lazs
-    ]
-    monos.sort(key=Monomial.sort_key)
-    return monos
+    return [Monomial(t, laz) for t in compositions(t_order, ctx.n_vars) for laz in lazs]
 
 
 def lazard_monomials(kind: str, weight: int) -> list:

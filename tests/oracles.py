@@ -468,7 +468,7 @@ def ref_pb_substitute(
     zero_t = (0,) * ring.base.n_vars
     acc = ring.zero()
     for mono, coeff in s.iter_terms():
-        scalar = TruncatedSeries(ring.base, {Monomial(zero_t, mono.laz): coeff})
+        scalar = ring.base.from_terms({Monomial(zero_t, mono.laz): coeff})
         if scalar.is_zero():
             continue
         term = ring.from_base(scalar)
@@ -567,7 +567,7 @@ def ref_action_matrix(w, law, basis, ctx) -> list:
     columns = []
     for mono in basis:
         column = [Fraction(0)] * len(basis)
-        image = ref_weyl_apply(w, TruncatedSeries(ctx, {mono: Fraction(1)}), law)
+        image = ref_weyl_apply(w, ctx.from_terms({mono: Fraction(1)}), law)
         for m, c in image.iter_terms():
             # terms outside the window fall into the filtration ideal: dropped
             if m in index:

@@ -5,14 +5,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cobcalc.bundles import (
+    ProjBundleRing,
     SplitBundle,
-    chern_classes,
     diagonal_map,
     direct_sum,
     flag_restriction,
     flag_restriction_sum,
     pb_mul,
-    pb_ring,
     projective_completion_ring,
     reduce_by_division,
     tautological_inverse_class,
@@ -46,11 +45,11 @@ def test_chern_classes_examples():
     add = law("additive")
     ctx = add.context(2)
     t1, t2 = ctx.var(0), ctx.var(1)
-    c = chern_classes(SplitBundle((t1, t2)))
+    c = SplitBundle((t1, t2)).chern
     assert c[0] == t1 + t2
     assert c[1] == t1 * t2
     z = SplitBundle((ctx.zero(), ctx.zero()))
-    assert all(ci.is_zero() for ci in chern_classes(z))
+    assert all(ci.is_zero() for ci in z.chern)
 
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=60)
@@ -71,15 +70,15 @@ def test_whitney_concatenation():
     ctx = add.context(2)
     t1, t2 = ctx.var(0), ctx.var(1)
     e1, e2 = SplitBundle((t1,)), SplitBundle((t2, t1 + t2))
-    total = chern_classes(direct_sum(e1, e2))
-    c1 = [ctx.one()] + chern_classes(e1)
-    c2 = [ctx.one()] + chern_classes(e2)
+    total = direct_sum(e1, e2).chern
+    c1 = (ctx.one(), *e1.chern)
+    c2 = (ctx.one(), *e2.chern)
     for k in range(4):
         conv = ctx.zero()
         for i in range(k + 1):
             if i < len(c1) and k - i < len(c2):
                 conv = conv + c1[i] * c2[k - i]
-        ck = ([ctx.one()] + total)[k] if k <= 3 else ctx.zero()
+        ck = (ctx.one(), *total)[k] if k <= 3 else ctx.zero()
         assert conv == ck
 
 
@@ -97,7 +96,7 @@ def test_pb_reduction_rank2():
     add = law("additive")
     ctx = add.context(2)
     c1, c2 = ctx.var(0) + ctx.var(1), ctx.var(0) * ctx.var(1)
-    ring = pb_ring(ctx, (c1, c2))
+    ring = ProjBundleRing(ctx, (c1, c2))
     sq = pb_mul(ring, ring.xi(), ring.xi())
     assert list(sq.coords) == [-c2, c1]  # xi^2 = c1*xi - c2
 
@@ -117,7 +116,7 @@ def test_rank_one_xi_is_c1():
     uni = law("universal-rational", 5, 3)
     ctx = uni.context(2)
     c1 = random_series(rng, ctx, 3, augmentation=True)
-    ring = pb_ring(ctx, (c1,))
+    ring = ProjBundleRing(ctx, (c1,))
     assert ring.xi().coords == (c1,)
     power = ctx.one()
     for k in range(6):
@@ -328,6 +327,6 @@ def test_thom_requires_completion_rank():
     add = law("additive")
     ctx = add.context(2)
     bundle = SplitBundle((ctx.var(0), ctx.var(1)))
-    small = pb_ring(ctx, tuple(chern_classes(bundle)))
+    small = ProjBundleRing(ctx, bundle.chern)
     with pytest.raises(ValueError):
         thom_class(bundle, small, add)

@@ -33,7 +33,7 @@ def run_cli(*argv, timeout=None):
 def job(command):
     """The job ``command`` names, parsed and checked as `main` does."""
     argv = command.split()
-    return cli.config_from_args(cli.build_parser(argv[0]).parse_args(argv))
+    return cli.config_from_args(cli.build_parser().parse_args(argv))
 
 
 def test_parse_degree_range():
@@ -721,15 +721,29 @@ _SPEC = importlib.util.spec_from_file_location(
     "perfbench_run", Path(__file__).resolve().parent.parent / "perfbench" / "run.py")
 _perfbench = importlib.util.module_from_spec(_SPEC)
 _SPEC.loader.exec_module(_perfbench)
-PERFBENCH_ARGV = sorted({
-    tuple(_perfbench.workload_job(name, seed)[0])
+PERFBENCH_JOBS = sorted({
+    (tuple(argv), digest)
     for name in _perfbench.WORKLOADS for seed in range(3)
+    for argv, digest in [_perfbench.workload_job(name, seed)]
 })
+PERFBENCH_ARGV = [argv for argv, _ in PERFBENCH_JOBS]
+
+
+@pytest.mark.parametrize("argv, digest", PERFBENCH_JOBS, ids=[" ".join(a) for a, _ in PERFBENCH_JOBS])
+def test_benchmark_job_stdout_matches_its_gate(argv, digest, capsys):
+    # the digest the benchmark's correctness gate holds each job's stdout to
+    assert main(list(argv)) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+
+
+FULL_TREE = [
+    "cobcalc", "cobcalc fgl", "cobcalc fgl check", "cobcalc bg", "cobcalc flag", "cobcalc sif",
+    "cobcalc pbf", "cobcalc tower", "cobcalc tower bgm", "cobcalc selftest",
+]
 
 
 # a well-formed argv is read off the option table and builds no parser; one
-# the reader declines (an abbreviation, help, a refusal) builds the named
-# subcommand's subtree alone
+# the reader declines (an abbreviation, help, a refusal) builds the full tree
 @pytest.mark.parametrize(
     "argv, status, progs",
     [
@@ -740,14 +754,14 @@ PERFBENCH_ARGV = sorted({
         (["pbf"], 0, []),
         (["tower", "bgm"], 0, []),
         (["selftest"], 0, []),
-        (["bg", "--tor", "2"], 0, ["cobcalc", "cobcalc bg"]),
-        (["bg", "-h"], None, ["cobcalc", "cobcalc bg"]),
-        (["tower", "bgm", "--levels", "x"], 2, ["cobcalc", "cobcalc tower", "cobcalc tower bgm"]),
+        (["bg", "--tor", "2"], 0, FULL_TREE),
+        (["bg", "-h"], None, FULL_TREE),
+        (["tower", "bgm", "--levels", "x"], 2, FULL_TREE),
     ],
     ids=["fgl", "bg", "flag", "sif", "pbf", "tower", "selftest", "bg-abbreviation", "bg-help",
          "tower-refusal"],
 )
-def test_main_builds_only_the_named_subcommand(argv, status, progs, monkeypatch, capsys):
+def test_main_builds_a_parser_only_for_a_declined_argv(argv, status, progs, monkeypatch, capsys):
     built = _parser_progs(monkeypatch)
     monkeypatch.setattr(cli, "run", lambda config: (0, ""))  # parse only
     try:
@@ -774,7 +788,7 @@ def test_a_benchmark_job_never_imports_locale(argv):
 def test_full_tree_builds_every_subcommand(monkeypatch):
     built = _parser_progs(monkeypatch)
     parser = cli.build_parser()
-    assert len(built) == 10
+    assert built == FULL_TREE
     (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
     assert list(sub.choices) == list(cli.SUBCOMMANDS)
 
@@ -788,37 +802,66 @@ def _status_and_output(argv, capsys):
     return status, captured.out, captured.err
 
 
-# argv whose parse fails, asks for help or names no subcommand, plus a few jobs:
-# each must read the same whether main builds one subcommand or the full tree
-EDGE_ARGV = [
-    ["-h"],
-    [],
-    ["bogus"],
-    ["bg"],
-    ["bg", "-h"],
-    ["fgl"],
-    ["fgl", "-h"],
-    ["fgl", "bogus"],
-    ["fgl", "check"],
-    ["fgl", "check", "-h"],
-    ["tower"],
-    ["tower", "bgm", "-h"],
-    ["tower", "bgm", "--tor", "4"],
-    ["--levels", "x"],
-    ["--tor", "4"],
-    ["--", "bg"],
-    ["--"],
-    ["--", "-x"],
-    ["--", "bg", "--torder", "1"],
-    ["bg", "--torder", "2", "--max", "3"],
-    ["bg", "--tor", "2", "--deg", "0..1"],
-    ["bg", "--torder", "2", "--deg", "-1..2"],
-    ["bg", "--torder", "2", "--deg", "0..1", "--bogus"],
-    ["sif", "--rank=-1"],
-    ["pbf", "--format", "xml"],
-    ["flag", "--pairs", "x"],
-    ["selftest", "extra"],
-]
+# exit status and stdout sha256 of argv whose parse fails, asks for help or
+# names no subcommand, plus a few jobs argparse reads, at COLUMNS=80 (argparse
+# wraps help to the terminal width); recorded while argparse built only the
+# named subcommand's subtree.  Every one wrote nothing to stderr.
+EDGE_GOLDEN = {
+    "-h":
+        (0, "295ca5ad6f926f5c87ef43279ef81755555fb175f09de9df8f5a6280e332650f"),
+    "":
+        (2, "e90be5be0fa1fb85fce0a99b3cf82b8ecd2bed85a36809316f0a6cc4d1f59578"),
+    "bogus":
+        (2, "12957bfed39e2ec36d51d6f4f539aae10126f178f71ed47c25dac2c5edce014a"),
+    "bg":
+        (2, "2fadea50bfc55fd1870c38cb3faf7122ce2dcf9011ed1c341303d9d82113f864"),
+    "bg -h":
+        (0, "e6c8e6c146dd1d956c6b6da1c6d5707c362ca642db6650d6f6b7de1df971406b"),
+    "fgl":
+        (2, "a2a708477ac408881ab43211ecfca63c588238afc83bae20f19e19ee74dbb2da"),
+    "fgl -h":
+        (0, "ea932d37a08ff3deb76d3d7b2bc31b0798179859250c153ff44c82b3577961d0"),
+    "fgl bogus":
+        (2, "037a0b49f7c729551840dba158d54d149eb5bca5e648e8e3ffa28916a832e28c"),
+    "fgl check":
+        (2, "c44eead406e1189ea61989debdc93951e2ba0d553a578aff03c9bc49e104a5c6"),
+    "fgl check -h":
+        (0, "5682397c3fc91d799680243e4325cba0b1046b55b03fd1fa1e008e9a134d0d9e"),
+    "tower":
+        (2, "8631af39fa22009a27d407ad96432c8b3048c552d2ab4522d5b3387583ff9243"),
+    "tower bgm -h":
+        (0, "d276da9fe29f13a1d74cf1b7e53e0479f453b9d318ca36ac5a541f5d1c52e06d"),
+    "tower bgm --tor 4":
+        (2, "737aed53df5b2cb5bfc4eab6044586121e42c6969a9408dd5ee45749c174498f"),
+    "--levels x":
+        (2, "505554bdf508a07f7952f79df408cabb88f7786b5b38346505b741a52f125e4b"),
+    "--tor 4":
+        (2, "1ab20f692cd9f3c84fcfb37e6ae50676d9dfa4e7f7baf576771055a2e513c580"),
+    "-- bg":
+        (2, "2fadea50bfc55fd1870c38cb3faf7122ce2dcf9011ed1c341303d9d82113f864"),
+    "--":
+        (2, "e90be5be0fa1fb85fce0a99b3cf82b8ecd2bed85a36809316f0a6cc4d1f59578"),
+    "-- -x":
+        (2, "d125b214a79ca3fe2734d3ccbc2432baf82803450019cd7836967d984ef28ebe"),
+    "-- bg --torder 1":
+        (2, "ce65dd7fe3474be474600736fca080e6265943a125cb32e3af4419b99e212881"),
+    "bg --torder 2 --max 3":
+        (2, "65ba13e361c7b0a452be22a16209e8023188eb58969beb45642856a0c5f746e7"),
+    "bg --tor 2 --deg 0..1":
+        (0, "d01bd810bfda3a4cd1a4bcb621089bad4dc23a0092a0c2ac2b1ab03e2aec84be"),
+    "bg --torder 2 --deg -1..2":
+        (0, "fbfff5aadc98397b784784a09bf7165d2c8f90f2e7f36a8b31caf2e671ce0808"),
+    "bg --torder 2 --deg 0..1 --bogus":
+        (2, "651eabe8b1800a9e714ab30585beefd3d43d27019e8c0a83e381f8f865a02eee"),
+    "sif --rank=-1":
+        (2, "7a9e708922e9cb9cb240bc9546cb68b0876b9e8dc8de304b362f7ee3d503695d"),
+    "pbf --format xml":
+        (2, "d8305854ed07781013c22b37befb3fe493d99b2a64dd71f0d268850c867389df"),
+    "flag --pairs x":
+        (2, "83d5cdd756786b845513a0ba55a9d0e3b5311b5731915d68020659d98e937eb5"),
+    "selftest extra":
+        (2, "49818209add0ead6c1bd3963d50ff63e9ed3c815672644aebffc77e2d32d9d89"),
+}
 
 
 @pytest.mark.parametrize("argv", [["--levels", "x"], ["-x"], ["--tor", "4"]])
@@ -838,12 +881,12 @@ def test_a_leading_double_dash_is_dropped(argv, capsys):
     assert _status_and_output(["--", *argv], capsys) == _status_and_output(argv, capsys)
 
 
-@pytest.mark.parametrize("argv", EDGE_ARGV, ids=lambda argv: " ".join(argv) or "empty")
-def test_one_subcommand_parser_reads_like_the_full_tree(argv, monkeypatch, capsys):
-    got = _status_and_output(argv, capsys)
-    build_parser = cli.build_parser
-    monkeypatch.setattr(cli, "build_parser", lambda command=None: build_parser())
-    assert got == _status_and_output(argv, capsys)
+@pytest.mark.parametrize("command", list(EDGE_GOLDEN), ids=lambda command: command or "empty")
+def test_edge_argv_golden(command, monkeypatch, capsys):
+    monkeypatch.setenv("COLUMNS", "80")
+    status, out, err = _status_and_output(command.split(), capsys)
+    assert (status, hashlib.sha256(out.encode()).hexdigest()) == EDGE_GOLDEN[command]
+    assert err == ""
 
 
 def test_help_from_a_fresh_interpreter_lists_every_subcommand():

@@ -170,14 +170,17 @@ def variants(draw, name):
     return argv
 
 
+# one tree serves every draw: parse_args leaves the parser as it found it
+PARSER = cli.build_parser()
+
+
 def argparse_reads(argv):
-    """The namespace argparse reads from ``argv``, with the subtree `cli.main`
-    builds, or None where it writes help or refuses."""
-    command = argv[0] if argv[0] in cli.SUBCOMMANDS else None
+    """The namespace argparse reads from ``argv``, or None where it writes
+    help or refuses."""
     out = io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(out):
         try:
-            return cli.build_parser(command).parse_args(argv)
+            return PARSER.parse_args(argv)
         except (cli.ConfigError, SystemExit):
             return None
 

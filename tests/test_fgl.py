@@ -394,14 +394,21 @@ def test_multiplicative_log_coefficients():
 
 
 def test_wrong_inverse_is_refused(monkeypatch):
-    real = fgl.compositional_inverse
+    exps = []
+    real_inverse, real_sub = fgl.compositional_inverse, fgl.substitute
 
-    def off_by_one_term(f):
-        g = real(f)
-        return g + g.ctx.var(0) ** 2
+    def inverse(f):
+        exps.append(real_inverse(f))
+        return exps[-1]
 
-    # with a wrong exp, exp(-log x) is no inverse for exp(log x + log y)
-    monkeypatch.setattr(fgl, "compositional_inverse", off_by_one_term)
+    def sub(s, assignment, target=None):
+        image = real_sub(s, assignment, target)
+        # exp(-log x) is chi, the one map of exp that keeps its context
+        return image + image.ctx.var(0) ** 2 if s is exps[-1] and target is None else image
+
+    # F = exp(log x + log y) is intact, so its axioms hold and only chi is wrong
+    monkeypatch.setattr(fgl, "compositional_inverse", inverse)
+    monkeypatch.setattr(fgl, "substitute", sub)
     with pytest.raises(FglConstructionError, match="chi"):
         build_fgl("additive", RingContext(2, "rational", 4, 0))
 
@@ -501,7 +508,7 @@ def test_chi_check_through_the_certificate_matches_the_direct_residual(data):
     c = data.draw(st.fractions(-3, 3, max_denominator=4))
     chi = law.inverse_series
     mutant = chi + chi.ctx.from_terms({Monomial((k,), laz): c})
-    verdict = fgl._inverts(law.series, mutant, law.axioms)
+    verdict = fgl._inverts(mutant, law.axioms.certificate)
     assert verdict == ref_inverse_residual(law.series, mutant).is_zero() == (c == 0)
 
 
@@ -531,12 +538,16 @@ def test_build_takes_one_L_and_no_chi_substitution_into_F(kind, monkeypatch):
     assert not [s for s, target in subs if s is law.series and target.n_vars == 1]
 
 
-def test_a_law_failing_its_axioms_gets_the_direct_chi_residual(monkeypatch):
+def test_a_law_failing_its_axioms_is_refused_before_chi_is_checked(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a law failing its axioms gets no chi check")
+
     real = fgl.compositional_inverse
     monkeypatch.setattr(fgl, "compositional_inverse", lambda f: real(f) + f.ctx.var(0) ** 2)
+    monkeypatch.setattr(fgl, "_inverts", refuse)
     logs, subs = _recorded_calls(monkeypatch)
-    with pytest.raises(FglConstructionError, match="chi"):
+    with pytest.raises(FglConstructionError, match=r"axiom residuals nonzero for additive: \['unit_x'"):
         build_fgl("additive", RingContext(2, "rational", 4, 0))
-    # the unit axiom fails, so there is no certificate: F(x, chi(x)) is formed
+    # the unit axiom fails, so there is no certificate, and F(x, chi(x)) is never formed
     assert logs == []
-    assert len([s for s, target in subs if s.ctx.n_vars == 2 and target.n_vars == 1]) == 1
+    assert not [s for s, target in subs if s.ctx.n_vars == 2 and target.n_vars == 1]

@@ -1,10 +1,11 @@
-"""Only ``cobcalc.series`` reads packed keys, and no module imports
-another's private helpers.
+"""Only ``cobcalc.series`` reads packed keys, no module imports
+another's private helpers, and the package exports exactly what it imports.
 
 Every other module of the package works on series through the public API
 of ``series``: none of them reads a series' private state or the packed
 key layout of a context.  No module of the package imports a ``_``-prefixed
-name from a sibling module.
+name from a sibling module.  ``cobcalc/__init__.py`` imports a public name
+only to list it in ``__all__``, and every name listed there resolves.
 """
 
 import ast
@@ -65,3 +66,21 @@ def test_private_imports_are_found():
 @pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
 def test_no_module_imports_a_private_name_of_a_sibling(path):
     assert _private_imports(path.read_text()) == []
+
+
+def test_every_exported_name_resolves():
+    import cobcalc
+
+    assert [name for name in cobcalc.__all__ if not hasattr(cobcalc, name)] == []
+
+
+def test_the_package_imports_no_public_name_it_does_not_export():
+    import cobcalc
+
+    tree = ast.parse((PACKAGE / "__init__.py").read_text())
+    imported = {
+        alias.asname or alias.name
+        for node in ast.walk(tree) if isinstance(node, (ast.Import, ast.ImportFrom))
+        for alias in node.names
+    }
+    assert sorted(name for name in imported - set(cobcalc.__all__) if not name.startswith("_")) == []

@@ -12,7 +12,13 @@ class is zero.
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cobcalc.bundles import SplitBundle, pb_mul, pb_ring, projective_completion_ring, reduce_coords
+from cobcalc.bundles import (
+    ProjBundleRing,
+    SplitBundle,
+    pb_mul,
+    projective_completion_ring,
+    reduce_coords,
+)
 from cobcalc.series import COEFF_KINDS, RingContext
 
 from oracles import ref_pb_mul, ref_reduce_coords
@@ -29,7 +35,7 @@ def rings(draw):
     if rank > 1 and draw(st.booleans()):
         roots = [draw(series(base, augmentation=True)) for _ in range(rank - 1)]
         return projective_completion_ring(SplitBundle(roots))
-    return pb_ring(base, [draw(series(base, augmentation=True)) for _ in range(rank)])
+    return ProjBundleRing(base, [draw(series(base, augmentation=True)) for _ in range(rank)])
 
 
 @SETTINGS

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cobcalc.bundles import pb_ring, pb_substitute
+from cobcalc.bundles import ProjBundleRing, pb_substitute
 from cobcalc.fgl import build_fgl
 from cobcalc.series import COEFF_KINDS, ContextMismatch, RingContext
 
@@ -42,7 +42,7 @@ def test_pb_substitute_matches_term_by_term_reference(data):
     kind = data.draw(st.sampled_from(COEFF_KINDS))
     base = RingContext(data.draw(st.integers(1, 3)), kind, *data.draw(caps))
     chern = [data.draw(series(base, augmentation=True)) for _ in range(data.draw(st.integers(1, 3)))]
-    ring = pb_ring(base, chern)
+    ring = ProjBundleRing(base, chern)
     src = RingContext(data.draw(st.integers(1, 3)), kind, *data.draw(caps))
     s = data.draw(series(src))
     last = src.n_vars - 1
@@ -60,7 +60,7 @@ def test_pb_substitute_matches_term_by_term_reference(data):
 
 def test_pb_substitute_refusals():
     base = RingContext(2, "rational", 4, 0)
-    ring = pb_ring(base, [base.var(0)])
+    ring = ProjBundleRing(base, [base.var(0)])
     src = RingContext(3, "rational", 4, 0)
     s = src.var(0) * src.var(2)
     with pytest.raises(ValueError, match=r"no value for variables \[0\]"):

@@ -332,13 +332,10 @@ def test_reduced_basis_cuts_scales_and_refuses_mixed_contexts():
 
 @SETTINGS
 @given(st.data())
-def test_text_and_json_roundtrips(data):
+def test_text_roundtrip_and_term_readers(data):
     ctx = data.draw(contexts())
     s = ctx.from_terms(data.draw(term_dicts(ctx)))
     assert TruncatedSeries.from_text(ctx, s.to_text()) == s
-    blob = s.to_json_terms()
-    back = TruncatedSeries.from_json_terms(ctx, blob)
-    assert back == s and back.to_json_terms() == blob
     for mono, coeff in s.items():
         assert s.coefficient(mono) == coeff
     assert sorted(s.iter_terms()) == sorted(s.items())

@@ -29,10 +29,9 @@ from hypothesis import strategies as st
 
 from cobcalc import bundles, cli
 from cobcalc.bundles import (
+    ProjBundleRing,
     SplitBundle,
-    chern_classes,
     direct_sum,
-    pb_ring,
     pb_substitute,
     projective_completion_ring,
     tautological_inverse_class,
@@ -123,7 +122,7 @@ def test_both_thom_routes_refuse_a_ring_outside_the_filtration(caps):
     ctx = law.context(2)
     t1, t2 = ctx.var(0), ctx.var(1)
     bundle = SplitBundle((t1, t2))
-    ring = pb_ring(ctx, [t1, t1, ctx.zero()])  # c2 = t1 has t-order 1 < 2
+    ring = ProjBundleRing(ctx, [t1, t1, ctx.zero()])  # c2 = t1 has t-order 1 < 2
     with pytest.raises(ValueError, match="t-order"):
         ring.require_filtration()
     with pytest.raises(ValueError, match="t-order"):
@@ -200,14 +199,14 @@ def test_own_completion_forms_no_product(monkeypatch):
     monkeypatch.setattr(RingMap, "__call__", refuse)
     monkeypatch.setattr(bundles, "_difference_slices", refuse)
     for bundle, ring, law in cases:
-        c1, c2, c3 = chern_classes(bundle)
+        c1, c2, c3 = bundle.chern
         th = thom_class(bundle, ring, law)
         assert th.coords == (c3, -c2, c1, -ring.base.one())
 
 
 def closed_form(bundle, ring):
     """(c_n, -c_(n-1), ..., (-1)^n), the Chern polynomial prod_j (x_j - xi)."""
-    elem = [ring.base.one()] + chern_classes(bundle)
+    elem = (ring.base.one(), *bundle.chern)
     n = bundle.rank
     return ring.from_coords([(-1) ** k * elem[n - k] for k in range(n + 1)])
 
