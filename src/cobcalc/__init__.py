@@ -53,7 +53,6 @@ from .bundles import (
     zero_section_restriction,
 )
 from .towers import (
-    Tower,
     TowerSlice,
     WindowNotStabilized,
     inverse_limit_dims,
@@ -76,7 +75,6 @@ __all__ = [
     "RingMap",
     "SplitBundle",
     "SubstitutionError",
-    "Tower",
     "TowerSlice",
     "TruncatedSeries",
     "WeylGroupSpec",

@@ -3,9 +3,10 @@
 Subcommands: ``fgl check``, ``bg``, ``flag``, ``sif``, ``pbf``,
 ``tower bgm``, ``selftest``, one row each in `SUBCOMMANDS`: the help, the
 nested word, the option table and the function that runs the job.
-Options and defaults are written only in that table.  `read_argv` reads a
-well-formed argv off it; argparse's one parser tree, built from it, reads
-the rest and writes help and refusals.  Either namespace is the job.
+Options, defaults and ranges are written only there.  `read_argv` reads a
+well-formed argv off the table; argparse's one parser tree, built from it,
+reads the rest and writes help and refusals.  Either namespace is the job
+once `config_from_args` has checked its ranges.
 Identical configuration and seed produce byte-identical output; exit
 status is 0 iff every requested check passed.  An invalid configuration,
 a refused job or one out of memory exits 2 with a ``cobcalc/error/v1``
@@ -91,8 +92,8 @@ def _context(config: argparse.Namespace, n_vars: int) -> RingContext:
     return RingContext(n_vars, coeff, config.max_t, max_w)
 
 
-def _law(config: argparse.Namespace, n_vars: int = 2):
-    return build_fgl(normalize_kind(config.fgl_kind), _context(config, n_vars))
+def _law(config: argparse.Namespace):
+    return build_fgl(normalize_kind(config.fgl_kind), _context(config, 2))
 
 
 def parse_degree_range(text: str) -> list:
@@ -226,15 +227,11 @@ def _run_flag(config: argparse.Namespace):
 
 
 def _run_sif(config: argparse.Namespace):
-    # samples redraw t-exponents in 0..2 until their sum fits the cap: hopeless past 8 variables
-    if config.base_vars < 1 or config.base_vars > 8:
-        raise ConfigError("sif supports --base-vars 1..8")
-    if config.rank < 1:
-        raise ConfigError("sif needs --rank >= 1")
-    ctx = _context(config, 2)
-    if config.t_order is not None:  # --torder overrides --max-t
-        ctx = RingContext(2, ctx.coeff_kind, config.t_order, ctx.max_weight)
-    law = build_fgl(normalize_kind(config.fgl_kind), ctx)
+    # every Chern root has t-order >= 1, so c_rank has t-order >= rank
+    if config.rank > config.max_t:
+        raise ConfigError(f"--rank {config.rank} exceeds --torder {config.max_t}: "
+                          f"c_{config.rank} and every trial vanish in the window")
+    law = _law(config)
     ctx = law.context(config.base_vars)
     rng = random.Random(config.seed)
     worst = ctx.zero()
@@ -270,8 +267,6 @@ def _run_sif(config: argparse.Namespace):
 
 
 def _run_pbf(config: argparse.Namespace):
-    if config.rank < 1 or config.rank > 4:
-        raise ConfigError("pbf supports --rank 1..4")
     ctx = _context(config, 2)
     rng = random.Random(config.seed)
     ring = trivial_bundle_ring(ctx, config.rank)
@@ -314,10 +309,6 @@ def _run_tower_bgm(config: argparse.Namespace):
         raise ConfigError(
             f"degree {max(config.degrees)} of --deg {config.deg} exceeds --max-t {config.max_t}"
         )
-    if config.levels < 2:
-        raise ConfigError("--levels must be at least 2")
-    if config.levels > MAX_LEVELS:
-        raise ConfigError(f"--levels {config.levels} exceeds the cap of {MAX_LEVELS}")
     dims = (max(config.degrees) + 1) * (config.levels + 1)
     if dims > MAX_TOWER_DIMS:
         raise ConfigError(
@@ -382,16 +373,18 @@ def run(config: argparse.Namespace):
 class Option(FrozenValue):
     """One option of a subcommand, as `build_parser` declares it to argparse
     and `read_argv` reads it.  ``type`` converts the value token; ``bool``
-    marks a flag that takes none (argparse's ``store_true``).  A plain value
-    class (`cobcalc.value`): creating a ``NamedTuple`` class took about
-    0.3 ms of every call's import on a 2-core VM."""
+    marks a flag that takes none (argparse's ``store_true``).  ``low`` and
+    ``high`` (None: unbounded; a high needs a low) are the range that
+    `config_from_args` holds an int to.  A plain value class (`cobcalc.value`):
+    a ``NamedTuple`` class took about 0.3 ms of every import on a 2-core VM."""
 
-    _fields = ("flag", "dest", "type", "default", "required", "choices", "help")
+    _fields = ("flag", "dest", "type", "default", "required", "choices", "help", "low", "high")
 
     def __init__(self, flag: str, dest: str, type: type, default=None, *, required: bool = False,
-                 choices: Optional[tuple] = None, help: Optional[str] = None):
-        self.__dict__.update(flag=flag, dest=dest, type=type, default=default,
-                             required=required, choices=choices, help=help)
+                 choices: Optional[tuple] = None, help: Optional[str] = None,
+                 low: Optional[int] = None, high: Optional[int] = None):
+        self.__dict__.update(flag=flag, dest=dest, type=type, default=default, required=required,
+                             choices=choices, help=help, low=low, high=high)
 
 
 class Subcommand(FrozenValue):
@@ -405,14 +398,15 @@ class Subcommand(FrozenValue):
         self.__dict__.update(help=help, nested=nested, options=options, run=run)
 
 
+_MAX_W = Option("--max-w", "max_w", int, 5, help="generator weight cap (default 5)", low=0)
 _CAPS = (
-    Option("--max-t", "max_t", int, 6, help="t-order truncation cap (default 6)"),
-    Option("--max-w", "max_w", int, 5, help="generator weight cap (default 5)"),
+    Option("--max-t", "max_t", int, 6, help="t-order truncation cap (default 6)", low=0),
+    _MAX_W,
 )
 _SEED = (Option("--seed", "seed", int, 0, help="seed for the randomized suite"),)
 _FORMAT = (Option("--format", "output_format", str, "json", choices=("json", "text")),)
 
-# subcommand -> its row, in the order help lists them
+# subcommand -> its row, in help order; 0 samples would check nothing and still pass
 SUBCOMMANDS = {
     "fgl": Subcommand(
         "formal group law utilities", ("check", "verify the group law axioms"),
@@ -425,7 +419,7 @@ SUBCOMMANDS = {
             Option("--group", "group", str, "GL2"),
             Option("--fgl", "fgl_kind", str, "additive"),
             Option("--deg", "deg", str, "0..3", help="degree or range, e.g. 0..4"),
-            Option("--torder", "t_order", int, required=True),
+            Option("--torder", "t_order", int, required=True, low=0),
             Option("--emit-basis", "emit_basis", bool, False),
             *_CAPS, *_FORMAT,
         ),
@@ -436,7 +430,7 @@ SUBCOMMANDS = {
         (
             Option("--group", "group", str, "GL2"),
             Option("--fgl", "fgl_kind", str, "additive"),
-            Option("--pairs", "samples", int, 25),
+            Option("--pairs", "samples", int, 25, low=1),
             *_CAPS, *_SEED, *_FORMAT,
         ),
         _run_flag,
@@ -445,11 +439,12 @@ SUBCOMMANDS = {
         "self-intersection identity suite", None,
         (
             Option("--fgl", "fgl_kind", str, "universal"),
-            Option("--rank", "rank", int, 2),
-            Option("--torder", "t_order", int, None, help="overrides --max-t"),
-            Option("--samples", "samples", int, 25),
-            Option("--base-vars", "base_vars", int, 3),
-            *_CAPS, *_SEED, *_FORMAT,
+            Option("--rank", "rank", int, 2, low=1),
+            Option("--torder", "max_t", int, 6, help="t-order truncation cap (default 6)", low=0),
+            Option("--samples", "samples", int, 25, low=1),
+            # samples redraw t-exponents in 0..2 to fit the cap: hopeless past 8 variables
+            Option("--base-vars", "base_vars", int, 3, low=1, high=8),
+            _MAX_W, *_SEED, *_FORMAT,
         ),
         _run_sif,
     ),
@@ -457,8 +452,8 @@ SUBCOMMANDS = {
         "projective bundle formula suite", None,
         (
             Option("--fgl", "fgl_kind", str, "additive"),
-            Option("--rank", "rank", int, 3),
-            Option("--samples", "samples", int, 25),
+            Option("--rank", "rank", int, 3, low=1, high=4),
+            Option("--samples", "samples", int, 25, low=1),
             *_CAPS, *_SEED, *_FORMAT,
         ),
         _run_pbf,
@@ -468,7 +463,8 @@ SUBCOMMANDS = {
         (
             Option("--fgl", "fgl_kind", str, "additive"),
             Option("--deg", "deg", str, "0..5"),
-            Option("--levels", "levels", int, 8, help=f"window levels, 2..{MAX_LEVELS}"),
+            Option("--levels", "levels", int, 8, help=f"window levels, 2..{MAX_LEVELS}",
+                   low=2, high=MAX_LEVELS),
             *_CAPS, *_FORMAT,
         ),
         _run_tower_bgm,
@@ -561,17 +557,15 @@ def read_argv(argv: Sequence[str]) -> Optional[argparse.Namespace]:
 def config_from_args(args: argparse.Namespace) -> argparse.Namespace:
     """Check the parsed ``args`` and expand ``--deg`` into ``degrees``, in
     place: the namespace is the job `run` takes, and `SUBCOMMANDS` holds
-    every option and default."""
+    every option, default and range.  Each option's range is checked here,
+    in the order of its row; a check that reads two options is its job's."""
     if hasattr(args, "deg"):
         args.degrees = parse_degree_range(args.deg)
-    # --torder, where given, is a cap like --max-t
-    caps = (getattr(args, name, None) for name in ("max_t", "max_w", "t_order"))
-    if any(cap is not None and cap < 0 for cap in caps):
-        raise ConfigError("caps must be non-negative")
-    # zero samples would check nothing and still report a pass
-    if getattr(args, "samples", 1) < 1:
-        flag = "--pairs" if args.command == "flag" else "--samples"
-        raise ConfigError(f"{flag} must be at least 1, got {args.samples}")
+    for o in SUBCOMMANDS[args.command].options:
+        value = getattr(args, o.dest)
+        if o.low is not None and (value < o.low or o.high is not None and value > o.high):
+            bound = f"at least {o.low}" if o.high is None else f"in {o.low}..{o.high}"
+            raise ConfigError(f"{o.flag} must be {bound}, got {value}")
     if hasattr(args, "fgl_kind"):
         normalize_kind(args.fgl_kind)  # validate early
     return args

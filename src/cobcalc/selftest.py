@@ -60,7 +60,6 @@ from .series import (
     substitute,
 )
 from .towers import (
-    Tower,
     TowerSlice,
     WindowNotStabilized,
     apply_levelwise_isomorphism,
@@ -505,7 +504,7 @@ def check_tower_find_or_refuse(rng: random.Random) -> Tuple[bool, str]:
             # entries drawn row by row, kept as the slice's sparse integer columns
             rows = [[rng.randint(-2, 2) for _ in range(dims[i + 1])] for _ in range(dims[i])]
             maps.append([{r: row[c] for r, row in enumerate(rows) if row[c]} for c in range(dims[i + 1])])
-        tower = Tower({0: TowerSlice(dims=dims, maps=maps)})
+        tower = {0: TowerSlice(dims=dims, maps=maps)}
         idx = stabilization_index(tower, 0)
         if idx is not None and idx > k:
             return False, f"index {idx} outside window"
@@ -515,7 +514,7 @@ def check_tower_find_or_refuse(rng: random.Random) -> Tuple[bool, str]:
             except WindowNotStabilized:
                 pass
     # constant towers with window > max dim must always certify
-    tower = Tower({0: TowerSlice([2, 2, 2, 2, 2], [[{0: 1}, {1: 1}]] * 4)})
+    tower = {0: TowerSlice([2, 2, 2, 2, 2], [[{0: 1}, {1: 1}]] * 4)}
     if stabilization_index(tower, 0) != 0:
         return False, "identity tower not certified at 0"
     return True, "30 random towers + identity"
@@ -541,7 +540,7 @@ def check_tower_functoriality(rng: random.Random) -> Tuple[bool, str]:
     law = _law("universal-rational", 4, 3)
     tower = projective_space_tower(law.context(1), 3, 6)
     transforms = {}
-    for d, sl in tower.degrees.items():
+    for d, sl in tower.items():
         mats = []
         for dim in sl.dims:
             m = linalg.identity(dim)

@@ -534,31 +534,25 @@ def _parse_coeff(value) -> Fraction:
 def sparse_coordinates(
     series: Iterable[TruncatedSeries], basis: Sequence[Monomial], strict: bool = False
 ) -> list:
-    """One ``(nums, den)`` per series: its coefficient on ``basis[i]`` is
-    ``nums.get(i, 0) / den``, with ``nums`` the nonzero integer numerators.
+    """One ``(nums, den)`` per series, all over one context: its coefficient
+    on ``basis[i]`` is ``nums.get(i, 0) / den``, with ``nums`` the nonzero
+    integer numerators.  The basis holds distinct monomials, and is encoded
+    once per call.
 
     Terms on monomials outside ``basis`` are ignored, unless ``strict``
-    is set: then they raise ValueError.  The basis is encoded once per
-    run of series over one context.
+    is set: then they raise ValueError.
     """
-    layout = None
+    series = list(series)
+    if not series:
+        return []
+    # key -> its position in the basis; no series holds a None key
+    positions = {series[0].ctx._layout.key_of(mono): i for i, mono in enumerate(basis)}
     out = []
     for s in series:
-        if s.ctx._layout is not layout:
-            layout = s.ctx._layout
-            # key -> its positions in the basis; no series of the layout holds a None key
-            positions: dict = {}
-            for i, mono in enumerate(basis):
-                positions.setdefault(layout.key_of(mono), []).append(i)
-        nums = {}
-        for key, num in s._terms.items():
-            at = positions.get(key)
-            if at is None:
-                if strict:
-                    raise ValueError("series has terms outside the basis")
-                continue
-            for i in at:
-                nums[i] = num
+        _require_same_ctx(series[0], s)
+        nums = {i: num for key, num in s._terms.items() if (i := positions.get(key)) is not None}
+        if strict and len(nums) != len(s._terms):
+            raise ValueError("series has terms outside the basis")
         out.append((nums, s._den))
     return out
 

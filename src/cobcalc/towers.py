@@ -1,14 +1,14 @@
 """Finite-window inverse-limit diagnostics for towers of Q-vector spaces.
 
-A tower holds, per diagonal degree, a window of finite-dimensional
-spaces V_0 <- V_1 <- ... <- V_k with exact transition maps
-M_i: V_{i+1} -> V_i.  The stabilization index is the smallest uniform
-offset s such that, at every level i of the window, the chain of images
-im(V_{i+s'} -> V_i) is constant for s' >= s; the engine reports
-not-found instead of extrapolating when the window never witnesses the
-constancy.  For windows of finite-dimensional spaces the images
-stabilize once the window exceeds the longest strictly-decreasing chain
-of subspaces, so the search terminates (find or refuse, never loop).
+A tower is a dict ``{degree: TowerSlice}``: per diagonal degree, a window
+of finite-dimensional spaces V_0 <- V_1 <- ... <- V_k with exact
+transition maps M_i: V_{i+1} -> V_i.  The stabilization index is the
+smallest uniform offset s such that, at every level i of the window, the
+chain of images im(V_{i+s'} -> V_i) is constant for s' >= s; the engine
+reports not-found instead of extrapolating when the window never
+witnesses the constancy.  For windows of finite-dimensional spaces the
+images stabilize once the window exceeds the longest strictly-decreasing
+chain of subspaces, so the search terminates (find or refuse, never loop).
 As every per-degree space is finite dimensional, the eventual-image
 condition holds and the derived-limit correction term vanishes; only the
 limit dimension is computed, from the plateau of the stable images.
@@ -31,23 +31,25 @@ kept as its canonical ``linalg.echelon`` form.
 
 from __future__ import annotations
 
+from functools import cached_property
 from itertools import accumulate
 from typing import Dict, List, Optional
 
 from . import linalg
 from .series import RingContext, bidegree_basis, lazard_count
-from .value import Value
+from .value import FrozenValue
 
 
 class WindowNotStabilized(RuntimeError):
     """The window is too short to certify stabilization; refusing to extrapolate."""
 
 
-class TowerSlice(Value):
+class TowerSlice(FrozenValue):
     """One degree: dimensions dim V_0..dim V_k and maps[i]: V_{i+1} -> V_i, as
     ``dims[i+1]`` columns ``{row: nonzero int}``, any nonzero multiple of the map.
     ``maps=None`` makes a prefix slice: map i is the canonical projection of
-    level i+1 onto its prefix, level i, so the dims must be nondecreasing."""
+    level i+1 onto its prefix, level i, so the dims must be nondecreasing.
+    Frozen, and unhashable: its fields are lists."""
 
     _fields = ("dims", "maps")
 
@@ -70,10 +72,7 @@ class TowerSlice(Value):
                         for col in m)):
                     raise ValueError(
                         f"map {i} is not {dims[i + 1]} integer columns over {dims[i]} rows")
-        self.dims = dims
-        self.maps = maps
-        # image chains, computed on first use; a slice is not changed after construction
-        self._chains = None
+        self.__dict__.update(dims=dims, maps=maps)
 
     def map(self, i: int) -> list:
         """Map i as ``dims[i+1]`` integer columns; a prefix slice's are built here."""
@@ -81,40 +80,23 @@ class TowerSlice(Value):
             return self.maps[i]
         return [{j: 1} if j < self.dims[i] else {} for j in range(self.dims[i + 1])]
 
+    @cached_property
+    def chains(self) -> list:
+        """For each level i, canonical forms of im(V_{i+s} -> V_i), s = 0..k-i,
+        computed once per slice with explicit maps and shared by
+        `stabilization_index` and `inverse_limit_dims`.
 
-class Tower(Value):
-    """Per-degree tower slices."""
-
-    _fields = ("degrees",)
-
-    def __init__(self, degrees: Optional[Dict[int, TowerSlice]] = None):
-        self.degrees = {} if degrees is None else degrees
-
-    def slice(self, d: int) -> TowerSlice:
-        try:
-            return self.degrees[d]
-        except KeyError:
-            raise KeyError(f"tower has no degree {d}") from None
-
-
-def _image_chains(sl: TowerSlice):
-    """For each level i, canonical forms of im(V_{i+s} -> V_i), s = 0..k-i.
-
-    Built from the top level down: im(V_{i+s} -> V_i) is M_i applied to a
-    basis of im(V_{i+s} -> V_{i+1}).  Computed once per slice with explicit
-    maps and shared by ``stabilization_index`` and ``inverse_limit_dims``.
-    """
-    if sl._chains is not None:
-        return sl._chains
-    chains = []
-    for i in range(len(sl.dims) - 1, -1, -1):
-        chain = [linalg.echelon({j: 1} for j in range(sl.dims[i]))]
-        if chains:
-            chain += [linalg.echelon(_apply(sl.maps[i], v) for v in im.values())
-                      for im in chains[-1]]
-        chains.append(chain)
-    sl._chains = chains[::-1]
-    return sl._chains
+        Built from the top level down: im(V_{i+s} -> V_i) is M_i applied to a
+        basis of im(V_{i+s} -> V_{i+1}).
+        """
+        chains = []
+        for i in range(len(self.dims) - 1, -1, -1):
+            chain = [linalg.echelon({j: 1} for j in range(self.dims[i]))]
+            if chains:
+                chain += [linalg.echelon(_apply(self.maps[i], v) for v in im.values())
+                          for im in chains[-1]]
+            chains.append(chain)
+        return chains[::-1]
 
 
 def _apply(columns: list, vec: dict) -> dict:
@@ -143,7 +125,7 @@ def _certified_index(chains) -> Optional[int]:
     return candidate if witnessed else None
 
 
-def stabilization_index(tower: Tower, d: int) -> Optional[int]:
+def stabilization_index(tower: Dict[int, TowerSlice], d: int) -> Optional[int]:
     """Uniform image-stabilization offset within the window, or None.
 
     None means the constancy was never witnessed beyond a single point
@@ -151,24 +133,24 @@ def stabilization_index(tower: Tower, d: int) -> Optional[int]:
     be shrinking at the window end.  A prefix slice's maps are onto, so its
     images never shrink: its index is 0.
     """
-    sl = tower.slice(d)
+    sl = tower[d]
     if sl.maps is None:
         return 0
-    return _certified_index(_image_chains(sl))
+    return _certified_index(sl.chains)
 
 
-def inverse_limit_dims(tower: Tower, d: int) -> int:
+def inverse_limit_dims(tower: Dict[int, TowerSlice], d: int) -> int:
     """Dimension of the inverse limit read off the stabilized images.
 
     Requires a certified stabilization index and a witnessed plateau of
     the stable-image dimensions at the top of the window; otherwise
     raises WindowNotStabilized rather than extrapolating.
     """
-    sl = tower.slice(d)
+    sl = tower[d]
     if sl.maps is None:
         stable_dims = sl.dims  # every map is onto: each stable image is its whole level
     else:
-        chains = _image_chains(sl)
+        chains = sl.chains
         if _certified_index(chains) is None:
             raise WindowNotStabilized(f"degree {d}: images still shrinking at window end")
         # the stable image at level i is the last of its chain, im(V_k -> V_i)
@@ -181,7 +163,8 @@ def inverse_limit_dims(tower: Tower, d: int) -> int:
     return stable_dims[-2]
 
 
-def projective_space_tower(ctx: RingContext, d_max: int, i_max: int, d_min: int = 0) -> Tower:
+def projective_space_tower(ctx: RingContext, d_max: int, i_max: int,
+                           d_min: int = 0) -> Dict[int, TowerSlice]:
     """The tower of finite projective-space approximations of the rank-1
     classifying space in degrees d_min..d_max: level i is the degree slice of
     K[xi]/(xi^(i+1)), transitions are the canonical surjections killing the
@@ -191,11 +174,11 @@ def projective_space_tower(ctx: RingContext, d_max: int, i_max: int, d_min: int 
         raise ValueError("need d_max >= 0 and at least three levels")
     if not 0 <= d_min <= d_max:
         raise ValueError(f"need 0 <= d_min <= d_max, got d_min = {d_min}")
-    tower = Tower()
+    tower = {}
     for d in range(d_min, d_max + 1):
         # level i is spanned by xi^p times the generator monomials of weight p - d, p <= i,
         # in order of p: each level is a prefix of the next, and dims are prefix sums
-        tower.degrees[d] = TowerSlice(list(accumulate(
+        tower[d] = TowerSlice(list(accumulate(
             lazard_count(ctx.coeff_kind, p - d)
             if 0 <= p - d <= ctx.max_weight and p <= ctx.max_t_order else 0
             for p in range(i_max + 1))))
@@ -210,7 +193,8 @@ def coefficient_ring_dimension(ctx: RingContext, degree: int) -> int:
     )
 
 
-def apply_levelwise_isomorphism(tower: Tower, transforms: Dict[int, list]) -> Tower:
+def apply_levelwise_isomorphism(tower: Dict[int, TowerSlice],
+                                transforms: Dict[int, list]) -> Dict[int, TowerSlice]:
     """Conjugate a tower by invertible matrices, one list per degree.
 
     ``transforms[d][i]``, dense rational rows, acts on level i of degree d;
@@ -223,8 +207,8 @@ def apply_levelwise_isomorphism(tower: Tower, transforms: Dict[int, list]) -> To
     wrong number of transforms, one that is not dim x dim or singular raise
     ValueError.
     """
-    out = Tower()
-    for d, sl in tower.degrees.items():
+    out = {}
+    for d, sl in tower.items():
         ps = transforms.get(d)
         if ps is None or len(ps) != len(sl.dims):
             raise ValueError(f"degree {d}: need one transform per level")
@@ -236,5 +220,5 @@ def apply_levelwise_isomorphism(tower: Tower, transforms: Dict[int, list]) -> To
         cols = [linalg.int_rows(c)[0] for c in cols]
         maps = [[_apply(cols[i], _apply(sl.map(i), q)) for q in inv[i + 1]]
                 for i in range(len(sl.dims) - 1)]
-        out.degrees[d] = TowerSlice(dims=list(sl.dims), maps=maps)
+        out[d] = TowerSlice(dims=list(sl.dims), maps=maps)
     return out

@@ -66,7 +66,7 @@ from cobcalc.series import (
     substitute,
     variable_slices,
 )
-from cobcalc.towers import Tower, TowerSlice
+from cobcalc.towers import TowerSlice
 
 
 def trunc_x(expr, x, order):
@@ -321,7 +321,7 @@ def ref_column_space(m) -> tuple:
     return tuple(tuple(r) for r in red[: len(pivots)])
 
 
-# -- the composite image chains that towers._image_chains built before it propagated images
+# -- the composite image chains that TowerSlice.chains built before it propagated images
 
 
 def ref_image_chains(dims, maps) -> list:
@@ -375,8 +375,8 @@ def ref_conjugate(tower, transforms):
     P_i * M_i * P_{i+1}^(-1), multiplied out densely over Q, each with its
     denominators cleared.
     """
-    out = Tower()
-    for d, sl in tower.degrees.items():
+    out = {}
+    for d, sl in tower.items():
         ps = transforms[d]
         if len(ps) != len(sl.dims):
             raise ValueError("need one transform per level")
@@ -387,7 +387,7 @@ def ref_conjugate(tower, transforms):
             dense = [[col.get(r, 0) for col in m] for r in range(sl.dims[i])]
             new = _ref_mat_mul(_ref_mat_mul(ps[i], dense), inv[i + 1])
             maps.append(linalg.int_rows([row[c] for row in new] for c in range(sl.dims[i + 1]))[0])
-        out.degrees[d] = TowerSlice(dims=list(sl.dims), maps=maps)
+        out[d] = TowerSlice(dims=list(sl.dims), maps=maps)
     return out
 
 

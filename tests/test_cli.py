@@ -300,42 +300,68 @@ def test_oversized_group_rank_is_refused_before_any_generator(group, rank, capsy
     assert elapsed < 1
 
 
-def test_pbf_checks_the_rank_before_building_the_law(monkeypatch, capsys):
-    def no_law(*args, **kwargs):
-        raise AssertionError("the law was built before the rank was checked")
+def _no_law(*args, **kwargs):
+    raise AssertionError("the law was built before the refusal")
 
-    monkeypatch.setattr(cli, "build_fgl", no_law)
+
+def test_pbf_checks_the_rank_before_building_the_law(monkeypatch, capsys):
+    monkeypatch.setattr(cli, "build_fgl", _no_law)
     for rank in ("0", "5"):
         assert main(["pbf", "--rank", rank]) == 2
         body = json.loads(capsys.readouterr().out)
-        assert body["error"]["message"] == "pbf supports --rank 1..4"
+        assert body["error"]["message"] == f"--rank must be in 1..4, got {rank}"
     # pbf reads only the coefficient ring, so it builds no law at all
     assert main(["pbf", "--rank", "2", "--samples", "1"]) == 0
     assert json.loads(capsys.readouterr().out)["division_oracle_ok"]
 
 
-@pytest.mark.parametrize("base_vars", ["30", "0"])
-def test_sif_refuses_base_vars_it_cannot_sample(base_vars):
+@pytest.mark.parametrize("base_vars", ["30", "9", "0"])
+def test_sif_refuses_base_vars_it_cannot_sample(base_vars, monkeypatch, capsys):
     # the sampler redraws until the t-exponents fit the cap, which at 30 variables
     # would run for hours: the job must be refused up front
-    proc = run_cli("sif", "--base-vars", base_vars, "--samples", "1", timeout=30)
-    assert proc.returncode == 2
-    assert json.loads(proc.stdout)["error"] == {
-        "kind": "config", "message": "sif supports --base-vars 1..8"}
+    monkeypatch.setattr(cli, "build_fgl", _no_law)
+    assert main(["sif", "--base-vars", base_vars, "--samples", "1"]) == 2
+    out, err = capsys.readouterr()
+    assert json.loads(out)["error"] == {
+        "kind": "config", "message": f"--base-vars must be in 1..8, got {base_vars}"}
+    assert err == ""
 
 
 @pytest.mark.parametrize("rank", ["0", "-1"])
 def test_sif_refuses_a_rank_below_one_before_building_the_law(rank, monkeypatch, capsys):
     # without roots there is no bundle: refused as a config error up front,
     # not as an invalid split bundle after the law is built
-    def no_law(*args, **kwargs):
-        raise AssertionError("the law was built before the rank was checked")
-
-    monkeypatch.setattr(cli, "build_fgl", no_law)
+    monkeypatch.setattr(cli, "build_fgl", _no_law)
     assert main(["sif", "--rank", rank, "--samples", "1"]) == 2
     out, err = capsys.readouterr()
-    assert json.loads(out)["error"] == {"kind": "config", "message": "sif needs --rank >= 1"}
+    assert json.loads(out)["error"] == {
+        "kind": "config", "message": f"--rank must be at least 1, got {rank}"}
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("rank", ["7", "100"])
+def test_sif_refuses_a_rank_above_its_t_order_cap_before_building_the_law(
+        rank, monkeypatch, capsys):
+    # every Chern root has t-order >= 1, so c_rank and both sides of every
+    # trial vanish in the window: no trial could test anything
+    monkeypatch.setattr(cli, "build_fgl", _no_law)
+    start = time.perf_counter()
+    assert main(["sif", "--fgl", "universal", "--rank", rank, "--torder", "6"]) == 2
+    elapsed = time.perf_counter() - start
+    out, err = capsys.readouterr()
+    assert json.loads(out)["error"] == {
+        "kind": "config",
+        "message":
+            f"--rank {rank} exceeds --torder 6: c_{rank} and every trial vanish in the window",
+    }
+    assert err == ""
+    assert elapsed < 0.2
+
+
+def test_sif_accepts_a_rank_equal_to_its_t_order_cap(capsys):
+    assert main("sif --fgl universal --rank 6 --torder 6 --samples 2".split()) == 0
+    body = json.loads(capsys.readouterr().out)
+    assert (body["rank"], body["caps"]["max_t"], body["failures"]) == (6, 6, 0)
 
 
 @pytest.mark.parametrize(
@@ -459,7 +485,7 @@ def test_tower_bgm_builds_only_the_requested_slices(monkeypatch, capsys):
 
     def spy(*args, **kwargs):
         tower = real(*args, **kwargs)
-        built.append(sorted(tower.degrees))
+        built.append(sorted(tower))
         return tower
 
     monkeypatch.setattr(cli, "projective_space_tower", spy)
@@ -529,7 +555,7 @@ def _wrong_exp(monkeypatch):
 
 
 def _law_over_wrong_context(monkeypatch):
-    def law(config, n_vars=2):
+    def law(config):
         return fgl.build_fgl("additive", RingContext(2, "universal-rational", 4, 3))
 
     monkeypatch.setattr(cli, "_law", law)
@@ -543,7 +569,7 @@ def _no_tower_built(monkeypatch):
 
 
 def _sum_with_constant_term(monkeypatch):
-    def law(config, n_vars=2):
+    def law(config):
         ctx = RingContext(2, "rational", 4, 0)
         return fgl_sum(fgl.build_fgl("additive", ctx), ctx.one(), ctx.var(0))
 
@@ -595,8 +621,10 @@ def test_error_kinds_exit_2_without_traceback(argv, kind, patch, monkeypatch, ca
      "degree 3 of --deg 0..3 exceeds --torder 1; monomials of that degree need a larger window"),
     (["tower", "bgm", "--max-t", "4"], "degree 5 of --deg 0..5 exceeds --max-t 4"),
     # --torder is checked like --max-t, before the job reads it
-    (["bg", "--torder", "-1"], "caps must be non-negative"),
-    (["sif", "--torder", "-1"], "caps must be non-negative"),
+    (["bg", "--torder", "-1"], "--torder must be at least 0, got -1"),
+    (["sif", "--torder", "-1"], "--torder must be at least 0, got -1"),
+    (["fgl", "check", "--kind", "add", "--max-w", "-2"], "--max-w must be at least 0, got -2"),
+    (["tower", "bgm", "--levels", "1"], "--levels must be in 2..10000, got 1"),
 ])
 def test_config_refusals_name_what_they_read(argv, message, capsys):
     assert main(argv) == 2
@@ -679,7 +707,7 @@ def test_fgl_check_verifies_axioms_once(monkeypatch):
 
 
 def test_sif_leaves_config_unchanged():
-    config = job("sif --fgl multiplicative --rank 1 --samples 2 --torder 4 --max-t 6")
+    config = job("sif --fgl multiplicative --rank 1 --samples 2 --torder 4")
     before = copy.deepcopy(config)
     status, report = run(config)
     assert status == 0
@@ -854,13 +882,33 @@ EDGE_GOLDEN = {
     "bg --torder 2 --deg 0..1 --bogus":
         (2, "651eabe8b1800a9e714ab30585beefd3d43d27019e8c0a83e381f8f865a02eee"),
     "sif --rank=-1":
-        (2, "7a9e708922e9cb9cb240bc9546cb68b0876b9e8dc8de304b362f7ee3d503695d"),
+        (2, "8a51b47a7e16798c16cc7997dff90b9a1d2ffd7cd6146fdc0886052f5ae221df"),
     "pbf --format xml":
         (2, "d8305854ed07781013c22b37befb3fe493d99b2a64dd71f0d268850c867389df"),
     "flag --pairs x":
         (2, "83d5cdd756786b845513a0ba55a9d0e3b5311b5731915d68020659d98e937eb5"),
     "selftest extra":
         (2, "49818209add0ead6c1bd3963d50ff63e9ed3c815672644aebffc77e2d32d9d89"),
+    # recorded when each option's range moved into its row of the option table
+    # and `sif --torder` became sif's one t-order cap; the last two exited 0 before
+    "sif -h":
+        (0, "8ee47189ceaa01f8bcfe10380a653dbe569569be450f8e9e883b07ceca3f179b"),
+    "pbf --rank 5":
+        (2, "1bc6d3b4c0f565d73a0851119dff4f987df2a264966ded5f7d3f85cb7fe79de0"),
+    "tower bgm --levels 1":
+        (2, "359b0a6fd8ab9c2b72be015e799696cb0e26124e5804b475cd987a26e2f5c899"),
+    "tower bgm --levels 10001":
+        (2, "46147005d9a128e20020b8b0ee4d79547db34b5f173e11f56d60c2a296ea200a"),
+    "sif --base-vars 9":
+        (2, "5d98607ff20c79c52c7af22fae7f822c3075a1f914fad0d54b4a981098e2f18f"),
+    "flag --pairs 0":
+        (2, "edce72c96f397d56c4fd1e1497a5d43a6d53fcabd1eb83e7a3bb658f486ecaa4"),
+    "bg --torder -1":
+        (2, "acc1031bbad40b14277bbc84dbd97e9b3880a7826d000de25fccf881587ef726"),
+    "sif --max-t 5":
+        (2, "a5dc5be5274c01ef51e7499855dcd45b19b7ade244d40d6d3ea7ba7eb61529ef"),
+    "sif --fgl universal --rank 7 --torder 6":
+        (2, "e3e7bcd742ab74bf48b1368b1d5c1c10964fa7b8a051e966dbafaabe04333ce6"),
 }
 
 

@@ -3,9 +3,12 @@
 For any options a subcommand is given, `cli.main` exits 0, 1 or 2 (help
 is ``SystemExit(0)``), writes no traceback, prints a stdout that parses
 under its ``--format``, and answers every exit 2 with a cobcalc/error/v1
-object whose ``kind`` is one of `cli.ERROR_KINDS`.  The draws stay small
-(caps up to 4, at most 3 pairs or samples), so each job answers in
-milliseconds; any value may instead be junk, negative or empty.
+object whose ``kind`` is one of `cli.ERROR_KINDS`; a range refusal has
+kind ``config`` and names one of the subcommand's options.  The draws stay
+small (caps up to 4, at most 3 pairs or samples), so each job answers in
+milliseconds, but every option whose row in `cli.SUBCOMMANDS` declares a
+range also draws both sides of each bound; any value may instead be junk,
+negative or empty.
 
 `cli.read_argv` either declines an argv or reads it exactly as argparse
 does, on the same draws and on variants argparse alone reads: abbreviated
@@ -48,25 +51,50 @@ def ints(lo, hi):
     return st.sampled_from([str(i) for i in range(lo, hi + 1)])
 
 
-# a law needs max_t >= 2; junk still draws the lower caps
+# a law needs max_t >= 2; junk and the bound draws still reach the lower caps
 CAPS = {"--max-t": ints(2, 4), "--max-w": ints(0, 4), "--format": FORMATS}
 SEED = {"--seed": ints(-3, 50)}
 
+
+def bound_sides(option):
+    """low - 1 .. low + 2, and high - 1 .. high + 1 where the row declares a high."""
+    values = [*range(option.low - 1, option.low + 3)]
+    if option.high is not None:
+        values += range(option.high - 1, option.high + 2)
+    return st.sampled_from([str(v) for v in values])
+
+
+def with_bounds(name, words, required, optional):
+    """Every option whose row in `cli.SUBCOMMANDS` declares a range drawn on
+    both sides of its bounds as well as at its small values; one the draws
+    leave out becomes optional."""
+    for option in cli.SUBCOMMANDS[name].options:
+        if option.low is not None:
+            table = required if option.flag in required else optional
+            small = table.get(option.flag)
+            table[option.flag] = bound_sides(option) if small is None else st.one_of(
+                small, bound_sides(option))
+    return words, required, optional
+
+
 # subcommand -> (its words, the options every draw passes, the options a
 # draw may pass); None marks a flag that takes no value
-COMMANDS = {
+COMMANDS = {name: with_bounds(name, *row) for name, row in {
     "fgl": (["fgl", "check"], {"--kind": KINDS, **CAPS}, {}),
     "bg": (["bg"], {"--torder": ints(2, 4), **CAPS},
            {"--group": GROUPS, "--fgl": KINDS, "--deg": degrees(-1), "--emit-basis": None}),
     "flag": (["flag"], {"--pairs": ints(1, 3), **CAPS}, {"--group": GROUPS, "--fgl": KINDS, **SEED}),
-    "sif": (["sif"], {"--samples": ints(1, 3), **CAPS},
+    # sif's t-order cap is its --torder
+    "sif": (["sif"], {"--samples": ints(1, 3), "--max-w": CAPS["--max-w"], "--format": FORMATS},
             {"--fgl": KINDS, "--rank": ints(0, 3), "--torder": ints(0, 4),
              "--base-vars": ints(0, 9), **SEED}),
     "pbf": (["pbf"], {"--samples": ints(1, 3), **CAPS},
             {"--fgl": KINDS, "--rank": ints(0, 5), **SEED}),
     "tower": (["tower", "bgm"], {"--deg": degrees(0), **CAPS}, {"--fgl": KINDS, "--levels": ints(1, 10)}),
     "selftest": (["selftest"], {}, {"--format": FORMATS, **SEED}),
-}
+}.items()}
+# the message of a refusal from an option's range
+RANGE_REFUSAL = re.compile(r"(\S+) must (?:be in -?\d+\.\.-?\d+|be at least -?\d+), got -?\d+")
 SCHEMAS = {"fgl": "fgl-check", "tower": "tower-bgm"}
 ERROR_KIND_NAMES = {kind for _, kind in cli.ERROR_KINDS}
 
@@ -111,6 +139,10 @@ def check_contract(name, argv):
         body = json.loads(out)
         assert body["schema"] == "cobcalc/error/v1"
         assert body["error"]["kind"] in ERROR_KIND_NAMES
+        refusal = RANGE_REFUSAL.fullmatch(body["error"]["message"])
+        if refusal is not None:
+            assert body["error"]["kind"] == "config"
+            assert refusal.group(1) in {o.flag for o in cli.SUBCOMMANDS[name].options}
         return
     if cli.build_parser().parse_args(argv).output_format == "json":
         assert json.loads(out)["schema"] == f"cobcalc/{SCHEMAS.get(name, name)}/v1"
@@ -123,6 +155,12 @@ def check_contract(name, argv):
             key, _, value = line.partition(": ")
             assert re.fullmatch(r"\w+", key)
             json.loads(value)
+
+
+@pytest.mark.parametrize("name", list(COMMANDS))
+def test_the_fuzz_draws_only_declared_options(name):
+    _, required, optional = COMMANDS[name]
+    assert {*required, *optional} <= {o.flag for o in cli.SUBCOMMANDS[name].options}
 
 
 # a valid selftest runs the whole suite, about half a second: few draws

@@ -7,11 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cobcalc import linalg, towers
+from cobcalc import linalg
 from cobcalc.fgl import build_fgl
 from cobcalc.series import RingContext
 from cobcalc.towers import (
-    Tower,
     TowerSlice,
     WindowNotStabilized,
     apply_levelwise_isomorphism,
@@ -53,7 +52,7 @@ def dense_slice(dims, maps):
 def constant_tower(value_dim, length, map_builder):
     dims = [value_dim] * (length + 1)
     maps = [map_builder(value_dim) for _ in range(length)]
-    return Tower({0: dense_slice(dims, maps)})
+    return {0: dense_slice(dims, maps)}
 
 
 def test_identity_tower():
@@ -67,7 +66,7 @@ def test_surjective_tower_index_zero():
     def proj(dim):
         return linalg.identity(dim)
 
-    tower = Tower({0: dense_slice([2, 2, 2, 2], [proj(2)] * 3)})
+    tower = {0: dense_slice([2, 2, 2, 2], [proj(2)] * 3)}
     assert stabilization_index(tower, 0) == 0
 
 
@@ -87,7 +86,7 @@ def test_strictly_shrinking_window_refuses():
         for i in range(2 - step if step < 2 else 1):
             m[i][i] = Fraction(1)
         maps.append(m)
-    tower = Tower({0: dense_slice(dims, maps)})
+    tower = {0: dense_slice(dims, maps)}
     idx = stabilization_index(tower, 0)
     if idx is None:
         with pytest.raises(WindowNotStabilized):
@@ -142,9 +141,9 @@ def test_projective_space_tower_matches_the_dense_reference(kind, max_t, max_w, 
     ctx = RingContext(1, COEFF_KIND[kind], max_t, 0 if kind == "additive" else max_w)
     tower = projective_space_tower(ctx, d_max, i_max)
     want = ref_projective_space_tower(ctx, d_max, i_max)
-    assert sorted(tower.degrees) == sorted(want)
+    assert sorted(tower) == sorted(want)
     for d, (dims, maps) in want.items():
-        sl = tower.slice(d)
+        sl = tower[d]
         assert sl.dims == dims
         assert sl.maps is None  # a prefix slice: its columns are built only on request
         assert [dense(sl.map(i), dims[i]) for i in range(i_max)] == maps
@@ -165,9 +164,9 @@ def test_projective_space_tower_builds_only_the_requested_degrees():
     ctx = RingContext(1, "universal-rational", 8, 7)
     full = projective_space_tower(ctx, 8, 12)
     tower = projective_space_tower(ctx, 7, 12, d_min=3)
-    assert sorted(tower.degrees) == [3, 4, 5, 6, 7]
-    assert all(tower.slice(d) == full.slice(d) for d in tower.degrees)
-    assert sorted(projective_space_tower(ctx, 8, 12, 8).degrees) == [8]
+    assert sorted(tower) == [3, 4, 5, 6, 7]
+    assert all(tower[d] == full[d] for d in tower)
+    assert sorted(projective_space_tower(ctx, 8, 12, 8)) == [8]
     for d_min in (9, -1):
         with pytest.raises(ValueError, match="need 0 <= d_min <= d_max"):
             projective_space_tower(ctx, 8, 12, d_min)
@@ -176,7 +175,7 @@ def test_projective_space_tower_builds_only_the_requested_degrees():
 def test_projective_space_tower_level_dims_additive():
     F = law("additive")
     tower = projective_space_tower(F.context(1), 3, 6)
-    sl = tower.degrees[2]
+    sl = tower[2]
     # additive coefficients: degree-2 slice of Q[xi]/(xi^(i+1)) is 1-dim once i >= 2
     assert sl.dims == [0, 0, 1, 1, 1, 1, 1]
 
@@ -194,7 +193,7 @@ def test_functoriality_under_levelwise_isomorphism():
     F = law("universal-rational", 4, 3)
     tower = projective_space_tower(F.context(1), 3, 6)
     transforms = {}
-    for d, sl in tower.degrees.items():
+    for d, sl in tower.items():
         mats = []
         for dim in sl.dims:
             m = linalg.identity(dim)
@@ -223,7 +222,7 @@ def test_stabilization_found_when_window_long_enough():
             maps.append(
                 [[Fraction(rng.randint(-1, 1)) for _ in range(dim)] for _ in range(dim)]
             )
-        tower = Tower({0: dense_slice([dim] * (length + 1), maps)})
+        tower = {0: dense_slice([dim] * (length + 1), maps)}
         idx = stabilization_index(tower, 0)
         # with a window this long a verdict must exist unless the final step
         # still shrank some chain, which the refusal semantics reports as None
@@ -249,7 +248,7 @@ def test_limit_reuses_the_image_chains(monkeypatch):
              for _ in range(dims[i])]
             for i in range(5)
         ]
-        tower = Tower({0: dense_slice(dims, maps)})
+        tower = {0: dense_slice(dims, maps)}
         calls.clear()
         idx = stabilization_index(tower, 0)
         built = len(calls)
@@ -330,12 +329,12 @@ def diagnostics(tower, d=0):
 
 def assert_matches_reference(dims, maps):
     """The slice of the dense maps against the reference run on the dense maps themselves."""
-    tower = Tower({0: dense_slice(dims, maps)})
+    tower = {0: dense_slice(dims, maps)}
     want = ref_image_chains(dims, maps)
-    got = towers._image_chains(tower.slice(0))
+    got = tower[0].chains
     assert [[canonical(e, dims[i]) for e in chain] for i, chain in enumerate(got)] == want
-    with mock.patch.object(towers, "_image_chains", lambda sl: want):
-        want_diagnostics = diagnostics(Tower({0: dense_slice(dims, maps)}))
+    with mock.patch.object(TowerSlice, "chains", property(lambda sl: want)):
+        want_diagnostics = diagnostics({0: dense_slice(dims, maps)})
     assert diagnostics(tower) == want_diagnostics
     return [[len(e) for e in chain] for chain in got], want_diagnostics
 
@@ -351,7 +350,7 @@ def test_propagated_chains_match_composites(tower):
 def test_propagated_chains_match_composites_after_conjugation(data):
     dims, maps = data.draw(random_towers())
     transforms = {0: [data.draw(invertible(n)) for n in dims]}
-    moved = apply_levelwise_isomorphism(Tower({0: dense_slice(dims, maps)}), transforms).slice(0)
+    moved = apply_levelwise_isomorphism({0: dense_slice(dims, maps)}, transforms)[0]
     moved_maps = [dense(m, dims[i]) for i, m in enumerate(moved.maps)]
     assert assert_matches_reference(dims, moved_maps) == assert_matches_reference(dims, maps)
 
@@ -368,10 +367,10 @@ def assert_scaled(got, want, n_rows):
 @given(st.data())
 def test_conjugation_matches_the_dense_reference(data):
     dims, maps = data.draw(random_towers())
-    tower = Tower({0: dense_slice(dims, maps)})
+    tower = {0: dense_slice(dims, maps)}
     transforms = {0: [data.draw(invertible(n)) for n in dims]}
-    got = apply_levelwise_isomorphism(tower, transforms).slice(0)
-    want = ref_conjugate(tower, transforms).slice(0)
+    got = apply_levelwise_isomorphism(tower, transforms)[0]
+    want = ref_conjugate(tower, transforms)[0]
     assert got.dims == dims
     for i in range(len(dims) - 1):
         assert_scaled(got.maps[i], want.maps[i], dims[i])
@@ -392,7 +391,7 @@ TWO = [[1, 0], [0, 1]]
 ], ids=["missing-degree", "transform-count", "wrong-size", "non-square", "wide",
         "ragged", "singular", "singular-bottom"])
 def test_malformed_transforms_are_refused(transforms, message):
-    tower = Tower({0: TowerSlice([2, 2, 2, 2])})
+    tower = {0: TowerSlice([2, 2, 2, 2])}
     with pytest.raises(ValueError, match=message):
         apply_levelwise_isomorphism(tower, transforms)
 
@@ -415,13 +414,13 @@ def projective_towers(draw):
 def test_counted_prefix_slices_match_the_elimination(data):
     tower = data.draw(projective_towers())
     # the same slices with their projections passed explicitly take the elimination path
-    explicit = Tower({d: TowerSlice(sl.dims, [sl.map(i) for i in range(len(sl.dims) - 1)])
-                      for d, sl in tower.degrees.items()})
-    for d, sl in tower.degrees.items():
+    explicit = {d: TowerSlice(sl.dims, [sl.map(i) for i in range(len(sl.dims) - 1)])
+                for d, sl in tower.items()}
+    for d, sl in tower.items():
         assert sl.maps is None
         assert diagnostics(tower, d) == diagnostics(explicit, d)
-    transforms = {d: [data.draw(invertible(n)) for n in sl.dims] for d, sl in tower.degrees.items()}
+    transforms = {d: [data.draw(invertible(n)) for n in sl.dims] for d, sl in tower.items()}
     moved = apply_levelwise_isomorphism(tower, transforms)
-    for d in tower.degrees:
-        assert moved.slice(d).maps is not None
+    for d in tower:
+        assert moved[d].maps is not None
         assert diagnostics(moved, d) == diagnostics(tower, d)

@@ -1,10 +1,10 @@
 """The value classes keep their constructor, equality, hash, repr and
-(for the frozen ones) immutability exactly.
+immutability exactly.
 
 Equality compares the same fields as the repr shows, and only instances of
-one class compare equal.  A frozen class hashes as the tuple of those
-fields; a mutable one is unhashable.  Assignment to a frozen instance
-raises AttributeError.
+one class compare equal.  Every value class is frozen: it hashes as the
+tuple of those fields, so one with a list field (`TowerSlice`) is
+unhashable, and assignment to an instance raises AttributeError.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from cobcalc.bundles import ProjBundleElement, ProjBundleRing, SplitBundle
 from cobcalc.equivariant import GroupPreset, WeylGroupSpec, preset
 from cobcalc.fgl import AxiomReport, FormalGroupLaw, build_fgl
 from cobcalc.series import ContextMismatch, RingContext
-from cobcalc.towers import Tower, TowerSlice
+from cobcalc.towers import TowerSlice
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -59,26 +59,22 @@ def _fields(x) -> tuple:
         ProjBundleRing: ("base", "chern"),
         ProjBundleElement: ("ring", "coords"),
         TowerSlice: ("dims", "maps"),
-        Tower: ("degrees",),
     }[type(x)]
     return names, tuple(getattr(x, n) for n in names)
 
 
-def _mutable_instances():
-    return [
-        TowerSlice([1, 2, 2], [[{0: 1}, {}], [{0: 1}, {1: 3}]]),
-        Tower({0: TowerSlice([1, 1, 1])}),
-    ]
+def _unhashable_instances():
+    return [TowerSlice([1, 2, 2], [[{0: 1}, {}], [{0: 1}, {1: 3}]])]
 
 
-@pytest.mark.parametrize("x", _frozen_instances() + _mutable_instances(), ids=lambda x: type(x).__name__)
+@pytest.mark.parametrize("x", _frozen_instances() + _unhashable_instances(), ids=lambda x: type(x).__name__)
 def test_repr_lists_the_compared_fields(x):
     names, values = _fields(x)
     body = ", ".join(f"{n}={v!r}" for n, v in zip(names, values))
     assert repr(x) == f"{type(x).__name__}({body})"
 
 
-@pytest.mark.parametrize("x", _frozen_instances() + _mutable_instances(), ids=lambda x: type(x).__name__)
+@pytest.mark.parametrize("x", _frozen_instances() + _unhashable_instances(), ids=lambda x: type(x).__name__)
 def test_equality_is_by_class_and_compared_fields(x):
     names, values = _fields(x)
     twin = type(x)(**dict(zip(names, values)))
@@ -87,10 +83,8 @@ def test_equality_is_by_class_and_compared_fields(x):
     assert x.__eq__(values) is NotImplemented
 
 
-@pytest.mark.parametrize("x", _frozen_instances(), ids=lambda x: type(x).__name__)
-def test_frozen_classes_hash_as_the_field_tuple_and_refuse_assignment(x):
+def _assert_refuses_assignment(x):
     names, values = _fields(x)
-    assert hash(x) == hash(values)
     for name in names:
         with pytest.raises(AttributeError):
             setattr(x, name, getattr(x, name))
@@ -101,10 +95,17 @@ def test_frozen_classes_hash_as_the_field_tuple_and_refuse_assignment(x):
     assert _fields(x) == (names, values)
 
 
-@pytest.mark.parametrize("x", _mutable_instances(), ids=lambda x: type(x).__name__)
-def test_mutable_classes_are_unhashable(x):
+@pytest.mark.parametrize("x", _frozen_instances(), ids=lambda x: type(x).__name__)
+def test_frozen_classes_hash_as_the_field_tuple_and_refuse_assignment(x):
+    assert hash(x) == hash(_fields(x)[1])
+    _assert_refuses_assignment(x)
+
+
+@pytest.mark.parametrize("x", _unhashable_instances(), ids=lambda x: type(x).__name__)
+def test_classes_with_list_fields_are_frozen_and_unhashable(x):
     with pytest.raises(TypeError):
         hash(x)
+    _assert_refuses_assignment(x)
 
 
 def test_ring_context_repr_and_mismatch_message():
@@ -206,11 +207,9 @@ def test_bundle_constructors_normalise_and_check():
 def test_tower_slice_constructor_and_chains_not_compared():
     sl = TowerSlice(dims=[1, 2, 2], maps=[[{0: 1}, {}], [{0: 1}, {1: 3}]])
     twin = TowerSlice([1, 2, 2], [[{0: 1}, {}], [{0: 1}, {1: 3}]])
-    sl._chains = ["computed"]
-    assert sl == twin and sl != TowerSlice([1, 2, 2])
+    assert sl.chains is sl.chains  # computed once, and neither compared nor shown
+    assert sl == twin and sl != TowerSlice([1, 2, 2]) and repr(sl) == repr(twin)
     assert TowerSlice([1, 2, 3]).maps is None
-    sl.dims = [1, 2, 3]  # a mutable class takes assignment
-    assert sl.dims == [1, 2, 3]
     with pytest.raises(ValueError, match="at least three levels"):
         TowerSlice([1, 2])
     with pytest.raises(ValueError, match="not nondecreasing"):
@@ -219,14 +218,6 @@ def test_tower_slice_constructor_and_chains_not_compared():
         TowerSlice([1, 1, 1], [[{0: 1}]])
     with pytest.raises(ValueError, match="integer columns"):
         TowerSlice([1, 1, 1], [[{0: 1}], [{0: 1.0}]])
-
-
-def test_tower_default_degrees_are_not_shared():
-    a, b = Tower(), Tower()
-    a.degrees[0] = TowerSlice([1, 1, 1])
-    assert b.degrees == {} and a != b
-    assert Tower(degrees={0: TowerSlice([1, 1, 1])}) == a
-    assert repr(b) == "Tower(degrees={})"
 
 
 @pytest.mark.parametrize("module", ["cobcalc", "cobcalc.cli"])
