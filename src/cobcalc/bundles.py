@@ -536,18 +536,6 @@ def flag_restriction(a: TruncatedSeries, b: TruncatedSeries, maps: Sequence[Ring
     return tuple(series_mul(a, w(b)) for w in maps)
 
 
-def flag_restriction_sum(pairs: Sequence[tuple], maps: Sequence[RingMap]) -> tuple:
-    """Image of a sum of pure tensors, componentwise over the Weyl elements."""
-    if not pairs:
-        raise ValueError("need at least one pure tensor")
-    ctx = pairs[0][0].ctx
-    out = [ctx.zero()] * len(maps)
-    for a, b in pairs:
-        for i, w in enumerate(maps):
-            out[i] = out[i] + series_mul(a, w(b))
-    return tuple(out)
-
-
 def first_root_congruent_pairs(elements: Sequence) -> list:
     """Index pairs (i, j), i < j, of Weyl elements with elements[j] = s * elements[i],
     for s the reflection swapping the first two coordinates.

@@ -7,6 +7,8 @@ Options, defaults and ranges are written only there.  `read_argv` reads a
 well-formed argv off the table; argparse's one parser tree, built from it,
 reads the rest and writes help and refusals.  Either namespace is the job
 once `config_from_args` has checked its ranges.
+No job draws: `sif`, `flag` and `pbf` pass ``random.Random(seed)`` to a
+seeded suite of `selftest` and write its verdict.
 Identical configuration and seed produce byte-identical output; exit
 status is 0 iff every requested check passed.  An invalid configuration,
 a refused job or one out of memory exits 2 with a ``cobcalc/error/v1``
@@ -25,20 +27,7 @@ import re
 import sys
 from typing import Callable, Optional, Sequence
 
-from .bundles import (
-    SplitBundle,
-    diagonal_map,
-    first_root_congruent_pairs,
-    flag_restriction,
-    pb_mul,
-    projective_completion_ring,
-    reduce_by_division,
-    top_chern_class,
-    trivial_bundle_ring,
-    xi_power,
-    zero_section_pushforward,
-    zero_section_restriction,
-)
+from .bundles import trivial_bundle_ring, xi_power
 from .equivariant import (
     EnumerationCapExceeded,
     bg_dimensions,
@@ -47,7 +36,7 @@ from .equivariant import (
     weyl_map,
 )
 from .fgl import COEFF_KIND_FOR, FglConstructionError, build_fgl, normalize_kind
-from .selftest import random_series, run_selftest
+from .selftest import division_suite, flag_suite, run_selftest, self_intersection_suite
 from .series import ContextMismatch, RingContext, SubstitutionError
 from .towers import (
     WindowNotStabilized,
@@ -59,9 +48,9 @@ from .value import FrozenValue
 
 SCHEMA_PREFIX = "cobcalc"
 # `tower bgm` refuses more levels than this before it builds anything: every
-# level costs memory per degree, and no cap or degree needs nearly this many
+# level costs memory in the one slice it holds, and no cap or degree needs nearly this many
 MAX_LEVELS = 10_000
-# ... nor a tower of more level dims, (max degree + 1) x (levels + 1), than this
+# ... nor more level dims, (max degree + 1) x (levels + 1), than this: a cap on work
 MAX_TOWER_DIMS = 10_000_000
 # `--deg` refuses a range of more degrees than this before expanding it: each
 # degree costs a job up to a kilobyte of memory, and no job needs nearly this many
@@ -178,37 +167,10 @@ def _run_flag(config: argparse.Namespace):
     group.require_enumerable()
     law = _law(config)
     ctx = law.context(group.rank)
-    rng = random.Random(config.seed)
     elements = group.weyl.elements()
     maps = [weyl_map(w, law, ctx) for w in elements]
-    congruent_pairs = first_root_congruent_pairs(elements)
-    # t1 -> t2, the restriction every compared pair goes through
-    diagonal = diagonal_map(ctx, 0, 1) if congruent_pairs else None
-    mult_ok = True
-    # null when the group has no pair of components to compare
-    cong_ok = True if congruent_pairs else None
-    shown = []
-    for trial in range(config.samples):
-        a, b = random_series(rng, ctx), random_series(rng, ctx)
-        a2, b2 = random_series(rng, ctx), random_series(rng, ctx)
-        image = flag_restriction(a, b, maps)
-        other = flag_restriction(a2, b2, maps)
-        product = flag_restriction(a * a2, b * b2, maps)
-        if any((p - x * y) for p, x, y in zip(product, image, other)):
-            mult_ok = False
-        for f in (image, other, product):
-            for i, j in congruent_pairs:
-                if diagonal(f[i] - f[j]):
-                    cong_ok = False
-        if trial < 3:
-            shown.append(
-                {
-                    "a": a.to_text(),
-                    "b": b.to_text(),
-                    "components": [c.to_text() for c in image],
-                }
-            )
-    ok = mult_ok and cong_ok is not False
+    mult_ok, cong_ok, shown = flag_suite(random.Random(config.seed), ctx, elements, maps,
+                                         config.samples)
     body = {
         "schema": f"{SCHEMA_PREFIX}/flag/v1",
         "group": group.name,
@@ -217,13 +179,16 @@ def _run_flag(config: argparse.Namespace):
         "seed": config.seed,
         "samples": config.samples,
         "weyl_order": len(elements),
-        "images": shown,
+        "images": [
+            {"a": a.to_text(), "b": b.to_text(), "components": [c.to_text() for c in image]}
+            for a, b, image in shown
+        ],
         "multiplicative_ok": mult_ok,
         # divisibility by the group-law root difference: a derived consistency
         # check, not one of the structural identities
         "congruence_ok_derived": cong_ok,
     }
-    return (0 if ok else 1), body
+    return (0 if mult_ok and cong_ok is not False else 1), body
 
 
 def _run_sif(config: argparse.Namespace):
@@ -232,26 +197,9 @@ def _run_sif(config: argparse.Namespace):
         raise ConfigError(f"--rank {config.rank} exceeds --torder {config.max_t}: "
                           f"c_{config.rank} and every trial vanish in the window")
     law = _law(config)
-    ctx = law.context(config.base_vars)
-    rng = random.Random(config.seed)
-    worst = ctx.zero()
-    failures = 0
-    for trial in range(config.samples):
-        roots = tuple(
-            random_series(rng, ctx, 2, augmentation=True) for _ in range(config.rank)
-        )
-        bundle = SplitBundle(roots)
-        ring = projective_completion_ring(bundle)
-        a = random_series(rng, ctx, 3)
-        got = zero_section_restriction(
-            zero_section_pushforward(a, bundle, ring, law)
-        )
-        residual = got - a * top_chern_class(bundle)
-        if not residual.is_zero():
-            failures += 1
-            if worst.is_zero():
-                worst = residual
-    ok = failures == 0
+    failures, residual = self_intersection_suite(random.Random(config.seed), law,
+                                                 law.context(config.base_vars), config.rank,
+                                                 config.samples)
     body = {
         "schema": f"{SCHEMA_PREFIX}/sif/v1",
         "fgl": law.kind,
@@ -261,32 +209,15 @@ def _run_sif(config: argparse.Namespace):
         "seed": config.seed,
         "samples": config.samples,
         "failures": failures,
-        "residual": worst.to_text(),
+        "residual": residual.to_text(),
     }
-    return (0 if ok else 1), body
+    return (1 if failures else 0), body
 
 
 def _run_pbf(config: argparse.Namespace):
     ctx = _context(config, 2)
-    rng = random.Random(config.seed)
-    ring = trivial_bundle_ring(ctx, config.rank)
-    xi_zero = xi_power(ring, config.rank).is_zero()
-    division_ok = True
-    for trial in range(config.samples):
-        roots = tuple(
-            random_series(rng, ctx, 2, augmentation=True) for _ in range(config.rank)
-        )
-        r = projective_completion_ring(SplitBundle(roots))
-        u = r.from_coords([random_series(rng, ctx, 2) for _ in range(r.rank)])
-        v = r.from_coords([random_series(rng, ctx, 2) for _ in range(r.rank)])
-        conv = [ctx.zero()] * (2 * r.rank - 1)
-        for i, ua in enumerate(u.coords):
-            for j, vb in enumerate(v.coords):
-                conv[i + j] = conv[i + j] + ua * vb
-        _, rem = reduce_by_division(r, conv)
-        if list(pb_mul(r, u, v).coords) != list(rem):
-            division_ok = False
-    ok = xi_zero and division_ok
+    xi_zero = xi_power(trivial_bundle_ring(ctx, config.rank), config.rank).is_zero()
+    division_ok = division_suite(random.Random(config.seed), ctx, config.rank, config.samples)
     body = {
         "schema": f"{SCHEMA_PREFIX}/pbf/v1",
         "fgl": normalize_kind(config.fgl_kind),
@@ -297,7 +228,7 @@ def _run_pbf(config: argparse.Namespace):
         "trivial_xi_power_zero": xi_zero,
         "division_oracle_ok": division_ok,
     }
-    return (0 if ok else 1), body
+    return (0 if xi_zero and division_ok else 1), body
 
 
 def _run_tower_bgm(config: argparse.Namespace):
@@ -316,10 +247,10 @@ def _run_tower_bgm(config: argparse.Namespace):
             f"over the cap of {MAX_TOWER_DIMS}"
         )
     ctx = _context(config, 1)
-    tower = projective_space_tower(ctx, max(config.degrees), config.levels, min(config.degrees))
-
     table = {}
     for d in sorted(set(config.degrees)):
+        # no answer reads another degree: hold one slice at a time
+        tower = projective_space_tower(ctx, d, config.levels, d)
         entry = table[d] = {"stab_index": stabilization_index(tower, d)}
         try:
             entry["lim_dim"] = inverse_limit_dims(tower, d)

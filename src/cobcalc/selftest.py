@@ -3,6 +3,10 @@
 Each check returns (ok, detail); on failure the detail carries the first
 counterexample term map in canonical text form.  The suite is fully
 deterministic for a fixed seed: identical runs print identical bytes.
+
+The seeded suites beside the sampler, `random_series`, hold each sampled
+identity once: the ``sif``, ``flag`` and ``pbf`` jobs run them at the
+user's caps and seed, and the checks here at fixed ones.
 """
 
 from __future__ import annotations
@@ -10,15 +14,15 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from functools import lru_cache
-from typing import Callable, List, Tuple
+from typing import Callable, List, Optional, Tuple
 
 from . import linalg
 from .bundles import (
     SplitBundle,
     diagonal_map,
     direct_sum,
+    first_root_congruent_pairs,
     flag_restriction,
-    flag_restriction_sum,
     pb_mul,
     projective_completion_ring,
     reduce_by_division,
@@ -42,6 +46,7 @@ from .equivariant import (
 )
 from .fgl import (
     COEFF_KIND_FOR,
+    FGL_KINDS,
     FormalGroupLaw,
     additive_shadow,
     build_fgl,
@@ -68,8 +73,6 @@ from .towers import (
     projective_space_tower,
     stabilization_index,
 )
-
-ALL_KINDS = ("additive", "multiplicative", "universal-rational")
 
 
 def _law(kind: str, max_t: int = 6, max_w: int = 5):
@@ -109,6 +112,70 @@ def random_series(rng: random.Random, ctx: RingContext, n_terms: int = 3,
         den = rng.randint(1, 3)
         terms[m] = terms.get(m, Fraction(0)) + Fraction(num, den)
     return ctx.from_terms(terms)
+
+
+# -- seeded suites: each sampled identity of the sif, flag and pbf jobs, once ----------
+
+
+def self_intersection_suite(rng: random.Random, law: FormalGroupLaw, ctx: RingContext,
+                            rank: int, samples: int) -> Tuple[int, TruncatedSeries]:
+    """s^* s_*(a) = a * c_rank(E) for ``samples`` draws of E, ``rank`` roots over
+    ``ctx``, and a: the count of nonzero residuals and the first (zero if none)."""
+    failures, first = 0, ctx.zero()
+    for _ in range(samples):
+        roots = tuple(random_series(rng, ctx, 2, augmentation=True) for _ in range(rank))
+        bundle = SplitBundle(roots)
+        ring = projective_completion_ring(bundle)
+        a = random_series(rng, ctx, 3)
+        got = zero_section_restriction(zero_section_pushforward(a, bundle, ring, law))
+        residual = got - a * top_chern_class(bundle)
+        if residual:
+            failures += 1
+            first = first or residual
+    return failures, first
+
+
+def flag_suite(rng: random.Random, ctx: RingContext, elements: list, maps: list,
+               samples: int) -> Tuple[bool, Optional[bool], list]:
+    """Restriction to the fixed points of G/B, ``maps`` the Weyl map of each of
+    ``elements``, on ``samples`` draws of a, b, a2, b2: (multiplicative, congruent
+    at every first-root pair in all three images, or None with no pair, and
+    (a, b, image of a (x) b) for the first three draws)."""
+    pairs = first_root_congruent_pairs(elements)
+    # t1 -> t2, the restriction every compared pair goes through
+    diagonal = diagonal_map(ctx, 0, 1) if pairs else None
+    multiplicative, congruent, shown = True, (True if pairs else None), []
+    for trial in range(samples):
+        a, b = random_series(rng, ctx), random_series(rng, ctx)
+        a2, b2 = random_series(rng, ctx), random_series(rng, ctx)
+        image = flag_restriction(a, b, maps)
+        other = flag_restriction(a2, b2, maps)
+        product = flag_restriction(a * a2, b * b2, maps)
+        if any((p - x * y) for p, x, y in zip(product, image, other)):
+            multiplicative = False
+        if any(diagonal(f[i] - f[j]) for f in (image, other, product) for i, j in pairs):
+            congruent = False
+        if trial < 3:
+            shown.append((a, b, image))
+    return multiplicative, congruent, shown
+
+
+def division_suite(rng: random.Random, ctx: RingContext, rank: int, samples: int) -> bool:
+    """`pb_mul` against `reduce_by_division` of the plain convolution, for
+    ``samples`` draws of ``rank`` roots over ``ctx`` and two ring elements."""
+    ok = True
+    for _ in range(samples):
+        roots = tuple(random_series(rng, ctx, 2, augmentation=True) for _ in range(rank))
+        ring = projective_completion_ring(SplitBundle(roots))
+        u = ring.from_coords([random_series(rng, ctx, 2) for _ in range(ring.rank)])
+        v = ring.from_coords([random_series(rng, ctx, 2) for _ in range(ring.rank)])
+        conv = [ctx.zero()] * (2 * ring.rank - 1)
+        for i, ua in enumerate(u.coords):
+            for j, vb in enumerate(v.coords):
+                conv[i + j] = conv[i + j] + ua * vb
+        _, rem = reduce_by_division(ring, conv)
+        ok = ok and list(pb_mul(ring, u, v).coords) == list(rem)
+    return ok
 
 
 # -- series-core ---------------------------------------------------------------
@@ -186,7 +253,7 @@ def check_bidegree_enumerator(rng: random.Random) -> Tuple[bool, str]:
 def check_fgl_axioms(rng: random.Random) -> Tuple[bool, str]:
     # the invariant-differential verdict against the two 3-variable compositions,
     # on each law and on it plus x^2*y^2, which keeps unit and commutativity only
-    for kind in ALL_KINDS:
+    for kind in FGL_KINDS:
         law = _law(kind)
         x, y = law.series.ctx.var(0), law.series.ctx.var(1)
         for F in (law.series, law.series + x * x * y * y):
@@ -209,7 +276,7 @@ def check_log_exp(rng: random.Random) -> Tuple[bool, str]:
 
 
 def check_n_series_additivity(rng: random.Random) -> Tuple[bool, str]:
-    for kind in ALL_KINDS:
+    for kind in FGL_KINDS:
         law = _law(kind, 5, 4)
         ctx = law.context(2)
         for trial in range(10):
@@ -260,7 +327,7 @@ def check_weyl_action(rng: random.Random) -> Tuple[bool, str]:
 
 
 def check_character_additivity(rng: random.Random) -> Tuple[bool, str]:
-    for kind in ALL_KINDS:
+    for kind in FGL_KINDS:
         law = _law(kind, 4, 3)
         ctx = law.context(2)
         for trial in range(10):
@@ -372,7 +439,7 @@ def check_joint_kernel_vs_all_elements(rng: random.Random) -> Tuple[bool, str]:
 
 
 def check_whitney(rng: random.Random) -> Tuple[bool, str]:
-    for kind in ALL_KINDS:
+    for kind in FGL_KINDS:
         law = _law(kind, 5, 4)
         ctx = law.context(3)
         for trial in range(5):
@@ -392,24 +459,18 @@ def check_whitney(rng: random.Random) -> Tuple[bool, str]:
 
 
 def check_self_intersection(rng: random.Random) -> Tuple[bool, str]:
-    for kind in ALL_KINDS:
+    for kind in FGL_KINDS:
         law = _law(kind, 6, 4)
         ctx = law.context(3)
         for rank in (1, 2, 3):
-            roots = tuple(random_series(rng, ctx, 2, augmentation=True) for _ in range(rank))
-            bundle = SplitBundle(roots)
-            ring = projective_completion_ring(bundle)
-            top = top_chern_class(bundle)
-            for trial in range(4):
-                a = random_series(rng, ctx, 3)
-                got = zero_section_restriction(zero_section_pushforward(a, bundle, ring, law))
-                if got - a * top:
-                    return False, f"{kind} rank {rank}: residual {(got - a * top).to_text()}"
+            failures, residual = self_intersection_suite(rng, law, ctx, rank, 4)
+            if failures:
+                return False, f"{kind} rank {rank}: residual {residual.to_text()}"
     return True, "ranks 1..3, 3 kinds, caps (6, 4)"
 
 
 def check_thom_multiplicativity(rng: random.Random) -> Tuple[bool, str]:
-    for kind in ALL_KINDS:
+    for kind in FGL_KINDS:
         law = _law(kind, 5, 3)
         ctx = law.context(3)
         for r1, r2 in ((1, 1), (1, 2), (2, 1)):
@@ -455,7 +516,7 @@ def check_pb_confluence(rng: random.Random) -> Tuple[bool, str]:
 
 
 def check_smooth_divisor(rng: random.Random) -> Tuple[bool, str]:
-    for kind in ALL_KINDS:
+    for kind in FGL_KINDS:
         law = _law(kind, 5, 3)
         ctx = law.context(2)
         for rank in (1, 2):
@@ -470,25 +531,16 @@ def check_smooth_divisor(rng: random.Random) -> Tuple[bool, str]:
 
 
 def check_flag_multiplicative(rng: random.Random) -> Tuple[bool, str]:
+    elements = preset("GL2").weyl.elements()
     for kind in ("additive", "universal-rational"):
         law = _law(kind, 4, 3)
         ctx = law.context(2)
-        maps = [weyl_map(w, law, ctx) for w in preset("GL2").weyl.elements()]
-        diagonal = diagonal_map(ctx, 0, 1)
-        for trial in range(10):
-            a, b = random_series(rng, ctx), random_series(rng, ctx)
-            a2, b2 = random_series(rng, ctx), random_series(rng, ctx)
-            lhs = flag_restriction(a * a2, b * b2, maps)
-            f1 = flag_restriction(a, b, maps)
-            f2 = flag_restriction(a2, b2, maps)
-            for l, x, y in zip(lhs, f1, f2):
-                if l - x * y:
-                    return False, f"{kind}: not multiplicative"
-            pairs = [(a, b), (a2, b2)]
-            image = flag_restriction_sum(pairs, maps)
-            for f, gg in [(image[0], image[1])]:
-                if diagonal(f - gg):
-                    return False, f"{kind}: congruence fails"
+        maps = [weyl_map(w, law, ctx) for w in elements]
+        multiplicative, congruent, _ = flag_suite(rng, ctx, elements, maps, 10)
+        if not multiplicative:
+            return False, f"{kind}: not multiplicative"
+        if not congruent:
+            return False, f"{kind}: congruence fails"
     return True, "multiplicativity + diagonal congruence"
 
 
@@ -521,7 +573,7 @@ def check_tower_find_or_refuse(rng: random.Random) -> Tuple[bool, str]:
 
 
 def check_tower_coefficient_ring(rng: random.Random) -> Tuple[bool, str]:
-    for kind in ALL_KINDS:
+    for kind in FGL_KINDS:
         law = _law(kind)
         ctx = law.context(1)
         tower = projective_space_tower(ctx, 5, law.max_t_order + 2)

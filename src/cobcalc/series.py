@@ -341,6 +341,10 @@ class TruncatedSeries:
     # _graded: the terms bucketed by weight, built on first use as a right factor
     __slots__ = ("ctx", "_terms", "_den", "_graded", "_hash")
 
+    def __init__(self, *args, **kwargs):
+        raise TypeError("build a series with RingContext.from_terms, its var, one, "
+                        "constant or lazard, or TruncatedSeries.from_text")
+
     @classmethod
     def _raw(cls, ctx: RingContext, terms: dict, den: int) -> "TruncatedSeries":
         # internal: (terms, den) is already canonical and inside the caps

@@ -442,7 +442,9 @@ def test_tower_stdout_golden(command, capsys):
 # exit status and stdout sha256 of `sif`, recorded while every Thom class was
 # formed as a product: the three CLI seeds of the benchmark's sif-rank3, whose
 # law is exact in the window (closed form), and a weight cap above the t-order
-# cap, whose law is cut inside the window (product route)
+# cap, whose law is cut inside the window (product route).  At rank 3 every
+# product-route trial checks 0 = 0; at rank 2 some have a nonzero side, so a
+# product route that returned zero would move that digest
 SIF_GOLDEN = {
     "sif --fgl universal --rank 3 --torder 7 --seed 7":
         (0, "746cb238f0a1f75e6b5cdd6bfc7f514ef4486188136722f0d011bac8a779851d"),
@@ -452,6 +454,8 @@ SIF_GOLDEN = {
         (0, "719b268976d74a1c270e79ed4e6704ba6ca196176efa5346276423f43fdafb67"),
     "sif --fgl universal --rank 3 --torder 5 --max-w 6 --seed 7":
         (0, "e2496534a167023f99d78152ea7334716cd41404b28346583b8a11215c633f49"),
+    "sif --fgl universal --rank 2 --torder 5 --max-w 6 --seed 7":
+        (0, "cddeade4c0ecd18e959e92d478d0da206cdc7b9beae1ba9fc07b6e44663c0257"),
 }
 
 
@@ -493,7 +497,7 @@ def test_tower_bgm_builds_only_the_requested_slices(monkeypatch, capsys):
     capsys.readouterr()
     # the cap on (max degree + 1) x (levels + 1) still admits this window
     assert main("tower bgm --deg 99..99 --max-t 99 --levels 9999".split()) == 0
-    assert built == [[4, 5, 6], [99]]
+    assert built == [[4], [5], [6], [99]]
     report = json.loads(capsys.readouterr().out)
     assert report["degrees"] == {"99": {"lim_dim": 1, "stab_index": 0}}
 
@@ -639,10 +643,9 @@ def test_error_object_from_a_fresh_interpreter_has_no_traceback():
 
 
 def test_a_job_out_of_memory_exits_2_with_a_resources_error():
-    # 10**7 level dims, within the cap, fill far more than the child may map;
-    # the limit binds the child only
-    argv = ["tower", "bgm", "--fgl", "universal", "--deg", "0..999", "--max-t", "999",
-            "--max-w", "999", "--levels", "9999"]
+    # a packed key of one field per generator up to weight 2 * 10**7 fills far
+    # more than the child may map; the limit binds the child only
+    argv = ["fgl", "check", "--kind", "universal", "--max-t", "3", "--max-w", "20000000"]
     limit = 200 * 2**20
 
     def cap_address_space():

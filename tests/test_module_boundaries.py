@@ -6,6 +6,8 @@ of ``series``: none of them reads a series' private state or the packed
 key layout of a context.  No module of the package imports a ``_``-prefixed
 name from a sibling module.  ``cobcalc/__init__.py`` imports a public name
 only to list it in ``__all__``, and every name listed there resolves.
+``cli`` draws nothing itself: it imports no sampler, and runs the seeded
+suites of ``selftest``.
 """
 
 import ast
@@ -84,3 +86,25 @@ def test_the_package_imports_no_public_name_it_does_not_export():
         for alias in node.names
     }
     assert sorted(name for name in imported - set(cobcalc.__all__) if not name.startswith("_")) == []
+
+
+SAMPLERS = {"random_series", "random_monomial"}
+
+
+def _names(source: str) -> set:
+    """Every name ``source`` imports, reads or reads off another name."""
+    return {
+        name for node in ast.walk(ast.parse(source))
+        for name in ([a.name for a in node.names] if isinstance(node, ast.ImportFrom)
+                     else [node.id] if isinstance(node, ast.Name)
+                     else [node.attr] if isinstance(node, ast.Attribute) else [])
+    }
+
+
+def test_names_are_found():
+    source = "from .selftest import random_series\nfrom . import selftest\nselftest.random_monomial\n"
+    assert _names(source) >= SAMPLERS
+
+
+def test_the_cli_draws_nothing_itself():
+    assert _names((PACKAGE / "cli.py").read_text()) & SAMPLERS == set()

@@ -244,13 +244,13 @@ def test_bg_builds_no_weyl_map_and_no_action_matrix(argv, emit, monkeypatch, cap
 
 def test_flag_builds_one_diagonal_map(monkeypatch, capsys):
     built = []
-    real = cli.diagonal_map
+    real = selftest.diagonal_map
 
     def counting(*args):
         built.append(args)
         return real(*args)
 
-    monkeypatch.setattr(cli, "diagonal_map", counting)
+    monkeypatch.setattr(selftest, "diagonal_map", counting)
     assert main(["flag", "--group", "GL3", "--pairs", "4"]) == 0
     assert json.loads(capsys.readouterr().out)["congruence_ok_derived"] is True
     assert built == [(built[0][0], 0, 1)]

@@ -1,3 +1,4 @@
+import copy
 import doctest
 import random
 import sys
@@ -271,6 +272,17 @@ def test_equality_is_termwise(qctx):
     a = qctx.var(0) + qctx.var(1)
     b = qctx.var(1) + qctx.var(0)
     assert a == b and hash(a) == hash(b)
+
+
+@pytest.mark.parametrize("args", [(), ("ctx", {})])
+def test_the_class_refuses_to_be_called_and_names_the_constructors(qctx, args):
+    with pytest.raises(TypeError, match="from_terms"):
+        TruncatedSeries(*(qctx if a == "ctx" else a for a in args))
+
+
+def test_a_series_copies_without_its_constructor(qctx):
+    s = qctx.var(0) + qctx.one()
+    assert copy.copy(s) == s and copy.deepcopy(s) == s
 
 
 def test_caps_drop_silently(qctx):

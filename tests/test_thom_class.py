@@ -247,6 +247,9 @@ def test_closed_form_matches_both_product_routes(data):
         # base weight cap 3 is above the law's weight cap 2
         ("multiplicative", (4, 2), (4, 3), "-1 + 1 * b^3*t1^3"),
         ("universal-rational", (3, 1), (3, 2), "-1 + 4 * m1^2*t1^2"),
+        # base weight cap W equal to the law's t-order cap T: the product route still
+        ("multiplicative", (3, 3), (3, 3), "-1 + 1 * b^3*t1^3"),
+        ("universal-rational", (2, 2), (2, 2), "-1 + 4 * m1^2*t1^2"),
     ],
 )
 def test_a_law_cut_inside_the_window_takes_the_product_route(kind, law_caps, base_caps, top):
