@@ -28,6 +28,7 @@ from .fgl import (
     fgl_inverse,
     fgl_sum,
     n_series,
+    ring_context,
     verify_fgl_axioms,
 )
 from .equivariant import (
@@ -94,6 +95,7 @@ __all__ = [
     "preset",
     "projective_completion_ring",
     "projective_space_tower",
+    "ring_context",
     "series_add",
     "series_mul",
     "sparse_coordinates",

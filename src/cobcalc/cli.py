@@ -8,13 +8,16 @@ well-formed argv off the table; argparse's one parser tree, built from it,
 reads the rest and writes help and refusals.  Either namespace is the job
 once `config_from_args` has checked its ranges.
 No job draws: `sif`, `flag` and `pbf` pass ``random.Random(seed)`` to a
-seeded suite of `selftest` and write its verdict.
+seeded suite of `selftest` and write its verdict.  A job passes the law's
+kind, as `config_from_args` normalized it, and the caps, and nothing more:
+`fgl.build_fgl` builds its law and `fgl.ring_context` its series contexts.
 Identical configuration and seed produce byte-identical output; exit
 status is 0 iff every requested check passed.  An invalid configuration,
 a refused job or one out of memory exits 2 with a ``cobcalc/error/v1``
 object whose ``kind`` names the cause (see `ERROR_KINDS`).  A `tower bgm`
 degree whose window is too short to certify stabilization is reported in
-the body and exits 1: the job ran, and one of its checks did not pass.
+the body, as ``refused`` text that names the degree, and exits 1: the job
+ran, and one of its checks did not pass.
 """
 
 from __future__ import annotations
@@ -28,14 +31,8 @@ import sys
 from typing import Callable, Optional, Sequence
 
 from .bundles import trivial_bundle_ring, xi_power
-from .equivariant import (
-    EnumerationCapExceeded,
-    bg_dimensions,
-    invariant_bases,
-    preset,
-    weyl_map,
-)
-from .fgl import COEFF_KIND_FOR, FglConstructionError, build_fgl, normalize_kind
+from .equivariant import EnumerationCapExceeded, bg_dimensions, invariant_bases, preset
+from .fgl import FglConstructionError, build_fgl, normalize_kind, ring_context
 from .selftest import division_suite, flag_suite, run_selftest, self_intersection_suite
 from .series import ContextMismatch, RingContext, SubstitutionError
 from .towers import (
@@ -75,14 +72,11 @@ ERROR_KINDS = (
 
 
 def _context(config: argparse.Namespace, n_vars: int) -> RingContext:
-    kind = normalize_kind(config.fgl_kind)
-    coeff = COEFF_KIND_FOR[kind]
-    max_w = 0 if coeff == "rational" else config.max_w
-    return RingContext(n_vars, coeff, config.max_t, max_w)
+    return ring_context(config.fgl_kind, n_vars, config.max_t, config.max_w)
 
 
 def _law(config: argparse.Namespace):
-    return build_fgl(normalize_kind(config.fgl_kind), _context(config, 2))
+    return build_fgl(config.fgl_kind, config.max_t, config.max_w)
 
 
 def parse_degree_range(text: str) -> list:
@@ -151,7 +145,7 @@ def _run_bg(config: argparse.Namespace):
     body = {
         "schema": f"{SCHEMA_PREFIX}/bg/v1",
         "group": group.name,
-        "fgl": normalize_kind(config.fgl_kind),
+        "fgl": config.fgl_kind,
         "caps": {"max_t": config.max_t, "max_w": ctx.max_weight},
         "torder": config.t_order,
         "dims": {str(d): dim for d, dim in dims.items()},
@@ -166,11 +160,8 @@ def _run_flag(config: argparse.Namespace):
     # the job enumerates the Weyl group: refuse an oversized one before building anything
     group.require_enumerable()
     law = _law(config)
-    ctx = law.context(group.rank)
     elements = group.weyl.elements()
-    maps = [weyl_map(w, law, ctx) for w in elements]
-    mult_ok, cong_ok, shown = flag_suite(random.Random(config.seed), ctx, elements, maps,
-                                         config.samples)
+    mult_ok, cong_ok, shown = flag_suite(random.Random(config.seed), law, elements, config.samples)
     body = {
         "schema": f"{SCHEMA_PREFIX}/flag/v1",
         "group": group.name,
@@ -220,7 +211,7 @@ def _run_pbf(config: argparse.Namespace):
     division_ok = division_suite(random.Random(config.seed), ctx, config.rank, config.samples)
     body = {
         "schema": f"{SCHEMA_PREFIX}/pbf/v1",
-        "fgl": normalize_kind(config.fgl_kind),
+        "fgl": config.fgl_kind,
         "rank": config.rank,
         "caps": {"max_t": config.max_t, "max_w": ctx.max_weight},
         "seed": config.seed,
@@ -250,20 +241,20 @@ def _run_tower_bgm(config: argparse.Namespace):
     table = {}
     for d in sorted(set(config.degrees)):
         # no answer reads another degree: hold one slice at a time
-        tower = projective_space_tower(ctx, d, config.levels, d)
-        entry = table[d] = {"stab_index": stabilization_index(tower, d)}
+        sl = projective_space_tower(ctx, d, config.levels)
+        entry = table[d] = {"stab_index": stabilization_index(sl)}
         try:
-            entry["lim_dim"] = inverse_limit_dims(tower, d)
+            entry["lim_dim"] = inverse_limit_dims(sl)
         except WindowNotStabilized as exc:
             entry["lim_dim"] = None
-            entry["refused"] = str(exc)
+            entry["refused"] = f"degree {d}: {exc}"
     ok = all(
         e["stab_index"] is not None and e["lim_dim"] is not None
         for e in table.values()
     )
     body = {
         "schema": f"{SCHEMA_PREFIX}/tower-bgm/v1",
-        "fgl": normalize_kind(config.fgl_kind),
+        "fgl": config.fgl_kind,
         "caps": {"max_t": config.max_t, "max_w": ctx.max_weight},
         "levels": config.levels,
         "degrees": {str(d): e for d, e in table.items()},
@@ -498,7 +489,7 @@ def config_from_args(args: argparse.Namespace) -> argparse.Namespace:
             bound = f"at least {o.low}" if o.high is None else f"in {o.low}..{o.high}"
             raise ConfigError(f"{o.flag} must be {bound}, got {value}")
     if hasattr(args, "fgl_kind"):
-        normalize_kind(args.fgl_kind)  # validate early
+        args.fgl_kind = normalize_kind(args.fgl_kind)
     return args
 
 

@@ -197,16 +197,18 @@ def _signed_matrix(code: tuple) -> Matrix:
 
 
 class GroupPreset(FrozenValue):
-    """A named group: its Weyl group and, when known in closed form, the
-    order of that group, so that a group too large to enumerate is refused
-    before any work."""
+    """A named group: its Weyl group, whose rank is the group's, and, when
+    known in closed form, the order of that group, so that a group too large
+    to enumerate is refused before any work."""
 
-    _fields = ("name", "rank", "weyl", "weyl_order")
+    _fields = ("name", "weyl", "weyl_order")
 
-    def __init__(
-        self, name: str, rank: int, weyl: WeylGroupSpec, weyl_order: Optional[int] = None
-    ):
-        self.__dict__.update(name=name, rank=rank, weyl=weyl, weyl_order=weyl_order)
+    def __init__(self, name: str, weyl: WeylGroupSpec, weyl_order: Optional[int] = None):
+        self.__dict__.update(name=name, weyl=weyl, weyl_order=weyl_order)
+
+    @property
+    def rank(self) -> int:
+        return self.weyl.rank
 
     def require_enumerable(self) -> None:
         """Raise EnumerationCapExceeded if the known Weyl order exceeds the enumeration cap."""
@@ -251,7 +253,7 @@ def preset(name: str) -> GroupPreset:
     """Group presets: GL(n), SL(2), torus(n), plus B/C signed permutations of rank <= 3."""
     canon = name.replace("(", "").replace(")", "").replace("_", "").upper()
     if canon == "SL2":
-        return GroupPreset("SL(2)", 1, WeylGroupSpec(rank=1, generators=(((-1,),),)), 2)
+        return GroupPreset("SL(2)", WeylGroupSpec(rank=1, generators=(((-1,),),)), 2)
     m = re.fullmatch(r"(GL|TORUS|[BC])(\d+)", canon)
     if m is None:
         raise ValueError(f"unknown group preset {name!r}")
@@ -262,10 +264,10 @@ def preset(name: str) -> GroupPreset:
     if n > MAX_PRESET_RANK:
         raise ValueError(f"group rank {n} is over the preset cap of {MAX_PRESET_RANK}")
     if family == "GL":
-        return GroupPreset(f"GL({n})", n, symmetric_group(n), factorial(n))
+        return GroupPreset(f"GL({n})", symmetric_group(n), factorial(n))
     if family == "TORUS":
-        return GroupPreset(f"torus({n})", n, WeylGroupSpec(rank=n, generators=()), 1)
-    return GroupPreset(f"{family}{n}", n, signed_permutation_group(n), 2**n * factorial(n))
+        return GroupPreset(f"torus({n})", WeylGroupSpec(rank=n, generators=()), 1)
+    return GroupPreset(f"{family}{n}", signed_permutation_group(n), 2**n * factorial(n))
 
 
 def character_class(law: FormalGroupLaw, char: Sequence[int], ctx: RingContext) -> TruncatedSeries:
@@ -432,7 +434,7 @@ def _linear_invariants(wspec: WeylGroupSpec, orders) -> dict:
     codes = tuple(map(_signed_code, wspec.generators))
     if None not in codes:
         return {k: _signed_orbits(codes, wspec.rank, k) for k in orders}
-    law = build_fgl("additive", RingContext(2, "rational", max([2, *orders]), 0))
+    law = build_fgl("additive", max([2, *orders]), 0)
     ctx = law.context(wspec.rank)
     return {
         k: [

@@ -9,6 +9,10 @@ Three kinds are supported, each given by its logarithm over Q:
 * ``universal-rational``: log(x) = x + m1*x^2 + m2*x^3 + ... over
   Q[m1, m2, ...].
 
+A law is fixed by its kind and its caps: `build_fgl` takes only those and
+builds the law over its `ring_context`, the one place that pairs a kind
+with its coefficient ring and gives the additive law weight cap 0.
+
 One construction serves all three: exp is the compositional inverse of
 log (`series.compositional_inverse`; this module reads no packed key),
 F(x, y) = exp(log(x) + log(y)) and the formal inverse is
@@ -151,8 +155,25 @@ class AxiomReport(FrozenValue):
         return self.unit_ok and self.comm_ok and self.assoc_ok
 
 
-def build_fgl(kind: str, ctx: RingContext) -> FormalGroupLaw:
-    """Construct and validate a formal group law at the caps of ``ctx``.
+def ring_context(kind: str, n_vars: int, max_t: int, max_w: int) -> RingContext:
+    """The series context over which the law of ``kind`` lives at caps
+    ``(max_t, max_w)``, in ``n_vars`` variables: the coefficient ring of the
+    kind (`COEFF_KIND_FOR`), and for the additive law, over plain Q, weight
+    cap 0.
+
+    >>> ring_context("add", 3, 6, 5)
+    RingContext(n_vars=3, coeff_kind='rational', max_t_order=6, max_weight=0)
+    """
+    # the additive weight cap is zeroed below: a negative one is refused first
+    if max_w < 0:
+        raise ValueError("truncation caps must be non-negative")
+    kind = normalize_kind(kind)
+    return RingContext(n_vars, COEFF_KIND_FOR[kind], max_t, 0 if kind == "additive" else max_w)
+
+
+def build_fgl(kind: str, max_t: int, max_w: int) -> FormalGroupLaw:
+    """Construct and validate the formal group law of ``kind`` at caps
+    ``(max_t, max_w)``, over its `ring_context`.
 
     The axioms are checked first (`verify_fgl_axioms`), which computes the
     L of their certificate once; a failed axiom is reported and nothing
@@ -160,19 +181,14 @@ def build_fgl(kind: str, ctx: RingContext) -> FormalGroupLaw:
     window, so F(x, chi(x)) = 0 is checked as L(chi(x)) + L(x) = 0 (module
     docstring).
 
-    >>> law = build_fgl("multiplicative", RingContext(2, "multiplicative-beta", 4, 3))
+    >>> law = build_fgl("multiplicative", 4, 3)
     >>> law.inverse_series.to_text()
     '-1 * t1 + -1 * b*t1^2 + -1 * b^2*t1^3 + -1 * b^3*t1^4'
     """
     kind = normalize_kind(kind)
-    if ctx.coeff_kind != COEFF_KIND_FOR[kind]:
-        raise ContextMismatch(
-            f"{kind} law needs coefficient kind {COEFF_KIND_FOR[kind]!r}, "
-            f"context has {ctx.coeff_kind!r}"
-        )
-    if ctx.max_t_order < 2:
+    ctx1, ctx2 = (ring_context(kind, n, max_t, max_w) for n in (1, 2))
+    if max_t < 2:
         raise ValueError("caps must admit degree 2 in x, y")
-    ctx1, ctx2 = (RingContext(n, ctx.coeff_kind, ctx.max_t_order, ctx.max_weight) for n in (1, 2))
     log = _logarithm(kind, ctx1)
     exp = compositional_inverse(log)
     lx, ly = (substitute(log, {0: ctx2.var(j)}, target=ctx2) for j in (0, 1))

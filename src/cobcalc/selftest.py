@@ -45,7 +45,6 @@ from .equivariant import (
     window_basis,
 )
 from .fgl import (
-    COEFF_KIND_FOR,
     FGL_KINDS,
     FormalGroupLaw,
     additive_shadow,
@@ -73,11 +72,6 @@ from .towers import (
     projective_space_tower,
     stabilization_index,
 )
-
-
-def _law(kind: str, max_t: int = 6, max_w: int = 5):
-    ctx = RingContext(2, COEFF_KIND_FOR[kind], max_t, 0 if kind == "additive" else max_w)
-    return build_fgl(kind, ctx)
 
 
 @lru_cache(maxsize=None)
@@ -135,12 +129,15 @@ def self_intersection_suite(rng: random.Random, law: FormalGroupLaw, ctx: RingCo
     return failures, first
 
 
-def flag_suite(rng: random.Random, ctx: RingContext, elements: list, maps: list,
+def flag_suite(rng: random.Random, law: FormalGroupLaw, elements: list,
                samples: int) -> Tuple[bool, Optional[bool], list]:
-    """Restriction to the fixed points of G/B, ``maps`` the Weyl map of each of
-    ``elements``, on ``samples`` draws of a, b, a2, b2: (multiplicative, congruent
-    at every first-root pair in all three images, or None with no pair, and
+    """Restriction to the fixed points of G/B through the Weyl maps of
+    ``elements`` under ``law``, on ``samples`` draws of a, b, a2, b2 over the
+    law's context of their rank: (multiplicative, congruent at every
+    first-root pair in all three images, or None with no pair, and
     (a, b, image of a (x) b) for the first three draws)."""
+    ctx = law.context(len(elements[0]))
+    maps = [weyl_map(w, law, ctx) for w in elements]
     pairs = first_root_congruent_pairs(elements)
     # t1 -> t2, the restriction every compared pair goes through
     diagonal = diagonal_map(ctx, 0, 1) if pairs else None
@@ -254,7 +251,7 @@ def check_fgl_axioms(rng: random.Random) -> Tuple[bool, str]:
     # the invariant-differential verdict against the two 3-variable compositions,
     # on each law and on it plus x^2*y^2, which keeps unit and commutativity only
     for kind in FGL_KINDS:
-        law = _law(kind)
+        law = build_fgl(kind, 6, 5)
         x, y = law.series.ctx.var(0), law.series.ctx.var(1)
         for F in (law.series, law.series + x * x * y * y):
             report = verify_fgl_axioms(FormalGroupLaw(kind, F, law.inverse_series, law.log, law.exp))
@@ -265,7 +262,7 @@ def check_fgl_axioms(rng: random.Random) -> Tuple[bool, str]:
 
 
 def check_log_exp(rng: random.Random) -> Tuple[bool, str]:
-    law = _law("universal-rational")
+    law = build_fgl("universal-rational", 6, 5)
     ctx1 = law.log.ctx
     x = ctx1.var(0)
     if substitute(law.log, {0: law.exp}) - x:
@@ -277,7 +274,7 @@ def check_log_exp(rng: random.Random) -> Tuple[bool, str]:
 
 def check_n_series_additivity(rng: random.Random) -> Tuple[bool, str]:
     for kind in FGL_KINDS:
-        law = _law(kind, 5, 4)
+        law = build_fgl(kind, 5, 4)
         ctx = law.context(2)
         for trial in range(10):
             a = random_series(rng, ctx, augmentation=True)
@@ -290,7 +287,7 @@ def check_n_series_additivity(rng: random.Random) -> Tuple[bool, str]:
 
 
 def check_universal_specializes(rng: random.Random) -> Tuple[bool, str]:
-    law = _law("universal-rational")
+    law = build_fgl("universal-rational", 6, 5)
     shadow = additive_shadow(law.series)
     ctx = shadow.ctx
     if shadow - (ctx.var(0) + ctx.var(1)):
@@ -303,7 +300,7 @@ def check_universal_specializes(rng: random.Random) -> Tuple[bool, str]:
 
 def check_weyl_action(rng: random.Random) -> Tuple[bool, str]:
     for kind in ("additive", "universal-rational"):
-        law = _law(kind, 4, 3)
+        law = build_fgl(kind, 4, 3)
         for group in ("GL2", "SL2", "B2"):
             g = preset(group)
             ctx = law.context(g.rank)
@@ -328,7 +325,7 @@ def check_weyl_action(rng: random.Random) -> Tuple[bool, str]:
 
 def check_character_additivity(rng: random.Random) -> Tuple[bool, str]:
     for kind in FGL_KINDS:
-        law = _law(kind, 4, 3)
+        law = build_fgl(kind, 4, 3)
         ctx = law.context(2)
         for trial in range(10):
             c1 = (rng.randint(-2, 2), rng.randint(-2, 2))
@@ -342,7 +339,7 @@ def check_character_additivity(rng: random.Random) -> Tuple[bool, str]:
 
 def check_invariants_fixed(rng: random.Random) -> Tuple[bool, str]:
     for kind in ("additive", "universal-rational"):
-        law = _law(kind, 4, 3)
+        law = build_fgl(kind, 4, 3)
         for group in ("GL2", "SL2"):
             g = preset(group)
             ctx = law.context(g.rank)
@@ -391,7 +388,7 @@ def check_gl_additive_counts(rng: random.Random) -> Tuple[bool, str]:
         return counts[d]
 
     for n in (2, 3):
-        law = _law("additive")
+        law = build_fgl("additive", 6, 5)
         g = preset(f"GL{n}")
         dims = bg_dimensions(g, law.context(n), range(0, 5), 4)
         expected = {d: poly_count(n, d) for d in range(0, 5)}
@@ -402,7 +399,7 @@ def check_gl_additive_counts(rng: random.Random) -> Tuple[bool, str]:
 
 def check_gl_universal_bruteforce(rng: random.Random) -> Tuple[bool, str]:
     # independent brute force for permutation actions: orbit counting
-    law = _law("universal-rational", 4, 3)
+    law = build_fgl("universal-rational", 4, 3)
     for n in (2, 3):
         g = preset(f"GL{n}")
         ctx = law.context(n)
@@ -419,7 +416,7 @@ def check_gl_universal_bruteforce(rng: random.Random) -> Tuple[bool, str]:
 def check_joint_kernel_vs_all_elements(rng: random.Random) -> Tuple[bool, str]:
     # generators-only fixed space must equal the fixed space over all elements
     for kind in ("multiplicative", "universal-rational"):
-        law = _law(kind, 4, 3)
+        law = build_fgl(kind, 4, 3)
         for group in ("SL2", "B2"):
             g = preset(group)
             ctx = law.context(g.rank)
@@ -440,7 +437,7 @@ def check_joint_kernel_vs_all_elements(rng: random.Random) -> Tuple[bool, str]:
 
 def check_whitney(rng: random.Random) -> Tuple[bool, str]:
     for kind in FGL_KINDS:
-        law = _law(kind, 5, 4)
+        law = build_fgl(kind, 5, 4)
         ctx = law.context(3)
         for trial in range(5):
             e1 = SplitBundle(tuple(random_series(rng, ctx, 2, augmentation=True) for _ in range(2)))
@@ -460,7 +457,7 @@ def check_whitney(rng: random.Random) -> Tuple[bool, str]:
 
 def check_self_intersection(rng: random.Random) -> Tuple[bool, str]:
     for kind in FGL_KINDS:
-        law = _law(kind, 6, 4)
+        law = build_fgl(kind, 6, 4)
         ctx = law.context(3)
         for rank in (1, 2, 3):
             failures, residual = self_intersection_suite(rng, law, ctx, rank, 4)
@@ -471,7 +468,7 @@ def check_self_intersection(rng: random.Random) -> Tuple[bool, str]:
 
 def check_thom_multiplicativity(rng: random.Random) -> Tuple[bool, str]:
     for kind in FGL_KINDS:
-        law = _law(kind, 5, 3)
+        law = build_fgl(kind, 5, 3)
         ctx = law.context(3)
         for r1, r2 in ((1, 1), (1, 2), (2, 1)):
             e1 = SplitBundle(tuple(random_series(rng, ctx, 2, augmentation=True) for _ in range(r1)))
@@ -486,7 +483,7 @@ def check_thom_multiplicativity(rng: random.Random) -> Tuple[bool, str]:
 
 
 def check_pb_confluence(rng: random.Random) -> Tuple[bool, str]:
-    law = _law("multiplicative", 5, 4)
+    law = build_fgl("multiplicative", 5, 4)
     ctx = law.context(2)
     for rank in (2, 3, 4):
         ring = trivial_bundle_ring(ctx, rank)
@@ -517,7 +514,7 @@ def check_pb_confluence(rng: random.Random) -> Tuple[bool, str]:
 
 def check_smooth_divisor(rng: random.Random) -> Tuple[bool, str]:
     for kind in FGL_KINDS:
-        law = _law(kind, 5, 3)
+        law = build_fgl(kind, 5, 3)
         ctx = law.context(2)
         for rank in (1, 2):
             roots = tuple(random_series(rng, ctx, 2, augmentation=True) for _ in range(rank))
@@ -533,10 +530,7 @@ def check_smooth_divisor(rng: random.Random) -> Tuple[bool, str]:
 def check_flag_multiplicative(rng: random.Random) -> Tuple[bool, str]:
     elements = preset("GL2").weyl.elements()
     for kind in ("additive", "universal-rational"):
-        law = _law(kind, 4, 3)
-        ctx = law.context(2)
-        maps = [weyl_map(w, law, ctx) for w in elements]
-        multiplicative, congruent, _ = flag_suite(rng, ctx, elements, maps, 10)
+        multiplicative, congruent, _ = flag_suite(rng, build_fgl(kind, 4, 3), elements, 10)
         if not multiplicative:
             return False, f"{kind}: not multiplicative"
         if not congruent:
@@ -556,32 +550,31 @@ def check_tower_find_or_refuse(rng: random.Random) -> Tuple[bool, str]:
             # entries drawn row by row, kept as the slice's sparse integer columns
             rows = [[rng.randint(-2, 2) for _ in range(dims[i + 1])] for _ in range(dims[i])]
             maps.append([{r: row[c] for r, row in enumerate(rows) if row[c]} for c in range(dims[i + 1])])
-        tower = {0: TowerSlice(dims=dims, maps=maps)}
-        idx = stabilization_index(tower, 0)
+        sl = TowerSlice(dims=dims, maps=maps)
+        idx = stabilization_index(sl)
         if idx is not None and idx > k:
             return False, f"index {idx} outside window"
         if idx is not None:
             try:
-                inverse_limit_dims(tower, 0)
+                inverse_limit_dims(sl)
             except WindowNotStabilized:
                 pass
     # constant towers with window > max dim must always certify
-    tower = {0: TowerSlice([2, 2, 2, 2, 2], [[{0: 1}, {1: 1}]] * 4)}
-    if stabilization_index(tower, 0) != 0:
+    if stabilization_index(TowerSlice([2, 2, 2, 2, 2], [[{0: 1}, {1: 1}]] * 4)) != 0:
         return False, "identity tower not certified at 0"
     return True, "30 random towers + identity"
 
 
 def check_tower_coefficient_ring(rng: random.Random) -> Tuple[bool, str]:
     for kind in FGL_KINDS:
-        law = _law(kind)
+        law = build_fgl(kind, 6, 5)
         ctx = law.context(1)
-        tower = projective_space_tower(ctx, 5, law.max_t_order + 2)
         for d in range(0, 6):
-            idx = stabilization_index(tower, d)
+            sl = projective_space_tower(ctx, d, law.max_t_order + 2)
+            idx = stabilization_index(sl)
             if idx is None or idx > d:
                 return False, f"{kind} d={d}: index {idx}"
-            lim = inverse_limit_dims(tower, d)
+            lim = inverse_limit_dims(sl)
             expect = coefficient_ring_dimension(ctx, d)
             if lim != expect:
                 return False, f"{kind} d={d}: {lim} != {expect}"
@@ -589,10 +582,9 @@ def check_tower_coefficient_ring(rng: random.Random) -> Tuple[bool, str]:
 
 
 def check_tower_functoriality(rng: random.Random) -> Tuple[bool, str]:
-    law = _law("universal-rational", 4, 3)
-    tower = projective_space_tower(law.context(1), 3, 6)
-    transforms = {}
-    for d, sl in tower.items():
+    law = build_fgl("universal-rational", 4, 3)
+    for d in range(0, 4):
+        sl = projective_space_tower(law.context(1), d, 6)
         mats = []
         for dim in sl.dims:
             m = linalg.identity(dim)
@@ -603,12 +595,10 @@ def check_tower_functoriality(rng: random.Random) -> Tuple[bool, str]:
                     for col in range(dim):
                         m[i][col] += c * m[j][col]
             mats.append(m)
-        transforms[d] = mats
-    moved = apply_levelwise_isomorphism(tower, transforms)
-    for d in range(0, 4):
-        if stabilization_index(tower, d) != stabilization_index(moved, d):
+        moved = apply_levelwise_isomorphism(sl, mats)
+        if stabilization_index(sl) != stabilization_index(moved):
             return False, f"d={d}: index changed"
-        if inverse_limit_dims(tower, d) != inverse_limit_dims(moved, d):
+        if inverse_limit_dims(sl) != inverse_limit_dims(moved):
             return False, f"d={d}: limit dim changed"
     return True, "levelwise isomorphism invariance"
 

@@ -497,6 +497,8 @@ class TruncatedSeries:
         text = text.strip()
         if text == "0":
             return ctx.zero()
+        # the one generator name `to_text` writes for the kind: b, m<i>, or none
+        generator = {"multiplicative-beta": "b", "universal-rational": "m"}.get(ctx.coeff_kind)
         terms = {}
         for chunk in text.split(" + "):
             if " * " in chunk:
@@ -511,6 +513,8 @@ class TruncatedSeries:
                 m = re.fullmatch(r"(b|m(\d+)|t(\d+))(?:\^(\d+))?", factor)
                 if m is None:
                     raise ValueError(f"cannot parse factor {factor!r}")
+                if m.group(3) is None and factor[0] != generator:
+                    raise ValueError(f"factor {factor!r} names no {ctx.coeff_kind} generator")
                 exp = int(m.group(4)) if m.group(4) else 1
                 if m.group(1) == "b":
                     laz[1] = laz.get(1, 0) + exp

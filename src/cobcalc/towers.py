@@ -1,7 +1,7 @@
 """Finite-window inverse-limit diagnostics for towers of Q-vector spaces.
 
-A tower is a dict ``{degree: TowerSlice}``: per diagonal degree, a window
-of finite-dimensional spaces V_0 <- V_1 <- ... <- V_k with exact
+A tower is asked about one diagonal degree at a time, and a `TowerSlice`
+is that degree: a window of finite-dimensional spaces V_0 <- V_1 <- ... <- V_k with exact
 transition maps M_i: V_{i+1} -> V_i.  The stabilization index is the
 smallest uniform offset s such that, at every level i of the window, the
 chain of images im(V_{i+s'} -> V_i) is constant for s' >= s; the engine
@@ -25,15 +25,16 @@ reads it: a list of dim V_{i+1} columns, sparse ``{row: int}`` dicts of
 nonzero ints.  A nonzero scale of a map moves none of its images, so a
 rational map enters with its denominators cleared.  Its images are
 propagated from the top level down, never composed: im(V_{i+s} -> V_i)
-is M_i applied to a basis of im(V_{i+s} -> V_{i+1}), and each image is
-kept as its canonical ``linalg.echelon`` form.
+is M_i applied to a basis of im(V_{i+s} -> V_{i+1}), the ``linalg.echelon``
+form of the level above.  The images of one level are nested, so two of
+them are equal exactly when their ranks are: only the ranks are kept.
 """
 
 from __future__ import annotations
 
 from functools import cached_property
 from itertools import accumulate
-from typing import Dict, List, Optional
+from typing import List, Optional
 
 from . import linalg
 from .series import RingContext, bidegree_basis, lazard_count
@@ -56,8 +57,10 @@ class TowerSlice(FrozenValue):
     def __init__(self, dims: List[int], maps: Optional[List[list]] = None):
         if len(dims) < 3:
             raise ValueError("window must contain at least three levels (length >= 2)")
+        if any(type(n) is not int or n < 0 for n in dims):
+            raise ValueError(f"level dims {dims} are not nonnegative ints")
         if maps is None:
-            if dims[0] < 0 or any(a > b for a, b in zip(dims, dims[1:])):
+            if any(a > b for a, b in zip(dims, dims[1:])):
                 raise ValueError(
                     f"prefix slice dims {dims} are not nondecreasing and nonnegative")
         elif len(maps) != len(dims) - 1:
@@ -82,20 +85,20 @@ class TowerSlice(FrozenValue):
 
     @cached_property
     def chains(self) -> list:
-        """For each level i, canonical forms of im(V_{i+s} -> V_i), s = 0..k-i,
+        """For each level i, the ranks of im(V_{i+s} -> V_i), s = 0..k-i,
         computed once per slice with explicit maps and shared by
-        `stabilization_index` and `inverse_limit_dims`.
+        `stabilization_index` and `inverse_limit_dims`.  The images of one
+        level are nested, so equal ranks mean equal images.
 
         Built from the top level down: im(V_{i+s} -> V_i) is M_i applied to a
-        basis of im(V_{i+s} -> V_{i+1}).
+        basis of im(V_{i+s} -> V_{i+1}), so only the echelon bases of the
+        level above are held.
         """
-        chains = []
+        chains, images = [], []
         for i in range(len(self.dims) - 1, -1, -1):
-            chain = [linalg.echelon({j: 1} for j in range(self.dims[i]))]
-            if chains:
-                chain += [linalg.echelon(_apply(self.maps[i], v) for v in im.values())
-                          for im in chains[-1]]
-            chains.append(chain)
+            images = [linalg.echelon({j: 1} for j in range(self.dims[i]))] + [
+                linalg.echelon(_apply(self.maps[i], v) for v in im.values()) for im in images]
+            chains.append([len(im) for im in images])
         return chains[::-1]
 
 
@@ -125,7 +128,7 @@ def _certified_index(chains) -> Optional[int]:
     return candidate if witnessed else None
 
 
-def stabilization_index(tower: Dict[int, TowerSlice], d: int) -> Optional[int]:
+def stabilization_index(sl: TowerSlice) -> Optional[int]:
     """Uniform image-stabilization offset within the window, or None.
 
     None means the constancy was never witnessed beyond a single point
@@ -133,56 +136,45 @@ def stabilization_index(tower: Dict[int, TowerSlice], d: int) -> Optional[int]:
     be shrinking at the window end.  A prefix slice's maps are onto, so its
     images never shrink: its index is 0.
     """
-    sl = tower[d]
     if sl.maps is None:
         return 0
     return _certified_index(sl.chains)
 
 
-def inverse_limit_dims(tower: Dict[int, TowerSlice], d: int) -> int:
+def inverse_limit_dims(sl: TowerSlice) -> int:
     """Dimension of the inverse limit read off the stabilized images.
 
     Requires a certified stabilization index and a witnessed plateau of
     the stable-image dimensions at the top of the window; otherwise
     raises WindowNotStabilized rather than extrapolating.
     """
-    sl = tower[d]
     if sl.maps is None:
         stable_dims = sl.dims  # every map is onto: each stable image is its whole level
     else:
-        chains = sl.chains
-        if _certified_index(chains) is None:
-            raise WindowNotStabilized(f"degree {d}: images still shrinking at window end")
+        if _certified_index(sl.chains) is None:
+            raise WindowNotStabilized("images still shrinking at window end")
         # the stable image at level i is the last of its chain, im(V_k -> V_i)
-        stable_dims = [len(chain[-1]) for chain in chains]
+        stable_dims = [chain[-1] for chain in sl.chains]
     # the top two levels below V_k must agree; V_k is its own image
     if stable_dims[-3] != stable_dims[-2]:
-        raise WindowNotStabilized(
-            f"degree {d}: stable image dimensions still growing at window end"
-        )
+        raise WindowNotStabilized("stable image dimensions still growing at window end")
     return stable_dims[-2]
 
 
-def projective_space_tower(ctx: RingContext, d_max: int, i_max: int,
-                           d_min: int = 0) -> Dict[int, TowerSlice]:
-    """The tower of finite projective-space approximations of the rank-1
-    classifying space in degrees d_min..d_max: level i is the degree slice of
-    K[xi]/(xi^(i+1)), transitions are the canonical surjections killing the
+def projective_space_tower(ctx: RingContext, d: int, i_max: int) -> TowerSlice:
+    """Degree ``d`` of the tower of finite projective-space approximations of
+    the rank-1 classifying space, levels 0..i_max: level i is the degree slice
+    of K[xi]/(xi^(i+1)), transitions are the canonical surjections killing the
     top xi-power.  Only the coefficient kind and the caps of ``ctx`` are read,
-    and only dimensions are built: every slice is a prefix slice."""
-    if d_max < 0 or i_max < 2:
-        raise ValueError("need d_max >= 0 and at least three levels")
-    if not 0 <= d_min <= d_max:
-        raise ValueError(f"need 0 <= d_min <= d_max, got d_min = {d_min}")
-    tower = {}
-    for d in range(d_min, d_max + 1):
-        # level i is spanned by xi^p times the generator monomials of weight p - d, p <= i,
-        # in order of p: each level is a prefix of the next, and dims are prefix sums
-        tower[d] = TowerSlice(list(accumulate(
-            lazard_count(ctx.coeff_kind, p - d)
-            if 0 <= p - d <= ctx.max_weight and p <= ctx.max_t_order else 0
-            for p in range(i_max + 1))))
-    return tower
+    and only dimensions are built: the slice is a prefix slice."""
+    if d < 0 or i_max < 2:
+        raise ValueError("need degree >= 0 and at least three levels")
+    # level i is spanned by xi^p times the generator monomials of weight p - d, p <= i,
+    # in order of p: each level is a prefix of the next, and dims are prefix sums
+    return TowerSlice(list(accumulate(
+        lazard_count(ctx.coeff_kind, p - d)
+        if 0 <= p - d <= ctx.max_weight and p <= ctx.max_t_order else 0
+        for p in range(i_max + 1))))
 
 
 def coefficient_ring_dimension(ctx: RingContext, degree: int) -> int:
@@ -193,32 +185,25 @@ def coefficient_ring_dimension(ctx: RingContext, degree: int) -> int:
     )
 
 
-def apply_levelwise_isomorphism(tower: Dict[int, TowerSlice],
-                                transforms: Dict[int, list]) -> Dict[int, TowerSlice]:
-    """Conjugate a tower by invertible matrices, one list per degree.
+def apply_levelwise_isomorphism(sl: TowerSlice, transforms: list) -> TowerSlice:
+    """Conjugate a slice by invertible matrices, one per level.
 
-    ``transforms[d][i]``, dense rational rows, acts on level i of degree d;
-    the new maps are P_i * M_i * P_{i+1}^(-1).  P_i is read as integer
-    columns with its denominators cleared, P_{i+1}^(-1) as the columns that
-    ``linalg.inverse`` gives for the transpose, and each new column is two
-    sparse products: the map comes out a nonzero multiple of the conjugate,
-    which moves no image.  Stabilization data must be unchanged, which is
-    the functoriality check used by the test suites.  A missing degree, a
-    wrong number of transforms, one that is not dim x dim or singular raise
-    ValueError.
+    ``transforms[i]``, dense rational rows, acts on level i; the new maps
+    are P_i * M_i * P_{i+1}^(-1).  P_i is read as integer columns with its
+    denominators cleared, P_{i+1}^(-1) as the columns that ``linalg.inverse``
+    gives for the transpose, and each new column is two sparse products: the
+    map comes out a nonzero multiple of the conjugate, which moves no image.  Stabilization data must be unchanged, which is
+    the functoriality check used by the test suites.  A wrong number of
+    transforms, one that is not dim x dim or singular raise ValueError.
     """
-    out = {}
-    for d, sl in tower.items():
-        ps = transforms.get(d)
-        if ps is None or len(ps) != len(sl.dims):
-            raise ValueError(f"degree {d}: need one transform per level")
-        for i, p in enumerate(ps):
-            if len(p) != sl.dims[i] or any(len(row) != sl.dims[i] for row in p):
-                raise ValueError(f"degree {d}: transform {i} is not {sl.dims[i]}x{sl.dims[i]}")
-        cols = [list(zip(*p)) for p in ps]
-        inv = [linalg.inverse(c)[0] for c in cols]
-        cols = [linalg.int_rows(c)[0] for c in cols]
-        maps = [[_apply(cols[i], _apply(sl.map(i), q)) for q in inv[i + 1]]
-                for i in range(len(sl.dims) - 1)]
-        out[d] = TowerSlice(dims=list(sl.dims), maps=maps)
-    return out
+    if len(transforms) != len(sl.dims):
+        raise ValueError("need one transform per level")
+    for i, p in enumerate(transforms):
+        if len(p) != sl.dims[i] or any(len(row) != sl.dims[i] for row in p):
+            raise ValueError(f"transform {i} is not {sl.dims[i]}x{sl.dims[i]}")
+    cols = [list(zip(*p)) for p in transforms]
+    inv = [linalg.inverse(c)[0] for c in cols]
+    cols = [linalg.int_rows(c)[0] for c in cols]
+    maps = [[_apply(cols[i], _apply(sl.map(i), q)) for q in inv[i + 1]]
+            for i in range(len(sl.dims) - 1)]
+    return TowerSlice(dims=list(sl.dims), maps=maps)

@@ -54,8 +54,7 @@ COEFF_FOR = {
 
 
 def make_law(kind, max_t, max_w):
-    w = 0 if kind == "additive" else max_w
-    return build_fgl(kind, RingContext(2, COEFF_FOR[kind], max_t, w))
+    return build_fgl(kind, max_t, max_w)
 
 
 def verdict(n, label, ok):
@@ -84,8 +83,7 @@ def test_criterion_2_universal_coefficients_vs_oracle():
     ok = ok and terms[Monomial((2, 1), ((2, 1),))] == Fraction(-3)
     # cross-check the full degree <= 4 part against the brute-force oracle
     F_oracle, x, y, ms = universal_fgl_sympy(4)
-    ctx_small = RingContext(2, "universal-rational", 4, 3)
-    small = build_fgl("universal-rational", ctx_small)
+    small = build_fgl("universal-rational", 4, 3)
     got = series_to_sympy(small.series, (x, y), lambda i: ms[i - 1])
     ok = ok and sympy.expand(got - F_oracle) == 0
     verdict(2, "xy -> -2*m1 and x^2y -> 4*m1^2 - 3*m2, oracle-exact", ok)

@@ -34,10 +34,7 @@ ALL_KINDS = ("additive", "multiplicative", "universal-rational")
 
 
 def law(kind, max_t=6, max_w=4):
-    coeff = {"additive": "rational",
-             "multiplicative": "multiplicative-beta",
-             "universal-rational": "universal-rational"}[kind]
-    return build_fgl(kind, RingContext(2, coeff, max_t, 0 if kind == "additive" else max_w))
+    return build_fgl(kind, max_t, max_w)
 
 
 def test_chern_classes_examples():

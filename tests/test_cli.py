@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from cobcalc import bundles, cli, equivariant, fgl, linalg
+from cobcalc import bundles, cli, equivariant, fgl, linalg, selftest
 from cobcalc.cli import main, parse_degree_range, run
 from cobcalc.equivariant import GroupPreset, WeylGroupSpec, symmetric_group
 from cobcalc.fgl import fgl_sum
@@ -235,7 +235,7 @@ def test_flag_builds_one_map_per_weyl_element(monkeypatch, capsys):
         built.append(w)
         return equivariant.weyl_map(w, law, ctx)
 
-    monkeypatch.setattr(cli, "weyl_map", counting)
+    monkeypatch.setattr(selftest, "weyl_map", counting)
     assert main(["flag", "--group", "GL3", "--pairs", "4"]) == 0
     body = json.loads(capsys.readouterr().out)
     assert body["weyl_order"] == len(set(built)) == len(built) == 6
@@ -244,7 +244,7 @@ def test_flag_builds_one_map_per_weyl_element(monkeypatch, capsys):
 def test_weyl_enumeration_cap_is_refused(monkeypatch, capsys):
     # a small cap stands in for GL8, whose 8! elements exceed the default cap
     def capped(name):
-        return GroupPreset("GL(3)", 3, symmetric_group(3))
+        return GroupPreset("GL(3)", symmetric_group(3))
 
     monkeypatch.setattr(equivariant, "MAX_WEYL_ELEMENTS", 4)
     monkeypatch.setattr(cli, "preset", capped)
@@ -487,17 +487,16 @@ def test_tower_bgm_builds_only_the_requested_slices(monkeypatch, capsys):
     built = []
     real = cli.projective_space_tower
 
-    def spy(*args, **kwargs):
-        tower = real(*args, **kwargs)
-        built.append(sorted(tower))
-        return tower
+    def spy(ctx, d, levels):
+        built.append(d)
+        return real(ctx, d, levels)
 
     monkeypatch.setattr(cli, "projective_space_tower", spy)
     assert main("tower bgm --fgl universal --deg 4..6 --levels 8".split()) == 0
     capsys.readouterr()
     # the cap on (max degree + 1) x (levels + 1) still admits this window
     assert main("tower bgm --deg 99..99 --max-t 99 --levels 9999".split()) == 0
-    assert built == [[4], [5], [6], [99]]
+    assert built == [4, 5, 6, 99]
     report = json.loads(capsys.readouterr().out)
     assert report["degrees"] == {"99": {"lim_dim": 1, "stab_index": 0}}
 
@@ -558,9 +557,10 @@ def _wrong_exp(monkeypatch):
     monkeypatch.setattr(fgl, "compositional_inverse", lambda f: real(f) + f.ctx.var(0) ** 2)
 
 
-def _law_over_wrong_context(monkeypatch):
+def _sum_over_two_contexts(monkeypatch):
     def law(config):
-        return fgl.build_fgl("additive", RingContext(2, "universal-rational", 4, 3))
+        a, b = (RingContext(2, "rational", max_t, 0).var(0) for max_t in (4, 5))
+        return fgl_sum(fgl.build_fgl("additive", 5, 0), a, b)
 
     monkeypatch.setattr(cli, "_law", law)
 
@@ -575,7 +575,7 @@ def _no_tower_built(monkeypatch):
 def _sum_with_constant_term(monkeypatch):
     def law(config):
         ctx = RingContext(2, "rational", 4, 0)
-        return fgl_sum(fgl.build_fgl("additive", ctx), ctx.one(), ctx.var(0))
+        return fgl_sum(fgl.build_fgl("additive", 4, 0), ctx.one(), ctx.var(0))
 
     monkeypatch.setattr(cli, "_law", law)
 
@@ -600,7 +600,7 @@ def _sum_with_constant_term(monkeypatch):
         (["bg", "--group", "GL99999999", "--torder", "2", "--deg", "0..1"], "invalid", None),
         (["flag", "--group", "GL8", "--pairs", "1"], "refused", None),
         (["fgl", "check", "--kind", "add"], "construction", _wrong_exp),
-        (["fgl", "check", "--kind", "add"], "context", _law_over_wrong_context),
+        (["fgl", "check", "--kind", "add"], "context", _sum_over_two_contexts),
         (["fgl", "check", "--kind", "add"], "substitution", _sum_with_constant_term),
     ],
     ids=["config", "config-deg", "config-levels-over-cap", "config-tower-dims-over-cap",

@@ -22,10 +22,7 @@ from oracles import count_poly_monomials, permutation_orbit_count
 
 
 def law(kind, max_t=6, max_w=5):
-    coeff = {"additive": "rational",
-             "multiplicative": "multiplicative-beta",
-             "universal-rational": "universal-rational"}[kind]
-    return build_fgl(kind, RingContext(2, coeff, max_t, 0 if kind == "additive" else max_w))
+    return build_fgl(kind, max_t, max_w)
 
 
 def test_preset_orders():

@@ -22,11 +22,11 @@ from cobcalc.fgl import (
     invariant_logarithm,
     n_series,
     normalize_kind,
+    ring_context,
     verify_fgl_axioms,
 )
 from cobcalc.series import (
     COEFF_KINDS,
-    ContextMismatch,
     Monomial,
     RingContext,
     TruncatedSeries,
@@ -48,15 +48,12 @@ from oracles import (
 
 
 def law(kind, max_t=6, max_w=5):
-    coeff = {"additive": "rational",
-             "multiplicative": "multiplicative-beta",
-             "universal-rational": "universal-rational"}[kind]
-    return build_fgl(kind, RingContext(2, coeff, max_t, 0 if kind == "additive" else max_w))
+    return build_fgl(kind, max_t, max_w)
 
 
 @lru_cache(maxsize=None)
-def cached_law(kind, ctx):
-    return build_fgl(kind, ctx)
+def cached_law(kind, max_t, max_w):
+    return build_fgl(kind, max_t, max_w)
 
 
 def test_kind_aliases():
@@ -79,14 +76,26 @@ def test_multiplicative_shape():
     assert F.series == x + y - ctx2.lazard(1) * x * y
 
 
-def test_build_rejects_wrong_coefficients():
-    with pytest.raises(ContextMismatch):
-        build_fgl("additive", RingContext(2, "universal-rational", 6, 5))
+def test_additive_law_lives_over_q_at_weight_cap_zero():
+    law = build_fgl("additive", 6, 5)
+    assert law.max_weight == 0 and law.coeff_kind == "rational"
+    assert ring_context("add", 3, 6, 5) == RingContext(3, "rational", 6, 0)
+    assert ring_context("mult", 1, 6, 5) == RingContext(1, "multiplicative-beta", 6, 5)
+
+
+@pytest.mark.parametrize("kind", FGL_KINDS)
+@pytest.mark.parametrize("max_t, max_w", [(6, -1), (-1, 5)])
+def test_negative_caps_are_refused_for_every_kind(kind, max_t, max_w):
+    # the additive weight cap is zeroed only after the caps are checked
+    with pytest.raises(ValueError, match="truncation caps must be non-negative"):
+        build_fgl(kind, max_t, max_w)
+    with pytest.raises(ValueError, match="truncation caps must be non-negative"):
+        ring_context(kind, 2, max_t, max_w)
 
 
 def test_build_needs_degree_two():
     with pytest.raises(ValueError):
-        build_fgl("additive", RingContext(2, "rational", 1, 0))
+        build_fgl("additive", 1, 0)
 
 
 def test_universal_low_coefficients_frozen():
@@ -272,8 +281,8 @@ def test_certificate_verdict_matches_the_direct_residual(data):
     kind = data.draw(st.sampled_from(FGL_KINDS))
     max_t = data.draw(st.integers(3, 7))
     max_w = data.draw(st.integers(0, 6))
-    ctx = RingContext(2, COEFF_KIND_FOR[kind], max_t, max_w)
-    F = cached_law(kind, ctx).series
+    ctx = ring_context(kind, 2, max_t, max_w)
+    F = cached_law(kind, max_t, max_w).series
     i = data.draw(st.integers(1, max_t - 1))
     j = data.draw(st.integers(1, max_t - i))
     weight = data.draw(st.integers(0, 0 if kind == "additive" else max_w))
@@ -291,7 +300,7 @@ def test_certificate_verdict_matches_the_direct_residual(data):
 @given(st.sampled_from(FGL_KINDS), st.integers(2, 7), st.integers(0, 8))
 def test_invariant_logarithm_is_the_stored_log(kind, max_t, max_w):
     # built from F alone; the stored log came through compositional_inverse and exp
-    law = cached_law(kind, RingContext(2, COEFF_KIND_FOR[kind], max_t, max_w))
+    law = cached_law(kind, max_t, max_w)
     assert invariant_logarithm(law.series) == law.log == ref_invariant_logarithm(law.series)
 
 
@@ -310,7 +319,7 @@ def test_reciprocal_products_grow_at_most_linearly_for_a_sparse_differential(
 
     counts = []
     for max_t in (200, 400):
-        law = build_fgl(kind, RingContext(2, COEFF_KIND_FOR[kind], max_t, max_w))
+        law = build_fgl(kind, max_t, max_w)
         monkeypatch.setattr(fgl, "mul_into", counting)
         calls.clear()
         assert invariant_logarithm(law.series) == law.log
@@ -325,14 +334,13 @@ def test_unit_residuals_match_the_substitutions(data):
     # a built law plus c * m * x^i y^j with i + j >= 1: the unit axiom
     # fails when the term is free of x or of y
     kind = data.draw(st.sampled_from(FGL_KINDS))
-    ctx = RingContext(2, COEFF_KIND_FOR[kind], data.draw(st.integers(2, 5)),
-                      data.draw(st.integers(0, 4)))
+    ctx = ring_context(kind, 2, data.draw(st.integers(2, 5)), data.draw(st.integers(0, 4)))
     i = data.draw(st.integers(0, ctx.max_t_order))
     j = data.draw(st.integers(1 if i == 0 else 0, ctx.max_t_order - i))
     weight = data.draw(st.integers(0, 0 if kind == "additive" else ctx.max_weight))
     laz = data.draw(st.sampled_from(lazard_monomials(ctx.coeff_kind, weight)))
     c = data.draw(st.fractions(-3, 3, max_denominator=4))
-    F = cached_law(kind, ctx).series + ctx.from_terms({Monomial((i, j), laz): c})
+    F = cached_law(kind, ctx.max_t_order, ctx.max_weight).series + ctx.from_terms({Monomial((i, j), laz): c})
     report = verify_fgl_axioms(FormalGroupLaw(kind, F, None, None, None))
     residuals = dict(report.residuals)
     want = ref_unit_residuals(F)
@@ -363,8 +371,8 @@ def test_fgl_doctests():
 @given(st.sampled_from(FGL_KINDS), st.integers(2, 7), st.integers(0, 8))
 def test_law_matches_per_kind_reference(kind, max_t, max_w):
     # the reference builds F per kind and chi order by order, without exp(-log x)
-    ctx = RingContext(2, COEFF_KIND_FOR[kind], max_t, max_w)
-    law = build_fgl(kind, ctx)
+    ctx = ring_context(kind, 2, max_t, max_w)
+    law = build_fgl(kind, max_t, max_w)
     F, chi = ref_law(kind, ctx)
     assert law.series == F
     assert law.inverse_series == chi
@@ -372,7 +380,7 @@ def test_law_matches_per_kind_reference(kind, max_t, max_w):
 
 @pytest.mark.parametrize("kind", FGL_KINDS)
 def test_every_kind_has_log_and_exp(kind):
-    law = build_fgl(kind, RingContext(2, COEFF_KIND_FOR[kind], 6, 5))
+    law = build_fgl(kind, 6, 5)
     x = law.log.ctx.var(0)
     assert law.log.t_slice(1) == x
     assert substitute(law.log, {0: law.exp}) == x
@@ -381,7 +389,7 @@ def test_every_kind_has_log_and_exp(kind):
 
 def test_multiplicative_law_without_b():
     # at weight cap 0 the generator b is not admitted: the law is additive
-    law = build_fgl("multiplicative", RingContext(2, "multiplicative-beta", 4, 0))
+    law = build_fgl("multiplicative", 4, 0)
     ctx1 = law.log.ctx
     assert law.log == ctx1.var(0) and law.exp == ctx1.var(0)
     assert law.series == law.series.ctx.var(0) + law.series.ctx.var(1)
@@ -389,7 +397,7 @@ def test_multiplicative_law_without_b():
 
 
 def test_multiplicative_log_coefficients():
-    law = build_fgl("multiplicative", RingContext(2, "multiplicative-beta", 5, 3))
+    law = build_fgl("multiplicative", 5, 3)
     assert law.log.to_text() == "1 * t1 + 1/2 * b*t1^2 + 1/3 * b^2*t1^3 + 1/4 * b^3*t1^4"
 
 
@@ -410,7 +418,7 @@ def test_wrong_inverse_is_refused(monkeypatch):
     monkeypatch.setattr(fgl, "compositional_inverse", inverse)
     monkeypatch.setattr(fgl, "substitute", sub)
     with pytest.raises(FglConstructionError, match="chi"):
-        build_fgl("additive", RingContext(2, "rational", 4, 0))
+        build_fgl("additive", 4, 0)
 
 
 # -- compositional_inverse: one pass per order, each in its own window ----------
@@ -499,8 +507,8 @@ def test_chi_check_through_the_certificate_matches_the_direct_residual(data):
     kind = data.draw(st.sampled_from(FGL_KINDS))
     max_t = data.draw(st.integers(2, 7))
     max_w = data.draw(st.integers(0, 6))
-    ctx = RingContext(2, COEFF_KIND_FOR[kind], max_t, max_w)
-    law = cached_law(kind, ctx)
+    ctx = ring_context(kind, 2, max_t, max_w)
+    law = cached_law(kind, max_t, max_w)
     assert law.axioms.ok and law.axioms.certificate == law.log
     k = data.draw(st.integers(2, max_t))
     weight = data.draw(st.integers(0, 0 if kind == "additive" else max_w))
@@ -533,7 +541,7 @@ def _recorded_calls(monkeypatch):
 @pytest.mark.parametrize("kind", FGL_KINDS)
 def test_build_takes_one_L_and_no_chi_substitution_into_F(kind, monkeypatch):
     logs, subs = _recorded_calls(monkeypatch)
-    law = build_fgl(kind, RingContext(2, COEFF_KIND_FOR[kind], 6, 5))
+    law = build_fgl(kind, 6, 5)
     assert logs == [law.series]
     assert not [s for s, target in subs if s is law.series and target.n_vars == 1]
 
@@ -547,7 +555,7 @@ def test_a_law_failing_its_axioms_is_refused_before_chi_is_checked(monkeypatch):
     monkeypatch.setattr(fgl, "_inverts", refuse)
     logs, subs = _recorded_calls(monkeypatch)
     with pytest.raises(FglConstructionError, match=r"axiom residuals nonzero for additive: \['unit_x'"):
-        build_fgl("additive", RingContext(2, "rational", 4, 0))
+        build_fgl("additive", 4, 0)
     # the unit axiom fails, so there is no certificate, and F(x, chi(x)) is never formed
     assert logs == []
     assert not [s for s, target in subs if s.ctx.n_vars == 2 and target.n_vars == 1]

@@ -7,7 +7,8 @@ key layout of a context.  No module of the package imports a ``_``-prefixed
 name from a sibling module.  ``cobcalc/__init__.py`` imports a public name
 only to list it in ``__all__``, and every name listed there resolves.
 ``cli`` draws nothing itself: it imports no sampler, and runs the seeded
-suites of ``selftest``.
+suites of ``selftest``.  Only ``fgl`` pairs a law's kind with its
+coefficient ring: every other module asks ``fgl`` for the law or context.
 """
 
 import ast
@@ -108,3 +109,9 @@ def test_names_are_found():
 
 def test_the_cli_draws_nothing_itself():
     assert _names((PACKAGE / "cli.py").read_text()) & SAMPLERS == set()
+
+
+@pytest.mark.parametrize("path", [p for p in sorted(PACKAGE.glob("*.py")) if p.name != "fgl.py"],
+                         ids=lambda p: p.name)
+def test_only_fgl_pairs_a_kind_with_its_coefficient_ring(path):
+    assert "COEFF_KIND_FOR" not in _names(path.read_text())

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cobcalc import cli, equivariant, selftest
+from cobcalc import equivariant, selftest
 from cobcalc.cli import main
 from cobcalc.equivariant import (
     GroupPreset,
@@ -29,7 +29,7 @@ from cobcalc.equivariant import (
 )
 from cobcalc.fgl import COEFF_KIND_FOR, build_fgl
 from cobcalc.selftest import random_series
-from cobcalc.series import RingContext, RingMap
+from cobcalc.series import RingMap
 
 SETTINGS = settings(derandomize=True, database=None, deadline=None, max_examples=25)
 
@@ -44,9 +44,7 @@ A2_GROUPS = {"rotation": (ROTATION,), "rotation-swap": (ROTATION, ((0, 1), (1, 0
 
 @lru_cache(maxsize=None)
 def law_at(kind, max_t, max_w):
-    if kind == "additive":
-        max_w = 0
-    return build_fgl(kind, RingContext(2, COEFF_KIND_FOR[kind], max_t, max_w))
+    return build_fgl(kind, max_t, max_w)
 
 
 def direct_basis(wspec, law, degree, k_max, ctx):
@@ -155,7 +153,7 @@ def test_other_generators_match_the_kernel_through_the_law(name, kind):
     wspec = WeylGroupSpec(rank=2, generators=A2_GROUPS[name])
     elements = wspec.elements()
     assert len(elements) == 3 * len(wspec.generators)
-    group = GroupPreset(name, 2, wspec, len(elements))
+    group = GroupPreset(name, wspec, len(elements))
     for caps in [(2, 1), (4, 3), (6, 5)]:
         law = law_at(kind, *caps)
         ctx = law.context(2)
@@ -176,7 +174,7 @@ def test_a_rotation_takes_the_kernel_of_the_linear_action(kind, monkeypatch):
     of the basis."""
     law = law_at(kind, 5, 4)
     wspec = WeylGroupSpec(rank=2, generators=(ROTATION,))
-    group = GroupPreset("A2 rotation", 2, wspec, 3)
+    group = GroupPreset("A2 rotation", wspec, 3)
     ctx = law.context(2)
     degrees = range(-1, 4)
     want = {degree: direct_basis(wspec, law, degree, 4, ctx) for degree in degrees}
@@ -236,7 +234,7 @@ def test_bg_builds_no_weyl_map_and_no_action_matrix(argv, emit, monkeypatch, cap
     for name in ("weyl_map", "action_matrix", "fixed_space_rows", "window_basis",
                  "sparse_coordinates"):
         monkeypatch.setattr(equivariant, name, refused)
-    monkeypatch.setattr(cli, "weyl_map", refused)
+    monkeypatch.setattr(selftest, "weyl_map", refused)
     assert main(argv + ["--emit-basis"] * emit) == 0
     body = json.loads(capsys.readouterr().out)
     assert ("basis" in body) == emit

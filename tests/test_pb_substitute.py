@@ -33,7 +33,7 @@ LAW_KIND = {
 
 @lru_cache(maxsize=None)
 def law_for(kind):
-    return build_fgl(LAW_KIND[kind], RingContext(2, kind, 5, 0 if kind == "rational" else 4))
+    return build_fgl(LAW_KIND[kind], 5, 4)
 
 
 @SETTINGS

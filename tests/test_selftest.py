@@ -30,7 +30,7 @@ def test_invariant_check_is_seed_deterministic(name, fn):
 
 def test_tower_find_or_refuse_does_not_swallow_a_crash(monkeypatch):
     # only the refusal is an expected outcome; any other exception is a failure
-    def crash(tower, d):
+    def crash(sl):
         raise TypeError("inverse_limit_dims crashed")
 
     monkeypatch.setattr(selftest, "inverse_limit_dims", crash)

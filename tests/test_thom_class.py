@@ -39,9 +39,9 @@ from cobcalc.bundles import (
     thom_class_via_twist,
     xi_power,
 )
-from cobcalc.fgl import COEFF_KIND_FOR, build_fgl
+from cobcalc.fgl import build_fgl, ring_context
 from cobcalc.selftest import random_series
-from cobcalc.series import RingContext, RingMap
+from cobcalc.series import RingMap
 
 from oracles import ref_reduce_coords, ref_thom_class
 from strategies import series
@@ -54,7 +54,7 @@ CAPS = ((3, 6), (5, 8), (4, 9), (2, 1), (4, 3), (5, 4))
 
 @lru_cache(maxsize=None)
 def law_at(kind, max_t, max_w):
-    return build_fgl(kind, RingContext(2, COEFF_KIND_FOR[kind], max_t, max_w))
+    return build_fgl(kind, max_t, max_w)
 
 
 def roots(base):
@@ -107,7 +107,7 @@ def test_thom_class_over_a_base_with_other_caps(kind):
     rng = random.Random(3)
     law = law_at(kind, 4, 3)
     for caps in ((3, 2), (6, 5), (4, 8)):
-        base = RingContext(2, COEFF_KIND_FOR[kind], *caps)
+        base = ring_context(kind, 2, *caps)
         rs = tuple(
             base.var(j % 2) + random_series(rng, base, 3, augmentation=True) for j in range(3)
         )
@@ -228,7 +228,7 @@ def test_closed_form_matches_both_product_routes(data):
     kind = data.draw(st.sampled_from(KINDS))
     law_caps, base_caps = data.draw(st.sampled_from(EXACT_CAPS))
     law = law_at(kind, *law_caps)
-    base = RingContext(data.draw(st.integers(1, 3)), COEFF_KIND_FOR[kind], *base_caps)
+    base = ring_context(kind, data.draw(st.integers(1, 3)), *base_caps)
     rank = data.draw(st.integers(1, 4))
     bundle = SplitBundle(tuple(data.draw(roots(base)) for _ in range(rank)))
     ring = projective_completion_ring(bundle)
@@ -256,7 +256,7 @@ def test_a_law_cut_inside_the_window_takes_the_product_route(kind, law_caps, bas
     """The truncated F and chi leave terms the window sees, so th(E) is
     not the Chern polynomial; the product route's value is kept."""
     law = law_at(kind, *law_caps)
-    base = RingContext(1, COEFF_KIND_FOR[kind], *base_caps)
+    base = ring_context(kind, 1, *base_caps)
     bundle = SplitBundle((base.var(0),))
     ring = projective_completion_ring(bundle)
     th = thom_class(bundle, ring, law)

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cobcalc import linalg
-from cobcalc.fgl import build_fgl
+from cobcalc.fgl import build_fgl, ring_context
 from cobcalc.series import RingContext
 from cobcalc.towers import (
     TowerSlice,
@@ -23,13 +23,10 @@ from cobcalc.towers import (
 from oracles import ref_conjugate, ref_image_chains, ref_projective_space_tower
 
 ALL_KINDS = ("additive", "multiplicative", "universal-rational")
-COEFF_KIND = {"additive": "rational",
-              "multiplicative": "multiplicative-beta",
-              "universal-rational": "universal-rational"}
 
 
 def law(kind, max_t=6, max_w=5):
-    return build_fgl(kind, RingContext(1, COEFF_KIND[kind], max_t, 0 if kind == "additive" else max_w))
+    return build_fgl(kind, max_t, max_w)
 
 
 def int_columns(rows, n_cols):
@@ -52,13 +49,13 @@ def dense_slice(dims, maps):
 def constant_tower(value_dim, length, map_builder):
     dims = [value_dim] * (length + 1)
     maps = [map_builder(value_dim) for _ in range(length)]
-    return {0: dense_slice(dims, maps)}
+    return dense_slice(dims, maps)
 
 
 def test_identity_tower():
-    tower = constant_tower(1, 4, linalg.identity)
-    assert stabilization_index(tower, 0) == 0
-    assert inverse_limit_dims(tower, 0) == 1
+    sl = constant_tower(1, 4, linalg.identity)
+    assert stabilization_index(sl) == 0
+    assert inverse_limit_dims(sl) == 1
 
 
 def test_surjective_tower_index_zero():
@@ -66,14 +63,13 @@ def test_surjective_tower_index_zero():
     def proj(dim):
         return linalg.identity(dim)
 
-    tower = {0: dense_slice([2, 2, 2, 2], [proj(2)] * 3)}
-    assert stabilization_index(tower, 0) == 0
+    assert stabilization_index(dense_slice([2, 2, 2, 2], [proj(2)] * 3)) == 0
 
 
 def test_zero_tower():
-    tower = constant_tower(1, 4, lambda d: [[0] * d for _ in range(d)])
-    assert stabilization_index(tower, 0) == 1
-    assert inverse_limit_dims(tower, 0) == 0
+    sl = constant_tower(1, 4, lambda d: [[0] * d for _ in range(d)])
+    assert stabilization_index(sl) == 1
+    assert inverse_limit_dims(sl) == 0
 
 
 def test_strictly_shrinking_window_refuses():
@@ -86,11 +82,11 @@ def test_strictly_shrinking_window_refuses():
         for i in range(2 - step if step < 2 else 1):
             m[i][i] = Fraction(1)
         maps.append(m)
-    tower = {0: dense_slice(dims, maps)}
-    idx = stabilization_index(tower, 0)
+    sl = dense_slice(dims, maps)
+    idx = stabilization_index(sl)
     if idx is None:
         with pytest.raises(WindowNotStabilized):
-            inverse_limit_dims(tower, 0)
+            inverse_limit_dims(sl)
 
 
 def test_shape_validation():
@@ -109,12 +105,22 @@ def test_shape_validation():
     for entry in (0, Fraction(1, 2), Fraction(1), 1.0, True, "1"):
         with pytest.raises(ValueError):
             TowerSlice(dims=[1, 1, 1], maps=[[{0: entry}], one])
+    # no map counts level 0 by its columns: its dim is checked like every other level's
+    for dims, maps in (([-1, 0, 0], [[], []]), ([1, -1, 0], [[], []]),
+                       ([1.0, 1, 1], [one, one]), ([True, 1, 1], [one, one]),
+                       (["1", 1, 1], [one, one])):
+        with pytest.raises(ValueError, match="are not nonnegative ints"):
+            TowerSlice(dims, maps)
 
 
-@pytest.mark.parametrize("dims", [[1, 0, 1], [2, 2, 1], [-1, 0, 0], [-2, -1, 0]],
-                         ids=["dip", "top-drop", "negative", "negative-rising"])
-def test_prefix_slice_needs_nondecreasing_nonnegative_dims(dims):
-    with pytest.raises(ValueError, match="not nondecreasing and nonnegative"):
+@pytest.mark.parametrize("dims, message", [
+    ([1, 0, 1], "not nondecreasing and nonnegative"),
+    ([2, 2, 1], "not nondecreasing and nonnegative"),
+    ([-1, 0, 0], "not nonnegative ints"),
+    ([-2, -1, 0], "not nonnegative ints"),
+], ids=["dip", "top-drop", "negative", "negative-rising"])
+def test_prefix_slice_needs_nondecreasing_nonnegative_dims(dims, message):
+    with pytest.raises(ValueError, match=message):
         TowerSlice(dims)
 
 
@@ -138,12 +144,11 @@ def test_dense_maps_are_rejected(maps):
     (8, 7, 8, 12),
 ])
 def test_projective_space_tower_matches_the_dense_reference(kind, max_t, max_w, d_max, i_max):
-    ctx = RingContext(1, COEFF_KIND[kind], max_t, 0 if kind == "additive" else max_w)
-    tower = projective_space_tower(ctx, d_max, i_max)
+    ctx = ring_context(kind, 1, max_t, max_w)
     want = ref_projective_space_tower(ctx, d_max, i_max)
-    assert sorted(tower) == sorted(want)
+    assert sorted(want) == list(range(d_max + 1))
     for d, (dims, maps) in want.items():
-        sl = tower[d]
+        sl = projective_space_tower(ctx, d, i_max)
         assert sl.dims == dims
         assert sl.maps is None  # a prefix slice: its columns are built only on request
         assert [dense(sl.map(i), dims[i]) for i in range(i_max)] == maps
@@ -153,47 +158,44 @@ def test_projective_space_tower_matches_coefficient_ring():
     for kind in ALL_KINDS:
         F = law(kind)
         ctx = F.context(1)
-        tower = projective_space_tower(ctx, 5, F.max_t_order + 2)
         for d in range(6):
-            idx = stabilization_index(tower, d)
+            sl = projective_space_tower(ctx, d, F.max_t_order + 2)
+            idx = stabilization_index(sl)
             assert idx is not None and idx <= d
-            assert inverse_limit_dims(tower, d) == coefficient_ring_dimension(ctx, d)
+            assert inverse_limit_dims(sl) == coefficient_ring_dimension(ctx, d)
 
 
 def test_projective_space_tower_builds_only_the_requested_degrees():
+    # one degree is one slice, whatever degrees the reference tower holds
     ctx = RingContext(1, "universal-rational", 8, 7)
-    full = projective_space_tower(ctx, 8, 12)
-    tower = projective_space_tower(ctx, 7, 12, d_min=3)
-    assert sorted(tower) == [3, 4, 5, 6, 7]
-    assert all(tower[d] == full[d] for d in tower)
-    assert sorted(projective_space_tower(ctx, 8, 12, 8)) == [8]
-    for d_min in (9, -1):
-        with pytest.raises(ValueError, match="need 0 <= d_min <= d_max"):
-            projective_space_tower(ctx, 8, 12, d_min)
+    full = ref_projective_space_tower(ctx, 8, 12)
+    for d in (0, 3, 8):
+        assert projective_space_tower(ctx, d, 12).dims == full[d][0]
+    for d, levels in ((-1, 12), (3, 1)):
+        with pytest.raises(ValueError, match="need degree >= 0 and at least three levels"):
+            projective_space_tower(ctx, d, levels)
 
 
 def test_projective_space_tower_level_dims_additive():
     F = law("additive")
-    tower = projective_space_tower(F.context(1), 3, 6)
-    sl = tower[2]
+    sl = projective_space_tower(F.context(1), 2, 6)
     # additive coefficients: degree-2 slice of Q[xi]/(xi^(i+1)) is 1-dim once i >= 2
     assert sl.dims == [0, 0, 1, 1, 1, 1, 1]
 
 
 def test_short_window_refusal_universal():
     F = law("universal-rational", 6, 5)
-    tower = projective_space_tower(F.context(1), 0, 3)  # far below the stabilization point
-    assert stabilization_index(tower, 0) == 0  # surjections: images never shrink
-    with pytest.raises(WindowNotStabilized):
-        inverse_limit_dims(tower, 0)  # dims still growing at the window end
+    sl = projective_space_tower(F.context(1), 0, 3)  # far below the stabilization point
+    assert stabilization_index(sl) == 0  # surjections: images never shrink
+    with pytest.raises(WindowNotStabilized, match="^stable image dimensions still growing"):
+        inverse_limit_dims(sl)  # dims still growing at the window end
 
 
 def test_functoriality_under_levelwise_isomorphism():
     rng = random.Random(37)
     F = law("universal-rational", 4, 3)
-    tower = projective_space_tower(F.context(1), 3, 6)
-    transforms = {}
-    for d, sl in tower.items():
+    for d in range(4):
+        sl = projective_space_tower(F.context(1), d, 6)
         mats = []
         for dim in sl.dims:
             m = linalg.identity(dim)
@@ -204,11 +206,9 @@ def test_functoriality_under_levelwise_isomorphism():
                     for col in range(dim):
                         m[i][col] += c * m[j][col]
             mats.append(m)
-        transforms[d] = mats
-    moved = apply_levelwise_isomorphism(tower, transforms)
-    for d in range(4):
-        assert stabilization_index(tower, d) == stabilization_index(moved, d)
-        assert inverse_limit_dims(tower, d) == inverse_limit_dims(moved, d)
+        moved = apply_levelwise_isomorphism(sl, mats)
+        assert stabilization_index(sl) == stabilization_index(moved)
+        assert inverse_limit_dims(sl) == inverse_limit_dims(moved)
 
 
 def test_stabilization_found_when_window_long_enough():
@@ -222,8 +222,7 @@ def test_stabilization_found_when_window_long_enough():
             maps.append(
                 [[Fraction(rng.randint(-1, 1)) for _ in range(dim)] for _ in range(dim)]
             )
-        tower = {0: dense_slice([dim] * (length + 1), maps)}
-        idx = stabilization_index(tower, 0)
+        idx = stabilization_index(dense_slice([dim] * (length + 1), maps))
         # with a window this long a verdict must exist unless the final step
         # still shrank some chain, which the refusal semantics reports as None
         if idx is not None:
@@ -248,17 +247,17 @@ def test_limit_reuses_the_image_chains(monkeypatch):
              for _ in range(dims[i])]
             for i in range(5)
         ]
-        tower = {0: dense_slice(dims, maps)}
+        sl = dense_slice(dims, maps)
         calls.clear()
-        idx = stabilization_index(tower, 0)
+        idx = stabilization_index(sl)
         built = len(calls)
         assert built == 6 + 5 + 4 + 3 + 2 + 1  # one image per (level, offset)
         if idx is None:
             with pytest.raises(WindowNotStabilized):
-                inverse_limit_dims(tower, 0)
+                inverse_limit_dims(sl)
             continue
         try:
-            lim = inverse_limit_dims(tower, 0)
+            lim = inverse_limit_dims(sl)
         except WindowNotStabilized:
             lim = None
         assert len(calls) == built  # the chains were not built a second time
@@ -311,32 +310,25 @@ def invertible(draw, n):
     return m
 
 
-def canonical(entry, dim):
-    """An echelon chain entry as the reference's Fraction rref rows."""
-    return tuple(
-        tuple(Fraction(row.get(j, 0), row[c]) for j in range(dim)) for c, row in sorted(entry.items())
-    )
-
-
-def diagnostics(tower, d=0):
-    """stabilization_index and inverse_limit_dims of degree d, or the refusal text."""
-    idx = stabilization_index(tower, d)
+def diagnostics(sl):
+    """stabilization_index and inverse_limit_dims of the slice, or the refusal text."""
+    idx = stabilization_index(sl)
     try:
-        return idx, inverse_limit_dims(tower, d)
+        return idx, inverse_limit_dims(sl)
     except WindowNotStabilized as exc:
         return idx, str(exc)
 
 
 def assert_matches_reference(dims, maps):
     """The slice of the dense maps against the reference run on the dense maps themselves."""
-    tower = {0: dense_slice(dims, maps)}
-    want = ref_image_chains(dims, maps)
-    got = tower[0].chains
-    assert [[canonical(e, dims[i]) for e in chain] for i, chain in enumerate(got)] == want
+    sl = dense_slice(dims, maps)
+    # the reference's composite images, as ranks: the images of one level are nested
+    want = [[len(rows) for rows in chain] for chain in ref_image_chains(dims, maps)]
+    assert sl.chains == want
     with mock.patch.object(TowerSlice, "chains", property(lambda sl: want)):
-        want_diagnostics = diagnostics({0: dense_slice(dims, maps)})
-    assert diagnostics(tower) == want_diagnostics
-    return [[len(e) for e in chain] for chain in got], want_diagnostics
+        want_diagnostics = diagnostics(dense_slice(dims, maps))
+    assert diagnostics(sl) == want_diagnostics
+    return want, want_diagnostics
 
 
 @SETTINGS
@@ -349,8 +341,8 @@ def test_propagated_chains_match_composites(tower):
 @given(st.data())
 def test_propagated_chains_match_composites_after_conjugation(data):
     dims, maps = data.draw(random_towers())
-    transforms = {0: [data.draw(invertible(n)) for n in dims]}
-    moved = apply_levelwise_isomorphism({0: dense_slice(dims, maps)}, transforms)[0]
+    transforms = [data.draw(invertible(n)) for n in dims]
+    moved = apply_levelwise_isomorphism(dense_slice(dims, maps), transforms)
     moved_maps = [dense(m, dims[i]) for i, m in enumerate(moved.maps)]
     assert assert_matches_reference(dims, moved_maps) == assert_matches_reference(dims, maps)
 
@@ -367,10 +359,10 @@ def assert_scaled(got, want, n_rows):
 @given(st.data())
 def test_conjugation_matches_the_dense_reference(data):
     dims, maps = data.draw(random_towers())
-    tower = {0: dense_slice(dims, maps)}
-    transforms = {0: [data.draw(invertible(n)) for n in dims]}
-    got = apply_levelwise_isomorphism(tower, transforms)[0]
-    want = ref_conjugate(tower, transforms)[0]
+    sl = dense_slice(dims, maps)
+    transforms = [data.draw(invertible(n)) for n in dims]
+    got = apply_levelwise_isomorphism(sl, transforms)
+    want = ref_conjugate({0: sl}, {0: transforms})[0]
     assert got.dims == dims
     for i in range(len(dims) - 1):
         assert_scaled(got.maps[i], want.maps[i], dims[i])
@@ -380,20 +372,19 @@ TWO = [[1, 0], [0, 1]]
 
 
 @pytest.mark.parametrize("transforms,message", [
-    ({}, "need one transform per level"),
-    ({0: [TWO] * 3}, "need one transform per level"),
-    ({0: [TWO, [[1, 0, 0], [0, 1, 0], [0, 0, 1]], TWO, TWO]}, "transform 1 is not 2x2"),
-    ({0: [[[1, 0]], TWO, TWO, TWO]}, "transform 0 is not 2x2"),
-    ({0: [TWO, TWO, [[1, 0, 0], [0, 1, 0]], TWO]}, "transform 2 is not 2x2"),
-    ({0: [TWO, TWO, TWO, [[1, 0], [0]]]}, "transform 3 is not 2x2"),
-    ({0: [TWO, [[1, 1], [1, 1]], TWO, TWO]}, "singular"),
-    ({0: [[[1, 2], [2, 4]], TWO, TWO, TWO]}, "singular"),
+    ([], "need one transform per level"),
+    ([TWO] * 3, "need one transform per level"),
+    ([TWO, [[1, 0, 0], [0, 1, 0], [0, 0, 1]], TWO, TWO], "transform 1 is not 2x2"),
+    ([[[1, 0]], TWO, TWO, TWO], "transform 0 is not 2x2"),
+    ([TWO, TWO, [[1, 0, 0], [0, 1, 0]], TWO], "transform 2 is not 2x2"),
+    ([TWO, TWO, TWO, [[1, 0], [0]]], "transform 3 is not 2x2"),
+    ([TWO, [[1, 1], [1, 1]], TWO, TWO], "singular"),
+    ([[[1, 2], [2, 4]], TWO, TWO, TWO], "singular"),
 ], ids=["missing-degree", "transform-count", "wrong-size", "non-square", "wide",
         "ragged", "singular", "singular-bottom"])
 def test_malformed_transforms_are_refused(transforms, message):
-    tower = {0: TowerSlice([2, 2, 2, 2])}
     with pytest.raises(ValueError, match=message):
-        apply_levelwise_isomorphism(tower, transforms)
+        apply_levelwise_isomorphism(TowerSlice([2, 2, 2, 2]), transforms)
 
 
 # -- counted prefix slices against the elimination ----------------------------------
@@ -405,22 +396,20 @@ def projective_towers(draw):
     max_t = draw(st.integers(1, 10))
     max_w = draw(st.integers(0, max_t))
     levels = draw(st.integers(2, 16))
-    ctx = RingContext(1, COEFF_KIND[kind], max_t, 0 if kind == "additive" else max_w)
-    return projective_space_tower(ctx, max_t, levels)
+    ctx = ring_context(kind, 1, max_t, max_w)
+    return [projective_space_tower(ctx, d, levels) for d in range(max_t + 1)]
 
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=60)
 @given(st.data())
 def test_counted_prefix_slices_match_the_elimination(data):
     tower = data.draw(projective_towers())
-    # the same slices with their projections passed explicitly take the elimination path
-    explicit = {d: TowerSlice(sl.dims, [sl.map(i) for i in range(len(sl.dims) - 1)])
-                for d, sl in tower.items()}
-    for d, sl in tower.items():
+    for sl in tower:
         assert sl.maps is None
-        assert diagnostics(tower, d) == diagnostics(explicit, d)
-    transforms = {d: [data.draw(invertible(n)) for n in sl.dims] for d, sl in tower.items()}
-    moved = apply_levelwise_isomorphism(tower, transforms)
-    for d in tower:
-        assert moved[d].maps is not None
-        assert diagnostics(moved, d) == diagnostics(tower, d)
+        # the same slice with its projections passed explicitly takes the elimination path
+        explicit = TowerSlice(sl.dims, [sl.map(i) for i in range(len(sl.dims) - 1)])
+        assert diagnostics(sl) == diagnostics(explicit)
+    for sl in tower:
+        moved = apply_levelwise_isomorphism(sl, [data.draw(invertible(n)) for n in sl.dims])
+        assert moved.maps is not None
+        assert diagnostics(moved) == diagnostics(sl)

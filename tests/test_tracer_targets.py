@@ -14,7 +14,6 @@ from pathlib import Path
 
 from cobcalc import cli, equivariant
 from cobcalc.fgl import build_fgl
-from cobcalc.series import RingContext
 
 TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
 
@@ -47,7 +46,7 @@ def test_every_traced_name_is_a_function_of_its_module():
 
 def test_the_tracer_runs_small_jobs_and_restores_the_package(capsys):
     tracer = load_tracer().Tracer()
-    law = build_fgl("universal-rational", RingContext(2, "universal-rational", 4, 3))
+    law = build_fgl("universal-rational", 4, 3)
     group = equivariant.preset("B2").weyl
     ctx = law.context(group.rank)
     matrices = group.elements()

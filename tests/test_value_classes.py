@@ -25,7 +25,7 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def _law():
-    return build_fgl("multiplicative", RingContext(2, "multiplicative-beta", 4, 3))
+    return build_fgl("multiplicative", 4, 3)
 
 
 def _roots(ctx):
@@ -54,7 +54,7 @@ def _fields(x) -> tuple:
         FormalGroupLaw: ("kind", "series", "inverse_series", "log", "exp"),
         AxiomReport: ("unit_ok", "comm_ok", "assoc_ok", "residuals"),
         WeylGroupSpec: ("rank", "generators"),
-        GroupPreset: ("name", "rank", "weyl", "weyl_order"),
+        GroupPreset: ("name", "weyl", "weyl_order"),
         SplitBundle: ("roots",),
         ProjBundleRing: ("base", "chern"),
         ProjBundleElement: ("ring", "coords"),
@@ -171,9 +171,11 @@ def test_weyl_spec_constructor_and_cached_elements():
 def test_group_preset_constructor():
     gl2 = preset("GL2")
     assert gl2 == preset("GL(2)") and hash(gl2) == hash(preset("gl2"))
-    bare = GroupPreset(name="GL(2)", rank=2, weyl=gl2.weyl)
+    bare = GroupPreset(name="GL(2)", weyl=gl2.weyl)
     assert bare.weyl_order is None and bare != gl2
-    assert GroupPreset("GL(2)", 2, gl2.weyl, 2) == gl2
+    assert GroupPreset("GL(2)", gl2.weyl, 2) == gl2
+    # the rank is the Weyl group's, so the two cannot disagree
+    assert bare.rank == gl2.weyl.rank == 2
 
 
 def test_bundle_constructors_normalise_and_check():

@@ -38,8 +38,7 @@ MAX_T, K_MAX = 4, 3
 
 
 def law_for(kind):
-    max_w = 0 if kind == "additive" else 3
-    return build_fgl(kind, RingContext(2, COEFF[kind], MAX_T, max_w))
+    return build_fgl(kind, MAX_T, 3)
 
 
 def random_unimodular(rng, n):
@@ -135,8 +134,7 @@ WEYL_SPECS = [
 
 @lru_cache(maxsize=None)
 def law_at(kind, max_t, max_w):
-    max_w = 0 if kind == "additive" else max_w
-    return build_fgl(kind, RingContext(2, COEFF[kind], max_t, max_w))
+    return build_fgl(kind, max_t, max_w)
 
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=100)
