@@ -78,7 +78,6 @@ coordinate of the result is canonicalized once; `reduce_coords`, behind
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import cached_property, lru_cache
 from typing import Mapping, Sequence
 
@@ -215,7 +214,8 @@ class ProjBundleRing(FrozenValue):
 
 
 class ProjBundleElement(FrozenValue):
-    """Coordinate vector (a0..a_{n-1}) in the xi-power basis."""
+    """Coordinate vector (a0..a_{n-1}) in the xi-power basis; `pb_mul` is
+    the product of two elements."""
 
     _fields = ("ring", "coords")
 
@@ -239,13 +239,6 @@ class ProjBundleElement(FrozenValue):
     def __neg__(self):
         return ProjBundleElement(self.ring, tuple(-a for a in self.coords))
 
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction, TruncatedSeries)):
-            return ProjBundleElement(self.ring, tuple(a * other for a in self.coords))
-        return pb_mul(self.ring, self, _coerce_pb(self.ring, other))
-
-    __rmul__ = __mul__
-
     def is_zero(self) -> bool:
         return all(c.is_zero() for c in self.coords)
 
@@ -260,8 +253,6 @@ def _coerce_pb(ring: ProjBundleRing, value) -> ProjBundleElement:
         return value
     if isinstance(value, TruncatedSeries):
         return ring.from_base(value)
-    if isinstance(value, (int, Fraction)):
-        return ring.from_base(ring.base.constant(value))
     raise TypeError(f"cannot coerce {value!r} into the projective bundle ring")
 
 
@@ -328,14 +319,6 @@ def _relation_coeffs(ring: ProjBundleRing) -> list:
     return [-c for c in reversed(ring.signed_chern)] + [ring.base.one()]
 
 
-def _slice_list(s: TruncatedSeries, j: int) -> list:
-    """`variable_slices` of ``s`` in t_{j+1} as a list indexed by exponent,
-    zero where no exponent occurs."""
-    parts = variable_slices(s, j)
-    zero = s.ctx.zero()
-    return [parts.get(e, zero) for e in range(max(parts, default=-1) + 1)]
-
-
 def xi_power(ring: ProjBundleRing, k: int) -> ProjBundleElement:
     """Reduced form of xi^k."""
     return ring.from_coords([ring.base.zero()] * k + [ring.base.one()])
@@ -380,13 +363,12 @@ def pb_substitute(
         raise ValueError(f"no value for variables {sorted(missing)}")
     v = _coerce_pb(ring, v)
     to_base = RingMap(s.ctx, base_images, ring.base)
-    slices = variable_slices(s, last)
     acc = ring.zero()
-    for e in range(max(slices, default=0), -1, -1):
+    for c in reversed(variable_slices(s, last)):
         if not acc.is_zero():
             acc = pb_mul(ring, acc, v)
-        if e in slices:
-            acc = acc + to_base(slices[e])
+        if not c.is_zero():
+            acc = acc + to_base(c)
     return acc
 
 
@@ -395,7 +377,7 @@ def tautological_inverse_class(ring: ProjBundleRing, law: FormalGroupLaw) -> Pro
     coefficients of chi, mapped into the base, are its coordinates."""
     chi = law.inverse_series
     to_base = RingMap(chi.ctx, {}, ring.base)
-    return ring.from_coords([to_base(c) for c in _slice_list(chi, 0)])
+    return ring.from_coords([to_base(c) for c in variable_slices(chi, 0)])
 
 
 @lru_cache(maxsize=8)
@@ -412,7 +394,7 @@ def _difference_slices(law: FormalGroupLaw, ctx: RingContext, headroom: int) -> 
     chi_y = substitute(law.inverse_series, {0: wide.var(1)}, target=wide)
     D = substitute(law.series, {0: wide.var(0), 1: chi_y}, target=wide)
     back = RingMap(wide, {0: ctx.var(0)}, ctx)
-    return tuple(back(d) for d in _slice_list(D, 1))
+    return tuple(back(d) for d in variable_slices(D, 1))
 
 
 def thom_class(bundle: SplitBundle, ring: ProjBundleRing, law: FormalGroupLaw) -> ProjBundleElement:

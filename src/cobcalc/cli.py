@@ -11,6 +11,8 @@ No job draws: `sif`, `flag` and `pbf` pass ``random.Random(seed)`` to a
 seeded suite of `selftest` and write its verdict.  A job passes the law's
 kind, as `config_from_args` normalized it, and the caps, and nothing more:
 `fgl.build_fgl` builds its law and `fgl.ring_context` its series contexts.
+A job returns its report's body; `run` writes the header of every report,
+its ``schema`` and, from the law kind and the caps, its ``caps``.
 Identical configuration and seed produce byte-identical output; exit
 status is 0 iff every requested check passed.  An invalid configuration,
 a refused job or one out of memory exits 2 with a ``cobcalc/error/v1``
@@ -47,7 +49,8 @@ SCHEMA_PREFIX = "cobcalc"
 # `tower bgm` refuses more levels than this before it builds anything: every
 # level costs memory in the one slice it holds, and no cap or degree needs nearly this many
 MAX_LEVELS = 10_000
-# ... nor more level dims, (max degree + 1) x (levels + 1), than this: a cap on work
+# ... nor more level dims over all its slices, (asked degrees) x (levels + 1), than
+# this: a cap on work, since a job builds only the degrees it is asked
 MAX_TOWER_DIMS = 10_000_000
 # `--deg` refuses a range of more degrees than this before expanding it: each
 # degree costs a job up to a kilobyte of memory, and no job needs nearly this many
@@ -109,9 +112,7 @@ def _run_fgl_check(config: argparse.Namespace):
     law = _law(config)
     report = law.axioms
     body = {
-        "schema": f"{SCHEMA_PREFIX}/fgl-check/v1",
         "kind": law.kind,
-        "caps": {"max_t": config.max_t, "max_w": law.max_weight},
         "unit": report.unit_ok,
         "comm": report.comm_ok,
         "assoc": report.assoc_ok,
@@ -130,8 +131,6 @@ def _run_bg(config: argparse.Namespace):
             f"--torder {config.t_order}; monomials of that degree need a larger window"
         )
     group = preset(config.group)
-    ctx = _context(config, group.rank)
-
     degrees = sorted(set(config.degrees))
     if config.emit_basis:
         law = _law(config)  # only the basis needs a law: Lambda is its logarithm
@@ -141,12 +140,10 @@ def _run_bg(config: argparse.Namespace):
         }
         dims = {d: len(basis) for d, basis in bases.items()}
     else:
-        dims = bg_dimensions(group, ctx, degrees, config.t_order)
+        dims = bg_dimensions(group, _context(config, group.rank), degrees, config.t_order)
     body = {
-        "schema": f"{SCHEMA_PREFIX}/bg/v1",
         "group": group.name,
         "fgl": config.fgl_kind,
-        "caps": {"max_t": config.max_t, "max_w": ctx.max_weight},
         "torder": config.t_order,
         "dims": {str(d): dim for d, dim in dims.items()},
     }
@@ -163,10 +160,8 @@ def _run_flag(config: argparse.Namespace):
     elements = group.weyl.elements()
     mult_ok, cong_ok, shown = flag_suite(random.Random(config.seed), law, elements, config.samples)
     body = {
-        "schema": f"{SCHEMA_PREFIX}/flag/v1",
         "group": group.name,
         "fgl": law.kind,
-        "caps": {"max_t": config.max_t, "max_w": law.max_weight},
         "seed": config.seed,
         "samples": config.samples,
         "weyl_order": len(elements),
@@ -192,11 +187,9 @@ def _run_sif(config: argparse.Namespace):
                                                  law.context(config.base_vars), config.rank,
                                                  config.samples)
     body = {
-        "schema": f"{SCHEMA_PREFIX}/sif/v1",
         "fgl": law.kind,
         "rank": config.rank,
         "base_vars": config.base_vars,
-        "caps": {"max_t": law.max_t_order, "max_w": law.max_weight},
         "seed": config.seed,
         "samples": config.samples,
         "failures": failures,
@@ -210,10 +203,8 @@ def _run_pbf(config: argparse.Namespace):
     xi_zero = xi_power(trivial_bundle_ring(ctx, config.rank), config.rank).is_zero()
     division_ok = division_suite(random.Random(config.seed), ctx, config.rank, config.samples)
     body = {
-        "schema": f"{SCHEMA_PREFIX}/pbf/v1",
         "fgl": config.fgl_kind,
         "rank": config.rank,
-        "caps": {"max_t": config.max_t, "max_w": ctx.max_weight},
         "seed": config.seed,
         "samples": config.samples,
         "trivial_xi_power_zero": xi_zero,
@@ -231,15 +222,16 @@ def _run_tower_bgm(config: argparse.Namespace):
         raise ConfigError(
             f"degree {max(config.degrees)} of --deg {config.deg} exceeds --max-t {config.max_t}"
         )
-    dims = (max(config.degrees) + 1) * (config.levels + 1)
+    degrees = sorted(set(config.degrees))
+    dims = len(degrees) * (config.levels + 1)
     if dims > MAX_TOWER_DIMS:
         raise ConfigError(
-            f"the tower would hold {dims} level dims, (max degree + 1) x (levels + 1), "
+            f"the job would build {dims} level dims, (asked degrees) x (levels + 1), "
             f"over the cap of {MAX_TOWER_DIMS}"
         )
     ctx = _context(config, 1)
     table = {}
-    for d in sorted(set(config.degrees)):
+    for d in degrees:
         # no answer reads another degree: hold one slice at a time
         sl = projective_space_tower(ctx, d, config.levels)
         entry = table[d] = {"stab_index": stabilization_index(sl)}
@@ -253,9 +245,7 @@ def _run_tower_bgm(config: argparse.Namespace):
         for e in table.values()
     )
     body = {
-        "schema": f"{SCHEMA_PREFIX}/tower-bgm/v1",
         "fgl": config.fgl_kind,
-        "caps": {"max_t": config.max_t, "max_w": ctx.max_weight},
         "levels": config.levels,
         "degrees": {str(d): e for d, e in table.items()},
     }
@@ -265,13 +255,7 @@ def _run_tower_bgm(config: argparse.Namespace):
 def _run_selftest(config: argparse.Namespace):
     ok, results = run_selftest(config.seed)
     if config.output_format == "json":
-        body = {
-            "schema": f"{SCHEMA_PREFIX}/selftest/v1",
-            "seed": config.seed,
-            "ok": ok,
-            "checks": results,
-        }
-        return (0 if ok else 1), body
+        return (0 if ok else 1), {"seed": config.seed, "ok": ok, "checks": results}
     lines = [
         f"{'PASS' if r['ok'] else 'FAIL'} {r['name']} -- {r['detail']}"
         for r in results
@@ -282,10 +266,22 @@ def _run_selftest(config: argparse.Namespace):
 
 def run(config: argparse.Namespace):
     """Run a job, the namespace `config_from_args` checked; returns
-    (exit_status, report_string)."""
-    status, body = SUBCOMMANDS[config.command].run(config)
+    (exit_status, report_string).
+
+    A job returns its body without a header, and this is the one writer of
+    the header of a JSON or key-per-line report: its ``schema``, named by
+    the subcommand and its nested word, and for a job with a law kind its
+    ``caps``, the weight cap as `fgl.ring_context` gives it for that kind.
+    """
+    row = SUBCOMMANDS[config.command]
+    status, body = row.run(config)
     if isinstance(body, str):
         return status, body
+    name = config.command if row.nested is None else f"{config.command}-{row.nested[0]}"
+    body["schema"] = f"{SCHEMA_PREFIX}/{name}/v1"
+    if hasattr(config, "fgl_kind"):
+        ctx = ring_context(config.fgl_kind, 1, config.max_t, config.max_w)
+        body["caps"] = {"max_t": ctx.max_t_order, "max_w": ctx.max_weight}
     return status, _emit(body, config)
 
 

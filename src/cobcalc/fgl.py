@@ -20,9 +20,10 @@ chi(x) = exp(-log(x)).  Truncation is an ideal that composition
 respects, so these are the truncated laws themselves.  Construction
 checks the unit, commutativity and associativity axioms of the stored F
 and F(x, chi(x)) = 0 inside the truncation window, and refuses to
-return an invalid law.  Associativity of an F with unit and
-commutativity is certified by F's own invariant differential: with
-L = integral of dx / F_2(x, 0), computed from F alone
+return an invalid law.  The axioms are identities of F alone, so
+`verify_fgl_axioms` takes the series F, not a law.  Associativity of an
+F with unit and commutativity is certified by F's own invariant
+differential: with L = integral of dx / F_2(x, 0), computed from F alone
 (`invariant_logarithm`), F is associative in the window exactly when
 L(F(x, y)) = L(x) + L(y) there, which needs one 2-variable composition
 instead of two 3-variable ones (`verify_fgl_axioms`).  The same
@@ -194,7 +195,7 @@ def build_fgl(kind: str, max_t: int, max_w: int) -> FormalGroupLaw:
     lx, ly = (substitute(log, {0: ctx2.var(j)}, target=ctx2) for j in (0, 1))
     F = substitute(exp, {0: lx + ly}, target=ctx2)
     chi = substitute(exp, {0: -log})
-    report = verify_fgl_axioms(FormalGroupLaw(kind, F, chi, log, exp))
+    report = verify_fgl_axioms(F)
     if not report.ok:
         bad = [name for name, r in report.residuals if not r.is_zero()]
         raise FglConstructionError(f"axiom residuals nonzero for {kind}: {bad}")
@@ -221,15 +222,17 @@ def _logarithm(kind: str, ctx1: RingContext) -> TruncatedSeries:
     return ctx1.from_terms({Monomial((i + 1,), ((i, 1),) if i else ()): 1 for i in range(top + 1)})
 
 
-def verify_fgl_axioms(law: FormalGroupLaw) -> AxiomReport:
-    """Residuals for unit, commutativity and associativity inside the caps.
+def verify_fgl_axioms(F: TruncatedSeries) -> AxiomReport:
+    """Residuals for unit, commutativity and associativity inside the caps,
+    for a series F(x, y) in a two-variable context (x = t1, y = t2).
 
-    Only ``law.series`` is read.  When the unit and commutativity residuals
-    are exactly zero, the associativity residual is L(F(x, y)) - L(x) - L(y)
-    with L = `invariant_logarithm` of F: one 2-variable composition.  Its
-    zero is equivalent to F(F(x, y), z) = F(x, F(y, z)) in the window.
-    Truncation is an ideal that augmentation-ideal substitution respects,
-    so every step below holds inside the window:
+    The axioms are identities of F alone.  When the unit and commutativity
+    residuals are exactly zero, the associativity residual is
+    L(F(x, y)) - L(x) - L(y) with L = `invariant_logarithm` of F: one
+    2-variable composition.  Its zero is equivalent to
+    F(F(x, y), z) = F(x, F(y, z)) in the window.  Truncation is an ideal
+    that augmentation-ideal substitution respects, so every step below
+    holds inside the window:
 
     * sufficient: L = x + ..., so L(F(x, y)) = L(x) + L(y) gives
       F = L^-1(L(x) + L(y)), which is commutative and associative;
@@ -239,13 +242,12 @@ def verify_fgl_axioms(law: FormalGroupLaw) -> AxiomReport:
       L(x) by the unit axiom again.  Differentiating lowers the t-order
       by one and integrating raises it by one, so the window is kept.
 
-    L is built from F, not from the stored ``log``, so the certificate is
+    L is built from F, not from a stored logarithm, so the certificate is
     not circular.  A law that fails unit or commutativity gets the direct
     residual F(F(x, y), z) - F(x, F(y, z)) instead.  The report keeps L as
     its ``certificate``.  The unit residuals need no map: F(x, 0) is the
     part of F free of y, and F(0, y) the part free of x (`series.variable_slice`).
     """
-    F = law.series
     ctx2 = F.ctx
     x, y = ctx2.var(0), ctx2.var(1)
     unit_x = variable_slice(F, 1, 0) - x
@@ -299,7 +301,8 @@ def invariant_logarithm(F: TruncatedSeries) -> TruncatedSeries:
     ctx1 = RingContext(1, ctx2.coeff_kind, ctx2.max_t_order, ctx2.max_weight)
     u = substitute(variable_slice(F, 1, 1), {0: ctx1.var(0), 1: ctx1.zero()}, target=ctx1)
     # 1/u through t-order max_t - 1, all the integral keeps (u_0 = 1)
-    slices = [(k, u.t_slice(k)) for k in sorted(variable_slices(u, 0)) if k]  # x^k: t-order k
+    slices = [(k, u.t_slice(k)) for k, c in enumerate(variable_slices(u, 0))  # x^k: t-order k
+              if k and not c.is_zero()]
     inv = {0: ctx1.one()}  # the orders at which 1/u has terms
     acc: dict = {}
     den = add_into(acc, 1, inv[0])

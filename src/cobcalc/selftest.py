@@ -254,7 +254,7 @@ def check_fgl_axioms(rng: random.Random) -> Tuple[bool, str]:
         law = build_fgl(kind, 6, 5)
         x, y = law.series.ctx.var(0), law.series.ctx.var(1)
         for F in (law.series, law.series + x * x * y * y):
-            report = verify_fgl_axioms(FormalGroupLaw(kind, F, law.inverse_series, law.log, law.exp))
+            report = verify_fgl_axioms(F)
             direct = direct_associativity_residual(F).is_zero()
             if not (report.unit_ok and report.comm_ok) or report.assoc_ok != direct:
                 return False, f"{kind}: {F.to_text()}: certified {report.assoc_ok}, direct {direct}"

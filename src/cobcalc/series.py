@@ -72,7 +72,9 @@ decode every term and validate it again get helpers that work on the
 keys: `sparse_coordinates` (integer rows against a list of monomials),
 `reduced_basis` (the canonical echelon basis of a span, over the
 monomials that occur), `variable_slices` (a series split by the powers
-of one variable), `variable_slice` (one part of that split), `integral`
+of one variable, as the list of its parts from the power 0 up, zero
+where a power does not occur), `variable_slice` (one part of that split,
+for a caller that reads a few parts and not the whole split), `integral`
 (the antiderivative in one variable) and `compositional_inverse` (which
 moves series between windows as copies of their keys).
 
@@ -592,16 +594,23 @@ def reduced_basis(series: Iterable[TruncatedSeries], max_t_order: int) -> list:
     ]
 
 
-def variable_slices(s: TruncatedSeries, j: int) -> dict:
-    """``{e: c_e}`` with s = sum_e c_e * t_{j+1}^e, every c_e over ``s.ctx``
-    and free of t_{j+1}; only the exponents that occur are keys."""
+def variable_slices(s: TruncatedSeries, j: int) -> list:
+    """``[c_0, ..., c_top]`` with s = sum_e c_e * t_{j+1}^e, every c_e over
+    ``s.ctx`` and free of t_{j+1}, zero at an exponent that does not occur;
+    ``top`` is the highest exponent of t_{j+1} in ``s``, and the zero series
+    gives ``[]``.
+
+    >>> ctx = RingContext(2, "rational", 3, 0)
+    >>> [c.to_text() for c in variable_slices(TruncatedSeries.from_text(ctx, "1 * t1 + 1 * t2^2"), 1)]
+    ['1 * t1', '0', '1']
+    """
     layout = s.ctx._layout
     shift, t_shift, mask = layout.var_shifts[j], layout.t_shift, layout.mask
     parts: dict = {}
     for key, num in s._terms.items():
         e = (key >> shift) & mask
         parts.setdefault(e, {})[key - (e << shift) - (e << t_shift)] = num
-    return {e: _reduced(s.ctx, terms, s._den) for e, terms in parts.items()}
+    return [_reduced(s.ctx, parts.get(e, {}), s._den) for e in range(max(parts, default=-1) + 1)]
 
 
 def variable_slice(s: TruncatedSeries, j: int, e: int) -> TruncatedSeries:

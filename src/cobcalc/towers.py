@@ -92,11 +92,12 @@ class TowerSlice(FrozenValue):
 
         Built from the top level down: im(V_{i+s} -> V_i) is M_i applied to a
         basis of im(V_{i+s} -> V_{i+1}), so only the echelon bases of the
-        level above are held.
+        level above are held.  The image at s = 0 is all of V_i, whose
+        echelon basis is its unit vectors: it needs no elimination.
         """
         chains, images = [], []
         for i in range(len(self.dims) - 1, -1, -1):
-            images = [linalg.echelon({j: 1} for j in range(self.dims[i]))] + [
+            images = [{j: {j: 1} for j in range(self.dims[i])}] + [
                 linalg.echelon(_apply(self.maps[i], v) for v in im.values()) for im in images]
             chains.append([len(im) for im in images])
         return chains[::-1]

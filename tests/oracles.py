@@ -649,7 +649,8 @@ def ref_invariant_logarithm(F: TruncatedSeries) -> TruncatedSeries:
     axiom, in the one-variable context of F's caps."""
     ctx2 = F.ctx
     ctx1 = RingContext(1, ctx2.coeff_kind, ctx2.max_t_order, ctx2.max_weight)
-    f2 = variable_slices(F, 1).get(1, ctx2.zero())
+    slices = variable_slices(F, 1)
+    f2 = slices[1] if len(slices) > 1 else ctx2.zero()
     w = 1 - substitute(f2, {0: ctx1.var(0), 1: ctx1.zero()}, target=ctx1)
     # 1/(1 - w) by Horner's rule, exact through t-order max_t - 1: all the integral keeps.
     # A step that changes nothing is a fixed point, which later steps keep.

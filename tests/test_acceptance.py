@@ -67,7 +67,7 @@ def test_criterion_1_fgl_axioms_at_large_caps():
     ok = True
     for kind in ALL_KINDS:
         law = make_law(kind, 8, 7)
-        report = verify_fgl_axioms(law)
+        report = verify_fgl_axioms(law.series)
         ok = ok and report.ok and all(r.is_zero() for _, r in report.residuals)
     elapsed = time.monotonic() - start
     ok = ok and elapsed < 5.0

@@ -326,3 +326,26 @@ def test_thom_requires_completion_rank():
     small = ProjBundleRing(ctx, bundle.chern)
     with pytest.raises(ValueError):
         thom_class(bundle, small, add)
+
+
+def _sum_across_rings():
+    ctx = RingContext(1, "rational", 3, 0)
+    return trivial_bundle_ring(ctx, 1).one() + trivial_bundle_ring(ctx, 2).one()
+
+
+def _thom_class_under_another_kind():
+    ctx = RingContext(1, "rational", 3, 0)
+    bundle = SplitBundle((ctx.var(0),))
+    return thom_class(bundle, projective_completion_ring(bundle), law("multiplicative", 3, 2))
+
+
+# one row per refusal of the bundle layer: the call, the exception type and
+# the whole message
+@pytest.mark.parametrize("call, exc, message", [
+    (_sum_across_rings, ContextMismatch, "elements live in different projective bundle rings"),
+    (_thom_class_under_another_kind, ContextMismatch, "coefficient kinds differ"),
+], ids=["element-of-another-ring", "thom-class-law-kind"])
+def test_bundle_refusals(call, exc, message):
+    with pytest.raises(exc) as info:
+        call()
+    assert type(info.value) is exc and str(info.value) == message

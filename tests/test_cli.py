@@ -494,11 +494,20 @@ def test_tower_bgm_builds_only_the_requested_slices(monkeypatch, capsys):
     monkeypatch.setattr(cli, "projective_space_tower", spy)
     assert main("tower bgm --fgl universal --deg 4..6 --levels 8".split()) == 0
     capsys.readouterr()
-    # the cap on (max degree + 1) x (levels + 1) still admits this window
     assert main("tower bgm --deg 99..99 --max-t 99 --levels 9999".split()) == 0
     assert built == [4, 5, 6, 99]
     report = json.loads(capsys.readouterr().out)
     assert report["degrees"] == {"99": {"lim_dim": 1, "stab_index": 0}}
+
+
+def test_tower_work_cap_counts_only_the_asked_degrees(capsys):
+    # one asked degree of 4001 levels is 4001 level dims, though
+    # (max degree + 1) x (levels + 1) would be 12007001, over MAX_TOWER_DIMS
+    argv = "tower bgm --fgl universal --deg 3000..3000 --max-t 3000 --max-w 3000 --levels 4000"
+    assert main(argv.split()) == 0
+    limit = coefficient_ring_dimension(RingContext(1, "universal-rational", 3000, 3000), 3000)
+    report = json.loads(capsys.readouterr().out)
+    assert report["degrees"] == {"3000": {"lim_dim": limit, "stab_index": 0}}
 
 
 # stdout sha256 of `bg --emit-basis` on a rank-4, a signed (B3) and a rank-1
@@ -589,7 +598,7 @@ def _sum_with_constant_term(monkeypatch):
         (["bg", "--group", "GL2", "--deg", "1..x", "--torder", "3"], "config", None),
         (["tower", "bgm", "--fgl", "universal", "--deg", "0..2", "--levels", "1000000000"],
          "config", _no_tower_built),
-        (["tower", "bgm", "--fgl", "universal", "--deg", "200000..200000", "--max-t", "200000",
+        (["tower", "bgm", "--fgl", "universal", "--deg", "0..99999", "--max-t", "99999",
           "--levels", "10000"], "config", _no_tower_built),
         (["sif", "--torder", "-1"], "config", None),
         (["bg", "--torder", "-1"], "config", None),
@@ -629,6 +638,9 @@ def test_error_kinds_exit_2_without_traceback(argv, kind, patch, monkeypatch, ca
     (["sif", "--torder", "-1"], "--torder must be at least 0, got -1"),
     (["fgl", "check", "--kind", "add", "--max-w", "-2"], "--max-w must be at least 0, got -2"),
     (["tower", "bgm", "--levels", "1"], "--levels must be in 2..10000, got 1"),
+    (["tower", "bgm", "--deg", "0..999", "--max-t", "999", "--levels", "10000"],
+     "the job would build 10001000 level dims, (asked degrees) x (levels + 1), "
+     "over the cap of 10000000"),
 ])
 def test_config_refusals_name_what_they_read(argv, message, capsys):
     assert main(argv) == 2
@@ -696,9 +708,9 @@ def test_fgl_check_verifies_axioms_once(monkeypatch):
     calls = []
     original = fgl.verify_fgl_axioms
 
-    def counting(law):
-        calls.append(law.kind)
-        return original(law)
+    def counting(F):
+        calls.append(F.ctx.coeff_kind)
+        return original(F)
 
     # every module binding of the name, so a second call from the CLI is seen
     monkeypatch.setattr(fgl, "verify_fgl_axioms", counting)

@@ -286,3 +286,17 @@ def test_signed_permutations_rank_cap():
     assert signed_permutation_group(3).rank == 3
     with pytest.raises(ValueError):
         signed_permutation_group(4)
+
+
+# one row per refusal of the equivariant layer: the call, the exception type
+# and the whole message
+@pytest.mark.parametrize("call, exc, message", [
+    (lambda: character_class(law("additive"), (1,), RingContext(2, "rational", 3, 0)),
+     ValueError, "character length does not match the context rank"),
+    (lambda: window_basis(RingContext(1, "rational", 3, 0), 0, 4), ValueError,
+     "t-order window 4 exceeds the context cap 3"),
+], ids=["character-length", "window-over-cap"])
+def test_equivariant_refusals(call, exc, message):
+    with pytest.raises(exc) as info:
+        call()
+    assert type(info.value) is exc and str(info.value) == message

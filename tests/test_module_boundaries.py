@@ -8,7 +8,9 @@ name from a sibling module.  ``cobcalc/__init__.py`` imports a public name
 only to list it in ``__all__``, and every name listed there resolves.
 ``cli`` draws nothing itself: it imports no sampler, and runs the seeded
 suites of ``selftest``.  Only ``fgl`` pairs a law's kind with its
-coefficient ring: every other module asks ``fgl`` for the law or context.
+coefficient ring and builds a ``FormalGroupLaw``: every other module asks
+``fgl`` for the law or context.  Only ``cli.run`` writes a report's
+header: no ``_run_*`` job body writes a ``schema`` or ``caps`` key.
 """
 
 import ast
@@ -111,7 +113,43 @@ def test_the_cli_draws_nothing_itself():
     assert _names((PACKAGE / "cli.py").read_text()) & SAMPLERS == set()
 
 
-@pytest.mark.parametrize("path", [p for p in sorted(PACKAGE.glob("*.py")) if p.name != "fgl.py"],
-                         ids=lambda p: p.name)
+NOT_FGL = [p for p in sorted(PACKAGE.glob("*.py")) if p.name != "fgl.py"]
+
+
+@pytest.mark.parametrize("path", NOT_FGL, ids=lambda p: p.name)
 def test_only_fgl_pairs_a_kind_with_its_coefficient_ring(path):
     assert "COEFF_KIND_FOR" not in _names(path.read_text())
+
+
+def _calls(source: str, name: str) -> list:
+    """The lines of ``source`` that call ``name``, bare or off another name."""
+    return [
+        node.lineno for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Call)
+        and name in (getattr(node.func, "id", None), getattr(node.func, "attr", None))
+    ]
+
+
+def _header_writes(source: str) -> list:
+    """``function key`` for each ``"schema"`` or ``"caps"`` in a ``_run_*`` function."""
+    return [
+        f"{fn.name} {node.value}" for fn in ast.walk(ast.parse(source))
+        if isinstance(fn, ast.FunctionDef) and fn.name.startswith("_run_")
+        for node in ast.walk(fn) if isinstance(node, ast.Constant) and node.value in ("schema", "caps")
+    ]
+
+
+def test_law_calls_and_header_writes_are_found():
+    source = "def _run_x(c):\n    law = fgl.FormalGroupLaw(1)\n    return {'caps': FormalGroupLaw(2)}\n"
+    assert _calls(source, "FormalGroupLaw") == [2, 3]
+    assert _header_writes(source) == ["_run_x caps"]
+    assert _header_writes("def run(c):\n    c['schema'] = 1\n") == []
+
+
+@pytest.mark.parametrize("path", NOT_FGL, ids=lambda p: p.name)
+def test_only_fgl_builds_a_law(path):
+    assert _calls(path.read_text(), "FormalGroupLaw") == []
+
+
+def test_no_job_body_writes_the_report_header():
+    assert _header_writes((PACKAGE / "cli.py").read_text()) == []

@@ -16,11 +16,13 @@ from cobcalc.series import (
     SubstitutionError,
     TruncatedSeries,
     bidegree_basis,
+    compositional_inverse,
     integral,
     lazard_count,
     lazard_monomials,
     series_add,
     series_mul,
+    sparse_coordinates,
     substitute,
 )
 
@@ -391,3 +393,33 @@ def test_decode_inverts_encode(case):
     assert layout.key_of(mono) == key
     assert layout.decode(key) == mono
     assert ctx.from_terms({mono: 1}).items() == [(mono, 1)]
+
+
+_Q2 = RingContext(2, "rational", 3, 0)
+_U1 = RingContext(1, "universal-rational", 3, 2)
+
+
+# one row per refusal of the series layer's own input checks: the call, the
+# exception type and the whole message
+@pytest.mark.parametrize("call, exc, message", [
+    (lambda: _Q2.var(2), ValueError, "variable index 2 out of range"),
+    (lambda: _U1.from_terms({Monomial((1,), ((1, 0),)): 1}), ValueError,
+     "generator exponents must be positive"),
+    (lambda: _Q2.from_terms({Monomial((1,), ()): 1}), ValueError,
+     "monomial has wrong number of variables"),
+    (lambda: _Q2.from_terms({Monomial((-1, 1), ()): 1}), ValueError,
+     "variable exponents must be non-negative"),
+    (lambda: TruncatedSeries.from_text(_Q2, "1 * t3"), ValueError, "variable t3 out of range"),
+    (lambda: sparse_coordinates([_Q2.var(0) + _Q2.var(1)], [Monomial((1, 0), ())], strict=True),
+     ValueError, "series has terms outside the basis"),
+    (lambda: compositional_inverse(_Q2.var(0)), ValueError,
+     "compositional inverse needs a one-variable series"),
+    (lambda: compositional_inverse(2 * _U1.var(0)), ValueError, "series must start with x"),
+    (lambda: bidegree_basis(_Q2, 0, 4), ValueError, "t-order 4 outside [0, 3]"),
+], ids=["var-index", "generator-exponent", "monomial-length", "negative-exponent",
+        "text-variable", "strict-coordinates", "inverse-variables", "inverse-linear-term",
+        "bidegree-t-order"])
+def test_series_refusals(call, exc, message):
+    with pytest.raises(exc) as info:
+        call()
+    assert type(info.value) is exc and str(info.value) == message
