@@ -3,16 +3,17 @@
 Subcommands: ``fgl check``, ``bg``, ``flag``, ``sif``, ``pbf``,
 ``tower bgm``, ``selftest``, one row each in `SUBCOMMANDS`: the help, the
 nested word, the option table and the function that runs the job.
-Options, defaults and ranges are written only there.  `read_argv` reads a
-well-formed argv off the table; argparse's one parser tree, built from it,
-reads the rest and writes help and refusals.  Either namespace is the job
+Options, defaults, ranges and report keys are written only there.
+`read_argv` reads a well-formed argv off the table; argparse's one parser
+tree, built from it, reads the rest and writes help and refusals.  Either namespace is the job
 once `config_from_args` has checked its ranges.
 No job draws: `sif`, `flag` and `pbf` pass ``random.Random(seed)`` to a
 seeded suite of `selftest` and write its verdict.  A job passes the law's
 kind, as `config_from_args` normalized it, and the caps, and nothing more:
 `fgl.build_fgl` builds its law and `fgl.ring_context` its series contexts.
-A job returns its report's body; `run` writes the header of every report,
-its ``schema`` and, from the law kind and the caps, its ``caps``.
+A job returns only what it computed; `run` writes the header of every
+report, its ``schema`` and, from the law kind and the caps, its ``caps``,
+and echoes each option whose row names a ``report`` key under that key.
 Identical configuration and seed produce byte-identical output; exit
 status is 0 iff every requested check passed.  An invalid configuration,
 a refused job or one out of memory exits 2 with a ``cobcalc/error/v1``
@@ -109,15 +110,10 @@ def _emit(report: dict, config: argparse.Namespace) -> str:
 
 
 def _run_fgl_check(config: argparse.Namespace):
-    law = _law(config)
-    report = law.axioms
-    body = {
-        "kind": law.kind,
-        "unit": report.unit_ok,
-        "comm": report.comm_ok,
-        "assoc": report.assoc_ok,
+    report = _law(config).axioms
+    return (0 if report.ok else 1), {
+        "unit": report.unit_ok, "comm": report.comm_ok, "assoc": report.assoc_ok,
     }
-    return (0 if report.ok else 1), body
 
 
 def _run_bg(config: argparse.Namespace):
@@ -131,20 +127,17 @@ def _run_bg(config: argparse.Namespace):
             f"--torder {config.t_order}; monomials of that degree need a larger window"
         )
     group = preset(config.group)
-    degrees = sorted(set(config.degrees))
     if config.emit_basis:
         law = _law(config)  # only the basis needs a law: Lambda is its logarithm
         bases = {
             d: [s.to_text() for s in basis]
-            for d, basis in invariant_bases(group.weyl, law, degrees, config.t_order).items()
+            for d, basis in invariant_bases(group.weyl, law, config.degrees, config.t_order).items()
         }
         dims = {d: len(basis) for d, basis in bases.items()}
     else:
-        dims = bg_dimensions(group, _context(config, group.rank), degrees, config.t_order)
+        dims = bg_dimensions(group, _context(config, group.rank), config.degrees, config.t_order)
     body = {
         "group": group.name,
-        "fgl": config.fgl_kind,
-        "torder": config.t_order,
         "dims": {str(d): dim for d, dim in dims.items()},
     }
     if config.emit_basis:
@@ -161,9 +154,6 @@ def _run_flag(config: argparse.Namespace):
     mult_ok, cong_ok, shown = flag_suite(random.Random(config.seed), law, elements, config.samples)
     body = {
         "group": group.name,
-        "fgl": law.kind,
-        "seed": config.seed,
-        "samples": config.samples,
         "weyl_order": len(elements),
         "images": [
             {"a": a.to_text(), "b": b.to_text(), "components": [c.to_text() for c in image]}
@@ -186,31 +176,16 @@ def _run_sif(config: argparse.Namespace):
     failures, residual = self_intersection_suite(random.Random(config.seed), law,
                                                  law.context(config.base_vars), config.rank,
                                                  config.samples)
-    body = {
-        "fgl": law.kind,
-        "rank": config.rank,
-        "base_vars": config.base_vars,
-        "seed": config.seed,
-        "samples": config.samples,
-        "failures": failures,
-        "residual": residual.to_text(),
-    }
-    return (1 if failures else 0), body
+    return (1 if failures else 0), {"failures": failures, "residual": residual.to_text()}
 
 
 def _run_pbf(config: argparse.Namespace):
     ctx = _context(config, 2)
     xi_zero = xi_power(trivial_bundle_ring(ctx, config.rank), config.rank).is_zero()
     division_ok = division_suite(random.Random(config.seed), ctx, config.rank, config.samples)
-    body = {
-        "fgl": config.fgl_kind,
-        "rank": config.rank,
-        "seed": config.seed,
-        "samples": config.samples,
-        "trivial_xi_power_zero": xi_zero,
-        "division_oracle_ok": division_ok,
+    return (0 if xi_zero and division_ok else 1), {
+        "trivial_xi_power_zero": xi_zero, "division_oracle_ok": division_ok,
     }
-    return (0 if xi_zero and division_ok else 1), body
 
 
 def _run_tower_bgm(config: argparse.Namespace):
@@ -222,8 +197,7 @@ def _run_tower_bgm(config: argparse.Namespace):
         raise ConfigError(
             f"degree {max(config.degrees)} of --deg {config.deg} exceeds --max-t {config.max_t}"
         )
-    degrees = sorted(set(config.degrees))
-    dims = len(degrees) * (config.levels + 1)
+    dims = len(config.degrees) * (config.levels + 1)
     if dims > MAX_TOWER_DIMS:
         raise ConfigError(
             f"the job would build {dims} level dims, (asked degrees) x (levels + 1), "
@@ -231,7 +205,7 @@ def _run_tower_bgm(config: argparse.Namespace):
         )
     ctx = _context(config, 1)
     table = {}
-    for d in degrees:
+    for d in config.degrees:
         # no answer reads another degree: hold one slice at a time
         sl = projective_space_tower(ctx, d, config.levels)
         entry = table[d] = {"stab_index": stabilization_index(sl)}
@@ -244,18 +218,13 @@ def _run_tower_bgm(config: argparse.Namespace):
         e["stab_index"] is not None and e["lim_dim"] is not None
         for e in table.values()
     )
-    body = {
-        "fgl": config.fgl_kind,
-        "levels": config.levels,
-        "degrees": {str(d): e for d, e in table.items()},
-    }
-    return (0 if ok else 1), body
+    return (0 if ok else 1), {"degrees": {str(d): e for d, e in table.items()}}
 
 
 def _run_selftest(config: argparse.Namespace):
     ok, results = run_selftest(config.seed)
     if config.output_format == "json":
-        return (0 if ok else 1), {"seed": config.seed, "ok": ok, "checks": results}
+        return (0 if ok else 1), {"ok": ok, "checks": results}
     lines = [
         f"{'PASS' if r['ok'] else 'FAIL'} {r['name']} -- {r['detail']}"
         for r in results
@@ -270,13 +239,16 @@ def run(config: argparse.Namespace):
 
     A job returns its body without a header, and this is the one writer of
     the header of a JSON or key-per-line report: its ``schema``, named by
-    the subcommand and its nested word, and for a job with a law kind its
-    ``caps``, the weight cap as `fgl.ring_context` gives it for that kind.
+    the subcommand and its nested word, for a job with a law kind its
+    ``caps``, the weight cap as `fgl.ring_context` gives it for that kind,
+    and the value of each option of the row with a ``report`` key, under
+    that key.
     """
     row = SUBCOMMANDS[config.command]
     status, body = row.run(config)
     if isinstance(body, str):
         return status, body
+    body.update({o.report: getattr(config, o.dest) for o in row.options if o.report})
     name = config.command if row.nested is None else f"{config.command}-{row.nested[0]}"
     body["schema"] = f"{SCHEMA_PREFIX}/{name}/v1"
     if hasattr(config, "fgl_kind"):
@@ -293,16 +265,21 @@ class Option(FrozenValue):
     and `read_argv` reads it.  ``type`` converts the value token; ``bool``
     marks a flag that takes none (argparse's ``store_true``).  ``low`` and
     ``high`` (None: unbounded; a high needs a low) are the range that
-    `config_from_args` holds an int to.  A plain value class (`cobcalc.value`):
-    a ``NamedTuple`` class took about 0.3 ms of every import on a 2-core VM."""
+    `config_from_args` holds an int to.  ``report`` is the key under which
+    `run` echoes the checked value in the report, or None when it is not
+    echoed; it declares the row's output and is no option of the CLI.  A
+    plain value class (`cobcalc.value`): a ``NamedTuple`` class took about
+    0.3 ms of every import on a 2-core VM."""
 
-    _fields = ("flag", "dest", "type", "default", "required", "choices", "help", "low", "high")
+    _fields = ("flag", "dest", "type", "default", "required", "choices", "help", "low", "high",
+               "report")
 
     def __init__(self, flag: str, dest: str, type: type, default=None, *, required: bool = False,
                  choices: Optional[tuple] = None, help: Optional[str] = None,
-                 low: Optional[int] = None, high: Optional[int] = None):
+                 low: Optional[int] = None, high: Optional[int] = None,
+                 report: Optional[str] = None):
         self.__dict__.update(flag=flag, dest=dest, type=type, default=default, required=required,
-                             choices=choices, help=help, low=low, high=high)
+                             choices=choices, help=help, low=low, high=high, report=report)
 
 
 class Subcommand(FrozenValue):
@@ -321,23 +298,23 @@ _CAPS = (
     Option("--max-t", "max_t", int, 6, help="t-order truncation cap (default 6)", low=0),
     _MAX_W,
 )
-_SEED = (Option("--seed", "seed", int, 0, help="seed for the randomized suite"),)
+_SEED = (Option("--seed", "seed", int, 0, help="seed for the randomized suite", report="seed"),)
 _FORMAT = (Option("--format", "output_format", str, "json", choices=("json", "text")),)
 
 # subcommand -> its row, in help order; 0 samples would check nothing and still pass
 SUBCOMMANDS = {
     "fgl": Subcommand(
         "formal group law utilities", ("check", "verify the group law axioms"),
-        (Option("--kind", "fgl_kind", str, required=True), *_CAPS, *_FORMAT),
+        (Option("--kind", "fgl_kind", str, required=True, report="kind"), *_CAPS, *_FORMAT),
         _run_fgl_check,
     ),
     "bg": Subcommand(
         "invariant dimensions of a classifying space", None,
         (
             Option("--group", "group", str, "GL2"),
-            Option("--fgl", "fgl_kind", str, "additive"),
+            Option("--fgl", "fgl_kind", str, "additive", report="fgl"),
             Option("--deg", "deg", str, "0..3", help="degree or range, e.g. 0..4"),
-            Option("--torder", "t_order", int, required=True, low=0),
+            Option("--torder", "t_order", int, required=True, low=0, report="torder"),
             Option("--emit-basis", "emit_basis", bool, False),
             *_CAPS, *_FORMAT,
         ),
@@ -347,8 +324,8 @@ SUBCOMMANDS = {
         "flag-variety fixed point restriction", None,
         (
             Option("--group", "group", str, "GL2"),
-            Option("--fgl", "fgl_kind", str, "additive"),
-            Option("--pairs", "samples", int, 25, low=1),
+            Option("--fgl", "fgl_kind", str, "additive", report="fgl"),
+            Option("--pairs", "samples", int, 25, low=1, report="samples"),
             *_CAPS, *_SEED, *_FORMAT,
         ),
         _run_flag,
@@ -356,12 +333,12 @@ SUBCOMMANDS = {
     "sif": Subcommand(
         "self-intersection identity suite", None,
         (
-            Option("--fgl", "fgl_kind", str, "universal"),
-            Option("--rank", "rank", int, 2, low=1),
+            Option("--fgl", "fgl_kind", str, "universal", report="fgl"),
+            Option("--rank", "rank", int, 2, low=1, report="rank"),
             Option("--torder", "max_t", int, 6, help="t-order truncation cap (default 6)", low=0),
-            Option("--samples", "samples", int, 25, low=1),
+            Option("--samples", "samples", int, 25, low=1, report="samples"),
             # samples redraw t-exponents in 0..2 to fit the cap: hopeless past 8 variables
-            Option("--base-vars", "base_vars", int, 3, low=1, high=8),
+            Option("--base-vars", "base_vars", int, 3, low=1, high=8, report="base_vars"),
             _MAX_W, *_SEED, *_FORMAT,
         ),
         _run_sif,
@@ -369,9 +346,9 @@ SUBCOMMANDS = {
     "pbf": Subcommand(
         "projective bundle formula suite", None,
         (
-            Option("--fgl", "fgl_kind", str, "additive"),
-            Option("--rank", "rank", int, 3, low=1, high=4),
-            Option("--samples", "samples", int, 25, low=1),
+            Option("--fgl", "fgl_kind", str, "additive", report="fgl"),
+            Option("--rank", "rank", int, 3, low=1, high=4, report="rank"),
+            Option("--samples", "samples", int, 25, low=1, report="samples"),
             *_CAPS, *_SEED, *_FORMAT,
         ),
         _run_pbf,
@@ -379,10 +356,10 @@ SUBCOMMANDS = {
     "tower": Subcommand(
         "inverse limit diagnostics", ("bgm", "rank-1 classifying space tower"),
         (
-            Option("--fgl", "fgl_kind", str, "additive"),
+            Option("--fgl", "fgl_kind", str, "additive", report="fgl"),
             Option("--deg", "deg", str, "0..5"),
             Option("--levels", "levels", int, 8, help=f"window levels, 2..{MAX_LEVELS}",
-                   low=2, high=MAX_LEVELS),
+                   low=2, high=MAX_LEVELS, report="levels"),
             *_CAPS, *_FORMAT,
         ),
         _run_tower_bgm,

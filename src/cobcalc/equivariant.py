@@ -86,8 +86,17 @@ class EnumerationCapExceeded(RuntimeError):
     """Weyl group closure did not terminate below the element cap."""
 
 
+def _ints(values, what: str) -> tuple:
+    """``values`` as a tuple; ValueError unless every entry is an int."""
+    out = tuple(values)
+    for x in out:
+        if not isinstance(x, int):
+            raise ValueError(f"{what} entries must be int, got {type(x).__name__}")
+    return out
+
+
 def _as_matrix(rows) -> Matrix:
-    m = tuple(tuple(map(int, row)) for row in rows)
+    m = tuple(_ints(row, "Weyl matrix") for row in rows)
     n = len(m)
     if any(len(row) != n for row in m):
         raise ValueError("Weyl generators must be square matrices")
@@ -272,7 +281,7 @@ def preset(name: str) -> GroupPreset:
 
 def character_class(law: FormalGroupLaw, char: Sequence[int], ctx: RingContext) -> TruncatedSeries:
     """First Chern class of the character line bundle, [c1](t1) +_F ... +_F [cn](tn)."""
-    char = tuple(int(c) for c in char)
+    char = _ints(char, "character")
     if len(char) != ctx.n_vars:
         raise ValueError("character length does not match the context rank")
     acc = None

@@ -11,12 +11,12 @@ augmented rows (rows | 1) and returns sparse integer rows over one least
 common denominator, so an integer matrix has an integral inverse exactly
 when its determinant is +-1.
 
-``int_rows`` clears the denominators of dense rows that may mix ints,
-Fractions and anything ``Fraction()`` accepts.  ``identity`` builds the
-dense Fraction transforms of the tower self-check.  ``mat``, ``mat_mul``,
-``transpose``, ``rref``, ``nullspace`` and ``column_space`` are dense
-Fraction adapters over the kernel that no other module calls; they stay
-because the benchmark's tracer wraps them by name.
+``int_rows`` clears the denominators of dense rows that may mix ints and
+Fractions, and refuses any other entry: no float comes in.  ``identity``
+builds the dense Fraction transforms of the tower self-check.  ``mat``,
+``mat_mul``, ``transpose``, ``rref``, ``nullspace`` and ``column_space``
+are dense Fraction adapters over the kernel that no other module calls;
+they stay because the benchmark's tracer wraps them by name.
 """
 
 from __future__ import annotations
@@ -27,12 +27,14 @@ from typing import Optional
 
 
 def int_rows(rows) -> tuple:
-    """``(sparse, den)``: ``rows == sparse / den`` entrywise, den the lcm of all denominators."""
-    ratios = [
-        [(j, (x if type(x) is Fraction or type(x) is int else Fraction(x)).as_integer_ratio())
-         for j, x in enumerate(row) if x]
-        for row in rows
-    ]
+    """``(sparse, den)``: ``rows == sparse / den`` entrywise, den the lcm of all
+    denominators; ValueError unless every entry is an int or a Fraction."""
+    rows = list(rows)
+    for row in rows:
+        for x in row:
+            if not isinstance(x, (int, Fraction)):
+                raise ValueError(f"matrix entries must be int or Fraction, got {type(x).__name__}")
+    ratios = [[(j, x.as_integer_ratio()) for j, x in enumerate(row) if x] for row in rows]
     den = lcm(*[d for row in ratios for _, (n, d) in row if n])
     return [{j: n * (den // d) for j, (n, d) in row if n} for row in ratios], den
 

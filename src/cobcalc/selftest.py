@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from functools import lru_cache
 from typing import Callable, List, Optional, Tuple
 
 from . import linalg
@@ -74,12 +73,6 @@ from .towers import (
 )
 
 
-@lru_cache(maxsize=None)
-def _universal_monomials(weight: int) -> tuple:
-    """`lazard_monomials` of the universal kind at ``weight``, listed once."""
-    return tuple(lazard_monomials("universal-rational", weight))
-
-
 def random_monomial(rng: random.Random, ctx: RingContext) -> Monomial:
     while True:
         t = tuple(rng.randint(0, 2) for _ in range(ctx.n_vars))
@@ -90,7 +83,7 @@ def random_monomial(rng: random.Random, ctx: RingContext) -> Monomial:
             laz = ((1, rng.randint(1, ctx.max_weight)),)
         elif ctx.coeff_kind == "universal-rational" and ctx.max_weight and rng.random() < 0.5:
             w = rng.randint(1, ctx.max_weight)
-            opts = _universal_monomials(w)
+            opts = lazard_monomials("universal-rational", w)
             laz = opts[rng.randrange(len(opts))]
         return Monomial(t, laz)
 

@@ -103,6 +103,7 @@ all go through these.
 from __future__ import annotations
 
 import re
+from collections import Counter
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import islice
@@ -178,7 +179,7 @@ class RingContext(FrozenValue):
         return self.constant(1)
 
     def constant(self, value) -> "TruncatedSeries":
-        c = Fraction(value)
+        c = _exact(value)
         if c == 0:
             return self.zero()
         # key 0 is the monomial 1
@@ -202,7 +203,8 @@ class RingContext(FrozenValue):
         )
 
     def from_terms(self, terms: Mapping["Monomial", Fraction]) -> "TruncatedSeries":
-        """Build a series, validating generator indices and applying the caps."""
+        """Build a series, validating generator indices (strictly increasing,
+        as `Monomial` asks) and exact coefficients, and applying the caps."""
         layout = self._layout
         out: dict = {}
         for mono, coeff in terms.items():
@@ -210,11 +212,13 @@ class RingContext(FrozenValue):
                 _check_lazard_index(self.coeff_kind, i)
                 if e <= 0:
                     raise ValueError("generator exponents must be positive")
+            if not _canonical_generators(mono.laz):
+                raise ValueError("generator indices must strictly increase")
             if len(mono.t) != self.n_vars:
                 raise ValueError("monomial has wrong number of variables")
             if any(e < 0 for e in mono.t):
                 raise ValueError("variable exponents must be non-negative")
-            c = Fraction(coeff)
+            c = _exact(coeff)
             if c == 0:
                 continue
             if mono.t_order() > self.max_t_order or mono.weight() > self.max_weight:
@@ -225,6 +229,20 @@ class RingContext(FrozenValue):
         den = lcm(*(c.denominator for c in out.values()))
         nums = {k: c.numerator * (den // c.denominator) for k, c in out.items()}
         return _reduced(self, nums, den)
+
+
+def _exact(value) -> Fraction:
+    """``value`` as a Fraction; ValueError unless it is an int or a Fraction."""
+    if type(value) is Fraction:  # immutable: no copy, which costs more than the check
+        return value
+    if not isinstance(value, (int, Fraction)):
+        raise ValueError(f"coefficients must be int or Fraction, got {type(value).__name__}")
+    return Fraction(value)
+
+
+def _canonical_generators(laz: tuple) -> bool:
+    """Whether a generator part names its indices strictly increasing, as a term's must."""
+    return len(laz) < 2 or all(i < j for (i, _), (j, _) in zip(laz, laz[1:]))
 
 
 def _check_lazard_index(kind: str, i: int) -> None:
@@ -301,8 +319,7 @@ class _Layout:
             return None
         if any(not 1 <= i <= self.n_gens or e <= 0 for i, e in mono.laz):
             return None
-        # only the canonical generator part (indices strictly increasing) names a term
-        if any(i >= j for (i, _), (j, _) in zip(mono.laz, mono.laz[1:])):
+        if not _canonical_generators(mono.laz):
             return None
         if mono.t_order() > self.max_t or mono.weight() > self.max_w:
             return None
@@ -451,7 +468,7 @@ class TruncatedSeries:
         return NotImplemented
 
     def scale(self, c) -> "TruncatedSeries":
-        c = Fraction(c)
+        c = _exact(c)
         if c == 0:
             return self.ctx.zero()
         num = c.numerator
@@ -1153,22 +1170,18 @@ def bidegree_basis(ctx: RingContext, degree: int, t_order: int) -> list:
     return [Monomial(t, laz) for t in compositions(t_order, ctx.n_vars) for laz in lazs]
 
 
-def lazard_monomials(kind: str, weight: int) -> list:
-    """Generator monomials of the given weight, as canonical ``laz`` tuples."""
+@lru_cache(maxsize=None)
+def lazard_monomials(kind: str, weight: int) -> tuple:
+    """Generator monomials of the given weight, as canonical ``laz`` tuples,
+    sorted; empty below weight 0.  The one listing: a tuple, cached per
+    kind and weight, that every caller reads."""
+    if weight < 0 or (weight and kind == "rational"):
+        return ()
     if weight == 0:
-        return [()]
-    if kind == "rational":
-        return []
+        return ((),)
     if kind == "multiplicative-beta":
-        return [((1, weight),)]
-    out = []
-    for part in partitions(weight):
-        counts: dict = {}
-        for p in part:
-            counts[p] = counts.get(p, 0) + 1
-        out.append(tuple(sorted(counts.items())))
-    out.sort()
-    return out
+        return (((1, weight),),)
+    return tuple(sorted(tuple(sorted(Counter(part).items())) for part in partitions(weight)))
 
 
 # _PARTITIONS[n] is the number of partitions of n, filled up to the largest n asked for
@@ -1177,14 +1190,10 @@ _PARTITIONS = [1]
 
 def lazard_count(kind: str, weight: int) -> int:
     """``len(lazard_monomials(kind, weight))``, counted without listing them."""
-    if weight == 0:
-        return 1
-    if kind == "rational":
+    if weight < 0 or (weight and kind == "rational"):
         return 0
-    if kind == "multiplicative-beta":
+    if weight == 0 or kind == "multiplicative-beta":
         return 1
-    if weight < 0:
-        return 0
     # one monomial per partition of the weight, by Euler's pentagonal number
     # recurrence p(m) = sum over k >= 1 of (-1)^(k+1) (p(m - k(3k-1)/2) + p(m - k(3k+1)/2))
     table = _PARTITIONS

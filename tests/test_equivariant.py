@@ -295,7 +295,12 @@ def test_signed_permutations_rank_cap():
      ValueError, "character length does not match the context rank"),
     (lambda: window_basis(RingContext(1, "rational", 3, 0), 0, 4), ValueError,
      "t-order window 4 exceeds the context cap 3"),
-], ids=["character-length", "window-over-cap"])
+    # exact input only: no float is truncated to an int
+    (lambda: WeylGroupSpec(1, (((1.9,),),)), ValueError,
+     "Weyl matrix entries must be int, got float"),
+    (lambda: character_class(law("additive"), (1.5, 0), RingContext(2, "rational", 3, 0)),
+     ValueError, "character entries must be int, got float"),
+], ids=["character-length", "window-over-cap", "float-weyl-entry", "float-character"])
 def test_equivariant_refusals(call, exc, message):
     with pytest.raises(exc) as info:
         call()

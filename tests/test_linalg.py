@@ -161,6 +161,18 @@ def test_mat_keeps_fractions_and_converts_the_rest():
     assert all(type(x) is Fraction for x in m[0])
 
 
+# exact input only: int_rows, and every elimination through it, refuses a float
+@pytest.mark.parametrize("call", [
+    lambda: linalg.int_rows(row for row in [[Fraction(1, 2), 0.1]]),
+    lambda: linalg.inverse([[0.1, 0], [0, 1]]),
+], ids=["int-rows", "inverse"])
+def test_linalg_refuses_floats(call):
+    with pytest.raises(ValueError) as info:
+        call()
+    assert type(info.value) is ValueError
+    assert str(info.value) == "matrix entries must be int or Fraction, got float"
+
+
 def test_empty_inputs():
     assert linalg.rref([]) == ([], [])
     assert linalg.rref([[], []]) == ref_rref([[], []]) == ([[], []], [])

@@ -10,13 +10,16 @@ only to list it in ``__all__``, and every name listed there resolves.
 suites of ``selftest``.  Only ``fgl`` pairs a law's kind with its
 coefficient ring and builds a ``FormalGroupLaw``: every other module asks
 ``fgl`` for the law or context.  Only ``cli.run`` writes a report's
-header: no ``_run_*`` job body writes a ``schema`` or ``caps`` key.
+header and the options it echoes: no ``_run_*`` job body writes a
+``schema`` or ``caps`` key, nor the key an ``Option.report`` declares.
 """
 
 import ast
 from pathlib import Path
 
 import pytest
+
+from cobcalc.cli import SUBCOMMANDS
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "cobcalc"
 
@@ -130,12 +133,18 @@ def _calls(source: str, name: str) -> list:
     ]
 
 
+# the keys only `cli.run` writes: the header, and the key of each echoed option
+RUN_KEYS = {"schema", "caps"} | {
+    o.report for row in SUBCOMMANDS.values() for o in row.options if o.report
+}
+
+
 def _header_writes(source: str) -> list:
-    """``function key`` for each ``"schema"`` or ``"caps"`` in a ``_run_*`` function."""
+    """``function key`` for each key of `RUN_KEYS` in a ``_run_*`` function."""
     return [
         f"{fn.name} {node.value}" for fn in ast.walk(ast.parse(source))
         if isinstance(fn, ast.FunctionDef) and fn.name.startswith("_run_")
-        for node in ast.walk(fn) if isinstance(node, ast.Constant) and node.value in ("schema", "caps")
+        for node in ast.walk(fn) if isinstance(node, ast.Constant) and node.value in RUN_KEYS
     ]
 
 
@@ -144,6 +153,10 @@ def test_law_calls_and_header_writes_are_found():
     assert _calls(source, "FormalGroupLaw") == [2, 3]
     assert _header_writes(source) == ["_run_x caps"]
     assert _header_writes("def run(c):\n    c['schema'] = 1\n") == []
+    assert _header_writes("def _run_y(c):\n    return {'seed': c.seed, 'fgl': 1}\n") == [
+        "_run_y seed", "_run_y fgl"]
+    assert RUN_KEYS == {"schema", "caps", "kind", "fgl", "torder", "samples", "rank",
+                        "base_vars", "levels", "seed"}
 
 
 @pytest.mark.parametrize("path", NOT_FGL, ids=lambda p: p.name)

@@ -7,12 +7,14 @@ of other seeds and of the text format are pinned here.
 
 import hashlib
 import random
+from types import SimpleNamespace
 
 import pytest
 
-from cobcalc import selftest
+from cobcalc import bundles, equivariant, selftest, series
 from cobcalc.cli import main
 from cobcalc.selftest import CHECKS, run_check
+from cobcalc.towers import TowerSlice
 
 by_name = pytest.mark.parametrize("name,fn", CHECKS, ids=[name for name, _ in CHECKS])
 
@@ -36,6 +38,79 @@ def test_tower_find_or_refuse_does_not_swallow_a_crash(monkeypatch):
     monkeypatch.setattr(selftest, "inverse_limit_dims", crash)
     with pytest.raises(TypeError, match="crashed"):
         selftest.check_tower_find_or_refuse(random.Random(0))
+
+
+def _shifted_restriction(a, b, maps):
+    """The restriction with i added to component i: neither multiplicative
+    nor congruent at any first-root pair."""
+    return tuple(f + i for i, f in enumerate(bundles.flag_restriction(a, b, maps)))
+
+
+# one row per check: a binding the check reads, a stand-in that breaks what
+# the check asserts, and the start of the detail it must then fail with
+BREAKS = {
+    "series.ring-axioms": (
+        series.TruncatedSeries, "__mul__", lambda a, b: series.series_mul(a, b) + a, "mul comm: "),
+    "series.substitution-homomorphism": (
+        selftest, "substitute", lambda s, images: series.substitute(s, images) + 1, "a="),
+    "series.caps-and-roundtrip": (
+        selftest, "TruncatedSeries", SimpleNamespace(from_text=lambda ctx, text: ctx.zero()),
+        "text roundtrip: "),
+    "series.bidegree-enumerator": (
+        selftest, "bidegree_basis", lambda ctx, d, k: [], "rational d=0 k=0: 0 != 1"),
+    "fgl.axioms": (selftest, "direct_associativity_residual", lambda F: F, "additive: "),
+    "fgl.log-exp": (selftest, "substitute", lambda s, images: s, "log(exp(x)) != x"),
+    "fgl.n-series-additivity": (selftest, "n_series", lambda law, n, a: a, "additive m="),
+    "fgl.universal-specializes-to-additive": (
+        selftest, "additive_shadow", lambda F: F, "shadow = "),
+    "equivariant.weyl-action": (
+        selftest, "weyl_map", lambda w, law, ctx: (lambda s: s + 1),
+        "additive/GL2: not a ring map on "),
+    "equivariant.character-additivity": (
+        selftest, "character_class",
+        lambda law, char, ctx: equivariant.character_class(law, char, ctx) + ctx.var(0),
+        "additive ("),
+    "equivariant.invariants-fixed": (
+        selftest, "invariant_basis", lambda weyl, law, d, k: [law.context(weyl.rank).var(0)],
+        "additive/GL2 d=0: not fixed: "),
+    "equivariant.gl-additive-counts": (
+        selftest, "bg_dimensions", lambda group, ctx, degrees, k: {}, "GL(2): {} != "),
+    "equivariant.gl-universal-bruteforce": (
+        selftest, "fixed_basis", lambda gens, law, window, ctx: [], "GL(2) d=0: 0 != 1"),
+    "equivariant.generators-vs-enumeration": (
+        selftest, "fixed_basis", lambda gens, law, window, ctx: [],
+        "multiplicative/SL2 d=0: 2 != 0"),
+    "bundles.whitney": (selftest, "direct_sum", lambda e1, e2: e1, "additive: Whitney fails at c_"),
+    "bundles.self-intersection": (
+        selftest, "top_chern_class", lambda bundle: bundles.top_chern_class(bundle) + 1,
+        "additive rank 1: residual "),
+    "bundles.thom-multiplicativity": (
+        selftest, "pb_mul", lambda ring, u, v: u, "additive ranks (1,"),
+    "bundles.projective-bundle-confluence": (
+        selftest, "reduce_by_division", lambda ring, coeffs: ((), ()),
+        "rank 2: xi^3 division remainder"),
+    "bundles.smooth-divisor": (
+        selftest, "thom_class_via_twist", lambda bundle, ring, law: ring.zero(), "additive rank 1"),
+    "bundles.flag-restriction": (
+        selftest, "flag_restriction", _shifted_restriction, "additive: not multiplicative"),
+    "towers.find-or-refuse": (
+        selftest, "stabilization_index", lambda sl: 99, "index 99 outside window"),
+    "towers.coefficient-ring": (
+        selftest, "coefficient_ring_dimension", lambda ctx, d: -1, "additive d=0: 1 != -1"),
+    "towers.functoriality": (
+        selftest, "apply_levelwise_isomorphism", lambda sl, mats: TowerSlice([0] * len(sl.dims)),
+        "d=0: limit dim changed"),
+}
+
+
+@by_name
+def test_invariant_check_fails_when_what_it_reads_is_broken(name, fn, monkeypatch):
+    # a check that always passed would pass the green test above; this one
+    # runs each check's failure branch, and the seeded suites' failure counts
+    target, attr, stand_in, prefix = BREAKS[name]
+    monkeypatch.setattr(target, attr, stand_in)
+    result = run_check(0, name, fn)
+    assert result["ok"] is False and result["detail"].startswith(prefix), result["detail"]
 
 
 # stdout sha256 of whole selftest runs, recorded while the series layer still

@@ -312,8 +312,10 @@ def test_var_is_the_one_term_series(kind, caps):
 
 @pytest.mark.parametrize("kind", COEFF_KINDS)
 def test_lazard_count_counts_the_listed_monomials(kind):
-    for weight in range(31):
+    for weight in range(-3, 31):
         assert lazard_count(kind, weight) == len(lazard_monomials(kind, weight))
+        if weight < 0:
+            assert lazard_monomials(kind, weight) == ()
 
 
 def test_lazard_count_reads_one_partition_table():
@@ -416,9 +418,20 @@ _U1 = RingContext(1, "universal-rational", 3, 2)
      "compositional inverse needs a one-variable series"),
     (lambda: compositional_inverse(2 * _U1.var(0)), ValueError, "series must start with x"),
     (lambda: bidegree_basis(_Q2, 0, 4), ValueError, "t-order 4 outside [0, 3]"),
+    # the generator part `coefficient` reads: indices strictly increasing
+    (lambda: _U1.from_terms({Monomial((1,), ((1, 1), (1, 1))): 1}), ValueError,
+     "generator indices must strictly increase"),
+    (lambda: _U1.from_terms({Monomial((1,), ((2, 1), (1, 1))): 1}), ValueError,
+     "generator indices must strictly increase"),
+    # exact input only: no float becomes a Fraction
+    (lambda: _Q2.constant(0.1), ValueError, "coefficients must be int or Fraction, got float"),
+    (lambda: _Q2.from_terms({Monomial((1, 0), ()): 0.5}), ValueError,
+     "coefficients must be int or Fraction, got float"),
+    (lambda: _Q2.var(0).scale(0.5), ValueError, "coefficients must be int or Fraction, got float"),
 ], ids=["var-index", "generator-exponent", "monomial-length", "negative-exponent",
         "text-variable", "strict-coordinates", "inverse-variables", "inverse-linear-term",
-        "bidegree-t-order"])
+        "bidegree-t-order", "repeated-generator", "unsorted-generators", "float-constant",
+        "float-coefficient", "float-scale"])
 def test_series_refusals(call, exc, message):
     with pytest.raises(exc) as info:
         call()
