@@ -23,11 +23,12 @@ and F(x, chi(x)) = 0 inside the truncation window, and refuses to
 return an invalid law.  The axioms are identities of F alone, so
 `verify_fgl_axioms` takes the series F, not a law.  Associativity of an
 F with unit and commutativity is certified by F's own invariant
-differential: with L = integral of dx / F_2(x, 0), computed from F alone
-(`invariant_logarithm`), F is associative in the window exactly when
-L(F(x, y)) = L(x) + L(y) there, which needs one 2-variable composition
-instead of two 3-variable ones (`verify_fgl_axioms`).  The same
-certificate checks the inverse: at y = chi(x) it reads
+differential dx / u(x), u(x) = F_2(x, 0): F is associative in the window
+exactly when u(x) * dF/dx is symmetric in x and y below the top t-order,
+which needs one product and no composition into F (`verify_fgl_axioms`).
+An associative F is L^-1(L(x) + L(y)) with L = integral of dx / u(x),
+computed from F alone (`invariant_logarithm`), so L(F(x, y)) =
+L(x) + L(y) in the window.  At y = chi(x) that reads
 L(F(x, chi(x))) = L(x) + L(chi(x)), and L = x + ... is invertible, so
 F(x, chi(x)) = 0 exactly when L(chi(x)) + L(x) = 0, one 1-variable
 composition instead of substituting the 2-variable F (`build_fgl`).  A
@@ -43,11 +44,13 @@ from .series import (
     ContextMismatch,
     Monomial,
     RingContext,
+    RingMap,
     SubstitutionError,
     TruncatedSeries,
     add_into,
     collect,
     compositional_inverse,
+    derivative,
     integral,
     mul_into,
     substitute,
@@ -131,9 +134,9 @@ class FormalGroupLaw(FrozenValue):
 class AxiomReport(FrozenValue):
     """Residual series for the group law axioms; all must be exactly zero.
 
-    ``certificate`` is the L of the associativity certificate
-    (`verify_fgl_axioms`), or None when the direct residual was taken.  It
-    is neither compared, hashed nor shown.
+    ``certificate`` is F's `invariant_logarithm` L, with which `build_fgl`
+    checks chi (`verify_fgl_axioms`), or None when the direct associativity
+    residual was taken.  It is neither compared, hashed nor shown.
     """
 
     _fields = ("unit_ok", "comm_ok", "assoc_ok", "residuals")
@@ -176,11 +179,11 @@ def build_fgl(kind: str, max_t: int, max_w: int) -> FormalGroupLaw:
     """Construct and validate the formal group law of ``kind`` at caps
     ``(max_t, max_w)``, over its `ring_context`.
 
-    The axioms are checked first (`verify_fgl_axioms`), which computes the
-    L of their certificate once; a failed axiom is reported and nothing
-    more is checked.  When they hold, L(F(x, y)) = L(x) + L(y) in the
-    window, so F(x, chi(x)) = 0 is checked as L(chi(x)) + L(x) = 0 (module
-    docstring).
+    The axioms are checked first (`verify_fgl_axioms`), which computes F's
+    invariant logarithm L once as its certificate; a failed axiom is
+    reported and nothing more is checked.  When they hold, L(F(x, y)) =
+    L(x) + L(y) in the window, so F(x, chi(x)) = 0 is checked as
+    L(chi(x)) + L(x) = 0 (module docstring).
 
     >>> law = build_fgl("multiplicative", 4, 3)
     >>> law.inverse_series.to_text()
@@ -228,36 +231,48 @@ def verify_fgl_axioms(F: TruncatedSeries) -> AxiomReport:
 
     The axioms are identities of F alone.  When the unit and commutativity
     residuals are exactly zero, the associativity residual is
-    L(F(x, y)) - L(x) - L(y) with L = `invariant_logarithm` of F: one
-    2-variable composition.  Its zero is equivalent to
+    G(x, y) - G(y, x) with G = u(x) * dF/dx through t-order T - 1, where
+    u(x) = F_2(x, 0) is the coefficient of y^1 in F and T is the t-order
+    cap: one product and no composition.  Its zero is equivalent to
     F(F(x, y), z) = F(x, F(y, z)) in the window.  Truncation is an ideal
-    that augmentation-ideal substitution respects, so every step below
-    holds inside the window:
+    that products, derivatives and augmentation-ideal substitution
+    respect, so every step below holds inside the window:
 
-    * sufficient: L = x + ..., so L(F(x, y)) = L(x) + L(y) gives
-      F = L^-1(L(x) + L(y)), which is commutative and associative;
-    * necessary: the z-derivative of associativity at z = 0 is
-      F_2(F(x, y), 0) = F_2(x, y) * F_2(y, 0) by the unit axiom, so
-      the y-derivative of L(F(x, y)) - L(y) is zero; at y = 0 it is
-      L(x) by the unit axiom again.  Differentiating lowers the t-order
-      by one and integrating raises it by one, so the window is kept.
+    * sufficient: by commutativity u(y) * dF/dy is G(y, x), so a
+      symmetric G means u(x) F_x = u(y) F_y through t-order T - 1.  Let
+      L = integral of dx / u, E = L^-1 and D = F - E(L(x) + L(y)).
+      Then D(x, 0) = 0 by the unit axiom, and D satisfies the same linear
+      equation u(x) D_x = u(y) D_y there, as E(L(x) + L(y)) does.  As
+      u = 1 + ... (unit axiom), the lowest t-order part D_n of D (n <= T) has
+      (d/dx - d/dy) D_n = 0, so D_n = c (x + y)^n, and D_n(x, 0) = 0
+      forces c = 0.  So D = 0 and F = E(L(x) + L(y)) is associative;
+    * necessary: an associative F is E(L(x) + L(y)), so
+      G = E'(L(x) + L(y)) is symmetric.
 
-    L is built from F, not from a stored logarithm, so the certificate is
-    not circular.  A law that fails unit or commutativity gets the direct
-    residual F(F(x, y), z) - F(x, F(y, z)) instead.  The report keeps L as
-    its ``certificate``.  The unit residuals need no map: F(x, 0) is the
-    part of F free of y, and F(0, y) the part free of x (`series.variable_slice`).
+    dF/dx has no part of t-order T (it would come from F's part of
+    t-order T + 1), so the top slice of u(x) * dF/dx is incomplete and
+    dropped: kept, it refuses the associative x + y + c(x^2 y + x y^2)
+    at T = 4.  One swap x <-> y serves the commutativity and the
+    associativity residuals, and both it and every other map here only
+    relabel variables, so no power of F is formed.  A law that fails unit
+    or commutativity gets the direct residual F(F(x, y), z) - F(x, F(y, z))
+    instead.  When unit and commutativity hold the report keeps L =
+    `invariant_logarithm` of F as its ``certificate``, which `build_fgl`
+    checks chi with.  The unit residuals need no map: F(x, 0) is the part
+    of F free of y, and F(0, y) the part free of x (`series.variable_slice`).
     """
     ctx2 = F.ctx
     x, y = ctx2.var(0), ctx2.var(1)
+    swap = RingMap(ctx2, {0: y, 1: x})
     unit_x = variable_slice(F, 1, 0) - x
     unit_y = variable_slice(F, 0, 0) - y
-    comm = F - substitute(F, {0: y, 1: x}, target=ctx2)
+    comm = F - swap(F)
     unit_ok = unit_x.is_zero() and unit_y.is_zero()
     if unit_ok and comm.is_zero():
+        G = variable_slice(F, 1, 1) * derivative(F, 0)
+        G = G - G.t_slice(ctx2.max_t_order)
+        assoc = G - swap(G)
         L = invariant_logarithm(F)
-        lx, ly = (substitute(L, {0: v}, target=ctx2) for v in (x, y))
-        assoc = substitute(L, {0: F}, target=ctx2) - lx - ly
     else:
         L = None
         assoc = direct_associativity_residual(F)

@@ -75,7 +75,8 @@ monomials that occur), `variable_slices` (a series split by the powers
 of one variable, as the list of its parts from the power 0 up, zero
 where a power does not occur), `variable_slice` (one part of that split,
 for a caller that reads a few parts and not the whole split), `integral`
-(the antiderivative in one variable) and `compositional_inverse` (which
+(the antiderivative in one variable), `derivative` (its mirror, the
+partial derivative in one variable) and `compositional_inverse` (which
 moves series between windows as copies of their keys).
 
 Ring maps
@@ -666,6 +667,27 @@ def integral(s: TruncatedSeries, j: int) -> TruncatedSeries:
         if key + step < limit
     }
     return _reduced(s.ctx, terms, s._den * common)
+
+
+def derivative(s: TruncatedSeries, j: int) -> TruncatedSeries:
+    """The partial derivative of ``s`` in t_{j+1}, the mirror of `integral`:
+    c * t_{j+1}^e * r goes to e * c * t_{j+1}^(e - 1) * r, and the terms
+    free of t_{j+1} vanish.  The result has no term of t-order ``max_t_order``.
+
+    >>> ctx = RingContext(2, "multiplicative-beta", 3, 2)
+    >>> derivative(TruncatedSeries.from_text(ctx, "1 * t1 + 1 * t2 + -1 * b*t1^2*t2"), 0).to_text()
+    '1 + -2 * b*t1*t2'
+    """
+    layout = s.ctx._layout
+    shift, mask = layout.var_shifts[j], layout.mask
+    # one less t-order and one less t_{j+1}: neither field borrows
+    step = (1 << layout.t_shift) + (1 << shift)
+    terms = {}
+    for key, num in s._terms.items():
+        e = (key >> shift) & mask
+        if e:
+            terms[key - step] = num * e
+    return _reduced(s.ctx, terms, s._den)
 
 
 def compositional_inverse(f: TruncatedSeries) -> TruncatedSeries:

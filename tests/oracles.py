@@ -30,8 +30,12 @@ one logarithm, builds its series with the package's kernel, and so does
 ``direct_associativity_residual``, the two 3-variable compositions
 F(F(x, y), z) - F(x, F(y, z)) that ``cobcalc.fgl.verify_fgl_axioms``
 replaced by the invariant-differential certificate for laws with unit and
-commutativity, ``ref_compositional_inverse``, the fixed-point loop over the
-whole window that ``cobcalc.fgl.compositional_inverse`` replaced by one
+commutativity, ``ref_composition_certificate``, the composition
+L(F(x, y)) - L(x) - L(y) with L = integral of dx / F_2(x, 0) that the
+certificate first took and ``cobcalc.fgl.verify_fgl_axioms`` replaced by
+the symmetry of F_2(x, 0) * dF/dx, one product,
+``ref_compositional_inverse``, the fixed-point loop over the whole window
+that ``cobcalc.fgl.compositional_inverse`` replaced by one
 pass per order in its own window, ``ref_inverse_residual``, the
 substitution F(x, chi(x)) that ``cobcalc.fgl.build_fgl`` replaced by the
 certificate's L(chi(x)) + L(x) for laws whose axioms hold,
@@ -692,6 +696,16 @@ def ref_law(kind: str, ctx: RingContext) -> tuple:
         ly = substitute(log, {0: y}, target=ctx2)
         F = substitute(exp, {0: lx + ly}, target=ctx2)
     return F, ref_formal_inverse(F, ctx1)
+
+
+def ref_composition_certificate(F: TruncatedSeries) -> TruncatedSeries:
+    """L(F(x, y)) - L(x) - L(y) with L = integral of dx / F_2(x, 0), in the
+    context of F: zero exactly when a law with unit and commutativity is
+    associative in the window."""
+    ctx2 = F.ctx
+    L = ref_invariant_logarithm(F)
+    lx, ly = (substitute(L, {0: ctx2.var(j)}, target=ctx2) for j in (0, 1))
+    return substitute(L, {0: F}, target=ctx2) - lx - ly
 
 
 def direct_associativity_residual(F: TruncatedSeries) -> TruncatedSeries:

@@ -36,6 +36,7 @@ from cobcalc.series import (
 from oracles import (
     direct_associativity_residual,
     multiplicative_inverse_sympy,
+    ref_composition_certificate,
     ref_compositional_inverse,
     ref_invariant_logarithm,
     ref_inverse_residual,
@@ -213,7 +214,8 @@ def test_commutative_nonassociative_law_fails_associativity():
     report, arities = axioms_and_arities(hand_made_law("1 * t1 + 1 * t2 + 1 * t1^2*t2^2"))
     assert report.unit_ok and report.comm_ok
     assert not report.assoc_ok
-    # the certificate L(F(x, y)) - L(x) - L(y) needs no 3-variable context
+    # the differential residual G(x, y) - G(y, x), G = F_2(x, 0) * dF/dx,
+    # needs no 3-variable context
     assert 3 not in arities
 
 
@@ -273,6 +275,7 @@ def test_certificate_at_caps_below_degree_two(max_t):
 def test_certificate_verdict_matches_the_direct_residual(data):
     # F plus c * m * (x^i y^j + x^j y^i) with i, j >= 1 keeps unit and
     # commutativity; the certificate must agree with the 3-variable residual
+    # and with the composition L(F(x, y)) - L(x) - L(y) it replaced
     kind = data.draw(st.sampled_from(FGL_KINDS))
     max_t = data.draw(st.integers(3, 7))
     max_w = data.draw(st.integers(0, 6))
@@ -287,8 +290,52 @@ def test_certificate_verdict_matches_the_direct_residual(data):
     mutant = F + ctx.from_terms(bump)
     report = verify_fgl_axioms(mutant)
     assert report.unit_ok and report.comm_ok
-    assert report.assoc_ok == direct_associativity_residual(mutant).is_zero()
+    direct = direct_associativity_residual(mutant).is_zero()
+    assert report.assoc_ok == direct == ref_composition_certificate(mutant).is_zero()
     assert report.certificate == ref_invariant_logarithm(mutant)
+
+
+@pytest.mark.parametrize("kind", FGL_KINDS)
+@pytest.mark.parametrize("max_t", [4, 8])
+def test_top_order_bumps_keep_the_verdict_where_the_window_keeps_the_cap(kind, max_t):
+    # at these caps the window below the top t-order keeps the cap, so the
+    # top slice of F_2(x, 0) * dF/dx, which dF/dx cannot make whole, must be
+    # dropped by hand.  Adding c((x + y)^n - x^n - y^n) at the top order n is
+    # the change of coordinates x -> x - c x^n there, so the law stays
+    # associative in the window; x^k y^k is no multiple of it and breaks it
+    ctx = ring_context(kind, 2, max_t, max_t - 1)
+    assert ctx.window(max_t - 1).max_t_order == max_t
+    F = cached_law(kind, max_t, max_t - 1).series
+    x, y = ctx.var(0), ctx.var(1)
+    coboundary = (x + y) ** max_t - x ** max_t - y ** max_t
+    k = max_t // 2
+    for bump, associative in ((coboundary.scale(Fraction(-2, 3)), True), (x ** k * y ** k, False)):
+        mutant = F + bump
+        report = verify_fgl_axioms(mutant)
+        assert report.unit_ok and report.comm_ok
+        assert report.assoc_ok == associative
+        assert direct_associativity_residual(mutant).is_zero() == associative
+
+
+@pytest.mark.parametrize("case", [*FGL_KINDS, "1 * t1 + 1 * t2 + 1 * t1^2*t2^2"])
+def test_axiom_maps_only_relabel_for_a_law_with_unit_and_commutativity(case, monkeypatch):
+    # every RingMap built while the axioms are checked sends each variable
+    # to 0 or +-t_k, so no power of F is formed behind the checks' backs
+    F = law(case).series if case in FGL_KINDS else hand_made_law(case)
+    built = []
+    init = series.RingMap.__init__
+
+    def recording(self, source, images, target=None):
+        init(self, source, images, target)
+        built.append((images, self.target))
+
+    monkeypatch.setattr(series.RingMap, "__init__", recording)
+    report = verify_fgl_axioms(F)
+    assert report.unit_ok and report.comm_ok
+    assert built
+    for images, target in built:
+        signed = {v for k in range(target.n_vars) for v in (target.var(k), -target.var(k))}
+        assert all(v.is_zero() or v in signed for v in images.values())
 
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=40)

@@ -17,6 +17,7 @@ from cobcalc.series import (
     TruncatedSeries,
     bidegree_basis,
     compositional_inverse,
+    derivative,
     integral,
     lazard_count,
     lazard_monomials,
@@ -24,6 +25,7 @@ from cobcalc.series import (
     series_mul,
     sparse_coordinates,
     substitute,
+    variable_slice,
 )
 
 from oracles import enumerate_window
@@ -361,6 +363,23 @@ def test_integral_is_the_termwise_antiderivative(data):
     got = integral(s, j)
     assert got == ctx.from_terms(want)
     assert_canonical(got)
+
+
+@pytest.mark.parametrize("kind", COEFF_KINDS)
+@settings(derandomize=True, database=None, deadline=None, max_examples=100)
+@given(st.data())
+def test_derivative_inverts_integral_and_obeys_leibniz(kind, data):
+    ctx = data.draw(contexts(kind=kind))
+    a, b = data.draw(series(ctx)), data.draw(series(ctx))
+    j = data.draw(st.integers(0, ctx.n_vars - 1))
+    da = derivative(a, j)
+    assert_canonical(da)
+    # integrating back loses exactly the terms free of t_{j+1}
+    assert integral(da, j) == a - variable_slice(a, j, 0)
+    # d(a * b) has no part of the top t-order; there da * b lacks what
+    # the terms of a beyond the cap would give
+    leibniz = da * b + a * derivative(b, j)
+    assert derivative(a * b, j) == leibniz - leibniz.t_slice(ctx.max_t_order)
 
 
 @st.composite
