@@ -38,8 +38,12 @@ monomials, with disjoint supports; a sum vanishes exactly when some
 element fixes m with sign -1.  `_signed_orbits` walks each orbit over
 the generators, and a monomial reached with both signs is a conflict.
 Any other generators get the kernel of the additive law's action, which
-is w_A.  `bg_dimensions` only counts the linear invariants, with no law;
-`invariant_basis` maps them through Lambda and takes their
+is w_A.  `bg_dimensions` only counts the linear invariants, with no law
+and, for a preset, with no orbit walk: every preset's Weyl group is a
+reflection group or trivial, so by Chevalley-Shephard-Todd its linear
+invariants form a polynomial ring on generators of t-orders d_1..d_n,
+the fundamental degrees, and t-order k holds [q^k] prod_i 1/(1 - q^d_i)
+of them.  `invariant_basis` maps them through Lambda and takes their
 `series.reduced_basis`: every term has the degree of the window, so only
 the t-order cut is applied, and no list of the window's monomials is
 built.
@@ -53,9 +57,8 @@ kernel.
 
 from __future__ import annotations
 
-import re
 from itertools import chain
-from math import factorial, lcm
+from math import lcm, prod
 from typing import Optional, Sequence
 
 from . import linalg
@@ -208,12 +211,41 @@ def _signed_matrix(code: tuple) -> Matrix:
 class GroupPreset(FrozenValue):
     """A named group: its Weyl group, whose rank is the group's, and, when
     known in closed form, the order of that group, so that a group too large
-    to enumerate is refused before any work."""
+    to enumerate is refused before any work, and the fundamental degrees of
+    its linear action, so that `bg_dimensions` counts the invariants with no
+    orbit walk.
 
-    _fields = ("name", "weyl", "weyl_order")
+    The degrees d_1..d_rank say that the linear invariants form a polynomial
+    ring on generators of t-orders d_i: Chevalley-Shephard-Todd for a
+    reflection group, rank ones for the trivial group.  Then |W| = prod d_i,
+    so degrees that disagree with the rank or the order are refused."""
 
-    def __init__(self, name: str, weyl: WeylGroupSpec, weyl_order: Optional[int] = None):
-        self.__dict__.update(name=name, weyl=weyl, weyl_order=weyl_order)
+    _fields = ("name", "weyl", "weyl_order", "fundamental_degrees")
+
+    def __init__(
+        self,
+        name: str,
+        weyl: WeylGroupSpec,
+        weyl_order: Optional[int] = None,
+        fundamental_degrees: Optional[Sequence[int]] = None,
+    ):
+        degrees = fundamental_degrees
+        if degrees is not None:
+            degrees = _ints(degrees, "fundamental degree")
+            if len(degrees) != weyl.rank:
+                raise ValueError(
+                    f"{len(degrees)} fundamental degrees for a group of rank {weyl.rank}"
+                )
+            if any(d < 1 for d in degrees):
+                raise ValueError(f"fundamental degrees must be >= 1, got {degrees}")
+            if weyl_order is not None and prod(degrees) != weyl_order:
+                raise ValueError(
+                    f"fundamental degrees {degrees} multiply to {prod(degrees)}, "
+                    f"not the Weyl order {weyl_order}"
+                )
+        self.__dict__.update(
+            name=name, weyl=weyl, weyl_order=weyl_order, fundamental_degrees=degrees
+        )
 
     @property
     def rank(self) -> int:
@@ -254,29 +286,38 @@ def signed_permutation_group(n: int) -> WeylGroupSpec:
     return WeylGroupSpec(rank=n, generators=gens)
 
 
-# the largest preset rank: GL(n) builds n - 1 dense n x n generators and n!
+# the largest preset rank: GL(n) builds n - 1 dense n x n generators; its
+# n! Weyl elements are never enumerated by plain `bg`, which counts from the
+# fundamental degrees
 MAX_PRESET_RANK = 100
+
+
+def _preset(name: str, weyl: WeylGroupSpec, degrees: tuple) -> GroupPreset:
+    # every preset is a reflection group or trivial: |W| = prod d_i
+    return GroupPreset(name, weyl, prod(degrees), degrees)
 
 
 def preset(name: str) -> GroupPreset:
     """Group presets: GL(n), SL(2), torus(n), plus B/C signed permutations of rank <= 3."""
     canon = name.replace("(", "").replace(")", "").replace("_", "").upper()
     if canon == "SL2":
-        return GroupPreset("SL(2)", WeylGroupSpec(rank=1, generators=(((-1,),),)), 2)
-    m = re.fullmatch(r"(GL|TORUS|[BC])(\d+)", canon)
-    if m is None:
+        return _preset("SL(2)", WeylGroupSpec(rank=1, generators=(((-1,),),)), (2,))
+    # a family name, then decimal digits (any script's: int reads them all)
+    family = next((f for f in ("GL", "TORUS", "B", "C") if canon.startswith(f)), "")
+    digits = canon[len(family):]
+    if not family or not digits.isdecimal():
         raise ValueError(f"unknown group preset {name!r}")
-    family, n = m.group(1), int(m.group(2))
+    n = int(digits)
     # the rank is checked before any generator is built; rank 0 gets the refusal of RingContext
     if n < 1:
         raise ValueError("need at least one degree-1 variable")
     if n > MAX_PRESET_RANK:
         raise ValueError(f"group rank {n} is over the preset cap of {MAX_PRESET_RANK}")
     if family == "GL":
-        return GroupPreset(f"GL({n})", symmetric_group(n), factorial(n))
+        return _preset(f"GL({n})", symmetric_group(n), tuple(range(1, n + 1)))
     if family == "TORUS":
-        return GroupPreset(f"torus({n})", WeylGroupSpec(rank=n, generators=()), 1)
-    return GroupPreset(f"{family}{n}", signed_permutation_group(n), 2**n * factorial(n))
+        return _preset(f"torus({n})", WeylGroupSpec(rank=n, generators=()), (1,) * n)
+    return _preset(f"{family}{n}", signed_permutation_group(n), tuple(range(2, 2 * n + 1, 2)))
 
 
 def character_class(law: FormalGroupLaw, char: Sequence[int], ctx: RingContext) -> TruncatedSeries:
@@ -494,21 +535,34 @@ def invariant_bases(
     return out
 
 
+def _degree_counts(degrees: Sequence[int], top: int) -> list:
+    """``[q^k] prod_i 1/(1 - q^d_i)`` for k = 0..top: the monomials of
+    t-order k in generators of t-orders ``degrees``."""
+    counts = [1] + [0] * top
+    for d in degrees:
+        for k in range(d, top + 1):
+            counts[k] += counts[k - d]
+    return counts
+
+
 def bg_dimensions(
     group: GroupPreset, ctx: RingContext, degrees: Sequence[int], k_max: int
 ) -> dict:
     """Per-degree invariant dimensions in the (degree, <= k_max) window of
     ``ctx``: a count, with no law and no series.  Each linear invariant of
     t-order k gives one invariant per generator monomial of weight
-    k - degree."""
+    k - degree.  The linear invariants are counted from the group's
+    fundamental degrees, with no orbit walk; a group without them gets
+    `_linear_invariants`."""
     if ctx.n_vars != group.rank:
         raise ValueError("context rank does not match the group rank")
     _check_window(ctx, k_max)
     windows = {int(d): _window_orders(ctx, int(d), k_max) for d in degrees}
-    counts = {
-        k: len(basis)
-        for k, basis in _linear_invariants(group.weyl, chain(*windows.values())).items()
-    }
+    orders = set(chain(*windows.values()))
+    if group.fundamental_degrees is None:
+        counts = {k: len(basis) for k, basis in _linear_invariants(group.weyl, orders).items()}
+    else:
+        counts = _degree_counts(group.fundamental_degrees, max(orders, default=0))
     return {
         d: sum(counts[k] * lazard_count(ctx.coeff_kind, k - d) for k in window)
         for d, window in windows.items()

@@ -39,6 +39,7 @@ from .equivariant import (
     fixed_basis,
     int_mat_mul,
     invariant_basis,
+    invariant_bases,
     preset,
     weyl_map,
     window_basis,
@@ -380,13 +381,19 @@ def check_gl_additive_counts(rng: random.Random) -> Tuple[bool, str]:
                 counts[deg] += counts[deg - i]
         return counts[d]
 
+    law = build_fgl("additive", 6, 5)
     for n in (2, 3):
-        law = build_fgl("additive", 6, 5)
         g = preset(f"GL{n}")
-        dims = bg_dimensions(g, law.context(n), range(0, 5), 4)
         expected = {d: poly_count(n, d) for d in range(0, 5)}
-        if dims != expected:
-            return False, f"GL({n}): {dims} != {expected}"
+        # bg counts from the fundamental degrees, the same product as
+        # poly_count: the basis, from the orbit walk, is the second side
+        bases = invariant_bases(g.weyl, law, range(0, 5), 4)
+        for dims in (
+            bg_dimensions(g, law.context(n), range(0, 5), 4),
+            {d: len(basis) for d, basis in bases.items()},
+        ):
+            if dims != expected:
+                return False, f"GL({n}): {dims} != {expected}"
     return True, "GL(2), GL(3) degrees 0..4"
 
 

@@ -1,8 +1,9 @@
 """Independent oracles used to pin expected values.
 
 Everything here avoids the package's own series engine: sympy expansion
-for group-law coefficients, plain counting for invariant dimensions,
-direct enumeration for monomial bases, a reference series arithmetic
+for group-law coefficients, plain counting and Molien's average
+(``ref_molien_counts``) for invariant dimensions, direct enumeration for
+monomial bases, a reference series arithmetic
 on plain ``{Monomial: Fraction}`` dicts, the Fraction Gauss-Jordan
 elimination that the integer one in ``cobcalc.linalg`` replaced, the
 composite image chains that ``cobcalc.towers`` replaced by propagation,
@@ -160,6 +161,36 @@ def count_poly_monomials(weights, degree):
         for d in range(w, degree + 1):
             counts[d] += counts[d - w]
     return counts[degree]
+
+
+def _det_one_minus_q(w) -> list:
+    """The coefficients of det(1 - q w) in q, lowest first: the
+    characteristic polynomial det(x - w) = sum_i c_i x^i by the
+    Faddeev-LeVerrier recurrence, read backwards (c_n is 1)."""
+    n = len(w)
+    identity = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+    c = [Fraction(0)] * n + [Fraction(1)]
+    m = [[Fraction(0)] * n for _ in range(n)]
+    for k in range(1, n + 1):
+        m = [[sum(w[i][l] * m[l][j] for l in range(n)) + c[n - k + 1] * identity[i][j]
+              for j in range(n)] for i in range(n)]
+        wm_trace = sum(w[i][l] * m[l][i] for i in range(n) for l in range(n))
+        c[n - k] = -wm_trace / k
+    return c[::-1]
+
+
+def ref_molien_counts(elements, top: int) -> list:
+    """Molien's average (1/|W|) sum over w of 1/det(1 - q w), up to q^top,
+    as exact Fractions: entry k is the dimension of the invariants of the
+    linear action of the group ``elements`` on the polynomials of degree k."""
+    total = [Fraction(0)] * (top + 1)
+    for w in elements:
+        p = _det_one_minus_q(w)
+        inverse = [Fraction(1)] + [Fraction(0)] * top
+        for k in range(1, top + 1):
+            inverse[k] = -sum(p[j] * inverse[k - j] for j in range(1, min(k, len(p) - 1) + 1))
+        total = [a + b for a, b in zip(total, inverse)]
+    return [x / len(elements) for x in total]
 
 
 def enumerate_window(n_vars, max_t, max_w, kind, degree, t_order):

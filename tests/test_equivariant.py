@@ -1,10 +1,15 @@
+import math
 import random
+import re
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cobcalc import equivariant
 from cobcalc.equivariant import (
     EnumerationCapExceeded,
+    GroupPreset,
     WeylGroupSpec,
     bg_dimensions,
     character_class,
@@ -48,6 +53,100 @@ def test_preset_name_variants():
     assert preset("torus(4)").rank == 4
     with pytest.raises(ValueError):
         preset("E8")
+
+
+def regex_preset_parse(name):
+    """The name parse `preset` made with ``re`` before it read the family and
+    the digits by hand: ``(family, n)``, or the ValueError message."""
+    canon = name.replace("(", "").replace(")", "").replace("_", "").upper()
+    if canon == "SL2":
+        return "SL2", 1
+    m = re.fullmatch(r"(GL|TORUS|[BC])(\d+)", canon)
+    if m is None:
+        return f"unknown group preset {name!r}"
+    n = int(m.group(2))
+    if n < 1:
+        return "need at least one degree-1 variable"
+    if n > equivariant.MAX_PRESET_RANK:
+        return f"group rank {n} is over the preset cap of {equivariant.MAX_PRESET_RANK}"
+    return m.group(1), n
+
+
+PRESET_NAMES = [
+    "GL٣", "gl(3)", "B_2", "torus10", "GL", "GL-1", "GL3x", "E8", "SL2", "GL0",
+    "sl(2)", "SL3", "SL_2", "C(3)", "c1", "b١", "TORUS(2)", "Torus_1", "torus", "T2",
+    "GL100", "GL101", "GL007", "GL 3", " GL3", "GL3 ", "GL3\n", "GL+3", "GL3.0", "GL²",
+    "GLⅣ", "GL３", "GL१०", "BC2", "CB2", "GLGL2", "B", "", "()", "G L2",
+    "gl((2))", "B4", "B0", "C00", "torus0", "ıtorus2",
+]
+
+
+def assert_parses_as_the_regex(name):
+    want = regex_preset_parse(name)
+    if isinstance(want, str):
+        with pytest.raises(ValueError) as refused:
+            preset(name)
+        assert str(refused.value) == want
+        return
+    family, n = want
+    if family in "BC" and n > 3:
+        with pytest.raises(ValueError, match="rank <= 3 only"):
+            preset(name)
+        return
+    group = preset(name)
+    assert group.rank == (1 if family == "SL2" else n)
+    assert group.name == {"GL": f"GL({n})", "TORUS": f"torus({n})", "SL2": "SL(2)"}.get(
+        family, f"{family}{n}")
+
+
+@pytest.mark.parametrize("name", PRESET_NAMES)
+def test_preset_parses_names_as_the_regex_did(name):
+    assert_parses_as_the_regex(name)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(name=st.builds(
+    "".join,
+    st.tuples(
+        st.sampled_from(["", "GL", "gl(", "G", "TORUS", "torus_", "B", "b", "C(", "SL", "E", "(("]),
+        st.text(alphabet="0123٣३１²-. x", max_size=3),
+        st.sampled_from(["", ")", "_", "x", "\n"]),
+    ),
+))
+def test_preset_parses_drawn_names_as_the_regex_did(name):
+    assert_parses_as_the_regex(name)
+
+
+@pytest.mark.parametrize(
+    "name, degrees",
+    [("GL1", (1,)), ("GL4", (1, 2, 3, 4)), ("torus3", (1, 1, 1)), ("SL2", (2,)),
+     ("B1", (2,)), ("B3", (2, 4, 6)), ("C2", (2, 4))],
+)
+def test_preset_fundamental_degrees(name, degrees):
+    group = preset(name)
+    assert group.fundamental_degrees == degrees
+    assert math.prod(degrees) == group.weyl_order
+
+
+def test_group_preset_refuses_inconsistent_degrees():
+    gl2 = symmetric_group(2)
+    for degrees, match in [
+        ((1,), "1 fundamental degrees for a group of rank 2"),
+        ((1, 2, 3), "3 fundamental degrees for a group of rank 2"),
+        ((0, 2), "must be >= 1"),
+        ((-1, -2), "must be >= 1"),
+        ((1, 2.0), "must be int"),
+        ((1, "2"), "must be int"),
+        ((1, 3), "multiply to 3, not the Weyl order 2"),
+    ]:
+        with pytest.raises(ValueError, match=match):
+            GroupPreset("GL(2)", gl2, 2, degrees)
+    # without an order, only the count and the range are checked
+    assert GroupPreset("GL(2)", gl2, None, [1, 3]).fundamental_degrees == (1, 3)
+    with pytest.raises(ValueError, match="must be >= 1"):
+        GroupPreset("GL(2)", gl2, None, (1, 0))
+    with pytest.raises(ValueError, match="multiply to 2, not the Weyl order 1"):
+        GroupPreset("torus(2)", WeylGroupSpec(2, ()), 1, (1, 2))
 
 
 def test_weyl_spec_rejects_non_unimodular():

@@ -2,7 +2,9 @@
 the logarithm (``equivariant.invariant_basis`` and ``bg_dimensions``) against
 the direct kernel of (action - id) through the law (``fixed_space_rows`` and
 ``linalg.kernel``), and the count against a Reynolds sum over every group
-element at the monomial level."""
+element at the monomial level.  For a preset, ``bg_dimensions`` counts from
+the fundamental degrees; that count is checked against the orbit walk and
+against Molien's average over every group element."""
 
 import json
 import random
@@ -10,7 +12,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cobcalc import equivariant, selftest
@@ -27,9 +29,11 @@ from cobcalc.equivariant import (
     weyl_map,
     window_basis,
 )
-from cobcalc.fgl import COEFF_KIND_FOR, build_fgl
+from cobcalc.fgl import COEFF_KIND_FOR, KIND_ALIASES, build_fgl
 from cobcalc.selftest import random_series
-from cobcalc.series import RingMap
+from cobcalc.series import COEFF_KINDS, RingContext, RingMap, lazard_count
+
+from oracles import ref_molien_counts
 
 SETTINGS = settings(derandomize=True, database=None, deadline=None, max_examples=25)
 
@@ -194,6 +198,87 @@ def test_a_rotation_takes_the_kernel_of_the_linear_action(kind, monkeypatch):
             image = weyl_apply(ROTATION, v, law)
             assert ctx.from_terms({m: c for m, c in image.iter_terms() if m.t_order() <= 4}) == v
     assert calls and set(calls) == {("additive", "rational", 0)}
+
+
+# every preset whose Weyl group `elements()` enumerates within a test's time
+ENUMERABLE = ["GL1", "GL2", "GL3", "GL4", "GL5", "torus1", "torus2", "torus3", "torus4",
+              "SL2", "B1", "B2", "B3", "C1", "C2", "C3"]
+
+
+@lru_cache(maxsize=None)
+def molien_counts(name, top):
+    return ref_molien_counts(preset(name).weyl.elements(), top)
+
+
+@pytest.mark.parametrize("name", ENUMERABLE)
+@settings(derandomize=True, database=None, deadline=None, max_examples=12)
+@given(
+    coeff_kind=st.sampled_from(COEFF_KINDS),
+    max_t=st.integers(0, 12),
+    max_w=st.integers(0, 6),
+    low=st.integers(-3, 12),
+)
+@example(coeff_kind="rational", max_t=12, max_w=0, low=0)
+def test_degree_count_equals_the_orbit_walk_and_molien(name, coeff_kind, max_t, max_w, low):
+    group = preset(name)
+    # the same group without its degrees: bg_dimensions walks the signed orbits
+    walked = GroupPreset(group.name, group.weyl, group.weyl_order)
+    ctx = RingContext(group.rank, coeff_kind, max_t, max_w)
+    degrees = range(low, max_t + 1)
+    dims = bg_dimensions(group, ctx, degrees, max_t)
+    assert dims == bg_dimensions(walked, ctx, degrees, max_t)
+    # Molien counts the linear invariants of each t-order k
+    linear = molien_counts(name, 12)
+    assert dims == {
+        d: sum(linear[k] * lazard_count(coeff_kind, k - d)
+               for k in range(max(d, 0), max_t + 1) if k - d <= max_w)
+        for d in degrees
+    }
+
+
+@pytest.mark.parametrize(
+    "group, fgl, top, max_w",
+    [("GL100", "universal", 10, 9), ("GL20", "universal", 10, 9), ("GL12", "multiplicative", 10, 9),
+     ("GL10", "additive", 10, 9), ("GL6", "universal", 6, 5), ("GL9", "universal", 8, 7)],
+)
+def test_gl_at_rank_past_the_window_counts_partitions(group, fgl, top, max_w, capsys):
+    """For n >= k, the symmetric polynomials of degree k in n variables are
+    p(k), one per partition of k: so plain bg is a sum of partition counts."""
+    argv = ["bg", "--group", group, "--fgl", fgl, "--deg", f"-2..{top}", "--torder", str(top),
+            "--max-t", str(top), "--max-w", str(max_w)]
+    assert main(argv) == 0
+    dims = json.loads(capsys.readouterr().out)["dims"]
+    coeff_kind = COEFF_KIND_FOR[KIND_ALIASES.get(fgl, fgl)]
+    want = {
+        str(d): sum(
+            lazard_count("universal-rational", k) * lazard_count(coeff_kind, k - d)
+            for k in range(max(d, 0), top + 1) if k - d <= max_w
+        )
+        for d in range(-2, top + 1)
+    }
+    assert dims == want
+
+
+@pytest.mark.parametrize("name", ["GL3", "torus2", "SL2", "B2", "C3"])
+def test_plain_bg_walks_no_orbit_and_emit_basis_does(name, monkeypatch, capsys):
+    argv = ["bg", "--group", name, "--fgl", "universal", "--deg", "-1..4", "--torder", "4"]
+    real = equivariant._signed_orbits
+
+    def refused(*args):
+        raise AssertionError("plain bg walked the signed orbits")
+
+    monkeypatch.setattr(equivariant, "_signed_orbits", refused)
+    assert main(argv) == 0
+    plain = json.loads(capsys.readouterr().out)["dims"]
+    walks = []
+
+    def counting(*args):
+        walks.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(equivariant, "_signed_orbits", counting)
+    assert main(argv + ["--emit-basis"]) == 0
+    assert walks and json.loads(capsys.readouterr().out)["dims"] == plain
 
 
 def linear_map(w, ctx):

@@ -40,6 +40,15 @@ def test_tower_find_or_refuse_does_not_swallow_a_crash(monkeypatch):
         selftest.check_tower_find_or_refuse(random.Random(0))
 
 
+def test_gl_additive_counts_read_the_orbit_walk(monkeypatch):
+    # bg_dimensions counts by the same product formula as the check's own
+    # poly_count, so the orbit-walked basis is the side that can disagree
+    monkeypatch.setattr(
+        selftest, "invariant_bases", lambda weyl, law, degrees, k: {d: [] for d in degrees})
+    ok, detail = selftest.check_gl_additive_counts(random.Random(0))
+    assert not ok and detail.startswith("GL(2): {0: 0, 1: 0,"), detail
+
+
 def _shifted_restriction(a, b, maps):
     """The restriction with i added to component i: neither multiplicative
     nor congruent at any first-root pair."""

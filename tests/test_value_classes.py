@@ -54,7 +54,7 @@ def _fields(x) -> tuple:
         FormalGroupLaw: ("kind", "series", "inverse_series", "log", "exp"),
         AxiomReport: ("unit_ok", "comm_ok", "assoc_ok", "residuals"),
         WeylGroupSpec: ("rank", "generators"),
-        GroupPreset: ("name", "weyl", "weyl_order"),
+        GroupPreset: ("name", "weyl", "weyl_order", "fundamental_degrees"),
         SplitBundle: ("roots",),
         ProjBundleRing: ("base", "chern"),
         ProjBundleElement: ("ring", "coords"),
@@ -172,8 +172,10 @@ def test_group_preset_constructor():
     gl2 = preset("GL2")
     assert gl2 == preset("GL(2)") and hash(gl2) == hash(preset("gl2"))
     bare = GroupPreset(name="GL(2)", weyl=gl2.weyl)
-    assert bare.weyl_order is None and bare != gl2
-    assert GroupPreset("GL(2)", gl2.weyl, 2) == gl2
+    assert bare.weyl_order is None and bare.fundamental_degrees is None and bare != gl2
+    # the degrees are a compared field, kept as a tuple
+    assert GroupPreset("GL(2)", gl2.weyl, 2, [1, 2]) == gl2 and gl2.fundamental_degrees == (1, 2)
+    assert GroupPreset("GL(2)", gl2.weyl, 2) != gl2
     # the rank is the Weyl group's, so the two cannot disagree
     assert bare.rank == gl2.weyl.rank == 2
 
