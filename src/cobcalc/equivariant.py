@@ -90,10 +90,11 @@ class EnumerationCapExceeded(RuntimeError):
 
 
 def _ints(values, what: str) -> tuple:
-    """``values`` as a tuple; ValueError unless every entry is an int."""
+    """``values`` as a tuple; ValueError unless every entry is an int, and
+    not a bool."""
     out = tuple(values)
     for x in out:
-        if not isinstance(x, int):
+        if type(x) is not int:
             raise ValueError(f"{what} entries must be int, got {type(x).__name__}")
     return out
 
@@ -307,7 +308,12 @@ def preset(name: str) -> GroupPreset:
     digits = canon[len(family):]
     if not family or not digits.isdecimal():
         raise ValueError(f"unknown group preset {name!r}")
-    n = int(digits)
+    try:
+        n = int(digits)
+    except ValueError:  # past Python's digit limit for int(), so far past the cap
+        raise ValueError(
+            f"group rank of {len(digits)} digits is over the preset cap of {MAX_PRESET_RANK}"
+        ) from None
     # the rank is checked before any generator is built; rank 0 gets the refusal of RingContext
     if n < 1:
         raise ValueError("need at least one degree-1 variable")

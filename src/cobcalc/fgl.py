@@ -27,17 +27,30 @@ differential dx / u(x), u(x) = F_2(x, 0): F is associative in the window
 exactly when u(x) * dF/dx is symmetric in x and y below the top t-order,
 which needs one product and no composition into F (`verify_fgl_axioms`).
 An associative F is L^-1(L(x) + L(y)) with L = integral of dx / u(x),
-computed from F alone (`invariant_logarithm`), so L(F(x, y)) =
-L(x) + L(y) in the window.  At y = chi(x) that reads
-L(F(x, chi(x))) = L(x) + L(chi(x)), and L = x + ... is invertible, so
-F(x, chi(x)) = 0 exactly when L(chi(x)) + L(x) = 0, one 1-variable
-composition instead of substituting the 2-variable F (`build_fgl`).  A
-law whose axioms fail has no certificate and is refused before chi is
-checked.
+so L(F(x, y)) = L(x) + L(y) in the window.
+
+F(x, chi(x)) = 0 is checked on the returned F, chi and log, with no
+substitution into F (`build_fgl`):
+
+(i)  u(x) * log'(x) = 1 below the top t-order, one product in F's
+     context.  u = 1 + ... is a unit of the window, so log' = 1/u through
+     t-order T - 1 (T the t-order cap) and log = L + c through T, c the
+     constant term of log;
+(ii) log(chi(x)) + log(x) = 0, one 1-variable composition.
+
+With the axioms, (i) gives log(F(x, y)) = log(x) + log(y) - c, and at
+y = chi(x), by (ii), log(F(x, chi(x))) = -c.  F(x, chi(x)) has no
+constant term, so the constant term of the left side is c: c = 0, and
+L(F(x, chi(x))) = 0.  L = x + ... is invertible, so F(x, chi(x)) = 0.
+Nothing is taken on trust from the build: an exp that does not invert
+log breaks the unit axiom F(x, 0) = exp(log x) = x, a log that is not
+F's breaks (i), and a wrong chi breaks (ii).  A law whose axioms fail
+is refused before chi is checked.
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
 from typing import Optional
 
 from .series import (
@@ -47,15 +60,10 @@ from .series import (
     RingMap,
     SubstitutionError,
     TruncatedSeries,
-    add_into,
-    collect,
     compositional_inverse,
     derivative,
-    integral,
-    mul_into,
     substitute,
     variable_slice,
-    variable_slices,
 )
 from .value import FrozenValue
 
@@ -132,26 +140,15 @@ class FormalGroupLaw(FrozenValue):
 
 
 class AxiomReport(FrozenValue):
-    """Residual series for the group law axioms; all must be exactly zero.
-
-    ``certificate`` is F's `invariant_logarithm` L, with which `build_fgl`
-    checks chi (`verify_fgl_axioms`), or None when the direct associativity
-    residual was taken.  It is neither compared, hashed nor shown.
-    """
+    """Residual series for the group law axioms of F alone; all must be
+    exactly zero.  F(x, chi(x)) = 0 is not an axiom of F, and `build_fgl`
+    checks it apart."""
 
     _fields = ("unit_ok", "comm_ok", "assoc_ok", "residuals")
 
-    def __init__(
-        self,
-        unit_ok: bool,
-        comm_ok: bool,
-        assoc_ok: bool,
-        residuals: tuple,
-        certificate: Optional[TruncatedSeries] = None,
-    ):
+    def __init__(self, unit_ok: bool, comm_ok: bool, assoc_ok: bool, residuals: tuple):
         self.__dict__.update(
-            unit_ok=unit_ok, comm_ok=comm_ok, assoc_ok=assoc_ok, residuals=residuals,
-            certificate=certificate,
+            unit_ok=unit_ok, comm_ok=comm_ok, assoc_ok=assoc_ok, residuals=residuals
         )
 
     @property
@@ -179,11 +176,10 @@ def build_fgl(kind: str, max_t: int, max_w: int) -> FormalGroupLaw:
     """Construct and validate the formal group law of ``kind`` at caps
     ``(max_t, max_w)``, over its `ring_context`.
 
-    The axioms are checked first (`verify_fgl_axioms`), which computes F's
-    invariant logarithm L once as its certificate; a failed axiom is
-    reported and nothing more is checked.  When they hold, L(F(x, y)) =
-    L(x) + L(y) in the window, so F(x, chi(x)) = 0 is checked as
-    L(chi(x)) + L(x) = 0 (module docstring).
+    The axioms are checked first (`verify_fgl_axioms`); a failed axiom is
+    reported and nothing more is checked.  When they hold, F(x, chi(x)) = 0
+    is checked through the stored log, tied to F by its invariant
+    differential (`_inverts`, module docstring).
 
     >>> law = build_fgl("multiplicative", 4, 3)
     >>> law.inverse_series.to_text()
@@ -202,25 +198,44 @@ def build_fgl(kind: str, max_t: int, max_w: int) -> FormalGroupLaw:
     if not report.ok:
         bad = [name for name, r in report.residuals if not r.is_zero()]
         raise FglConstructionError(f"axiom residuals nonzero for {kind}: {bad}")
-    if not _inverts(chi, report.certificate):
-        raise FglConstructionError(f"F(x, chi(x)) is nonzero for {kind}")
+    if not _inverts(F, chi, log):
+        raise FglConstructionError(f"the stored chi or log is not that of F for {kind}")
     return FormalGroupLaw(kind, F, chi, log, exp, axioms=report)
 
 
-def _inverts(chi: TruncatedSeries, L: TruncatedSeries) -> bool:
-    """F(x, chi(x)) = 0 in the window, checked as L(chi(x)) + L(x) = 0 with
-    the L of F's axiom certificate (module docstring)."""
-    return (substitute(L, {0: chi}) + L).is_zero()
+def _inverts(F: TruncatedSeries, chi: TruncatedSeries, log: TruncatedSeries) -> bool:
+    """F(x, chi(x)) = 0 in the window for an F that satisfies the axioms,
+    checked as (i) u(x) * log'(x) = 1 below the top t-order, u = F_2(x, 0),
+    and (ii) log(chi(x)) + log(x) = 0 (module docstring).  (i) is one
+    product in F's context, with log' relabelled into it.
+
+    >>> law = build_fgl("additive", 4, 0)
+    >>> x = law.log.ctx.var(0)
+    >>> _inverts(law.series, law.inverse_series, law.log)
+    True
+    >>> _inverts(law.series, -x - x ** 3, law.log)  # a wrong chi fails (ii)
+    False
+    >>> _inverts(law.series, law.inverse_series, law.log + x ** 3)  # chi is odd: only (i) sees it
+    False
+    """
+    ctx2 = F.ctx
+    dlog = substitute(derivative(log, 0), {0: ctx2.var(0)}, target=ctx2)
+    r = variable_slice(F, 1, 1) * dlog - 1
+    # log' has no part of the top t-order, so that slice of the product is incomplete
+    if not (r - r.t_slice(ctx2.max_t_order)).is_zero():
+        return False
+    return (substitute(log, {0: chi}) + log).is_zero()
 
 
 def _logarithm(kind: str, ctx1: RingContext) -> TruncatedSeries:
     """log(x) of the law of ``kind``; terms beyond the caps are dropped."""
     top = 0 if kind == "additive" else min(ctx1.max_t_order - 1, ctx1.max_weight)
     if kind == "multiplicative":
-        # -log(1 - b*x)/b = integral of 1/(1 - b*x), so that
+        # -log(1 - b*x)/b = sum_k b^k x^(k+1)/(k+1), so that
         # 1 - b*F(x, y) = (1 - b*x)(1 - b*y)
-        powers = {Monomial((k,), ((1, k),) if k else ()): 1 for k in range(top + 1)}
-        return integral(ctx1.from_terms(powers), 0)
+        terms = {Monomial((k + 1,), ((1, k),) if k else ()): Fraction(1, k + 1)
+                 for k in range(top + 1)}
+        return ctx1.from_terms(terms)
     # x + m1*x^2 + m2*x^3 + ...
     return ctx1.from_terms({Monomial((i + 1,), ((i, 1),) if i else ()): 1 for i in range(top + 1)})
 
@@ -256,9 +271,7 @@ def verify_fgl_axioms(F: TruncatedSeries) -> AxiomReport:
     associativity residuals, and both it and every other map here only
     relabel variables, so no power of F is formed.  A law that fails unit
     or commutativity gets the direct residual F(F(x, y), z) - F(x, F(y, z))
-    instead.  When unit and commutativity hold the report keeps L =
-    `invariant_logarithm` of F as its ``certificate``, which `build_fgl`
-    checks chi with.  The unit residuals need no map: F(x, 0) is the part
+    instead.  The unit residuals need no map: F(x, 0) is the part
     of F free of y, and F(0, y) the part free of x (`series.variable_slice`).
     """
     ctx2 = F.ctx
@@ -272,9 +285,7 @@ def verify_fgl_axioms(F: TruncatedSeries) -> AxiomReport:
         G = variable_slice(F, 1, 1) * derivative(F, 0)
         G = G - G.t_slice(ctx2.max_t_order)
         assoc = G - swap(G)
-        L = invariant_logarithm(F)
     else:
-        L = None
         assoc = direct_associativity_residual(F)
     return AxiomReport(
         unit_ok=unit_ok,
@@ -286,50 +297,7 @@ def verify_fgl_axioms(F: TruncatedSeries) -> AxiomReport:
             ("comm", comm),
             ("assoc", assoc),
         ),
-        certificate=L,
     )
-
-
-def invariant_logarithm(F: TruncatedSeries) -> TruncatedSeries:
-    """L = integral of dx / F_2(x, 0) for a group law F(x, y) with the unit
-    axiom, in the one-variable context of F's caps.
-
-    F_2(x, 0), the y-derivative of F at y = 0, is the coefficient of y^1
-    in F, and dx / F_2(x, 0) is F's invariant differential.  By the unit
-    axiom its constant term is 1, so it is a unit of the window and
-    L = x + ....  For a law built from a logarithm, L is that logarithm.
-
-    The reciprocal is taken order by order, by its coefficient recurrence:
-    with u = F_2(x, 0) and u_k its slice of t-order k, the order-n slice of
-    1/u is -(u_1 * inv_(n-1) + ... + u_n * inv_0), all of its products
-    summed into one dict by `series.mul_into`.  Each product of two slices
-    lands in order n, so no pair is formed outside it.  Only the orders k
-    at which u has terms and n - k at which 1/u has are visited, so for
-    u = 1 or 1 - b*x the loop is linear in the t-order cap.
-
-    >>> ctx = RingContext(2, "multiplicative-beta", 4, 3)
-    >>> F = TruncatedSeries.from_text(ctx, "1 * t1 + 1 * t2 + -1 * b*t1*t2")
-    >>> invariant_logarithm(F).to_text()
-    '1 * t1 + 1/2 * b*t1^2 + 1/3 * b^2*t1^3 + 1/4 * b^3*t1^4'
-    """
-    ctx2 = F.ctx
-    ctx1 = RingContext(1, ctx2.coeff_kind, ctx2.max_t_order, ctx2.max_weight)
-    u = substitute(variable_slice(F, 1, 1), {0: ctx1.var(0), 1: ctx1.zero()}, target=ctx1)
-    # 1/u through t-order max_t - 1, all the integral keeps (u_0 = 1)
-    slices = [(k, u.t_slice(k)) for k, c in enumerate(variable_slices(u, 0))  # x^k: t-order k
-              if k and not c.is_zero()]
-    inv = {0: ctx1.one()}  # the orders at which 1/u has terms
-    acc: dict = {}
-    den = add_into(acc, 1, inv[0])
-    for n in range(1, ctx1.max_t_order):
-        part, part_den = {}, 1
-        for k, u_k in slices:
-            if n - k in inv:
-                part_den = mul_into(part, part_den, u_k, inv[n - k])
-        if part:
-            inv[n] = -collect(ctx1, part, part_den)
-            den = add_into(acc, den, inv[n])
-    return integral(collect(ctx1, acc, den), 0)
 
 
 def direct_associativity_residual(F: TruncatedSeries) -> TruncatedSeries:

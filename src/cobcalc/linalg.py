@@ -12,7 +12,8 @@ common denominator, so an integer matrix has an integral inverse exactly
 when its determinant is +-1.
 
 ``int_rows`` clears the denominators of dense rows that may mix ints and
-Fractions, and refuses any other entry: no float comes in.  ``identity``
+Fractions, and refuses any other entry: no float comes in, there or
+through ``mat`` and ``mat_mul``, which keep the same rule.  ``identity``
 builds the dense Fraction transforms of the tower self-check.  ``mat``,
 ``mat_mul``, ``transpose``, ``rref``, ``nullspace`` and ``column_space``
 are dense Fraction adapters over the kernel that no other module calls;
@@ -26,14 +27,20 @@ from math import gcd, lcm
 from typing import Optional
 
 
-def int_rows(rows) -> tuple:
-    """``(sparse, den)``: ``rows == sparse / den`` entrywise, den the lcm of all
-    denominators; ValueError unless every entry is an int or a Fraction."""
+def _exact_rows(rows) -> list:
+    """``rows`` as a list; ValueError unless every entry is an int or a Fraction."""
     rows = list(rows)
     for row in rows:
         for x in row:
             if not isinstance(x, (int, Fraction)):
                 raise ValueError(f"matrix entries must be int or Fraction, got {type(x).__name__}")
+    return rows
+
+
+def int_rows(rows) -> tuple:
+    """``(sparse, den)``: ``rows == sparse / den`` entrywise, den the lcm of all
+    denominators; ValueError unless every entry is an int or a Fraction."""
+    rows = _exact_rows(rows)
     ratios = [[(j, x.as_integer_ratio()) for j, x in enumerate(row) if x] for row in rows]
     den = lcm(*[d for row in ratios for _, (n, d) in row if n])
     return [{j: n * (den // d) for j, (n, d) in row if n} for row in ratios], den
@@ -137,7 +144,8 @@ def inverse(rows) -> tuple:
 
 
 def mat(rows) -> list:
-    return [[x if type(x) is Fraction else Fraction(x) for x in row] for row in rows]
+    """``rows`` as dense Fraction rows, under the entry rule of `int_rows`."""
+    return [[x if type(x) is Fraction else Fraction(x) for x in row] for row in _exact_rows(rows)]
 
 
 def identity(n: int) -> list:
@@ -145,7 +153,9 @@ def identity(n: int) -> list:
 
 
 def mat_mul(a, b, cols: Optional[int] = None) -> list:
-    """Matrix product; ``cols`` pins the width when b has zero rows."""
+    """Matrix product, under the entry rule of `int_rows`; ``cols`` pins the
+    width when b has zero rows."""
+    a, b = _exact_rows(a), _exact_rows(b)
     if a and b and len(a[0]) != len(b):
         raise ValueError(f"shape mismatch: {len(a)}x{len(a[0])} times {len(b)}x{len(b[0])}")
     b_cols = transpose(b) if b else [()] * (cols or 0)

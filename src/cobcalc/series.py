@@ -74,10 +74,10 @@ keys: `sparse_coordinates` (integer rows against a list of monomials),
 monomials that occur), `variable_slices` (a series split by the powers
 of one variable, as the list of its parts from the power 0 up, zero
 where a power does not occur), `variable_slice` (one part of that split,
-for a caller that reads a few parts and not the whole split), `integral`
-(the antiderivative in one variable), `derivative` (its mirror, the
-partial derivative in one variable) and `compositional_inverse` (which
-moves series between windows as copies of their keys).
+for a caller that reads a few parts and not the whole split),
+`derivative` (the partial derivative in one variable) and
+`compositional_inverse` (which moves series between windows as copies of
+their keys).
 
 Ring maps
 ---------
@@ -646,33 +646,10 @@ def variable_slice(s: TruncatedSeries, j: int, e: int) -> TruncatedSeries:
     return _reduced(s.ctx, terms, s._den)
 
 
-def integral(s: TruncatedSeries, j: int) -> TruncatedSeries:
-    """The antiderivative of ``s`` in t_{j+1} without constant term: c * t_{j+1}^e * r
-    goes to c / (e + 1) * t_{j+1}^(e + 1) * r, and terms pushed past the
-    t-order cap are dropped.
-
-    >>> ctx = RingContext(1, "multiplicative-beta", 3, 2)
-    >>> integral(TruncatedSeries.from_text(ctx, "1 + 1 * b*t1 + 1 * b^2*t1^2"), 0).to_text()
-    '1 * t1 + 1/2 * b*t1^2 + 1/3 * b^2*t1^3'
-    """
-    layout = s.ctx._layout
-    shift, mask, limit = layout.var_shifts[j], layout.mask, layout.t_limit
-    # one more t-order and one more t_{j+1}: neither field carries
-    step = (1 << layout.t_shift) + (1 << shift)
-    divisors = {key: ((key >> shift) & mask) + 1 for key in s._terms}
-    common = lcm(*divisors.values())
-    terms = {
-        key + step: num * (common // divisors[key])
-        for key, num in s._terms.items()
-        if key + step < limit
-    }
-    return _reduced(s.ctx, terms, s._den * common)
-
-
 def derivative(s: TruncatedSeries, j: int) -> TruncatedSeries:
-    """The partial derivative of ``s`` in t_{j+1}, the mirror of `integral`:
-    c * t_{j+1}^e * r goes to e * c * t_{j+1}^(e - 1) * r, and the terms
-    free of t_{j+1} vanish.  The result has no term of t-order ``max_t_order``.
+    """The partial derivative of ``s`` in t_{j+1}: c * t_{j+1}^e * r goes to
+    e * c * t_{j+1}^(e - 1) * r, and the terms free of t_{j+1} vanish.  The
+    result has no term of t-order ``max_t_order``.
 
     >>> ctx = RingContext(2, "multiplicative-beta", 3, 2)
     >>> derivative(TruncatedSeries.from_text(ctx, "1 * t1 + 1 * t2 + -1 * b*t1^2*t2"), 0).to_text()

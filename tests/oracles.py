@@ -38,11 +38,12 @@ the symmetry of F_2(x, 0) * dF/dx, one product,
 ``ref_compositional_inverse``, the fixed-point loop over the whole window
 that ``cobcalc.fgl.compositional_inverse`` replaced by one
 pass per order in its own window, ``ref_inverse_residual``, the
-substitution F(x, chi(x)) that ``cobcalc.fgl.build_fgl`` replaced by the
-certificate's L(chi(x)) + L(x) for laws whose axioms hold,
-``ref_invariant_logarithm``, the Horner's rule for 1/F_2(x, 0) that
-``cobcalc.fgl.invariant_logarithm`` replaced by the order-by-order
-reciprocal, and ``ref_unit_residuals``, the substitutions F(x, 0) and
+substitution F(x, chi(x)) that ``cobcalc.fgl.build_fgl`` replaced by
+log(chi(x)) + log(x) with the stored log, once u(x) * log'(x) = 1 with
+u = F_2(x, 0) ties that log to F, ``ref_invariant_logarithm``, the
+integral of dx / F_2(x, 0) by Horner's rule for the reciprocal and a
+termwise antiderivative, which the stored log of every built law must
+equal, and ``ref_unit_residuals``, the substitutions F(x, 0) and
 F(0, y) that ``cobcalc.fgl.verify_fgl_axioms`` replaced by keeping the
 terms free of y (resp. x).  ``ref_chern``, the elementary symmetric
 recurrence over every rank that ``cobcalc.bundles.SplitBundle.chern``
@@ -65,7 +66,6 @@ from cobcalc.series import (
     Monomial,
     RingContext,
     TruncatedSeries,
-    integral,
     lazard_monomials,
     sparse_coordinates,
     substitute,
@@ -695,7 +695,9 @@ def ref_invariant_logarithm(F: TruncatedSeries) -> TruncatedSeries:
         if step == inverse:
             break
         inverse = step
-    return integral(inverse, 0)
+    # the antiderivative term by term: c * x^e goes to c / (e + 1) * x^(e + 1)
+    return ctx1.from_terms({Monomial((m.t[0] + 1,), m.laz): c / (m.t[0] + 1)
+                            for m, c in inverse.iter_terms()})
 
 
 def ref_unit_residuals(F: TruncatedSeries) -> tuple:

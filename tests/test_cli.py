@@ -284,7 +284,11 @@ def test_oversized_symmetric_group_is_refused_quickly(capsys):
     assert elapsed < 0.5
 
 
-@pytest.mark.parametrize("group, rank", [("GL99999999", 99999999), ("torus101", 101), ("B101", 101)])
+@pytest.mark.parametrize("group, rank", [
+    ("GL99999999", 99999999), ("torus101", 101), ("B101", 101),
+    # past Python's digit limit for int(), the rank is named by its length
+    ("GL" + "1" * 5000, "of 5000 digits"),
+], ids=["GL99999999", "torus101", "B101", "GL-5000-digits"])
 def test_oversized_group_rank_is_refused_before_any_generator(group, rank, capsys):
     # GL(n) would build n - 1 dense n x n generators and n! first: at this
     # rank that exhausts memory, so the rank is checked as soon as it is parsed

@@ -51,6 +51,8 @@ def test_preset_weyl_order_matches_enumeration(name):
 def test_preset_name_variants():
     assert preset("GL(2)").rank == 2
     assert preset("torus(4)").rank == 4
+    # leading zeros are read by int() while the digits stay under its limit
+    assert preset("GL" + "0" * 4000 + "3").name == "GL(3)"
     with pytest.raises(ValueError):
         preset("E8")
 
@@ -399,7 +401,18 @@ def test_signed_permutations_rank_cap():
      "Weyl matrix entries must be int, got float"),
     (lambda: character_class(law("additive"), (1.5, 0), RingContext(2, "rational", 3, 0)),
      ValueError, "character entries must be int, got float"),
-], ids=["character-length", "window-over-cap", "float-weyl-entry", "float-character"])
+    # nor is a bool read as 0 or 1
+    (lambda: WeylGroupSpec(1, (((True,),),)), ValueError,
+     "Weyl matrix entries must be int, got bool"),
+    (lambda: character_class(law("additive"), (True, 0), RingContext(2, "rational", 3, 0)),
+     ValueError, "character entries must be int, got bool"),
+    (lambda: GroupPreset("x", symmetric_group(2), 2, (True, 2)), ValueError,
+     "fundamental degree entries must be int, got bool"),
+    # a rank past Python's digit limit for int() gets the preset cap
+    (lambda: preset("GL" + "1" * 5000), ValueError,
+     "group rank of 5000 digits is over the preset cap of 100"),
+], ids=["character-length", "window-over-cap", "float-weyl-entry", "float-character",
+        "bool-weyl-entry", "bool-character", "bool-fundamental-degree", "rank-past-int-digits"])
 def test_equivariant_refusals(call, exc, message):
     with pytest.raises(exc) as info:
         call()

@@ -18,7 +18,6 @@ from cobcalc.fgl import (
     compositional_inverse,
     fgl_inverse,
     fgl_sum,
-    invariant_logarithm,
     n_series,
     normalize_kind,
     ring_context,
@@ -267,7 +266,6 @@ def test_certificate_at_caps_below_degree_two(max_t):
     F = ctx.var(0) + ctx.var(1)
     report = verify_fgl_axioms(F)
     assert report.ok
-    assert invariant_logarithm(F) == RingContext(1, "rational", max_t, 0).var(0)
 
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=60)
@@ -292,7 +290,6 @@ def test_certificate_verdict_matches_the_direct_residual(data):
     assert report.unit_ok and report.comm_ok
     direct = direct_associativity_residual(mutant).is_zero()
     assert report.assoc_ok == direct == ref_composition_certificate(mutant).is_zero()
-    assert report.certificate == ref_invariant_logarithm(mutant)
 
 
 @pytest.mark.parametrize("kind", FGL_KINDS)
@@ -338,36 +335,14 @@ def test_axiom_maps_only_relabel_for_a_law_with_unit_and_commutativity(case, mon
         assert all(v.is_zero() or v in signed for v in images.values())
 
 
-@settings(derandomize=True, database=None, deadline=None, max_examples=40)
-@given(st.sampled_from(FGL_KINDS), st.integers(2, 7), st.integers(0, 8))
-def test_invariant_logarithm_is_the_stored_log(kind, max_t, max_w):
-    # built from F alone; the stored log came through compositional_inverse and exp
+@pytest.mark.parametrize("kind", FGL_KINDS)
+@pytest.mark.parametrize("max_t", [2, 3, 5, 7])
+@pytest.mark.parametrize("max_w", [0, 1, 4, 8])
+def test_stored_log_is_the_invariant_logarithm_of_F(kind, max_t, max_w):
+    # the stored log came through compositional_inverse and exp; the oracle
+    # reads L = integral of dx / F_2(x, 0) from F alone
     law = cached_law(kind, max_t, max_w)
-    assert invariant_logarithm(law.series) == law.log == ref_invariant_logarithm(law.series)
-
-
-@pytest.mark.parametrize("kind, max_w", [("additive", 0), ("multiplicative", 2)])
-def test_reciprocal_products_grow_at_most_linearly_for_a_sparse_differential(
-    kind, max_w, monkeypatch
-):
-    # u = F_2(x, 0) is 1 or 1 - b*x: doubling the t-order cap may at most
-    # double the products of the reciprocal recurrence
-    real = fgl.mul_into
-    calls = []
-
-    def counting(*args):
-        calls.append(1)
-        return real(*args)
-
-    counts = []
-    for max_t in (200, 400):
-        law = build_fgl(kind, max_t, max_w)
-        monkeypatch.setattr(fgl, "mul_into", counting)
-        calls.clear()
-        assert invariant_logarithm(law.series) == law.log
-        monkeypatch.setattr(fgl, "mul_into", real)
-        counts.append(len(calls))
-    assert counts[1] <= 2 * counts[0]
+    assert ref_invariant_logarithm(law.series) == law.log
 
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=60)
@@ -538,53 +513,93 @@ def test_inverse_of_a_series_of_other_degree_runs_every_order(monkeypatch):
     assert compositional_inverse(f) == ref_compositional_inverse(f)
 
 
-# -- F(x, chi(x)) = 0 through the certificate's L ----------------------------------
+# -- F(x, chi(x)) = 0 through the stored log, tied to F by u(x) * log'(x) = 1 -----
 
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=60)
 @given(st.data())
 def test_chi_check_through_the_certificate_matches_the_direct_residual(data):
     # chi plus c * m * x^k inside the caps (c = 0 leaves it right): the check
-    # build_fgl makes through L must agree with the residual F(x, chi(x))
+    # build_fgl makes through the stored log must agree with the residual
+    # F(x, chi(x))
     kind = data.draw(st.sampled_from(FGL_KINDS))
     max_t = data.draw(st.integers(2, 7))
     max_w = data.draw(st.integers(0, 6))
     ctx = ring_context(kind, 2, max_t, max_w)
     law = cached_law(kind, max_t, max_w)
-    assert law.axioms.ok and law.axioms.certificate == law.log
+    assert law.axioms.ok
     k = data.draw(st.integers(2, max_t))
     weight = data.draw(st.integers(0, 0 if kind == "additive" else max_w))
     laz = data.draw(st.sampled_from(lazard_monomials(ctx.coeff_kind, weight)))
     c = data.draw(st.fractions(-3, 3, max_denominator=4))
     chi = law.inverse_series
     mutant = chi + chi.ctx.from_terms({Monomial((k,), laz): c})
-    verdict = fgl._inverts(mutant, law.axioms.certificate)
+    verdict = fgl._inverts(law.series, mutant, law.log)
     assert verdict == ref_inverse_residual(law.series, mutant).is_zero() == (c == 0)
 
 
-def _recorded_calls(monkeypatch):
-    """Record invariant_logarithm's arguments and substitute's (series, target)."""
-    logs, subs = [], []
-    real_log, real_sub = fgl.invariant_logarithm, fgl.substitute
+@settings(derandomize=True, database=None, deadline=None, max_examples=60)
+@given(st.data())
+def test_chi_check_refuses_every_log_mutant(data):
+    # log plus c * m * x^k inside the caps, c != 0, swapped in after F and chi
+    # are built (a mutant _logarithm would rebuild a consistent F around it):
+    # F still satisfies its axioms, so the check alone must refuse
+    kind = data.draw(st.sampled_from(FGL_KINDS))
+    max_t = data.draw(st.integers(2, 7))
+    max_w = data.draw(st.integers(0, 6))
+    law = cached_law(kind, max_t, max_w)
+    k = data.draw(st.integers(0, max_t))
+    weight = data.draw(st.integers(0, law.max_weight))
+    laz = data.draw(st.sampled_from(lazard_monomials(law.coeff_kind, weight)))
+    c = data.draw(st.fractions(-3, 3, max_denominator=4).filter(bool))
+    mutant = law.log + law.log.ctx.from_terms({Monomial((k,), laz): c})
+    assert not fgl._inverts(law.series, law.inverse_series, mutant)
 
-    def log(F):
-        logs.append(F)
-        return real_log(F)
+
+@pytest.mark.parametrize("k", [1, 3, 5])
+def test_a_log_mutant_the_composition_misses_is_refused_by_the_differential(k):
+    # over the additive law chi = -x is odd, so log + x^k with k odd keeps
+    # log(chi(x)) + log(x) = 0: only u(x) * log'(x) = 1 sees the mutant
+    law = cached_law("additive", 6, 0)
+    mutant = law.log + law.log.ctx.var(0) ** k
+    assert (substitute(mutant, {0: law.inverse_series}) + mutant).is_zero()
+    assert not fgl._inverts(law.series, law.inverse_series, mutant)
+
+
+def test_wrong_log_is_refused(monkeypatch):
+    # F and chi are built from the true log; the check is handed log + x^3
+    real = fgl._inverts
+    monkeypatch.setattr(
+        fgl, "_inverts", lambda F, chi, log: real(F, chi, log + log.ctx.var(0) ** 3)
+    )
+    with pytest.raises(FglConstructionError, match="chi or log is not that of F for additive"):
+        build_fgl("additive", 4, 0)
+
+
+def _recorded_calls(monkeypatch):
+    """Record derivative's series and substitute's (series, target)."""
+    derivs, subs = [], []
+    real_derivative, real_sub = fgl.derivative, fgl.substitute
+
+    def derivative(s, j):
+        derivs.append(s)
+        return real_derivative(s, j)
 
     def sub(s, assignment, target=None):
         subs.append((s, target or s.ctx))
         return real_sub(s, assignment, target)
 
-    monkeypatch.setattr(fgl, "invariant_logarithm", log)
+    monkeypatch.setattr(fgl, "derivative", derivative)
     monkeypatch.setattr(fgl, "substitute", sub)
-    return logs, subs
+    return derivs, subs
 
 
 @pytest.mark.parametrize("kind", FGL_KINDS)
 def test_build_takes_one_L_and_no_chi_substitution_into_F(kind, monkeypatch):
-    logs, subs = _recorded_calls(monkeypatch)
+    derivs, subs = _recorded_calls(monkeypatch)
     law = build_fgl(kind, 6, 5)
-    assert logs == [law.series]
+    # the one L is the stored log, differentiated once; F once, for associativity
+    assert derivs == [law.series, law.log]
     assert not [s for s, target in subs if s is law.series and target.n_vars == 1]
 
 
@@ -595,9 +610,9 @@ def test_a_law_failing_its_axioms_is_refused_before_chi_is_checked(monkeypatch):
     real = fgl.compositional_inverse
     monkeypatch.setattr(fgl, "compositional_inverse", lambda f: real(f) + f.ctx.var(0) ** 2)
     monkeypatch.setattr(fgl, "_inverts", refuse)
-    logs, subs = _recorded_calls(monkeypatch)
+    derivs, subs = _recorded_calls(monkeypatch)
     with pytest.raises(FglConstructionError, match=r"axiom residuals nonzero for additive: \['unit_x'"):
         build_fgl("additive", 4, 0)
-    # the unit axiom fails, so there is no certificate, and F(x, chi(x)) is never formed
-    assert logs == []
+    # the unit axiom fails, so nothing is differentiated and F(x, chi(x)) is never formed
+    assert derivs == []
     assert not [s for s, target in subs if s.ctx.n_vars == 2 and target.n_vars == 1]

@@ -153,19 +153,25 @@ def test_inverse_rejects_non_square(data):
         linalg.inverse(rows)
 
 
-def test_mat_keeps_fractions_and_converts_the_rest():
+def test_mat_keeps_fractions_and_converts_ints():
     half = Fraction(1, 2)
-    m = linalg.mat([[half, 2, "3/4"]])
+    m = linalg.mat([[half, 2]])
     assert m[0][0] is half
-    assert m == [[half, Fraction(2), Fraction(3, 4)]]
+    assert m == [[half, Fraction(2)]]
     assert all(type(x) is Fraction for x in m[0])
+    assert linalg.mat_mul([[half]], [[2]]) == [[Fraction(1)]]
 
 
-# exact input only: int_rows, and every elimination through it, refuses a float
+# exact input only: int_rows, every elimination through it, and the dense
+# adapters refuse a float
 @pytest.mark.parametrize("call", [
     lambda: linalg.int_rows(row for row in [[Fraction(1, 2), 0.1]]),
     lambda: linalg.inverse([[0.1, 0], [0, 1]]),
-], ids=["int-rows", "inverse"])
+    lambda: linalg.mat([[0.1]]),
+    lambda: linalg.mat(row for row in [[1], [Fraction(1, 3), 0.5]]),
+    lambda: linalg.mat_mul([[0.5]], [[2]]),
+    lambda: linalg.mat_mul([[2]], [[0.5]]),
+], ids=["int-rows", "inverse", "mat", "mat-generator", "mat-mul-left", "mat-mul-right"])
 def test_linalg_refuses_floats(call):
     with pytest.raises(ValueError) as info:
         call()
