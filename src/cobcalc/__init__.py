@@ -23,12 +23,12 @@ from .series import (
 from .fgl import (
     FglConstructionError,
     FormalGroupLaw,
-    additive_shadow,
     build_fgl,
     fgl_inverse,
     fgl_sum,
     n_series,
     ring_context,
+    specialize,
     verify_fgl_axioms,
 )
 from .equivariant import (
@@ -80,7 +80,6 @@ __all__ = [
     "TruncatedSeries",
     "WeylGroupSpec",
     "WindowNotStabilized",
-    "additive_shadow",
     "bg_dimensions",
     "bidegree_basis",
     "build_fgl",
@@ -99,6 +98,7 @@ __all__ = [
     "series_add",
     "series_mul",
     "sparse_coordinates",
+    "specialize",
     "stabilization_index",
     "substitute",
     "thom_class",

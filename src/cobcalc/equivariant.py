@@ -308,6 +308,8 @@ def preset(name: str) -> GroupPreset:
     digits = canon[len(family):]
     if not family or not digits.isdecimal():
         raise ValueError(f"unknown group preset {name!r}")
+    # leading zeros of any script are dropped, so the digit limit counts significant digits only
+    digits = digits[next((i for i, c in enumerate(digits[:-1]) if int(c)), len(digits) - 1):]
     try:
         n = int(digits)
     except ValueError:  # past Python's digit limit for int(), so far past the cap

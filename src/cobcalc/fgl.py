@@ -1,33 +1,31 @@
 """Formal group laws over the truncated coefficient rings.
 
-Three kinds are supported, each given by its logarithm over Q:
+One logarithm is written down, the universal log(x) = x + m1*x^2 +
+m2*x^3 + ... over Q[m1, m2, ...].  Every other law is its image under the
+ring map that classifies it, read off the logarithms (`specialize`):
+``additive``, m_i -> 0 over Q, gives log(x) = x and F(x, y) = x + y, and
+is the map MGL -> CH behind the cycle class map (Levine-Morel:
+Omega^* (x)_L Z = CH^*); ``multiplicative``, m_i -> b^i/(i+1) over Q[b],
+gives log(x) = -log(1 - b*x)/b and F(x, y) = x + y - b*x*y, the law of
+K_0 (flipping the sign of b is a ring automorphism, so nothing downstream
+may depend on the sign choice).  The map keeps the weight, so it carries
+the caps over, and every computation here commutes with it.  A law is
+fixed by its kind and caps (`build_fgl`, over its `ring_context`).
 
-* ``additive``: log(x) = x, so F(x, y) = x + y over plain Q,
-* ``multiplicative``: log(x) = sum_k b^k x^(k+1)/(k+1) over Q[b], so
-  F(x, y) = x + y - b*x*y (flipping the sign of b is a ring automorphism,
-  so nothing downstream may depend on the sign choice),
-* ``universal-rational``: log(x) = x + m1*x^2 + m2*x^3 + ... over
-  Q[m1, m2, ...].
-
-A law is fixed by its kind and its caps: `build_fgl` takes only those and
-builds the law over its `ring_context`, the one place that pairs a kind
-with its coefficient ring and gives the additive law weight cap 0.
-
-One construction serves all three: exp is the compositional inverse of
-log (`series.compositional_inverse`; this module reads no packed key),
-F(x, y) = exp(log(x) + log(y)) and the formal inverse is
-chi(x) = exp(-log(x)).  Truncation is an ideal that composition
-respects, so these are the truncated laws themselves.  Construction
-checks the unit, commutativity and associativity axioms of the stored F
-and F(x, chi(x)) = 0 inside the truncation window, and refuses to
-return an invalid law.  The axioms are identities of F alone, so
-`verify_fgl_axioms` takes the series F, not a law.  Associativity of an
-F with unit and commutativity is certified by F's own invariant
+exp is the compositional inverse of log (`series.compositional_inverse`;
+this module reads no packed key), F(x, y) = exp(log(x) + log(y)) and the
+formal inverse is chi(x) = exp(-log(x)).  Truncation is an ideal that
+composition respects, so these are the truncated laws themselves.
+Construction checks the unit, commutativity and associativity axioms of
+the stored F and F(x, chi(x)) = 0 inside the truncation window, and
+refuses to return an invalid law.  The axioms are identities of F alone,
+so `verify_fgl_axioms` takes the series F, not a law.  Associativity of
+an F with unit and commutativity is certified by F's own invariant
 differential dx / u(x), u(x) = F_2(x, 0): F is associative in the window
 exactly when u(x) * dF/dx is symmetric in x and y below the top t-order,
 which needs one product and no composition into F (`verify_fgl_axioms`).
-An associative F is L^-1(L(x) + L(y)) with L = integral of dx / u(x),
-so L(F(x, y)) = L(x) + L(y) in the window.
+An associative F is L^-1(L(x) + L(y)) with L = integral of dx / u(x), so
+L(F(x, y)) = L(x) + L(y) in the window.
 
 F(x, chi(x)) = 0 is checked on the returned F, chi and log, with no
 substitution into F (`build_fgl`):
@@ -50,7 +48,6 @@ is refused before chi is checked.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import Optional
 
 from .series import (
@@ -165,11 +162,33 @@ def ring_context(kind: str, n_vars: int, max_t: int, max_w: int) -> RingContext:
     >>> ring_context("add", 3, 6, 5)
     RingContext(n_vars=3, coeff_kind='rational', max_t_order=6, max_weight=0)
     """
-    # the additive weight cap is zeroed below: a negative one is refused first
-    if max_w < 0:
-        raise ValueError("truncation caps must be non-negative")
     kind = normalize_kind(kind)
-    return RingContext(n_vars, COEFF_KIND_FOR[kind], max_t, 0 if kind == "additive" else max_w)
+    # the caps given are checked before the additive weight cap is zeroed
+    ctx = RingContext(n_vars, COEFF_KIND_FOR[kind], max_t, max_w)
+    return RingContext(n_vars, "rational", max_t, 0) if kind == "additive" else ctx
+
+
+def specialize(s: TruncatedSeries, kind: str) -> TruncatedSeries:
+    """The image of universal ``s`` under the ring map classifying the law of ``kind``
+    (module docstring), in its `ring_context` at the caps of ``s``; ``s`` itself if universal.
+
+    >>> specialize(build_fgl("universal", 4, 3).log, "mult").to_text()
+    '1 * t1 + 1/2 * b*t1^2 + 1/3 * b^2*t1^3 + 1/4 * b^3*t1^4'
+    """
+    if s.ctx.coeff_kind != "universal-rational":
+        raise ContextMismatch(f"specialize maps universal series, not {s.ctx.coeff_kind}")
+    ctx = ring_context(kind, s.ctx.n_vars, s.ctx.max_t_order, s.ctx.max_weight)
+    if ctx == s.ctx:
+        return s
+    out: dict = {}
+    for m, c in s.iter_terms():
+        if m.laz and ctx.coeff_kind == "rational":
+            continue  # m_i -> 0
+        for i, e in m.laz:
+            c /= (i + 1) ** e  # m_i -> b^i/(i+1)
+        mono = Monomial(m.t, ((1, m.weight()),) if m.laz else ())
+        out[mono] = out.get(mono, 0) + c
+    return ctx.from_terms(out)
 
 
 def build_fgl(kind: str, max_t: int, max_w: int) -> FormalGroupLaw:
@@ -186,10 +205,12 @@ def build_fgl(kind: str, max_t: int, max_w: int) -> FormalGroupLaw:
     '-1 * t1 + -1 * b*t1^2 + -1 * b^2*t1^3 + -1 * b^3*t1^4'
     """
     kind = normalize_kind(kind)
-    ctx1, ctx2 = (ring_context(kind, n, max_t, max_w) for n in (1, 2))
+    ctx2 = ring_context(kind, 2, max_t, max_w)
     if max_t < 2:
         raise ValueError("caps must admit degree 2 in x, y")
-    log = _logarithm(kind, ctx1)
+    univ = ring_context("universal", 1, max_t, ctx2.max_weight)  # log: the universal one's image
+    log = specialize(univ.from_terms({Monomial((i + 1,), ((i, 1),) if i else ()): 1
+                                      for i in range(min(max_t, univ.max_weight + 1))}), kind)
     exp = compositional_inverse(log)
     lx, ly = (substitute(log, {0: ctx2.var(j)}, target=ctx2) for j in (0, 1))
     F = substitute(exp, {0: lx + ly}, target=ctx2)
@@ -225,19 +246,6 @@ def _inverts(F: TruncatedSeries, chi: TruncatedSeries, log: TruncatedSeries) -> 
     if not (r - r.t_slice(ctx2.max_t_order)).is_zero():
         return False
     return (substitute(log, {0: chi}) + log).is_zero()
-
-
-def _logarithm(kind: str, ctx1: RingContext) -> TruncatedSeries:
-    """log(x) of the law of ``kind``; terms beyond the caps are dropped."""
-    top = 0 if kind == "additive" else min(ctx1.max_t_order - 1, ctx1.max_weight)
-    if kind == "multiplicative":
-        # -log(1 - b*x)/b = sum_k b^k x^(k+1)/(k+1), so that
-        # 1 - b*F(x, y) = (1 - b*x)(1 - b*y)
-        terms = {Monomial((k + 1,), ((1, k),) if k else ()): Fraction(1, k + 1)
-                 for k in range(top + 1)}
-        return ctx1.from_terms(terms)
-    # x + m1*x^2 + m2*x^3 + ...
-    return ctx1.from_terms({Monomial((i + 1,), ((i, 1),) if i else ()): 1 for i in range(top + 1)})
 
 
 def verify_fgl_axioms(F: TruncatedSeries) -> AxiomReport:
@@ -343,9 +351,3 @@ def n_series(law: FormalGroupLaw, n: int, a: TruncatedSeries) -> TruncatedSeries
     for _ in range(n - 1):
         result = fgl_sum(law, result, a)
     return result
-
-
-def additive_shadow(s: TruncatedSeries) -> TruncatedSeries:
-    """Specialize every coefficient generator to 0 (image in the rational kind)."""
-    ctx = RingContext(s.ctx.n_vars, "rational", s.ctx.max_t_order, 0)
-    return ctx.from_terms({m: c for m, c in s.iter_terms() if not m.laz})

@@ -12,12 +12,13 @@ common denominator, so an integer matrix has an integral inverse exactly
 when its determinant is +-1.
 
 ``int_rows`` clears the denominators of dense rows that may mix ints and
-Fractions, and refuses any other entry: no float comes in, there or
-through ``mat`` and ``mat_mul``, which keep the same rule.  ``identity``
-builds the dense Fraction transforms of the tower self-check.  ``mat``,
-``mat_mul``, ``transpose``, ``rref``, ``nullspace`` and ``column_space``
-are dense Fraction adapters over the kernel that no other module calls;
-they stay because the benchmark's tracer wraps them by name.
+Fractions, and refuses any other entry: no float comes in, nor a bool
+read as 0 or 1, there or through ``mat`` and ``mat_mul``, which keep the
+same rule.  ``identity`` builds the dense Fraction transforms of the
+tower self-check.  ``mat``, ``mat_mul``, ``transpose``, ``rref``,
+``nullspace`` and ``column_space`` are dense Fraction adapters over the
+kernel that no other module calls; they stay because the benchmark's
+tracer wraps them by name.
 """
 
 from __future__ import annotations
@@ -28,18 +29,18 @@ from typing import Optional
 
 
 def _exact_rows(rows) -> list:
-    """``rows`` as a list; ValueError unless every entry is an int or a Fraction."""
+    """``rows`` as a list; ValueError unless every entry is a (non-bool) int or a Fraction."""
     rows = list(rows)
     for row in rows:
         for x in row:
-            if not isinstance(x, (int, Fraction)):
+            if type(x) is bool or not isinstance(x, (int, Fraction)):
                 raise ValueError(f"matrix entries must be int or Fraction, got {type(x).__name__}")
     return rows
 
 
 def int_rows(rows) -> tuple:
     """``(sparse, den)``: ``rows == sparse / den`` entrywise, den the lcm of all
-    denominators; ValueError unless every entry is an int or a Fraction."""
+    denominators; ValueError unless every entry is a (non-bool) int or a Fraction."""
     rows = _exact_rows(rows)
     ratios = [[(j, x.as_integer_ratio()) for j, x in enumerate(row) if x] for row in rows]
     den = lcm(*[d for row in ratios for _, (n, d) in row if n])

@@ -137,6 +137,10 @@ class RingContext(FrozenValue):
     _fields = ("n_vars", "coeff_kind", "max_t_order", "max_weight")
 
     def __init__(self, n_vars: int, coeff_kind: str, max_t_order: int, max_weight: int):
+        sizes = {"n_vars": n_vars, "max_t_order": max_t_order, "max_weight": max_weight}
+        for name, value in sizes.items():
+            if type(value) is not int:  # nor a bool
+                raise ValueError(f"{name} must be int, got {type(value).__name__}")
         if n_vars < 1:
             raise ValueError("need at least one degree-1 variable")
         if coeff_kind not in COEFF_KINDS:
@@ -233,10 +237,10 @@ class RingContext(FrozenValue):
 
 
 def _exact(value) -> Fraction:
-    """``value`` as a Fraction; ValueError unless it is an int or a Fraction."""
+    """``value`` as a Fraction; ValueError unless it is a (non-bool) int or a Fraction."""
     if type(value) is Fraction:  # immutable: no copy, which costs more than the check
         return value
-    if not isinstance(value, (int, Fraction)):
+    if type(value) is bool or not isinstance(value, (int, Fraction)):
         raise ValueError(f"coefficients must be int or Fraction, got {type(value).__name__}")
     return Fraction(value)
 

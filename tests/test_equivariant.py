@@ -51,8 +51,12 @@ def test_preset_weyl_order_matches_enumeration(name):
 def test_preset_name_variants():
     assert preset("GL(2)").rank == 2
     assert preset("torus(4)").rank == 4
-    # leading zeros are read by int() while the digits stay under its limit
+    # leading zeros of any script are dropped, past int()'s digit limit too
     assert preset("GL" + "0" * 4000 + "3").name == "GL(3)"
+    assert preset("GL" + "0" * 5000 + "3") == preset("GL3")
+    assert preset("torus" + "\u0660" * 5000 + "\u0662") == preset("torus2")
+    with pytest.raises(ValueError, match="^need at least one degree-1 variable$"):
+        preset("GL" + "0" * 5000)
     with pytest.raises(ValueError):
         preset("E8")
 
@@ -411,8 +415,12 @@ def test_signed_permutations_rank_cap():
     # a rank past Python's digit limit for int() gets the preset cap
     (lambda: preset("GL" + "1" * 5000), ValueError,
      "group rank of 5000 digits is over the preset cap of 100"),
+    # counting significant digits only: leading zeros are not part of the rank
+    (lambda: preset("GL" + "0" * 5000 + "1" * 5000), ValueError,
+     "group rank of 5000 digits is over the preset cap of 100"),
 ], ids=["character-length", "window-over-cap", "float-weyl-entry", "float-character",
-        "bool-weyl-entry", "bool-character", "bool-fundamental-degree", "rank-past-int-digits"])
+        "bool-weyl-entry", "bool-character", "bool-fundamental-degree", "rank-past-int-digits",
+        "zero-padded-rank-past-int-digits"])
 def test_equivariant_refusals(call, exc, message):
     with pytest.raises(exc) as info:
         call()

@@ -10,10 +10,8 @@ from hypothesis import strategies as st
 
 from cobcalc import fgl, series
 from cobcalc.fgl import (
-    COEFF_KIND_FOR,
     FGL_KINDS,
     FglConstructionError,
-    additive_shadow,
     build_fgl,
     compositional_inverse,
     fgl_inverse,
@@ -21,6 +19,7 @@ from cobcalc.fgl import (
     n_series,
     normalize_kind,
     ring_context,
+    specialize,
     verify_fgl_axioms,
 )
 from cobcalc.series import (
@@ -375,7 +374,7 @@ def test_log_exp_identities():
 
 def test_universal_shadow_is_additive():
     F = law("universal-rational")
-    shadow = additive_shadow(F.series)
+    shadow = specialize(F.series, "additive")
     assert shadow == shadow.ctx.var(0) + shadow.ctx.var(1)
 
 
@@ -501,7 +500,7 @@ def _composition_caps(monkeypatch, f):
     ],
 )
 def test_inverse_pass_v_composes_in_window_v(kind, max_t, max_w, caps, monkeypatch):
-    f = fgl._logarithm(kind, RingContext(1, COEFF_KIND_FOR[kind], max_t, max_w))
+    f = cached_law(kind, max_t, max_w).log
     assert _composition_caps(monkeypatch, f) == caps
 
 
@@ -542,7 +541,7 @@ def test_chi_check_through_the_certificate_matches_the_direct_residual(data):
 @given(st.data())
 def test_chi_check_refuses_every_log_mutant(data):
     # log plus c * m * x^k inside the caps, c != 0, swapped in after F and chi
-    # are built (a mutant _logarithm would rebuild a consistent F around it):
+    # are built (a mutant log in build_fgl would rebuild a consistent F around it):
     # F still satisfies its axioms, so the check alone must refuse
     kind = data.draw(st.sampled_from(FGL_KINDS))
     max_t = data.draw(st.integers(2, 7))

@@ -163,20 +163,26 @@ def test_mat_keeps_fractions_and_converts_ints():
 
 
 # exact input only: int_rows, every elimination through it, and the dense
-# adapters refuse a float
-@pytest.mark.parametrize("call", [
-    lambda: linalg.int_rows(row for row in [[Fraction(1, 2), 0.1]]),
-    lambda: linalg.inverse([[0.1, 0], [0, 1]]),
-    lambda: linalg.mat([[0.1]]),
-    lambda: linalg.mat(row for row in [[1], [Fraction(1, 3), 0.5]]),
-    lambda: linalg.mat_mul([[0.5]], [[2]]),
-    lambda: linalg.mat_mul([[2]], [[0.5]]),
-], ids=["int-rows", "inverse", "mat", "mat-generator", "mat-mul-left", "mat-mul-right"])
-def test_linalg_refuses_floats(call):
+# adapters refuse a float, and a bool too, which would be read as 0 or 1
+@pytest.mark.parametrize("call, got", [
+    (lambda: linalg.int_rows(row for row in [[Fraction(1, 2), 0.1]]), "float"),
+    (lambda: linalg.inverse([[0.1, 0], [0, 1]]), "float"),
+    (lambda: linalg.mat([[0.1]]), "float"),
+    (lambda: linalg.mat(row for row in [[1], [Fraction(1, 3), 0.5]]), "float"),
+    (lambda: linalg.mat_mul([[0.5]], [[2]]), "float"),
+    (lambda: linalg.mat_mul([[2]], [[0.5]]), "float"),
+    (lambda: linalg.int_rows([[True, 2]]), "bool"),
+    (lambda: linalg.inverse([[True, 0], [0, 1]]), "bool"),
+    (lambda: linalg.mat([[True]]), "bool"),
+    (lambda: linalg.mat_mul([[2]], [[False]]), "bool"),
+    (lambda: linalg.rref([[1, True]]), "bool"),
+], ids=["int-rows", "inverse", "mat", "mat-generator", "mat-mul-left", "mat-mul-right",
+        "bool-int-rows", "bool-inverse", "bool-mat", "bool-mat-mul", "bool-rref"])
+def test_linalg_refuses_floats(call, got):
     with pytest.raises(ValueError) as info:
         call()
     assert type(info.value) is ValueError
-    assert str(info.value) == "matrix entries must be int or Fraction, got float"
+    assert str(info.value) == f"matrix entries must be int or Fraction, got {got}"
 
 
 def test_empty_inputs():

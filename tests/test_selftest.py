@@ -71,7 +71,7 @@ BREAKS = {
     "fgl.log-exp": (selftest, "substitute", lambda s, images: s, "log(exp(x)) != x"),
     "fgl.n-series-additivity": (selftest, "n_series", lambda law, n, a: a, "additive m="),
     "fgl.universal-specializes-to-additive": (
-        selftest, "additive_shadow", lambda F: F, "shadow = "),
+        selftest, "specialize", lambda s, kind: s, "shadow = "),
     "equivariant.weyl-action": (
         selftest, "weyl_map", lambda w, law, ctx: (lambda s: s + 1),
         "additive/GL2: not a ring map on "),

@@ -26,6 +26,7 @@ from cobcalc.series import (
     substitute,
 )
 
+from cobcalc.fgl import build_fgl
 from oracles import enumerate_window
 from strategies import assert_canonical, contexts, series
 
@@ -433,10 +434,25 @@ _U1 = RingContext(1, "universal-rational", 3, 2)
     (lambda: _Q2.from_terms({Monomial((1, 0), ()): 0.5}), ValueError,
      "coefficients must be int or Fraction, got float"),
     (lambda: _Q2.var(0).scale(0.5), ValueError, "coefficients must be int or Fraction, got float"),
+    # nor is a bool read as 0 or 1
+    (lambda: _Q2.constant(True), ValueError, "coefficients must be int or Fraction, got bool"),
+    (lambda: _Q2.from_terms({Monomial((1, 0), ()): True}), ValueError,
+     "coefficients must be int or Fraction, got bool"),
+    (lambda: _Q2.var(0).scale(False), ValueError, "coefficients must be int or Fraction, got bool"),
+    # a context's variable count and caps are ints, and not bools
+    (lambda: RingContext(1, "rational", 3.0, 0), ValueError, "max_t_order must be int, got float"),
+    (lambda: RingContext(2.0, "rational", 3, 0), ValueError, "n_vars must be int, got float"),
+    (lambda: RingContext(1, "universal-rational", 3, True), ValueError,
+     "max_weight must be int, got bool"),
+    (lambda: build_fgl("add", 3.0, 0), ValueError, "max_t_order must be int, got float"),
+    # the additive weight cap is checked before it is zeroed
+    (lambda: build_fgl("add", 3, 0.5), ValueError, "max_weight must be int, got float"),
 ], ids=["var-index", "generator-exponent", "monomial-length", "negative-exponent",
         "text-variable", "strict-coordinates", "inverse-variables", "inverse-linear-term",
         "bidegree-t-order", "repeated-generator", "unsorted-generators", "float-constant",
-        "float-coefficient", "float-scale"])
+        "float-coefficient", "float-scale", "bool-constant", "bool-coefficient", "bool-scale",
+        "float-t-cap", "float-n-vars", "bool-weight-cap", "float-law-t-cap",
+        "float-additive-weight-cap"])
 def test_series_refusals(call, exc, message):
     with pytest.raises(exc) as info:
         call()
