@@ -13,10 +13,10 @@ ring endomorphism sends tj to the class of the j-th column.
 `weyl_map` builds it once per matrix as one `series.RingMap`: it checks
 the matrix and computes the rank-many column classes.  Invariant
 subspaces are computed per diagonal degree in the filtration quotient
-spanned by monomials of t-order <= k_max: the action only preserves the
-augmentation filtration for non-additive laws, and truncating to the
-window is a ring quotient, so the restricted action is an honest group
-representation there.
+spanned by monomials of t-order <= k_max (`series.window_orders`): the
+action only preserves the augmentation filtration for non-additive laws,
+and truncating to the window is a ring quotient, so the restricted action
+is an honest group representation there.
 
 Every invariant is Lambda of a linear invariant.  Over Q the logarithm
 is a strict isomorphism from F to the additive law, and
@@ -43,10 +43,10 @@ and, for a preset, with no orbit walk: every preset's Weyl group is a
 reflection group or trivial, so by Chevalley-Shephard-Todd its linear
 invariants form a polynomial ring on generators of t-orders d_1..d_n,
 the fundamental degrees, and t-order k holds [q^k] prod_i 1/(1 - q^d_i)
-of them.  `invariant_basis` maps them through Lambda and takes their
-`series.reduced_basis`: every term has the degree of the window, so only
-the t-order cut is applied, and no list of the window's monomials is
-built.
+of them (`series.graded_counts`).  `invariant_basis` maps them through
+Lambda and takes their `series.reduced_basis`: every term has the degree
+of the window, so only the t-order cut is applied, and no list of the
+window's monomials is built.
 
 The kernel through the law itself is the oracle in `selftest` and the
 tests: `fixed_space_rows` reads the action of each matrix on the window
@@ -70,11 +70,13 @@ from .series import (
     TruncatedSeries,
     bidegree_basis,
     compositions,
+    graded_counts,
     lazard_count,
     lazard_monomials,
     reduced_basis,
     sparse_coordinates,
     substitute,
+    window_orders,
 )
 from .value import FrozenValue
 
@@ -362,29 +364,6 @@ def weyl_apply(w, s: TruncatedSeries, law: FormalGroupLaw) -> TruncatedSeries:
     return weyl_map(w, law, s.ctx)(s)
 
 
-def _check_window(ctx: RingContext, k_max: int) -> None:
-    if k_max > ctx.max_t_order:
-        raise ValueError(
-            f"t-order window {k_max} exceeds the context cap {ctx.max_t_order}"
-        )
-
-
-def window_basis(ctx: RingContext, degree: int, k_max: int) -> list:
-    """Monomials of the given diagonal degree with t-order <= k_max."""
-    _check_window(ctx, k_max)
-    monos = []
-    # the t-order leads the sort key, so the blocks are already in order
-    for k in range(0, k_max + 1):
-        monos.extend(bidegree_basis(ctx, degree, k))
-    return monos
-
-
-def _window_orders(ctx: RingContext, degree: int, k_max: int) -> range:
-    """The t-orders k of the degree window that hold a monomial: k <= k_max
-    and 0 <= k - degree <= the weight cap."""
-    return range(max(degree, 0), min(k_max, degree + ctx.max_weight) + 1)
-
-
 def _signed_orbits(codes: tuple, n: int, k: int) -> list:
     """The orbits of the t-exponent vectors of total k under the signed
     permutations ``codes`` (`_signed_code`) whose signed sums are
@@ -505,9 +484,9 @@ def _linear_invariants(wspec: WeylGroupSpec, orders) -> dict:
 
 def invariant_basis(wspec: WeylGroupSpec, law: FormalGroupLaw, degree: int, k_max: int) -> list:
     """Basis of the Weyl-fixed subspace in the degree window, as series:
-    the reduced echelon form over Q in the order of `window_basis`, each
-    row scaled to 1 at its pivot, the rows in pivot order.  That form is
-    unique, and zero columns do not change it, so it equals the
+    the reduced echelon form over Q in the order of `series.window_basis`,
+    each row scaled to 1 at its pivot, the rows in pivot order.  That form
+    is unique, and zero columns do not change it, so it equals the
     `fixed_basis` of the window through the law, the oracle.
 
     The basis is read off Lambda of the linear invariants, times the
@@ -523,8 +502,8 @@ def invariant_bases(
     context ``law.context(wspec.rank)``, with Lambda of each linear
     invariant computed once for all degrees."""
     ctx = law.context(wspec.rank)
-    _check_window(ctx, k_max)
-    windows = {d: _window_orders(ctx, d, k_max) for d in degrees}
+    window_orders(ctx, 0, k_max)  # k_max is refused even when no degree is asked
+    windows = {d: window_orders(ctx, d, k_max) for d in degrees}
     log = log_map(law, ctx)
     images = {  # t-order -> Lambda of its linear invariants
         k: [log(ctx.from_terms({Monomial(t, ()): c for t, c in v.items()})) for v in basis]
@@ -543,16 +522,6 @@ def invariant_bases(
     return out
 
 
-def _degree_counts(degrees: Sequence[int], top: int) -> list:
-    """``[q^k] prod_i 1/(1 - q^d_i)`` for k = 0..top: the monomials of
-    t-order k in generators of t-orders ``degrees``."""
-    counts = [1] + [0] * top
-    for d in degrees:
-        for k in range(d, top + 1):
-            counts[k] += counts[k - d]
-    return counts
-
-
 def bg_dimensions(
     group: GroupPreset, ctx: RingContext, degrees: Sequence[int], k_max: int
 ) -> dict:
@@ -564,13 +533,13 @@ def bg_dimensions(
     `_linear_invariants`."""
     if ctx.n_vars != group.rank:
         raise ValueError("context rank does not match the group rank")
-    _check_window(ctx, k_max)
-    windows = {int(d): _window_orders(ctx, int(d), k_max) for d in degrees}
+    window_orders(ctx, 0, k_max)  # k_max is refused even when no degree is asked
+    windows = {d: window_orders(ctx, d, k_max) for d in degrees}
     orders = set(chain(*windows.values()))
     if group.fundamental_degrees is None:
         counts = {k: len(basis) for k, basis in _linear_invariants(group.weyl, orders).items()}
     else:
-        counts = _degree_counts(group.fundamental_degrees, max(orders, default=0))
+        counts = graded_counts(group.fundamental_degrees, max(orders, default=0))
     return {
         d: sum(counts[k] * lazard_count(ctx.coeff_kind, k - d) for k in window)
         for d, window in windows.items()

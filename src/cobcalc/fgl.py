@@ -64,13 +64,13 @@ from .series import (
 )
 from .value import FrozenValue
 
-FGL_KINDS = ("additive", "multiplicative", "universal-rational")
-
 COEFF_KIND_FOR = {
     "additive": "rational",
     "multiplicative": "multiplicative-beta",
     "universal-rational": "universal-rational",
 }
+
+FGL_KINDS = tuple(COEFF_KIND_FOR)
 
 KIND_ALIASES = {
     "additive": "additive",
@@ -341,6 +341,8 @@ def fgl_inverse(law: FormalGroupLaw, a: TruncatedSeries) -> TruncatedSeries:
 
 def n_series(law: FormalGroupLaw, n: int, a: TruncatedSeries) -> TruncatedSeries:
     """[n](a): iterated group-law sum, with [-n](a) = chi([n](a))."""
+    if type(n) is not int:  # nor a bool
+        raise ValueError(f"n-series multiplier must be int, got {type(n).__name__}")
     _require_augmentation(a)
     if n < 0:
         return fgl_inverse(law, n_series(law, -n, a))

@@ -21,7 +21,10 @@ beyond either cap are dropped silently, so all ring identities are
 asserted only inside the retained window.  Dropping is an ideal
 quotient (t-order and weight never decrease under multiplication or
 augmentation-ideal substitution), which is what makes the truncated
-identities exact.
+identities exact.  `bg` and the towers read one degree window at a time,
+the monomials of one diagonal degree and t-order <= k_max: `window_orders`
+lists its t-orders and is its one input check, `window_basis` lists it,
+and `graded_counts` counts monomials in generators of given t-orders.
 
 Coefficients are exact rationals throughout; there is no floating
 point anywhere in this package.
@@ -192,6 +195,8 @@ class RingContext(FrozenValue):
 
     def var(self, j: int) -> "TruncatedSeries":
         """The degree-1 variable t_{j+1} as a series (0-based index)."""
+        if type(j) is not int:  # nor a bool
+            raise ValueError(f"variable index must be int, got {type(j).__name__}")
         if not 0 <= j < self.n_vars:
             raise ValueError(f"variable index {j} out of range")
         if self.max_t_order == 0:
@@ -1154,6 +1159,24 @@ def substitute(
     return RingMap(s.ctx, assignment, target)(s)
 
 
+def window_orders(ctx: RingContext, degree: int, k_max: int) -> range:
+    """The t-orders k <= k_max with 0 <= k - degree <= the weight cap.  Refuses
+    a degree or k_max that is not an int (bools too) or a k_max over the cap.
+
+    >>> window_orders(RingContext(1, "universal-rational", 6, 2), -1, 4)
+    range(0, 2)
+    >>> window_orders(RingContext(2, "rational", 6, 0), 3, 5)
+    range(3, 4)
+    """
+    if type(degree) is not int:
+        raise ValueError(f"degree must be int, got {type(degree).__name__}")
+    if type(k_max) is not int:
+        raise ValueError(f"t-order window must be int, got {type(k_max).__name__}")
+    if k_max > ctx.max_t_order:
+        raise ValueError(f"t-order window {k_max} exceeds the context cap {ctx.max_t_order}")
+    return range(max(degree, 0), min(k_max, degree + ctx.max_weight) + 1)
+
+
 def bidegree_basis(ctx: RingContext, degree: int, t_order: int) -> list:
     """All monomials with the given t-order and diagonal degree.
 
@@ -1163,14 +1186,33 @@ def bidegree_basis(ctx: RingContext, degree: int, t_order: int) -> list:
     """
     if not 0 <= t_order <= ctx.max_t_order:
         raise ValueError(f"t-order {t_order} outside [0, {ctx.max_t_order}]")
-    w = t_order - degree
-    if w < 0 or w > ctx.max_weight:
+    if t_order not in window_orders(ctx, degree, t_order):
         return []
     # already in `Monomial.sort_key` order: every monomial has this t-order
     # and weight, `compositions` yields the t-vectors t1-heavy first and
     # `lazard_monomials` lists the generator parts sorted
-    lazs = lazard_monomials(ctx.coeff_kind, w)
+    lazs = lazard_monomials(ctx.coeff_kind, t_order - degree)
     return [Monomial(t, laz) for t in compositions(t_order, ctx.n_vars) for laz in lazs]
+
+
+def window_basis(ctx: RingContext, degree: int, k_max: int) -> list:
+    """Monomials of the given diagonal degree with t-order <= k_max, in
+    `Monomial.sort_key` order: the t-order leads the key."""
+    return [m for k in window_orders(ctx, degree, k_max) for m in bidegree_basis(ctx, degree, k)]
+
+
+def graded_counts(degrees: Sequence[int], top: int) -> list:
+    """``[q^k] prod_i 1/(1 - q^d_i)`` for k = 0..top: the monomials of
+    t-order k in generators of t-orders ``degrees``.
+
+    >>> graded_counts((1, 2, 3), 6)
+    [1, 1, 2, 3, 4, 5, 7]
+    """
+    counts = [1] + [0] * top
+    for d in degrees:
+        for k in range(d, top + 1):
+            counts[k] += counts[k - d]
+    return counts
 
 
 @lru_cache(maxsize=None)

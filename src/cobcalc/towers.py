@@ -18,7 +18,8 @@ canonical projection of V_{i+1} onto its prefix V_i, so every map is
 onto and every image im(V_{i+s} -> V_i) is all of V_i.  A tower of
 surjections is Mittag-Leffler, so lim^1 vanishes; the index is 0 and the
 stable images are the levels themselves.  The projective-space tower is
-built this way, from dimensions alone.
+built this way, from dimensions alone, over the t-orders that
+`series.window_orders` gives the degree.
 
 A slice with explicit maps keeps each one as the elimination kernel
 reads it: a list of dim V_{i+1} columns, sparse ``{row: int}`` dicts of
@@ -37,7 +38,7 @@ from itertools import accumulate
 from typing import List, Optional
 
 from . import linalg
-from .series import RingContext, bidegree_basis, lazard_count
+from .series import RingContext, lazard_count, window_orders
 from .value import FrozenValue
 
 
@@ -168,22 +169,15 @@ def projective_space_tower(ctx: RingContext, d: int, i_max: int) -> TowerSlice:
     of K[xi]/(xi^(i+1)), transitions are the canonical surjections killing the
     top xi-power.  Only the coefficient kind and the caps of ``ctx`` are read,
     and only dimensions are built: the slice is a prefix slice."""
+    if type(i_max) is not int:
+        raise ValueError(f"top level must be int, got {type(i_max).__name__}")
+    orders = window_orders(ctx, d, ctx.max_t_order)
     if d < 0 or i_max < 2:
         raise ValueError("need degree >= 0 and at least three levels")
     # level i is spanned by xi^p times the generator monomials of weight p - d, p <= i,
     # in order of p: each level is a prefix of the next, and dims are prefix sums
     return TowerSlice(list(accumulate(
-        lazard_count(ctx.coeff_kind, p - d)
-        if 0 <= p - d <= ctx.max_weight and p <= ctx.max_t_order else 0
-        for p in range(i_max + 1))))
-
-
-def coefficient_ring_dimension(ctx: RingContext, degree: int) -> int:
-    """Dimension of the full degree slice of the rank-1 equivariant ring
-    inside the caps (the tower's expected limit)."""
-    return sum(
-        len(bidegree_basis(ctx, degree, k)) for k in range(0, ctx.max_t_order + 1)
-    )
+        lazard_count(ctx.coeff_kind, p - d) if p in orders else 0 for p in range(i_max + 1))))
 
 
 def apply_levelwise_isomorphism(sl: TowerSlice, transforms: list) -> TowerSlice:

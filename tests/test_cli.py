@@ -16,8 +16,8 @@ from cobcalc import bundles, cli, equivariant, fgl, linalg, selftest
 from cobcalc.cli import main, parse_degree_range, run
 from cobcalc.equivariant import GroupPreset, WeylGroupSpec, symmetric_group
 from cobcalc.fgl import fgl_sum
-from cobcalc.series import RingContext
-from cobcalc.towers import TowerSlice, coefficient_ring_dimension
+from cobcalc.series import RingContext, window_basis
+from cobcalc.towers import TowerSlice
 
 
 def run_cli(*argv, timeout=None):
@@ -177,7 +177,7 @@ def test_tower_accepts_caps_too_small_for_a_law(capsys):
     body = json.loads(capsys.readouterr().out)
     ctx = RingContext(1, "universal-rational", 1, body["caps"]["max_w"])
     for d in (0, 1):
-        assert body["degrees"][str(d)]["lim_dim"] == coefficient_ring_dimension(ctx, d)
+        assert body["degrees"][str(d)]["lim_dim"] == len(window_basis(ctx, d, ctx.max_t_order))
 
 
 def test_bg_accepts_caps_too_small_for_a_law(capsys):
@@ -513,7 +513,7 @@ def test_tower_work_cap_counts_only_the_asked_degrees(capsys):
     # (max degree + 1) x (levels + 1) would be 12007001, over MAX_TOWER_DIMS
     argv = "tower bgm --fgl universal --deg 3000..3000 --max-t 3000 --max-w 3000 --levels 4000"
     assert main(argv.split()) == 0
-    limit = coefficient_ring_dimension(RingContext(1, "universal-rational", 3000, 3000), 3000)
+    limit = len(window_basis(RingContext(1, "universal-rational", 3000, 3000), 3000, 3000))
     report = json.loads(capsys.readouterr().out)
     assert report["degrees"] == {"3000": {"lim_dim": limit, "stab_index": 0}}
 

@@ -14,14 +14,14 @@ from cobcalc.equivariant import (
     bg_dimensions,
     character_class,
     invariant_basis,
+    invariant_bases,
     preset,
     signed_permutation_group,
     symmetric_group,
     weyl_apply,
-    window_basis,
 )
 from cobcalc.fgl import build_fgl
-from cobcalc.series import RingContext, sparse_coordinates
+from cobcalc.series import RingContext, sparse_coordinates, window_basis
 
 from oracles import count_poly_monomials, permutation_orbit_count
 
@@ -305,7 +305,6 @@ def test_invariant_basis_s2_degree2():
     span_targets = [t1 ** 2 + t2 ** 2, t1 * t2]
     # both symmetric elements must lie in the computed span
     from cobcalc import linalg
-    from cobcalc.equivariant import window_basis
 
     window = window_basis(ctx, 2, 2)
 
@@ -393,6 +392,9 @@ def test_signed_permutations_rank_cap():
         signed_permutation_group(4)
 
 
+_Q2 = RingContext(2, "rational", 3, 0)
+
+
 # one row per refusal of the equivariant layer: the call, the exception type
 # and the whole message
 @pytest.mark.parametrize("call, exc, message", [
@@ -400,6 +402,22 @@ def test_signed_permutations_rank_cap():
      ValueError, "character length does not match the context rank"),
     (lambda: window_basis(RingContext(1, "rational", 3, 0), 0, 4), ValueError,
      "t-order window 4 exceeds the context cap 3"),
+    # the window is checked once for all degrees, so also when none is asked
+    (lambda: bg_dimensions(preset("GL2"), _Q2, [], 4), ValueError,
+     "t-order window 4 exceeds the context cap 3"),
+    (lambda: invariant_bases(preset("GL2").weyl, law("additive", 3, 0), [], 4), ValueError,
+     "t-order window 4 exceeds the context cap 3"),
+    # a degree or a window bound is an int: 1.5 is not read as 1, nor True as 1
+    (lambda: bg_dimensions(preset("GL2"), _Q2, [1.5], 3), ValueError,
+     "degree must be int, got float"),
+    (lambda: bg_dimensions(preset("GL2"), _Q2, [True], 3), ValueError,
+     "degree must be int, got bool"),
+    (lambda: bg_dimensions(preset("GL2"), _Q2, [1], 1.5), ValueError,
+     "t-order window must be int, got float"),
+    (lambda: invariant_bases(preset("GL2").weyl, law("additive", 3, 0), [1.5], 3), ValueError,
+     "degree must be int, got float"),
+    (lambda: invariant_bases(preset("GL2").weyl, law("additive", 3, 0), [True], 3), ValueError,
+     "degree must be int, got bool"),
     # exact input only: no float is truncated to an int
     (lambda: WeylGroupSpec(1, (((1.9,),),)), ValueError,
      "Weyl matrix entries must be int, got float"),
@@ -418,7 +436,10 @@ def test_signed_permutations_rank_cap():
     # counting significant digits only: leading zeros are not part of the rank
     (lambda: preset("GL" + "0" * 5000 + "1" * 5000), ValueError,
      "group rank of 5000 digits is over the preset cap of 100"),
-], ids=["character-length", "window-over-cap", "float-weyl-entry", "float-character",
+], ids=["character-length", "window-over-cap", "bg-window-over-cap-no-degree",
+        "invariants-window-over-cap-no-degree", "bg-float-degree", "bg-bool-degree",
+        "bg-float-window", "invariants-float-degree", "invariants-bool-degree",
+        "float-weyl-entry", "float-character",
         "bool-weyl-entry", "bool-character", "bool-fundamental-degree", "rank-past-int-digits",
         "zero-padded-rank-past-int-digits"])
 def test_equivariant_refusals(call, exc, message):

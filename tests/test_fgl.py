@@ -180,6 +180,21 @@ def test_n_series_examples():
     assert n_series(uni, 0, a).is_zero()
 
 
+# one row per refusal of the law layer's own input checks: the call, the
+# exception type and the whole message
+@pytest.mark.parametrize("call, exc, message", [
+    # a multiplier is an int: True is not read as 1, nor 2.0 as 2
+    (lambda: n_series(law("additive"), True, law("additive").context(1).var(0)), ValueError,
+     "n-series multiplier must be int, got bool"),
+    (lambda: n_series(law("additive"), 2.0, law("additive").context(1).var(0)), ValueError,
+     "n-series multiplier must be int, got float"),
+], ids=["bool-multiplier", "float-multiplier"])
+def test_fgl_refusals(call, exc, message):
+    with pytest.raises(exc) as info:
+        call()
+    assert type(info.value) is exc and str(info.value) == message
+
+
 def test_axiom_reports_all_kinds():
     for kind in ("additive", "multiplicative", "universal-rational"):
         report = verify_fgl_axioms(law(kind).series)

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from cobcalc import equivariant, selftest
+from cobcalc import equivariant, selftest, series
 from cobcalc.cli import main
 from cobcalc.equivariant import (
     GroupPreset,
@@ -27,11 +27,10 @@ from cobcalc.equivariant import (
     preset,
     weyl_apply,
     weyl_map,
-    window_basis,
 )
 from cobcalc.fgl import COEFF_KIND_FOR, KIND_ALIASES, build_fgl
 from cobcalc.selftest import random_series
-from cobcalc.series import COEFF_KINDS, RingContext, RingMap, lazard_count
+from cobcalc.series import COEFF_KINDS, RingContext, RingMap, lazard_count, window_basis
 
 from oracles import ref_molien_counts
 
@@ -316,9 +315,9 @@ def test_bg_builds_no_weyl_map_and_no_action_matrix(argv, emit, monkeypatch, cap
     def refused(*args, **kwargs):
         raise AssertionError("bg went through the direct Weyl action")
 
-    for name in ("weyl_map", "action_matrix", "fixed_space_rows", "window_basis",
-                 "sparse_coordinates"):
+    for name in ("weyl_map", "action_matrix", "fixed_space_rows", "sparse_coordinates"):
         monkeypatch.setattr(equivariant, name, refused)
+    monkeypatch.setattr(series, "window_basis", refused)
     monkeypatch.setattr(selftest, "weyl_map", refused)
     assert main(argv + ["--emit-basis"] * emit) == 0
     body = json.loads(capsys.readouterr().out)

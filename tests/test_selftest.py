@@ -41,8 +41,8 @@ def test_tower_find_or_refuse_does_not_swallow_a_crash(monkeypatch):
 
 
 def test_gl_additive_counts_read_the_orbit_walk(monkeypatch):
-    # bg_dimensions counts by the same product formula as the check's own
-    # poly_count, so the orbit-walked basis is the side that can disagree
+    # bg_dimensions counts by the same graded_counts as the check's expected
+    # dims, so the orbit-walked basis is the side that can disagree
     monkeypatch.setattr(
         selftest, "invariant_bases", lambda weyl, law, degrees, k: {d: [] for d in degrees})
     ok, detail = selftest.check_gl_additive_counts(random.Random(0))
@@ -105,7 +105,7 @@ BREAKS = {
     "towers.find-or-refuse": (
         selftest, "stabilization_index", lambda sl: 99, "index 99 outside window"),
     "towers.coefficient-ring": (
-        selftest, "coefficient_ring_dimension", lambda ctx, d: -1, "additive d=0: 1 != -1"),
+        selftest, "window_basis", lambda ctx, d, k: [], "additive d=0: 1 != 0"),
     "towers.functoriality": (
         selftest, "apply_levelwise_isomorphism", lambda sl, mats: TowerSlice([0] * len(sl.dims)),
         "d=0: limit dim changed"),

@@ -24,6 +24,7 @@ from cobcalc.series import (
     series_mul,
     sparse_coordinates,
     substitute,
+    window_basis,
 )
 
 from cobcalc.fgl import build_fgl
@@ -411,6 +412,7 @@ _U1 = RingContext(1, "universal-rational", 3, 2)
 # exception type and the whole message
 @pytest.mark.parametrize("call, exc, message", [
     (lambda: _Q2.var(2), ValueError, "variable index 2 out of range"),
+    (lambda: _Q2.var(True), ValueError, "variable index must be int, got bool"),
     (lambda: _U1.from_terms({Monomial((1,), ((1, 0),)): 1}), ValueError,
      "generator exponents must be positive"),
     (lambda: _Q2.from_terms({Monomial((1,), ()): 1}), ValueError,
@@ -424,6 +426,11 @@ _U1 = RingContext(1, "universal-rational", 3, 2)
      "compositional inverse needs a one-variable series"),
     (lambda: compositional_inverse(2 * _U1.var(0)), ValueError, "series must start with x"),
     (lambda: bidegree_basis(_Q2, 0, 4), ValueError, "t-order 4 outside [0, 3]"),
+    # a window's degree is an int: 1.5 is not read as 1, nor True as 1
+    (lambda: bidegree_basis(_Q2, 1.5, 2), ValueError, "degree must be int, got float"),
+    (lambda: bidegree_basis(_Q2, True, 1), ValueError, "degree must be int, got bool"),
+    (lambda: window_basis(_Q2, 1.5, 3), ValueError, "degree must be int, got float"),
+    (lambda: window_basis(_Q2, True, 3), ValueError, "degree must be int, got bool"),
     # the generator part `coefficient` reads: indices strictly increasing
     (lambda: _U1.from_terms({Monomial((1,), ((1, 1), (1, 1))): 1}), ValueError,
      "generator indices must strictly increase"),
@@ -447,9 +454,11 @@ _U1 = RingContext(1, "universal-rational", 3, 2)
     (lambda: build_fgl("add", 3.0, 0), ValueError, "max_t_order must be int, got float"),
     # the additive weight cap is checked before it is zeroed
     (lambda: build_fgl("add", 3, 0.5), ValueError, "max_weight must be int, got float"),
-], ids=["var-index", "generator-exponent", "monomial-length", "negative-exponent",
-        "text-variable", "strict-coordinates", "inverse-variables", "inverse-linear-term",
-        "bidegree-t-order", "repeated-generator", "unsorted-generators", "float-constant",
+], ids=["var-index", "bool-var-index", "generator-exponent", "monomial-length",
+        "negative-exponent", "text-variable", "strict-coordinates", "inverse-variables",
+        "inverse-linear-term", "bidegree-t-order", "bidegree-float-degree",
+        "bidegree-bool-degree", "window-float-degree", "window-bool-degree",
+        "repeated-generator", "unsorted-generators", "float-constant",
         "float-coefficient", "float-scale", "bool-constant", "bool-coefficient", "bool-scale",
         "float-t-cap", "float-n-vars", "bool-weight-cap", "float-law-t-cap",
         "float-additive-weight-cap"])

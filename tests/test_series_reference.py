@@ -11,7 +11,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cobcalc.equivariant import window_basis
 from cobcalc.series import (
     COEFF_KINDS,
     ContextMismatch,
@@ -31,6 +30,7 @@ from cobcalc.series import (
     substitute,
     variable_slice,
     variable_slices,
+    window_basis,
 )
 
 from oracles import ref_add, ref_mul, ref_rref, ref_scale, ref_substitute, ref_truncate

@@ -9,12 +9,11 @@ from hypothesis import strategies as st
 
 from cobcalc import linalg
 from cobcalc.fgl import build_fgl, ring_context
-from cobcalc.series import RingContext
+from cobcalc.series import RingContext, window_basis
 from cobcalc.towers import (
     TowerSlice,
     WindowNotStabilized,
     apply_levelwise_isomorphism,
-    coefficient_ring_dimension,
     inverse_limit_dims,
     projective_space_tower,
     stabilization_index,
@@ -162,7 +161,7 @@ def test_projective_space_tower_matches_coefficient_ring():
             sl = projective_space_tower(ctx, d, F.max_t_order + 2)
             idx = stabilization_index(sl)
             assert idx is not None and idx <= d
-            assert inverse_limit_dims(sl) == coefficient_ring_dimension(ctx, d)
+            assert inverse_limit_dims(sl) == len(window_basis(ctx, d, ctx.max_t_order))
 
 
 def test_projective_space_tower_builds_only_the_requested_degrees():
@@ -174,6 +173,23 @@ def test_projective_space_tower_builds_only_the_requested_degrees():
     for d, levels in ((-1, 12), (3, 1)):
         with pytest.raises(ValueError, match="need degree >= 0 and at least three levels"):
             projective_space_tower(ctx, d, levels)
+
+
+_U1 = RingContext(1, "universal-rational", 4, 3)
+
+
+# one row per refusal of `projective_space_tower`: the call, the exception
+# type and the whole message
+@pytest.mark.parametrize("call, exc, message", [
+    # a degree or a level is an int: 1.5 is not read as 1, nor True as 1
+    (lambda: projective_space_tower(_U1, 1.5, 5), ValueError, "degree must be int, got float"),
+    (lambda: projective_space_tower(_U1, True, 5), ValueError, "degree must be int, got bool"),
+    (lambda: projective_space_tower(_U1, 1, 5.0), ValueError, "top level must be int, got float"),
+], ids=["float-degree", "bool-degree", "float-top-level"])
+def test_tower_refusals(call, exc, message):
+    with pytest.raises(exc) as info:
+        call()
+    assert type(info.value) is exc and str(info.value) == message
 
 
 def test_projective_space_tower_level_dims_additive():

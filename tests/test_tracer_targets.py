@@ -12,7 +12,7 @@ import importlib
 import importlib.util
 from pathlib import Path
 
-from cobcalc import cli, equivariant
+from cobcalc import cli, equivariant, series
 from cobcalc.fgl import build_fgl
 
 TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
@@ -54,7 +54,7 @@ def test_the_tracer_runs_small_jobs_and_restores_the_package(capsys):
     try:
         statuses = [cli.main(argv) for argv in ARGV]
         basis = equivariant.invariant_basis(group, law, 1, 3)
-        fixed = equivariant.fixed_basis(matrices, law, equivariant.window_basis(ctx, 1, 3), ctx)
+        fixed = equivariant.fixed_basis(matrices, law, series.window_basis(ctx, 1, 3), ctx)
     finally:
         tracer.uninstall()
     capsys.readouterr()

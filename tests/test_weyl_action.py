@@ -21,11 +21,10 @@ from cobcalc.equivariant import (
     int_mat_mul,
     preset,
     weyl_apply,
-    window_basis,
 )
 from cobcalc.fgl import FormalGroupLaw, build_fgl
 from cobcalc.selftest import random_series
-from cobcalc.series import Monomial, RingContext, compositional_inverse, substitute
+from cobcalc.series import Monomial, RingContext, compositional_inverse, substitute, window_basis
 
 from oracles import ref_action_matrix, ref_fixed_space_rows, ref_weyl_apply
 
